@@ -1,12 +1,14 @@
 # MobiQuery reproduction — common developer entry points.
 #
-#   make test            tier-1 unit/integration tests (fast, ~20 s)
+#   make test            tier-1 unit/integration tests + the bench contract
 #   make bench-smoke     the two CI benchmark smokes (fig4 + multi-user scaling)
 #   make bench           every benchmark (regenerates all paper figures, slow)
 #   make bench-perf      time the hot paths and write BENCH_perf.json
 #   make bench-cluster   time cluster_scale_64users (shards=1 vs sharded)
 #                        and gate the single-shard identity fingerprint
 #   make perf-gate       re-measure and fail on >20% events/sec regression
+#   make ledger          ten seeds of every bench/ workload into
+#                        bench/out/ledger.json (input of `bench compare`)
 #   make profile         cProfile one bench scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -32,10 +34,10 @@ SERVE_SMOKE_PORT ?= 8641
 #: port the chaos smoke binds (distinct so both smokes can run in parallel)
 CHAOS_SMOKE_PORT ?= 8652
 
-.PHONY: test bench bench-smoke bench-perf bench-cluster perf-gate profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
+.PHONY: test bench bench-smoke bench-perf bench-cluster perf-gate ledger profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
 
 test:
-	PYTHONPATH=src $(PY) -m pytest -q tests/
+	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
 
 examples-smoke:
 	@for script in examples/*.py; do \
@@ -70,6 +72,12 @@ perf-gate:
 	cp BENCH_perf.json /tmp/bench_baseline.json
 	PYTHONPATH=src $(PY) -m repro bench --scale quick \
 		--output /tmp/bench_fresh.json --baseline /tmp/bench_baseline.json
+
+# The perf ledger (bench/README.md): every workload at ten seeds, one
+# fresh process each.  Compare two of these with
+#   python3 -m bench compare A.json B.json
+ledger:
+	python3 -m bench --runs 10 --out bench/out/ledger.json
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant

@@ -15,7 +15,7 @@ the in-network summary plane instead.  This module gates the frontier:
   nothing is silently stale (the scenario's 3 s duty cycle keeps
   summaries inside the freshness bound).
 
-Run with ``make approx-smoke`` (both physics legs in CI).
+Run with ``make approx-smoke`` (its own CI job).
 """
 
 import pytest

@@ -517,9 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--both-paths",
         action="store_true",
-        help="also time each scenario over the pure-Python reference "
-        "physics (REPRO_VECTORIZE=reference) and record reference_wall_s "
-        "next to the accelerated timing",
+        help="also time each scenario with the batched mobile-position "
+        "sweep turned off (REPRO_VECTORIZE=reference: per-proxy lookup at "
+        "every fleet size) and record reference_wall_s next to the default "
+        "timing",
     )
     bench_p.add_argument(
         "--cluster",
@@ -532,10 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p = sub.add_parser(
         "profile",
         help="profile a bench scenario with cProfile",
-        epilog="The reception physics has two bit-identical paths; profile "
-        "the pure-Python one with REPRO_VECTORIZE=reference in the "
-        "environment and compare (see 'Reading the vectorized-vs-reference "
-        "timings' in examples/README.md).",
+        epilog="REPRO_VECTORIZE=reference in the environment turns the "
+        "batched mobile-position sweep off (fleets of 17+ proxies); the "
+        "per-layer ledger is bench/README.md.",
     )
     prof_p.add_argument(
         "scenario",

@@ -291,7 +291,7 @@ def profile_scenario(
 
 @contextlib.contextmanager
 def _reference_path() -> Iterator[None]:
-    """Force the pure-Python reference physics for the enclosed runs.
+    """Turn the mobile sweep off (the reference leg) for the enclosed runs.
 
     ``numpy_or_none`` consults ``REPRO_VECTORIZE`` at channel construction,
     so flipping the environment variable around a measurement is enough —

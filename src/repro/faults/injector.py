@@ -4,14 +4,13 @@ Crashes are modelled as *forced sleep with wake blocked*: the node's radio
 drops to SLEEP (corrupting whatever it was receiving, exactly as a real
 power loss would), and ``wake`` is shadowed so neither the PSM wheel nor
 the protocol can bring the radio back until recovery.  This flows through
-the same :meth:`Radio.set_state` path on both physics legs — a crashed
-node behaves bit-identically whether its radio is a plain object or bound
-to the numpy :class:`~repro.net.vectorized.VectorStore`.
+the one :meth:`Radio.set_state` path every radio transition takes.
 
 Degradation windows install a jam hook on the channel; while a window is
 open every transmitted frame is corrupted at all receivers with the
 window's probability (one draw per frame, in kernel-event order, from the
-dedicated ``"faults"`` stream — both physics legs see identical draws).
+dedicated ``"faults"`` stream, so the draws do not depend on how mobile
+listeners are looked up).
 
 The injector only *breaks* things.  Recovery — collector re-election,
 report re-routing, watchdog re-injection, degraded-period accounting —

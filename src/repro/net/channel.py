@@ -41,11 +41,20 @@ by overlap or by the receiver leaving a listening state flips the flag in
 the record's arrays directly.  The object-per-reception ``Reception`` API
 remains for unit tests and external callers but is off the simulation hot
 path.
+
+There is **one reception path**: ``transmit`` begins the cohort in
+``_begin_reception`` and the end-of-airtime event resolves it in
+``_finish_transmission``, both plain loops over plain
+:class:`~repro.net.radio.Radio` objects.  Mobile listeners are found one
+of two ways, chosen by fleet size alone: a direct ``position_at`` loop
+below ``MOBILE_SWEEP_THRESHOLD`` proxies, the batched
+:class:`~repro.net.vectorized.MobileSweep` at or above it (the
+``REPRO_VECTORIZE`` kill-switch forces the direct loop at every size —
+the sweep's test oracle).
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..geometry.grid import SpatialGrid
@@ -56,13 +65,7 @@ from . import vectorized
 from .energy import RadioState
 from .packet import Frame
 from .radio import Radio
-from .vectorized import (
-    CODE_IDLE,
-    CODE_RX,
-    MOBILE_SWEEP_THRESHOLD,
-    STORE_BIND_THRESHOLD,
-    VECTOR_COHORT_THRESHOLD,
-)
+from .vectorized import MOBILE_SWEEP_THRESHOLD
 
 
 class ChannelEndpoint(Protocol):
@@ -149,48 +152,6 @@ class BroadcastReception:
         self.on_airtime_end: Optional[Callable[[], None]] = None
 
 
-class _VectorReception(BroadcastReception):
-    """A :class:`BroadcastReception` whose cohort state is array-backed.
-
-    Built by ``Channel._begin_vector`` when the static cohort is wide
-    enough for the numpy path: ``corrupt`` is a preallocated bool array
-    (static listeners first, mobiles after), ``reasons`` a sparse dict
-    (only corrupt entries carry a reason — every write of a True flag
-    writes its reason), and ``static_ids`` the listening static cohort's
-    node ids aligned with ``corrupt[:len(static_ids)]``.  Radios corrupt
-    entries through the exact same ``record.corrupt[i] = True`` /
-    ``record.reasons[i] = ...`` statements as the list-backed record, so
-    :meth:`Radio.set_state` and the object-API interop need no branching.
-    """
-
-    __slots__ = ("static_ids", "active_mask")
-
-    def __init__(
-        self,
-        frame: Frame,
-        sender_id: int,
-        position: Vec2,
-        end_time: float,
-        covered: Tuple[int, ...],
-        corrupt,
-        static_ids,
-    ) -> None:
-        super().__init__(frame, sender_id, position, end_time, covered)
-        self.corrupt = corrupt
-        self.reasons = {}
-        self.static_ids = static_ids
-        #: dense bool mask (store width) of the listening static cohort,
-        #: snapshotted at begin so the finish kernel can run dense updates
-        self.active_mask = None
-
-
-#: Mobile-endpoint count above which ``transmit`` switches its listener
-#: sweep to the memo + Lipschitz-exclusion path.  Below this the direct
-#: per-proxy evaluation is cheaper (measured on the pinned hot paths: the
-#: memo costs ~5% at 16 proxies and saves ~17% at 64).
-MOBILE_MEMO_THRESHOLD = 16
-
-
 class Channel:
     """The shared medium connecting all registered endpoints."""
 
@@ -222,22 +183,10 @@ class Channel:
         self._grid: SpatialGrid[int] = SpatialGrid(cell_size=comm_range)
         self._static: Dict[int, ChannelEndpoint] = {}
         self._mobile: Dict[int, ChannelEndpoint] = {}
-        # Per-mobile position memo: node id -> (timestamp, x, y), the last
-        # evaluated position.  Entries are pure-function results (a path's
-        # position at t never changes), so they need no invalidation —
-        # they are refreshed when a newer timestamp is asked for, and a
-        # *stale* entry still serves the Lipschitz exclusion test in
-        # ``transmit``: a proxy farther from the sender than comm range
-        # plus (its max speed x entry age) provably cannot receive, so its
-        # mobility model is not re-evaluated at all.
-        self._mobile_pos: Dict[int, tuple] = {}
-        #: per-mobile Lipschitz motion bound (m/s; inf disables exclusion)
-        self._mobile_reach: Dict[int, float] = {}
         self._active: List[BroadcastReception] = []
-        #: per static node: (listener endpoints, their ids, ids as a numpy
-        #: index array or None), grid-query order
+        #: per static node: (listener endpoints, their ids), grid-query order
         self._neighbor_cache: Dict[
-            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], Optional[object]]
+            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...]]
         ] = {}
         # Per static node (indexed by id): number of in-flight transmissions
         # from *other* senders covering it, and the latest end time among
@@ -253,28 +202,11 @@ class Channel:
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
-        # Optional numpy acceleration (see repro.net.vectorized): resolved
-        # per channel at construction so REPRO_VECTORIZE applies per world.
-        self._np = vectorized.numpy_or_none()
-        # The store is NOT created at registration: bound radios serve
-        # every scalar field read through a property into the arrays,
-        # which slows the reference loops ~4x — a net loss unless the
-        # dense kernels actually engage.  ``transmit`` migrates the world
-        # onto a store the first time a static cohort reaches
-        # STORE_BIND_THRESHOLD (one-way ratchet); narrow worlds never pay.
-        self._vstore: Optional[vectorized.VectorStore] = None
-        self._store_refused = False
-        self._sweep = (
-            vectorized.MobileSweep(self._np) if self._np is not None else None
-        )
-        # Static endpoints whose radios could not be store-bound (stub
-        # radios in tests); any such endpoint disables the vector transmit
-        # path — the store's arrays would not see its state.
-        self._unbound_static = 0
-        #: per static sender: dense bool mask (store width) of its covered
-        #: listener ids — lets the begin kernel AND against ``listening``
-        #: in one full-width op instead of fancy-indexing per transmit
-        self._cover_masks: Dict[int, object] = {}
+        # The batched fleet position sweep (see repro.net.vectorized), or
+        # None under the REPRO_VECTORIZE kill-switch: resolved per channel
+        # at construction so the switch applies per world.
+        np_mod = vectorized.numpy_or_none()
+        self._sweep = vectorized.MobileSweep(np_mod) if np_mod is not None else None
         #: fault-plane jam hook: when set (only while a radio-degradation
         #: window is open), consulted once per transmitted frame; a True
         #: return corrupts the whole cohort.  None outside fault windows,
@@ -294,16 +226,6 @@ class Channel:
         self._grid.insert(node_id, position)
         # New static nodes change neighbourhoods; caches rebuild lazily.
         self._neighbor_cache.clear()
-        self._cover_masks.clear()
-        if self._vstore is not None:
-            # The world already ratcheted onto the store (a wide cohort
-            # appeared earlier); late arrivals join it immediately.
-            if type(endpoint.radio) is Radio:
-                self._vstore.bind(endpoint.radio, node_id)
-            else:
-                # A stub or subclassed radio cannot be class-swapped onto
-                # the store; its state would be invisible to the arrays.
-                self._unbound_static += 1
         if node_id >= len(self._busy_count):
             grow = node_id + 1 - len(self._busy_count)
             self._busy_count.extend([0] * grow)
@@ -326,19 +248,6 @@ class Channel:
         if endpoint.node_id in self._static or endpoint.node_id in self._mobile:
             raise ValueError(f"endpoint {endpoint.node_id} already registered")
         self._mobile[endpoint.node_id] = endpoint
-        # A reused id must not inherit the previous endpoint's memo.
-        self._mobile_pos.pop(endpoint.node_id, None)
-        self._mobile_reach[endpoint.node_id] = float(
-            getattr(endpoint, "max_speed_mps", float("inf"))
-        )
-        if len(self._mobile) == MOBILE_MEMO_THRESHOLD + 1:
-            # The fleet just crossed the memo threshold: ``transmit`` and
-            # ``_mobile_xy`` switch to the memo + Lipschitz path on their
-            # next call, so start it from a clean slate — entries written
-            # in an earlier above-threshold era must not straddle the
-            # crossing (register/unregister churn around the boundary
-            # otherwise flips paths between sites with stale entries).
-            self._mobile_pos.clear()
         if self._sweep is not None:
             self._sweep.dirty = True
 
@@ -359,13 +268,6 @@ class Channel:
         """
         if self._mobile.pop(node_id, None) is None:
             return
-        self._mobile_pos.pop(node_id, None)
-        self._mobile_reach.pop(node_id, None)
-        if len(self._mobile) == MOBILE_MEMO_THRESHOLD:
-            # Dropped back to (or through) the threshold: the memo path is
-            # off until the fleet grows again, and whatever it cached must
-            # not survive the crossing (see register_mobile).
-            self._mobile_pos.clear()
         if self._sweep is not None:
             self._sweep.dirty = True
         for tx in self._active:
@@ -408,21 +310,14 @@ class Channel:
 
     def _static_cache(
         self, node_id: int
-    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], Optional[object]]:
+    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...]]:
         cached = self._neighbor_cache.get(node_id)
         if cached is None:
             position = self._static[node_id].position_at(0.0)
             ids = self._grid.query_disk(position, self.comm_range)
             static = self._static
             others = tuple(i for i in ids if i != node_id)
-            np_mod = self._np
-            cached = (
-                tuple(static[i] for i in others),
-                others,
-                np_mod.array(others, dtype=np_mod.intp)
-                if np_mod is not None
-                else None,
-            )
+            cached = (tuple(static[i] for i in others), others)
             self._neighbor_cache[node_id] = cached
         return cached
 
@@ -436,31 +331,6 @@ class Channel:
                 found.append(ep)
         return found
 
-    def _mobile_xy(self, endpoint: ChannelEndpoint) -> Tuple[float, float]:
-        """The endpoint's memoized position at the current instant.
-
-        Pure-function memo keyed on ``(endpoint, now)``: repeated queries
-        within one kernel timestamp (carrier sense, then the transmit
-        sweep) evaluate the mobility model once.  Only the *registered*
-        endpoint for an id touches the memo — a stale endpoint sensing
-        after its id was reused (cancel + resubmit) must not alias the
-        new proxy's entry.
-        """
-        now = self.sim.now
-        node_id = endpoint.node_id
-        if (
-            len(self._mobile) <= MOBILE_MEMO_THRESHOLD
-            or self._mobile.get(node_id) is not endpoint
-        ):
-            pos = endpoint.position_at(now)
-            return pos.x, pos.y
-        entry = self._mobile_pos.get(node_id)
-        if entry is not None and entry[0] == now:
-            return entry[1], entry[2]
-        pos = endpoint.position_at(now)
-        self._mobile_pos[node_id] = (now, pos.x, pos.y)
-        return pos.x, pos.y
-
     def medium_busy(self, endpoint: ChannelEndpoint) -> bool:
         """Carrier sense: is any in-flight transmission within range?
 
@@ -473,7 +343,8 @@ class Channel:
         if self._static.get(node_id) is endpoint:
             return self._busy_count[node_id] > 0
         # Mobile proxy: position changes between sense calls, scan in flight.
-        px, py = self._mobile_xy(endpoint)
+        pos = endpoint.position_at(self.sim.now)
+        px, py = pos.x, pos.y
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
         for tx in self._active:
             if tx.sender_id == node_id:
@@ -492,7 +363,8 @@ class Channel:
             if self._busy_count[node_id] == 0:
                 return None
             return self._busy_latest[node_id]
-        px, py = self._mobile_xy(endpoint)
+        pos = endpoint.position_at(self.sim.now)
+        px, py = pos.x, pos.y
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
         latest: Optional[float] = None
         for tx in self._active:
@@ -534,54 +406,17 @@ class Channel:
         # registered static node (no per-transmit grid query or list build,
         # and the sender is already excluded); a mobile sender's footprint
         # is evaluated at its current position.
-        id_arr = None
-        static_sender = self._static.get(sender_id) is sender
-        if static_sender:
-            static_listeners, covered, id_arr = self._static_cache(sender_id)
+        if self._static.get(sender_id) is sender:
+            static_listeners, covered = self._static_cache(sender_id)
         else:
             ids = self._grid.query_disk(position, self.comm_range)
             static = self._static
             static_listeners = tuple(static[i] for i in ids if i != sender_id)
             covered = tuple(i for i in ids if i != sender_id)
-            if (
-                len(self._mobile) > MOBILE_MEMO_THRESHOLD
-                and self._mobile.get(sender_id) is sender
-            ):
-                # The sender's own position is fresh — share it with the
-                # per-timestamp memo the listener sweep below reads.
-                self._mobile_pos[sender_id] = (now, position.x, position.y)
         end_time = now + duration
-        store = self._vstore
-        if (
-            store is None
-            and self._np is not None
-            and not self._store_refused
-            and len(static_listeners) >= STORE_BIND_THRESHOLD
-        ):
-            # First cohort wide enough for the dense kernels to win:
-            # migrate the whole static world onto the store now (bound
-            # radios slow the scalar loops, so narrow worlds never bind).
-            store = self._bind_store()
-        if (
-            store is not None
-            and not self._unbound_static
-            and len(static_listeners) >= VECTOR_COHORT_THRESHOLD
-        ):
-            # Wide cohort + every static radio store-bound: the whole
-            # begin-reception pass runs as array operations (bit-identical
-            # to the loops below — see repro.net.vectorized).
-            if id_arr is None:
-                np_mod = store.np
-                id_arr = np_mod.array(covered, dtype=np_mod.intp)
-            record = self._begin_vector(
-                frame, sender_id, position, end_time, covered,
-                static_listeners, id_arr, now, static_sender,
-            )
-        else:
-            record = self._begin_reference(
-                frame, sender_id, position, end_time, covered,
-                static_listeners, now,
-            )
+        record = self._begin_reception(
+            frame, sender_id, position, end_time, covered, static_listeners, now
+        )
         record.on_airtime_end = on_airtime_end
         jam = self.fault_jam
         if jam is not None and jam(frame):
@@ -606,12 +441,9 @@ class Channel:
     def _corrupt_cohort(self, record: BroadcastReception, reason: str) -> None:
         """Corrupt every still-clean reception of one in-flight frame.
 
-        Works on both record layouts — list-backed ``corrupt``/``reasons``
-        and the array-backed :class:`_VectorReception` (numpy flags, sparse
-        reason dict) — through the same per-slot writes
-        :meth:`Radio.set_state` uses, and releases each radio's clean-slot
-        pointer (plain attribute or store-backed property) to preserve the
-        at-most-one-clean-reception invariant the finish loops rely on.
+        Uses the same per-slot writes as :meth:`Radio.set_state` and
+        releases each radio's clean-slot pointer, preserving the
+        at-most-one-clean-reception invariant the finish loop relies on.
         """
         corrupt = record.corrupt
         reasons = record.reasons
@@ -622,28 +454,7 @@ class Channel:
             reasons[i] = reason
             receiver.radio._rx_record = None
 
-    def _bind_store(self) -> Optional["vectorized.VectorStore"]:
-        """Migrate every static radio onto a fresh :class:`VectorStore`.
-
-        Called by :meth:`transmit` the first time a static cohort reaches
-        ``STORE_BIND_THRESHOLD``.  Binding mid-run is safe: ``bind``
-        migrates each radio's live scalar state (including any in-flight
-        reception bookkeeping) into the arrays, and records already on the
-        air keep resolving through the class-swapped radios' properties.
-        If any registered radio is a stub or subclass the store cannot
-        represent, the channel permanently stays on the reference path.
-        """
-        for endpoint in self._static.values():
-            if type(endpoint.radio) is not Radio:
-                self._store_refused = True
-                return None
-        store = vectorized.VectorStore(self._np)
-        for node_id, endpoint in self._static.items():
-            store.bind(endpoint.radio, node_id)
-        self._vstore = store
-        return store
-
-    def _begin_reference(
+    def _begin_reception(
         self,
         frame: Frame,
         sender_id: int,
@@ -653,23 +464,24 @@ class Channel:
         static_listeners: Tuple[ChannelEndpoint, ...],
         now: float,
     ) -> BroadcastReception:
-        """Begin the cohort's receptions with the pure-Python loops.
+        """Begin the frame's receptions: static cohort first, then mobiles.
 
-        This is the reference path (and the numpy-absent / small-cohort
-        fallback): the exact pre-vectorization code, kept loop-for-loop —
-        the accelerated path in ``_begin_vector`` must stay bit-identical
-        to it.
+        Static listeners join in grid-query order; mobiles after them in
+        fleet registration order, found by the direct per-proxy loop below
+        ``MOBILE_SWEEP_THRESHOLD`` proxies and by the batched
+        :class:`~repro.net.vectorized.MobileSweep` at or above it.
         """
         record = BroadcastReception(frame, sender_id, position, end_time, covered)
         receivers = record.receivers
         corrupt = record.corrupt
         reasons = record.reasons
-        # Reception begin is inlined in both loops below (overlap corruption
-        # + IDLE->RX radio/energy transition) — one reception starts per
-        # listening neighbour per transmission, the hottest inner loop in
-        # the model.  No per-listener object is allocated: the cohort's
-        # state is appended to the record's parallel arrays, and each radio
-        # tracks only a count plus its single still-clean reception.
+        # Reception begin is inlined in the static loop below (overlap
+        # corruption + IDLE->RX radio/energy transition) — one reception
+        # starts per listening neighbour per transmission, the hottest
+        # inner loop in the model.  No per-listener object is allocated:
+        # the cohort's state is appended to the record's parallel arrays,
+        # and each radio tracks only a count plus its single still-clean
+        # reception.
         rx_state = RadioState.RX
         idle_state = RadioState.IDLE
         for listener in static_listeners:
@@ -710,74 +522,25 @@ class Channel:
         px, py = position.x, position.y
         mobiles = self._mobile
         if self._sweep is not None and len(mobiles) >= MOBILE_SWEEP_THRESHOLD:
-            # Wide fleet + numpy: one batched segment evaluation positions
-            # every proxy (bit-identical values, same joiner order as the
-            # scalar branches below — the sweep is independent of the
-            # radio store, so it accelerates the reference loops too).
+            # Wide fleet: one batched segment evaluation positions every
+            # proxy (bit-identical values, same joiner order as the direct
+            # loop below, which stays as its oracle under REPRO_VECTORIZE).
             for listener in self._sweep_candidates(sender_id, px, py, now):
                 listener.radio.begin_batch_reception(record, listener)
             return record
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        if len(mobiles) <= MOBILE_MEMO_THRESHOLD:
-            # Small fleets: evaluating every proxy directly is cheaper
-            # than the memo bookkeeping below (measured crossover around
-            # 16 proxies on the pinned hot-path scenarios).
-            for listener in mobiles.values():
-                if listener.node_id == sender_id:
-                    continue
-                lpos = listener.position_at(now)
-                dx = lpos.x - px
-                dy = lpos.y - py
-                if dx * dx + dy * dy > r_sq_eps:
-                    continue
-                radio = listener.radio
-                if not radio.listening:
-                    continue
-                radio.begin_batch_reception(record, listener)
-        else:
-            mobile_pos = self._mobile_pos
-            mobile_reach = self._mobile_reach
-            for listener in mobiles.values():
-                nid = listener.node_id
-                if nid == sender_id:
-                    continue
-                # Positions are memoized per (proxy, timestamp); a stale
-                # memo plus the proxy's speed bound can prove it is still
-                # out of range, in which case the mobility model is not
-                # re-evaluated at all.  At 64 proxies this takes ~17% off
-                # the whole-run wall; below the threshold the bookkeeping
-                # outweighs the saved evaluations.
-                entry = mobile_pos.get(nid)
-                if entry is not None and entry[0] == now:
-                    lx = entry[1]
-                    ly = entry[2]
-                else:
-                    if entry is not None:
-                        dx = entry[1] - px
-                        dy = entry[2] - py
-                        # 1e-6 m of slack keeps the exclusion strictly
-                        # more conservative than the exact r_sq_eps test.
-                        reach = (
-                            self.comm_range
-                            + mobile_reach[nid] * (now - entry[0])
-                            + 1e-6
-                        )
-                        if dx * dx + dy * dy > reach * reach:
-                            continue
-                    lpos = listener.position_at(now)
-                    lx = lpos.x
-                    ly = lpos.y
-                    mobile_pos[nid] = (now, lx, ly)
-                dx = lx - px
-                dy = ly - py
-                if dx * dx + dy * dy > r_sq_eps:
-                    continue
-                radio = listener.radio
-                if not radio.listening:
-                    continue
-                # The plain batch-begin method — no fourth inlined copy of
-                # the corruption/energy logic to keep in sync.
-                radio.begin_batch_reception(record, listener)
+        for listener in mobiles.values():
+            if listener.node_id == sender_id:
+                continue
+            lpos = listener.position_at(now)
+            dx = lpos.x - px
+            dy = lpos.y - py
+            if dx * dx + dy * dy > r_sq_eps:
+                continue
+            radio = listener.radio
+            if not radio.listening:
+                continue
+            radio.begin_batch_reception(record, listener)
         return record
 
     def _sweep_candidates(
@@ -788,9 +551,9 @@ class Channel:
         One elementwise segment evaluation positions the whole fleet
         (bit-identical to per-proxy ``position_at`` — see
         :class:`~repro.net.vectorized.MobileSweep`), then the range mask
-        and listening filter reproduce the scalar branches' predicate
+        and listening filter reproduce the direct loop's predicate
         order.  Slot order is fleet registration order, so the joiner
-        sequence matches the dict-iteration order of the scalar paths.
+        sequence matches the dict-iteration order of the direct loop.
         """
         sweep = self._sweep
         if sweep.dirty:
@@ -812,214 +575,6 @@ class Channel:
             for k in sweep.np.nonzero(mask)[0].tolist()
             if eps[k].radio.listening
         ]
-
-    def _mobile_candidates(
-        self, sender_id: int, px: float, py: float, now: float
-    ) -> List[ChannelEndpoint]:
-        """In-range listening mobiles at ``now``, fleet order (scalar).
-
-        The same selection the two mobile branches of ``_begin_reference``
-        make — direct evaluation below the memo threshold, memo + Lipschitz
-        exclusion above it, maintaining the shared memo identically — but
-        returning the joiner list instead of beginning receptions, so the
-        vector path can preallocate the record's arrays at cohort size.
-        """
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        mobiles = self._mobile
-        joiners: List[ChannelEndpoint] = []
-        if len(mobiles) <= MOBILE_MEMO_THRESHOLD:
-            for listener in mobiles.values():
-                if listener.node_id == sender_id:
-                    continue
-                lpos = listener.position_at(now)
-                dx = lpos.x - px
-                dy = lpos.y - py
-                if dx * dx + dy * dy > r_sq_eps:
-                    continue
-                if not listener.radio.listening:
-                    continue
-                joiners.append(listener)
-            return joiners
-        mobile_pos = self._mobile_pos
-        mobile_reach = self._mobile_reach
-        for listener in mobiles.values():
-            nid = listener.node_id
-            if nid == sender_id:
-                continue
-            entry = mobile_pos.get(nid)
-            if entry is not None and entry[0] == now:
-                lx = entry[1]
-                ly = entry[2]
-            else:
-                if entry is not None:
-                    dx = entry[1] - px
-                    dy = entry[2] - py
-                    reach = (
-                        self.comm_range
-                        + mobile_reach[nid] * (now - entry[0])
-                        + 1e-6
-                    )
-                    if dx * dx + dy * dy > reach * reach:
-                        continue
-                lpos = listener.position_at(now)
-                lx = lpos.x
-                ly = lpos.y
-                mobile_pos[nid] = (now, lx, ly)
-            dx = lx - px
-            dy = ly - py
-            if dx * dx + dy * dy > r_sq_eps:
-                continue
-            if not listener.radio.listening:
-                continue
-            joiners.append(listener)
-        return joiners
-
-    def _begin_vector(
-        self,
-        frame: Frame,
-        sender_id: int,
-        position: Vec2,
-        end_time: float,
-        covered: Tuple[int, ...],
-        static_listeners: Tuple[ChannelEndpoint, ...],
-        id_arr,
-        now: float,
-        static_sender: bool,
-    ) -> _VectorReception:
-        """Begin the cohort's receptions as array operations on the store.
-
-        Same semantics as ``_begin_reference``, op for op — the per-node
-        counters/records/energy fields just live in the
-        :class:`~repro.net.vectorized.VectorStore` arrays.  The kernels run
-        **dense**: full store width, masked by the sender's cover mask AND
-        the listening flags, so the op count is independent of cohort size
-        (non-members contribute exact zeros — adding ``0.0`` to a float64
-        accumulator and ``where=``-masked writes leave them bit-identical).
-        Receiver order is preserved: static listeners in grid-query order
-        first, mobiles in registration order after.
-        """
-        store = self._vstore
-        np_mod = store.np
-        px = position.x
-        py = position.y
-        # Mobile candidates are computed first (pure reads: batched path
-        # evaluation, range mask, listening flags) so the record's parallel
-        # arrays can be allocated at their final cohort size.
-        mobiles = self._mobile
-        mobile_joiners: List[ChannelEndpoint] = []
-        if mobiles:
-            if len(mobiles) >= MOBILE_SWEEP_THRESHOLD:
-                mobile_joiners = self._sweep_candidates(sender_id, px, py, now)
-            else:
-                # Small fleets: one batched segment evaluation costs more
-                # than a handful of direct position_at calls.
-                mobile_joiners = self._mobile_candidates(sender_id, px, py, now)
-        listening = store.listening
-        cover = self._cover_masks.get(sender_id) if static_sender else None
-        if cover is None or cover.shape[0] != listening.shape[0]:
-            cover = np_mod.zeros(listening.shape[0], dtype=bool)
-            cover[id_arr] = True
-            if static_sender:
-                self._cover_masks[sender_id] = cover
-        active = np_mod.logical_and(cover, listening, out=store.buf_active)
-        lmask = listening[id_arr]
-        receivers = list(compress(static_listeners, lmask.tolist()))
-        n_static = len(receivers)
-        lids = id_arr if n_static == len(static_listeners) else id_arr[lmask]
-        corrupt = np_mod.zeros(n_static + len(mobile_joiners), dtype=bool)
-        record = _VectorReception(
-            frame, sender_id, position, end_time, covered, corrupt, lids
-        )
-        record.receivers = receivers
-        record.active_mask = active.copy()
-        if n_static:
-            rx_count = store.rx_count
-            rx_record = store.rx_record
-            rx_index = store.rx_index
-            # Probe for overlaps BEFORE bumping the counters (and before
-            # the clean-slot scatter would overwrite the records the
-            # overlap branch must corrupt).
-            overlap = bool(
-                np_mod.logical_and(active, rx_count, out=store.buf_b2).any()
-            )
-            rx_count += active
-            if not overlap:
-                rx_record[lids] = record
-                rx_index[lids] = store.arange_buf[:n_static]
-            else:
-                # Overlap: the newcomer and whatever was still clean at
-                # each busy radio are both corrupt (first reason wins).
-                cnt = rx_count[lids]
-                new_mask = cnt == 1
-                overlapped = np_mod.nonzero(~new_mask)[0]
-                corrupt[overlapped] = True
-                reasons = record.reasons
-                lids_list = lids.tolist()
-                for k in overlapped.tolist():
-                    reasons[k] = "overlap"
-                    nid = lids_list[k]
-                    prev = rx_record[nid]
-                    if prev is not None:
-                        pi = rx_index[nid]
-                        prev.corrupt[pi] = True
-                        prev.reasons[pi] = "overlap"
-                        rx_record[nid] = None
-                    legacy = receivers[k].radio.active_receptions
-                    if legacy:  # legacy objects (tests only)
-                        for other in legacy:
-                            other.corrupt("overlap")
-                clean_ids = lids[new_mask]
-                rx_record[clean_ids] = record
-                rx_index[clean_ids] = np_mod.nonzero(new_mask)[0]
-            # IDLE -> RX for the whole cohort at once, dense (energy
-            # integration identical to the scalar inline: close the open
-            # idle interval, retag the state, switch the draw; members not
-            # transitioning accumulate exact 0.0).
-            state = store.state
-            idle = np_mod.logical_and(
-                active,
-                np_mod.equal(state, CODE_IDLE, out=store.buf_b2),
-                out=store.buf_b2,
-            )
-            el = np_mod.subtract(now, store.state_since, out=store.buf_f1)
-            el *= idle
-            store.joules += np_mod.multiply(el, store.idle_w, out=store.buf_f2)
-            store.idle_s += el
-            np_mod.copyto(store.state_since, now, where=idle)
-            np_mod.copyto(state, CODE_RX, where=idle)
-            np_mod.copyto(store.estate, CODE_RX, where=idle)
-            np_mod.copyto(store.state_w, store.rx_w, where=idle)
-        if mobile_joiners:
-            # Mobile tail: plain-object radios, scalar begin — same body
-            # as Radio.begin_batch_reception but writing the preallocated
-            # slots instead of appending.
-            reasons = record.reasons
-            rx_state = RadioState.RX
-            idle_state = RadioState.IDLE
-            idx = n_static
-            for listener in mobile_joiners:
-                radio = listener.radio
-                n = radio.rx_count
-                radio.rx_count = n + 1
-                if n:
-                    corrupt[idx] = True
-                    reasons[idx] = "overlap"
-                    prev = radio._rx_record
-                    if prev is not None:
-                        prev.corrupt[radio._rx_index] = True
-                        prev.reasons[radio._rx_index] = "overlap"
-                        radio._rx_record = None
-                    if radio.active_receptions:
-                        for other in radio.active_receptions:
-                            other.corrupt("overlap")
-                else:
-                    radio._rx_record = record
-                    radio._rx_index = idx
-                receivers.append(listener)
-                if radio._state is idle_state:
-                    radio.set_state(rx_state)
-                idx += 1
-        return record
 
     def _finish_transmission(
         self, sender: ChannelEndpoint, record: BroadcastReception
@@ -1046,13 +601,6 @@ class Channel:
         reasons = record.reasons
         emit_collision = tracer is not None and tracer.wants("collision")
         emit_rx = tracer is not None and tracer.wants("rx")
-        if record.__class__ is _VectorReception and not (emit_collision or emit_rx):
-            # Array-backed cohort, no per-receiver trace consumers: resolve
-            # with array operations.  (A watched "rx"/"collision" kind falls
-            # through to the scalar loop so per-receiver emission order is
-            # preserved exactly.)
-            self._finish_vector(record, now, tracer)
-            return
         collided = 0
         delivered = 0
         for i, receiver in enumerate(record.receivers):
@@ -1102,113 +650,6 @@ class Channel:
             if collided and not emit_collision:
                 tracer.tick_many("collision", collided)
             if delivered and not emit_rx:
-                tracer.tick_many("rx", delivered)
-        callback = record.on_airtime_end
-        if callback is not None:
-            callback()
-
-    def _finish_vector(
-        self, record: _VectorReception, now: float, tracer: Optional[Tracer]
-    ) -> None:
-        """Array-path twin of the scalar resolve loop above.
-
-        Static receivers resolve as fancy-indexed array updates (counter
-        decrement, RX->IDLE energy close-out, clean-slot release), then
-        deliveries dispatch in receiver order; the mobile tail runs the
-        scalar per-receiver block.  Before each delivery the corrupt flag
-        is re-read — a delivery side effect earlier in the batch could in
-        principle corrupt a later receiver, and the scalar loop reads the
-        flag at each receiver's turn.
-        """
-        store = self._vstore
-        np_mod = store.np
-        lids = record.static_ids
-        receivers = record.receivers
-        corrupt = record.corrupt
-        frame = record.frame
-        n_static = len(lids)
-        delivered = 0
-        if n_static:
-            am = record.active_mask
-            rx_count = store.rx_count
-            if am.shape[0] != rx_count.shape[0]:
-                # The store grew mid-airtime (registration mid-run): pad
-                # the begin-time snapshot out to the new width.
-                grown = np_mod.zeros(rx_count.shape[0], dtype=bool)
-                grown[: am.shape[0]] = am
-                am = grown
-            rx_count -= am
-            # Cohort members whose last in-flight reception just ended and
-            # that are still in RX return to IDLE, dense (the energy
-            # close-out mirrors the scalar block below; non-members
-            # accumulate exact 0.0).
-            state = store.state
-            ended = np_mod.logical_and(
-                np_mod.equal(rx_count, 0, out=store.buf_b2), am, out=store.buf_b2
-            )
-            ended = np_mod.logical_and(
-                ended, np_mod.equal(state, CODE_RX, out=store.buf_b3), out=store.buf_b2
-            )
-            el = np_mod.subtract(now, store.state_since, out=store.buf_f1)
-            el *= ended
-            store.joules += np_mod.multiply(el, store.rx_w, out=store.buf_f2)
-            store.rx_s += el
-            np_mod.copyto(store.state_since, now, where=ended)
-            np_mod.copyto(state, CODE_IDLE, where=ended)
-            np_mod.copyto(store.estate, CODE_IDLE, where=ended)
-            np_mod.copyto(store.state_w, store.idle_w, where=ended)
-            rx_record = store.rx_record
-            if not corrupt[:n_static].any():
-                # Wholly clean static cohort: release every slot in one
-                # scatter, then deliver in receiver order.
-                rx_record[lids] = None
-                delivered = n_static
-                for k in range(n_static):
-                    receivers[k].deliver_frame(frame)
-            else:
-                lids_list = lids.tolist()
-                for k in range(n_static):
-                    # Re-read the flag at each receiver's turn, like the
-                    # scalar loop (a delivery side effect earlier in the
-                    # batch could in principle corrupt a later receiver).
-                    if corrupt[k]:
-                        continue
-                    # A clean reception reaching its end is, by the overlap
-                    # rules, the unique clean one at its radio — release
-                    # the radio's slot.
-                    rx_record[lids_list[k]] = None
-                    delivered += 1
-                    receivers[k].deliver_frame(frame)
-        # Mobile tail: plain-object radios, the scalar per-receiver block.
-        rx_state = RadioState.RX
-        idle_state = RadioState.IDLE
-        for i in range(n_static, len(receivers)):
-            receiver = receivers[i]
-            radio = receiver.radio
-            n = radio.rx_count - 1
-            radio.rx_count = n
-            if not n and radio._state is rx_state:
-                radio._state = idle_state
-                energy = radio.energy
-                elapsed = now - energy._state_since
-                if elapsed > 0:
-                    energy._joules += elapsed * energy._state_w
-                    energy._rx_s += elapsed
-                    energy._state_since = now
-                energy._state = idle_state
-                energy._state_w = energy.model.idle_w
-            if corrupt[i]:
-                continue
-            radio._rx_record = None
-            delivered += 1
-            receiver.deliver_frame(frame)
-        collided = len(receivers) - delivered
-        self.frames_collided += collided
-        self.frames_delivered += delivered
-        if tracer is not None:
-            if collided:
-                tracer.tick_many("collision", collided)
-            if delivered:
                 tracer.tick_many("rx", delivered)
         callback = record.on_airtime_end
         if callback is not None:

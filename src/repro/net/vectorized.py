@@ -1,109 +1,55 @@
-"""Optional numpy acceleration for the batched reception physics.
+"""Batched mobile-position evaluation and the ``REPRO_VECTORIZE`` switch.
 
-The channel's batch pipeline (see :mod:`repro.net.channel`) resolves a
-whole receiver cohort per frame, but until this module the per-cohort
-corruption-marking, energy-accounting and delivery loops were pure-Python
-iteration — ~55% of wall time at quick scale.  This module moves the
-per-static-node radio and energy state into struct-of-arrays storage
-(:class:`VectorStore`) so those loops become a handful of numpy array
-operations over the cohort, and batches mobile ``position_at`` evaluation
-across the whole proxy fleet per timestamp (:class:`MobileSweep`).
+The channel's one numpy accelerator and the switch that turns it off
+(reception itself is plain loops over plain radios — see
+:mod:`repro.net.channel`).
 
-Three rules keep it safe:
+* :class:`MobileSweep` positions the whole proxy fleet with one
+  elementwise segment evaluation per timestamp.  The channel uses it from
+  ``MOBILE_SWEEP_THRESHOLD`` proxies up and the direct per-proxy
+  ``position_at`` loop below — the only threshold in ``repro.net``.
+* ``REPRO_VECTORIZE`` (``0`` / ``off`` / ``false`` / ``reference`` /
+  ``no``) turns the sweep off, and nothing else: every fleet size then
+  takes the direct loop.  It exists as the sweep's test oracle — the
+  golden pins run on both legs — and is read per
+  :class:`~repro.net.channel.Channel` at construction.  The module also
+  imports without numpy (the sweep is then simply absent), which the
+  ``sys.modules`` shim in ``tests/test_net_vectorized.py`` exercises.
 
-* **numpy is optional.**  The module imports without numpy; the channel
-  then runs the untouched pure-Python reference loops.  The
-  ``REPRO_VECTORIZE`` environment variable is a kill-switch (``0`` /
-  ``off`` / ``reference`` force the reference path even with numpy
-  installed — the no-numpy CI leg uses it, since other subsystems import
-  numpy unconditionally for RNG streams).
-* **Bit-identity.**  Every accelerated operation is an elementwise
-  float64/int op in the same order as the scalar code — no reductions, no
-  reassociation — so results (frame counters, energy integrals, success
-  ratios) are bit-identical to the reference path.  The golden determinism
-  pins and ``tests/test_net_vectorized.py`` enforce this on both paths.
-* **Full shim compatibility.**  Binding a radio to the store swaps its
-  class to :class:`VectorRadio` (and its meter to
-  :class:`VectorEnergyMeter`) whose properties redirect every field the
-  reference code reads or writes into the arrays — so the pure-Python
-  loops, the PSM scheduler, the MAC and every existing test keep working
-  unchanged against store-backed radios, just through properties.
-
-Cohort-size gating happens at two levels, the way
-``MOBILE_MEMO_THRESHOLD`` gates the memo: a channel only migrates radios
-into the store once a transmission's static cohort reaches
-``STORE_BIND_THRESHOLD`` (bound radios pay property-access tax in the
-scalar loops, so narrow worlds must keep plain radios), and a bound
-channel still routes sub-``VECTOR_COHORT_THRESHOLD`` transmissions
-through the reference loops.  The :class:`MobileSweep` is independent of
-the store and engages from ``MOBILE_SWEEP_THRESHOLD`` proxies on both
-begin paths.
+**Bit-identity.**  The sweep is an elementwise float64 evaluation of the
+exact expression :meth:`~repro.mobility.path.PiecewisePath.position_at`
+computes per call — no reductions, no reassociation — so positions, and
+with them every frame counter and success ratio, are bit-identical on
+both legs.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from .energy import EnergyMeter, PowerModel, RadioState
-from .radio import Radio
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.kernel import Simulator
-
-try:  # numpy is an optional accelerator here (hard dep elsewhere for RNG)
+try:  # the sweep is an optional accelerator (numpy is a hard dep elsewhere)
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the sys.modules shim
     _np = None
 
-#: Static-listener cohort width at which a channel migrates its radios
-#: into the :class:`VectorStore` (a one-way ratchet, taken on the first
-#: transmission that wide).  Binding is NOT free for narrow worlds: every
-#: scalar field read on a bound radio becomes a property into the arrays,
-#: which slows the reference loops ~4x — so the store only pays where the
-#: dense kernels win, and the measured crossover (sequential broadcast
-#: micro-bench, CPython 3.11 + numpy 2.x, 1-CPU container) sits near 80
-#: listeners: ref/vec per-frame 48/60 us at width 48, 63/70 at 64, 91/77
-#: at 96, 153/108 at 192.  Worlds whose cohorts never reach this width
-#: keep plain radios and run the reference loops at full scalar speed.
-STORE_BIND_THRESHOLD = 80
-
-#: Static-listener cohort size at which a *store-bound* channel switches a
-#: transmission from the reference loops to the dense array kernels.
-#: Below this the fixed per-kernel numpy dispatch outweighs the saved
-#: iteration even against property-backed scalar loops.
-VECTOR_COHORT_THRESHOLD = 12
-
-#: Mobile-fleet size at which both begin paths batch the whole fleet's
-#: ``position_at`` through :class:`MobileSweep` instead of a scalar
+#: Mobile-fleet size at which the channel batches the whole fleet's
+#: ``position_at`` through :class:`MobileSweep` instead of the direct
 #: per-proxy loop.  One batched segment evaluation costs the same for 1
 #: proxy as for 64, so it only pays once the fleet is wide: measured on
 #: the pinned scenarios, the sweep loses ~14% of whole-run wall at 8
-#: proxies, is a wash at 16, and wins ~19% at 64 — so it engages exactly
-#: where the scalar paths switch to the memo (``MOBILE_MEMO_THRESHOLD``,
-#: 16), replacing the memo + Lipschitz bookkeeping when numpy is present.
+#: proxies, is a wash at 16, and wins ~19% at 64; on the ledger's 48-user
+#: ``dense48`` it is worth +22-31% of ``sim_s_per_busy_s`` over the direct
+#: loop (53.9 / 59.6 / 54.6 / 53.4 against 43.7 / 45.6 / 44.1 / 43.8
+#: under the kill-switch, seeds 2-5).
 MOBILE_SWEEP_THRESHOLD = 17
 
-#: Environment kill-switch values that force the reference path.
+#: Environment kill-switch values that turn the sweep off.
 _OFF_VALUES = ("0", "off", "false", "reference", "no")
-
-#: Radio state codes used in the arrays (indexes into ``_STATE_OF`` and the
-#: per-state wattage table order).
-_IDLE, _RX, _TX, _SLEEP = 0, 1, 2, 3
-_CODE_OF = {
-    RadioState.IDLE: _IDLE,
-    RadioState.RX: _RX,
-    RadioState.TX: _TX,
-    RadioState.SLEEP: _SLEEP,
-}
-_STATE_OF = (RadioState.IDLE, RadioState.RX, RadioState.TX, RadioState.SLEEP)
-
-#: Public aliases for the channel's vector paths.
-CODE_IDLE, CODE_RX, CODE_TX, CODE_SLEEP = _IDLE, _RX, _TX, _SLEEP
 
 
 def numpy_or_none():
-    """The numpy module when acceleration is available and enabled.
+    """The numpy module when the sweep is available and enabled.
 
     Consulted at :class:`~repro.net.channel.Channel` construction (not
     import time), so tests can flip ``REPRO_VECTORIZE`` per channel.
@@ -115,263 +61,11 @@ def numpy_or_none():
 
 
 def accelerator_name() -> str:
-    """Which physics path a fresh channel would run (for perf reports)."""
+    """Which mobile-lookup leg a fresh channel would run (for perf reports)."""
     np_mod = numpy_or_none()
     if np_mod is None:
         return "reference"
     return f"numpy-{np_mod.__version__}"
-
-
-class VectorStore:
-    """Struct-of-arrays radio + energy state for static nodes, by node id.
-
-    One instance per :class:`~repro.net.channel.Channel`; arrays are
-    indexed by ``node_id`` (dense from the network builder) and grown on
-    registration.  :meth:`bind` migrates one radio's scalar state into the
-    arrays and swaps its class so every existing access path still works.
-    """
-
-    def __init__(self, np_mod) -> None:
-        self.np = np_mod
-        self._capacity = 0
-        n = 0
-        self.state = np_mod.zeros(n, dtype=np_mod.int8)
-        self.estate = np_mod.zeros(n, dtype=np_mod.int8)
-        self.listening = np_mod.zeros(n, dtype=bool)
-        self.rx_count = np_mod.zeros(n, dtype=np_mod.int32)
-        self.rx_index = np_mod.zeros(n, dtype=np_mod.int32)
-        self.rx_record = np_mod.empty(n, dtype=object)
-        self.joules = np_mod.zeros(n, dtype=float)
-        self.state_w = np_mod.zeros(n, dtype=float)
-        self.state_since = np_mod.zeros(n, dtype=float)
-        self.idle_s = np_mod.zeros(n, dtype=float)
-        self.rx_s = np_mod.zeros(n, dtype=float)
-        self.sleep_s = np_mod.zeros(n, dtype=float)
-        self.tx_s = np_mod.zeros(n, dtype=float)
-        # Per-node wattage by state code: w_table[code][node_id].
-        self.idle_w = np_mod.zeros(n, dtype=float)
-        self.rx_w = np_mod.zeros(n, dtype=float)
-        self.tx_w = np_mod.zeros(n, dtype=float)
-        self.sleep_w = np_mod.zeros(n, dtype=float)
-        self.w_table = (self.idle_w, self.rx_w, self.tx_w, self.sleep_w)
-        self._alloc_buffers(n)
-
-    def _alloc_buffers(self, n: int) -> None:
-        """(Re)allocate the scratch buffers the channel kernels reuse.
-
-        The kernels run *dense* (full array width, masked) so their cost is
-        independent of cohort size; these buffers keep them allocation-free
-        per transmission.
-        """
-        np_mod = self.np
-        self.buf_active = np_mod.empty(n, dtype=bool)
-        self.buf_b2 = np_mod.empty(n, dtype=bool)
-        self.buf_b3 = np_mod.empty(n, dtype=bool)
-        self.buf_f1 = np_mod.empty(n, dtype=float)
-        self.buf_f2 = np_mod.empty(n, dtype=float)
-        self.arange_buf = np_mod.arange(n, dtype=np_mod.int32)
-
-    def _ensure(self, node_id: int) -> None:
-        if node_id < self._capacity:
-            return
-        np_mod = self.np
-        new_cap = max(node_id + 1, self._capacity * 2, 16)
-        for name in (
-            "state", "estate", "listening", "rx_count", "rx_index",
-            "rx_record", "joules", "state_w", "state_since", "idle_s",
-            "rx_s", "sleep_s", "tx_s", "idle_w", "rx_w", "tx_w", "sleep_w",
-        ):
-            old = getattr(self, name)
-            grown = np_mod.zeros(new_cap, dtype=old.dtype)
-            grown[: self._capacity] = old
-            setattr(self, name, grown)
-        self.w_table = (self.idle_w, self.rx_w, self.tx_w, self.sleep_w)
-        self._alloc_buffers(new_cap)
-        self._capacity = new_cap
-
-    def bind(self, radio: Radio, index: int) -> None:
-        """Migrate ``radio`` (and its meter) onto the arrays at ``index``.
-
-        The radio keeps its identity — callers holding references see the
-        same object — but its class becomes :class:`VectorRadio` and its
-        scalar fields now live in the store.  Idempotent per radio.
-        """
-        if radio.__class__ is VectorRadio:
-            return
-        i = index
-        self._ensure(i)
-        meter = radio.energy
-        model = meter.model
-        self.state[i] = _CODE_OF[radio._state]
-        self.estate[i] = _CODE_OF[meter._state]
-        self.listening[i] = radio.listening
-        self.rx_count[i] = radio.rx_count
-        self.rx_index[i] = radio._rx_index
-        self.rx_record[i] = radio._rx_record
-        self.joules[i] = meter._joules
-        self.state_w[i] = meter._state_w
-        self.state_since[i] = meter._state_since
-        self.idle_s[i] = meter._idle_s
-        self.rx_s[i] = meter._rx_s
-        self.sleep_s[i] = meter._sleep_s
-        self.tx_s[i] = meter._tx_s
-        self.idle_w[i] = model.idle_w
-        self.rx_w[i] = model.rx_w
-        self.tx_w[i] = model.tx_w
-        self.sleep_w[i] = model.sleep_w
-        # Drop the migrated scalar fields, then swap the class: the
-        # VectorRadio properties (data descriptors) now serve every access.
-        d = radio.__dict__
-        for name in ("_state", "listening", "rx_count", "_rx_record", "_rx_index"):
-            d.pop(name, None)
-        radio._vstore = self
-        radio._vi = i
-        radio.__class__ = VectorRadio
-        radio.energy = VectorEnergyMeter(meter.sim, model, self, i)
-
-
-def _radio_slot_property(array_name: str):
-    def getter(self):
-        return getattr(self._vstore, array_name)[self._vi]
-
-    def setter(self, value):
-        getattr(self._vstore, array_name)[self._vi] = value
-
-    return property(getter, setter)
-
-
-class VectorRadio(Radio):
-    """A :class:`Radio` whose scalar state lives in a :class:`VectorStore`.
-
-    Instances are never constructed directly — :meth:`VectorStore.bind`
-    swaps a plain radio's class after migrating its fields.  Properties
-    keep every inherited method and every external reader working; the
-    hottest entry point (``set_state``) is overridden with direct array
-    access.
-    """
-
-    listening = _radio_slot_property("listening")
-    rx_count = _radio_slot_property("rx_count")
-    _rx_record = _radio_slot_property("rx_record")
-    _rx_index = _radio_slot_property("rx_index")
-
-    @property
-    def _state(self) -> RadioState:
-        return _STATE_OF[self._vstore.state[self._vi]]
-
-    @_state.setter
-    def _state(self, value: RadioState) -> None:
-        self._vstore.state[self._vi] = _CODE_OF[value]
-
-    # The three state predicates the MAC and PSM read per attempt: answer
-    # from the arrays without building the enum.
-    @property
-    def is_sleeping(self) -> bool:
-        return self._vstore.state[self._vi] == _SLEEP
-
-    @property
-    def is_transmitting(self) -> bool:
-        return self._vstore.state[self._vi] == _TX
-
-    @property
-    def is_listening(self) -> bool:
-        return bool(self._vstore.listening[self._vi])
-
-    def set_state(self, new_state: RadioState) -> None:
-        """Array-backed twin of :meth:`Radio.set_state` (same semantics)."""
-        store = self._vstore
-        i = self._vi
-        code = _CODE_OF[new_state]
-        if code == store.state[i]:
-            return
-        if code == _TX or code == _SLEEP:
-            if self.active_receptions:
-                for reception in self.active_receptions:
-                    reception.corrupt("receiver_left_listening")
-            record = store.rx_record[i]
-            if record is not None:
-                idx = store.rx_index[i]
-                record.corrupt[idx] = True
-                record.reasons[idx] = "receiver_left_listening"
-                store.rx_record[i] = None
-            store.listening[i] = False
-        else:
-            store.listening[i] = True
-        store.state[i] = code
-        # Energy integration, same order as the scalar inline in
-        # Radio.set_state: close the open interval, then retag the state.
-        now = self.sim.now
-        elapsed = now - store.state_since[i]
-        if elapsed > 0:
-            store.joules[i] += elapsed * store.state_w[i]
-            estate = store.estate[i]
-            if estate == _IDLE:
-                store.idle_s[i] += elapsed
-            elif estate == _SLEEP:
-                store.sleep_s[i] += elapsed
-            elif estate == _RX:
-                store.rx_s[i] += elapsed
-            else:
-                store.tx_s[i] += elapsed
-            store.state_since[i] = now
-        store.estate[i] = code
-        store.state_w[i] = store.w_table[code][i]
-
-
-def _meter_slot_property(array_name: str):
-    def getter(self):
-        return getattr(self._vstore, array_name)[self._vi]
-
-    def setter(self, value):
-        getattr(self._vstore, array_name)[self._vi] = value
-
-    return property(getter, setter)
-
-
-class VectorEnergyMeter(EnergyMeter):
-    """An :class:`EnergyMeter` whose accumulators live in the store.
-
-    The parent's slot descriptors are shadowed by properties (the subclass
-    declares no competing slots), so the inherited ``_settle``/readout
-    methods run unchanged against the arrays.  Readouts wrap to plain
-    ``float`` so store-backed meters never leak numpy scalars into report
-    JSON.
-    """
-
-    __slots__ = ("_vstore", "_vi")
-
-    _state_w = _meter_slot_property("state_w")
-    _state_since = _meter_slot_property("state_since")
-    _joules = _meter_slot_property("joules")
-    _tx_s = _meter_slot_property("tx_s")
-    _rx_s = _meter_slot_property("rx_s")
-    _idle_s = _meter_slot_property("idle_s")
-    _sleep_s = _meter_slot_property("sleep_s")
-
-    def __init__(
-        self, sim: "Simulator", model: PowerModel, store: VectorStore, index: int
-    ) -> None:
-        self.sim = sim
-        self.model = model
-        self._vstore = store
-        self._vi = index
-
-    @property
-    def _state(self) -> RadioState:
-        return _STATE_OF[self._vstore.estate[self._vi]]
-
-    @_state.setter
-    def _state(self, value: RadioState) -> None:
-        self._vstore.estate[self._vi] = _CODE_OF[value]
-
-    def total_joules(self) -> float:
-        return float(super().total_joules())
-
-    def seconds_in(self, state: RadioState) -> float:
-        return float(super().seconds_in(state))
-
-    def average_power_w(self) -> float:
-        return float(super().average_power_w())
 
 
 class MobileSweep:
@@ -395,7 +89,6 @@ class MobileSweep:
         self._last_t: Optional[float] = None
         self.endpoints: List = []
         self.slot_of: Dict[int, int] = {}
-        self.ids = np_mod.empty(0, dtype=np_mod.int64)
         self.xs = np_mod.empty(0, dtype=float)
         self.ys = np_mod.empty(0, dtype=float)
 
@@ -408,9 +101,6 @@ class MobileSweep:
         n = len(eps)
         self.endpoints = eps
         self.slot_of = {ep.node_id: k for k, ep in enumerate(eps)}
-        self.ids = np_mod.array(
-            [ep.node_id for ep in eps], dtype=np_mod.int64
-        ) if n else np_mod.empty(0, dtype=np_mod.int64)
         self.t0 = np_mod.zeros(n, dtype=float)
         self.dt = np_mod.ones(n, dtype=float)
         self.ax = np_mod.zeros(n, dtype=float)

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..geometry.shapes import Circle, Rect
-from ..geometry.vec import Vec2
+from ..geometry.shapes import Rect
 from ..net.network import Network
 from ..net.node import SensorNode
-from ..net.vectorized import numpy_or_none
 from .base import PowerManagementProtocol, repair_connectivity
 
 
@@ -93,113 +91,152 @@ class CcpProtocol(PowerManagementProtocol):
         rs: float,
         region: Optional[Rect],
     ) -> bool:
-        k = self.config.coverage_degree
-        my_disk = Circle(node.position, rs)
         # Coverage neighbours: active nodes whose sensing disks can overlap
         # mine, i.e. within 2 * Rs.
-        coverage_neighbors = [
-            other
+        centers = [
+            (other.position.x, other.position.y)
             for other in network.nodes_in_disk(node.position, 2.0 * rs)
             if other.node_id != node.node_id and other.node_id in active
         ]
-        if len(coverage_neighbors) < k:
+        k = self.config.coverage_degree
+        if len(centers) < k:
             return False
-        neighbor_disks = [Circle(nb.position, rs) for nb in coverage_neighbors]
+        return _disk_k_covered(
+            node.position.x, node.position.y, centers, rs, k, region
+        )
 
-        check_points = self._check_points(my_disk, neighbor_disks, region)
-        if not check_points:
-            # No intersection structure: coverage requires containment by a
-            # set of disks, which for circles means one disk contains mine.
-            return self._contained_by_k(my_disk, neighbor_disks, k)
-        # Strict-interior containment: a point on a circle's own boundary
-        # is NOT covered by that circle for the purposes of the
-        # intersection-point theorem — the area just beyond the boundary
-        # would be uncovered.  (Equivalently: open-disk semantics.)
-        np_mod = numpy_or_none()
-        if np_mod is not None and len(check_points) * len(neighbor_disks) >= 64:
-            # Points x disks as one elementwise broadcast — the same
-            # subtract/square/compare per pair as the scalar loop below, so
-            # the counts (and the eligibility decision) are bit-identical.
-            cxs = np_mod.array([d.center.x for d in neighbor_disks])
-            cys = np_mod.array([d.center.y for d in neighbor_disks])
-            thr = (
-                np_mod.array([d.radius for d in neighbor_disks])
-                - self._INTERIOR_EPS
-            ) ** 2
-            pxs = np_mod.array([p.x for p in check_points])
-            pys = np_mod.array([p.y for p in check_points])
-            dx = pxs[:, None] - cxs[None, :]
-            dy = pys[:, None] - cys[None, :]
-            covered = (dx * dx + dy * dy < thr[None, :]).sum(axis=1)
-            return bool((covered >= k).all())
-        for point in check_points:
-            covered = sum(
-                1
-                for disk in neighbor_disks
-                if disk.center.distance_sq_to(point)
-                < (disk.radius - self._INTERIOR_EPS) ** 2
-            )
-            if covered < k:
-                return False
+
+#: margin for strict-interior containment tests
+_INTERIOR_EPS = 1e-6
+
+
+def _disk_k_covered(
+    vx: float,
+    vy: float,
+    centers: List[Tuple[float, float]],
+    rs: float,
+    k: int,
+    region: Optional[Rect],
+) -> bool:
+    """Whether the disk of radius ``rs`` at ``(vx, vy)`` is K-covered.
+
+    The eligibility rule as one float kernel: every check point of the
+    intersection-point theorem is produced in turn — neighbour circles
+    crossing ``v``'s circle, neighbour-circle pairs crossing inside ``v``'s
+    disk and, when ``region`` clips the requirement, circles crossing the
+    region's edges plus its corners, all restricted to ``disk(v) ∩ region``
+    — and tested against the neighbour disks as it is produced, returning
+    at the first one fewer than ``k`` of them cover.  With no check point
+    at all, coverage needs ``k`` neighbour disks that contain ``v``'s.
+
+    Every intersection is computed with the operation order of
+    :meth:`~repro.geometry.shapes.Circle.intersection_points` on
+    :class:`~repro.geometry.vec.Vec2` (all radii equal ``rs``), so the
+    decision is bit-identical to evaluating the rule on those objects —
+    ``tests/ccp_oracle.py`` does, and the suite compares the two.
+    """
+    two_rs = rs + rs
+    rs_sq = rs * rs
+    inside_thr = (rs + 1e-9) ** 2  # Circle.contains: boundary included
+    # Strict-interior containment: a point on a circle's own boundary is
+    # NOT covered by that circle for the purposes of the theorem — the area
+    # just beyond the boundary would be uncovered (open-disk semantics).
+    cover_thr = (rs - _INTERIOR_EPS) ** 2
+    clipped = region is not None
+    if clipped:
+        x_lo, x_hi = region.x_min - 1e-9, region.x_max + 1e-9
+        y_lo, y_hi = region.y_min - 1e-9, region.y_max + 1e-9
+    hypot = math.hypot
+    sqrt = math.sqrt
+
+    def uncovered(px: float, py: float) -> bool:
+        count = 0
+        for cx, cy in centers:
+            dx = cx - px
+            dy = cy - py
+            if dx * dx + dy * dy < cover_thr:
+                count += 1
+                if count >= k:
+                    return False
         return True
 
-    #: margin for strict-interior containment tests
-    _INTERIOR_EPS = 1e-6
-
-    def _check_points(
-        self,
-        my_disk: Circle,
-        neighbor_disks: List[Circle],
-        region: Optional[Rect],
-    ) -> List:
-        points = []
-        n = len(neighbor_disks)
-        for i in range(n):
-            # Circle-vs-my-boundary intersections.
-            for p in neighbor_disks[i].intersection_points(my_disk):
-                if region is None or region.contains(p, tol=1e-9):
-                    points.append(p)
-            # Circle-pair intersections inside my disk.
-            for j in range(i + 1, n):
-                for p in neighbor_disks[i].intersection_points(neighbor_disks[j]):
-                    if not my_disk.contains(p):
+    any_point = False
+    n = len(centers)
+    for i in range(n):
+        ax, ay = centers[i]
+        # Circle i against v's own circle (j == i), then against every
+        # later circle; only the latter's points need filtering to v's disk.
+        for j in range(i, n):
+            if j == i:
+                bx, by = vx, vy
+            else:
+                bx, by = centers[j]
+            ex = bx - ax
+            ey = by - ay
+            d = hypot(ex, ey)
+            if d == 0.0 or d > two_rs:
+                continue
+            # Equal radii: Circle's (r0^2 - r1^2 + d^2) / 2d is (d^2) / 2d
+            # exactly (0.0 + x == x) — but not d / 2, which rounds apart.
+            a = (d * d) / (2.0 * d)
+            h_sq = rs_sq - a * a
+            if h_sq < 0.0:
+                h_sq = 0.0
+            h = sqrt(h_sq)
+            ux = ex / d
+            uy = ey / d
+            mx = ax + ux * a
+            my = ay + uy * a
+            ox = -uy * h
+            oy = ux * h
+            if h == 0.0:
+                points = ((mx, my),)
+            else:
+                points = ((mx + ox, my + oy), (mx - ox, my - oy))
+            for px, py in points:
+                if j != i:
+                    dx = vx - px
+                    dy = vy - py
+                    if dx * dx + dy * dy > inside_thr:
                         continue
-                    if region is None or region.contains(p, tol=1e-9):
-                        points.append(p)
-        if region is not None:
-            points.extend(self._region_boundary_points(my_disk, neighbor_disks, region))
-        return points
+                if clipped and not (x_lo <= px <= x_hi and y_lo <= py <= y_hi):
+                    continue
+                if uncovered(px, py):
+                    return False
+                any_point = True
+    if clipped:
+        # disk(v) ∩ region: the theorem also needs every circle (v's own
+        # last) crossing the region's edges inside disk(v), and the region
+        # corners inside disk(v).
+        boundary = []
+        for cx, cy in centers + [(vx, vy)]:
+            boundary.extend(_circle_rect_edge_intersections(cx, cy, rs, region))
+        boundary += [
+            (region.x_min, region.y_min), (region.x_max, region.y_min),
+            (region.x_max, region.y_max), (region.x_min, region.y_max),
+        ]
+        for px, py in boundary:
+            dx = vx - px
+            dy = vy - py
+            if dx * dx + dy * dy <= inside_thr:
+                if uncovered(px, py):
+                    return False
+                any_point = True
+    if any_point:
+        return True
+    # No intersection structure: coverage requires containment by a set of
+    # disks, which for circles means one disk contains mine (k of them).
+    containing = 0
+    for cx, cy in centers:
+        if hypot(cx - vx, cy - vy) + rs <= rs + 1e-9:
+            containing += 1
+    return containing >= k
 
-    def _region_boundary_points(
-        self, my_disk: Circle, neighbor_disks: List[Circle], region: Rect
-    ) -> List:
-        """Check points contributed by the clipped region's own boundary.
 
-        When coverage is only required inside the deployment region, the
-        region to verify for node ``v`` is ``disk(v) ∩ region``; the
-        intersection-point theorem then also needs (a) neighbour circles
-        crossing the region edges inside ``disk(v)``, (b) ``v``'s own circle
-        crossing the edges, and (c) region corners inside ``disk(v)``.
-        """
-        points = []
-        for disk in neighbor_disks + [my_disk]:
-            for p in _circle_rect_edge_intersections(disk, region):
-                if my_disk.contains(p):
-                    points.append(p)
-        for corner in region.corners():
-            if my_disk.contains(corner):
-                points.append(corner)
-        return points
-
-    @staticmethod
-    def _contained_by_k(my_disk: Circle, neighbor_disks: List[Circle], k: int) -> bool:
-        containing = sum(1 for disk in neighbor_disks if disk.contains_circle(my_disk))
-        return containing >= k
-
-
-def _circle_rect_edge_intersections(disk: Circle, region: Rect) -> List:
-    """Points where ``disk``'s boundary crosses the rectangle's edges."""
-    cx, cy, r = disk.center.x, disk.center.y, disk.radius
+def _circle_rect_edge_intersections(
+    cx: float, cy: float, r: float, region: Rect
+) -> List[Tuple[float, float]]:
+    """Points where the circle's boundary crosses the rectangle's edges."""
     points = []
     # Vertical edges: x fixed, y in [y_min, y_max].
     for x in (region.x_min, region.x_max):
@@ -208,7 +245,7 @@ def _circle_rect_edge_intersections(disk: Circle, region: Rect) -> List:
             dy = math.sqrt(max(0.0, r * r - dx * dx))
             for y in (cy - dy, cy + dy):
                 if region.y_min - 1e-9 <= y <= region.y_max + 1e-9:
-                    points.append(Vec2(x, y))
+                    points.append((x, y))
     # Horizontal edges: y fixed, x in [x_min, x_max].
     for y in (region.y_min, region.y_max):
         dy = y - cy
@@ -216,5 +253,5 @@ def _circle_rect_edge_intersections(disk: Circle, region: Rect) -> List:
             dx = math.sqrt(max(0.0, r * r - dy * dy))
             for x in (cx - dx, cx + dx):
                 if region.x_min - 1e-9 <= x <= region.x_max + 1e-9:
-                    points.append(Vec2(x, y))
+                    points.append((x, y))
     return points

@@ -481,24 +481,56 @@ class TestRunThenFinalize:
 
 
 class TestMobileMemoEquivalence:
-    def test_above_threshold_sweep_matches_direct_evaluation(self, monkeypatch):
-        """The memo + Lipschitz-exclusion listener sweep (fleets above
-        MOBILE_MEMO_THRESHOLD) is bit-identical to plain per-proxy
-        evaluation — the only regime that exercises the stale-memo reach
-        bound, which no golden suite (<= 16 proxies) touches."""
+    """Mobile-listener lookup: the batched sweep against the direct loop.
+
+    (The class keeps its historical name — the per-timestamp memo it once
+    pinned is gone; the sweep is the one accelerated lookup left.)
+    """
+
+    @staticmethod
+    def _patch_threshold(monkeypatch, threshold):
         import repro.net.channel as channel_mod
 
+        monkeypatch.setattr(channel_mod, "MOBILE_SWEEP_THRESHOLD", threshold)
+
+    def test_above_threshold_sweep_matches_direct_evaluation(self, monkeypatch):
+        """One batched segment evaluation per timestamp is bit-identical
+        to per-proxy ``position_at`` — at 20 proxies, a fleet no golden
+        suite (<= 16 proxies) reaches."""
+
         def run(threshold):
-            monkeypatch.setattr(
-                channel_mod, "MOBILE_MEMO_THRESHOLD", threshold
-            )
-            service = MobiQueryService(
-                small_config(seed=5, duration_s=14.0)
-            )
-            submit_fleet(service, 20, spacing_s=0.5)  # 20 > default 16
+            self._patch_threshold(monkeypatch, threshold)
+            service = MobiQueryService(small_config(seed=5, duration_s=14.0))
+            submit_fleet(service, 20, spacing_s=0.5)
             workload = service.close()
             return result_signature(service, workload)
 
-        with_memo = run(16)        # 20 proxies -> memo + exclusion path
-        direct = run(1000)         # same fleet -> direct evaluation path
-        assert with_memo == direct
+        swept = run(1)          # every fleet size -> MobileSweep
+        direct = run(10**9)     # same fleet -> direct per-proxy loop
+        assert swept == direct
+
+    def test_churn_across_threshold_rebuilds_the_sweep(self, monkeypatch):
+        """Cancel/submit churn straddling the threshold: each crossing
+        back above it must rebuild the sweep's slots from the live fleet
+        (``sweep.dirty``), never answer from the departed one."""
+
+        def run(threshold):
+            self._patch_threshold(monkeypatch, threshold)
+            service = MobiQueryService(small_config(seed=5, duration_s=16.0))
+            handles = submit_fleet(service, 6, spacing_s=0.5)  # 6 >= 5: swept
+            service.advance(6.0)
+            for handle in handles[:3]:
+                service.cancel(handle)                          # 3 < 5: direct
+            service.advance(9.0)
+            submit_fleet(service, 3, spacing_s=0.0)             # 6 again: rebuilt
+            service.advance(12.0)
+            sweep = service.network.channel._sweep
+            workload = service.close()
+            return result_signature(service, workload), sweep
+
+        churned, sweep = run(5)
+        direct, _ = run(10**9)
+        assert churned == direct
+        if sweep is not None:  # None on the REPRO_VECTORIZE=reference leg
+            assert not sweep.dirty
+            assert len(sweep.endpoints) == 6

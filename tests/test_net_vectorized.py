@@ -1,88 +1,25 @@
-"""The numpy-optional reception physics: both paths, one set of results.
+"""The ``REPRO_VECTORIZE`` switch and the numpy-absent import.
 
-Three families of pins:
-
-* **numpy-absent** — the vectorized module must import (and the whole
-  simulator must reproduce the golden results) with numpy blocked from
-  ``sys.modules``, and the ``REPRO_VECTORIZE`` kill-switch must force the
-  reference path with numpy installed.
-* **bit-identity** — the accelerated and reference paths must produce
-  identical deliveries, counters and energy integrals over cohort widths
-  on both sides of ``VECTOR_COHORT_THRESHOLD`` (the store is force-bound
-  here; real worlds only ratchet onto it at ``STORE_BIND_THRESHOLD``).
-* **memo churn** — register/unregister churn straddling
-  ``MOBILE_MEMO_THRESHOLD`` must clear the position memo at every
-  crossing and stay bit-identical to a channel that never memoizes.
+``repro.net.vectorized`` must import (and the whole simulator must
+reproduce the golden results) with numpy blocked from ``sys.modules``, and
+the kill-switch must turn the mobile sweep off with numpy installed.  The
+sweep itself is pinned against the direct loop in
+``tests/test_cluster_service.py::TestMobileMemoEquivalence`` and by the
+golden suite running on both legs.
 """
 
 import importlib
 import sys
 
-import pytest
-
-from repro.geometry.vec import Vec2
-from repro.net import channel as channel_mod
 from repro.net import vectorized
-from repro.net.channel import MOBILE_MEMO_THRESHOLD, Channel
-from repro.net.node import MobileEndpoint, SensorNode
-from repro.net.packet import BROADCAST, Frame
-from repro.net.vectorized import VECTOR_COHORT_THRESHOLD
+from repro.net.channel import Channel
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
 
 from .test_golden_determinism import GOLDEN_EVENT_COUNTS, GOLDEN_RESULTS, _config
 
 
-def _line_world(sim, n_listeners, spacing=1.5, comm_range=105.0):
-    """One sender at x=0 plus ``n_listeners`` static nodes, all in range."""
-    channel = Channel(sim, comm_range=comm_range, bitrate_bps=2e6)
-    streams = RandomStreams(7)
-    nodes = []
-    for i in range(n_listeners + 2):
-        node = SensorNode(
-            i, Vec2(i * spacing, 0.0), sim, channel, streams.stream(f"mac-{i}")
-        )
-        channel.register_static(node)
-        nodes.append(node)
-    return channel, nodes
-
-
-def _collision_rich_run(channel, nodes):
-    """Broadcasts with overlap, a mid-airtime sleeper and a clean tail.
-
-    Exercises delivery, overlap corruption, receiver-left-listening
-    corruption and the post-frame energy/state transitions — every branch
-    the vector kernels replace.
-    """
-    sim = nodes[0].sim
-    got = []
-    for node in nodes:
-        node.register_handler(
-            "data", lambda n, f: got.append((n.node_id, f.payload))
-        )
-    first = Frame("data", 0, BROADCAST, 1500, payload="a")
-    channel.transmit(nodes[0], first)
-    # Overlapping frame from the far end: everyone in both ranges corrupts.
-    channel.transmit(nodes[-1], Frame("data", nodes[-1].node_id, BROADCAST, 1500,
-                                      payload="b"))
-    # One listener drops out of listening mid-airtime of the next frame.
-    airtime = channel.airtime(first)
-    sim.schedule(0.1 + airtime / 2, nodes[1].radio.sleep)
-    sim.schedule(0.1, channel.transmit, nodes[0],
-                 Frame("data", 0, BROADCAST, 1500, payload="c"))
-    # A clean final frame after the air settles.
-    sim.schedule(0.3, channel.transmit, nodes[0],
-                 Frame("data", 0, BROADCAST, 400, payload="d"))
-    sim.run(until=1.0)
-    energies = tuple(node.radio.energy.average_power_w() for node in nodes)
-    states = tuple(node.radio.state for node in nodes)
-    return (
-        tuple(got),
-        channel.frames_delivered,
-        channel.frames_collided,
-        energies,
-        states,
-    )
+def _channel():
+    return Channel(Simulator(), comm_range=105.0, bitrate_bps=2e6)
 
 
 class TestNumpyAbsent:
@@ -91,10 +28,12 @@ class TestNumpyAbsent:
             monkeypatch.setenv("REPRO_VECTORIZE", value)
             assert vectorized.numpy_or_none() is None
             assert vectorized.accelerator_name() == "reference"
+            assert _channel()._sweep is None
         monkeypatch.delenv("REPRO_VECTORIZE")
         if vectorized._np is not None:
             assert vectorized.numpy_or_none() is vectorized._np
             assert vectorized.accelerator_name().startswith("numpy-")
+            assert _channel()._sweep is not None
 
     def test_reference_path_matches_goldens_without_numpy(self):
         """Block numpy from fresh imports, reload the module, run a pinned
@@ -130,126 +69,3 @@ class TestNumpyAbsent:
             == golden["success_ratios"]
         )
         assert result.events_executed == GOLDEN_EVENT_COUNTS["single_user"]
-
-
-@pytest.mark.skipif(
-    vectorized._np is None, reason="numpy not installed; only one path exists"
-)
-class TestBitIdentity:
-    """Accelerated vs reference: same inputs, bit-equal outputs."""
-
-    @pytest.mark.parametrize(
-        "cohort",
-        [1, VECTOR_COHORT_THRESHOLD, VECTOR_COHORT_THRESHOLD + 1, 64],
-    )
-    def test_static_cohorts_identical_across_paths(self, cohort, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZE", "reference")
-        sim_ref = Simulator()
-        channel_ref, nodes_ref = _line_world(sim_ref, cohort)
-        assert channel_ref._np is None
-        reference = _collision_rich_run(channel_ref, nodes_ref)
-
-        monkeypatch.delenv("REPRO_VECTORIZE")
-        sim_vec = Simulator()
-        channel_vec, nodes_vec = _line_world(sim_vec, cohort)
-        assert channel_vec._np is not None
-        # Real worlds only ratchet onto the store at STORE_BIND_THRESHOLD;
-        # force-bind here so the dense kernels actually run at every width.
-        assert channel_vec._bind_store() is not None
-        accelerated = _collision_rich_run(channel_vec, nodes_vec)
-
-        assert accelerated == reference
-
-    def test_wide_world_binds_and_stays_identical(self, monkeypatch):
-        """Past STORE_BIND_THRESHOLD the ratchet engages on its own."""
-        from repro.net.vectorized import STORE_BIND_THRESHOLD
-
-        width = STORE_BIND_THRESHOLD + 5
-        # Tight spacing keeps the whole line inside one coverage disk, so
-        # the sender's static cohort really is ``width`` + 1 listeners.
-        monkeypatch.setenv("REPRO_VECTORIZE", "reference")
-        sim_ref = Simulator()
-        channel_ref, nodes_ref = _line_world(sim_ref, width, spacing=1.0)
-        reference = _collision_rich_run(channel_ref, nodes_ref)
-
-        monkeypatch.delenv("REPRO_VECTORIZE")
-        sim_vec = Simulator()
-        channel_vec, nodes_vec = _line_world(sim_vec, width, spacing=1.0)
-        accelerated = _collision_rich_run(channel_vec, nodes_vec)
-        assert channel_vec._vstore is not None  # the ratchet fired
-        assert accelerated == reference
-
-
-class TestMemoChurnAcrossThreshold:
-    """Satellite bugfix: crossing MOBILE_MEMO_THRESHOLD clears the memo."""
-
-    def _proxy(self, sim, channel, node_id, x0, vx=4.0):
-        return MobileEndpoint(
-            node_id=node_id,
-            sim=sim,
-            channel=channel,
-            rng=RandomStreams(5).stream(f"proxy-{node_id}"),
-            position_fn=lambda t, x0=x0, vx=vx: Vec2(x0 + vx * t, 0.0),
-            max_speed_mps=abs(vx),
-        )
-
-    def _churn_run(self, memo_threshold, monkeypatch):
-        """One static sender, a proxy fleet churning around the threshold.
-
-        Returns (per-transmit delivery sets, memo snapshots at each
-        crossing).  ``memo_threshold`` is monkeypatched so the same
-        schedule can run with the memo enabled (real threshold) and
-        effectively disabled (huge threshold) — results must agree.
-        """
-        # Kill the sweep/vector machinery: this pins the scalar memo path.
-        monkeypatch.setenv("REPRO_VECTORIZE", "reference")
-        monkeypatch.setattr(channel_mod, "MOBILE_MEMO_THRESHOLD", memo_threshold)
-        sim = Simulator()
-        channel = Channel(sim, comm_range=105.0, bitrate_bps=2e6)
-        streams = RandomStreams(7)
-        sender = SensorNode(0, Vec2(0, 0), sim, channel, streams.stream("mac-0"))
-        channel.register_static(sender)
-        fleet_size = MOBILE_MEMO_THRESHOLD + 1  # just above the real memo gate
-        proxies = [
-            # Spread across the range edge so motion changes who receives.
-            self._proxy(sim, channel, 1000 + i, 90.0 + 2.0 * i)
-            for i in range(fleet_size)
-        ]
-        for proxy in proxies:
-            channel.register_mobile(proxy)
-        deliveries = []
-        for proxy in proxies:
-            proxy.register_handler(
-                "data", lambda p, f: deliveries.append((p.node_id, f.payload))
-            )
-
-        def snapshot():
-            return dict(channel._mobile_pos)
-
-        memo_states = []
-        # t=0.0: fleet above threshold -> memo path writes entries.
-        channel.transmit(sender, Frame("data", 0, BROADCAST, 1500, payload="a"))
-        sim.run(until=0.2)
-        memo_states.append(snapshot())
-        # Drop to the threshold: the crossing must clear the memo.
-        channel.unregister_mobile(proxies[-1].node_id)
-        memo_states.append(snapshot())
-        channel.transmit(sender, Frame("data", 0, BROADCAST, 1500, payload="b"))
-        sim.run(until=0.4)
-        # Climb back above: again a crossing, again a clean slate.
-        channel.register_mobile(proxies[-1])
-        memo_states.append(snapshot())
-        channel.transmit(sender, Frame("data", 0, BROADCAST, 1500, payload="c"))
-        sim.run(until=0.6)
-        return tuple(deliveries), memo_states
-
-    def test_crossings_clear_memo_and_results_match_direct(self, monkeypatch):
-        direct, _ = self._churn_run(10**6, monkeypatch)  # memo never engages
-        memoed, memo_states = self._churn_run(MOBILE_MEMO_THRESHOLD, monkeypatch)
-        assert memoed == direct
-        above, after_drop, after_regrow = memo_states
-        # While above the threshold the memo held the evaluated fleet.
-        assert above  # entries were written by the first transmit
-        # Both crossings started the next era from a clean slate.
-        assert after_drop == {}
-        assert after_regrow == {}
