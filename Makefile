@@ -55,7 +55,7 @@ bench:
 # Gate against a same-machine reference with:
 #   make bench-perf PERF_ARGS="--baseline BENCH_perf.json"
 bench-perf:
-	PYTHONPATH=src $(PY) -m repro bench --scale quick --both-paths \
+	PYTHONPATH=src $(PY) -m repro bench --scale quick \
 		--output BENCH_perf.json $(PERF_ARGS)
 
 # The cluster scale-out bench: times cluster_scale_64users on one world vs
@@ -63,7 +63,7 @@ bench-perf:
 # into BENCH_perf.json, and fails if ClusterService(shards=1) drifts from
 # the pinned MobiQueryService result fingerprint.
 bench-cluster:
-	PYTHONPATH=src $(PY) -m repro bench --cluster --scale quick --both-paths \
+	PYTHONPATH=src $(PY) -m repro bench --cluster --scale quick \
 		--output BENCH_perf.json
 
 # Re-measure against the committed BENCH_perf.json without overwriting it

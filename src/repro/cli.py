@@ -515,14 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed fractional events/sec regression vs --baseline (default 0.20)",
     )
     bench_p.add_argument(
-        "--both-paths",
-        action="store_true",
-        help="also time each scenario with the batched mobile-position "
-        "sweep turned off (REPRO_VECTORIZE=reference: per-proxy lookup at "
-        "every fleet size) and record reference_wall_s next to the default "
-        "timing",
-    )
-    bench_p.add_argument(
         "--cluster",
         action="store_true",
         help="time cluster_scale_64users (shards=1 vs sharded+workers), "
@@ -533,9 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p = sub.add_parser(
         "profile",
         help="profile a bench scenario with cProfile",
-        epilog="REPRO_VECTORIZE=reference in the environment turns the "
-        "batched mobile-position sweep off (fleets of 17+ proxies); the "
-        "per-layer ledger is bench/README.md.",
+        epilog="The per-layer ledger is bench/README.md.",
     )
     prof_p.add_argument(
         "scenario",
@@ -1198,9 +1188,7 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    cluster_report = run_cluster_suite(
-        scale=args.scale, repeats=args.repeats, both_paths=args.both_paths
-    )
+    cluster_report = run_cluster_suite(scale=args.scale, repeats=args.repeats)
     # Merge into the existing report so the cluster numbers travel in the
     # same BENCH_perf.json artifact as the hot-path scenarios.  A missing
     # or corrupt prior file fails soft: the rewrite proceeds, but losing
@@ -1272,9 +1260,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"repro bench: error: cannot read baseline: {exc}", file=sys.stderr)
             return 2
-    report = run_perf_suite(
-        scale=args.scale, repeats=args.repeats, both_paths=args.both_paths
-    )
+    report = run_perf_suite(scale=args.scale, repeats=args.repeats)
     # Keep a previously merged cluster section (repro bench --cluster)
     # alive across hot-path re-measurements of the same artifact.  A
     # corrupt prior file must not crash the merge (json.load can return a

@@ -30,13 +30,12 @@ fails loudly on regressions beyond a threshold.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import platform
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..workload.arrivals import ARRIVAL_STAGGERED
 from .config import MODE_JIT, ExperimentConfig, QueryParams, paper_section62_config
@@ -289,48 +288,17 @@ def profile_scenario(
     return pstats.Stats(profiler)
 
 
-@contextlib.contextmanager
-def _reference_path() -> Iterator[None]:
-    """Turn the mobile sweep off (the reference leg) for the enclosed runs.
-
-    ``numpy_or_none`` consults ``REPRO_VECTORIZE`` at channel construction,
-    so flipping the environment variable around a measurement is enough —
-    and worker processes inherit it, so cluster runs flip too.
-    """
-    previous = os.environ.get("REPRO_VECTORIZE")
-    os.environ["REPRO_VECTORIZE"] = "reference"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_VECTORIZE"]
-        else:
-            os.environ["REPRO_VECTORIZE"] = previous
-
-
-def run_perf_suite(
-    scale: Optional[str] = None, repeats: int = 1, both_paths: bool = False
-) -> Dict:
-    """Measure every canonical scenario and build the report dict.
-
-    With ``both_paths`` (and numpy available), each scenario is measured a
-    second time over the pure-Python reference physics and the entry gains
-    ``reference_wall_s`` / ``speedup_vs_reference`` — so the committed
-    artifact always shows what the accelerator is actually worth, and a
-    reference-path run records its fingerprints came out identical.
-    """
+def run_perf_suite(scale: Optional[str] = None, repeats: int = 1) -> Dict:
+    """Measure every canonical scenario and build the report dict."""
     scale = scale or bench_scale()
     samples = [
         measure_scenario(name, config, repeats=repeats)
         for name, config in perf_scenarios(scale).items()
     ]
-    from ..net.vectorized import accelerator_name
-
     report: Dict = {
         "schema": PERF_SCHEMA_VERSION,
         "scale": scale,
         "repeats": repeats,
-        "accelerator": accelerator_name(),
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "machine": {
             "python": platform.python_version(),
@@ -347,26 +315,6 @@ def run_perf_suite(
             entry["baseline_wall_s"] = baseline["wall_s"]
             entry["speedup_vs_pre_pr"] = round(baseline["wall_s"] / sample.wall_s, 2)
         report["scenarios"][sample.scenario] = entry
-    if both_paths and report["accelerator"] != "reference":
-        with _reference_path():
-            for name, config in perf_scenarios(scale).items():
-                ref = measure_scenario(name, config, repeats=repeats)
-                entry = report["scenarios"][name]
-                for field in (
-                    "events_executed",
-                    "frames_sent",
-                    "frames_collided",
-                    "mean_success",
-                ):
-                    if getattr(ref, field) != entry[field]:
-                        raise ValueError(
-                            f"{name}.{field}: reference path measured "
-                            f"{getattr(ref, field)} but the accelerated path "
-                            f"measured {entry[field]} — the two physics paths "
-                            "diverged; do not commit this report"
-                        )
-                entry["reference_wall_s"] = ref.wall_s
-                entry["speedup_vs_reference"] = round(ref.wall_s / entry["wall_s"], 2)
     return report
 
 
@@ -465,16 +413,13 @@ def run_cluster_suite(
     repeats: int = 1,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    both_paths: bool = False,
 ) -> Dict:
     """Time ``cluster_scale_64users`` on one world vs a sharded cluster.
 
     Returns the ``cluster`` report section: a ``shards1`` entry (the
     single-shard identity run), a ``shardsN`` entry (the sharded run,
     worker processes when the machine has the cores), and the wall-clock
-    ``speedup`` of sharded over single.  With ``both_paths`` each entry is
-    re-measured over the reference physics (``reference_wall_s``), same as
-    :func:`run_perf_suite`.
+    ``speedup`` of sharded over single.
     """
     scale = scale or bench_scale()
     spec = cluster_scenario(scale)
@@ -489,37 +434,10 @@ def run_cluster_suite(
     sharded = _measure_cluster(
         spec, shards=shards, workers=workers, repeats=repeats
     )
-    from ..net.vectorized import accelerator_name
-
-    if both_paths and accelerator_name() != "reference":
-        with _reference_path():
-            for entry in (single, sharded):
-                ref = _measure_cluster(
-                    spec,
-                    shards=entry["shards"],
-                    workers=entry["workers"],
-                    repeats=repeats,
-                )
-                for field, value in ref.items():
-                    if field in ("wall_s", "parallel_used"):
-                        continue
-                    if entry[field] != value:
-                        raise ValueError(
-                            f"cluster shards={entry['shards']}.{field}: "
-                            f"reference path measured {value} but the "
-                            f"accelerated path measured {entry[field]} — the "
-                            "two physics paths diverged; do not commit this "
-                            "report"
-                        )
-                entry["reference_wall_s"] = ref["wall_s"]
-                entry["speedup_vs_reference"] = round(
-                    ref["wall_s"] / entry["wall_s"], 2
-                )
     return {
         "scenario": CLUSTER_SCENARIO,
         "scale": scale,
         "repeats": repeats,
-        "accelerator": accelerator_name(),
         "duration_s": spec.duration_s,
         "users": sum(int(t.get("count", 1)) for t in spec.requests),
         "partitioner": spec.partitioner,
@@ -625,18 +543,12 @@ def format_perf_report(report: Dict) -> str:
 
     return format_table(
         f"Hot-path performance ({report['scale']} scale, "
-        f"best of {report['repeats']}, "
-        f"accelerator {report.get('accelerator', 'reference')})",
-        ["scenario", "wall (s)", "ref (s)", "events/s", "events", "vs pre-PR"],
+        f"best of {report['repeats']})",
+        ["scenario", "wall (s)", "events/s", "events", "vs pre-PR"],
         [
             (
                 name,
                 f"{entry['wall_s']:.3f}",
-                (
-                    f"{entry['reference_wall_s']:.3f}"
-                    if "reference_wall_s" in entry
-                    else "-"
-                ),
                 f"{entry['events_per_sec']:.0f}",
                 entry["events_executed"],
                 f"{entry.get('speedup_vs_pre_pr', '-')}",

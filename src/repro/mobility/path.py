@@ -158,8 +158,9 @@ class PiecewisePath:
 
         ``|position_at(t2) - position_at(t1)| <= max_speed() * (t2 - t1)``
         for all t1 <= t2 (the path is clamped outside its span, where the
-        speed is zero).  The channel uses this to skip re-evaluating a
-        proxy that provably cannot have re-entered radio range.
+        speed is zero).  This is the precondition the channel's mobile cell
+        index puts on ``MobileEndpoint.max_speed_mps``: a proxy indexed at
+        ``t1`` is looked for only within that distance until ``t2``.
         """
         if self._max_speed is None:
             best = 0.0

@@ -1,6 +1,6 @@
 """Wireless network substrate: channel, MAC, PSM, energy, nodes, routing."""
 
-from .channel import BroadcastReception, Channel, Reception
+from .channel import BroadcastReception, Channel
 from .energy import PAPER_POWER_MODEL, EnergyMeter, PowerModel, RadioState
 from .field import (
     GradientField,
@@ -22,7 +22,6 @@ from .routing import GeoEnvelope, GeoRouter
 __all__ = [
     "BroadcastReception",
     "Channel",
-    "Reception",
     "EnergyMeter",
     "PowerModel",
     "PAPER_POWER_MODEL",

@@ -31,41 +31,61 @@ sense calls, is the one case that still scans the (short) active list.
 
 Receptions are **batched per frame**: one :class:`BroadcastReception`
 record carries the whole listener cohort in parallel arrays (receiver
-refs, corrupt flags, corruption reasons) instead of one ``Reception``
-object per listener, and a single end-of-airtime kernel event resolves
-every receiver in a batch loop.  Per-radio reception state collapses to a
-counter plus a pointer to the radio's unique still-clean reception (two
-overlapping frames corrupt each other, so at most one in-flight reception
-per radio is ever clean — see :class:`~repro.net.radio.Radio`); corruption
-by overlap or by the receiver leaving a listening state flips the flag in
-the record's arrays directly.  The object-per-reception ``Reception`` API
-remains for unit tests and external callers but is off the simulation hot
-path.
+refs, corrupt flags, corruption reasons), and a single end-of-airtime
+kernel event resolves every receiver in a batch loop.  Per-radio reception
+state collapses to a counter plus a pointer to the radio's unique
+still-clean reception (two overlapping frames corrupt each other, so at
+most one in-flight reception per radio is ever clean — see
+:class:`~repro.net.radio.Radio`); corruption by overlap or by the receiver
+leaving a listening state flips the flag in the record's arrays directly.
+(The object-per-reception semantics this replaced live on as the test
+oracle ``tests/reception_oracle.py``.)
 
-There is **one reception path**: ``transmit`` begins the cohort in
-``_begin_reception`` and the end-of-airtime event resolves it in
-``_finish_transmission``, both plain loops over plain
-:class:`~repro.net.radio.Radio` objects.  Mobile listeners are found one
-of two ways, chosen by fleet size alone: a direct ``position_at`` loop
-below ``MOBILE_SWEEP_THRESHOLD`` proxies, the batched
-:class:`~repro.net.vectorized.MobileSweep` at or above it (the
-``REPRO_VECTORIZE`` kill-switch forces the direct loop at every size —
-the sweep's test oracle).
+There is **one reception path and one mobile-listener lookup**:
+``transmit`` begins the cohort in ``_begin_reception`` and the
+end-of-airtime event resolves it in ``_finish_transmission``, both plain
+loops over plain :class:`~repro.net.radio.Radio` objects.  Mobile listeners
+come from a **reach-bounded cell index**: a dict from grid cell (side
+``comm_range / 2``) to the proxies whose *reach disk* — ``comm_range +
+max_speed_mps x (time left in the index window)`` around their position
+when indexed — touches that cell.  A proxy can be in range of a sender only
+if the sender's cell is one of those, so a transmission does one dict
+lookup on the sender's cell and runs the exact ``position_at`` range test
+over that short list instead of the whole fleet.  Every
+``_INDEX_WINDOW_S`` sim-seconds the disks are taken afresh; a cell's list is
+built by the first frame sent from it in the window, and registrations and
+cancellations inside a window are applied to the lists already built.
+Every list is in fleet registration order, so the joiner sequence — which
+is physics — is that of a loop over the whole fleet;
+:meth:`Channel.listeners_near` stays that brute-force loop and is the
+index's oracle in the tests.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+import math
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from ..geometry.grid import SpatialGrid
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
-from . import vectorized
 from .energy import RadioState
 from .packet import Frame
 from .radio import Radio
-from .vectorized import MOBILE_SWEEP_THRESHOLD
+
+#: Sim-seconds one build of the mobile cell index stays valid.  A longer
+#: window rebuilds less often but widens every reach disk by
+#: ``max_speed_mps`` metres per second of window, lengthening the lists.
+_INDEX_WINDOW_S = 5.0
+#: Metres added to every reach disk: covers the ``1e-9`` m^2 slack of the
+#: range test and float rounding in ``position_at`` / ``max_speed()``, so
+#: the index never drops an endpoint the exact test would accept.
+_REACH_SLACK_M = 1e-6
+
+_CellKey = Tuple[int, int]
+#: (endpoint, x, y, reach squared) — see ``Channel._index_disk``
+_Disk = Tuple["ChannelEndpoint", float, float, float]
 
 
 class ChannelEndpoint(Protocol):
@@ -83,35 +103,10 @@ class ChannelEndpoint(Protocol):
         ...
 
 
-class Reception:
-    """One frame in flight at one receiver (object-per-reception API).
-
-    The simulation hot path batches receptions per frame in
-    :class:`BroadcastReception` instead; this class remains for unit tests
-    and external callers driving :meth:`Radio.begin_reception` /
-    :meth:`Radio.end_reception` directly.
-    """
-
-    __slots__ = ("frame", "receiver", "corrupted", "reason")
-
-    def __init__(self, frame: Frame, receiver: ChannelEndpoint) -> None:
-        self.frame = frame
-        self.receiver = receiver
-        self.corrupted = False
-        self.reason: Optional[str] = None
-
-    def corrupt(self, reason: str) -> None:
-        """Mark the reception as failed (idempotent; first reason wins)."""
-        if not self.corrupted:
-            self.corrupted = True
-            self.reason = reason
-
-
 class BroadcastReception:
     """One frame on the air, with its entire listener cohort batched.
 
-    Replaces the per-listener ``Reception`` objects on the hot path: the
-    receiver set and per-receiver corruption state live in parallel arrays
+    The receiver set and per-receiver corruption state live in parallel arrays
     (``receivers[i]`` / ``corrupt[i]`` / ``reasons[i]``) carried by a
     single per-frame record, and ONE end-of-airtime kernel event resolves
     the whole cohort — radio RX end, energy accounting, collision and
@@ -184,9 +179,10 @@ class Channel:
         self._static: Dict[int, ChannelEndpoint] = {}
         self._mobile: Dict[int, ChannelEndpoint] = {}
         self._active: List[BroadcastReception] = []
-        #: per static node: (listener endpoints, their ids), grid-query order
+        #: per static node: (listener endpoints, their ids) in grid-query
+        #: order, and the node's mobile-index cell
         self._neighbor_cache: Dict[
-            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...]]
+            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], _CellKey]
         ] = {}
         # Per static node (indexed by id): number of in-flight transmissions
         # from *other* senders covering it, and the latest end time among
@@ -202,11 +198,15 @@ class Channel:
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
-        # The batched fleet position sweep (see repro.net.vectorized), or
-        # None under the REPRO_VECTORIZE kill-switch: resolved per channel
-        # at construction so the switch applies per world.
-        np_mod = vectorized.numpy_or_none()
-        self._sweep = vectorized.MobileSweep(np_mod) if np_mod is not None else None
+        # The mobile cell index (module docstring), valid while
+        # ``now <= _index_until``: every mobile's reach disk and, per cell,
+        # the mobiles whose disk touches it — both in registration order.
+        # A cell's list is built by the first frame sent from it in the
+        # window and kept up to date from then on.
+        self._cell_size = comm_range / 2.0
+        self._index_until = -math.inf
+        self._disks: Dict[int, _Disk] = {}
+        self._cells: Dict[_CellKey, List[ChannelEndpoint]] = {}
         #: fault-plane jam hook: when set (only while a radio-degradation
         #: window is open), consulted once per transmitted frame; a True
         #: return corrupts the whole cohort.  None outside fault windows,
@@ -244,12 +244,32 @@ class Channel:
                     self._busy_latest[node_id] = tx.end_time
 
     def register_mobile(self, endpoint: ChannelEndpoint) -> None:
-        """Register a moving endpoint (the user's proxy)."""
+        """Register a moving endpoint (the user's proxy).
+
+        The endpoint's ``max_speed_mps`` attribute (absent: unbounded) must
+        bound its motion — ``|position_at(t2) - position_at(t1)| <=
+        max_speed_mps * (t2 - t1)`` for all ``t1 <= t2`` — or the cell
+        index may miss it as a listener; ``inf`` is always safe (the
+        endpoint is then a candidate for every frame).
+
+        Raises:
+            ValueError: on a duplicate id, or a negative or NaN speed bound.
+        """
         if endpoint.node_id in self._static or endpoint.node_id in self._mobile:
             raise ValueError(f"endpoint {endpoint.node_id} already registered")
+        speed = getattr(endpoint, "max_speed_mps", math.inf)
+        if not speed >= 0.0:
+            raise ValueError(
+                f"endpoint {endpoint.node_id}: max_speed_mps must be >= 0, "
+                f"got {speed}"
+            )
         self._mobile[endpoint.node_id] = endpoint
-        if self._sweep is not None:
-            self._sweep.dirty = True
+        now = self.sim.now
+        if now <= self._index_until:
+            # Last in registration order, so appending keeps lists sorted.
+            newcomer = (self._index_disk(endpoint, now),)
+            for cell, members in self._cells.items():
+                members.extend(self._touching(newcomer, cell))
 
     def unregister_mobile(self, node_id: int) -> None:
         """Remove a mobile endpoint (its user's session was cancelled).
@@ -266,10 +286,13 @@ class Channel:
         legitimately reuse the id — without the re-tag the new endpoint
         would read the medium idle while the old frame is still in flight.
         """
-        if self._mobile.pop(node_id, None) is None:
+        endpoint = self._mobile.pop(node_id, None)
+        if endpoint is None:
             return
-        if self._sweep is not None:
-            self._sweep.dirty = True
+        if self._disks.pop(node_id, None) is not None:
+            for members in self._cells.values():
+                if endpoint in members:
+                    members.remove(endpoint)
         for tx in self._active:
             if tx.sender_id == node_id:
                 self._retired_sender_seq -= 1
@@ -310,16 +333,66 @@ class Channel:
 
     def _static_cache(
         self, node_id: int
-    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...]]:
+    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], _CellKey]:
         cached = self._neighbor_cache.get(node_id)
         if cached is None:
             position = self._static[node_id].position_at(0.0)
             ids = self._grid.query_disk(position, self.comm_range)
             static = self._static
             others = tuple(i for i in ids if i != node_id)
-            cached = (tuple(static[i] for i in others), others)
+            cached = (
+                tuple(static[i] for i in others),
+                others,
+                self._cell_of(position.x, position.y),
+            )
             self._neighbor_cache[node_id] = cached
         return cached
+
+    # ------------------------------------------------------------------
+    # Mobile cell index
+    # ------------------------------------------------------------------
+    def _cell_of(self, x: float, y: float) -> _CellKey:
+        size = self._cell_size
+        return (int(x // size), int(y // size))
+
+    def _index_disk(self, endpoint: ChannelEndpoint, now: float) -> _Disk:
+        """Record and return ``endpoint``'s reach disk for the live window.
+
+        Everywhere the endpoint can be heard from until ``_index_until``:
+        its position now, widened by ``comm_range`` plus the farthest its
+        speed bound lets it travel in the time left (infinite for an
+        unbounded endpoint, whose disk then touches every cell).
+        """
+        position = endpoint.position_at(now)
+        left = self._index_until - now
+        travel = getattr(endpoint, "max_speed_mps", math.inf) * left if left else 0.0
+        reach = self.comm_range + travel + _REACH_SLACK_M
+        disk = (endpoint, position.x, position.y, reach * reach)
+        self._disks[endpoint.node_id] = disk
+        return disk
+
+    def _reindex(self, now: float) -> None:
+        """Start a new index window at ``now``: fresh disks, no cells yet."""
+        self._index_until = now + _INDEX_WINDOW_S
+        self._disks.clear()
+        self._cells.clear()
+        for endpoint in self._mobile.values():
+            self._index_disk(endpoint, now)
+
+    def _touching(self, disks: Iterable[_Disk], cell: _CellKey) -> List[ChannelEndpoint]:
+        """The endpoints among ``disks`` whose disk meets ``cell``'s square."""
+        size = self._cell_size
+        x0 = cell[0] * size
+        x1 = x0 + size
+        y0 = cell[1] * size
+        y1 = y0 + size
+        found = []
+        for endpoint, x, y, reach_sq in disks:
+            dx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
+            dy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
+            if dx * dx + dy * dy <= reach_sq:
+                found.append(endpoint)
+        return found
 
     def listeners_near(self, position: Vec2, time: float) -> List[ChannelEndpoint]:
         """All endpoints within range of ``position`` at ``time`` (any state)."""
@@ -407,15 +480,16 @@ class Channel:
         # and the sender is already excluded); a mobile sender's footprint
         # is evaluated at its current position.
         if self._static.get(sender_id) is sender:
-            static_listeners, covered = self._static_cache(sender_id)
+            static_listeners, covered, cell = self._static_cache(sender_id)
         else:
             ids = self._grid.query_disk(position, self.comm_range)
             static = self._static
             static_listeners = tuple(static[i] for i in ids if i != sender_id)
             covered = tuple(i for i in ids if i != sender_id)
+            cell = self._cell_of(position.x, position.y)
         end_time = now + duration
         record = self._begin_reception(
-            frame, sender_id, position, end_time, covered, static_listeners, now
+            frame, sender_id, position, end_time, covered, static_listeners, cell, now
         )
         record.on_airtime_end = on_airtime_end
         jam = self.fault_jam
@@ -462,14 +536,14 @@ class Channel:
         end_time: float,
         covered: Tuple[int, ...],
         static_listeners: Tuple[ChannelEndpoint, ...],
+        cell: _CellKey,
         now: float,
     ) -> BroadcastReception:
         """Begin the frame's receptions: static cohort first, then mobiles.
 
         Static listeners join in grid-query order; mobiles after them in
-        fleet registration order, found by the direct per-proxy loop below
-        ``MOBILE_SWEEP_THRESHOLD`` proxies and by the batched
-        :class:`~repro.net.vectorized.MobileSweep` at or above it.
+        fleet registration order, from the index list of the sender's
+        ``cell`` (every mobile that can be in range during this window).
         """
         record = BroadcastReception(frame, sender_id, position, end_time, covered)
         receivers = record.receivers
@@ -500,9 +574,6 @@ class Channel:
                     prev.corrupt[radio._rx_index] = True
                     prev.reasons[radio._rx_index] = "overlap"
                     radio._rx_record = None
-                if radio.active_receptions:  # legacy objects (tests only)
-                    for other in radio.active_receptions:
-                        other.corrupt("overlap")
             else:
                 corrupt.append(False)
                 reasons.append(None)
@@ -519,17 +590,16 @@ class Channel:
                     energy._state_since = now
                 energy._state = rx_state
                 energy._state_w = energy.model.rx_w
+        if now > self._index_until:
+            self._reindex(now)
+        members = self._cells.get(cell)
+        if members is None:
+            # First frame from this cell in this window: _disks iterates in
+            # registration order, and so does every list built from it.
+            members = self._cells[cell] = self._touching(self._disks.values(), cell)
         px, py = position.x, position.y
-        mobiles = self._mobile
-        if self._sweep is not None and len(mobiles) >= MOBILE_SWEEP_THRESHOLD:
-            # Wide fleet: one batched segment evaluation positions every
-            # proxy (bit-identical values, same joiner order as the direct
-            # loop below, which stays as its oracle under REPRO_VECTORIZE).
-            for listener in self._sweep_candidates(sender_id, px, py, now):
-                listener.radio.begin_batch_reception(record, listener)
-            return record
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        for listener in mobiles.values():
+        for listener in members:
             if listener.node_id == sender_id:
                 continue
             lpos = listener.position_at(now)
@@ -542,39 +612,6 @@ class Channel:
                 continue
             radio.begin_batch_reception(record, listener)
         return record
-
-    def _sweep_candidates(
-        self, sender_id: int, px: float, py: float, now: float
-    ) -> List[ChannelEndpoint]:
-        """In-range listening mobiles at ``now`` via the batched sweep.
-
-        One elementwise segment evaluation positions the whole fleet
-        (bit-identical to per-proxy ``position_at`` — see
-        :class:`~repro.net.vectorized.MobileSweep`), then the range mask
-        and listening filter reproduce the direct loop's predicate
-        order.  Slot order is fleet registration order, so the joiner
-        sequence matches the dict-iteration order of the direct loop.
-        """
-        sweep = self._sweep
-        if sweep.dirty:
-            sweep.rebuild(self._mobile)
-        xs, ys = sweep.positions_at(now)
-        dxs = xs - px
-        dys = ys - py
-        mask = dxs * dxs + dys * dys <= (
-            self.comm_range * self.comm_range + 1e-9
-        )
-        sender_slot = sweep.slot_of.get(sender_id)
-        if sender_slot is not None:
-            mask[sender_slot] = False
-        if not mask.any():
-            return []
-        eps = sweep.endpoints
-        return [
-            eps[k]
-            for k in sweep.np.nonzero(mask)[0].tolist()
-            if eps[k].radio.listening
-        ]
 
     def _finish_transmission(
         self, sender: ChannelEndpoint, record: BroadcastReception

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from ..sim.kernel import EventHandle, Simulator
 from ..sim.trace import Tracer
 from .channel import Channel, ChannelEndpoint
 from .packet import ACK_SIZE_BYTES, BROADCAST, Frame
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: Callback fired when a frame's MAC-level fate is known.
 SendCallback = Callable[[bool], None]

@@ -12,9 +12,7 @@ position is a function of time supplied by the mobility model.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
@@ -26,6 +24,9 @@ from .mac import MacConfig, MacLayer, SendCallback
 from .packet import Frame
 from .psm import PsmConfig, SleepScheduler, delivery_time
 from .radio import Radio
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 #: Handler signature: ``handler(node, frame)``.
 FrameHandler = Callable[["SensorNode", Frame], None]
@@ -199,10 +200,13 @@ class MobileEndpoint:
         self.rng = rng
         self.tracer = tracer
         self._position_fn = position_fn
-        #: Lipschitz bound on the endpoint's motion (m/s); the channel's
-        #: per-timestamp position cache uses it to prove a proxy still out
-        #: of radio range without re-evaluating the mobility model.  The
-        #: conservative default (inf) disables the shortcut.
+        #: Bound on the endpoint's speed (m/s): ``|position_at(t2) -
+        #: position_at(t1)| <= max_speed_mps * (t2 - t1)`` for t1 <= t2.
+        #: The channel's mobile cell index relies on it (a proxy moving
+        #: faster than it declared can miss frames), and
+        #: ``Channel.register_mobile`` rejects a negative or NaN value.
+        #: The default (inf) is always correct: the proxy is then a
+        #: candidate listener for every frame.
         self.max_speed_mps = max_speed_mps
         # Bind the mobility model straight onto the instance: the channel
         # queries every mobile's position once per transmission.

@@ -11,13 +11,13 @@ query dissemination in the paper's motivating example.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..sim.kernel import Simulator
 from .energy import EnergyMeter, PowerModel, RadioState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .channel import BroadcastReception, Reception
+    from .channel import BroadcastReception
 
 
 class Radio:
@@ -39,8 +39,7 @@ class Radio:
         #: call is measurable; maintained by ``set_state``.
         self.listening = initial_state in (RadioState.IDLE, RadioState.RX)
         self.energy.on_state_change(initial_state)
-        #: number of receptions currently in flight at this radio, batched
-        #: (channel hot path) and object-based (legacy API) combined.  The
+        #: number of receptions currently in flight at this radio.  The
         #: channel and the PSM sleep check read this instead of a list.
         self.rx_count = 0
         # The radio's single still-clean batched reception, as a record
@@ -51,9 +50,6 @@ class Radio:
         # the record directly and clear this slot.
         self._rx_record: Optional["BroadcastReception"] = None
         self._rx_index = -1
-        #: object-per-reception API receptions in flight (tests, external
-        #: callers); the simulation hot path never populates this list
-        self.active_receptions: List["Reception"] = []
 
     # ------------------------------------------------------------------
     # State
@@ -85,9 +81,6 @@ class Radio:
         if new_state is self._state:
             return
         if new_state is RadioState.TX or new_state is RadioState.SLEEP:
-            if self.active_receptions:
-                for reception in self.active_receptions:
-                    reception.corrupt("receiver_left_listening")
             record = self._rx_record
             if record is not None:
                 # The one still-clean batched reception dies with the
@@ -152,9 +145,6 @@ class Radio:
                 prev.corrupt[self._rx_index] = True
                 prev.reasons[self._rx_index] = "overlap"
                 self._rx_record = None
-            if self.active_receptions:
-                for other in self.active_receptions:
-                    other.corrupt("overlap")
         else:
             record.corrupt.append(False)
             record.reasons.append(None)
@@ -163,40 +153,6 @@ class Radio:
         record.receivers.append(listener)
         if self._state is RadioState.IDLE:
             self.set_state(RadioState.RX)
-
-    def begin_reception(self, reception: "Reception") -> None:
-        """A frame started arriving while we listened (object-based API).
-
-        The channel's hot path batches receptions per frame instead (see
-        :class:`~repro.net.channel.BroadcastReception`); this entry point
-        keeps the same overlap semantics for object-based callers and
-        interoperates with any batched reception in flight.
-        """
-        if self.rx_count:
-            # Overlap: everything in flight at this radio is garbage.
-            reception.corrupt("overlap")
-            for other in self.active_receptions:
-                other.corrupt("overlap")
-            record = self._rx_record
-            if record is not None:
-                record.corrupt[self._rx_index] = True
-                record.reasons[self._rx_index] = "overlap"
-                self._rx_record = None
-        self.active_receptions.append(reception)
-        self.rx_count += 1
-        if self._state is RadioState.IDLE:
-            self.set_state(RadioState.RX)
-
-    def end_reception(self, reception: "Reception") -> None:
-        """The frame's airtime elapsed (object-based API)."""
-        try:
-            self.active_receptions.remove(reception)
-        except ValueError:
-            pass
-        else:
-            self.rx_count -= 1
-        if not self.rx_count and self._state is RadioState.RX:
-            self.set_state(RadioState.IDLE)
 
     def set_state_tx_guarded(self) -> None:
         """Enter TX, rejecting physically impossible transitions.

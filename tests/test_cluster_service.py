@@ -480,57 +480,35 @@ class TestRunThenFinalize:
         assert len(result.sessions) == 2
 
 
-class TestMobileMemoEquivalence:
-    """Mobile-listener lookup: the batched sweep against the direct loop.
+class TestMobileIndexEquivalence:
+    """The channel's mobile cell index against the whole-fleet loop, end to
+    end (``tests/test_net_mobile_index.py`` pins it frame by frame)."""
 
-    (The class keeps its historical name — the per-timestamp memo it once
-    pinned is gone; the sweep is the one accelerated lookup left.)
-    """
+    def test_churned_fleet_matches_whole_fleet_lookup(self, monkeypatch):
+        """20 proxies (a fleet no golden suite reaches) with cancels and
+        late submits inside index windows, over three window expiries.  The
+        oracle run declares every proxy unbounded, which makes it a
+        candidate for every frame — the brute-force loop."""
+        import math
 
-    @staticmethod
-    def _patch_threshold(monkeypatch, threshold):
-        import repro.net.channel as channel_mod
+        from repro.mobility.path import PiecewisePath
 
-        monkeypatch.setattr(channel_mod, "MOBILE_SWEEP_THRESHOLD", threshold)
-
-    def test_above_threshold_sweep_matches_direct_evaluation(self, monkeypatch):
-        """One batched segment evaluation per timestamp is bit-identical
-        to per-proxy ``position_at`` — at 20 proxies, a fleet no golden
-        suite (<= 16 proxies) reaches."""
-
-        def run(threshold):
-            self._patch_threshold(monkeypatch, threshold)
-            service = MobiQueryService(small_config(seed=5, duration_s=14.0))
-            submit_fleet(service, 20, spacing_s=0.5)
-            workload = service.close()
-            return result_signature(service, workload)
-
-        swept = run(1)          # every fleet size -> MobileSweep
-        direct = run(10**9)     # same fleet -> direct per-proxy loop
-        assert swept == direct
-
-    def test_churn_across_threshold_rebuilds_the_sweep(self, monkeypatch):
-        """Cancel/submit churn straddling the threshold: each crossing
-        back above it must rebuild the sweep's slots from the live fleet
-        (``sweep.dirty``), never answer from the departed one."""
-
-        def run(threshold):
-            self._patch_threshold(monkeypatch, threshold)
+        def run():
             service = MobiQueryService(small_config(seed=5, duration_s=16.0))
-            handles = submit_fleet(service, 6, spacing_s=0.5)  # 6 >= 5: swept
+            handles = submit_fleet(service, 20, spacing_s=0.5)
             service.advance(6.0)
             for handle in handles[:3]:
-                service.cancel(handle)                          # 3 < 5: direct
+                service.cancel(handle)
             service.advance(9.0)
-            submit_fleet(service, 3, spacing_s=0.0)             # 6 again: rebuilt
-            service.advance(12.0)
-            sweep = service.network.channel._sweep
+            submit_fleet(service, 3, spacing_s=0.0)
+            channel = service.network.channel
+            lists = list(channel._cells.values())
             workload = service.close()
-            return result_signature(service, workload), sweep
+            return result_signature(service, workload), lists
 
-        churned, sweep = run(5)
-        direct, _ = run(10**9)
-        assert churned == direct
-        if sweep is not None:  # None on the REPRO_VECTORIZE=reference leg
-            assert not sweep.dirty
-            assert len(sweep.endpoints) == 6
+        indexed, lists = run()
+        assert lists and min(len(members) for members in lists) < 20
+        monkeypatch.setattr(PiecewisePath, "max_speed", lambda self: math.inf)
+        whole_fleet, lists = run()
+        assert all(len(members) == 20 for members in lists)
+        assert indexed == whole_fleet

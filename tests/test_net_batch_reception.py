@@ -10,7 +10,7 @@ determinism suite pins the same property end to end).
 import pytest
 
 from repro.geometry.vec import Vec2
-from repro.net.channel import Channel, Reception
+from repro.net.channel import Channel
 from repro.net.node import MobileEndpoint, SensorNode
 from repro.net.packet import BROADCAST, Frame
 from repro.net.psm import WakeWheel
@@ -19,6 +19,7 @@ from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
 from .conftest import line_positions, make_network
+from .reception_oracle import OracleRadio
 
 
 def raw_channel(sim, positions, tracer=None, comm_range=105.0):
@@ -119,40 +120,46 @@ class TestCollisionMatrix:
         assert channel.frames_collided == 6  # three frames x nodes 1 and 2
 
     def test_batch_outcomes_match_object_api_oracle(self):
-        """The object-per-reception API (old semantics) and the batch path
-        agree on the same interleaving: begin A, begin B (overlap), then a
-        clean C after both end."""
+        """The object-per-reception oracle (old semantics) and the batch
+        path agree on the same interleaving at one receiver: begin A, begin
+        B (overlap), then a clean C after both end."""
+        oracle = OracleRadio()
+        a = oracle.begin_reception()
+        b = oracle.begin_reception()
+        oracle.end_reception(a)
+        oracle.end_reception(b)
+        c = oracle.begin_reception()
+        oracle.end_reception(c)
+        assert a.outcome == b.outcome == (True, "overlap")
+        assert c.outcome == (False, None)
+
+        # Same interleaving through the batch path, as node 1 hears it.
         sim = Simulator()
-        from repro.net.energy import PowerModel
-        from repro.net.radio import Radio
-
-        radio = Radio(sim, owner_id=9, power_model=PowerModel())
-        a = Reception(Frame("x", 0, 9, 20), None)
-        b = Reception(Frame("x", 1, 9, 20), None)
-        radio.begin_reception(a)
-        radio.begin_reception(b)
-        assert a.corrupted and b.corrupted and a.reason == "overlap"
-        radio.end_reception(a)
-        radio.end_reception(b)
-        c = Reception(Frame("x", 2, 9, 20), None)
-        radio.begin_reception(c)
-        radio.end_reception(c)
-        assert not c.corrupted
-        assert radio.rx_count == 0
-
-        # Same interleaving through the batch path.
-        sim2 = Simulator()
         positions = [Vec2(0, 0), Vec2(50, 0), Vec2(100, 0), Vec2(150, 0)]
-        channel, nodes = raw_channel(sim2, positions)
+        channel, nodes = raw_channel(sim, positions)
         got = collect(nodes, "data")
-        channel.transmit(nodes[0], Frame("data", 0, BROADCAST, 1500, payload="a"))
-        channel.transmit(nodes[3], Frame("data", 3, BROADCAST, 1500, payload="b"))
-        sim2.run(until=0.5)
+
+        def transmit(sender, size, payload):
+            channel.transmit(sender, Frame("data", sender.node_id, BROADCAST, size,
+                                           payload=payload))
+            return channel._active[-1]
+
+        def at_node_1(record):
+            i = record.receivers.index(nodes[1])
+            return record.corrupt[i], record.reasons[i]
+
+        rec_a = transmit(nodes[0], 1500, "a")
+        rec_b = transmit(nodes[3], 1500, "b")
+        sim.run(until=0.5)
         assert got == []
-        channel.transmit(nodes[0], Frame("data", 0, BROADCAST, 200, payload="c"))
-        sim2.run(until=1.0)
+        rec_c = transmit(nodes[0], 200, "c")
+        sim.run(until=1.0)
+        assert [at_node_1(r) for r in (rec_a, rec_b, rec_c)] == [
+            a.outcome, b.outcome, c.outcome
+        ]
         assert (1, "c") in got and (2, "c") in got
         assert all(n.radio.rx_count == 0 for n in nodes)
+        assert not oracle.active
 
 
 class TestLateJoinerMobileProxy:

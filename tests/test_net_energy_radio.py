@@ -2,22 +2,27 @@
 
 import pytest
 
+from repro.geometry.vec import Vec2
+from repro.net.channel import BroadcastReception
 from repro.net.energy import PAPER_POWER_MODEL, EnergyMeter, PowerModel, RadioState
+from repro.net.packet import BROADCAST, Frame
 from repro.net.radio import Radio
 from repro.sim.kernel import Simulator
 
+from .reception_oracle import OracleRadio
+from .test_net_batch_reception import raw_channel
 
-class FakeReception:
-    """Stands in for a channel reception record."""
 
-    def __init__(self):
-        self.corrupted = False
-        self.reason = None
+def begin_batch(radio):
+    """Start one batched reception at ``radio``; returns its record."""
+    record = BroadcastReception(Frame("x", 0, BROADCAST, 20), 0, Vec2(0, 0), 1.0)
+    radio.begin_batch_reception(record, radio)
+    return record
 
-    def corrupt(self, reason):
-        if not self.corrupted:
-            self.corrupted = True
-            self.reason = reason
+
+def outcome(record):
+    """``(corrupted, reason)`` of a single-receiver record."""
+    return record.corrupt[0], record.reasons[0]
 
 
 class TestPowerModel:
@@ -110,45 +115,66 @@ class TestRadio:
         radio.end_transmission()
         assert radio.state is RadioState.IDLE
 
+    # The reception tests below replay one interleaving through the real
+    # radio (batch API) and through the object-per-reception oracle.
+
     def test_reception_corrupted_by_sleep(self):
         _, radio = self._radio()
-        reception = FakeReception()
-        radio.begin_reception(reception)
-        assert radio.state is RadioState.RX
+        oracle = OracleRadio()
+        record = begin_batch(radio)
+        expected = oracle.begin_reception()
+        assert radio.state is oracle.state is RadioState.RX
         radio.sleep()
-        assert reception.corrupted
-        assert reception.reason == "receiver_left_listening"
+        oracle.set_state(RadioState.SLEEP)
+        assert outcome(record) == expected.outcome == (True, "receiver_left_listening")
 
     def test_reception_corrupted_by_tx(self):
         _, radio = self._radio()
-        reception = FakeReception()
-        radio.begin_reception(reception)
+        oracle = OracleRadio()
+        record = begin_batch(radio)
+        expected = oracle.begin_reception()
         radio.set_state_tx_guarded()
-        assert reception.corrupted
+        oracle.set_state(RadioState.TX)
+        assert outcome(record) == expected.outcome
+        assert record.corrupt[0]
 
     def test_overlapping_receptions_corrupt_each_other(self):
         _, radio = self._radio()
-        first = FakeReception()
-        second = FakeReception()
-        radio.begin_reception(first)
-        radio.begin_reception(second)
-        assert first.corrupted and second.corrupted
-        assert first.reason == "overlap"
+        oracle = OracleRadio()
+        first, second = begin_batch(radio), begin_batch(radio)
+        expected = oracle.begin_reception(), oracle.begin_reception()
+        assert outcome(first) == expected[0].outcome == (True, "overlap")
+        assert outcome(second) == expected[1].outcome == (True, "overlap")
+        assert radio.rx_count == len(oracle.active) == 2
 
     def test_single_reception_clean(self):
-        _, radio = self._radio()
-        reception = FakeReception()
-        radio.begin_reception(reception)
-        radio.end_reception(reception)
-        assert not reception.corrupted
-        assert radio.state is RadioState.IDLE
+        sim = Simulator()
+        channel, (sender, receiver) = raw_channel(sim, [Vec2(0, 0), Vec2(50, 0)])
+        oracle = OracleRadio()
+        channel.transmit(sender, Frame("data", 0, BROADCAST, 200))
+        (record,) = channel._active
+        expected = oracle.begin_reception()
+        assert receiver.radio.state is oracle.state is RadioState.RX
+        sim.run(until=1.0)
+        oracle.end_reception(expected)
+        assert outcome(record) == expected.outcome == (False, None)
+        assert receiver.radio.state is oracle.state is RadioState.IDLE
 
     def test_end_reception_restores_idle_only_when_drained(self):
-        _, radio = self._radio()
-        a, b = FakeReception(), FakeReception()
-        radio.begin_reception(a)
-        radio.begin_reception(b)
-        radio.end_reception(a)
-        assert radio.state is RadioState.RX
-        radio.end_reception(b)
-        assert radio.state is RadioState.IDLE
+        sim = Simulator()
+        # The middle node hears both ends; the ends do not hear each other.
+        channel, (left, receiver, right) = raw_channel(
+            sim, [Vec2(0, 0), Vec2(100, 0), Vec2(200, 0)]
+        )
+        oracle = OracleRadio()
+        short, long_ = Frame("data", 0, BROADCAST, 200), Frame("data", 2, BROADCAST, 1500)
+        channel.transmit(left, short)
+        channel.transmit(right, long_)
+        a, b = oracle.begin_reception(), oracle.begin_reception()
+        sim.run(until=(channel.airtime(short) + channel.airtime(long_)) / 2)
+        oracle.end_reception(a)
+        assert receiver.radio.state is oracle.state is RadioState.RX
+        sim.run(until=1.0)
+        oracle.end_reception(b)
+        assert receiver.radio.state is oracle.state is RadioState.IDLE
+        assert receiver.radio.rx_count == len(oracle.active) == 0
