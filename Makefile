@@ -9,6 +9,9 @@
 #   make perf-gate       re-measure and fail on >20% events/sec regression
 #   make ledger          ten seeds of every bench/ workload into
 #                        bench/out/ledger.json (input of `bench compare`)
+#   make bench-ab        alternating parent/change pairs of one bench/
+#                        workload against a commit, with the acceptance
+#                        verdict (REF=<commit> WORKLOAD=<name> [PAIRS=10])
 #   make profile         cProfile one bench scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -34,7 +37,10 @@ SERVE_SMOKE_PORT ?= 8641
 #: port the chaos smoke binds (distinct so both smokes can run in parallel)
 CHAOS_SMOKE_PORT ?= 8652
 
-.PHONY: test bench bench-smoke bench-perf bench-cluster perf-gate ledger profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
+#: pairs `make bench-ab` runs (seeds 1..PAIRS)
+PAIRS ?= 10
+
+.PHONY: test bench bench-smoke bench-perf bench-cluster perf-gate ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -78,6 +84,15 @@ perf-gate:
 #   python3 -m bench compare A.json B.json
 ledger:
 	python3 -m bench --runs 10 --out bench/out/ledger.json
+
+# A/B a working tree against its parent the way CHANGES.md reports it:
+#   make bench-ab REF=HEAD~1 WORKLOAD=churn-mix
+# clones REF into a temporary directory and alternates 15-second runs of
+# the workload between the clone and this checkout.
+bench-ab:
+	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-ab REF=<commit> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	python3 scripts/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant

@@ -10,10 +10,17 @@ time span.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..geometry.vec import Vec2
+
+#: One flat linear piece of a motion, ``(t_lo, t_hi, t_ref, span, x0, dx, y0,
+#: dy)``: at every ``t`` in ``[t_lo, t_hi)`` the mover is at ``(x0 + dx * f,
+#: y0 + dy * f)`` with ``f = (t - t_ref) / span``.  See
+#: :meth:`PiecewisePath.segment_at`.
+MotionPiece = Tuple[float, float, float, float, float, float, float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +130,38 @@ class PiecewisePath:
         self._memo_t = t
         self._memo_pos = pos
         return pos
+
+    def segment_at(self, t: float) -> MotionPiece:
+        """The flat linear piece the path is on at ``t``, as plain floats.
+
+        For every ``u`` in the piece's ``[t_lo, t_hi)``, evaluating the
+        :data:`MotionPiece` formula reproduces ``position_at(u)`` **bit for
+        bit** — ``span`` and ``dx`` / ``dy`` are the very sub-expressions
+        ``position_at`` computes (never ``1 / span`` or ``dx / span``, which
+        round differently) — so a caller that evaluates many instants, like
+        the channel's range test, can hold the piece and skip the call and
+        the ``Vec2`` until ``u`` leaves it.
+
+        The clamped ends are zero-velocity pieces reaching ``-inf`` / ``inf``
+        whose infinite ``span`` makes ``f`` exactly ``+0.0``; their ``dx`` /
+        ``dy`` are ``-0.0``, the additive identity that also leaves a
+        ``-0.0`` coordinate alone.  The leading one includes the first
+        waypoint's own instant (as ``position_at`` clamps with ``<=``) and
+        is anchored on its ``t_hi`` so that ``f`` stays ``+0.0`` there.
+        """
+        times = self._times
+        if t <= times[0]:
+            p = self.waypoints[0].position
+            t_hi = math.nextafter(times[0], math.inf)
+            return (-math.inf, t_hi, t_hi, -math.inf, p.x, -0.0, p.y, -0.0)
+        if t >= times[-1]:
+            p = self.waypoints[-1].position
+            return (times[-1], math.inf, times[-1], math.inf, p.x, -0.0, p.y, -0.0)
+        idx = bisect.bisect_right(times, t) - 1
+        a, b = self.waypoints[idx], self.waypoints[idx + 1]
+        pa, pb = a.position, b.position
+        return (a.time, b.time, a.time, b.time - a.time,
+                pa.x, pb.x - pa.x, pa.y, pb.y - pa.y)
 
     def velocity_at(self, t: float) -> Vec2:
         """Velocity at time ``t`` (zero outside the span; left-continuous

@@ -16,8 +16,8 @@ The channel is the broker between transmitting radios and listening ones:
   the loss mechanism behind MQ-GP's fidelity variance in Figure 5.
 
 Static sensor nodes are indexed in a spatial grid once; mobile endpoints
-(the user's proxy) are tracked separately and evaluated against positions at
-transmission start.
+(the users' proxies) are tracked separately, each as the flat linear piece
+of its motion it is currently on, and evaluated at transmission start.
 
 Hot-path layout: node positions are fixed at t=0, so each static node's
 in-range listener set is computed once (lazily, in grid-query order so
@@ -26,7 +26,7 @@ bit-identical to querying the grid per transmission) and reused for every
 ``transmit``.  Carrier sense is answered from per-node busy bookkeeping
 (an in-range-transmission counter plus latest end time per static node,
 updated on transmission start/finish) instead of scanning all active
-transmissions per query; the mobile proxy, whose position changes between
+transmissions per query; a mobile proxy, whose position changes between
 sense calls, is the one case that still scans the (short) active list.
 
 Receptions are **batched per frame**: one :class:`BroadcastReception`
@@ -41,30 +41,57 @@ leaving a listening state flips the flag in the record's arrays directly.
 (The object-per-reception semantics this replaced live on as the test
 oracle ``tests/reception_oracle.py``.)
 
-There is **one reception path and one mobile-listener lookup**:
-``transmit`` begins the cohort in ``_begin_reception`` and the
+There is **one reception path, one join body and one mobile-listener
+lookup**: ``transmit`` begins the cohort in ``_begin_reception`` and the
 end-of-airtime event resolves it in ``_finish_transmission``, both plain
-loops over plain :class:`~repro.net.radio.Radio` objects.  Mobile listeners
-come from a **reach-bounded cell index**: a dict from grid cell (side
-``comm_range / 2``) to the proxies whose *reach disk* — ``comm_range +
-max_speed_mps x (time left in the index window)`` around their position
-when indexed — touches that cell.  A proxy can be in range of a sender only
-if the sender's cell is one of those, so a transmission does one dict
-lookup on the sender's cell and runs the exact ``position_at`` range test
-over that short list instead of the whole fleet.  Every
-``_INDEX_WINDOW_S`` sim-seconds the disks are taken afresh; a cell's list is
-built by the first frame sent from it in the window, and registrations and
-cancellations inside a window are applied to the lists already built.
-Every list is in fleet registration order, so the joiner sequence — which
-is physics — is that of a loop over the whole fleet;
-:meth:`Channel.listeners_near` stays that brute-force loop and is the
-index's oracle in the tests.
+loops over plain :class:`~repro.net.radio.Radio` objects.  A frame starts
+about as many receptions at proxies as at sensor nodes once a fleet is
+registered, so a mobile listener is made to cost what a static one does:
+``_begin_reception`` first collects the mobiles in range, then runs a single
+loop over the static listeners followed by those mobiles, and that loop's
+inlined body (overlap corruption, clean-slot tracking, IDLE->RX with its
+energy step) is the only place a reception begins.
+
+Mobile listeners come from a **reach-bounded cell index**: a dict from grid
+cell (side ``comm_range / 2``) to the proxies whose *reach disk* —
+``comm_range + max_speed_mps x (time left in the index window)`` around
+their position when indexed — touches that cell.  A proxy can be in range
+of a sender only if the sender's cell is one of those, so a transmission
+does one dict lookup on the sender's cell and runs the exact range test
+over that short list instead of the whole fleet.  Every ``_INDEX_WINDOW_S``
+sim-seconds the disks are taken afresh; a cell's list is built by the first
+frame sent from it in the window, and registrations and cancellations
+inside a window are applied to the lists already built.  Every list is in
+fleet registration order, so the joiner sequence — which is physics — is
+that of a loop over the whole fleet; :meth:`Channel.listeners_near` stays
+that brute-force loop and is the index's oracle in the tests.
+
+The exact range test is **float arithmetic on a motion piece**, not a call:
+beside its reach disk the channel keeps, for each registered mobile, the
+piece ``(t_lo, t_hi, t_ref, span, x0, dx, y0, dy)`` its endpoint's
+``segment_at`` last returned, evaluates ``x0 + dx * ((now - t_ref) / span)``
+in place — the very operations ``PiecewisePath.position_at`` performs, so
+the positions are bit-equal — and asks again only when ``now`` leaves
+``[t_lo, t_hi)``.  An endpoint that offers only ``position_at`` is tracked
+on pieces that last one instant (one ``position_at`` per test, as ever),
+just as one without ``max_speed_mps`` is indexed as unbounded: the loop is
+the same for every kind of endpoint.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from ..geometry.grid import SpatialGrid
 from ..geometry.vec import Vec2
@@ -73,6 +100,9 @@ from ..sim.trace import Tracer
 from .energy import RadioState
 from .packet import Frame
 from .radio import Radio
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..mobility.path import MotionPiece
 
 #: Sim-seconds one build of the mobile cell index stays valid.  A longer
 #: window rebuilds less often but widens every reach disk by
@@ -84,8 +114,6 @@ _INDEX_WINDOW_S = 5.0
 _REACH_SLACK_M = 1e-6
 
 _CellKey = Tuple[int, int]
-#: (endpoint, x, y, reach squared) — see ``Channel._index_disk``
-_Disk = Tuple["ChannelEndpoint", float, float, float]
 
 
 class ChannelEndpoint(Protocol):
@@ -95,12 +123,63 @@ class ChannelEndpoint(Protocol):
     radio: Radio
 
     def position_at(self, time: float) -> Vec2:
-        """Endpoint position at ``time`` (constant for sensor nodes)."""
+        """Endpoint position at ``time`` (constant for sensor nodes).
+
+        A mobile endpoint may also offer ``segment_at(time)``, the flat
+        motion piece it is on (``PiecewisePath.segment_at``), which must
+        evaluate to these positions bit for bit; the channel then
+        range-tests it without calling either until the piece ends.
+        """
         ...
 
     def deliver_frame(self, frame: Frame) -> None:
         """Hand a successfully received frame to the endpoint's MAC."""
         ...
+
+
+def _instant_pieces(endpoint: ChannelEndpoint) -> Callable[[float], MotionPiece]:
+    """A ``segment_at`` for an endpoint that offers only ``position_at``.
+
+    Each piece lasts the one instant it was asked for (``t_lo == t_hi``, so
+    it is never still current), which costs such an endpoint the
+    ``position_at`` per range test it always paid.
+    """
+
+    def segment_at(time: float) -> MotionPiece:
+        position = endpoint.position_at(time)
+        return (time, time, time, 1.0, position.x, 0.0, position.y, 0.0)
+
+    return segment_at
+
+
+class _Tracked:
+    """A registered mobile as the channel follows it between frames."""
+
+    __slots__ = ("endpoint", "node_id", "segment_at", "piece", "disk")
+
+    def __init__(self, endpoint: ChannelEndpoint) -> None:
+        self.endpoint = endpoint
+        self.node_id = endpoint.node_id
+        #: the endpoint's own ``segment_at`` (a ``MobileEndpoint`` forwards
+        #: its path's) or one-instant pieces around its ``position_at``
+        self.segment_at: Callable[[float], MotionPiece] = getattr(
+            endpoint, "segment_at", None
+        ) or _instant_pieces(endpoint)
+        #: the flat motion piece it was last found on; refreshed when the
+        #: clock leaves ``[t_lo, t_hi)`` (this one is current at no time)
+        self.piece: MotionPiece = (math.inf, -math.inf, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        #: ``(x, y, reach squared)`` for the live index window — see
+        #: ``Channel._index_disk``
+        self.disk = (0.0, 0.0, 0.0)
+
+    def xy_at(self, now: float) -> Tuple[float, float]:
+        """Position at ``now``, bit-equal to the endpoint's ``position_at``."""
+        t_lo, t_hi, t_ref, span, x0, dx, y0, dy = self.piece
+        if not t_lo <= now < t_hi:
+            self.piece = piece = self.segment_at(now)
+            t_lo, t_hi, t_ref, span, x0, dx, y0, dy = piece
+        frac = (now - t_ref) / span
+        return x0 + dx * frac, y0 + dy * frac
 
 
 class BroadcastReception:
@@ -177,7 +256,8 @@ class Channel:
         self.tracer = tracer
         self._grid: SpatialGrid[int] = SpatialGrid(cell_size=comm_range)
         self._static: Dict[int, ChannelEndpoint] = {}
-        self._mobile: Dict[int, ChannelEndpoint] = {}
+        #: mobile endpoints by id, in registration order
+        self._mobile: Dict[int, _Tracked] = {}
         self._active: List[BroadcastReception] = []
         #: per static node: (listener endpoints, their ids) in grid-query
         #: order, and the node's mobile-index cell
@@ -198,15 +278,17 @@ class Channel:
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
+        #: exact mobile range tests run (work counter: the candidates the
+        #: cell index handed to every frame)
+        self.mobile_range_tests = 0
         # The mobile cell index (module docstring), valid while
-        # ``now <= _index_until``: every mobile's reach disk and, per cell,
-        # the mobiles whose disk touches it — both in registration order.
-        # A cell's list is built by the first frame sent from it in the
-        # window and kept up to date from then on.
+        # ``now <= _index_until``: every mobile carries its reach disk and
+        # each cell lists the mobiles whose disk touches it, in registration
+        # order.  A cell's list is built by the first frame sent from it in
+        # the window and kept up to date from then on.
         self._cell_size = comm_range / 2.0
         self._index_until = -math.inf
-        self._disks: Dict[int, _Disk] = {}
-        self._cells: Dict[_CellKey, List[ChannelEndpoint]] = {}
+        self._cells: Dict[_CellKey, List[_Tracked]] = {}
         #: fault-plane jam hook: when set (only while a radio-degradation
         #: window is open), consulted once per transmitted frame; a True
         #: return corrupts the whole cohort.  None outside fault windows,
@@ -263,13 +345,13 @@ class Channel:
                 f"endpoint {endpoint.node_id}: max_speed_mps must be >= 0, "
                 f"got {speed}"
             )
-        self._mobile[endpoint.node_id] = endpoint
+        tracked = self._mobile[endpoint.node_id] = _Tracked(endpoint)
         now = self.sim.now
         if now <= self._index_until:
             # Last in registration order, so appending keeps lists sorted.
-            newcomer = (self._index_disk(endpoint, now),)
+            self._index_disk(tracked, now)
             for cell, members in self._cells.items():
-                members.extend(self._touching(newcomer, cell))
+                members.extend(self._touching((tracked,), cell))
 
     def unregister_mobile(self, node_id: int) -> None:
         """Remove a mobile endpoint (its user's session was cancelled).
@@ -286,13 +368,15 @@ class Channel:
         legitimately reuse the id — without the re-tag the new endpoint
         would read the medium idle while the old frame is still in flight.
         """
-        endpoint = self._mobile.pop(node_id, None)
-        if endpoint is None:
+        tracked = self._mobile.pop(node_id, None)
+        if tracked is None:
             return
-        if self._disks.pop(node_id, None) is not None:
+        # Its motion piece and reach disk go with it: an endpoint that
+        # reuses the id is tracked afresh, never on this one's piece.
+        if self.sim.now <= self._index_until:
             for members in self._cells.values():
-                if endpoint in members:
-                    members.remove(endpoint)
+                if tracked in members:
+                    members.remove(tracked)
         for tx in self._active:
             if tx.sender_id == node_id:
                 self._retired_sender_seq -= 1
@@ -300,10 +384,13 @@ class Channel:
 
     def endpoint(self, node_id: int) -> ChannelEndpoint:
         """Look up a registered endpoint by id."""
-        ep = self._static.get(node_id) or self._mobile.get(node_id)
-        if ep is None:
+        ep = self._static.get(node_id)
+        if ep is not None:
+            return ep
+        tracked = self._mobile.get(node_id)
+        if tracked is None:
             raise KeyError(f"no endpoint with id {node_id}")
-        return ep
+        return tracked.endpoint
 
     # ------------------------------------------------------------------
     # Physical-layer queries
@@ -355,43 +442,41 @@ class Channel:
         size = self._cell_size
         return (int(x // size), int(y // size))
 
-    def _index_disk(self, endpoint: ChannelEndpoint, now: float) -> _Disk:
-        """Record and return ``endpoint``'s reach disk for the live window.
+    def _index_disk(self, tracked: _Tracked, now: float) -> None:
+        """Take ``tracked``'s reach disk for the live window.
 
         Everywhere the endpoint can be heard from until ``_index_until``:
         its position now, widened by ``comm_range`` plus the farthest its
         speed bound lets it travel in the time left (infinite for an
         unbounded endpoint, whose disk then touches every cell).
         """
-        position = endpoint.position_at(now)
+        x, y = tracked.xy_at(now)
         left = self._index_until - now
-        travel = getattr(endpoint, "max_speed_mps", math.inf) * left if left else 0.0
-        reach = self.comm_range + travel + _REACH_SLACK_M
-        disk = (endpoint, position.x, position.y, reach * reach)
-        self._disks[endpoint.node_id] = disk
-        return disk
+        speed = getattr(tracked.endpoint, "max_speed_mps", math.inf)
+        reach = self.comm_range + (speed * left if left else 0.0) + _REACH_SLACK_M
+        tracked.disk = (x, y, reach * reach)
 
     def _reindex(self, now: float) -> None:
         """Start a new index window at ``now``: fresh disks, no cells yet."""
         self._index_until = now + _INDEX_WINDOW_S
-        self._disks.clear()
         self._cells.clear()
-        for endpoint in self._mobile.values():
-            self._index_disk(endpoint, now)
+        for tracked in self._mobile.values():
+            self._index_disk(tracked, now)
 
-    def _touching(self, disks: Iterable[_Disk], cell: _CellKey) -> List[ChannelEndpoint]:
-        """The endpoints among ``disks`` whose disk meets ``cell``'s square."""
+    def _touching(self, mobiles: Iterable[_Tracked], cell: _CellKey) -> List[_Tracked]:
+        """Those of ``mobiles`` whose reach disk meets ``cell``'s square."""
         size = self._cell_size
         x0 = cell[0] * size
         x1 = x0 + size
         y0 = cell[1] * size
         y1 = y0 + size
         found = []
-        for endpoint, x, y, reach_sq in disks:
+        for tracked in mobiles:
+            x, y, reach_sq = tracked.disk
             dx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
             dy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
             if dx * dx + dy * dy <= reach_sq:
-                found.append(endpoint)
+                found.append(tracked)
         return found
 
     def listeners_near(self, position: Vec2, time: float) -> List[ChannelEndpoint]:
@@ -399,7 +484,8 @@ class Channel:
         ids = self._grid.query_disk(position, self.comm_range)
         found = [self._static[i] for i in ids]
         r_sq = self.comm_range * self.comm_range
-        for ep in self._mobile.values():
+        for tracked in self._mobile.values():
+            ep = tracked.endpoint
             if ep.position_at(time).distance_sq_to(position) <= r_sq + 1e-9:
                 found.append(ep)
         return found
@@ -415,19 +501,7 @@ class Channel:
         node_id = endpoint.node_id
         if self._static.get(node_id) is endpoint:
             return self._busy_count[node_id] > 0
-        # Mobile proxy: position changes between sense calls, scan in flight.
-        pos = endpoint.position_at(self.sim.now)
-        px, py = pos.x, pos.y
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        for tx in self._active:
-            if tx.sender_id == node_id:
-                continue
-            tpos = tx.position
-            dx = tpos.x - px
-            dy = tpos.y - py
-            if dx * dx + dy * dy <= r_sq_eps:
-                return True
-        return False
+        return self._sensed_until(endpoint) is not None
 
     def busy_until(self, endpoint: ChannelEndpoint) -> Optional[float]:
         """Latest end time among in-range in-flight transmissions, if any."""
@@ -436,8 +510,20 @@ class Channel:
             if self._busy_count[node_id] == 0:
                 return None
             return self._busy_latest[node_id]
-        pos = endpoint.position_at(self.sim.now)
-        px, py = pos.x, pos.y
+        return self._sensed_until(endpoint)
+
+    def _sensed_until(self, endpoint: ChannelEndpoint) -> Optional[float]:
+        """Carrier sense of a moving endpoint: its position changes between
+        sense calls, so scan the (short) in-flight list from where it is
+        now — read off its tracked motion piece if it is registered."""
+        node_id = endpoint.node_id
+        now = self.sim.now
+        tracked = self._mobile.get(node_id)
+        if tracked is not None and tracked.endpoint is endpoint:
+            px, py = tracked.xy_at(now)
+        else:
+            pos = endpoint.position_at(now)
+            px, py = pos.x, pos.y
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
         latest: Optional[float] = None
         for tx in self._active:
@@ -545,20 +631,49 @@ class Channel:
         fleet registration order, from the index list of the sender's
         ``cell`` (every mobile that can be in range during this window).
         """
+        if now > self._index_until:
+            self._reindex(now)
+        members = self._cells.get(cell)
+        if members is None:
+            # First frame from this cell in this window: _mobile iterates in
+            # registration order, and so does every list built from it.
+            members = self._cells[cell] = self._touching(self._mobile.values(), cell)
+        self.mobile_range_tests += len(members)
+        # The exact range test, ``_Tracked.xy_at`` inlined: float arithmetic
+        # on each candidate's current motion piece, no call and no Vec2
+        # unless the clock has left the piece.  It has no side effects and a
+        # static join cannot change a proxy's ``listening``, so the mobiles
+        # in range are collected first and join below with the static cohort.
+        heard: List[ChannelEndpoint] = []
+        px, py = position.x, position.y
+        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        for tracked in members:
+            t_lo, t_hi, t_ref, span, x0, dx, y0, dy = tracked.piece
+            if not t_lo <= now < t_hi:
+                tracked.piece = piece = tracked.segment_at(now)
+                t_lo, t_hi, t_ref, span, x0, dx, y0, dy = piece
+            frac = (now - t_ref) / span
+            sep_x = x0 + dx * frac - px
+            sep_y = y0 + dy * frac - py
+            if (
+                sep_x * sep_x + sep_y * sep_y <= r_sq_eps
+                and tracked.node_id != sender_id
+            ):
+                heard.append(tracked.endpoint)
         record = BroadcastReception(frame, sender_id, position, end_time, covered)
         receivers = record.receivers
         corrupt = record.corrupt
         reasons = record.reasons
-        # Reception begin is inlined in the static loop below (overlap
+        # Reception begin is inlined in the one join loop below (overlap
         # corruption + IDLE->RX radio/energy transition) — one reception
-        # starts per listening neighbour per transmission, the hottest
-        # inner loop in the model.  No per-listener object is allocated:
-        # the cohort's state is appended to the record's parallel arrays,
-        # and each radio tracks only a count plus its single still-clean
-        # reception.
+        # starts per listening endpoint in range per transmission, the
+        # hottest inner loop in the model.  No per-listener object is
+        # allocated: the cohort's state is appended to the record's parallel
+        # arrays, and each radio tracks only a count plus its single
+        # still-clean reception.
         rx_state = RadioState.RX
         idle_state = RadioState.IDLE
-        for listener in static_listeners:
+        for listener in chain(static_listeners, heard):
             radio = listener.radio
             if not radio.listening:
                 continue
@@ -590,27 +705,6 @@ class Channel:
                     energy._state_since = now
                 energy._state = rx_state
                 energy._state_w = energy.model.rx_w
-        if now > self._index_until:
-            self._reindex(now)
-        members = self._cells.get(cell)
-        if members is None:
-            # First frame from this cell in this window: _disks iterates in
-            # registration order, and so does every list built from it.
-            members = self._cells[cell] = self._touching(self._disks.values(), cell)
-        px, py = position.x, position.y
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        for listener in members:
-            if listener.node_id == sender_id:
-                continue
-            lpos = listener.position_at(now)
-            dx = lpos.x - px
-            dy = lpos.y - py
-            if dx * dx + dy * dy > r_sq_eps:
-                continue
-            radio = listener.radio
-            if not radio.listening:
-                continue
-            radio.begin_batch_reception(record, listener)
         return record
 
     def _finish_transmission(

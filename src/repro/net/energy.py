@@ -57,7 +57,7 @@ class EnergyMeter:
     dict lookup on the hot path).
 
     The hottest transitions never call this class at all: the channel's
-    batch transmit/finish loops integrate IDLE<->RX directly against the
+    batch begin/finish loops integrate IDLE<->RX directly against the
     meter's fields for a whole receiver cohort per frame, and
     ``Radio.set_state`` inlines the general transition — see
     ``on_state_change`` for the keep-in-sync contract.
@@ -83,11 +83,12 @@ class EnergyMeter:
     def on_state_change(self, new_state: RadioState) -> None:
         """Close the current state interval and open a new one.
 
-        NOTE: :meth:`repro.net.radio.Radio.set_state` inlines this exact
-        logic on its hot path, and ``Channel.transmit`` /
-        ``Channel._finish_transmission`` inline the IDLE->RX / RX->IDLE
-        special cases inside their per-frame batch loops — keep all four
-        in sync.
+        NOTE: three places inline this logic and must be kept in sync with
+        it — :meth:`repro.net.radio.Radio.set_state` (the general
+        transition), and the IDLE->RX / RX->IDLE special cases in the one
+        join loop of ``Channel._begin_reception`` and the resolve loop of
+        ``Channel._finish_transmission``, which every listener of a frame,
+        static or mobile, goes through.
         """
         # _settle and the watts lookup are inlined: this fires on every
         # radio transition and the two extra calls are measurable.

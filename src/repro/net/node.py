@@ -28,6 +28,8 @@ from .radio import Radio
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
 
+    from ..mobility.path import MotionPiece
+
 #: Handler signature: ``handler(node, frame)``.
 FrameHandler = Callable[["SensorNode", Frame], None]
 
@@ -193,6 +195,7 @@ class MobileEndpoint:
         power_model: Optional[PowerModel] = None,
         tracer: Optional[Tracer] = None,
         max_speed_mps: float = float("inf"),
+        segment_fn: Optional[Callable[[float], "MotionPiece"]] = None,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -200,6 +203,13 @@ class MobileEndpoint:
         self.rng = rng
         self.tracer = tracer
         self._position_fn = position_fn
+        if segment_fn is not None:
+            #: The mobility model's flat motion pieces (``PiecewisePath.
+            #: segment_at``), which must evaluate to ``position_fn``'s
+            #: positions bit for bit.  The channel range-tests a proxy on
+            #: its current piece; one without this attribute is asked
+            #: ``position_at`` for every test instead.
+            self.segment_at = segment_fn
         #: Bound on the endpoint's speed (m/s): ``|position_at(t2) -
         #: position_at(t1)| <= max_speed_mps * (t2 - t1)`` for t1 <= t2.
         #: The channel's mobile cell index relies on it (a proxy moving
@@ -208,8 +218,8 @@ class MobileEndpoint:
         #: The default (inf) is always correct: the proxy is then a
         #: candidate listener for every frame.
         self.max_speed_mps = max_speed_mps
-        # Bind the mobility model straight onto the instance: the channel
-        # queries every mobile's position once per transmission.
+        # Bind the mobility model straight onto the instance: the proxy's
+        # own transmissions and the gateway ask for its position.
         self.position_at = position_fn  # type: ignore[method-assign]
         self.radio = Radio(sim, node_id, power_model or PowerModel())
         self.mac = MacLayer(self, sim, channel, rng, mac_config, tracer)

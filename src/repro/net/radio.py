@@ -124,36 +124,6 @@ class Radio:
     # ------------------------------------------------------------------
     # Channel integration
     # ------------------------------------------------------------------
-    def begin_batch_reception(
-        self, record: "BroadcastReception", listener: object
-    ) -> None:
-        """Join ``record``'s receiver cohort (batch begin, cold paths).
-
-        Same semantics as the inlined block in ``Channel.transmit``'s
-        static-listener loop — overlap corruption against whatever is in
-        flight, clean-slot tracking, IDLE->RX — as a plain method for the
-        loops that are not hot (mobile listeners: one proxy per user).
-        The caller must have checked ``listening``.
-        """
-        n = self.rx_count
-        self.rx_count = n + 1
-        if n:
-            record.corrupt.append(True)
-            record.reasons.append("overlap")
-            prev = self._rx_record
-            if prev is not None:
-                prev.corrupt[self._rx_index] = True
-                prev.reasons[self._rx_index] = "overlap"
-                self._rx_record = None
-        else:
-            record.corrupt.append(False)
-            record.reasons.append(None)
-            self._rx_record = record
-            self._rx_index = len(record.receivers)
-        record.receivers.append(listener)
-        if self._state is RadioState.IDLE:
-            self.set_state(RadioState.RX)
-
     def set_state_tx_guarded(self) -> None:
         """Enter TX, rejecting physically impossible transitions.
 

@@ -72,6 +72,7 @@ def build_proxy(
         mac_config=network.config.mac,
         tracer=tracer,
         max_speed_mps=plan.path.max_speed(),
+        segment_fn=plan.path.segment_at,
     )
     network.channel.register_mobile(proxy)
     return proxy

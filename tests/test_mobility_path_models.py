@@ -1,7 +1,11 @@
 """Tests for piecewise paths and mobility models."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
@@ -88,6 +92,92 @@ class TestPiecewisePath:
             [Waypoint(0, Vec2(0, 0)), Waypoint(1, Vec2(3, 4)), Waypoint(2, Vec2(3, 4))]
         )
         assert path.total_distance() == pytest.approx(5.0)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _evaluate(piece, t):
+    """A motion piece at ``t``, the way the channel's range test does it."""
+    t_lo, t_hi, t_ref, span, x0, dx, y0, dy = piece
+    assert t_lo <= t < t_hi
+    frac = (t - t_ref) / span
+    return x0 + dx * frac, y0 + dy * frac
+
+
+# -0.0 is a legal coordinate and distinct bitwise; hops may be zero-length
+# (the user waits) and a path may be a single waypoint (the user stands)
+_coords = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 105.0]),
+)
+_hops = st.tuples(
+    st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
+    st.one_of(st.none(), st.tuples(_coords, _coords)),  # None: stay put
+)
+_instants = st.floats(min_value=-500.0, max_value=3000.0, allow_nan=False)
+
+
+@st.composite
+def _paths(draw):
+    time = draw(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+    position = Vec2(draw(_coords), draw(_coords))
+    waypoints = [Waypoint(time, position)]
+    for gap, target in draw(st.lists(_hops, max_size=6)):
+        time += gap
+        if target is not None:
+            position = Vec2(*target)
+        waypoints.append(Waypoint(time, position))
+    return PiecewisePath(waypoints)
+
+
+class TestSegmentAt:
+    """``segment_at`` pieces evaluate to ``position_at`` bit for bit."""
+
+    @staticmethod
+    def _assert_bit_equal(path, piece, t):
+        x, y = _evaluate(piece, t)
+        expected = path.position_at(t)
+        assert (_bits(x), _bits(y)) == (_bits(expected.x), _bits(expected.y)), (t, piece)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=_paths(), extra=st.lists(_instants, max_size=8))
+    def test_piece_at_an_instant_is_position_at(self, path, extra):
+        times = [w.time for w in path.waypoints]
+        queries = times + extra + [
+            times[0] - 1.0, times[0] - 1e-9, times[-1] + 1e-9, times[-1] + 1.0,
+            *(0.5 * (a + b) for a, b in zip(times, times[1:])),
+        ]
+        for t in queries:
+            self._assert_bit_equal(path, path.segment_at(t), t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=_paths(), sweep=st.lists(_instants, min_size=1, max_size=60))
+    def test_held_piece_is_position_at_until_it_ends(self, path, sweep):
+        """The channel's use: keep a piece, ask again only on leaving it."""
+        times = [w.time for w in path.waypoints]
+        piece = (float("inf"), float("-inf"), 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        asked = 0
+        for t in sorted(sweep + times):
+            if not piece[0] <= t < piece[1]:
+                piece = path.segment_at(t)
+                asked += 1
+            self._assert_bit_equal(path, piece, t)
+        assert asked <= len(times) + 1  # one per piece, clamped ends included
+
+    def test_pieces_tile_the_time_axis(self):
+        path = PiecewisePath(
+            [Waypoint(1, Vec2(0, 0)), Waypoint(2, Vec2(10, 0)), Waypoint(4, Vec2(10, 30))]
+        )
+        before, first, second, after = (path.segment_at(t) for t in (0.0, 1.5, 2.0, 4.0))
+        assert before[0] == float("-inf") and after[1] == float("inf")
+        assert first[:2] == (1, 2) and second[:2] == (2, 4)
+        assert after[0] == 4
+        # position_at clamps with ``<=``: the first waypoint's own instant
+        # belongs to the leading piece, and nothing later does
+        assert path.segment_at(1.0) == before
+        assert 1.0 < before[1] <= first[0] + 1e-12
 
 
 class TestRandomDirectionModel:

@@ -202,6 +202,46 @@ class TestMobileEndpoint:
         assert outcomes == [False]
 
 
+    def test_forwards_the_paths_motion_pieces(self, sim):
+        """Given ``segment_fn`` the proxy offers ``segment_at`` and the
+        channel hears it without ever asking ``position_at``; without, the
+        attribute is absent (the channel's cue to ask for positions)."""
+        from repro.mobility.path import PiecewisePath
+        from repro.net.node import MobileEndpoint
+        from repro.sim.rng import RandomStreams
+
+        network = make_network(sim, line_positions(1, 0.0))
+        all_active(network)
+        path = PiecewisePath.from_velocity(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 0.0, 5.0)
+        asked = []
+
+        def position_fn(t):
+            asked.append(t)
+            return path.position_at(t)
+
+        proxy = MobileEndpoint(
+            node_id=999,
+            sim=sim,
+            channel=network.channel,
+            rng=RandomStreams(5).stream("proxy"),
+            position_fn=position_fn,
+            segment_fn=path.segment_at,
+        )
+        assert proxy.segment_at(1.0) == path.segment_at(1.0)
+        assert not hasattr(
+            MobileEndpoint(998, sim, network.channel, proxy.rng, position_fn), "segment_at"
+        )
+        network.channel.register_mobile(proxy)
+        got = []
+        proxy.register_handler("ping", lambda p, f: got.append(f.payload))
+        # a broadcast: the proxy only listens (its own frames, like the ACK
+        # of a unicast, are sent from ``position_at``)
+        sim.schedule(1.0, network.nodes[0].send, Frame("ping", 0, BROADCAST, 20, payload="yo"))
+        sim.run(until=2.0)
+        assert got == ["yo"]
+        assert asked == []
+
+
 class TestCarrierSenseBookkeeping:
     """The per-node busy counters must answer carrier sense exactly as the
     original scan over all in-flight transmissions did."""

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.geometry.vec import Vec2
-from repro.net.channel import BroadcastReception
 from repro.net.energy import PAPER_POWER_MODEL, EnergyMeter, PowerModel, RadioState
 from repro.net.packet import BROADCAST, Frame
 from repro.net.radio import Radio
@@ -13,11 +12,14 @@ from .reception_oracle import OracleRadio
 from .test_net_batch_reception import raw_channel
 
 
-def begin_batch(radio):
-    """Start one batched reception at ``radio``; returns its record."""
-    record = BroadcastReception(Frame("x", 0, BROADCAST, 20), 0, Vec2(0, 0), 1.0)
-    radio.begin_batch_reception(record, radio)
-    return record
+def hear_one_frame(sim):
+    """A frame in flight from node 0 to node 1; returns ``(radio, record)``
+    of the receiver, whose reception is slot 0 of the record."""
+    channel, (sender, receiver) = raw_channel(sim, [Vec2(0, 0), Vec2(50, 0)])
+    channel.transmit(sender, Frame("data", 0, BROADCAST, 200))
+    (record,) = channel._active
+    assert record.receivers == [receiver]
+    return receiver.radio, record
 
 
 def outcome(record):
@@ -116,12 +118,12 @@ class TestRadio:
         assert radio.state is RadioState.IDLE
 
     # The reception tests below replay one interleaving through the real
-    # radio (batch API) and through the object-per-reception oracle.
+    # radio (frames begun by ``Channel.transmit``) and through the
+    # object-per-reception oracle.
 
     def test_reception_corrupted_by_sleep(self):
-        _, radio = self._radio()
+        radio, record = hear_one_frame(Simulator())
         oracle = OracleRadio()
-        record = begin_batch(radio)
         expected = oracle.begin_reception()
         assert radio.state is oracle.state is RadioState.RX
         radio.sleep()
@@ -129,9 +131,8 @@ class TestRadio:
         assert outcome(record) == expected.outcome == (True, "receiver_left_listening")
 
     def test_reception_corrupted_by_tx(self):
-        _, radio = self._radio()
+        radio, record = hear_one_frame(Simulator())
         oracle = OracleRadio()
-        record = begin_batch(radio)
         expected = oracle.begin_reception()
         radio.set_state_tx_guarded()
         oracle.set_state(RadioState.TX)
@@ -139,13 +140,20 @@ class TestRadio:
         assert record.corrupt[0]
 
     def test_overlapping_receptions_corrupt_each_other(self):
-        _, radio = self._radio()
+        sim = Simulator()
+        # The middle node hears both ends; the ends do not hear each other.
+        channel, (left, receiver, right) = raw_channel(
+            sim, [Vec2(0, 0), Vec2(100, 0), Vec2(200, 0)]
+        )
         oracle = OracleRadio()
-        first, second = begin_batch(radio), begin_batch(radio)
+        channel.transmit(left, Frame("data", 0, BROADCAST, 200))
+        channel.transmit(right, Frame("data", 2, BROADCAST, 200))
+        first, second = channel._active
+        assert first.receivers == second.receivers == [receiver]
         expected = oracle.begin_reception(), oracle.begin_reception()
         assert outcome(first) == expected[0].outcome == (True, "overlap")
         assert outcome(second) == expected[1].outcome == (True, "overlap")
-        assert radio.rx_count == len(oracle.active) == 2
+        assert receiver.radio.rx_count == len(oracle.active) == 2
 
     def test_single_reception_clean(self):
         sim = Simulator()

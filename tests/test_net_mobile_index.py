@@ -1,10 +1,12 @@
 """The channel's mobile cell index against its brute-force oracle.
 
 ``Channel._begin_reception`` finds mobile listeners through a reach-bounded
-cell index; ``Channel.listeners_near`` is the loop over the whole fleet it
-replaced.  The cohort of every frame — members *and order*, which decides
-the downstream event sequence — must be the same from both, whatever the
-fleet does between frames.
+cell index and range-tests them on the flat motion piece it holds for each;
+``Channel.listeners_near`` is the loop over the whole fleet, one
+``position_at`` each, that they replaced.  The cohort of every frame —
+members *and order*, which decides the downstream event sequence — must be
+the same from both, whatever the fleet does between frames and whichever of
+``segment_at`` / ``position_at`` an endpoint offers.
 """
 
 import ast
@@ -33,13 +35,21 @@ FIRST_PROXY_ID = 1000
 class Endpoint:
     """The least a channel needs of an endpoint: id, radio, position."""
 
-    def __init__(self, sim, node_id, position_at, max_speed_mps=None):
+    def __init__(self, sim, node_id, position_at, max_speed_mps=None, segment_at=None):
         self.node_id = node_id
         self.radio = Radio(sim, node_id, PowerModel())
         self._position_at = position_at
         self.position_calls = 0
+        self.segment_calls = 0
         if max_speed_mps is not None:  # absent: the channel assumes unbounded
             self.max_speed_mps = max_speed_mps
+        if segment_at is not None:  # absent: the channel asks position_at
+
+            def counted(time):
+                self.segment_calls += 1
+                return segment_at(time)
+
+            self.segment_at = counted
 
     def position_at(self, time):
         self.position_calls += 1
@@ -54,10 +64,16 @@ def fixed(sim, node_id, x, y):
     return Endpoint(sim, node_id, lambda time: position)
 
 
-def patrolling(sim, node_id, patrol):
+def patrolling(sim, node_id, patrol, on_pieces=True):
+    """A proxy on a patrol path: ``on_pieces`` offers the path's
+    ``segment_at`` (what ``MobileEndpoint`` forwards), otherwise only its
+    ``position_at``."""
     waypoints, speed = patrol
     path = patrol_path([Vec2(x, y) for x, y in waypoints], speed, loops=4)
-    return Endpoint(sim, node_id, path.position_at, path.max_speed())
+    return Endpoint(
+        sim, node_id, path.position_at, path.max_speed(),
+        segment_at=path.segment_at if on_pieces else None,
+    )
 
 
 def teleporting(sim, node_id):
@@ -75,8 +91,10 @@ patrols = st.tuples(
     st.lists(points, min_size=2, max_size=4),
     st.floats(min_value=0.5, max_value=15.0, allow_nan=False),
 )
+#: a patrol and which kind of endpoint walks it (``patrolling``'s arguments)
+proxies = st.tuples(patrols, st.booleans())
 fleets = st.integers(min_value=1, max_value=64).flatmap(
-    lambda size: st.lists(patrols, min_size=size, max_size=size)
+    lambda size: st.lists(proxies, min_size=size, max_size=size)
 )
 index = st.integers(min_value=0, max_value=10**6)
 ops = st.one_of(
@@ -89,8 +107,8 @@ ops = st.one_of(
     st.tuples(st.just("mobile-tx"), index),
     st.tuples(st.just("doze"), index),
     st.tuples(st.just("cancel"), index),
-    st.tuples(st.just("join"), patrols),
-    st.tuples(st.just("rejoin"), patrols),  # reuses the last cancelled id
+    st.tuples(st.just("join"), proxies),
+    st.tuples(st.just("rejoin"), proxies),  # reuses the last cancelled id
 )
 
 
@@ -111,7 +129,7 @@ class TestIndexedCohort:
         for node in nodes:
             channel.register_static(node)
         live = [
-            patrolling(sim, FIRST_PROXY_ID + k, patrol) for k, patrol in enumerate(fleet)
+            patrolling(sim, FIRST_PROXY_ID + k, *proxy) for k, proxy in enumerate(fleet)
         ]
         next_id = FIRST_PROXY_ID + len(live)
         if unbounded_at is not None:
@@ -141,11 +159,11 @@ class TestIndexedCohort:
                 for node in nodes:
                     transmit(node)
             elif kind == "join" or (kind == "rejoin" and not freed):
-                live.append(patrolling(sim, next_id, arg))
+                live.append(patrolling(sim, next_id, *arg))
                 next_id += 1
                 channel.register_mobile(live[-1])
             elif kind == "rejoin":
-                live.append(patrolling(sim, freed.pop(), arg))
+                live.append(patrolling(sim, freed.pop(), *arg))
                 channel.register_mobile(live[-1])
             elif not live:
                 continue
@@ -162,22 +180,95 @@ class TestIndexedCohort:
             transmit(node)
 
     def test_only_proxies_within_reach_are_positioned(self):
-        """What the index is for: a frame costs a ``position_at`` per proxy
-        that can be in range this window, not per registered proxy."""
+        """What the index is for: a frame range-tests the proxies that can
+        be in range this window, not every registered one.  For an endpoint
+        that offers only ``position_at`` a range test is a call."""
         sim = Simulator()
         channel = Channel(sim, comm_range=105.0, bitrate_bps=2e6)
         sender = fixed(sim, 0, 0.0, 0.0)
         channel.register_static(sender)
-        near = patrolling(sim, 1000, ([(50.0, 0.0), (60.0, 0.0)], 4.0))
-        far = patrolling(sim, 1001, ([(400.0, 400.0), (390.0, 400.0)], 4.0))
+        legs = ([(50.0, 0.0), (60.0, 0.0)], 4.0), ([(400.0, 400.0), (390.0, 400.0)], 4.0)
+        near, far = (
+            patrolling(sim, 1000 + k, patrol, on_pieces=False)
+            for k, patrol in enumerate(legs)
+        )
         channel.register_mobile(near)
         channel.register_mobile(far)
         for _ in range(5):
             airtime = channel.transmit(sender, Frame("data", 0, BROADCAST, 64))
             assert channel._active[-1].receivers == [near]
             sim.run(until=sim.now + airtime)
+        assert channel.mobile_range_tests == 5  # `near` every frame, `far` never
         assert near.position_calls == 1 + 5  # indexed once, then one per frame
         assert far.position_calls == 1  # indexed once, never a candidate
+
+    def test_one_segment_call_per_piece_crossed(self):
+        """What the motion pieces are for: a path-backed proxy is never
+        asked ``position_at``, and is asked for a piece once however many
+        frames, carrier senses and re-indexings fall inside it."""
+        sim = Simulator()
+        channel = Channel(sim, comm_range=105.0, bitrate_bps=2e6)
+        sender = fixed(sim, 0, 0.0, 0.0)
+        channel.register_static(sender)
+        # 10 m legs at 4 m/s: a new piece every 2.5 s, a new window every 5 s
+        walker = patrolling(sim, 1000, ([(30.0, 0.0), (40.0, 0.0)], 4.0))
+        far = patrolling(sim, 1001, ([(400.0, 400.0), (390.0, 400.0)], 4.0))
+        channel.register_mobile(walker)
+        channel.register_mobile(far)
+        instants = [0.3 * k for k in range(1, 40)]  # 0.3 .. 11.7 s
+        for at in instants:
+            sim.run(until=at)
+            assert not channel.medium_busy(walker)
+            airtime = channel.transmit(sender, Frame("data", 0, BROADCAST, 64))
+            assert channel._active[-1].receivers == [walker]
+            assert channel.busy_until(walker) == sim.now + airtime
+        assert channel.mobile_range_tests == len(instants)  # `far` never
+        assert walker.position_calls == far.position_calls == 0
+        pieces = {int(at // 2.5) for at in instants}  # five of them
+        assert walker.segment_calls == len(pieces)
+        # positioned only when a window is indexed (at 0.3, 5.4 and 10.5 s),
+        # each time on a new piece
+        assert far.segment_calls == 3
+
+    def test_reused_id_is_never_tested_on_the_old_piece(self):
+        """Unregister, then register another endpoint under the same id in
+        the same window: the newcomer is range-tested (and carrier-senses)
+        on its own motion, not on the piece held for the departed one."""
+        sim = Simulator()
+        channel = Channel(sim, comm_range=105.0, bitrate_bps=2e6)
+        sender = fixed(sim, 0, 0.0, 0.0)
+        channel.register_static(sender)
+
+        def cohort():
+            expected = [
+                ep
+                for ep in channel.listeners_near(Vec2(0.0, 0.0), sim.now)
+                if ep is not sender
+            ]
+            airtime = channel.transmit(sender, Frame("data", 0, BROADCAST, 64))
+            heard = channel._active[-1].receivers
+            assert heard == expected
+            assert [ep for ep in registered if channel.medium_busy(ep)] == expected
+            sim.run(until=sim.now + airtime)
+            return heard
+
+        inside = patrolling(sim, 1000, ([(50.0, 0.0), (60.0, 0.0)], 1.0))
+        registered = [inside]
+        channel.register_mobile(inside)
+        assert cohort() == [inside]
+        channel.unregister_mobile(1000)
+        # 5.5 m out of range, walking away — but a candidate of the sender's cell
+        outside = patrolling(sim, 1000, ([(110.5, 0.0), (120.0, 0.0)], 1.0))
+        registered[:] = [outside]
+        channel.register_mobile(outside)
+        assert sim.now < channel._index_until  # the window `inside` was indexed in
+        assert cohort() == []
+        assert channel.mobile_range_tests == 2  # a candidate both times
+        channel.unregister_mobile(1000)
+        back = patrolling(sim, 1000, ([(0.0, 50.0), (0.0, 60.0)], 1.0), on_pieces=False)
+        registered[:] = [back]
+        channel.register_mobile(back)
+        assert cohort() == [back]
 
     @pytest.mark.parametrize("bearing_deg", [180.0, 200.0, 225.0, 270.0])
     def test_proxy_walking_into_range_mid_window_is_heard(self, bearing_deg):
