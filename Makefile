@@ -3,16 +3,12 @@
 #   make test            tier-1 unit/integration tests + the bench contract
 #   make bench-smoke     the two CI benchmark smokes (fig4 + multi-user scaling)
 #   make bench           every benchmark (regenerates all paper figures, slow)
-#   make bench-perf      time the hot paths and write BENCH_perf.json
-#   make bench-cluster   time cluster_scale_64users (shards=1 vs sharded)
-#                        and gate the single-shard identity fingerprint
-#   make perf-gate       re-measure and fail on >20% events/sec regression
 #   make ledger          ten seeds of every bench/ workload into
 #                        bench/out/ledger.json (input of `bench compare`)
 #   make bench-ab        alternating parent/change pairs of one bench/
 #                        workload against a commit, with the acceptance
 #                        verdict (REF=<commit> WORKLOAD=<name> [PAIRS=10])
-#   make profile         cProfile one bench scenario (SCENARIO=..., ARGS=...)
+#   make profile         cProfile one canonical scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
 #   make fuzz-smoke      seeded randomized scenarios through the invariants
@@ -40,7 +36,7 @@ CHAOS_SMOKE_PORT ?= 8652
 #: pairs `make bench-ab` runs (seeds 1..PAIRS)
 PAIRS ?= 10
 
-.PHONY: test bench bench-smoke bench-perf bench-cluster perf-gate ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
+.PHONY: test bench bench-smoke ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -57,27 +53,6 @@ bench-smoke:
 
 bench:
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/
-
-# Gate against a same-machine reference with:
-#   make bench-perf PERF_ARGS="--baseline BENCH_perf.json"
-bench-perf:
-	PYTHONPATH=src $(PY) -m repro bench --scale quick \
-		--output BENCH_perf.json $(PERF_ARGS)
-
-# The cluster scale-out bench: times cluster_scale_64users on one world vs
-# 4 shards (+4 workers where the cores exist), merges a "cluster" section
-# into BENCH_perf.json, and fails if ClusterService(shards=1) drifts from
-# the pinned MobiQueryService result fingerprint.
-bench-cluster:
-	PYTHONPATH=src $(PY) -m repro bench --cluster --scale quick \
-		--output BENCH_perf.json
-
-# Re-measure against the committed BENCH_perf.json without overwriting it
-# (what CI's perf-smoke job runs): >20% events/sec regression fails.
-perf-gate:
-	cp BENCH_perf.json /tmp/bench_baseline.json
-	PYTHONPATH=src $(PY) -m repro bench --scale quick \
-		--output /tmp/bench_fresh.json --baseline /tmp/bench_baseline.json
 
 # The perf ledger (bench/README.md): every workload at ten seeds, one
 # fresh process each.  Compare two of these with

@@ -3,11 +3,11 @@
 The cluster's load-bearing guarantee is that sharding is *transparent*:
 ``ClusterService(shards=1)`` computes bit-for-bit what a single
 ``MobiQueryService`` computes, and the sharded layout is deterministic.
-This module gates both at quick scale — the same check the cluster-smoke
-CI job runs via ``make bench-cluster`` — and reports the measured
-sharded-vs-single wall-clock ratio (a speedup even in-process: four
-50-node worlds do less per-frame work than one 200-node world; worker
-processes widen it on multi-core machines).
+This module gates both at quick scale and prints the sharded-vs-single
+wall-clock ratio of its one run of each layout, as information only
+(usually a speedup even in-process: four 50-node worlds do less per-frame
+work than one 200-node world; worker processes widen it on multi-core
+machines).
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.experiments.perf import (
     CLUSTER_RESULT_FINGERPRINTS,
     cluster_fingerprint_mismatches,
     cluster_scenario,
-    format_cluster_report,
     run_cluster_suite,
 )
 
@@ -27,12 +26,17 @@ class TestClusterScaleSmoke:
     def test_quick_scale_suite_matches_pins(self, emit):
         """The 64-user scenario: shards=1 must reproduce the pinned
         MobiQueryService fingerprint; shards=4 must reproduce its own."""
-        report = run_cluster_suite(scale="quick", repeats=1)
-        emit(format_cluster_report(report))
+        report = run_cluster_suite(scale="quick")
+        single, sharded = report["shards1"], report["shards4"]
+        emit(
+            f"{report['scenario']} (quick): one world {single['wall_s']:.2f} s, "
+            f"4 shards {sharded['wall_s']:.2f} s "
+            f"(workers {'on' if sharded['parallel_used'] else 'off'}) — "
+            f"{single['wall_s'] / sharded['wall_s']:.2f}x, one sample each"
+        )
         mismatches = cluster_fingerprint_mismatches(report)
         assert mismatches == [], "\n".join(mismatches)
-        assert report["shards1"]["shards"] == 1
-        assert report["speedup_sharded_vs_single"] > 0.0
+        assert single["shards"] == 1
 
     def test_pins_cover_both_layouts(self):
         for key in ("shards1", "shards4"):

@@ -22,7 +22,7 @@ burst`` (a simultaneous 12-user burst tamed by server-side phase
 assignment), ``heterogeneous-mix`` (8 users with mixed periods, radii,
 aggregations and freshness bounds — the ROADMAP's heterogeneous-workload
 item), and ``cluster_scale_64users`` (64 users on 4 regional shards —
-the scale-out scenario ``make bench-cluster`` times).
+the scale-out scenario ``benchmarks/test_cluster_scale.py`` pins).
 
 A spec may also ask for the sharded backend: ``shards: 4`` partitions
 the field into regional worlds (``partitioner`` picks the scheme) and
@@ -37,14 +37,14 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
 from ..core.query import Aggregation
-from ..experiments.config import ExperimentConfig
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, reject_unknown_keys
 from ..geometry.vec import Vec2
 from ..mobility.models import patrol_path
 from ..net.network import NetworkConfig
 from ..workload.engine import WorkloadResult
 from .admission import AdmissionPolicy, make_admission_policy
 from .backend import QueryBackend
+from .config import ExperimentConfig
 from .requests import ACCURACY_LEVELS, QueryRequest
 from .service import MobiQueryService, SessionHandle
 
@@ -62,15 +62,8 @@ _PAYLOAD_KEYS = _REQUEST_KEYS - {"count", "spacing_s"}
 #: every key the ``network`` override dict may carry
 _NETWORK_KEYS = frozenset(f.name for f in dataclass_fields(NetworkConfig))
 
-
-def _reject_unknown_keys(data: Dict, known: frozenset, what: str) -> None:
-    """One-line rejection naming the first bad key (strict spec loading)."""
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {what} key {unknown[0]!r}; expected one of "
-            f"{sorted(known)}"
-        )
+#: spec fields that hold a nested dict (copied on the way in and out)
+_DICT_FIELDS = ("network", "admission", "faults")
 
 
 @dataclass(frozen=True)
@@ -153,8 +146,8 @@ class ScenarioSpec:
         # Strict template validation: a typo'd key fails at load time with
         # one clear sentence, not as a TypeError deep in request expansion.
         for template in self.requests:
-            _reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
-        _reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
+            reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
+        reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
         # Same strictness for the fault plan: FaultPlan.from_dict names the
         # first unknown key at every nesting level.
         FaultPlan.from_dict(self.faults)
@@ -162,56 +155,20 @@ class ScenarioSpec:
     @staticmethod
     def from_dict(data: Dict) -> "ScenarioSpec":
         """Build a spec from its plain-dict form (inverse of :meth:`to_dict`)."""
-        known = {
-            "name",
-            "description",
-            "mode",
-            "seed",
-            "duration_s",
-            "network",
-            "admission",
-            "requests",
-            "faults",
-            "shards",
-            "workers",
-            "partitioner",
-            "edge_rate",
-            "edge_burst",
-            "max_live_sessions",
-            "wal_flush",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown scenario keys {sorted(unknown)}; expected {sorted(known)}"
-            )
+        reject_unknown_keys(data, _SPEC_KEYS, "scenario")
         payload = dict(data)
         payload["requests"] = tuple(dict(r) for r in payload.get("requests", ()))
-        payload["network"] = dict(payload.get("network", {}))
-        payload["admission"] = dict(payload.get("admission", {}))
-        payload["faults"] = dict(payload.get("faults", {}))
+        for key in _DICT_FIELDS:
+            payload[key] = dict(payload.get(key, {}))
         return ScenarioSpec(**payload)
 
     def to_dict(self) -> Dict:
         """The JSON-ready plain-dict form."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "mode": self.mode,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "network": dict(self.network),
-            "admission": dict(self.admission),
-            "requests": [dict(r) for r in self.requests],
-            "faults": dict(self.faults),
-            "shards": self.shards,
-            "workers": self.workers,
-            "partitioner": self.partitioner,
-            "edge_rate": self.edge_rate,
-            "edge_burst": self.edge_burst,
-            "max_live_sessions": self.max_live_sessions,
-            "wal_flush": self.wal_flush,
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+        payload["requests"] = [dict(r) for r in self.requests]
+        for key in _DICT_FIELDS:
+            payload[key] = dict(payload[key])
+        return payload
 
     def with_overrides(
         self,
@@ -261,6 +218,10 @@ class ScenarioSpec:
         return FaultPlan.from_dict(self.faults)
 
 
+#: every key a scenario dict may carry: the spec's own fields
+_SPEC_KEYS = frozenset(f.name for f in dataclass_fields(ScenarioSpec))
+
+
 def load_scenario_file(path: str) -> ScenarioSpec:
     """Load a scenario from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -295,7 +256,7 @@ def request_from_payload(payload: Dict) -> QueryRequest:
     the serve daemon's wire codec, so an over-the-wire submission builds
     exactly the request the in-process expansion would.
     """
-    _reject_unknown_keys(payload, _PAYLOAD_KEYS, "request-payload")
+    reject_unknown_keys(payload, _PAYLOAD_KEYS, "request-payload")
     kwargs = dict(payload)
     aggregation = kwargs.get("aggregation")
     if aggregation is None:

@@ -45,16 +45,6 @@ from ..core.query import QuerySpec
 from ..core.service import MobiQueryConfig, MobiQueryProtocol
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..experiments.config import (
-    MODE_GREEDY,
-    MODE_IDLE,
-    MODE_JIT,
-    MODE_NP,
-    PROFILE_FULL,
-    PROFILE_PLANNER,
-    PROFILE_PREDICTOR,
-    ExperimentConfig,
-)
 from ..geometry.vec import Vec2
 from ..mobility.gps import GpsModel
 from ..mobility.models import random_direction_path
@@ -73,6 +63,16 @@ from ..workload.engine import Workload, WorkloadResult
 from ..workload.session import SessionResult, UserPlan, UserSession
 from .admission import AcceptAllPolicy, AdmissionPolicy
 from .backend import BackendStats
+from .config import (
+    MODE_GREEDY,
+    MODE_IDLE,
+    MODE_JIT,
+    MODE_NP,
+    PROFILE_FULL,
+    PROFILE_PLANNER,
+    PROFILE_PREDICTOR,
+    ExperimentConfig,
+)
 from .requests import PeriodOutcome, QueryRequest
 
 #: extra simulated time after the last deadline (late stragglers, GC)

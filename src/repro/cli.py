@@ -12,9 +12,7 @@ Commands:
 * ``fuzz`` — draw seeded randomized scenarios from strictly bounded
   ranges and run each through the sweep's metamorphic invariants.
 * ``fig`` — regenerate one of the paper's figures (4-8) as a table.
-* ``bench`` — time the hot-path scenarios, write ``BENCH_perf.json``, and
-  optionally gate against a same-machine baseline report.
-* ``profile`` — run one bench scenario under cProfile, dump the raw
+* ``profile`` — run one canonical scenario under cProfile, dump the raw
   profile, and print the top-N hot functions (the ROADMAP profiling
   recipe as one command).
 * ``analysis`` — print the Section 5 closed-form tables (paper vs ours).
@@ -487,49 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("number", type=int, choices=[4, 5, 6, 7, 8])
     fig_p.add_argument("--scale", choices=["quick", "paper"], default="quick")
 
-    bench_p = sub.add_parser(
-        "bench", help="time the hot-path scenarios and write BENCH_perf.json"
-    )
-    bench_p.add_argument("--scale", choices=["quick", "paper"], default="quick")
-    bench_p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="runs per scenario; the fastest is reported (default 3)",
-    )
-    bench_p.add_argument(
-        "--output",
-        default="BENCH_perf.json",
-        help="where to write the perf report (default BENCH_perf.json)",
-    )
-    bench_p.add_argument(
-        "--baseline",
-        default=None,
-        help="reference BENCH_perf.json from the same machine; exit non-zero "
-        "on a >threshold events/sec regression",
-    )
-    bench_p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="allowed fractional events/sec regression vs --baseline (default 0.20)",
-    )
-    bench_p.add_argument(
-        "--cluster",
-        action="store_true",
-        help="time cluster_scale_64users (shards=1 vs sharded+workers), "
-        "verify the single-shard fingerprint, and merge a 'cluster' "
-        "section into the report",
-    )
-
     prof_p = sub.add_parser(
         "profile",
-        help="profile a bench scenario with cProfile",
+        help="profile a canonical scenario with cProfile",
         epilog="The per-layer ledger is bench/README.md.",
     )
     prof_p.add_argument(
         "scenario",
-        help="canonical scenario name (as in `repro bench`), e.g. fig4_jit",
+        help="canonical scenario name, e.g. fig4_jit (an unknown name lists them)",
     )
     prof_p.add_argument("--scale", choices=["quick", "paper"], default="quick")
     prof_p.add_argument(
@@ -1176,125 +1139,6 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    """``repro bench --cluster``: the scale-out bench + identity gate."""
-    import os
-
-    from .experiments.perf import (
-        cluster_fingerprint_mismatches,
-        format_cluster_report,
-        load_previous_report,
-        run_cluster_suite,
-        write_report,
-    )
-
-    cluster_report = run_cluster_suite(scale=args.scale, repeats=args.repeats)
-    # Merge into the existing report so the cluster numbers travel in the
-    # same BENCH_perf.json artifact as the hot-path scenarios.  A missing
-    # or corrupt prior file fails soft: the rewrite proceeds, but losing
-    # the previously pinned scenario sections is said out loud, never
-    # silent (and never a crash).
-    report, warning = load_previous_report(args.output)
-    if report is None:
-        report = {"scale": args.scale, "scenarios": {}}
-        if warning is not None:
-            print(
-                f"repro bench: warning: {warning}; rewriting without the "
-                "prior hot-path scenario sections",
-                file=sys.stderr,
-            )
-    report["cluster"] = cluster_report
-    write_report(report, args.output)
-    print(format_cluster_report(cluster_report))
-    print(f"\ncluster section merged into {args.output}")
-    failures = cluster_fingerprint_mismatches(cluster_report)
-    if failures:
-        for failure in failures:
-            print(f"repro bench: DETERMINISM MISMATCH: {failure}", file=sys.stderr)
-        return 3
-    speedup = cluster_report["speedup_sharded_vs_single"]
-    if (os.cpu_count() or 1) > 1:
-        # Structural gate, not a noise gate: on shared runners a single
-        # timing sample can wobble well past 1.0x, so only a sharded run
-        # 20%+ slower than one world fails (that magnitude means the
-        # cluster path itself regressed, not the machine).
-        if speedup < 0.8:
-            print(
-                f"repro bench: CLUSTER REGRESSION: sharded run is "
-                f"{speedup}x vs one world on a multi-core machine "
-                f"(floor 0.8x)",
-                file=sys.stderr,
-            )
-            return 3
-        if speedup < 1.0:
-            print(
-                f"repro bench: warning: sharded speedup only {speedup}x "
-                f"(timing noise or an overloaded machine)",
-                file=sys.stderr,
-            )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments.perf import (
-        check_regressions,
-        fingerprint_mismatches,
-        format_perf_report,
-        load_previous_report,
-        load_report,
-        run_perf_suite,
-        write_report,
-    )
-
-    if args.repeats < 1:
-        print("repro bench: error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.cluster:
-        return _cmd_bench_cluster(args)
-    baseline_report = None
-    if args.baseline:
-        # Load (and validate) the reference before the multi-second suite
-        # runs, so a typo'd path fails fast with a clean message.
-        try:
-            baseline_report = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro bench: error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-    report = run_perf_suite(scale=args.scale, repeats=args.repeats)
-    # Keep a previously merged cluster section (repro bench --cluster)
-    # alive across hot-path re-measurements of the same artifact.  A
-    # corrupt prior file must not crash the merge (json.load can return a
-    # non-dict) and must not silently cost the cluster section: fail soft
-    # with a warning and rewrite fresh.
-    previous, warning = load_previous_report(args.output)
-    if warning is not None:
-        print(
-            f"repro bench: warning: {warning}; rewriting without the "
-            "prior cluster section",
-            file=sys.stderr,
-        )
-    if previous is not None and "cluster" in previous:
-        report["cluster"] = previous["cluster"]
-    write_report(report, args.output)
-    print(format_perf_report(report))
-    print(f"\nreport written to {args.output}")
-    failures = fingerprint_mismatches(report)
-    if failures:
-        for failure in failures:
-            print(f"repro bench: DETERMINISM MISMATCH: {failure}", file=sys.stderr)
-        return 3
-    if baseline_report is not None:
-        regressions = check_regressions(
-            report, baseline_report, threshold=args.threshold
-        )
-        if regressions:
-            for regression in regressions:
-                print(f"repro bench: PERF REGRESSION: {regression}", file=sys.stderr)
-            return 3
-        print(f"no regressions vs {args.baseline} (threshold {args.threshold:.0%})")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
 
@@ -1351,7 +1195,7 @@ def _cmd_analysis() -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from .experiments.runner import _make_user_path
+    from .api.service import make_user_path
     from .experiments.viz import render_field
     from .power.ccp import CcpProtocol
     from .sim.kernel import Simulator
@@ -1363,7 +1207,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     streams = RandomStreams(args.seed)
     network = build_network(sim, config.network, streams)
     CcpProtocol().apply(network, streams)
-    path = _make_user_path(config, streams)
+    path = make_user_path(config, streams)
     area = config_spec_area(config, path)
     print(render_field(network, width=args.width, path=path, area=area,
                        user=path.position_at(0.0)))
@@ -1403,8 +1247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_replay(args)
     if args.command == "fig":
         return _cmd_fig(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "profile":
         return _cmd_profile(args)
     if args.command == "analysis":

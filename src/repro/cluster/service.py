@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Union
 
 from ..api.admission import AcceptAllPolicy, AdmissionDecision, AdmissionPolicy
 from ..api.backend import BackendStats
+from ..api.config import ExperimentConfig
 from ..api.requests import QueryRequest
 from ..api.service import (
     RUN_TAIL_S,
@@ -54,7 +55,6 @@ from ..api.service import (
     SessionHandle,
     resolve_user_id,
 )
-from ..experiments.config import ExperimentConfig
 from ..faults.plan import FaultPlan
 from ..approx.plane import SummaryAnswer, merge_answers
 from ..geometry.shapes import Rect

@@ -19,14 +19,14 @@ and 1-CPU boxes degrade cleanly.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..api.admission import AdmissionDecision, AdmissionPolicy
 from ..api.backend import BackendStats
+from ..api.config import ExperimentConfig
 from ..api.requests import QueryRequest
-from ..experiments.config import ExperimentConfig
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, reject_unknown_keys
 from ..workload.session import SessionResult
 
 
@@ -120,6 +120,10 @@ class RecordingAdmissionPolicy(AdmissionPolicy):
         return f"recording({self.inner.describe()})"
 
 
+#: the keys of one serialized admission decision
+_DECISION_KEYS = frozenset(f.name for f in fields(AdmissionDecision))
+
+
 def decision_to_dict(decision: AdmissionDecision) -> dict:
     """JSON-able form of one admission decision (submission-log entry)."""
     return {
@@ -131,9 +135,7 @@ def decision_to_dict(decision: AdmissionDecision) -> dict:
 
 def decision_from_dict(data: dict) -> AdmissionDecision:
     """Rebuild a decision from :func:`decision_to_dict` output (strict)."""
-    extra = set(data) - {"admitted", "reason", "start_offset_s"}
-    if extra:
-        raise ValueError(f"unknown decision keys: {sorted(extra)}")
+    reject_unknown_keys(data, _DECISION_KEYS, "decision")
     return AdmissionDecision(
         admitted=bool(data["admitted"]),
         reason=str(data.get("reason", "")),

@@ -1,8 +1,6 @@
-"""Performance harness: canonical hot-path scenarios, timed and gated.
+"""Canonical hot-path scenarios and their pinned fingerprints.
 
-The repo's north star says the simulator should run "as fast as the
-hardware allows"; this module makes that a tracked artifact instead of a
-hope.  Two canonical scenarios are timed end to end:
+Three scenarios cover the simulator's hot paths:
 
 * ``fig4_jit`` — the paper's Section 6.2 single-user setting (MQ-JIT,
   Tsleep=9 s, 3-5 m/s) at quick-scale duration: the figure-benchmark hot
@@ -15,58 +13,30 @@ hope.  Two canonical scenarios are timed end to end:
   per-request API code path, so a service-layer regression cannot hide
   behind the legacy adapter.
 
-``run_perf_suite`` measures wall-clock and events/second (min over
-``repeats`` runs — the minimum is the most noise-robust statistic on a
-shared machine) and pins each scenario's *result fingerprint* (event and
-frame counts), so a perf run doubles as a whole-system determinism check:
-an optimization that changes what the simulation computes fails here
-before any statistics drift quietly.
+plus ``cluster_scale_64users`` on one world and on four shards.  Each is
+run once and compared with its pinned *fingerprint* (frame, event and
+success counts), a whole-system determinism check: an optimization that
+changes what the simulation computes fails here before any statistics
+drift quietly (``benchmarks/test_perf_hotpaths.py``,
+``benchmarks/test_cluster_scale.py``).  ``repro profile`` runs one of
+them under cProfile.
 
-``repro bench`` writes the report to ``BENCH_perf.json`` (both the current
-numbers and the recorded pre-PR baseline, so the speedup trajectory is in
-the artifact itself) and, given a reference report from the same machine,
-fails loudly on regressions beyond a threshold.
+Nothing here measures speed: that is ``python3 -m bench``
+(``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
+from ..api.scenarios import _scenario_config, get_scenario, run_scenario
+from ..cluster.service import ClusterService
 from ..workload.arrivals import ARRIVAL_STAGGERED
 from .config import MODE_JIT, ExperimentConfig, QueryParams, paper_section62_config
 from .figures import SCALE_PAPER, SCALE_QUICK, bench_scale
 from .runner import run_experiment
-
-#: schema version of BENCH_perf.json (bump on incompatible changes)
-PERF_SCHEMA_VERSION = 1
-
-#: events/sec may regress by at most this fraction before ``repro bench
-#: --baseline`` (and the perf-smoke pytest with ``REPRO_PERF_BASELINE``)
-#: fails loudly.
-REGRESSION_THRESHOLD = 0.20
-
-#: Pre-PR hot-path baseline (quick scale): each scenario's wall-clock and
-#: events/sec as committed in ``BENCH_perf.json`` immediately before the
-#: PR that last restructured its hot path, measured on the dev container
-#: (1 vCPU, CPython 3.11).  ``fig4_jit``/``scale_16users`` date from the
-#: PR 2 inlining overhaul (min over 6 alternated runs of the previous
-#: commit); ``hetero_mix_8users`` had no recorded baseline until the PR 4
-#: batching overhaul pinned its then-committed numbers, so all three are
-#: now gated identically.  Kept in the report so the speedup trajectory
-#: travels with the artifact.  Wall-clock only compares within one
-#: machine; note the PR 4 event coalescing makes pre-PR-4 *events/sec*
-#: incomparable with current reports (far fewer, heavier events) —
-#: ``speedup_vs_pre_pr`` is wall-clock based for exactly that reason.
-PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
-    "fig4_jit": {"wall_s": 2.869, "events_per_sec": 83699.0},
-    "scale_16users": {"wall_s": 6.529, "events_per_sec": 71288.0},
-    "hetero_mix_8users": {"wall_s": 1.3683, "events_per_sec": 174473.1},
-}
 
 #: Quick-scale **result fingerprints**: what the simulation computes,
 #: independent of machine speed and of how work is packed into kernel
@@ -111,15 +81,15 @@ EVENT_FINGERPRINTS: Dict[str, int] = {
     "hetero_mix_8users": 50203,
 }
 
-#: The cluster scale-out scenario (``make bench-cluster``): 64 users on the
-#: ``cluster_scale_64users`` registry spec, timed twice — once on one world
-#: (``shards=1``, explicitly through ``ClusterService`` so the bench also
-#: proves the single-shard identity) and once sharded (``shards=4,
-#: workers=4``; workers engage on multi-core machines, fall back to the
-#: in-process lockstep path on 1-CPU boxes).
+#: The cluster scale-out scenario: 64 users on the ``cluster_scale_64users``
+#: registry spec, run twice — once on one world (``shards=1``, explicitly
+#: through ``ClusterService`` so the run also proves the single-shard
+#: identity) and once sharded (``shards=4, workers=4``; workers engage on
+#: multi-core machines, fall back to the in-process lockstep path on
+#: 1-CPU boxes).
 CLUSTER_SCENARIO = "cluster_scale_64users"
 
-#: Quick-scale result fingerprints for the cluster bench.  ``shards1`` was
+#: Quick-scale result fingerprints for the cluster scenario.  ``shards1`` was
 #: captured from **MobiQueryService** (the golden identity target): the
 #: ``ClusterService(shards=1)`` measurement must reproduce it bit for bit.
 #: ``shards4`` pins the sharded run's own determinism (4 independent
@@ -141,29 +111,13 @@ CLUSTER_RESULT_FINGERPRINTS: Dict[str, Dict[str, object]] = {
 }
 
 
-
-@dataclass(frozen=True)
-class PerfSample:
-    """One timed scenario: speed plus its result fingerprint."""
-
-    scenario: str
-    wall_s: float
-    events_executed: int
-    events_per_sec: float
-    frames_sent: int
-    frames_collided: int
-    mean_success: float
-
-
 def perf_scenarios(scale: Optional[str] = None) -> Dict[str, object]:
     """The canonical hot-path scenarios for ``scale`` (quick|paper).
 
     Values are either an :class:`ExperimentConfig` (run through the legacy
     adapter) or a :class:`~repro.api.scenarios.ScenarioSpec` (run through
-    the service façade); :func:`measure_scenario` dispatches on type.
+    the service façade); :func:`_run_once` dispatches on type.
     """
-    from ..api.scenarios import get_scenario
-
     scale = scale or bench_scale()
     if scale == SCALE_PAPER:
         fig4_duration, fleet_duration, hetero_duration = 400.0, 300.0, 300.0
@@ -190,50 +144,20 @@ def perf_scenarios(scale: Optional[str] = None) -> Dict[str, object]:
     }
 
 
-def _run_once(config) -> tuple:
-    """Run one scenario object; returns (events, sent, collided, mean)."""
+def _run_once(config) -> Dict[str, object]:
+    """Run one scenario object; the counters its fingerprints are pinned in."""
     if isinstance(config, ExperimentConfig):
         result = run_experiment(config)
-        return (
-            result.events_executed,
-            result.frames_sent,
-            result.frames_collided,
-            result.mean_user_success_ratio,
-        )
-    from ..api.scenarios import run_scenario
-
-    scenario = run_scenario(config)
-    return (
-        scenario.events_executed,
-        scenario.frames_sent,
-        scenario.frames_collided,
-        scenario.mean_success,
-    )
-
-
-def measure_scenario(name: str, config, repeats: int = 1) -> PerfSample:
-    """Run ``config`` ``repeats`` times; keep the fastest wall-clock."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    best_wall = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = _run_once(config)
-        wall = time.perf_counter() - started
-        if wall < best_wall:
-            best_wall = wall
-    assert result is not None
-    events, sent, collided, mean_success = result
-    return PerfSample(
-        scenario=name,
-        wall_s=round(best_wall, 4),
-        events_executed=events,
-        events_per_sec=round(events / best_wall, 1),
-        frames_sent=sent,
-        frames_collided=collided,
-        mean_success=round(mean_success, 6),
-    )
+        mean_success = result.mean_user_success_ratio
+    else:
+        result = run_scenario(config)
+        mean_success = result.mean_success
+    return {
+        "events_executed": result.events_executed,
+        "frames_sent": result.frames_sent,
+        "frames_collided": result.frames_collided,
+        "mean_success": round(mean_success, 6),
+    }
 
 
 #: where ``repro profile`` writes the raw cProfile dump by default
@@ -266,7 +190,6 @@ def profile_scenario(
     """
     import cProfile
     import pstats
-    from dataclasses import replace
 
     scenarios = perf_scenarios(scale)
     config = scenarios.get(name)
@@ -288,34 +211,16 @@ def profile_scenario(
     return pstats.Stats(profiler)
 
 
-def run_perf_suite(scale: Optional[str] = None, repeats: int = 1) -> Dict:
-    """Measure every canonical scenario and build the report dict."""
+def run_perf_suite(scale: Optional[str] = None) -> Dict:
+    """Run every canonical scenario once; its counters, keyed by name."""
     scale = scale or bench_scale()
-    samples = [
-        measure_scenario(name, config, repeats=repeats)
-        for name, config in perf_scenarios(scale).items()
-    ]
-    report: Dict = {
-        "schema": PERF_SCHEMA_VERSION,
+    return {
         "scale": scale,
-        "repeats": repeats,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "machine": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
+        "scenarios": {
+            name: _run_once(config)
+            for name, config in perf_scenarios(scale).items()
         },
-        "pre_pr_baseline": PRE_PR_BASELINE,
-        "scenarios": {},
     }
-    for sample in samples:
-        entry = asdict(sample)
-        baseline = PRE_PR_BASELINE.get(sample.scenario)
-        if baseline is not None and scale == SCALE_QUICK:
-            entry["baseline_wall_s"] = baseline["wall_s"]
-            entry["speedup_vs_pre_pr"] = round(baseline["wall_s"] / sample.wall_s, 2)
-        report["scenarios"][sample.scenario] = entry
-    return report
 
 
 def fingerprint_mismatches(report: Dict) -> List[str]:
@@ -353,105 +258,57 @@ def fingerprint_mismatches(report: Dict) -> List[str]:
 
 def cluster_scenario(scale: Optional[str] = None):
     """The ``cluster_scale_64users`` spec at ``scale`` (quick|paper)."""
-    from ..api.scenarios import get_scenario
-
     spec = get_scenario(CLUSTER_SCENARIO)
     if (scale or bench_scale()) == SCALE_PAPER:
         spec = spec.with_overrides(duration_s=240.0)
     return spec
 
 
-def _measure_cluster_once(spec, shards: int, workers: int) -> Dict:
-    """One timed cluster run; returns the report entry for it."""
-    from ..api.scenarios import run_scenario
-    from ..cluster.service import ClusterService
-    from .config import ExperimentConfig
-    from ..net.network import NetworkConfig
-
-    config = ExperimentConfig(
-        mode=spec.mode,
-        seed=spec.seed,
-        duration_s=spec.duration_s,
-        network=NetworkConfig(**spec.network),
-    )
-    # Always measure through ClusterService — for shards=1 that *is* the
-    # point: the bench doubles as the single-shard identity gate.
+def _run_cluster_once(spec, shards: int, workers: int) -> Dict:
+    """One cluster run of ``spec`` on ``shards`` worlds; its report entry."""
+    # Always through ClusterService — for shards=1 that *is* the point:
+    # the run doubles as the single-shard identity gate.
     backend = ClusterService(
-        config, shards=shards, workers=workers, partitioner=spec.partitioner
+        _scenario_config(spec),
+        shards=shards,
+        workers=workers,
+        partitioner=spec.partitioner,
     )
     started = time.perf_counter()
     result = run_scenario(spec, backend=backend)
     wall = time.perf_counter() - started
     return {
         "shards": shards,
-        "workers": workers,
         "parallel_used": backend.parallel_used,
+        # one sample, for the reader: never compared with anything
         "wall_s": round(wall, 4),
-        "events_executed": result.events_executed,
         "frames_sent": result.frames_sent,
-        "frames_collided": result.frames_collided,
         "frames_delivered": result.frames_delivered,
         "mean_success": round(result.mean_success, 6),
-        "min_success": round(result.min_success, 6),
-        "backbone_size": result.backbone_size,
     }
 
 
-def _measure_cluster(spec, shards: int, workers: int, repeats: int) -> Dict:
-    """Best-of-``repeats`` timed cluster run (min wall, like the hot paths)."""
-    best: Optional[Dict] = None
-    for _ in range(repeats):
-        entry = _measure_cluster_once(spec, shards, workers)
-        if best is None or entry["wall_s"] < best["wall_s"]:
-            best = entry
-    assert best is not None
-    return best
+def run_cluster_suite(scale: Optional[str] = None) -> Dict:
+    """Run ``cluster_scale_64users`` on one world, then as the spec shards it.
 
-
-def run_cluster_suite(
-    scale: Optional[str] = None,
-    repeats: int = 1,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-) -> Dict:
-    """Time ``cluster_scale_64users`` on one world vs a sharded cluster.
-
-    Returns the ``cluster`` report section: a ``shards1`` entry (the
-    single-shard identity run), a ``shardsN`` entry (the sharded run,
-    worker processes when the machine has the cores), and the wall-clock
-    ``speedup`` of sharded over single.
+    Returns a ``shards1`` entry (the single-shard identity run) and a
+    ``shardsN`` entry (the sharded run, worker processes when the machine
+    has the cores).
     """
     scale = scale or bench_scale()
     spec = cluster_scenario(scale)
-    shards = shards if shards is not None else spec.shards
-    workers = workers if workers is not None else spec.workers
-    if shards < 2:
-        raise ValueError(
-            f"the cluster suite compares a sharded layout against one "
-            f"world — shards must be >= 2, got {shards}"
-        )
-    single = _measure_cluster(spec, shards=1, workers=0, repeats=repeats)
-    sharded = _measure_cluster(
-        spec, shards=shards, workers=workers, repeats=repeats
-    )
     return {
         "scenario": CLUSTER_SCENARIO,
         "scale": scale,
-        "repeats": repeats,
-        "duration_s": spec.duration_s,
-        "users": sum(int(t.get("count", 1)) for t in spec.requests),
-        "partitioner": spec.partitioner,
-        "cpu_count": os.cpu_count() or 1,
-        "shards1": single,
-        f"shards{shards}": sharded,
-        "speedup_sharded_vs_single": round(
-            single["wall_s"] / sharded["wall_s"], 2
+        "shards1": _run_cluster_once(spec, shards=1, workers=0),
+        f"shards{spec.shards}": _run_cluster_once(
+            spec, shards=spec.shards, workers=spec.workers
         ),
     }
 
 
 def cluster_fingerprint_mismatches(cluster_report: Dict) -> List[str]:
-    """Determinism gate for the cluster bench (quick scale only).
+    """Determinism gate for the cluster scenario (quick scale only).
 
     ``shards1`` must reproduce the pinned **MobiQueryService** fingerprint
     exactly — that is the single-shard identity guarantee; the sharded
@@ -463,7 +320,8 @@ def cluster_fingerprint_mismatches(cluster_report: Dict) -> List[str]:
     for key, expected in CLUSTER_RESULT_FINGERPRINTS.items():
         entry = cluster_report.get(key)
         if entry is None:
-            continue  # a non-default shard count was measured
+            problems.append(f"cluster {key}: layout missing from report")
+            continue
         for field, value in expected.items():
             if entry.get(field) != value:
                 problems.append(
@@ -477,125 +335,3 @@ def cluster_fingerprint_mismatches(cluster_report: Dict) -> List[str]:
                     )
                 )
     return problems
-
-
-def format_cluster_report(cluster_report: Dict) -> str:
-    """Render the cluster section as the standard perf table."""
-    from .reporting import format_table
-
-    rows = []
-    for key, entry in cluster_report.items():
-        if not isinstance(entry, dict):
-            continue
-        rows.append(
-            (
-                key,
-                f"{entry['wall_s']:.3f}",
-                entry["events_executed"],
-                entry["frames_sent"],
-                f"{entry['mean_success']:.4f}",
-                "yes" if entry.get("parallel_used") else "no",
-            )
-        )
-    title = (
-        f"Cluster scale-out ({cluster_report['scenario']}, "
-        f"{cluster_report['users']} users, {cluster_report['scale']} scale) "
-        f"— sharded speedup {cluster_report['speedup_sharded_vs_single']}x"
-    )
-    return format_table(
-        title,
-        ["layout", "wall (s)", "events", "frames", "success", "workers"],
-        rows,
-    )
-
-
-def check_regressions(
-    report: Dict, reference: Dict, threshold: float = REGRESSION_THRESHOLD
-) -> List[str]:
-    """Compare ``report`` against a same-machine ``reference`` report.
-
-    Returns one message per scenario whose events/sec dropped more than
-    ``threshold`` below the reference (empty list: no regression).
-    """
-    problems = []
-    for name, ref_entry in reference.get("scenarios", {}).items():
-        cur_entry = report["scenarios"].get(name)
-        if cur_entry is None:
-            problems.append(f"{name}: present in baseline but not measured")
-            continue
-        ref_rate = ref_entry.get("events_per_sec")
-        cur_rate = cur_entry.get("events_per_sec")
-        if not ref_rate or not cur_rate:
-            continue
-        floor = ref_rate * (1.0 - threshold)
-        if cur_rate < floor:
-            problems.append(
-                f"{name}: {cur_rate:.0f} events/s is "
-                f"{(1.0 - cur_rate / ref_rate) * 100.0:.1f}% below the "
-                f"baseline {ref_rate:.0f} events/s (allowed: {threshold:.0%})"
-            )
-    return problems
-
-
-def format_perf_report(report: Dict) -> str:
-    """Render a report as the standard perf table (CLI and benchmark)."""
-    from .reporting import format_table
-
-    return format_table(
-        f"Hot-path performance ({report['scale']} scale, "
-        f"best of {report['repeats']})",
-        ["scenario", "wall (s)", "events/s", "events", "vs pre-PR"],
-        [
-            (
-                name,
-                f"{entry['wall_s']:.3f}",
-                f"{entry['events_per_sec']:.0f}",
-                entry["events_executed"],
-                f"{entry.get('speedup_vs_pre_pr', '-')}",
-            )
-            for name, entry in report["scenarios"].items()
-        ],
-    )
-
-
-def write_report(report: Dict, path: str) -> None:
-    """Write ``report`` as pretty JSON to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def load_report(path: str) -> Dict:
-    """Read a previously written BENCH_perf.json."""
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def load_previous_report(path: str) -> Tuple[Optional[Dict], Optional[str]]:
-    """Best-effort read of an existing report the bench will merge into.
-
-    ``repro bench`` and ``repro bench --cluster`` each rewrite one section
-    of the shared ``BENCH_perf.json`` artifact and must carry the other
-    section over from the file on disk.  That merge must never crash on —
-    or silently discard sections because of — a missing or corrupt prior
-    file, so this returns ``(report, None)`` for a readable prior report,
-    ``(None, None)`` when there is no file yet (a fresh artifact: nothing
-    to preserve), and ``(None, warning)`` when the file exists but cannot
-    be used (unreadable, invalid JSON, or valid JSON that is not an
-    object — ``json.load`` happily returns strings and lists, and probing
-    those for a ``"cluster"`` key is where the old merge crashed).  The
-    caller prints the warning and proceeds with a fresh report.
-    """
-    try:
-        report = load_report(path)
-    except FileNotFoundError:
-        return None, None
-    except (OSError, ValueError) as exc:
-        return None, f"existing report {path} is unreadable ({exc})"
-    if not isinstance(report, dict):
-        return (
-            None,
-            f"existing report {path} is not a JSON object "
-            f"(got {type(report).__name__})",
-        )
-    return report, None

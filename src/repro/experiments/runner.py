@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..api.requests import QueryRequest
-from ..api.service import (
-    RUN_TAIL_S,
-    MobiQueryService,
-    make_profile_provider,
-    make_user_path,
-    user_stream,
-)
+from ..api.service import RUN_TAIL_S, MobiQueryService
 from ..core.metrics import PowerReport, SessionMetrics, measure_power
 from ..workload.arrivals import arrival_times
 from ..workload.engine import WorkloadResult
@@ -40,12 +34,6 @@ from .config import MODE_IDLE, ExperimentConfig
 
 #: node id assigned to user 0's proxy endpoint (user ``u`` gets base + u)
 PROXY_NODE_ID = PROXY_ID_BASE
-
-# Backwards-compatible aliases: these helpers lived here before the API
-# package became the primary surface.
-_user_stream = user_stream
-_make_user_path = make_user_path
-_make_profile_provider = make_profile_provider
 
 __all__ = [
     "PROXY_NODE_ID",

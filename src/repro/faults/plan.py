@@ -33,9 +33,14 @@ from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Mapping, Optional, Tuple
 
 
-def _reject_unknown_keys(
+def reject_unknown_keys(
     data: Mapping[str, Any], known: FrozenSet[str], what: str
 ) -> None:
+    """Strict plain-data loading: one-line rejection naming the first bad key.
+
+    The one validator behind every ``from_dict`` in the repo (scenarios,
+    request templates, fault plans, sweep axes, admission decisions).
+    """
     unknown = sorted(k for k in data if k not in known)
     if unknown:
         raise ValueError(
@@ -209,22 +214,22 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         """Build a plan from plain data, rejecting unknown keys loudly."""
-        _reject_unknown_keys(data, _PLAN_KEYS, "fault plan")
+        reject_unknown_keys(data, _PLAN_KEYS, "fault plan")
         crashes = []
         for entry in data.get("crashes", ()):
-            _reject_unknown_keys(entry, _CRASH_KEYS, "fault crash")
+            reject_unknown_keys(entry, _CRASH_KEYS, "fault crash")
             crashes.append(NodeCrash(**entry))
         blackouts = []
         for entry in data.get("blackouts", ()):
-            _reject_unknown_keys(entry, _BLACKOUT_KEYS, "fault blackout")
+            reject_unknown_keys(entry, _BLACKOUT_KEYS, "fault blackout")
             blackouts.append(RegionBlackout(**entry))
         degradations = []
         for entry in data.get("degradations", ()):
-            _reject_unknown_keys(entry, _DEGRADATION_KEYS, "fault degradation")
+            reject_unknown_keys(entry, _DEGRADATION_KEYS, "fault degradation")
             degradations.append(RadioDegradation(**entry))
         kills = []
         for entry in data.get("worker_kills", ()):
-            _reject_unknown_keys(entry, _WORKER_KILL_KEYS, "fault worker_kill")
+            reject_unknown_keys(entry, _WORKER_KILL_KEYS, "fault worker_kill")
             kills.append(WorkerKill(**entry))
         wire: Optional[WireChaos] = None
         if "wire" in data:
@@ -233,7 +238,7 @@ class FaultPlan:
                 raise ValueError(
                     f"fault plan 'wire' must be an object, got {type(entry).__name__}"
                 )
-            _reject_unknown_keys(entry, _WIRE_KEYS, "fault wire")
+            reject_unknown_keys(entry, _WIRE_KEYS, "fault wire")
             candidate = WireChaos(**entry)
             # All-zero wire sections normalise to no section at all, so
             # "empty wire plan" and "no wire plan" are the same object —

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..api.requests import ACCURACY_LEVELS
 from ..api.scenarios import ScenarioSpec, build_requests
 from ..api.service import RUN_TAIL_S
-from .plan import FaultPlan, _reject_unknown_keys
+from .plan import FaultPlan, reject_unknown_keys
 
 #: tolerance for the monotonicity invariant (success is a ratio in [0,1])
 MONOTONICITY_TOLERANCE = 0.01
@@ -130,7 +130,7 @@ class SweepAxes:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxes":
         """Build axes from plain data, rejecting unknown keys loudly."""
-        _reject_unknown_keys(data, _AXES_KEYS, "sweep-axis")
+        reject_unknown_keys(data, _AXES_KEYS, "sweep-axis")
         payload: Dict[str, tuple] = {}
         for axis in ("users", "shards"):
             if axis in data:

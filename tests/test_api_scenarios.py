@@ -70,7 +70,7 @@ class TestRoundTrip:
         assert load_scenario_file(str(path)) == spec
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario keys"):
+        with pytest.raises(ValueError, match="unknown scenario key 'bogus'"):
             ScenarioSpec.from_dict({"name": "x", "bogus": 1})
 
     def test_admission_dict_builds_policies(self):

@@ -110,6 +110,21 @@ class TestCli:
         assert "fidelity per period" in out
 
 
+class TestBenchCommandRetired:
+    """Speed is measured by ``python3 -m bench`` alone; ``repro`` has no bench."""
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_help_lists_no_bench(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "bench" not in capsys.readouterr().out
+
+
 class TestProfileCommand:
     def test_profile_scenario_short(self, capsys, tmp_path):
         out_path = str(tmp_path / "prof.out")
