@@ -15,7 +15,7 @@ measuring what happens without them:
 import statistics
 from dataclasses import replace
 
-from repro.experiments.config import paper_section62_config
+from repro.api.config import paper_section62_config
 from repro.experiments.figures import bench_scale
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_experiment

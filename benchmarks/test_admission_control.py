@@ -30,7 +30,7 @@ from repro.api import (
     PhaseAssignPolicy,
     QueryRequest,
 )
-from repro.experiments.config import MODE_JIT, ExperimentConfig
+from repro.api.config import MODE_JIT, ExperimentConfig
 from repro.experiments.figures import SCALE_PAPER, bench_scale
 from repro.experiments.reporting import format_table
 

@@ -9,7 +9,7 @@ trends (absolute values depend on the MAC substrate).
 
 from collections import defaultdict
 
-from repro.experiments.config import MODE_GREEDY, MODE_JIT, MODE_NP
+from repro.api.config import MODE_GREEDY, MODE_JIT, MODE_NP
 from repro.experiments.figures import run_fig4
 from repro.experiments.reporting import format_table
 

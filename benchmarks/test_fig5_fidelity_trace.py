@@ -8,7 +8,7 @@ variance caused by congestion losses.
 
 import statistics
 
-from repro.experiments.config import MODE_GREEDY, MODE_JIT
+from repro.api.config import MODE_GREEDY, MODE_JIT
 from repro.experiments.figures import run_fig5
 from repro.experiments.reporting import format_series
 

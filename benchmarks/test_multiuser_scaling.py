@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.experiments.config import MODE_JIT, ExperimentConfig, QueryParams
+from repro.api.config import MODE_JIT, ExperimentConfig, QueryParams
 from repro.experiments.figures import SCALE_PAPER, bench_scale
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_experiment

@@ -18,7 +18,7 @@ Run:
 
 import os
 
-from repro.experiments.config import paper_section63_config
+from repro.api.config import paper_section63_config
 from repro.experiments.runner import run_experiment
 
 #: override for quick smoke runs (CI examples-smoke)

@@ -1,8 +1,8 @@
 """Run configuration and its presets (paper Section 6.1 settings).
 
 The service, the cluster and the scenario layer are all built from an
-:class:`ExperimentConfig`, so it lives with them; ``repro.experiments.config``
-re-exports this module for the figure harness and older imports.
+:class:`ExperimentConfig`, so it lives with them; the figure harness
+imports it from here like everyone else.
 
 Every figure's experiment is expressed as an :class:`ExperimentConfig`:
 which service variant runs (MQ-JIT, MQ-GP, NP, or an idle CCP-only

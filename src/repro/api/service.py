@@ -61,7 +61,7 @@ from ..sim.rng import RandomStreams
 from ..sim.trace import Tracer
 from ..workload.engine import Workload, WorkloadResult
 from ..workload.session import SessionResult, UserPlan, UserSession
-from .admission import AcceptAllPolicy, AdmissionPolicy
+from .admission import AcceptAllPolicy, AdmissionDecision, AdmissionPolicy
 from .backend import BackendStats
 from .config import (
     MODE_GREEDY,
@@ -234,7 +234,7 @@ class SessionHandle:
         service: "MobiQueryService",
         request: QueryRequest,
         status: str,
-        reason: str = "",
+        decision: AdmissionDecision,
         spec: Optional[QuerySpec] = None,
         path: Optional[PiecewisePath] = None,
         session: Optional[UserSession] = None,
@@ -242,7 +242,9 @@ class SessionHandle:
         self.service = service
         self.request = request
         self.status = status
-        self.reason = reason
+        #: the admission policy's verdict on this submission — what the
+        #: submission log records and a ``workers=N`` shard plan replays
+        self.decision = decision
         self.spec = spec
         self.path = path
         self.session = session
@@ -257,6 +259,11 @@ class SessionHandle:
     def accepted(self) -> bool:
         """Whether the admission policy let the session in."""
         return self.status != STATUS_REJECTED
+
+    @property
+    def reason(self) -> str:
+        """Why the policy rejected the session ("" when admitted)."""
+        return self.decision.reason
 
     @property
     def user_id(self) -> Optional[int]:
@@ -314,22 +321,12 @@ class SessionHandle:
         """
         self.require_admitted()
         assert self.spec is not None and self.session is not None
-        deadline = self.spec.deadline(k)
-        records = self.session.gateway.deliveries_for(k)
-        on_time = [d for d in records if d.time <= deadline + 1e-9]
-        # Same selection rule as build_session_metrics: after a profile
-        # correction two collectors may both deliver on time — the user
-        # keeps the best (most contributors) on-time result, so the
-        # streamed value always matches the scored record.
-        if on_time:
-            chosen = max(on_time, key=lambda d: (len(d.contributors), d.time))
-        else:
-            chosen = records[0] if records else None
+        chosen, on_time = self.session.gateway.best_delivery(k)
         return PeriodOutcome(
             k=k,
-            deadline=deadline,
-            delivered=bool(records),
-            on_time=bool(on_time),
+            deadline=self.spec.deadline(k),
+            delivered=chosen is not None,
+            on_time=on_time,
             value=chosen.value if chosen is not None else None,
             contributors=len(chosen.contributors) if chosen is not None else 0,
             delivered_at=chosen.time if chosen is not None else None,
@@ -526,9 +523,7 @@ class MobiQueryService:
         spec = self._build_spec(request, user_id, start_s)
         decision = self.admission.decide(spec, path, self)
         if not decision.admitted:
-            handle = SessionHandle(
-                self, request, STATUS_REJECTED, reason=decision.reason
-            )
+            handle = SessionHandle(self, request, STATUS_REJECTED, decision)
             self.handles.append(handle)
             self.tracer.emit(
                 "admission-rejected",
@@ -548,6 +543,7 @@ class MobiQueryService:
             self,
             request,
             STATUS_ADMITTED,
+            decision,
             spec=spec,
             path=path,
             session=session,

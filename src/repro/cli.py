@@ -11,30 +11,37 @@ Commands:
   loudly when a metamorphic invariant breaks.
 * ``fuzz`` — draw seeded randomized scenarios from strictly bounded
   ranges and run each through the sweep's metamorphic invariants.
+* ``serve`` / ``slam`` / ``replay`` — the always-on query daemon, its
+  load generator, and the in-process replay that proves a daemon's log.
 * ``fig`` — regenerate one of the paper's figures (4-8) as a table.
 * ``profile`` — run one canonical scenario under cProfile, dump the raw
   profile, and print the top-N hot functions (the ROADMAP profiling
   recipe as one command).
 * ``analysis`` — print the Section 5 closed-form tables (paper vs ours).
 * ``topology`` — render the sensor field, backbone and user path.
+
+Every command that takes a scenario resolves it through
+:func:`_resolve_spec`; every handler raises on bad input and :func:`main`
+is the one place an exception becomes ``repro <command>: error: ...`` and
+an exit code from :mod:`repro.serve.errors`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
-from .api.requests import ACCURACY_LEVELS
-from .experiments.config import (
+from .api.config import (
     MODE_GREEDY,
     MODE_IDLE,
     MODE_JIT,
     MODE_NP,
     ExperimentConfig,
     QueryParams,
-    paper_section62_config,
 )
+from .api.requests import ACCURACY_LEVELS
 from .experiments.figures import (
     contention_analysis_table,
     run_fig4,
@@ -45,9 +52,79 @@ from .experiments.figures import (
     storage_analysis_table,
 )
 from .experiments.reporting import format_table
-from .experiments.runner import run_experiment
+from .experiments.runner import legacy_requests, run_experiment
+from .experiments.viz import render_fidelity_strip
 from .net.network import NetworkConfig
+from .serve.errors import EXIT_FAILURE, EXIT_USAGE, WireError
 from .workload.arrivals import ARRIVAL_PROCESSES, ARRIVAL_STAGGERED
+
+#: the ``ScenarioSpec.with_overrides`` keys a command line may set
+_SPEC_OVERRIDES = ("duration_s", "seed", "shards", "workers")
+
+#: ``repro sweep``'s axis flags: (flag, element type, help)
+_SWEEP_AXES = (
+    ("--users", int, "comma-separated fleet sizes, e.g. 4,8"),
+    ("--shards", int, "comma-separated shard counts, e.g. 1,2"),
+    (
+        "--intensities",
+        float,
+        "comma-separated fault intensities in [0,1], e.g. 0,0.5,1",
+    ),
+    ("--arrivals", str, "comma-separated arrival processes (staggered, burst)"),
+    (
+        "--admissions",
+        str,
+        "comma-separated admission policies "
+        "(accept-all, per-area-cap, phase-assign)",
+    ),
+    (
+        "--accuracies",
+        str,
+        "comma-separated accuracy levels (exact, medium, coarse) — "
+        "covers the summary-served path in the fault grid",
+    ),
+    (
+        "--densities",
+        int,
+        "comma-separated node counts, e.g. 150,200,300 "
+        "(0 = the scenario's own density)",
+    ),
+    (
+        "--radio-ranges",
+        float,
+        "comma-separated comm ranges in metres, e.g. 90,105,120 "
+        "(0 = the scenario's own range)",
+    ),
+)
+
+#: ``repro fig``'s tables: number -> (runner, title, headers, row of one result)
+_FIGURE_TABLES = {
+    4: (
+        run_fig4,
+        "Figure 4 — success ratio",
+        ["mode", "Tsleep", "speed", "success", "fidelity"],
+        lambda r: (r.mode, r.sleep_period_s, f"{r.speed_range}", r.success_ratio,
+                   r.mean_fidelity),
+    ),
+    6: (
+        run_fig6,
+        "Figure 6 — success vs advance time",
+        ["Tsleep", "Ta", "success"],
+        lambda r: (r.sleep_period_s, r.advance_time_s, r.success_ratio),
+    ),
+    7: (
+        run_fig7,
+        "Figure 7 — motion changes / location error",
+        ["curve", "interval", "success"],
+        lambda r: (r.curve, r.change_interval_s, r.success_ratio),
+    ),
+    8: (
+        run_fig8,
+        "Figure 8 — sleeper power",
+        ["variant", "Tsleep", "power (W)"],
+        lambda r: (r.variant, r.sleep_period_s, r.sleeper_power_w),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +133,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="MobiQuery reproduction (Lu et al., ICDCS 2005)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flag groups several subcommands share, declared once.  A flag that
+    # means "override the spec" parses into ``args.spec_<key>``.
+    spec_args = argparse.ArgumentParser(add_help=False)
+    spec_args.add_argument(
+        "scenario",
+        nargs="?",
+        default=None,
+        help="scenario registry name (see `repro scenario --list`)",
+    )
+    spec_args.add_argument(
+        "--file", default=None, help="load the ScenarioSpec from a JSON file"
+    )
+    horizon_args = argparse.ArgumentParser(add_help=False)
+    horizon_args.add_argument(
+        "--duration",
+        type=float,
+        dest="spec_duration_s",
+        metavar="DURATION",
+        help="override the duration (s)",
+    )
+    horizon_args.add_argument(
+        "--seed",
+        type=int,
+        dest="spec_seed",
+        metavar="SEED",
+        help="override the seed",
+    )
+    cluster_args = argparse.ArgumentParser(add_help=False)
+    cluster_args.add_argument(
+        "--shards",
+        type=int,
+        dest="spec_shards",
+        metavar="SHARDS",
+        help="override the shard count (1 = single world, N = cluster)",
+    )
+    cluster_args.add_argument(
+        "--workers",
+        type=int,
+        dest="spec_workers",
+        metavar="WORKERS",
+        help="override the cluster worker-process count",
+    )
+    report_args = argparse.ArgumentParser(add_help=False)
+    report_args.add_argument(
+        "--out-dir",
+        default=".",
+        help="directory for the report file (default current directory)",
+    )
+    report_args.add_argument(
+        "--name",
+        default=None,
+        help="report name (default: derived from the scenario's name)",
+    )
 
     run_p = sub.add_parser("run", help="run one query session")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument(
         "--mode",
         choices=[MODE_JIT, MODE_GREEDY, MODE_NP, MODE_IDLE],
@@ -132,37 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     scen_p = sub.add_parser(
-        "scenario", help="run a named declarative scenario via the service API"
+        "scenario",
+        help="run a named declarative scenario via the service API",
+        parents=[spec_args, horizon_args, cluster_args],
     )
-    scen_p.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        help="registry name (see --list) — omit with --list or --file",
-    )
+    scen_p.set_defaults(handler=_cmd_scenario)
     scen_p.add_argument(
         "--list", action="store_true", help="show the scenario catalogue"
-    )
-    scen_p.add_argument(
-        "--file", default=None, help="load a ScenarioSpec from a JSON file"
-    )
-    scen_p.add_argument(
-        "--duration", type=float, default=None, help="override the duration (s)"
-    )
-    scen_p.add_argument(
-        "--seed", type=int, default=None, help="override the seed"
-    )
-    scen_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="override the shard count (1 = single world, N = cluster)",
-    )
-    scen_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the cluster worker-process count",
     )
     scen_p.add_argument(
         "--accuracy",
@@ -175,16 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep",
         help="adversarial robustness sweep over users x shards x faults x arrivals",
+        parents=[spec_args, horizon_args, report_args],
     )
-    sweep_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="base scenario registry name (see `repro scenario --list`)",
-    )
-    sweep_p.add_argument(
-        "--file", default=None, help="load the base ScenarioSpec from a JSON file"
-    )
+    sweep_p.set_defaults(handler=_cmd_sweep)
     sweep_p.add_argument(
         "--axes",
         default=None,
@@ -193,95 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
         '({"users": [...], "shards": [...], "intensities": [...], '
         '"arrivals": [...]}); CLI axis flags override its entries',
     )
-    sweep_p.add_argument(
-        "--users", default=None, help="comma-separated fleet sizes, e.g. 4,8"
-    )
-    sweep_p.add_argument(
-        "--shards", default=None, help="comma-separated shard counts, e.g. 1,2"
-    )
-    sweep_p.add_argument(
-        "--intensities",
-        default=None,
-        help="comma-separated fault intensities in [0,1], e.g. 0,0.5,1",
-    )
-    sweep_p.add_argument(
-        "--arrivals",
-        default=None,
-        help="comma-separated arrival processes (staggered, burst)",
-    )
-    sweep_p.add_argument(
-        "--admissions",
-        default=None,
-        help="comma-separated admission policies "
-        "(accept-all, per-area-cap, phase-assign)",
-    )
-    sweep_p.add_argument(
-        "--accuracies",
-        default=None,
-        help="comma-separated accuracy levels (exact, medium, coarse) — "
-        "covers the summary-served path in the fault grid",
-    )
-    sweep_p.add_argument(
-        "--densities",
-        default=None,
-        help="comma-separated node counts, e.g. 150,200,300 "
-        "(0 = the scenario's own density)",
-    )
-    sweep_p.add_argument(
-        "--radio-ranges",
-        default=None,
-        help="comma-separated comm ranges in metres, e.g. 90,105,120 "
-        "(0 = the scenario's own range)",
-    )
-    sweep_p.add_argument(
-        "--duration", type=float, default=None, help="override the duration (s)"
-    )
-    sweep_p.add_argument(
-        "--seed", type=int, default=None, help="override the seed"
-    )
+    for flag, _, axis_help in _SWEEP_AXES:
+        sweep_p.add_argument(flag, default=None, help=axis_help)
     sweep_p.add_argument(
         "--workers",
         type=int,
         default=0,
         help="worker processes for the grid (cells run serially by default)",
     )
-    sweep_p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for SWEEP_<name>.json (default current directory)",
-    )
-    sweep_p.add_argument(
-        "--name",
-        default=None,
-        help="report name (default: the base scenario's name)",
-    )
 
     serve_p = sub.add_parser(
         "serve",
         help="run the always-on query daemon (HTTP/JSON wire API)",
+        parents=[spec_args, horizon_args, cluster_args, report_args],
     )
-    serve_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="scenario registry name the daemon's backend runs "
-        "(see `repro scenario --list`)",
-    )
-    serve_p.add_argument(
-        "--file", default=None, help="load the ScenarioSpec from a JSON file"
-    )
-    serve_p.add_argument(
-        "--duration", type=float, default=None, help="override the duration (s)"
-    )
-    serve_p.add_argument(
-        "--seed", type=int, default=None, help="override the seed"
-    )
-    serve_p.add_argument(
-        "--shards", type=int, default=None, help="override the shard count"
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=None, help="override the worker count"
-    )
+    serve_p.set_defaults(handler=_cmd_serve)
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8600)
     serve_p.add_argument(
@@ -302,16 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="per-session result buffer size (default 256)",
-    )
-    serve_p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for SERVE_<name>.json (default current directory)",
-    )
-    serve_p.add_argument(
-        "--name",
-        default=None,
-        help="log/report name (default: the scenario's name)",
     )
     serve_p.add_argument(
         "--edge-rate",
@@ -353,20 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     slam_p = sub.add_parser(
         "slam",
         help="load-generate against a live `repro serve` daemon",
+        parents=[spec_args, report_args],
     )
-    slam_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="scenario whose arrival process to replay over the wire",
-    )
-    slam_p.add_argument(
-        "--file", default=None, help="load the ScenarioSpec from a JSON file"
-    )
+    slam_p.set_defaults(handler=_cmd_slam)
     slam_p.add_argument(
         "--sim-duration",
         type=float,
-        default=None,
+        dest="spec_duration_s",
+        metavar="SIM_DURATION",
         help="the daemon's scenario duration override — must match what "
         "`repro serve` was started with, so request starts clamp the same",
     )
@@ -412,22 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="root seed of the clients' backoff jitter streams (default 0)",
     )
-    slam_p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for SLAM_<name>.json (default current directory)",
-    )
-    slam_p.add_argument(
-        "--name",
-        default=None,
-        help="report name (default: the scenario's name)",
-    )
 
     replay_p = sub.add_parser(
         "replay",
         help="re-execute a SERVE_<name>.json submission log in-process and "
         "verify it reproduces the daemon's result fingerprints",
     )
+    replay_p.set_defaults(handler=_cmd_replay)
     replay_p.add_argument(
         "log",
         help="path to a SERVE_<name>.json log (or a SERVE_<name>.wal "
@@ -445,16 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="draw seeded randomized scenarios (strictly bounded) and run "
         "each through the sweep's metamorphic invariants",
+        parents=[spec_args, report_args],
     )
-    fuzz_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="base scenario registry name (see `repro scenario --list`)",
-    )
-    fuzz_p.add_argument(
-        "--file", default=None, help="load the base ScenarioSpec from a JSON file"
-    )
+    fuzz_p.set_defaults(handler=_cmd_fuzz)
     fuzz_p.add_argument(
         "--runs", type=int, default=3, help="cases to draw (default 3)"
     )
@@ -470,18 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes per case's sweep grid (default serial)",
     )
-    fuzz_p.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for FUZZ_<name>.json (default current directory)",
-    )
-    fuzz_p.add_argument(
-        "--name",
-        default=None,
-        help="report name (default: <base>-fuzz)",
-    )
 
     fig_p = sub.add_parser("fig", help="regenerate a paper figure")
+    fig_p.set_defaults(handler=_cmd_fig)
     fig_p.add_argument("number", type=int, choices=[4, 5, 6, 7, 8])
     fig_p.add_argument("--scale", choices=["quick", "paper"], default="quick")
 
@@ -490,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile a canonical scenario with cProfile",
         epilog="The per-layer ledger is bench/README.md.",
     )
+    prof_p.set_defaults(handler=_cmd_profile)
     prof_p.add_argument(
         "scenario",
         help="canonical scenario name, e.g. fig4_jit (an unknown name lists them)",
@@ -518,105 +504,138 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to dump the raw profile (default /tmp/repro_prof.out)",
     )
 
-    sub.add_parser("analysis", help="Section 5 closed-form tables")
+    analysis_p = sub.add_parser("analysis", help="Section 5 closed-form tables")
+    analysis_p.set_defaults(handler=_cmd_analysis)
 
     topo_p = sub.add_parser("topology", help="render the sensor field")
+    topo_p.set_defaults(handler=_cmd_topology)
     topo_p.add_argument("--seed", type=int, default=1)
     topo_p.add_argument("--width", type=int, default=72)
     return parser
 
 
-def _cmd_run_cluster(
-    args: argparse.Namespace, config: ExperimentConfig, faults=None
-) -> int:
-    """``repro run --shards N``: the same fleet on a regional cluster."""
-    from .api.requests import QueryRequest
-    from .cluster.service import ClusterService
-    from .sim.rng import RandomStreams
-    from .workload.arrivals import arrival_times
+def _resolve_spec(args: argparse.Namespace, what: str = "scenario"):
+    """The scenario a command names, with its spec-override flags applied."""
+    from .api.scenarios import get_scenario, load_scenario_file
 
-    cluster = ClusterService(
-        config, shards=args.shards, workers=max(args.workers, 0), faults=faults
-    )
-    starts = arrival_times(
-        config.num_users,
-        process=config.arrival_process,
-        spacing_s=config.arrival_spacing_s,
-        rng=RandomStreams(config.seed).stream("arrivals"),
-    )
-    for start in starts:
-        cluster.submit(
-            QueryRequest(
-                radius_m=config.query.radius_m,
-                period_s=config.query.period_s,
-                freshness_s=config.query.freshness_s,
-                start_s=start,
-                accuracy=config.query.accuracy,
-            )
+    if args.file:
+        spec = load_scenario_file(args.file)
+    elif args.scenario:
+        spec = get_scenario(args.scenario)
+    else:
+        raise ValueError(
+            f"give a {what} name or --file (see `repro scenario --list`)"
         )
-    workload = cluster.close()
-    stats = cluster.stats()
-    print(
-        f"mode={args.mode} seed={args.seed} duration={args.duration:.0f}s "
-        f"shards={cluster.num_shards} partitioner={cluster.partitioner.name} "
-        f"users={config.num_users} backbone={stats.backbone_size}"
-        + (" (parallel workers)" if cluster.parallel_used else "")
+    return spec.with_overrides(
+        **{key: getattr(args, f"spec_{key}", None) for key in _SPEC_OVERRIDES}
     )
-    print("\n user  shard  start  periods  success  fidelity")
-    print(" ----  -----  -----  -------  -------  --------")
-    for handle in cluster.admitted_handles():
-        session = handle.result()
-        m = session.metrics
-        print(f" {session.user_id:>4}  {cluster.shard_of(handle):>5}  "
-              f"{session.start_s:4.1f}s  {m.num_periods:>7}  "
-              f"{m.success_ratio():6.1%}  {m.mean_fidelity():7.1%}")
-    print(f"\nfleet mean success: {workload.mean_success_ratio():.1%}")
+
+
+def _load_json_object(path: str, holds: str = "a JSON object") -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold {holds}")
+    return data
+
+
+def _print_table(titles, rows) -> None:
+    """A per-user table: titles (padded to their column), then cell rows."""
+    print("\n " + "  ".join(titles))
+    print(" " + "  ".join("-" * len(title) for title in titles))
+    for cells in rows:
+        print(" " + "  ".join(cells))
+
+
+def _print_fleet(workload, faults) -> None:
+    """Per-user table and fleet summary of a homogeneous ``repro run`` fleet."""
+    _print_table(
+        ("user", "start", "periods", "success", "fidelity"),
+        (
+            (
+                f"{s.user_id:>4}",
+                f"{s.start_s:4.1f}s",
+                f"{s.metrics.num_periods:>7}",
+                f"{s.metrics.success_ratio():6.1%}",
+                f"{s.metrics.mean_fidelity():7.1%}",
+            )
+            for s in workload.sessions
+        ),
+    )
+    print()
+    _print_fleet_summary(workload)
+    _print_degraded("degraded periods  ", workload.sessions, faults)
+
+
+def _print_fleet_summary(workload) -> None:
+    print(f"fleet mean success: {workload.mean_success_ratio():.1%}")
     print(f"fleet worst user  : {workload.min_success_ratio():.1%}")
+
+
+def _print_degraded(label: str, sessions, faults) -> None:
     if faults is not None and not faults.empty:
-        degraded = sum(s.degraded_periods for s in workload.sessions)
-        print(f"degraded periods  : {degraded} "
-              f"(collector re-election / recovery windows)")
-    print(f"frames on air: {stats.frames_sent}, collided receptions: "
-          f"{stats.frames_collided}, events: {stats.events_executed}")
-    return 0
+        degraded = sum(s.degraded_periods for s in sessions)
+        print(f"{label}: {degraded} (collector re-election / recovery windows)")
+
+
+def _print_frames(counters) -> None:
+    """The physics counters of a run (``BackendStats`` or ``ScenarioResult``)."""
+    print(f"frames on air: {counters.frames_sent}, collided receptions: "
+          f"{counters.frames_collided}, events: {counters.events_executed}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        config = ExperimentConfig(
-            mode=args.mode,
-            seed=args.seed,
-            duration_s=args.duration,
-            network=NetworkConfig(sleep_period_s=args.sleep_period),
-            query=QueryParams(
-                radius_m=args.radius,
-                period_s=args.period,
-                freshness_s=args.freshness,
-                accuracy=args.accuracy,
-            ),
-            num_users=args.users,
-            arrival_process=args.arrival,
-            arrival_spacing_s=args.spacing,
-        )
-        faults = None
-        if args.faults:
-            from .faults.plan import load_fault_file
+    if args.shards < 1:
+        raise ValueError(f"--shards must be >= 1, got {args.shards}")
+    config = ExperimentConfig(
+        mode=args.mode,
+        seed=args.seed,
+        duration_s=args.duration,
+        network=NetworkConfig(sleep_period_s=args.sleep_period),
+        query=QueryParams(
+            radius_m=args.radius,
+            period_s=args.period,
+            freshness_s=args.freshness,
+            accuracy=args.accuracy,
+        ),
+        num_users=args.users,
+        arrival_process=args.arrival,
+        arrival_spacing_s=args.spacing,
+    )
+    faults = None
+    if args.faults:
+        from .faults.plan import load_fault_file
 
-            faults = load_fault_file(args.faults)
-        if args.shards > 1:
-            return _cmd_run_cluster(args, config, faults)
-        if args.workers > 0:
-            print(
-                "repro run: note: --workers only applies with --shards >= 2; "
-                "running one world in-process",
-                file=sys.stderr,
-            )
-        result = run_experiment(config, faults=faults)
-    except (OSError, ValueError) as exc:
-        print(f"repro run: error: {exc}", file=sys.stderr)
-        return 2
+        faults = load_fault_file(args.faults)
+    if args.shards > 1:
+        # The same fleet on a regional cluster: same requests as the
+        # one-world runner, scored from what close() returns.
+        from .cluster.service import ClusterService
+        from .sim.rng import RandomStreams
+
+        cluster = ClusterService(
+            config, shards=args.shards, workers=max(args.workers, 0), faults=faults
+        )
+        for request in legacy_requests(config, RandomStreams(config.seed)):
+            cluster.submit(request)
+        workload = cluster.close()
+        stats = cluster.stats()
+        print(
+            f"mode={args.mode} seed={args.seed} duration={args.duration:.0f}s "
+            f"shards={cluster.num_shards} partitioner={cluster.partitioner.name} "
+            f"users={config.num_users} backbone={stats.backbone_size}"
+            + (" (parallel workers)" if cluster.parallel_used else "")
+        )
+        _print_fleet(workload, faults)
+        _print_frames(stats)
+        return 0
+    if args.workers > 0:
+        print(
+            "repro run: note: --workers only applies with --shards >= 2; "
+            "running one world in-process",
+            file=sys.stderr,
+        )
+    result = run_experiment(config, faults=faults)
     print(f"mode={args.mode} seed={args.seed} duration={args.duration:.0f}s "
           f"sleep={args.sleep_period:.0f}s backbone={result.backbone_size}"
           + (f" users={args.users} arrival={args.arrival}" if args.users > 1 else ""))
@@ -625,19 +644,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{result.power.mean_sleeper_power_w * 1000:.0f} mW")
         return 0
     if len(result.sessions) > 1:
-        print("\n user  start  periods  success  fidelity")
-        print(" ----  -----  -------  -------  --------")
-        for session in result.sessions:
-            m = session.metrics
-            print(f" {session.user_id:>4}  {session.start_s:4.1f}s  "
-                  f"{m.num_periods:>7}  {m.success_ratio():6.1%}  "
-                  f"{m.mean_fidelity():7.1%}")
-        print(f"\nfleet mean success: {result.mean_user_success_ratio:.1%}")
-        print(f"fleet worst user  : {result.min_user_success_ratio:.1%}")
-        if faults is not None and not faults.empty:
-            degraded = sum(s.degraded_periods for s in result.sessions)
-            print(f"degraded periods  : {degraded} "
-                  f"(collector re-election / recovery windows)")
+        _print_fleet(result.workload, faults)
         # network-wide numbers, not per-user
         print(f"prefetch len  : {result.max_prefetch_length} (worst chain)")
         print(f"sleeper power : {result.power.mean_sleeper_power_w * 1000:.0f} mW")
@@ -649,23 +656,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if len(result.sessions) == 1:
         print(f"prefetch len  : {result.max_prefetch_length}")
         print(f"sleeper power : {result.power.mean_sleeper_power_w * 1000:.0f} mW")
-        if faults is not None and not faults.empty:
-            print(f"degraded periods: {result.sessions[0].degraded_periods} "
-                  f"(collector re-election / recovery windows)")
-    from .experiments.viz import render_fidelity_strip
-
+        _print_degraded("degraded periods", result.sessions, faults)
     print("\nfidelity per period:")
     print(render_fidelity_strip(metrics.fidelity_series()))
     return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from .api.scenarios import (
-        get_scenario,
-        list_scenarios,
-        load_scenario_file,
-        run_scenario,
-    )
+    from .api.scenarios import list_scenarios, run_scenario
 
     if args.list:
         print("available scenarios:\n")
@@ -674,70 +672,53 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                   f"template(s), {spec.duration_s:.0f}s")
             print(f"  {'':<20} {spec.description}")
         return 0
-    try:
-        if args.file:
-            spec = load_scenario_file(args.file)
-        elif args.name:
-            spec = get_scenario(args.name)
-        else:
-            print(
-                "repro scenario: error: give a scenario name, --file, or --list",
-                file=sys.stderr,
-            )
-            return 2
-        effective_shards = args.shards if args.shards is not None else spec.shards
-        effective_workers = (
-            args.workers if args.workers is not None else spec.workers
+    if not (args.file or args.scenario):
+        raise ValueError("give a scenario name, --file, or --list")
+    spec = _resolve_spec(args)
+    if spec.workers > 0 and spec.shards <= 1:
+        print(
+            "repro scenario: note: workers only apply to a sharded "
+            "cluster (--shards >= 2); running one world in-process",
+            file=sys.stderr,
         )
-        if effective_workers > 0 and effective_shards <= 1:
-            print(
-                "repro scenario: note: workers only apply to a sharded "
-                "cluster (--shards >= 2); running one world in-process",
-                file=sys.stderr,
-            )
-        result = run_scenario(
-            spec,
-            duration_s=args.duration,
-            seed=args.seed,
-            shards=args.shards,
-            workers=args.workers,
-            accuracy=args.accuracy,
-        )
-    except (KeyError, OSError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro scenario: error: {message}", file=sys.stderr)
-        return 2
+    result = run_scenario(spec, accuracy=args.accuracy)
     spec = result.scenario
     print(f"scenario={spec.name} mode={spec.mode} seed={spec.seed} "
           f"duration={spec.duration_s:.0f}s backbone={result.backbone_size}"
           + (f" shards={result.shards}" if result.shards > 1 else ""))
     if spec.description:
         print(spec.description)
-    print("\n user  status    start  period  radius  agg    success  fidelity")
-    print(" ----  --------  -----  ------  ------  -----  -------  --------")
-    scored = {s.user_id: s for s in result.workload.sessions}
+    scored = {s.user_id: s.metrics for s in result.workload.sessions}
+    rows = []
     for handle in result.handles:
         if not handle.accepted:
-            reason = handle.reason or "rejected"
-            print(f"    -  rejected  {'-':>5}  {'-':>6}  {'-':>6}  {'-':<5}"
-                  f"  {reason}")
+            rows.append(("   -", "rejected", "    -", "     -", "     -",
+                         "-    ", handle.reason or "rejected"))
             continue
-        spec_u = handle.spec
-        session = scored.get(spec_u.user_id)
-        m = session.metrics if session else None
-        print(f" {spec_u.user_id:>4}  {handle.status:<8}  "
-              f"{spec_u.start_s:4.1f}s  {spec_u.period_s:5.1f}s  "
-              f"{spec_u.radius_m:5.0f}m  {spec_u.aggregation.value:<5}  "
-              f"{m.success_ratio():6.1%}  {m.mean_fidelity():7.1%}"
-              if m else f" {spec_u.user_id:>4}  {handle.status:<8}")
+        query = handle.spec
+        row = [f"{query.user_id:>4}", f"{handle.status:<8}"]
+        m = scored.get(query.user_id)
+        if m:
+            row += [
+                f"{query.start_s:4.1f}s",
+                f"{query.period_s:5.1f}s",
+                f"{query.radius_m:5.0f}m",
+                f"{query.aggregation.value:<5}",
+                f"{m.success_ratio():6.1%}",
+                f"{m.mean_fidelity():7.1%}",
+            ]
+        rows.append(row)
+    _print_table(
+        ("user", "status  ", "start", "period", "radius", "agg  ", "success",
+         "fidelity"),
+        rows,
+    )
     print(f"\nadmitted {result.admitted} / {len(result.handles)} sessions"
           + (f" ({result.rejected} rejected by admission control)"
              if result.rejected else ""))
     if result.workload.sessions:
-        print(f"fleet mean success: {result.mean_success:.1%}")
-        print(f"fleet worst user  : {result.min_success:.1%}")
-    print(f"frames on air: {result.frames_sent}, collided receptions: "
-          f"{result.frames_collided}, events: {result.events_executed}")
+        _print_fleet_summary(result.workload)
+    _print_frames(result)
     return 0
 
 
@@ -756,84 +737,33 @@ def _parse_axis_list(text: str, cast, flag: str) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .api.scenarios import get_scenario, load_scenario_file
     from .faults.sweep import SweepAxes, run_sweep, write_sweep_outputs
 
-    try:
-        if args.file:
-            base = load_scenario_file(args.file)
-        elif args.scenario:
-            base = get_scenario(args.scenario)
-        else:
-            raise ValueError(
-                "give a base scenario name or --file "
-                "(see `repro scenario --list`)"
-            )
-        overrides = {}
-        if args.duration is not None:
-            overrides["duration_s"] = args.duration
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            base = base.with_overrides(**overrides)
-        axes_data: dict = {}
-        if args.axes:
-            with open(args.axes, "r", encoding="utf-8") as fh:
-                axes_data = json.load(fh)
-            if not isinstance(axes_data, dict):
-                raise ValueError(
-                    f"{args.axes} must hold a JSON object of sweep axes"
-                )
-        if args.users:
-            axes_data["users"] = _parse_axis_list(args.users, int, "--users")
-        if args.shards:
-            axes_data["shards"] = _parse_axis_list(args.shards, int, "--shards")
-        if args.intensities:
-            axes_data["intensities"] = _parse_axis_list(
-                args.intensities, float, "--intensities"
-            )
-        if args.arrivals:
-            axes_data["arrivals"] = tuple(
-                tok.strip() for tok in args.arrivals.split(",") if tok.strip()
-            )
-        if args.admissions:
-            axes_data["admissions"] = tuple(
-                tok.strip() for tok in args.admissions.split(",") if tok.strip()
-            )
-        if args.accuracies:
-            axes_data["accuracies"] = tuple(
-                tok.strip() for tok in args.accuracies.split(",") if tok.strip()
-            )
-        if args.densities:
-            axes_data["densities"] = _parse_axis_list(
-                args.densities, int, "--densities"
-            )
-        if args.radio_ranges:
-            axes_data["radio_ranges"] = _parse_axis_list(
-                args.radio_ranges, float, "--radio-ranges"
-            )
-        axes = SweepAxes.from_dict(axes_data) if axes_data else SweepAxes()
-        print(
-            f"sweep base={base.name} cells={axes.cell_count()} "
-            f"workers={max(args.workers, 0)}",
-            file=sys.stderr,
-        )
-        result = run_sweep(
-            base, axes, workers=max(args.workers, 0), name=args.name
-        )
-    except (KeyError, OSError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro sweep: error: {message}", file=sys.stderr)
-        return 2
+    base = _resolve_spec(args, "base scenario")
+    axes_data = (
+        _load_json_object(args.axes, "a JSON object of sweep axes")
+        if args.axes
+        else {}
+    )
+    for flag, cast, _ in _SWEEP_AXES:
+        # argparse's dest for ``--radio-ranges`` is also the SweepAxes key
+        axis = flag[2:].replace("-", "_")
+        if getattr(args, axis):
+            axes_data[axis] = _parse_axis_list(getattr(args, axis), cast, flag)
+    axes = SweepAxes.from_dict(axes_data) if axes_data else SweepAxes()
+    print(
+        f"sweep base={base.name} cells={axes.cell_count()} "
+        f"workers={max(args.workers, 0)}",
+        file=sys.stderr,
+    )
+    result = run_sweep(base, axes, workers=max(args.workers, 0), name=args.name)
     print(result.markdown_table())
     path = write_sweep_outputs(result, args.out_dir)
     print(f"\nsweep report written to {path} ({len(result.rows)} cells)")
     if result.violations:
         for violation in result.violations:
             print(f"repro sweep: INVARIANT VIOLATED: {violation}", file=sys.stderr)
-        return 3
+        return EXIT_FAILURE
     print("metamorphic invariants hold: fault-monotonicity, "
           "shards1-identity, churn-no-leak, admission-no-harm, "
           "density-monotonicity")
@@ -841,34 +771,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .api.scenarios import get_scenario, load_scenario_file
     from .faults.fuzz import markdown_summary, run_fuzz, write_fuzz_outputs
 
-    try:
-        if args.file:
-            base = load_scenario_file(args.file)
-        elif args.scenario:
-            base = get_scenario(args.scenario)
-        else:
-            raise ValueError(
-                "give a base scenario name or --file "
-                "(see `repro scenario --list`)"
-            )
-        print(
-            f"fuzz base={base.name} runs={args.runs} seed={args.seed}",
-            file=sys.stderr,
-        )
-        result = run_fuzz(
-            base,
-            runs=args.runs,
-            seed=args.seed,
-            workers=max(args.workers, 0),
-            name=args.name,
-        )
-    except (KeyError, OSError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro fuzz: error: {message}", file=sys.stderr)
-        return 2
+    base = _resolve_spec(args, "base scenario")
+    print(
+        f"fuzz base={base.name} runs={args.runs} seed={args.seed}",
+        file=sys.stderr,
+    )
+    result = run_fuzz(
+        base,
+        runs=args.runs,
+        seed=args.seed,
+        workers=max(args.workers, 0),
+        name=args.name,
+    )
     print(markdown_summary(result))
     path = write_fuzz_outputs(result, args.out_dir)
     cells = sum(case["cells"] for case in result.cases)
@@ -879,88 +795,49 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(
                 f"repro fuzz: INVARIANT VIOLATED: {violation}", file=sys.stderr
             )
-        return 3
+        return EXIT_FAILURE
     print(f"metamorphic invariants hold across all {result.runs} drawn "
           f"cases (replay with --seed {result.seed})")
     return 0
 
 
-def _load_spec_for_daemon(args: argparse.Namespace, command: str):
-    """Resolve the scenario a serve/slam command names, with overrides."""
-    from .api.scenarios import get_scenario, load_scenario_file
-
-    if args.file:
-        spec = load_scenario_file(args.file)
-    elif args.scenario:
-        spec = get_scenario(args.scenario)
-    else:
-        raise ValueError(
-            "give a scenario name or --file (see `repro scenario --list`)"
-        )
-    overrides = {}
-    duration = getattr(args, "duration", None)
-    if command == "slam":
-        duration = args.sim_duration
-    if duration is not None:
-        overrides["duration_s"] = duration
-    for key, attr in (("seed", "seed"), ("shards", "shards"),
-                      ("workers", "workers")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return spec.with_overrides(**overrides) if overrides else spec
+def _flag_or(value, fallback):
+    """A flag's value, or ``fallback`` (a default, or the scenario's
+    daemon-posture key the flag overrides) when the flag was not given."""
+    return value if value is not None else fallback
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.daemon import DEFAULT_TIME_SCALE, run_serve
     from .serve.edge import EdgeConfig
 
-    try:
-        spec = _load_spec_for_daemon(args, "serve")
-        if args.drain_timeout < 0:
-            raise ValueError(
-                f"--drain-timeout must be >= 0, got {args.drain_timeout}"
-            )
-        time_scale = (
-            args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
+    spec = _resolve_spec(args)
+    if args.drain_timeout < 0:
+        raise ValueError(
+            f"--drain-timeout must be >= 0, got {args.drain_timeout}"
         )
-        # Flags override the scenario's daemon-posture keys; unset flags
-        # fall back to whatever the spec declares.
-        edge = EdgeConfig(
-            rate=args.edge_rate if args.edge_rate is not None else spec.edge_rate,
-            burst=(
-                args.edge_burst if args.edge_burst is not None else spec.edge_burst
-            ),
-            max_live_sessions=(
-                args.max_live_sessions
-                if args.max_live_sessions is not None
-                else spec.max_live_sessions
+    return run_serve(
+        spec,
+        host=args.host,
+        port=args.port,
+        drain_timeout_s=args.drain_timeout,
+        time_scale=_flag_or(args.time_scale, DEFAULT_TIME_SCALE),
+        ring_capacity=args.ring_capacity,
+        out_dir=args.out_dir,
+        name=args.name,
+        edge=EdgeConfig(
+            rate=_flag_or(args.edge_rate, spec.edge_rate),
+            burst=_flag_or(args.edge_burst, spec.edge_burst),
+            max_live_sessions=_flag_or(
+                args.max_live_sessions, spec.max_live_sessions
             ),
             max_pump_lag_s=args.max_pump_lag,
-        )
-        wal_flush = (
-            args.wal_flush if args.wal_flush is not None else spec.wal_flush
-        )
-        return run_serve(
-            spec,
-            host=args.host,
-            port=args.port,
-            drain_timeout_s=args.drain_timeout,
-            time_scale=time_scale,
-            ring_capacity=args.ring_capacity,
-            out_dir=args.out_dir,
-            name=args.name,
-            edge=edge,
-            wal_flush_every=wal_flush,
-        )
-    except (KeyError, OSError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro serve: error: {message}", file=sys.stderr)
-        return 2
+        ),
+        wal_flush_every=_flag_or(args.wal_flush, spec.wal_flush),
+    )
 
 
 def _cmd_slam(args: argparse.Namespace) -> int:
-    from .serve.errors import EXIT_FAILURE, WireError
     from .serve.slam import (
         SlamConfig,
         markdown_table,
@@ -968,27 +845,18 @@ def _cmd_slam(args: argparse.Namespace) -> int:
         write_slam_outputs,
     )
 
-    try:
-        spec = _load_spec_for_daemon(args, "slam")
-        config = SlamConfig(
-            url=args.url,
-            rate=args.rate,
-            clients=args.clients,
-            duration_s=args.duration,
-            wait_s=args.wait,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            seed=args.seed,
-        )
-    except (KeyError, OSError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro slam: error: {message}", file=sys.stderr)
-        return 2
-    try:
-        report = run_slam(spec, config)
-    except WireError as exc:
-        print(f"repro slam: error: {exc.code}: {exc.message}", file=sys.stderr)
-        return exc.exit_code
+    spec = _resolve_spec(args)
+    config = SlamConfig(
+        url=args.url,
+        rate=args.rate,
+        clients=args.clients,
+        duration_s=args.duration,
+        wait_s=args.wait,
+        timeout_s=args.timeout,
+        retries=args.retries,
+        seed=args.seed,
+    )
+    report = run_slam(spec, config)
     print(markdown_table(report))
     path = write_slam_outputs(report, args.out_dir, name=args.name)
     print(f"\nslam report written to {path}")
@@ -1006,136 +874,65 @@ def _cmd_slam(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay_partial(args: argparse.Namespace) -> int:
-    """``repro replay --partial``: verify a killed daemon's WAL prefix."""
-    from .serve.log import load_partial_log, verify_partial_log
-
-    try:
-        data = load_partial_log(args.log)
-    except (OSError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro replay: error: {message}", file=sys.stderr)
-        return 2
-    try:
-        ok, first, second = verify_partial_log(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro replay: error: {message}", file=sys.stderr)
-        return 2
-    ops = data["ops"]
-    submits = sum(1 for op in ops if op.get("op") == "submit")
-    if not ok:
-        print(
-            "repro replay: REPLAY MISMATCH: two executions of the flushed "
-            "WAL prefix diverged — the log is not deterministic",
-            file=sys.stderr,
-        )
-        print(f"  first : {first}", file=sys.stderr)
-        print(f"  second: {second}", file=sys.stderr)
-        return 3
-    tail = (
-        " (an unflushed tail line was truncated by the crash, as designed)"
-        if data["wal_truncated_tail"]
-        else ""
-    )
-    print(
-        f"partial replay ok: flushed prefix of {submits} submissions, "
-        f"{len(ops) - submits} cancels replays bit-identically — "
-        f"{len(first['sessions'])} scored sessions, frame counters "
-        f"(sent={first['frames_sent']}, collided={first['frames_collided']}, "
-        f"delivered={first['frames_delivered']}){tail}"
-    )
-    return 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
-    from .serve.log import verify_submission_log
+    """Re-execute a daemon's log; ``--partial`` takes a killed daemon's WAL,
+    which carries no fingerprints, and compares two replays of its prefix."""
+    from .serve.log import (
+        load_partial_log,
+        verify_partial_log,
+        verify_submission_log,
+    )
 
     if args.partial:
-        return _cmd_replay_partial(args)
-    try:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.log} must hold a JSON object")
-    except (OSError, ValueError) as exc:
-        print(f"repro replay: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ok, recorded, replayed = verify_submission_log(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"repro replay: error: {message}", file=sys.stderr)
-        return 2
-    if recorded is None:
-        print(
-            f"repro replay: error: {args.log} carries no fingerprints to "
-            "verify against",
-            file=sys.stderr,
-        )
-        return 2
+        data = load_partial_log(args.log)
+        ok, before, after = verify_partial_log(data)
+        names = ("first ", "second")
+        mismatch = ("two executions of the flushed WAL prefix diverged — "
+                    "the log is not deterministic")
+    else:
+        data = _load_json_object(args.log)
+        ok, before, after = verify_submission_log(data)
+        if before is None:
+            raise ValueError(
+                f"{args.log} carries no fingerprints to verify against"
+            )
+        names = ("recorded", "replayed")
+        mismatch = "the in-process replay diverged from the live run"
+    if not ok:
+        print(f"repro replay: REPLAY MISMATCH: {mismatch}", file=sys.stderr)
+        print(f"  {names[0]}: {before}", file=sys.stderr)
+        print(f"  {names[1]}: {after}", file=sys.stderr)
+        return EXIT_FAILURE
     ops = data.get("ops", [])
     submits = sum(1 for op in ops if op.get("op") == "submit")
-    if not ok:
-        print(
-            "repro replay: REPLAY MISMATCH: the in-process replay diverged "
-            "from the live run",
-            file=sys.stderr,
+    counts = f"{submits} submissions, {len(ops) - submits} cancels"
+    scored = f"{len(after['sessions'])} scored sessions"
+    frames = (f"(sent={after['frames_sent']}, "
+              f"collided={after['frames_collided']}, "
+              f"delivered={after['frames_delivered']})")
+    if args.partial:
+        tail = (
+            " (an unflushed tail line was truncated by the crash, as designed)"
+            if data["wal_truncated_tail"]
+            else ""
         )
-        print(f"  recorded: {recorded}", file=sys.stderr)
-        print(f"  replayed: {replayed}", file=sys.stderr)
-        return 3
-    print(
-        f"replay ok: {submits} submissions, {len(ops) - submits} cancels — "
-        f"{len(replayed['sessions'])} scored sessions and frame counters "
-        f"(sent={replayed['frames_sent']}, "
-        f"collided={replayed['frames_collided']}, "
-        f"delivered={replayed['frames_delivered']}) reproduced bit-identically"
-    )
+        print(f"partial replay ok: flushed prefix of {counts} replays "
+              f"bit-identically — {scored}, frame counters {frames}{tail}")
+    else:
+        print(f"replay ok: {counts} — {scored} and frame counters {frames} "
+              f"reproduced bit-identically")
     return 0
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:
-    number = args.number
-    scale = args.scale
-    if number == 4:
-        rows = run_fig4(scale)
-        print(format_table(
-            "Figure 4 — success ratio",
-            ["mode", "Tsleep", "speed", "success", "fidelity"],
-            [(r.mode, r.sleep_period_s, f"{r.speed_range}", r.success_ratio,
-              r.mean_fidelity) for r in rows],
-        ))
-    elif number == 5:
-        from .experiments.viz import render_fidelity_strip
-
-        for trace in run_fig5(scale):
+    if args.number == 5:
+        for trace in run_fig5(args.scale):
             print(f"\nFigure 5 — {trace.mode} "
                   f"(warmup {trace.warmup_periods} periods)")
             print(render_fidelity_strip(trace.series))
-    elif number == 6:
-        rows = run_fig6(scale)
-        print(format_table(
-            "Figure 6 — success vs advance time",
-            ["Tsleep", "Ta", "success"],
-            [(r.sleep_period_s, r.advance_time_s, r.success_ratio) for r in rows],
-        ))
-    elif number == 7:
-        rows = run_fig7(scale)
-        print(format_table(
-            "Figure 7 — motion changes / location error",
-            ["curve", "interval", "success"],
-            [(r.curve, r.change_interval_s, r.success_ratio) for r in rows],
-        ))
-    else:
-        rows = run_fig8(scale)
-        print(format_table(
-            "Figure 8 — sleeper power",
-            ["variant", "Tsleep", "power (W)"],
-            [(r.variant, r.sleep_period_s, r.sleeper_power_w) for r in rows],
-        ))
+        return 0
+    runner, title, headers, row = _FIGURE_TABLES[args.number]
+    print(format_table(title, headers, [row(r) for r in runner(args.scale)]))
     return 0
 
 
@@ -1146,32 +943,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     out_path = args.out or DEFAULT_PROFILE_PATH
     if args.top < 1:
-        print("repro profile: error: --top must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        # Validate the sort key on an empty Stats BEFORE the (multi-second
-        # to multi-minute) profiled run, so a typo fails instantly.
-        pstats.Stats().sort_stats(args.sort)
-    except KeyError:
-        print(
-            f"repro profile: error: invalid --sort key {args.sort!r} "
-            "(try tottime, cumtime, ncalls)",
-            file=sys.stderr,
+        raise ValueError("--top must be >= 1")
+    # Validate the sort key BEFORE the (multi-second to multi-minute)
+    # profiled run, so a typo fails instantly.
+    if args.sort not in pstats.Stats().get_sort_arg_defs():
+        raise ValueError(
+            f"invalid --sort key {args.sort!r} (try tottime, cumtime, ncalls)"
         )
-        return 2
-    try:
-        stats = profile_scenario(
-            args.scenario,
-            scale=args.scale,
-            duration_s=args.duration,
-            out_path=out_path,
-        )
-    except (KeyError, ValueError) as exc:
-        # KeyError: unknown scenario; ValueError: a --duration the
-        # scenario's config rejects (negative, shorter than one period).
-        message = exc.args[0] if exc.args else exc
-        print(f"repro profile: error: {message}", file=sys.stderr)
-        return 2
+    # An unknown scenario raises KeyError; a --duration the scenario's
+    # config rejects (negative, shorter than one period) ValueError.
+    stats = profile_scenario(
+        args.scenario,
+        scale=args.scale,
+        duration_s=args.duration,
+        out_path=out_path,
+    )
     stats.sort_stats(args.sort)
     stats.print_stats(args.top)
     print(f"raw profile written to {out_path} "
@@ -1179,7 +965,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analysis() -> int:
+def _cmd_analysis(args: argparse.Namespace) -> int:
     print(format_table(
         "Section 5.2 — storage cost",
         ["quantity", "paper", "ours"],
@@ -1229,31 +1015,25 @@ def config_spec_area(config: ExperimentConfig, path):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary: handlers raise on bad input (an unknown
+    scenario, a spec or flag that fails validation, an unreadable file the
+    user named) and this prints ``repro <command>: error: ...`` and exits
+    with the usage status; a typed :class:`WireError` carries its own.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "slam":
-        return _cmd_slam(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "fig":
-        return _cmd_fig(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "analysis":
-        return _cmd_analysis()
-    if args.command == "topology":
-        return _cmd_topology(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    try:
+        return args.handler(args)
+    except WireError as exc:
+        code, message = exc.exit_code, exc
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        # str() of a KeyError is the repr of its argument; the registry
+        # misses that get here carry a sentence as that argument.
+        code = EXIT_USAGE
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -75,8 +75,9 @@ class _ClusterAdmission(AdmissionPolicy):
     Installed as every shard service's policy.  A shard asking "may this
     session in?" is answered by the *cluster's* configured policy looking
     at the *cluster's* aggregate state (admitted counts and live sessions
-    across all shards), and the verdict is logged so ``workers=N`` can
-    replay the shard deterministically in a worker process.
+    across all shards); the verdict rides on the handle, which is what
+    lets ``workers=N`` replay the shard deterministically in a worker
+    process.
     """
 
     def __init__(self, cluster: "ClusterService") -> None:
@@ -87,9 +88,7 @@ class _ClusterAdmission(AdmissionPolicy):
         return f"cluster({self.cluster.admission.name})"
 
     def decide(self, spec, path, service) -> AdmissionDecision:
-        decision = self.cluster.admission.decide(spec, path, self.cluster)
-        self.cluster._record_decision(service, decision)
-        return decision
+        return self.cluster.admission.decide(spec, path, self.cluster)
 
     def describe(self) -> str:
         return f"cluster({self.cluster.admission.describe()})"
@@ -164,11 +163,6 @@ class ClusterService:
         #: every handle the cluster handed out, in submission order
         self.handles: List[SessionHandle] = []
         self._handle_shard: Dict[int, int] = {}
-        #: per-shard submission/decision logs (the workers=N replay source)
-        self._requests_log: List[List[QueryRequest]] = [[] for _ in range(shards)]
-        self._decisions_log: List[List[AdmissionDecision]] = [
-            [] for _ in range(shards)
-        ]
         self._stats_override: Dict[int, BackendStats] = {}
         self._completed = False
         self._closed = False
@@ -288,17 +282,7 @@ class ClusterService:
         handle = self.services[shard].submit(request)
         self.handles.append(handle)
         self._handle_shard[id(handle)] = shard
-        self._requests_log[shard].append(request)
         return handle
-
-    def _record_decision(
-        self, service: MobiQueryService, decision: AdmissionDecision
-    ) -> None:
-        """Log a shard's admission verdict (the workers=N replay source)."""
-        for index, candidate in enumerate(self.services):
-            if candidate is service:
-                self._decisions_log[index].append(decision)
-                return
 
     def advance(self, until: float) -> None:
         """Advance every shard to ``until`` in lockstep epochs."""
@@ -419,10 +403,10 @@ class ClusterService:
     # The workers=N batch path
     # ------------------------------------------------------------------
     def _parallel_eligible(self) -> bool:
-        """Whether the recorded logs still describe the shard worlds.
+        """Whether the handles' submissions still describe the shard worlds.
 
         Replay assumes pristine kernels: once any shard advanced (a
-        streamed result) or a session was cancelled mid-run, the logs no
+        streamed result) or a session was cancelled mid-run, they no
         longer reproduce the in-process state and the cluster finishes
         in-process instead.
         """
@@ -435,23 +419,28 @@ class ClusterService:
         return True
 
     def export_shard_plans(self) -> List[ShardPlan]:
-        """The recorded submission/decision logs as replayable plans.
+        """Every shard's submissions and verdicts as replayable plans.
 
-        One :class:`ShardPlan` per shard, built from the same logs the
-        ``workers=N`` batch path replays — also the serve daemon's raw
-        material for its submission log (the wire layer's determinism
-        proof rebuilds shard worlds from exactly these triples).
+        One :class:`ShardPlan` per shard, read off the handles (each
+        carries the request its shard was given and the decision it got)
+        in cluster submission order — what the ``workers=N`` batch path
+        replays.
         """
         plan_faults = None if self.faults.empty else self.faults
+        per_shard: List[List[SessionHandle]] = [[] for _ in self.services]
+        for handle in self.handles:
+            per_shard[self._handle_shard[id(handle)]].append(handle)
         return [
             ShardPlan(
                 shard=index,
-                config=self.shard_configs[index],
-                requests=tuple(self._requests_log[index]),
-                decisions=tuple(self._decisions_log[index]),
+                config=shard_config,
+                requests=tuple(h.request for h in handles),
+                decisions=tuple(h.decision for h in handles),
                 faults=plan_faults,
             )
-            for index in range(len(self.services))
+            for index, (shard_config, handles) in enumerate(
+                zip(self.shard_configs, per_shard)
+            )
         ]
 
     def _finalize_parallel(self) -> bool:

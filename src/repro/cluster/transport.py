@@ -4,10 +4,11 @@ Shard worlds are deterministic functions of ``(config, ordered
 submissions, ordered admission decisions)``: rebuilding a world from the
 same triple replays the exact RNG draws and kernel events the in-process
 world would execute.  That is what makes the cluster's ``workers=N`` mode
-safe — :class:`ClusterService` records each shard's submission/decision
-log, ships one :class:`ShardPlan` per shard to a worker process, and the
-worker replays it to the horizon and returns the scored sessions.  The
-results are bit-identical to running the same shard in-process.
+safe — :class:`ClusterService` reads each shard's submissions and
+decisions off its handles, ships one :class:`ShardPlan` per shard to a
+worker process, and the worker replays it to the horizon and returns the
+scored sessions.  The results are bit-identical to running the same shard
+in-process.
 
 ``parallel_map`` is the process-pool plumbing extracted from
 ``run_replications_parallel`` (PR 2) and shared with it: fork start
@@ -93,31 +94,6 @@ class ReplayAdmissionPolicy(AdmissionPolicy):
 
     def describe(self) -> str:
         return f"replay({len(self._decisions)} decisions)"
-
-
-class RecordingAdmissionPolicy(AdmissionPolicy):
-    """Wrap a policy and remember every verdict it hands out, in order.
-
-    The serve daemon's determinism lever: each accepted-or-rejected
-    submission's decision is appended to :attr:`decisions`, so the daemon
-    can write a submission log whose replay (via
-    :class:`ReplayAdmissionPolicy`) reproduces the live run bit-identically
-    — including the RNG draws a *rejected* submission consumed.
-    """
-
-    name = "recording"
-
-    def __init__(self, inner: AdmissionPolicy) -> None:
-        self.inner = inner
-        self.decisions: List[AdmissionDecision] = []
-
-    def decide(self, spec, path, service) -> AdmissionDecision:
-        decision = self.inner.decide(spec, path, service)
-        self.decisions.append(decision)
-        return decision
-
-    def describe(self) -> str:
-        return f"recording({self.inner.describe()})"
 
 
 #: the keys of one serialized admission decision
@@ -219,7 +195,6 @@ def run_shards_parallel(
 
 
 __all__ = [
-    "RecordingAdmissionPolicy",
     "ReplayAdmissionPolicy",
     "ShardOutcome",
     "ShardPlan",

@@ -153,6 +153,24 @@ class BaseGateway:
             (d for d in self.deliveries if d.k == k), key=lambda d: d.time
         )
 
+    def best_delivery(self, k: int) -> "tuple[Optional[DeliveryRecord], bool]":
+        """The observation the user keeps for period ``k``, and whether it
+        met the deadline.
+
+        After a profile correction both the superseded and the new
+        collector may deliver: the user keeps the best on-time result
+        (most contributors, then latest), else the first late one, else
+        ``None``.  The streamed :class:`~repro.api.requests.PeriodOutcome`
+        and the scored :class:`~repro.core.metrics.PeriodRecord` both come
+        from here, so they cannot disagree.
+        """
+        observations = self.deliveries_for(k)
+        deadline = self.spec.deadline(k)
+        on_time = [d for d in observations if d.time <= deadline + 1e-9]
+        if on_time:
+            return max(on_time, key=lambda d: (len(d.contributors), d.time)), True
+        return (observations[0] if observations else None), False
+
 
 class MobiQueryGateway(BaseGateway):
     """Gateway for the MobiQuery service (JIT or greedy prefetching)."""

@@ -22,7 +22,7 @@ from ..geometry.vec import Vec2
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
 from ..sim.trace import TraceRecord, Tracer
-from .gateway import BaseGateway, DeliveryRecord
+from .gateway import BaseGateway
 from .query import QuerySpec
 
 #: the paper's data-fidelity success bar
@@ -155,15 +155,7 @@ def build_session_metrics(
             )
             if actual_area.contains(node.position)
         }
-        observations = gateway.deliveries_for(k)
-        on_time = [d for d in observations if d.time <= deadline + 1e-9]
-        chosen: Optional[DeliveryRecord] = None
-        if on_time:
-            # After a profile correction both the superseded and the new
-            # collector may deliver; the user keeps the best on-time result.
-            chosen = max(on_time, key=lambda d: (len(d.contributors), d.time))
-        elif observations:
-            chosen = observations[0]
+        chosen, met_deadline = gateway.best_delivery(k)
         contributors_in_area = 0
         fidelity = 0.0
         fidelity_actual = 0.0
@@ -189,7 +181,6 @@ def build_session_metrics(
                 fidelity = contributors_in_area / len(queried_ids)
             if actual_ids:
                 fidelity_actual = len(actual_ids & contributors) / len(actual_ids)
-        met_deadline = bool(on_time)
         records.append(
             PeriodRecord(
                 k=k,

@@ -1,6 +1,6 @@
 """Experiment harness: configs, runner, per-figure reproductions."""
 
-from .config import (
+from ..api.config import (
     MODE_GREEDY,
     MODE_IDLE,
     MODE_JIT,

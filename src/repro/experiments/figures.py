@@ -29,7 +29,7 @@ from ..core.analysis import (
     contention_crossover_speed,
     warmup_interval_s,
 )
-from .config import (
+from ..api.config import (
     MODE_GREEDY,
     MODE_IDLE,
     MODE_JIT,

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 from ..api.scenarios import _scenario_config, get_scenario, run_scenario
 from ..cluster.service import ClusterService
 from ..workload.arrivals import ARRIVAL_STAGGERED
-from .config import MODE_JIT, ExperimentConfig, QueryParams, paper_section62_config
+from ..api.config import MODE_JIT, ExperimentConfig, QueryParams, paper_section62_config
 from .figures import SCALE_PAPER, SCALE_QUICK, bench_scale
 from .runner import run_experiment
 

@@ -30,7 +30,7 @@ from ..workload.arrivals import arrival_times
 from ..workload.engine import WorkloadResult
 from ..workload.session import PROXY_ID_BASE, SessionResult
 from ..sim.rng import RandomStreams
-from .config import MODE_IDLE, ExperimentConfig
+from ..api.config import MODE_IDLE, ExperimentConfig
 
 #: node id assigned to user 0's proxy endpoint (user ``u`` gets base + u)
 PROXY_NODE_ID = PROXY_ID_BASE
@@ -39,6 +39,7 @@ __all__ = [
     "PROXY_NODE_ID",
     "RUN_TAIL_S",
     "RunResult",
+    "legacy_requests",
     "run_experiment",
     "run_replications",
     "run_replications_parallel",
@@ -93,7 +94,7 @@ class RunResult:
         return self.workload.min_success_ratio()
 
 
-def _legacy_requests(config: ExperimentConfig, streams: RandomStreams) -> List[QueryRequest]:
+def legacy_requests(config: ExperimentConfig, streams: RandomStreams) -> List[QueryRequest]:
     """One request per configured user: the homogeneous experiment workload.
 
     Every user shares ``config.query``; start times come from the
@@ -139,7 +140,7 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
     sessions: List[SessionResult] = []
     metrics = None
     if config.mode != MODE_IDLE:
-        for request in _legacy_requests(config, service.streams):
+        for request in legacy_requests(config, service.streams):
             service.submit(request).require_admitted()
         result = service.finalize()
         sessions = result.sessions

@@ -49,7 +49,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..api.scenarios import ScenarioSpec, build_backend
 from ..api.service import STATUS_ADMITTED, STATUS_COMPLETED, SessionHandle
-from ..cluster.transport import RecordingAdmissionPolicy
 from ..faults.sweep import leak_census
 from .chaos import WireChaosPlane
 from .edge import EdgeConfig, EdgeGuard
@@ -64,6 +63,10 @@ DEFAULT_SLICE_S = 0.5
 DEFAULT_TIME_SCALE = 8.0
 #: hard cap on one long-poll wait
 MAX_WAIT_S = 30.0
+#: the largest request body a handler thread will read (a submit with a
+#: long waypoint list is a few KiB); longer, negative or non-integer
+#: Content-Lengths are refused before a byte of body is read
+MAX_BODY_BYTES = 1 << 20
 #: the tenancy header
 TOKEN_HEADER = "X-Repro-Token"
 #: the submit-dedup header: a retried POST /sessions with the same key
@@ -117,7 +120,6 @@ class ServeApp:
         ring_capacity: int = 256,
         time_scale: float = DEFAULT_TIME_SCALE,
         slice_s: float = DEFAULT_SLICE_S,
-        drain_timeout_s: float = 30.0,
         edge: Optional[EdgeConfig] = None,
         wal_path: Optional[str] = None,
         wal_flush_every: int = 8,
@@ -130,12 +132,7 @@ class ServeApp:
         self.ring_capacity = ring_capacity
         self.time_scale = time_scale
         self.slice_s = slice_s
-        self.drain_timeout_s = drain_timeout_s
         self.backend = build_backend(spec)
-        # Interpose the decision recorder: the submission log needs every
-        # admission verdict, in order, to replay the run bit-identically.
-        self._recorder = RecordingAdmissionPolicy(self.backend.admission)
-        self.backend.admission = self._recorder
         self.log = SubmissionLog(
             spec, wal_path=wal_path, flush_every=wal_flush_every
         )
@@ -342,12 +339,13 @@ class ServeApp:
                     f"horizon is {horizon:.1f}s — no serviceable period left",
                 )
             handle = self.backend.submit(request)
-            decision = self._recorder.decisions[-1]
             sid = next(self._sids)
             ring = ResultRing(self.ring_capacity)
             sess = _Session(sid, token, handle, ring)
             self.sessions[sid] = sess
-            self.log.record_submit(now, sid, dict(payload), decision)
+            # The log needs every admission verdict, in order, to replay
+            # the run bit-identically.
+            self.log.record_submit(now, sid, dict(payload), handle.decision)
             if not handle.accepted:
                 sess.done = True
                 ring.close()
@@ -632,6 +630,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if retry_after_s is not None:
             self.send_header(
                 "Retry-After", str(max(0, int(-(-retry_after_s // 1))))
@@ -656,7 +656,20 @@ class ServeHandler(BaseHTTPRequestHandler):
         return token
 
     def _body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request on a
+            # kept-alive connection, so this one closes after the error.
+            self.close_connection = True
+            raise WireError(
+                "invalid-request",
+                f"Content-Length must be an integer between 0 and "
+                f"{MAX_BODY_BYTES}, got {declared!r}",
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8")) if raw else {}
@@ -829,7 +842,6 @@ def run_serve(
         spec,
         ring_capacity=ring_capacity,
         time_scale=time_scale,
-        drain_timeout_s=drain_timeout_s,
         edge=edge,
         wal_path=wal_path,
         wal_flush_every=wal_flush_every,
@@ -899,6 +911,7 @@ __all__ = [
     "DEFAULT_SLICE_S",
     "DEFAULT_TIME_SCALE",
     "IDEMPOTENCY_HEADER",
+    "MAX_BODY_BYTES",
     "MAX_WAIT_S",
     "TOKEN_HEADER",
     "ServeApp",

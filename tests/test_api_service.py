@@ -28,7 +28,7 @@ from repro.api import (
     STATUS_REJECTED,
 )
 from repro.core.query import Aggregation
-from repro.experiments.config import (
+from repro.api.config import (
     MODE_IDLE,
     MODE_JIT,
     MODE_NP,

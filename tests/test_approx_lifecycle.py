@@ -26,7 +26,7 @@ from repro.api.scenarios import (
     run_scenario,
 )
 from repro.core.query import Aggregation
-from repro.experiments.config import (
+from repro.api.config import (
     MODE_JIT,
     MODE_NP,
     ExperimentConfig,

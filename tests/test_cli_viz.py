@@ -110,6 +110,29 @@ class TestCli:
         assert "fidelity per period" in out
 
 
+    def test_run_on_a_cluster_prints_what_the_cluster_scores(self, capsys):
+        """``run --shards N`` exited 2 from PR 7 until PR 16 (it read
+        ``handle.result()`` after ``close()`` had sealed the handles)."""
+        assert main(["run", "--users", "4", "--shards", "2", "--duration", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "shards=2 partitioner=balanced-kd users=4" in out
+        rows = [line.split() for line in out.splitlines()
+                if line[:5].strip().isdigit()]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+
+        from repro.api.config import ExperimentConfig
+        from repro.cluster import ClusterService
+        from repro.experiments.runner import legacy_requests
+        from repro.sim.rng import RandomStreams
+
+        config = ExperimentConfig(duration_s=20.0, num_users=4)
+        cluster = ClusterService(config, shards=2)
+        for request in legacy_requests(config, RandomStreams(config.seed)):
+            cluster.submit(request)
+        ratios = cluster.close().success_ratios()
+        assert [row[3] for row in rows] == [f"{r:.1%}" for r in ratios]
+
+
 class TestBenchCommandRetired:
     """Speed is measured by ``python3 -m bench`` alone; ``repro`` has no bench."""
 

@@ -19,13 +19,12 @@ from repro.cluster import (
     GridStripePartitioner,
     LockstepScheduler,
     ReplayAdmissionPolicy,
-    ShardPlan,
     make_partitioner,
     overlap_area,
     run_shard_plan,
     shard_node_counts,
 )
-from repro.experiments.config import ExperimentConfig, QueryParams
+from repro.api.config import ExperimentConfig, QueryParams
 from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
@@ -353,30 +352,13 @@ class TestWorkerTransport:
         return cluster
 
     def test_plans_are_picklable(self):
-        cluster = self._cluster()
-        plans = [
-            ShardPlan(
-                shard=i,
-                config=cluster.shard_configs[i],
-                requests=tuple(cluster._requests_log[i]),
-                decisions=tuple(cluster._decisions_log[i]),
-            )
-            for i in range(2)
-        ]
+        plans = self._cluster().export_shard_plans()
+        assert sum(len(plan.requests) for plan in plans) == 4
         assert pickle.loads(pickle.dumps(plans))
 
     def test_replay_matches_in_process_run(self):
         """run_shard_plan on the recorded log == the in-process shard."""
-        recorded = self._cluster()
-        plans = [
-            ShardPlan(
-                shard=i,
-                config=recorded.shard_configs[i],
-                requests=tuple(recorded._requests_log[i]),
-                decisions=tuple(recorded._decisions_log[i]),
-            )
-            for i in range(2)
-        ]
+        plans = self._cluster().export_shard_plans()
         serial = self._cluster(workers=0)
         expected = result_signature(serial, serial.finalize())
         outcomes = [run_shard_plan(plan) for plan in plans]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.baseline import NoPrefetchProtocol
-from repro.core.gateway import MobiQueryGateway, NoPrefetchGateway
+from repro.core.gateway import BaseGateway, MobiQueryGateway, NoPrefetchGateway
 from repro.core.query import QuerySpec
 from repro.core.service import MobiQueryConfig, MobiQueryProtocol
 from repro.geometry.vec import Vec2
@@ -208,3 +208,31 @@ class TestDeliveryRecords:
             records = stack.gateway.deliveries_for(k)
             times = [r.time for r in records]
             assert times == sorted(times)
+
+    def test_best_delivery_keeps_the_fullest_on_time_result(self, sim):
+        """One rule for the streamed outcome and the scored record."""
+        stack = Stack(sim)
+        # a bare gateway beside the live one: it records only what it is told
+        gateway = BaseGateway(stack.proxy, stack.network, stack.spec)
+        deadline = gateway.spec.deadline(1)
+        assert gateway.best_delivery(1) == (None, False)
+
+        sim.run(until=deadline + 0.5)
+        gateway.record_delivery(1, 1.0, frozenset({1}))
+        sim.run(until=deadline + 0.7)
+        gateway.record_delivery(1, 2.0, frozenset({1, 2}))
+        late, on_time = gateway.best_delivery(1)
+        assert (late.value, on_time) == (1.0, False)  # the first late one
+
+        deadline = gateway.spec.deadline(2)
+        for at, value, contributors in (
+            (deadline - 0.6, 3.0, {1, 2, 3}),
+            (deadline - 0.4, 4.0, {1, 2}),
+            (deadline - 0.2, 5.0, {4, 5, 6}),
+            (deadline + 0.1, 6.0, {1, 2, 3, 4}),
+        ):
+            sim.run(until=at)
+            gateway.record_delivery(2, value, frozenset(contributors))
+        best, on_time = gateway.best_delivery(2)
+        # most contributors among the on-time ones, the later on a tie
+        assert (best.value, on_time) == (5.0, True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import (
+from repro.api.config import (
     MODE_GREEDY,
     MODE_IDLE,
     MODE_JIT,

@@ -23,7 +23,7 @@ from repro.api import MobiQueryService, QueryRequest, ServiceClosedError
 from repro.api.scenarios import ScenarioSpec
 from repro.cli import main as cli_main
 from repro.cluster import ClusterService
-from repro.experiments.config import ExperimentConfig, QueryParams
+from repro.api.config import ExperimentConfig, QueryParams
 from repro.faults import (
     FaultInjector,
     FaultPlan,

@@ -34,7 +34,7 @@ Comment trail for ``GOLDEN_EVENT_COUNTS``:
 
 import pytest
 
-from repro.experiments.config import MODE_JIT, ExperimentConfig, QueryParams
+from repro.api.config import MODE_JIT, ExperimentConfig, QueryParams
 from repro.experiments.runner import run_experiment, run_replications
 from repro.workload.arrivals import ARRIVAL_STAGGERED
 

@@ -1,20 +1,31 @@
-"""The stable layers do not import from the experiment harness.
+"""Nothing under ``src/repro`` imports the experiment harness but its front ends.
 
-``repro.api`` and everything under it (cluster, serve, faults, approx,
-workload, core, net) is what the harness, the CLI and the daemon are
+``repro.api`` and everything beside it (cluster, serve, faults, approx,
+workload, core, net, ...) is what the harness, the CLI and the daemon are
 built on; an import the other way round would make the stable surface
-depend on the code it replaced.  Checked on the source text (an AST walk
-over import statements), so lazy in-function imports count and no
-interpreter state is involved.
+depend on the code it replaced.  ``experiments`` is a leaf: only
+``cli.py``, the top-level ``repro/__init__.py`` re-export and the harness
+itself may import it.  Checked on the source text (an AST walk over
+import statements), so lazy in-function imports count and no interpreter
+state is involved.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-STABLE_PACKAGES = (
-    "api", "cluster", "serve", "faults", "approx", "workload", "core", "net",
-)
+#: the only files allowed to import ``experiments`` (besides the package itself)
+FRONT_ENDS = ("cli.py", "__init__.py")
+
+
+def tree_sources():
+    """Source text of every module that must not import ``experiments``."""
+    return {
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+        if str(path.relative_to(SRC)) not in FRONT_ENDS
+        and path.relative_to(SRC).parts[0] != "experiments"
+    }
 
 
 def _imported_names(tree: ast.AST):
@@ -38,14 +49,25 @@ def experiments_imports(source: str):
     ]
 
 
+def offenders(sources):
+    found = {rel: experiments_imports(text) for rel, text in sources.items()}
+    return {rel: names for rel, names in found.items() if names}
+
+
 def test_stable_packages_do_not_import_experiments():
-    offenders = {}
-    for package in STABLE_PACKAGES:
-        for path in sorted((SRC / package).rglob("*.py")):
-            names = experiments_imports(path.read_text(encoding="utf-8"))
-            if names:
-                offenders[str(path.relative_to(SRC))] = names
-    assert offenders == {}
+    sources = tree_sources()
+    assert {"api/service.py", "faults/sweep.py", "sim/kernel.py"} <= set(sources)
+    assert offenders(sources) == {}
+
+
+def test_pointing_the_sweep_at_the_runner_is_caught():
+    sources = tree_sources()
+    sources["faults/sweep.py"] += (
+        "\ndef _shortcut(config):\n"
+        "    from ..experiments.runner import run_experiment\n"
+        "    return run_experiment(config)\n"
+    )
+    assert offenders(sources) == {"faults/sweep.py": ["experiments.runner"]}
 
 
 def test_checker_sees_every_import_form():
@@ -57,14 +79,3 @@ def test_checker_sees_every_import_form():
         ("from .config import ExperimentConfig  # not experiments\n", []),
     ):
         assert experiments_imports(source) == found
-
-
-def test_experiments_config_reexports_the_api_objects():
-    import repro.api.config as stable
-    import repro.experiments.config as legacy
-
-    assert set(legacy.__all__) >= {
-        "ExperimentConfig", "QueryParams", "MODE_JIT", "paper_section62_config",
-    }
-    for name in legacy.__all__:
-        assert getattr(legacy, name) is getattr(stable, name), name

@@ -202,7 +202,7 @@ class TestCancelCrashChurn:
         the dead-session guards must drop any stale tree state instead of
         re-growing it."""
         from repro.api import MobiQueryService, QueryRequest
-        from repro.experiments.config import ExperimentConfig, QueryParams
+        from repro.api.config import ExperimentConfig, QueryParams
         from repro.faults import FaultPlan
         from repro.net.network import NetworkConfig
 

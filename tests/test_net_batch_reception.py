@@ -276,7 +276,7 @@ class TestWakeWheel:
         (``SessionScheduler.remove``) and proxy: the network's sleepers all
         keep duty-cycling on the shared wheel."""
         from repro.api import MobiQueryService, QueryRequest
-        from repro.experiments.config import MODE_JIT, ExperimentConfig
+        from repro.api.config import MODE_JIT, ExperimentConfig
 
         config = ExperimentConfig(mode=MODE_JIT, seed=3, duration_s=40.0)
         service = MobiQueryService(config)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.api.scenarios import ScenarioSpec
-from repro.serve.daemon import ServeApp, make_server
+from repro.serve.daemon import MAX_BODY_BYTES, ServeApp, make_server
 from repro.serve.client import ServeClient
 from repro.serve.errors import WireError
 from repro.serve.log import verify_submission_log
@@ -322,6 +322,44 @@ def test_http_round_trip_on_ephemeral_port():
         server.shutdown()
         server.server_close()
     finish_and_verify(app)
+
+
+@pytest.mark.parametrize(
+    "declared", [str(MAX_BODY_BYTES + 1), "-5", "lots"],
+    ids=["over-limit", "negative", "non-integer"],
+)
+def test_bad_content_length_is_refused_without_reading_the_body(declared):
+    """No handler thread allocates or blocks on a length the client chose.
+
+    The request declares a body and never sends one: the daemon must
+    answer 400 at once (not wait for the bytes) and close the connection
+    (the unread body would otherwise be parsed as the next request).
+    """
+    import socket
+
+    app = make_app()
+    server = make_server(app, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address, timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /sessions HTTP/1.1\r\nHost: x\r\nX-Repro-Token: alice\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode("ascii")
+            )
+            raw = b""
+            while chunk := sock.recv(65536):  # ends when the server closes
+                raw += chunk
+    finally:
+        server.shutdown()
+        server.server_close()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    error = json.loads(body)["error"]
+    assert error["code"] == "invalid-request"
+    assert "Content-Length" in error["message"] and declared in error["message"]
+    assert app.sessions == {}
 
 
 def test_client_raises_daemon_unreachable():

@@ -413,7 +413,7 @@ class TestExperimentRunnerIntegration:
 
     @staticmethod
     def _config(**overrides):
-        from repro.experiments.config import ExperimentConfig, QueryParams
+        from repro.api.config import ExperimentConfig, QueryParams
         from repro.geometry.shapes import Rect
         from repro.net.network import NetworkConfig
 
