@@ -13,6 +13,10 @@
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
 #   make fuzz-smoke      seeded randomized scenarios through the invariants
 #   make serve-smoke     daemon + slam + SIGTERM drain + bit-identical replay
+#   make soak-smoke      2 000 short sessions through a free-running daemon:
+#                        world, cost per session and registered mobiles
+#                        flat after warm-up, replay bit-identical (~20 s;
+#                        not part of `check`)
 #   make chaos-smoke     wire-fault daemon + retrying slam + SIGKILL +
 #                        bit-identical partial WAL replay
 #   make approx-smoke    uav-survey at coarse + exact accuracy, then the
@@ -36,7 +40,7 @@ CHAOS_SMOKE_PORT ?= 8652
 #: pairs `make bench-ab` runs (seeds 1..PAIRS)
 PAIRS ?= 10
 
-.PHONY: test bench bench-smoke ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke chaos-smoke approx-smoke check
+.PHONY: test bench bench-smoke ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -89,7 +93,9 @@ fuzz-smoke:
 
 # The serving-layer smoke: boot the daemon, slam it with the rush-hour
 # burst from 4 concurrent clients, drain it with SIGTERM, then prove the
-# recorded submission log replays bit-identically.  Artifacts land in
+# recorded submission log replays bit-identically — and that the daemon
+# retired every session that ran out (one `retire` op each) and had no
+# proxy left on a channel once drained.  Artifacts land in
 # SERVE_serve-smoke.json + SLAM_serve-smoke.json.
 serve-smoke:
 	@rm -f SERVE_serve-smoke.json SLAM_serve-smoke.json; \
@@ -114,7 +120,16 @@ serve-smoke:
 		|| { kill $$SERVE_PID 2>/dev/null; exit 1; }; \
 	kill -TERM $$SERVE_PID; \
 	wait $$SERVE_PID || exit 1; \
-	PYTHONPATH=src $(PY) -m repro replay SERVE_serve-smoke.json
+	PYTHONPATH=src $(PY) -m repro replay SERVE_serve-smoke.json || exit 1; \
+	$(PY) -c "import json; d = json.load(open('SERVE_serve-smoke.json')); s = d['summary']; retires = [op['op'] for op in d['ops']].count('retire'); done = s['sessions']['admitted'] - s['sessions']['cancelled']; assert retires == done > 0, (retires, done); assert s['registered_mobiles'] == 0, s['registered_mobiles']; print('serve-smoke: %d retire ops, one per completed session; 0 registered mobiles after drain' % retires)"
+
+# The long form of tests/test_serve_steady_state.py (scripts/soak.py):
+# 2 000 eight-second sessions through a free-running in-process daemon;
+# fails if the world, the wall time per 100 sessions or the registered
+# mobiles grow after warm-up, or the log does not replay.  Artifacts:
+# SERVE_soak-smoke.json + SERVE_soak-smoke.wal.
+soak-smoke:
+	PYTHONPATH=src $(PY) scripts/soak.py
 
 # The chaos drill as a shell pipeline: a daemon whose wire actively
 # fails (resets, injected 5xx, truncated bodies, delays), a slam client

@@ -28,7 +28,7 @@ service directly.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -96,41 +96,6 @@ class ServiceClosedError(ValueError):
     Subclasses :class:`ValueError` so callers that guarded against the old
     untyped raise keep working.
     """
-
-
-def resolve_user_id(handles: List["SessionHandle"], user_id: Optional[int]) -> int:
-    """The user-identity rule: lowest-free auto-assignment, live-collision
-    rejection for explicit ids.
-
-    Shared by :class:`MobiQueryService` and the cluster router — the
-    single-shard identity guarantee (a one-shard cluster assigns the exact
-    id sequence a single service would) depends on both using exactly this
-    function.  Auto-assignment skips every id an *accepted* session ever
-    used (cancelled included: their streams were consumed); an explicit id
-    only collides with a live (accepted, uncancelled) session.
-    """
-    if user_id is None:
-        used = {
-            h.spec.user_id
-            for h in handles
-            if h.accepted and h.spec is not None
-        }
-        candidate = 0
-        while candidate in used:
-            candidate += 1
-        return candidate
-    if any(
-        h.spec is not None
-        and h.spec.user_id == user_id
-        and h.accepted
-        and h.status != STATUS_CANCELLED
-        for h in handles
-    ):
-        raise ValueError(
-            f"user {user_id} already has a live session; cancel it first "
-            f"or submit without a user_id"
-        )
-    return user_id
 
 
 def user_stream(base: str, user_id: int) -> str:
@@ -250,6 +215,10 @@ class SessionHandle:
         self.session = session
         self.submitted_at = service.sim.now
         self.cancelled_at: Optional[float] = None
+        #: the session's proxy, scheduler slot and in-network state are gone
+        #: (set by the one teardown ``cancel`` and
+        #: ``release_session_state`` share, so it runs at most once)
+        self.released = False
         self._result: Optional[SessionResult] = None
 
     # ------------------------------------------------------------------
@@ -361,6 +330,84 @@ class SessionHandle:
         return f"<SessionHandle {key if key else '-'} {self.status}>"
 
 
+class SessionIndex:
+    """The handles a backend issued, indexed so a submit costs O(live).
+
+    Owned by :class:`MobiQueryService` and by the cluster router alike: the
+    single-shard identity guarantee (a one-shard cluster assigns the exact
+    id sequence a single service would) holds because both ask this class.
+    It answers from state that follows the live sessions what used to take
+    a walk over every handle ever issued (``tests/session_index_oracle.py``
+    keeps those walks as the oracle):
+
+    * ``_last_admitted`` maps a user id to the last session admitted under
+      it.  Its keys are the ids auto-assignment skips — every id an
+      *accepted* session ever used, cancelled included: their streams were
+      consumed — and ``_lowest_free`` is the first id not among them.  An
+      explicit id only collides with a live (accepted, uncancelled)
+      session, and since it is admitted again only once every earlier
+      session under it was cancelled, the last one is the only candidate.
+    * ``_live`` holds, in submission order, the admitted sessions that can
+      still be live at or after the owner's clock.  :meth:`live` drops the
+      cancelled and the ended as it passes over them; time only advances,
+      so neither can be live again.  Nothing else compacts the list: an
+      index nobody queries keeps one reference per admitted session, as
+      ``handles`` does.
+    """
+
+    def __init__(self) -> None:
+        #: every handle issued (rejected ones too), in submission order
+        self.handles: List[SessionHandle] = []
+        self._last_admitted: Dict[int, SessionHandle] = {}
+        self._lowest_free = 0
+        self._live: List[SessionHandle] = []
+
+    def assign_user_id(self, user_id: Optional[int]) -> int:
+        """The id a submission runs under: the lowest free one, or the
+        explicit ``user_id`` unless a live session already holds it."""
+        if user_id is None:
+            return self._lowest_free
+        last = self._last_admitted.get(user_id)
+        if last is not None and last.status != STATUS_CANCELLED:
+            raise ValueError(
+                f"user {user_id} already has a live session; cancel it first "
+                f"or submit without a user_id"
+            )
+        return user_id
+
+    def add(self, handle: SessionHandle) -> None:
+        """Record a freshly issued handle (admitted or rejected)."""
+        self.handles.append(handle)
+        if not handle.accepted:
+            return
+        assert handle.spec is not None
+        self._last_admitted[handle.spec.user_id] = handle
+        while self._lowest_free in self._last_admitted:
+            self._lowest_free += 1
+        self._live.append(handle)
+
+    def live(self, at: float, now: float) -> List[SessionHandle]:
+        """Admitted, uncancelled sessions whose lifetime covers ``at``.
+
+        ``now`` is the owner's clock.  A question about the past
+        (``at < now``) may be about sessions already dropped from
+        ``_live``, so it scans ``handles`` instead.
+        """
+        if at < now:
+            candidates = [
+                h
+                for h in self.handles
+                if h.accepted and h.status != STATUS_CANCELLED
+            ]
+        else:
+            candidates = self._live = [
+                h
+                for h in self._live
+                if h.status != STATUS_CANCELLED and h.spec.end_s > now
+            ]
+        return [h for h in candidates if h.spec.start_s <= at < h.spec.end_s]
+
+
 class MobiQueryService:
     """Submit/stream/cancel façade over one shared simulated world.
 
@@ -446,8 +493,10 @@ class MobiQueryService:
         #: the first approximate admission so exact-only runs never carry
         #: one — the bit-identity guarantee of ``accuracy="exact"``.
         self.summary_plane: Optional[SummaryPlane] = None
-        self.handles: List[SessionHandle] = []
+        self._sessions = SessionIndex()
         self._admitted_total = 0
+        self._rejected_total = 0
+        self._cancelled_total = 0
         self._completed = False
         self._closed = False
         self._closed_result: Optional[WorkloadResult] = None
@@ -465,6 +514,11 @@ class MobiQueryService:
         """Whether :meth:`close` has sealed the service."""
         return self._closed
 
+    @property
+    def handles(self) -> List[SessionHandle]:
+        """Every handle ever issued (rejected ones too), in submission order."""
+        return self._sessions.handles
+
     def admitted_count(self) -> int:
         """How many sessions were ever admitted (phase-slot counter)."""
         return self._admitted_total
@@ -475,15 +529,7 @@ class MobiQueryService:
 
     def live_session_specs(self, at: float) -> List[SessionHandle]:
         """Admitted, uncancelled sessions whose lifetime covers time ``at``."""
-        live = []
-        for handle in self.handles:
-            if not handle.accepted or handle.status == STATUS_CANCELLED:
-                continue
-            spec = handle.spec
-            assert spec is not None
-            if spec.start_s <= at < spec.end_s:
-                live.append(handle)
-        return live
+        return self._sessions.live(at, self.sim.now)
 
     # ------------------------------------------------------------------
     # The lifecycle: submit / run / cancel / finalize
@@ -515,7 +561,7 @@ class MobiQueryService:
             raise ServiceClosedError(
                 "the service horizon has passed (run finished)"
             )
-        user_id = resolve_user_id(self.handles, request.user_id)
+        user_id = self._sessions.assign_user_id(request.user_id)
         start_s = max(request.start_s, self.sim.now)
         path = request.path
         if path is None:
@@ -524,7 +570,8 @@ class MobiQueryService:
         decision = self.admission.decide(spec, path, self)
         if not decision.admitted:
             handle = SessionHandle(self, request, STATUS_REJECTED, decision)
-            self.handles.append(handle)
+            self._sessions.add(handle)
+            self._rejected_total += 1
             self.tracer.emit(
                 "admission-rejected",
                 self.sim.now,
@@ -548,7 +595,7 @@ class MobiQueryService:
             path=path,
             session=session,
         )
-        self.handles.append(handle)
+        self._sessions.add(handle)
         self._admitted_total += 1
         return handle
 
@@ -677,10 +724,12 @@ class MobiQueryService:
         self._teardown_session(handle)
         handle.status = STATUS_CANCELLED
         handle.cancelled_at = self.sim.now
+        self._cancelled_total += 1
 
     def _teardown_session(self, handle: SessionHandle) -> None:
         """Release every piece of state keyed by one admitted session."""
         assert handle.spec is not None and handle.session is not None
+        handle.released = True
         key = handle.spec.session_key
         handle.session.gateway.close()
         self.workload.scheduler.remove(key)
@@ -696,21 +745,35 @@ class MobiQueryService:
         self.network.channel.unregister_mobile(handle.session.proxy.node_id)
 
     def release_session_state(self, handle: SessionHandle) -> None:
-        """Release a *completed* session's in-network state post-scoring.
+        """Release a *finished* session's proxy and in-network state.
 
-        A session that ran to the horizon keeps benign residue around —
-        cached tree states, delivered batches, its scheduler slot — which
-        is harmless in a batch run (the process exits) but accumulates in
-        an always-on daemon.  After ``close()`` the scores are cached on
-        the handles, so the serve drain calls this to apply the same
-        teardown ``cancel`` performs, driving the leak census to zero.
-        No-op for rejected, cancelled (already torn down) or still-running
-        sessions, and idempotent via the scheduler/protocol release paths.
+        A session that was served its last period keeps residue around —
+        its proxy listening on the channel, cached tree states, delivered
+        batches, its scheduler slot — which is harmless in a batch run
+        (the process exits) but makes an always-on daemon pay, frame by
+        frame, for every user who has left.  The serve daemon therefore
+        calls this the moment a session's last outcome is harvested (and,
+        after ``close()``, for whatever was still live): the session is
+        scored and the score cached — what ``result()`` and ``close()``
+        return for it from then on — an admitted session becomes
+        ``completed``, and the teardown ``cancel`` performs is applied,
+        once.
+
+        No-op for a rejected session, for one already torn down (cancelled,
+        or released before) and for an admitted one whose last deadline is
+        still ahead.  The service never calls it itself: in a batch run
+        every proxy stays on the channel until ``close()``, which is what
+        the result and event fingerprints pin.
         """
-        if not handle.accepted or handle.status != STATUS_COMPLETED:
+        if not handle.accepted or handle.released:
             return
-        if handle._result is None:
-            self._score(handle)
+        if handle.status == STATUS_ADMITTED:
+            spec = handle.spec
+            assert spec is not None
+            if spec.deadline(spec.num_periods) > self.sim.now + 1e-9:
+                return
+            handle.status = STATUS_COMPLETED
+        self._score(handle)
         self._teardown_session(handle)
 
     def run_until(self, t: float) -> None:
@@ -767,10 +830,8 @@ class MobiQueryService:
             shards=1,
             submitted=len(self.handles),
             admitted=self._admitted_total,
-            rejected=sum(1 for h in self.handles if not h.accepted),
-            cancelled=sum(
-                1 for h in self.handles if h.status == STATUS_CANCELLED
-            ),
+            rejected=self._rejected_total,
+            cancelled=self._cancelled_total,
         )
 
     def close(self) -> WorkloadResult:
@@ -816,7 +877,6 @@ __all__ = [
     "STATUS_REJECTED",
     "make_profile_provider",
     "make_user_path",
-    "resolve_user_id",
     "user_stream",
     "build_session_metrics",
 ]

@@ -903,9 +903,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"  {names[0]}: {before}", file=sys.stderr)
         print(f"  {names[1]}: {after}", file=sys.stderr)
         return EXIT_FAILURE
-    ops = data.get("ops", [])
-    submits = sum(1 for op in ops if op.get("op") == "submit")
-    counts = f"{submits} submissions, {len(ops) - submits} cancels"
+    kinds = [op.get("op") for op in data.get("ops", [])]
+    counts = f"{kinds.count('submit')} submissions, {kinds.count('cancel')} cancels"
+    if "retire" in kinds:  # absent from logs older than the retire op
+        counts += f", {kinds.count('retire')} retires"
     scored = f"{len(after['sessions'])} scored sessions"
     frames = (f"(sent={after['frames_sent']}, "
               f"collided={after['frames_collided']}, "

@@ -53,7 +53,7 @@ from ..api.service import (
     MobiQueryService,
     ServiceClosedError,
     SessionHandle,
-    resolve_user_id,
+    SessionIndex,
 )
 from ..faults.plan import FaultPlan
 from ..approx.plane import SummaryAnswer, merge_answers
@@ -160,8 +160,7 @@ class ClusterService:
         self.scheduler = LockstepScheduler(
             [service.sim for service in self.services], epoch_s=epoch_s
         )
-        #: every handle the cluster handed out, in submission order
-        self.handles: List[SessionHandle] = []
+        self._sessions = SessionIndex()
         self._handle_shard: Dict[int, int] = {}
         self._stats_override: Dict[int, BackendStats] = {}
         self._completed = False
@@ -182,6 +181,11 @@ class ClusterService:
     def num_shards(self) -> int:
         return len(self.services)
 
+    @property
+    def handles(self) -> List[SessionHandle]:
+        """Every handle the cluster handed out, in submission order."""
+        return self._sessions.handles
+
     def admitted_count(self) -> int:
         """Sessions ever admitted, cluster-wide (phase-slot counter)."""
         return sum(service.admitted_count() for service in self.services)
@@ -191,12 +195,12 @@ class ClusterService:
         return [h for h in self.handles if h.accepted]
 
     def live_session_specs(self, at: float) -> List[SessionHandle]:
-        """Admitted, uncancelled sessions live at ``at``, across shards."""
-        return [
-            handle
-            for service in self.services
-            for handle in service.live_session_specs(at)
-        ]
+        """Admitted, uncancelled sessions live at ``at``, across shards, in
+        cluster submission order.  The clock is the slowest shard's: a
+        session that ended before it is over in every world."""
+        return self._sessions.live(
+            at, min(service.sim.now for service in self.services)
+        )
 
     def shard_of(self, handle: SessionHandle) -> int:
         """Which shard serves ``handle`` (raises for foreign handles)."""
@@ -260,9 +264,9 @@ class ClusterService:
 
         User identity is cluster-wide: explicit ``user_id`` collisions
         with a live session are rejected here (a shard only sees its own
-        sessions), and ids are assigned by the *same*
-        :func:`~repro.api.service.resolve_user_id` rule the single
-        service uses — so a one-shard cluster assigns the exact id
+        sessions), and ids are assigned by the router's own
+        :class:`~repro.api.service.SessionIndex` — the class the single
+        service asks — so a one-shard cluster assigns the exact id
         sequence ``MobiQueryService`` would.
         """
         if self._closed:
@@ -273,14 +277,14 @@ class ClusterService:
             raise ServiceClosedError(
                 "the service horizon has passed (run finished)"
             )
-        user_id = resolve_user_id(self.handles, request.user_id)
+        user_id = self._sessions.assign_user_id(request.user_id)
         if request.user_id is None:
             # Bake the cluster-assigned id in so the shard's local ids
             # (stream names, proxy ids) are the cluster-wide ones.
             request = replace(request, user_id=user_id)
         shard = self.route(request)
         handle = self.services[shard].submit(request)
-        self.handles.append(handle)
+        self._sessions.add(handle)
         self._handle_shard[id(handle)] = shard
         return handle
 

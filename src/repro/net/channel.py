@@ -382,6 +382,10 @@ class Channel:
                 self._retired_sender_seq -= 1
                 tx.sender_id = self._retired_sender_seq
 
+    def mobile_ids(self) -> List[int]:
+        """Ids of the registered mobile endpoints, in registration order."""
+        return list(self._mobile)
+
     def endpoint(self, node_id: int) -> ChannelEndpoint:
         """Look up a registered endpoint by id."""
         ep = self._static.get(node_id)

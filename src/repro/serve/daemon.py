@@ -25,12 +25,20 @@ belongs to the token that created it, and any access with another token
 is a typed ``foreign-session`` error — existence is admitted (404 vs 403
 distinguishes unknown from foreign) but nothing else leaks.
 
-Determinism: every submit (accepted *and* rejected) and cancel is
-recorded in the :class:`~repro.serve.log.SubmissionLog`; replaying that
-log in-process reproduces the daemon's sessions and physics counters bit
-for bit.  ``SIGTERM`` drains: new submits get 503, live sessions run to
-completion (bounded by ``--drain-timeout``, stragglers are recorded
-force-cancels), the backend closes into a final
+A session ends everywhere at once: the moment the pump harvests a
+session's last outcome into its ring it *retires* the session — scores
+it and releases its proxy, scheduler slot and in-network state through
+:meth:`~repro.api.service.MobiQueryService.release_session_state`, the
+teardown a cancel performs — so the world the pump advances, and every
+per-submit and per-slice walk over sessions, carries the sessions live
+now, not every session ever served.
+
+Determinism: every submit (accepted *and* rejected), cancel **and
+retire** is recorded in the :class:`~repro.serve.log.SubmissionLog`;
+replaying that log in-process reproduces the daemon's sessions and
+physics counters bit for bit.  ``SIGTERM`` drains: new submits get 503,
+live sessions run to completion (bounded by ``--drain-timeout``,
+stragglers are recorded force-cancels), the backend closes into a final
 :class:`~repro.workload.engine.WorkloadResult`, and the log + summary
 land in ``SERVE_<name>.json``.
 """
@@ -48,7 +56,7 @@ from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.scenarios import ScenarioSpec, build_backend
-from ..api.service import STATUS_ADMITTED, STATUS_COMPLETED, SessionHandle
+from ..api.service import SessionHandle
 from ..faults.sweep import leak_census
 from .chaos import WireChaosPlane
 from .edge import EdgeConfig, EdgeGuard
@@ -103,8 +111,6 @@ class _Session:
         self.ring = ring
         #: next period the pump will harvest (1-based)
         self.next_k = 1
-        #: no more outcomes will ever arrive (completed/cancelled/rejected)
-        self.done = False
 
 
 class ServeApp:
@@ -147,6 +153,12 @@ class ServeApp:
             else None
         )
         self.sessions: Dict[int, _Session] = {}
+        #: the admitted sessions still owed outcomes, by session id — what
+        #: the pump, the edge guard and the drain walk instead of
+        #: ``sessions``; a session not in it (retired, cancelled, rejected)
+        #: will never get another outcome
+        self._live: Dict[int, _Session] = {}
+        self._retired = 0
         self._idempotent: Dict[tuple, Dict] = {}
         self._idempotent_hits = 0
         self._sids = itertools.count(1)
@@ -177,6 +189,14 @@ class ServeApp:
     def _now(self) -> float:
         """The backend's simulated clock (min over shards in lockstep)."""
         return min(service.sim.now for service in self._services())
+
+    def _registered_mobiles(self) -> int:
+        """Proxies listening on the shards' channels — the live admitted
+        sessions and no more, while every finished one was retired."""
+        return sum(
+            len(service.network.channel.mobile_ids())
+            for service in self._services()
+        )
 
     def note_latency(self, endpoint: str, ms: float) -> None:
         with self._lock:
@@ -211,20 +231,24 @@ class ServeApp:
             self._pump.start()
 
     def _live_sessions(self) -> List[_Session]:
-        return [s for s in self.sessions.values() if not s.done]
+        return list(self._live.values())
+
+    def _end_session(self, sess: _Session) -> None:
+        """No more outcomes will arrive: close the ring, leave the live set."""
+        sess.ring.close()
+        self._live.pop(sess.sid, None)
 
     def _next_deadline(self) -> Optional[float]:
         """The earliest unharvested period deadline, over live sessions."""
-        deadlines = []
-        for sess in self._live_sessions():
-            spec = sess.handle.spec
-            assert spec is not None
-            if sess.next_k <= spec.num_periods:
-                deadlines.append(spec.deadline(sess.next_k))
-        return min(deadlines) if deadlines else None
+        # every live session is owed at least one more outcome
+        return min(
+            (s.handle.spec.deadline(s.next_k) for s in self._live.values()),
+            default=None,
+        )
 
     def _harvest(self) -> None:
-        """Move every due period outcome into its session's ring."""
+        """Move every due period outcome into its session's ring, and
+        retire each session whose last outcome that was."""
         now = self._now()
         for sess in self._live_sessions():
             handle = sess.handle
@@ -236,8 +260,7 @@ class ServeApp:
                     handle.cancelled_at is not None
                     and deadline > handle.cancelled_at
                 ):
-                    sess.done = True
-                    sess.ring.close()
+                    self._end_session(sess)
                     break
                 if deadline > now + 1e-9:
                     break
@@ -245,9 +268,11 @@ class ServeApp:
                     outcome_to_wire(handle.period_outcome(sess.next_k))
                 )
                 sess.next_k += 1
-            if not sess.done and sess.next_k > spec.num_periods:
-                sess.done = True
-                sess.ring.close()
+            else:  # ran out of periods: that was its last outcome
+                handle.service.release_session_state(handle)
+                self.log.record_retire(now, sess.sid)
+                self._retired += 1
+                self._end_session(sess)
         self._work.notify_all()
 
     def _pump_loop(self) -> None:
@@ -325,7 +350,7 @@ class ServeApp:
                     return dict(cached)
             self.edge.admit(
                 token,
-                live_sessions=len(self._live_sessions()),
+                live_sessions=len(self._live),
                 pump_lag_s=self._pump_lag_locked(),
             )
             request = request_from_wire(payload)
@@ -347,8 +372,7 @@ class ServeApp:
             # the run bit-identically.
             self.log.record_submit(now, sid, dict(payload), handle.decision)
             if not handle.accepted:
-                sess.done = True
-                ring.close()
+                self._end_session(sess)
                 resp = {
                     "session": sid,
                     "status": handle.status,
@@ -360,6 +384,7 @@ class ServeApp:
                     },
                 }
             else:
+                self._live[sid] = sess
                 self._work.notify_all()
                 spec = handle.spec
                 assert spec is not None
@@ -378,19 +403,6 @@ class ServeApp:
                 # consume them again.
                 self._idempotent[(token, idempotency_key)] = dict(resp)
             return resp
-
-    @staticmethod
-    def _wire_status(sess: _Session) -> str:
-        """The client-facing status.
-
-        The backend only flips ``admitted`` sessions to ``completed`` at
-        close time; on the wire a session whose every period has been
-        harvested is already completed.
-        """
-        status = sess.handle.status
-        if status == STATUS_ADMITTED and sess.done:
-            return STATUS_COMPLETED
-        return status
 
     def _owned(self, token: str, sid: int) -> _Session:
         """The caller's session, or a typed unknown/foreign error."""
@@ -415,7 +427,7 @@ class ServeApp:
         # app lock, so the pump and other clients keep moving.
         items, missed, done = sess.ring.read(after_k=after, wait_s=wait)
         with self._lock:
-            status = self._wire_status(sess)
+            status = sess.handle.status
         return {
             "session": sid,
             "outcomes": items,
@@ -428,16 +440,15 @@ class ServeApp:
         """DELETE /sessions/{id}: idempotent cancel, recorded for replay."""
         with self._work:
             sess = self._owned(token, sid)
-            if not sess.handle.accepted or sess.done:
+            if sid not in self._live:
                 return {
                     "session": sid,
                     "cancelled": False,
-                    "status": self._wire_status(sess),
+                    "status": sess.handle.status,
                 }
             self.backend.cancel(sess.handle)
             self.log.record_cancel(self._now(), sid)
-            sess.done = True
-            sess.ring.close()
+            self._end_session(sess)
             self._work.notify_all()
             return {
                 "session": sid,
@@ -449,7 +460,6 @@ class ServeApp:
         """GET /stats: backend counters + server-side attribution."""
         with self._lock:
             data = self.backend.stats().to_dict()
-            sessions = list(self.sessions.values())
             data["server"] = {
                 "scenario": self.spec.name,
                 "draining": self._draining,
@@ -457,10 +467,12 @@ class ServeApp:
                 "uptime_s": time.monotonic() - self._started_wall,
                 "time_scale": self.time_scale,
                 "sessions": {
-                    "total": len(sessions),
-                    "live": sum(1 for s in sessions if not s.done),
-                    "done": sum(1 for s in sessions if s.done),
+                    "total": len(self.sessions),
+                    "live": len(self._live),
+                    "done": len(self.sessions) - len(self._live),
+                    "retired": self._retired,
                 },
+                "world": {"registered_mobiles": self._registered_mobiles()},
                 "pump": {
                     "slices": self._slices,
                     "advance_wall_s": self._advance_wall_s,
@@ -506,7 +518,7 @@ class ServeApp:
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
         with self._work:
-            while self._live_sessions():
+            while self._live:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -527,8 +539,7 @@ class ServeApp:
             for sess in self._live_sessions():
                 self.backend.cancel(sess.handle)
                 self.log.record_cancel(self._now(), sess.sid)
-                sess.done = True
-                sess.ring.close()
+                self._end_session(sess)
                 cancelled += 1
             self._work.notify_all()
         return cancelled
@@ -550,14 +561,15 @@ class ServeApp:
             self._pump.join(timeout=10.0)
         with self._work:
             self._finished = True
+            registered_mobiles = self._registered_mobiles()
             workload = self.backend.close()
             stats = self.backend.stats()
             fingerprints = result_fingerprints(workload, stats)
-            # Completed sessions hold benign in-network residue until
-            # released; zero it so the leak census judges the daemon.
-            for sess in self.sessions.values():
-                if sess.handle.accepted:
-                    sess.handle.service.release_session_state(sess.handle)
+            # Whatever was live when the pump stopped was never retired:
+            # release it now so the leak census judges the daemon.
+            for sess in self._live_sessions():
+                sess.handle.service.release_session_state(sess.handle)
+                self._end_session(sess)
             leaks: Dict[str, int] = {}
             for service in self._services():
                 for key, value in leak_census(service).items():
@@ -571,6 +583,9 @@ class ServeApp:
                     "rejected": stats.rejected,
                     "cancelled": stats.cancelled,
                 },
+                # proxies still on a channel when the pump stopped: 0 after
+                # a drain, every session having been cancelled or retired
+                "registered_mobiles": registered_mobiles,
                 "workload": {
                     "sessions": len(workload.sessions),
                     "mean_success": (
@@ -583,10 +598,6 @@ class ServeApp:
                 "leaks": leaks,
                 "leak_total": sum(leaks.values()),
             }
-            for sess in self.sessions.values():
-                if not sess.done:
-                    sess.done = True
-                    sess.ring.close()
             self.log.close_wal()
             self._work.notify_all()
         return self.summary

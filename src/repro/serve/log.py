@@ -1,7 +1,8 @@
 """The daemon's submission log — and the replay that proves the wire.
 
-Every request the daemon accepts *or rejects* is appended as one op:
-``("submit", sim_now, payload, decision)`` / ``("cancel", sim_now,
+Every request the daemon accepts *or rejects*, and every session it
+retires, is appended as one op: ``("submit", sim_now, payload,
+decision)`` / ``("cancel", sim_now, session)`` / ``("retire", sim_now,
 session)``.  That ordered log plus the scenario spec is a complete
 deterministic description of the run: rebuilding the backend with a
 :class:`~repro.cluster.transport.ReplayAdmissionPolicy` over the
@@ -10,7 +11,11 @@ and re-applying the ops reproduces the live run bit for bit — the same
 sessions, the same frame and event counters.  (Rejected submissions are
 replayed too: path synthesis consumes mobility-RNG draws before the
 admission verdict, so skipping one would desynchronise every later
-draw.)
+draw.  A ``retire`` is no client request but changes the world like
+one: from that instant the finished session's proxy no longer receives,
+collides or carrier-senses, so replay releases it at the same instant.
+A log written before the daemon retired sessions has no such op and
+replays as it always did.)
 
 ``repro replay SERVE_<name>.json`` runs :func:`verify_submission_log`
 to check a recorded run's fingerprints — the wire layer provably adds
@@ -35,6 +40,7 @@ from typing import Dict, List, Optional, TextIO, Tuple
 from ..api.admission import AdmissionDecision
 from ..api.backend import BackendStats
 from ..api.scenarios import ScenarioSpec, build_backend, request_from_payload
+from ..api.service import SessionHandle
 from ..cluster.transport import (
     ReplayAdmissionPolicy,
     decision_from_dict,
@@ -137,18 +143,23 @@ class SubmissionLog:
         payload: Dict,
         decision: AdmissionDecision,
     ) -> None:
-        op = {
-            "op": "submit",
-            "now": now,
-            "session": session,
-            "payload": dict(payload),
-            "decision": decision_to_dict(decision),
-        }
-        self.ops.append(op)
-        self._append_wal(op)
+        self._record(
+            {
+                "op": "submit",
+                "now": now,
+                "session": session,
+                "payload": dict(payload),
+                "decision": decision_to_dict(decision),
+            }
+        )
 
     def record_cancel(self, now: float, session: int) -> None:
-        op = {"op": "cancel", "now": now, "session": session}
+        self._record({"op": "cancel", "now": now, "session": session})
+
+    def record_retire(self, now: float, session: int) -> None:
+        self._record({"op": "retire", "now": now, "session": session})
+
+    def _record(self, op: Dict) -> None:
         self.ops.append(op)
         self._append_wal(op)
 
@@ -180,7 +191,7 @@ def replay_submission_log(data: Dict) -> Dict:
         decision_from_dict(op["decision"]) for op in ops if op["op"] == "submit"
     ]
     backend = build_backend(spec, admission=ReplayAdmissionPolicy(decisions))
-    handles: Dict[int, object] = {}
+    handles: Dict[int, SessionHandle] = {}
     clock = 0.0
     for op in ops:
         now = float(op["now"])
@@ -193,6 +204,9 @@ def replay_submission_log(data: Dict) -> Dict:
             )
         elif op["op"] == "cancel":
             backend.cancel(handles[int(op["session"])])
+        elif op["op"] == "retire":
+            handle = handles[int(op["session"])]
+            handle.service.release_session_state(handle)
         else:
             raise ValueError(f"unknown log op {op['op']!r}")
     workload = backend.close()

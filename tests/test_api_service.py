@@ -252,6 +252,56 @@ class TestCancellation:
 
 
 # ----------------------------------------------------------------------
+# Release at the last deadline (what the serve daemon does per session)
+# ----------------------------------------------------------------------
+class TestReleaseSessionState:
+    def test_finished_session_is_scored_completed_and_torn_down_once(self):
+        service = make_service(duration=30.0)
+        keeper = service.submit(QueryRequest(radius_m=60.0))
+        short = service.submit(QueryRequest(radius_m=60.0, lifetime_s=8.0))
+        key, proxy = short.session_key, short.session.proxy.node_id
+        service.run_until(7.9)
+        service.release_session_state(short)  # last deadline (8.0) still ahead
+        assert short.status == STATUS_ADMITTED and not short.released
+        assert proxy in service.network.channel.mobile_ids()
+        service.run_until(8.0)
+        service.release_session_state(short)
+        assert short.status == STATUS_COMPLETED and short.released
+        assert service.network.channel.mobile_ids() == [keeper.session.proxy.node_id]
+        assert service.protocol.tree_state_count(session=key) == 0
+        assert key not in service.workload.scheduler.session_keys()
+        scored = short.result()  # cached: does not run the world on
+        assert service.sim.now == 8.0 and scored.metrics.num_periods == 4
+        teardowns = []
+        service._teardown_session = teardowns.append
+        service.release_session_state(short)
+        short.cancel()
+        assert not teardowns and short.status == STATUS_COMPLETED
+        # close() returns the cached score, and the keeper ran on regardless
+        result = service.close()
+        assert result.session_for(short.user_id) is scored
+        assert result.session_for(keeper.user_id).metrics.num_periods == 15
+        assert service.stats().cancelled == 0
+
+    def test_release_after_close_and_on_dead_handles_is_a_noop_or_once(self):
+        service = make_service(
+            duration=12.0, admission=PerAreaCapPolicy(max_overlapping=1)
+        )
+        ran, rejected, gone = (
+            service.submit(QueryRequest(radius_m=60.0, path=square_path(x, x)))
+            for x in (300.0, 300.0, 80.0)
+        )
+        assert not rejected.accepted
+        gone.cancel()
+        service.close()
+        for handle in (rejected, gone, ran, ran):
+            service.release_session_state(handle)
+        assert ran.released and gone.released and not rejected.released
+        assert (ran.status, gone.status) == (STATUS_COMPLETED, STATUS_CANCELLED)
+        assert service.network.channel.mobile_ids() == []
+
+
+# ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
 class TestAdmission:

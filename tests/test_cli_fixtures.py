@@ -15,6 +15,11 @@ with them byte-unchanged.  Six date from that refactor instead:
   ``[Errno 2] No such file or directory: ...``; one boundary prints one
   form, the one that names the file.  Exit codes are unchanged.
 
+``served.json`` and ``served.wal`` were written before the daemon retired a
+session at its last outcome (PR 17) and carry no ``retire`` op: their
+transcripts are the proof that such a log still replays to its recorded
+fingerprints.  ``replay-retired-ok`` replays one that does.
+
 Re-record (only when a behaviour change is intended) with
 ``PYTHONPATH=src python tests/test_cli_fixtures.py``.
 """
@@ -49,6 +54,7 @@ CASES = {
         "scenario", "paper-default", "--duration", "10", "--workers", "2",
     ],
     "replay-ok": ["replay", "served.json"],
+    "replay-retired-ok": ["replay", "served-retired.json"],
     "replay-partial-ok": ["replay", "--partial", "served.wal"],
     "replay-partial-torn-tail": ["replay", "--partial", "served-torn.wal"],
     "analysis": ["analysis"],

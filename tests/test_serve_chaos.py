@@ -224,7 +224,7 @@ def test_resets_and_truncations_surface_as_transport_failures():
 def test_truncated_submit_retry_with_idempotency_never_double_admits():
     # The exact failure idempotency keys exist for: the submit COMMITS,
     # the response is lost on the wire, the client retries — and must
-    # get the same session back, with exactly one log op.
+    # get the same session back, with exactly one submit in the log.
     app = ServeApp(chaos_spec({"truncate_prob": 1.0}), time_scale=0.0)
     app.start()
     server, url = run_http(app)
@@ -235,7 +235,8 @@ def test_truncated_submit_retry_with_idempotency_never_double_admits():
         with pytest.raises(WireError):
             client.submit(dict(PAYLOAD))
         # Every retried attempt deduped onto the first commit.
-        assert len(app.log.ops) == 1
+        # (the free-running pump may already have logged its retire)
+        assert [op["op"] for op in app.log.ops].count("submit") == 1
         assert app.backend.stats().submitted == 1
         assert app.stats_payload()["server"]["idempotency"]["hits"] == 3
     finally:
