@@ -5,9 +5,10 @@
 #   make bench           every benchmark (regenerates all paper figures, slow)
 #   make ledger          ten seeds of every bench/ workload into
 #                        bench/out/ledger.json (input of `bench compare`)
-#   make bench-ab        alternating parent/change pairs of one bench/
-#                        workload against a commit, with the acceptance
-#                        verdict (REF=<commit> WORKLOAD=<name> [PAIRS=10])
+#   make bench-ab        alternating parent/change pairs of bench/ workloads
+#                        against one clone of a commit, an acceptance table
+#                        per workload (REF=<commit> WORKLOAD="<name> ..."
+#                        [PAIRS=10])
 #   make profile         cProfile one canonical scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -65,12 +66,12 @@ ledger:
 	python3 -m bench --runs 10 --out bench/out/ledger.json
 
 # A/B a working tree against its parent the way CHANGES.md reports it:
-#   make bench-ab REF=HEAD~1 WORKLOAD=churn-mix
+#   make bench-ab REF=HEAD~1 WORKLOAD="churn-mix dense48"
 # clones REF into a temporary directory and alternates 15-second runs of
-# the workload between the clone and this checkout.
+# each workload in turn between the clone and this checkout.
 bench-ab:
 	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab REF=<commit> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+		{ echo 'usage: make bench-ab REF=<commit> WORKLOAD="<name> ..." [PAIRS=10]'; exit 2; }
 	python3 scripts/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid

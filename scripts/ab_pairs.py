@@ -1,17 +1,18 @@
-"""Alternating parent/change pairs of one perf-ledger workload.
+"""Alternating parent/change pairs of perf-ledger workloads.
 
-    python3 scripts/ab_pairs.py --ref <commit> --workload churn-mix [--pairs 10]
+    python3 scripts/ab_pairs.py --ref <commit> --workload churn-mix [dense48 ...] [--pairs 10]
 
-Clones ``--ref`` into a temporary directory (honours ``TMPDIR``) and runs,
-for seeds 1..pairs, ``python3 -m bench --workload W --seed S --seconds 15
---trace 0`` (the seconds are ``BENCHMARK.json``'s ``run_seconds``) once in the clone (parent) and once in this checkout (change),
-alternating which side goes first.  For every end-to-end metric of
-``BENCHMARK.json`` it prints both medians and quartiles, the pairs the
-change won, and the verdict of the acceptance rule: a gain (or a loss) is
-claimed only when one side wins at least nine tenths of the pairs, ties
-counting for neither, and the medians differ by more than the distance
-between the parent's quartiles; anything else that moved is "unresolved".
-A loss is set against the metric's regression bound.
+Clones ``--ref`` once into a temporary directory (honours ``TMPDIR``) and
+runs, for each workload in turn and seeds 1..pairs, ``python3 -m bench
+--workload W --seed S --seconds 15 --trace 0`` (the seconds are
+``BENCHMARK.json``'s ``run_seconds``) once in the clone (parent) and once in
+this checkout (change), alternating which side goes first.  Per workload,
+for every end-to-end metric of ``BENCHMARK.json``, it prints both medians
+and quartiles, the pairs the change won, and the verdict of the acceptance
+rule: a gain (or a loss) is claimed only when one side wins at least nine
+tenths of the pairs, ties counting for neither, and the medians differ by
+more than the distance between the parent's quartiles; anything else that
+moved is "unresolved".  A loss is set against the metric's regression bound.
 """
 
 from __future__ import annotations
@@ -75,40 +76,26 @@ def verdict(
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ref", required=True, help="parent commit to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10, help="seeds 1..PAIRS (default 10)")
-    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--out", help="also write every run's metrics here as JSON")
-    args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        benchmark = json.load(fh)
-    metrics = benchmark["end_to_end"]
-    seconds = args.seconds or benchmark["run_seconds"]
-
+def run_pairs(
+    checkouts: Dict[str, str], workload: str, pairs: int, seconds: int
+) -> Dict[str, List[Dict]]:
+    """Seeds 1..pairs of ``workload`` on both sides, the first side alternating."""
     runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as parent_dir:
-        for command in (["git", "clone", "-q", ROOT, parent_dir],
-                        ["git", "-C", parent_dir, "checkout", "-q", args.ref]):
-            subprocess.run(command, check=True)
-        checkouts = {"parent": parent_dir, "change": ROOT}
-        for seed in range(1, args.pairs + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(
-                    run_once(checkouts[side], args.workload, seed, seconds)
-                )
-            row = "  ".join(
-                f"{side} {runs[side][-1]['metrics']['sim_s_per_busy_s']['value']:.2f}"
-                for side in ("parent", "change")
-            )
-            print(f"seed {seed}: sim_s_per_busy_s {row}", flush=True)
+    for seed in range(1, pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(checkouts[side], workload, seed, seconds))
+        row = "  ".join(
+            f"{side} {runs[side][-1]['metrics']['sim_s_per_busy_s']['value']:.2f}"
+            for side in ("parent", "change")
+        )
+        print(f"{workload} seed {seed}: sim_s_per_busy_s {row}", flush=True)
+    return runs
 
-    print(f"\n{args.workload}: {args.pairs} alternating pairs against {args.ref}")
+
+def report(workload: str, runs: Dict[str, List[Dict]], metrics: List[Dict], ref: str) -> None:
+    """The verdict table of one workload."""
+    print(f"\n{workload}: {len(runs['parent'])} alternating pairs against {ref}")
     for metric in metrics:
         name = metric["name"]
         values = {
@@ -125,9 +112,40 @@ def main() -> int:
             if not run["correct"] or run["failed"]
         ]
         print(f"  {side}: {'every run correct, 0 failed' if not bad else f'FAILED seeds {bad}'}")
+    print(flush=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", required=True, help="parent commit to compare against")
+    parser.add_argument(
+        "--workload", required=True, nargs="+",
+        help="one or more bench workloads, run in turn against one clone of REF",
+    )
+    parser.add_argument("--pairs", type=int, default=10, help="seeds 1..PAIRS (default 10)")
+    parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds")
+    parser.add_argument("--out", help="also write every run's metrics here as JSON")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two runs)")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    seconds = args.seconds or benchmark["run_seconds"]
+
+    runs: Dict[str, Dict[str, List[Dict]]] = {}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as parent_dir:
+        for command in (["git", "clone", "-q", ROOT, parent_dir],
+                        ["git", "-C", parent_dir, "checkout", "-q", args.ref]):
+            subprocess.run(command, check=True)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        for workload in args.workload:
+            runs[workload] = run_pairs(checkouts, workload, args.pairs, seconds)
+            # each table as soon as its workload is through: a later
+            # workload failing does not cost the ones already measured
+            report(workload, runs[workload], benchmark["end_to_end"], args.ref)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"ref": args.ref, "workload": args.workload, "runs": runs}, fh)
+            json.dump({"ref": args.ref, "workloads": runs}, fh)
     return 0
 
 

@@ -16,6 +16,13 @@ from .vec import Vec2
 
 T = TypeVar("T")
 
+#: Metres a disk query's window of cells reaches beyond its radius.  The
+#: range test accepts ``d^2 <= r^2 + 1e-9`` — up to ``sqrt(1e-9)`` m past
+#: ``r`` (4.8e-12 m at r = 105) — and an item that far outside the disk can
+#: lie across a cell edge the bare radius stops at; the window has to hold
+#: every item the test would accept, wherever the cell edges fall.
+_WINDOW_SLACK_M = 1e-4
+
 
 class SpatialGrid(Generic[T]):
     """Uniform grid mapping cell coordinates to the items placed in them.
@@ -85,10 +92,11 @@ class SpatialGrid(Generic[T]):
             return []
         r_sq = radius * radius
         cs = self.cell_size
-        cx_min = int((center.x - radius) // cs)
-        cx_max = int((center.x + radius) // cs)
-        cy_min = int((center.y - radius) // cs)
-        cy_max = int((center.y + radius) // cs)
+        reach = radius + _WINDOW_SLACK_M
+        cx_min = int((center.x - reach) // cs)
+        cx_max = int((center.x + reach) // cs)
+        cy_min = int((center.y - reach) // cs)
+        cy_max = int((center.y + reach) // cs)
         found: List[T] = []
         cells = self._cells
         for cx in range(cx_min, cx_max + 1):
@@ -116,10 +124,11 @@ class SpatialGrid(Generic[T]):
             return []
         r_sq = radius * radius
         cs = self.cell_size
-        cx_min = int((center.x - radius) // cs)
-        cx_max = int((center.x + radius) // cs)
-        cy_min = int((center.y - radius) // cs)
-        cy_max = int((center.y + radius) // cs)
+        reach = radius + _WINDOW_SLACK_M
+        cx_min = int((center.x - reach) // cs)
+        cx_max = int((center.x + reach) // cs)
+        cy_min = int((center.y - reach) // cs)
+        cy_max = int((center.y + reach) // cs)
         found: List[T] = []
         cells = self._cells
         for cx in range(cx_min, cx_max + 1):

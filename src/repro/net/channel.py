@@ -23,17 +23,25 @@ Hot-path layout: node positions are fixed at t=0, so each static node's
 in-range listener set is computed once (lazily, in grid-query order so
 reception ordering — and therefore every downstream event sequence — is
 bit-identical to querying the grid per transmission) and reused for every
-``transmit``.  Carrier sense is answered from per-node busy bookkeeping
-(an in-range-transmission counter plus latest end time per static node,
-updated on transmission start/finish) instead of scanning all active
-transmissions per query; a mobile proxy, whose position changes between
-sense calls, is the one case that still scans the (short) active list.
+``transmit``.  Carrier sense keeps no state: ``medium_busy`` and
+``busy_until`` scan the in-flight list (one to three frames) from where the
+asking endpoint is now — static node and proxy alike — with the range test
+the grid applies to a frame's listeners.  Busy counters per static node
+would make that read O(1), but they are written twice per neighbour per
+frame (2 x 28 ids on the default field, 2 x 86 on 600 nodes) for a read that
+happens about once per frame; state written forty to a hundred times more
+often than it is read is cheaper computed at the read.  (The counters live
+on as the test oracle ``tests/carrier_sense_oracle.py``.)
 
 Receptions are **batched per frame**: one :class:`BroadcastReception`
 record carries the whole listener cohort in parallel arrays (receiver
 refs, corrupt flags, corruption reasons), and a single end-of-airtime
-kernel event resolves every receiver in a batch loop.  Per-radio reception
-state collapses to a counter plus a pointer to the radio's unique
+kernel event resolves every receiver in a batch loop.  Every reception is
+paid for there — radio, energy, an ``rx`` or ``collision`` outcome — but
+only a broadcast's clean receivers and a unicast frame's addressee are
+handed the frame (``deliver_frame``); a bystander's MAC would drop it at
+its first comparison, so the channel does not make the call.  Per-radio
+reception state collapses to a counter plus a pointer to the radio's unique
 still-clean reception (two overlapping frames corrupt each other, so at
 most one in-flight reception per radio is ever clean — see
 :class:`~repro.net.radio.Radio`); corruption by overlap or by the receiver
@@ -98,7 +106,7 @@ from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from .energy import RadioState
-from .packet import Frame
+from .packet import BROADCAST, Frame
 from .radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -133,7 +141,12 @@ class ChannelEndpoint(Protocol):
         ...
 
     def deliver_frame(self, frame: Frame) -> None:
-        """Hand a successfully received frame to the endpoint's MAC."""
+        """Hand a successfully received frame to the endpoint's MAC.
+
+        Called for broadcast frames and frames addressed to ``node_id``; a
+        clean reception of somebody else's unicast frame or ACK costs the
+        radio its airtime and is counted, but is not delivered.
+        """
         ...
 
 
@@ -190,29 +203,24 @@ class BroadcastReception:
     single per-frame record, and ONE end-of-airtime kernel event resolves
     the whole cohort — radio RX end, energy accounting, collision and
     delivery outcomes — in a batch loop, so kernel events and allocations
-    scale O(frames), not O(frames x listeners).
+    scale O(frames), not O(frames x listeners).  While it is in
+    ``Channel._active`` the record is also what carrier sense reads: who is
+    sending (``sender_id``), from where (``position``), until when
+    (``end_time``).
     """
 
     __slots__ = (
-        "frame", "sender_id", "position", "end_time", "covered",
+        "frame", "sender_id", "position", "end_time",
         "receivers", "corrupt", "reasons", "on_airtime_end",
     )
 
     def __init__(
-        self,
-        frame: Frame,
-        sender_id: int,
-        position: Vec2,
-        end_time: float,
-        covered: Tuple[int, ...] = (),
+        self, frame: Frame, sender_id: int, position: Vec2, end_time: float
     ) -> None:
         self.frame = frame
         self.sender_id = sender_id
         self.position = position
         self.end_time = end_time
-        #: static node ids (excluding the sender) whose busy counters this
-        #: transmission incremented; decremented again on finish
-        self.covered = covered
         #: endpoints that began receiving this frame, in reception order
         #: (static listeners in grid-query order, then mobiles)
         self.receivers: List[ChannelEndpoint] = []
@@ -259,19 +267,11 @@ class Channel:
         #: mobile endpoints by id, in registration order
         self._mobile: Dict[int, _Tracked] = {}
         self._active: List[BroadcastReception] = []
-        #: per static node: (listener endpoints, their ids) in grid-query
-        #: order, and the node's mobile-index cell
+        #: per static node: its listener endpoints in grid-query order, and
+        #: the node's mobile-index cell
         self._neighbor_cache: Dict[
-            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], _CellKey]
+            int, Tuple[Tuple[ChannelEndpoint, ...], _CellKey]
         ] = {}
-        # Per static node (indexed by id): number of in-flight transmissions
-        # from *other* senders covering it, and the latest end time among
-        # every such transmission seen so far.  While the count is positive
-        # the latest value equals the in-flight maximum (a finished
-        # transmission can only hold the maximum once nothing outlasts it),
-        # so carrier sense never scans the active list for static nodes.
-        self._busy_count: List[int] = []
-        self._busy_latest: List[float] = []
         #: descending sentinel ids assigned to in-flight transmissions whose
         #: mobile sender unregistered mid-airtime (see unregister_mobile)
         self._retired_sender_seq = 0
@@ -302,28 +302,10 @@ class Channel:
         """Register a fixed-position endpoint (sensor node)."""
         if endpoint.node_id in self._static or endpoint.node_id in self._mobile:
             raise ValueError(f"endpoint {endpoint.node_id} already registered")
-        node_id = endpoint.node_id
-        position = endpoint.position_at(0.0)
-        self._static[node_id] = endpoint
-        self._grid.insert(node_id, position)
+        self._static[endpoint.node_id] = endpoint
+        self._grid.insert(endpoint.node_id, endpoint.position_at(0.0))
         # New static nodes change neighbourhoods; caches rebuild lazily.
         self._neighbor_cache.clear()
-        if node_id >= len(self._busy_count):
-            grow = node_id + 1 - len(self._busy_count)
-            self._busy_count.extend([0] * grow)
-            self._busy_latest.extend([0.0] * grow)
-        # Seed the new node's busy bookkeeping from transmissions already on
-        # the air (registration mid-run is rare but supported): in-flight
-        # records computed their covered sets before this node existed.
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        for tx in self._active:
-            if tx.sender_id == node_id:
-                continue
-            if tx.position.distance_sq_to(position) <= r_sq_eps:
-                tx.covered += (node_id,)
-                self._busy_count[node_id] += 1
-                if tx.end_time > self._busy_latest[node_id]:
-                    self._busy_latest[node_id] = tx.end_time
 
     def register_mobile(self, endpoint: ChannelEndpoint) -> None:
         """Register a moving endpoint (the user's proxy).
@@ -361,12 +343,13 @@ class Channel:
         Unknown ids are ignored so teardown is idempotent.
 
         A transmission the departing endpoint still has on the air keeps
-        its record (the end-of-airtime event always fires and drains the
-        per-node busy counters), but its ``sender_id`` is re-tagged to a
-        unique sentinel: the id is only used to exclude the sender's own
-        frame from its carrier sense, and a later ``register_mobile`` may
-        legitimately reuse the id — without the re-tag the new endpoint
-        would read the medium idle while the old frame is still in flight.
+        its record until the end-of-airtime event takes it off the
+        in-flight list, so everyone in range goes on sensing it; but its
+        ``sender_id`` is re-tagged to a unique sentinel: the id is only
+        used to exclude the sender's own frame from its carrier sense, and
+        a later ``register_mobile`` may legitimately reuse the id — without
+        the re-tag the new endpoint would read the medium idle while the
+        old frame is still in flight.
         """
         tracked = self._mobile.pop(node_id, None)
         if tracked is None:
@@ -424,20 +407,28 @@ class Channel:
 
     def _static_cache(
         self, node_id: int
-    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[int, ...], _CellKey]:
+    ) -> Tuple[Tuple[ChannelEndpoint, ...], _CellKey]:
         cached = self._neighbor_cache.get(node_id)
         if cached is None:
             position = self._static[node_id].position_at(0.0)
-            ids = self._grid.query_disk(position, self.comm_range)
-            static = self._static
-            others = tuple(i for i in ids if i != node_id)
             cached = (
-                tuple(static[i] for i in others),
-                others,
+                self._static_near(position, node_id),
                 self._cell_of(position.x, position.y),
             )
             self._neighbor_cache[node_id] = cached
         return cached
+
+    def _static_near(
+        self, position: Vec2, sender_id: int
+    ) -> Tuple[ChannelEndpoint, ...]:
+        """Static endpoints in range of ``position``, in grid-query order,
+        without the sender."""
+        static = self._static
+        return tuple(
+            static[i]
+            for i in self._grid.query_disk(position, self.comm_range)
+            if i != sender_id
+        )
 
     # ------------------------------------------------------------------
     # Mobile cell index
@@ -500,26 +491,20 @@ class Channel:
         The endpoint's own transmission does not count (the MAC knows it is
         transmitting); a sleeping radio cannot sense and reads idle.
         """
-        if endpoint.radio.is_sleeping:
-            return False
-        node_id = endpoint.node_id
-        if self._static.get(node_id) is endpoint:
-            return self._busy_count[node_id] > 0
-        return self._sensed_until(endpoint) is not None
+        return not endpoint.radio.is_sleeping and self.busy_until(endpoint) is not None
 
     def busy_until(self, endpoint: ChannelEndpoint) -> Optional[float]:
-        """Latest end time among in-range in-flight transmissions, if any."""
-        node_id = endpoint.node_id
-        if self._static.get(node_id) is endpoint:
-            if self._busy_count[node_id] == 0:
-                return None
-            return self._busy_latest[node_id]
-        return self._sensed_until(endpoint)
+        """Latest end time among in-range in-flight transmissions, if any.
 
-    def _sensed_until(self, endpoint: ChannelEndpoint) -> Optional[float]:
-        """Carrier sense of a moving endpoint: its position changes between
-        sense calls, so scan the (short) in-flight list from where it is
-        now — read off its tracked motion piece if it is registered."""
+        A scan of the (short) in-flight list from where the endpoint is now
+        — read off its tracked motion piece if it is a registered mobile —
+        with the range test the grid's ``query_disk`` applies to a frame's
+        static listeners, so a node senses exactly the frames whose cohort
+        it could have joined.
+        """
+        active = self._active
+        if not active:
+            return None
         node_id = endpoint.node_id
         now = self.sim.now
         tracked = self._mobile.get(node_id)
@@ -530,7 +515,7 @@ class Channel:
             px, py = pos.x, pos.y
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
         latest: Optional[float] = None
-        for tx in self._active:
+        for tx in active:
             if tx.sender_id == node_id:
                 continue
             tpos = tx.position
@@ -570,28 +555,18 @@ class Channel:
         # and the sender is already excluded); a mobile sender's footprint
         # is evaluated at its current position.
         if self._static.get(sender_id) is sender:
-            static_listeners, covered, cell = self._static_cache(sender_id)
+            static_listeners, cell = self._static_cache(sender_id)
         else:
-            ids = self._grid.query_disk(position, self.comm_range)
-            static = self._static
-            static_listeners = tuple(static[i] for i in ids if i != sender_id)
-            covered = tuple(i for i in ids if i != sender_id)
+            static_listeners = self._static_near(position, sender_id)
             cell = self._cell_of(position.x, position.y)
-        end_time = now + duration
         record = self._begin_reception(
-            frame, sender_id, position, end_time, covered, static_listeners, cell, now
+            frame, sender_id, position, now + duration, static_listeners, cell, now
         )
         record.on_airtime_end = on_airtime_end
         jam = self.fault_jam
         if jam is not None and jam(frame):
             self._corrupt_cohort(record, "fault-degraded")
         self._active.append(record)
-        busy_count = self._busy_count
-        busy_latest = self._busy_latest
-        for node_id in covered:
-            busy_count[node_id] += 1
-            if end_time > busy_latest[node_id]:
-                busy_latest[node_id] = end_time
         self.frames_sent += 1
         tracer = self.tracer
         if tracer is not None:
@@ -624,7 +599,6 @@ class Channel:
         sender_id: int,
         position: Vec2,
         end_time: float,
-        covered: Tuple[int, ...],
         static_listeners: Tuple[ChannelEndpoint, ...],
         cell: _CellKey,
         now: float,
@@ -664,7 +638,7 @@ class Channel:
                 and tracked.node_id != sender_id
             ):
                 heard.append(tracked.endpoint)
-        record = BroadcastReception(frame, sender_id, position, end_time, covered)
+        record = BroadcastReception(frame, sender_id, position, end_time)
         receivers = record.receivers
         corrupt = record.corrupt
         reasons = record.reasons
@@ -723,13 +697,12 @@ class Channel:
         path used, so downstream event sequences are unchanged.
         """
         self._active.remove(record)
-        busy_count = self._busy_count
-        for node_id in record.covered:
-            busy_count[node_id] -= 1
         sender.radio.end_transmission()
         now = self.sim.now
         tracer = self.tracer
         frame = record.frame
+        dst = frame.dst
+        to_all = dst == BROADCAST
         rx_state = RadioState.RX
         idle_state = RadioState.IDLE
         corrupt = record.corrupt
@@ -776,7 +749,10 @@ class Channel:
                     frame_kind=frame.kind,
                     at=receiver.node_id,
                 )
-            receiver.deliver_frame(frame)
+            # Every clean reception is paid for above; only the addressee's
+            # (or a broadcast's) goes up the stack.
+            if to_all or receiver.node_id == dst:
+                receiver.deliver_frame(frame)
         self.frames_collided += collided
         self.frames_delivered += delivered
         if tracer is not None:

@@ -77,6 +77,11 @@ class MacLayer:
         self._cw = self.config.cw_min
         self._ack_timer: Optional[EventHandle] = None
         self._awaited_ack_seq: Optional[int] = None
+        #: an ACK's wire size is a constant, so its airtime is priced once
+        #: here (an explicit ``seq``: no draw from the global frame counter)
+        self._ack_airtime = channel.airtime(
+            Frame("mac-ack", BROADCAST, BROADCAST, ACK_SIZE_BYTES, seq=0)
+        )
         self._seen: Deque[Tuple[int, int]] = deque(maxlen=self.config.dedupe_window)
         self._seen_set: set = set()
         #: upward delivery target, set by the owning node
@@ -152,7 +157,7 @@ class MacLayer:
         ack_wait = (
             airtime
             + self.config.sifs_s
-            + self.channel.airtime(self._ack_frame_for(frame))
+            + self._ack_airtime
             + self.config.ack_slack_s
         )
         self._awaited_ack_seq = frame.seq
@@ -161,15 +166,6 @@ class MacLayer:
     def _finish_broadcast(self) -> None:
         """Channel batch callback: our broadcast's airtime elapsed."""
         self._finish_current(True)
-
-    def _ack_frame_for(self, frame: Frame) -> Frame:
-        return Frame(
-            kind="mac-ack",
-            src=self.endpoint.node_id,
-            dst=frame.src,
-            size_bytes=ACK_SIZE_BYTES,
-            payload=frame.seq,
-        )
 
     def _on_ack_timeout(self) -> None:
         self._ack_timer = None
@@ -207,7 +203,12 @@ class MacLayer:
     # Receive path
     # ------------------------------------------------------------------
     def on_frame(self, frame: Frame) -> None:
-        """Channel delivery: filter, ACK, dedupe, dispatch upward."""
+        """Channel delivery: filter, ACK, dedupe, dispatch upward.
+
+        The channel delivers only broadcasts and frames addressed to this
+        endpoint; the ``dst`` checks below stay for callers that hand the
+        MAC a frame directly.
+        """
         dst = frame.dst
         if frame.kind == "mac-ack":
             if dst == self.endpoint.node_id and frame.payload == self._awaited_ack_seq:
@@ -233,8 +234,10 @@ class MacLayer:
             self.receive_callback(frame)
 
     def _send_ack(self, frame: Frame) -> None:
-        radio = self.endpoint.radio
+        endpoint = self.endpoint
+        radio = endpoint.radio
         if radio.is_transmitting or radio.is_sleeping:
             # Cannot ACK right now; the sender will retransmit.
             return
-        self.channel.transmit(self.endpoint, self._ack_frame_for(frame))
+        ack = Frame("mac-ack", endpoint.node_id, frame.src, ACK_SIZE_BYTES, frame.seq)
+        self.channel.transmit(endpoint, ack)

@@ -87,7 +87,7 @@ class SensorNode:
         return self.position
 
     def deliver_frame(self, frame: Frame) -> None:
-        """Channel delivery entry point."""
+        """Channel delivery entry point: broadcasts, and frames addressed here."""
         self.mac.on_frame(frame)
 
     # ------------------------------------------------------------------

@@ -59,6 +59,24 @@ class TestDiskQueries:
         found = grid.query_disk_excluding(Vec2(0, 0), 8.0, "a")
         assert found == ["b"]
 
+    @pytest.mark.parametrize("beyond", [0.0, 2e-12, 4e-12, 6e-12])
+    def test_slack_of_the_range_test_reaches_across_a_cell_edge(self, beyond):
+        """``d^2 <= r^2 + 1e-9`` accepts an item up to 4.76e-12 m beyond a
+        105 m radius; the answer must not depend on whether a cell edge
+        falls in that sliver (it did: the window stopped at the radius)."""
+        grid: SpatialGrid[str] = SpatialGrid(cell_size=105.0)
+        item = Vec2(210.0 - beyond, 50.0)  # cell 1 unless exactly on the edge
+        grid.insert("west", item)
+        grid.insert("south", Vec2(50.0, 210.0 - beyond))
+        dx = 315.0 - item.x
+        expected = dx * dx <= 105.0 * 105.0 + 1e-9
+        assert expected == (beyond < 5e-12)
+        assert (grid.query_disk(Vec2(315.0, 50.0), 105.0) == ["west"]) == expected
+        assert (grid.query_disk(Vec2(50.0, 315.0), 105.0) == ["south"]) == expected
+        assert (
+            grid.query_disk_excluding(Vec2(315.0, 50.0), 105.0, "south") == ["west"]
+        ) == expected
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
         grid: SpatialGrid[int] = SpatialGrid(cell_size=7.0)

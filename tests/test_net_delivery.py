@@ -1,0 +1,262 @@
+"""The channel addresses the frame: who pays for a reception, who is called.
+
+Every listener in range of a frame pays for it at the radio — RX time and
+energy, an ``rx`` or ``collision`` outcome, corruption of whatever else it
+was hearing — but only the addressee of a unicast frame (and every clean
+receiver of a broadcast) is handed the frame through ``deliver_frame``.
+Each interleaving below runs through the real channel, over endpoints that
+record their ``deliver_frame`` calls, and through the object-per-reception
+oracle (``tests/reception_oracle.py``) driving one real ``EnergyMeter`` per
+endpoint; counters, trace, radios and meters must agree with the oracle, and
+the calls must be the oracle's clean receptions the frame is addressed to.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.geometry.vec import Vec2
+from repro.net.channel import Channel
+from repro.net.energy import EnergyMeter, RadioState
+from repro.net.packet import ACK_SIZE_BYTES, BROADCAST, Frame
+from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
+
+from .conftest import make_network
+from .reception_oracle import OracleRadio
+from .test_net_mobile_index import Endpoint
+
+LISTENING = (RadioState.IDLE, RadioState.RX)
+METER_FIELDS = ("_state", "_state_since", "_joules", "_tx_s", "_rx_s", "_idle_s", "_sleep_s")
+
+
+class Recorder(Endpoint):
+    """An endpoint that logs what the channel hands it."""
+
+    def __init__(self, sim, node_id, x, y, calls):
+        position = Vec2(x, y)
+        super().__init__(sim, node_id, lambda time: position)
+        self.calls = calls
+
+    def deliver_frame(self, frame):
+        self.calls.append((self.node_id, frame.seq))
+
+
+class World:
+    """One field under the real channel and under the oracle, side by side."""
+
+    def __init__(self, statics, mobiles, watch):
+        self.sim = Simulator()
+        # ticks when nothing is kept, emitted records when ``watch``
+        self.tracer = Tracer(keep=["rx", "collision"] if watch else None)
+        self.watch = watch
+        self.channel = Channel(
+            self.sim, comm_range=105.0, bitrate_bps=2e6, tracer=self.tracer
+        )
+        self.calls = []
+        self.endpoints = []
+        for x, y in statics:
+            self._add(x, y, self.channel.register_static)
+        for x, y in mobiles:
+            self._add(x, y, self.channel.register_mobile)
+        self.oracle = {ep: OracleRadio() for ep in self.endpoints}
+        self.meters = {
+            ep: EnergyMeter(self.sim, ep.radio.energy.model) for ep in self.endpoints
+        }
+        self.rx = []  # (frame seq, kind, receiver id), in resolution order
+        self.collisions = []  # (frame seq, kind, receiver id, reason)
+        self.expected_calls = []
+
+    def _add(self, x, y, register):
+        self.endpoints.append(Recorder(self.sim, len(self.endpoints), x, y, self.calls))
+        register(self.endpoints[-1])
+
+    def _meter(self, endpoint):
+        """Bill the oracle radio's state to the endpoint's reference meter."""
+        state = self.oracle[endpoint].state
+        if state is not self.meters[endpoint]._state:
+            self.meters[endpoint].on_state_change(state)
+
+    def set_state(self, endpoint, state):
+        endpoint.radio.set_state(state)
+        self.oracle[endpoint].set_state(state)
+        self._meter(endpoint)
+
+    def can_transmit(self, sender):
+        return sender.radio.state in LISTENING
+
+    def transmit(self, sender, dst, size, kind="data"):
+        now = self.sim.now
+        frame = Frame(kind, sender.node_id, dst, size)
+        self.oracle[sender].set_state(RadioState.TX)
+        self._meter(sender)
+        cohort = []
+        for listener in self.channel.listeners_near(sender.position_at(now), now):
+            if listener is not sender and self.oracle[listener].state in LISTENING:
+                cohort.append((listener, self.oracle[listener].begin_reception()))
+                self._meter(listener)
+        self.channel.transmit(sender, frame, lambda: self._finish(sender, frame, cohort))
+        return frame
+
+    def _finish(self, sender, frame, cohort):
+        if self.oracle[sender].state is RadioState.TX:
+            self.oracle[sender].set_state(RadioState.IDLE)
+            self._meter(sender)
+        for listener, reception in cohort:
+            self.oracle[listener].end_reception(reception)
+            self._meter(listener)
+            at = listener.node_id
+            if reception.corrupted:
+                self.collisions.append((frame.seq, frame.kind, at, reception.reason))
+                continue
+            self.rx.append((frame.seq, frame.kind, at))
+            if frame.is_broadcast or frame.dst == at:
+                self.expected_calls.append((at, frame.seq))
+
+    def check(self):
+        channel, tracer = self.channel, self.tracer
+        assert self.calls == self.expected_calls
+        assert channel.frames_delivered == tracer.count("rx") == len(self.rx)
+        assert channel.frames_collided == tracer.count("collision") == len(self.collisions)
+        if self.watch:
+            assert [
+                (r["frame"], r["frame_kind"], r["at"]) for r in tracer.records("rx")
+            ] == self.rx
+            assert [
+                (r["frame"], r["frame_kind"], r["at"], r["reason"])
+                for r in tracer.records("collision")
+            ] == self.collisions
+        else:
+            assert tracer.records() == []
+        for endpoint in self.endpoints:
+            radio, oracle = endpoint.radio, self.oracle[endpoint]
+            assert radio.rx_count == len(oracle.active)
+            assert radio.state is oracle.state
+            for name in METER_FIELDS:
+                assert getattr(radio.energy, name) == getattr(self.meters[endpoint], name), (
+                    f"endpoint {endpoint.node_id}: EnergyMeter.{name}"
+                )
+
+
+# sender 0 and addressee 1; 2 hears both; 3 hears 0 and will doze off; 4 hears
+# 0 and the hidden sender 5, which nobody else hears; 6 is a proxy beside 1
+STATICS = [(0.0, 0.0), (50.0, 0.0), (25.0, 40.0), (0.0, 80.0), (-90.0, 0.0), (-180.0, 0.0)]
+MOBILES = [(60.0, 10.0)]
+
+
+@pytest.mark.parametrize("watch", [False, True], ids=["ticks", "records"])
+class TestWhoIsCalled:
+    def test_unicast_and_its_ack_reach_the_addressee_only(self, watch):
+        world = World(STATICS, MOBILES, watch)
+        sender, addressee, _, dozer, overlapped, hidden, _ = world.endpoints
+        data = world.transmit(sender, addressee.node_id, 1000)
+        world.sim.run(until=1e-3)
+        noise = world.transmit(hidden, BROADCAST, 64)  # overlaps the data frame at 4
+        world.sim.run(until=2e-3)
+        world.set_state(dozer, RadioState.SLEEP)  # mid-reception
+        world.sim.run(until=0.01)
+        ack = world.transmit(addressee, sender.node_id, ACK_SIZE_BYTES, kind="mac-ack")
+        world.sim.run(until=0.02)
+        world.check()
+        assert world.calls == [(addressee.node_id, data.seq), (sender.node_id, ack.seq)]
+        # the bystanders paid for both frames at the radio all the same ...
+        assert (data.seq, "data", 2) in world.rx and (ack.seq, "mac-ack", 2) in world.rx
+        assert (data.seq, "data", 6) in world.rx and (ack.seq, "mac-ack", 6) in world.rx
+        assert world.endpoints[2].radio.energy.seconds_in(RadioState.RX) > 0.004
+        # ... and the ones that dozed off or were overlapped still corrupted
+        assert world.collisions == [
+            (noise.seq, "data", 4, "overlap"),
+            (data.seq, "data", 4, "overlap"),  # grid order: the cell west of 0's first
+            (data.seq, "data", 3, "receiver_left_listening"),
+        ]
+
+    def test_broadcast_reaches_every_clean_receiver_in_cohort_order(self, watch):
+        world = World(STATICS, MOBILES, watch)
+        sender, _, _, dozer, overlapped, hidden, _ = world.endpoints
+        world.set_state(dozer, RadioState.SLEEP)  # asleep at onset: no reception
+        frame = world.transmit(sender, BROADCAST, 1000)
+        world.sim.run(until=1e-3)
+        world.transmit(hidden, BROADCAST, 64)
+        world.sim.run(until=0.02)
+        world.check()
+        cohort = [
+            ep.node_id
+            for ep in world.channel.listeners_near(Vec2(0.0, 0.0), 0.0)
+            if ep not in (sender, dozer, overlapped)
+        ]
+        assert cohort == [1, 2, 6]  # static listeners in grid order, then the proxy
+        assert world.calls == [(at, frame.seq) for at in cohort]
+        assert [c[2:] for c in world.collisions] == [(4, "overlap"), (4, "overlap")]
+
+
+index = st.integers(min_value=0, max_value=10**6)
+ops = st.one_of(
+    st.tuples(st.just("unicast"), index, index),
+    st.tuples(st.just("unicast"), index, index),
+    st.tuples(st.just("ack"), index, index),
+    st.tuples(st.just("broadcast"), index, st.sampled_from([64, 1500])),
+    st.tuples(st.just("doze"), index, st.none()),
+    st.tuples(st.just("wait"), st.sampled_from([0.0, 1e-4, 1e-3, 0.02]), st.none()),
+)
+coords = st.integers(min_value=0, max_value=250).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    statics=st.lists(st.tuples(coords, coords), min_size=2, max_size=7),
+    mobiles=st.lists(st.tuples(coords, coords), max_size=3),
+    watch=st.booleans(),
+    script=st.lists(ops, min_size=5, max_size=30),
+)
+def test_any_interleaving_agrees_with_the_oracle(statics, mobiles, watch, script):
+    world = World(statics, mobiles, watch)
+    endpoints = world.endpoints
+    for kind, a, b in script:
+        if kind == "wait":
+            world.sim.run(until=world.sim.now + a)
+            continue
+        endpoint = endpoints[a % len(endpoints)]
+        if kind == "doze":
+            asleep = endpoint.radio.is_sleeping
+            world.set_state(endpoint, RadioState.IDLE if asleep else RadioState.SLEEP)
+        elif not world.can_transmit(endpoint):
+            continue
+        elif kind == "broadcast":
+            world.transmit(endpoint, BROADCAST, b)
+        else:  # addressed to anyone, itself and out-of-range nodes included
+            world.transmit(
+                endpoint,
+                endpoints[b % len(endpoints)].node_id,
+                500 if kind == "unicast" else ACK_SIZE_BYTES,
+                kind="data" if kind == "unicast" else "mac-ack",
+            )
+        world.check()
+    world.sim.run(until=world.sim.now + 1.0)
+    world.check()
+    assert all(ep.radio.rx_count == 0 for ep in endpoints)
+
+
+def test_a_bystander_of_a_mac_exchange_is_never_called():
+    """Through the real MAC: a unicast send, its ACK and the success
+    callback, with a third node in range of both ends."""
+    sim = Simulator()
+    network = make_network(sim, [Vec2(0, 0), Vec2(50, 0), Vec2(25, 40)])
+    network.apply_backbone([0, 1, 2])
+    sender, addressee, bystander = network.nodes
+    got, calls, fates = [], [], []
+    addressee.register_handler("data", lambda node, frame: got.append(frame.payload))
+    for node in network.nodes:
+        on_frame = node.deliver_frame
+
+        def recording(frame, node=node, on_frame=on_frame):
+            calls.append((node.node_id, frame.kind))
+            on_frame(frame)
+
+        node.deliver_frame = recording
+    sender.send(Frame("data", 0, 1, 200, payload="hello"), fates.append)
+    sim.run(until=0.1)
+    assert got == ["hello"] and fates == [True]
+    assert calls == [(1, "data"), (0, "mac-ack")]
+    assert network.channel.frames_delivered == 4  # both frames, both listeners
+    assert bystander.radio.rx_count == 0 and bystander.radio.state is RadioState.IDLE
+    assert bystander.radio.energy.seconds_in(RadioState.RX) > 0
