@@ -16,8 +16,8 @@
 #   make serve-smoke     daemon + slam + SIGTERM drain + bit-identical replay
 #   make soak-smoke      2 000 short sessions through a free-running daemon:
 #                        world, cost per session and registered mobiles
-#                        flat after warm-up, replay bit-identical (~20 s;
-#                        not part of `check`)
+#                        flat after warm-up, retained KB per session under
+#                        its bound, replay bit-identical (~20 s)
 #   make chaos-smoke     wire-fault daemon + retrying slam + SIGKILL +
 #                        bit-identical partial WAL replay
 #   make approx-smoke    uav-survey at coarse + exact accuracy, then the
@@ -127,7 +127,8 @@ serve-smoke:
 # The long form of tests/test_serve_steady_state.py (scripts/soak.py):
 # 2 000 eight-second sessions through a free-running in-process daemon;
 # fails if the world, the wall time per 100 sessions or the registered
-# mobiles grow after warm-up, or the log does not replay.  Artifacts:
+# mobiles grow after warm-up, if a retired session retains more than
+# RSS_KB_PER_SESSION, or if the log does not replay.  Artifacts:
 # SERVE_soak-smoke.json + SERVE_soak-smoke.wal.
 soak-smoke:
 	PYTHONPATH=src $(PY) scripts/soak.py
@@ -179,4 +180,4 @@ approx-smoke:
 profile:
 	PYTHONPATH=src $(PY) -m repro profile $(SCENARIO) $(ARGS)
 
-check: test bench-smoke examples-smoke
+check: test bench-smoke examples-smoke soak-smoke

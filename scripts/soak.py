@@ -18,10 +18,12 @@ fails if
   follows them too: before sessions were retired at their last outcome,
   block 10 took five times as long as block 1);
 * RSS grows by more than ``RSS_KB_PER_SESSION`` per session.  RSS is *not*
-  flat yet: the handle, ring and log ops of every session ever served are
-  kept until they get a TTL, about 25 KB a session, and that swamps what
-  the world itself holds — the census above is what watches the world; this
-  bound only catches a session starting to retain more than it does today.
+  flat yet: the handle (with its closed gateway and delivery records), ring
+  and log ops of every session ever served are kept until they get a TTL,
+  about 16 KB a session since a torn-down handle drops its proxy, and that
+  swamps what the world itself holds — the census above is what watches
+  the world; this bound only catches a session starting to retain more
+  than it does today.
 
 Then it writes ``SERVE_soak-smoke.json`` / ``.wal`` and replays the log;
 exit 0 means flat, leak-free and bit-identical.  ``tests/
@@ -42,7 +44,7 @@ from repro.serve.daemon import ServeApp
 LIFETIME_S = 8.0
 IN_FLIGHT = 8
 BLOCK = 100
-RSS_KB_PER_SESSION = 48.0
+RSS_KB_PER_SESSION = 32.0
 
 
 def payload(i: int, now: float) -> dict:
@@ -71,8 +73,9 @@ def rss_mb() -> float:
 
 
 def world_census(app: ServeApp) -> int:
-    """Kernel events pending plus protocol/scheduler/flood state keyed by a
-    session, over every world — ``leak_census`` without advancing the clock."""
+    """Kernel events pending plus protocol/flood state keyed by a session and
+    the sessions not torn down, over every world — ``leak_census`` without
+    advancing the clock."""
     total = 0
     for service in app._services():
         protocol = service.protocol
@@ -82,7 +85,7 @@ def world_census(app: ServeApp) -> int:
             + len(protocol._collectors)
             + len(protocol._pending_batches)
             + service.flood.live_flood_count()
-            + len(service.workload.scheduler._gateways)
+            + len(service.unreleased_handles())
         )
     return total
 

@@ -37,8 +37,9 @@ Subpackages:
 * ``repro.core`` — the MobiQuery protocol (JIT + greedy prefetching, query
   trees, data collection, cancellation), the NP baseline, Section 5
   closed-form analysis, Section 6 metrics.
-* ``repro.workload`` — multi-user workloads: N concurrent query sessions
-  with independent motion/arrival processes on one shared network.
+* ``repro.workload`` — what a multi-user run is made of besides the
+  service: arrival processes, the per-user proxy endpoint, and the scored
+  ``SessionResult`` / ``WorkloadResult``.
 * ``repro.cluster`` — the sharded query plane: regional shard worlds, a
   geometry router and worker-process execution behind the same
   ``QueryBackend`` surface as the single service.
@@ -128,9 +129,6 @@ from .workload import (
     ARRIVAL_STAGGERED,
     ARRIVAL_UNIFORM,
     SessionResult,
-    UserPlan,
-    UserSession,
-    Workload,
     WorkloadResult,
     arrival_times,
 )
@@ -217,10 +215,7 @@ __all__ = [
     "PlannerProfileProvider",
     "HistoryPredictorProvider",
     # workload
-    "Workload",
     "WorkloadResult",
-    "UserPlan",
-    "UserSession",
     "SessionResult",
     "arrival_times",
     "ARRIVAL_SIMULTANEOUS",

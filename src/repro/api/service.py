@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional
 
-import numpy as np
-
+from ..approx.gateway import ApproxGateway
 from ..approx.plane import SummaryAnswer, SummaryPlane
 from ..core.baseline import NoPrefetchProtocol
-from ..core.gateway import MobiQueryGateway, NoPrefetchGateway
+from ..core.gateway import BaseGateway, MobiQueryGateway, NoPrefetchGateway
 from ..core.metrics import (
     ContentionTracker,
     SessionMetrics,
@@ -54,13 +53,14 @@ from ..mobility.predictor import HistoryPredictorProvider
 from ..mobility.profile import ProfileProvider
 from ..net.flooding import FloodManager
 from ..net.network import build_network
+from ..net.node import MobileEndpoint
 from ..net.routing import GeoRouter
 from ..power.ccp import CcpProtocol
 from ..sim.kernel import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import Tracer
-from ..workload.engine import Workload, WorkloadResult
-from ..workload.session import SessionResult, UserPlan, UserSession
+from ..workload.engine import WorkloadResult
+from ..workload.session import SessionResult, build_proxy
 from .admission import AcceptAllPolicy, AdmissionDecision, AdmissionPolicy
 from .backend import BackendStats
 from .config import (
@@ -192,6 +192,13 @@ class SessionHandle:
     requests get a handle too (``status == "rejected"``, ``accepted`` is
     False) so callers can uniformly inspect the admission verdict and
     resubmit later.
+
+    An admitted handle *is* the session: it holds the one ``gateway``
+    serving the query and, through it, the user's ``proxy`` (the endpoint
+    on the shared channel); nothing else in the service keeps either.
+    Once the session is torn down (``released``) the proxy is dropped; the
+    gateway object stays — closed, with its delivery records — so
+    :meth:`period_outcome` and :meth:`result` answer as before.
     """
 
     def __init__(
@@ -202,7 +209,7 @@ class SessionHandle:
         decision: AdmissionDecision,
         spec: Optional[QuerySpec] = None,
         path: Optional[PiecewisePath] = None,
-        session: Optional[UserSession] = None,
+        gateway: Optional[BaseGateway] = None,
     ) -> None:
         self.service = service
         self.request = request
@@ -212,12 +219,12 @@ class SessionHandle:
         self.decision = decision
         self.spec = spec
         self.path = path
-        self.session = session
+        self.gateway = gateway
         self.submitted_at = service.sim.now
         self.cancelled_at: Optional[float] = None
-        #: the session's proxy, scheduler slot and in-network state are gone
-        #: (set by the one teardown ``cancel`` and
-        #: ``release_session_state`` share, so it runs at most once)
+        #: the session's proxy and in-network state are gone (set by the
+        #: one teardown ``cancel`` and ``release_session_state`` share, so
+        #: it runs at most once)
         self.released = False
         self._result: Optional[SessionResult] = None
 
@@ -246,6 +253,11 @@ class SessionHandle:
     def session_key(self) -> Optional[tuple]:
         return self.spec.session_key if self.spec is not None else None
 
+    @property
+    def proxy(self) -> Optional[MobileEndpoint]:
+        """The user's device on the channel; None once ``released``."""
+        return self.gateway.proxy if self.gateway is not None else None
+
     def require_admitted(self) -> "SessionHandle":
         """Return self, or raise :class:`AdmissionError` if rejected."""
         if not self.accepted:
@@ -271,7 +283,7 @@ class SessionHandle:
                 "WorkloadResult close() returned)"
             )
         self.require_admitted()
-        assert self.spec is not None and self.session is not None
+        assert self.spec is not None
         spec = self.spec
         for k in range(1, spec.num_periods + 1):
             deadline = spec.deadline(k)
@@ -289,8 +301,8 @@ class SessionHandle:
         this method so the wire stream always matches the scored record.
         """
         self.require_admitted()
-        assert self.spec is not None and self.session is not None
-        chosen, on_time = self.session.gateway.best_delivery(k)
+        assert self.spec is not None and self.gateway is not None
+        chosen, on_time = self.gateway.best_delivery(k)
         return PeriodOutcome(
             k=k,
             deadline=self.spec.deadline(k),
@@ -456,7 +468,6 @@ class MobiQueryService:
         CcpProtocol().apply(self.network, self.streams)
         self.geo = GeoRouter(self.network)
         self.flood = FloodManager(self.network)
-        self.workload = Workload(self.network, self.tracer)
         self.protocol: Optional[MobiQueryProtocol] = None
         self.np_protocol: Optional[NoPrefetchProtocol] = None
         self.storage: Optional[StorageTracker] = None
@@ -527,6 +538,10 @@ class MobiQueryService:
         """Handles of every admitted session, in submission order."""
         return [h for h in self.handles if h.accepted]
 
+    def unreleased_handles(self) -> List[SessionHandle]:
+        """Admitted sessions not torn down yet (proxy still on the channel)."""
+        return [h for h in self.handles if h.accepted and not h.released]
+
     def live_session_specs(self, at: float) -> List[SessionHandle]:
         """Admitted, uncancelled sessions whose lifetime covers time ``at``."""
         return self._sessions.live(at, self.sim.now)
@@ -541,7 +556,7 @@ class MobiQueryService:
         if the request carries no path — policies need the motion to judge
         area overlap), and the admission policy asked.  A rejected request
         leaves the *kernel* untouched: no proxy joins the channel, no event
-        is scheduled, no protocol or scheduler state appears.  The one
+        is scheduled, no protocol state appears.  The one
         side effect of rejection is that a synthesised path has consumed
         draws from the user's mobility stream, so a resubmission without
         an explicit path walks a different (equally distributed) route.
@@ -585,15 +600,9 @@ class MobiQueryService:
             # serviceable period; in that corner the original phase wins.
             if offset_start <= self.duration_s - request.period_s:
                 spec = self._build_spec(request, user_id, offset_start)
-        session = self._admit(request, spec, path)
+        gateway = self._admit(request, spec, path)
         handle = SessionHandle(
-            self,
-            request,
-            STATUS_ADMITTED,
-            decision,
-            spec=spec,
-            path=path,
-            session=session,
+            self, request, STATUS_ADMITTED, decision, spec, path, gateway
         )
         self._sessions.add(handle)
         self._admitted_total += 1
@@ -626,53 +635,64 @@ class MobiQueryService:
 
     def _admit(
         self, request: QueryRequest, spec: QuerySpec, path: PiecewisePath
-    ) -> UserSession:
+    ) -> BaseGateway:
+        """Put the user's proxy on the channel and begin the one gateway
+        the request's accuracy and the world's mode call for."""
         user_id = spec.user_id
-        rng: np.random.Generator = self.streams.stream(
-            user_stream("proxy", user_id)
-        )
+        rng = self.streams.stream(user_stream("proxy", user_id))
+        provider = request.provider
+        if (
+            provider is None
+            and request.accuracy == "exact"
+            and self.config.mode != MODE_NP
+        ):
+            # Can refuse the request's knobs: before the proxy joins.
+            provider = make_profile_provider(
+                self.config,
+                path,
+                self.streams,
+                user_id,
+                profile_mode=request.profile_mode,
+                advance_time_s=request.advance_time_s,
+                gps_error_m=request.gps_error_m,
+                sampling_period_s=request.sampling_period_s,
+            )
+        proxy = build_proxy(user_id, path, self.network, rng, self.tracer)
         if request.accuracy != "exact":
             # Summary-served session: no prefetch chains, no floods, no
-            # per-period trees — answers compose from the cached plane.
-            plan = UserPlan(user_id=user_id, spec=spec, path=path)
-            session = self.workload.add_approx_user(
-                plan, self._ensure_summary_plane(), request.accuracy, rng
+            # per-period trees — answers compose from the cached plane at
+            # the user's actual position, so no profile provider either.
+            gateway: BaseGateway = ApproxGateway(
+                proxy,
+                self.network,
+                spec,
+                self._ensure_summary_plane(),
+                path,
+                request.accuracy,
+                self.tracer,
             )
         elif self.config.mode == MODE_NP:
             if self.np_protocol is None:
                 self.np_protocol = NoPrefetchProtocol(
                     self.network, self.geo, self.flood, tracer=self.tracer
                 )
-            plan = UserPlan(user_id=user_id, spec=spec, path=path)
-            session = self.workload.add_noprefetch_user(
-                plan, self.np_protocol, self.flood, rng=rng
+            gateway = NoPrefetchGateway(
+                proxy, self.network, spec, self.np_protocol, self.flood, self.tracer
             )
         else:
-            provider = request.provider
-            if provider is None:
-                provider = make_profile_provider(
-                    self.config,
-                    path,
-                    self.streams,
-                    user_id,
-                    profile_mode=request.profile_mode,
-                    advance_time_s=request.advance_time_s,
-                    gps_error_m=request.gps_error_m,
-                    sampling_period_s=request.sampling_period_s,
-                )
-            plan = UserPlan(
-                user_id=user_id, spec=spec, path=path, provider=provider
+            assert self.protocol is not None and provider is not None
+            gateway = MobiQueryGateway(
+                proxy, self.network, spec, self.protocol, provider, self.tracer
             )
-            assert self.protocol is not None
-            session = self.workload.add_mobiquery_user(plan, self.protocol, rng)
+        gateway.begin()  # now, or at spec.start_s
         if self.storage is not None:
             self.storage.register_spec(spec)
         if self.fault_injector is not None:
             # Lets the gateway watchdog mark unrecoverable periods as
             # degraded; stays False in fault-free runs so ordinary watchdog
             # re-injections never count as degradation.
-            session.gateway.faults_active = True
-        return session
+            gateway.faults_active = True
+        return gateway
 
     def _ensure_summary_plane(self) -> SummaryPlane:
         """The world's summary plane, created on first approximate use.
@@ -708,10 +728,11 @@ class MobiQueryService:
     def cancel(self, handle: SessionHandle) -> None:
         """Tear down one session mid-run.
 
-        The proxy-side gateway goes silent, the scheduler slot is freed,
-        every piece of in-network state keyed by the session is released
-        (collector chains, tree states, cancel marks, buffered sleeper
-        setups, flood dedup), and the proxy endpoint leaves the channel.
+        The gateway closes — it goes silent, a start still pending is
+        cancelled, and every piece of in-network state it set up is
+        released (collector chains, tree states, cancel marks, buffered
+        sleeper setups, flood dedup, summary drill state) — and the proxy
+        endpoint leaves the channel.
         Cancelling a rejected, already-cancelled, or completed handle is a
         no-op — a session that ran to the horizon stays "completed".
         """
@@ -727,29 +748,27 @@ class MobiQueryService:
         self._cancelled_total += 1
 
     def _teardown_session(self, handle: SessionHandle) -> None:
-        """Release every piece of state keyed by one admitted session."""
-        assert handle.spec is not None and handle.session is not None
+        """Release every piece of state keyed by one admitted session.
+
+        The gateway releases what it set up and lets go of the proxy (MAC
+        queue, radio, energy meter: nothing reads them again); the service
+        takes it off the channel.  The closed gateway stays, for scoring.
+        """
+        gateway = handle.gateway
+        assert gateway is not None and gateway.proxy is not None
+        proxy_id = gateway.proxy.node_id
         handle.released = True
-        key = handle.spec.session_key
-        handle.session.gateway.close()
-        self.workload.scheduler.remove(key)
-        if self.protocol is not None:
-            self.protocol.release_session(*key)
-        if self.np_protocol is not None:
-            self.np_protocol.release_session(*key)
-        if self.summary_plane is not None:
-            # Normally released by the gateway's close(); kept here so the
-            # teardown invariant (zero summary residue) never depends on
-            # gateway subclass behaviour.
-            self.summary_plane.release_session(key)
-        self.network.channel.unregister_mobile(handle.session.proxy.node_id)
+        gateway.close()  # lets go of the proxy
+        self.network.channel.unregister_mobile(proxy_id)
+        if self.storage is not None:
+            self.storage.forget_spec(gateway.session_key)
 
     def release_session_state(self, handle: SessionHandle) -> None:
         """Release a *finished* session's proxy and in-network state.
 
         A session that was served its last period keeps residue around —
         its proxy listening on the channel, cached tree states, delivered
-        batches, its scheduler slot — which is harmless in a batch run
+        batches — which is harmless in a batch run
         (the process exits) but makes an always-on daemon pay, frame by
         frame, for every user who has left.  The serve daemon therefore
         calls this the moment a session's last outcome is harvested (and,
@@ -805,15 +824,26 @@ class MobiQueryService:
         return WorkloadResult(sessions=sessions)
 
     def _score(self, handle: SessionHandle) -> SessionResult:
-        assert handle.session is not None and handle.spec is not None
-        duration = self.duration_s
-        if handle.cancelled_at is not None:
-            duration = min(duration, handle.cancelled_at)
         if handle._result is None:
-            handle._result = handle.session.finalize(
-                self.network,
-                duration,
-                fidelity_threshold=self.config.fidelity_threshold,
+            gateway, spec = handle.gateway, handle.spec
+            assert gateway is not None and spec is not None
+            duration = self.duration_s
+            if handle.cancelled_at is not None:
+                duration = min(duration, handle.cancelled_at)
+            handle._result = SessionResult(
+                user_id=spec.user_id,
+                query_id=spec.query_id,
+                start_s=spec.start_s,
+                metrics=build_session_metrics(
+                    gateway,
+                    self.network,
+                    spec,
+                    handle.path,
+                    duration,
+                    fidelity_threshold=self.config.fidelity_threshold,
+                ),
+                deliveries=len(gateway.deliveries),
+                degraded_periods=len(gateway.degraded_ks),
             )
         return handle._result
 

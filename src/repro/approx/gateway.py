@@ -86,8 +86,5 @@ class ApproxGateway(BaseGateway):
             error_bound=answer.error_bound,
         )
 
-    def close(self) -> None:
-        """Release the plane's per-session drill state, then go silent."""
-        if not self.closed:
-            self.plane.release_session(self.session_key)
-        super().close()
+    def _release(self) -> None:
+        self.plane.release_session(self.session_key)

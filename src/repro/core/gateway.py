@@ -15,7 +15,7 @@ into per-period metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
@@ -63,7 +63,13 @@ class DeliveryRecord:
 
 
 class BaseGateway:
-    """Shared delivery bookkeeping for both gateways."""
+    """The proxy side of one session: lifecycle and delivery bookkeeping.
+
+    A gateway is the one owner of what its session sets up: :meth:`begin`
+    starts it at ``spec.start_s``; :meth:`close` stops it and releases the
+    pending start and whatever the subclass put into its in-network
+    engine (:meth:`_release`).
+    """
 
     def __init__(
         self,
@@ -72,7 +78,9 @@ class BaseGateway:
         spec: QuerySpec,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.proxy = proxy
+        #: None once closed: every callback returns at ``closed`` before
+        #: reading it, and nothing else reads a finished session's device
+        self.proxy: Optional[MobileEndpoint] = proxy
         self.network = network
         self.spec = spec
         self.tracer = tracer if tracer is not None else network.tracer
@@ -82,6 +90,9 @@ class BaseGateway:
         #: set by :meth:`close`; a closed gateway ignores every scheduled
         #: callback and frame so a cancelled session goes silent immediately
         self.closed = False
+        #: the kernel event of a start deferred to ``spec.start_s``, kept
+        #: so :meth:`close` can cancel it
+        self._start_event = None
         #: flipped on by the service when a non-empty fault plan is active;
         #: gates the watchdog's degraded-period accounting so fault-free
         #: runs never mark periods degraded
@@ -90,20 +101,46 @@ class BaseGateway:
         #: knows it lost); surfaced as ``SessionResult.degraded_periods``
         self.degraded_ks: Set[int] = set()
 
-    def close(self) -> None:
-        """Stop the proxy side of the session (cancel/teardown support).
+    def begin(self) -> None:
+        """Start the session: now if ``spec.start_s`` has passed, else at
+        ``start_s`` through one kernel event that :meth:`close` cancels."""
+        if self.spec.start_s <= self.sim.now:
+            self.start()
+        else:
+            self._start_event = self.sim.schedule_at(self.spec.start_s, self.start)
 
-        Pending kernel events owned by the gateway still surface but no-op
-        against the flag; no new traffic, profile adoptions, or delivery
-        records are produced after this call.
+    @property
+    def start_pending(self) -> bool:
+        """Whether a deferred start is still waiting for ``spec.start_s``."""
+        return self._start_event is not None and self._start_event.pending
+
+    def close(self) -> None:
+        """Stop the session and release what it set up (cancel/teardown).
+
+        A start still pending is cancelled, so a session closed before
+        ``start_s`` never starts; other kernel events the gateway owns
+        still surface but no-op against the flag.  No new traffic, profile
+        adoptions, or delivery records are produced after this call, the
+        in-network engine holds nothing for the session, the proxy is let
+        go of (the delivery records stay, for scoring), and a second call
+        changes nothing.
         """
+        if self.closed:
+            return
         self.closed = True
+        if self._start_event is not None:
+            self._start_event.cancel()  # a no-op once it has fired
         self.tracer.emit(
             "session-closed",
             self.sim.now,
             user=self.spec.user_id,
             query=self.spec.query_id,
         )
+        self._release()
+        self.proxy = None
+
+    def _release(self) -> None:
+        """Drop what this gateway set up or held for the live session only."""
 
     @property
     def user_id(self) -> int:
@@ -200,10 +237,15 @@ class MobiQueryGateway(BaseGateway):
     ) -> None:
         super().__init__(proxy, network, spec, tracer)
         self.protocol = protocol
-        self.provider = provider
+        #: read only by :meth:`start`; None once closed
+        self.provider: Optional[ProfileProvider] = provider
         self.current_profile: Optional[MotionProfile] = None
         self._last_reinject_at = -float("inf")
         proxy.register_handler("mq-result", self._on_result)
+
+    def _release(self) -> None:
+        self.protocol.release_session(*self.session_key)
+        self.provider = None
 
     def start(self) -> None:
         """Schedule all profile arrivals; the first one issues the query.
@@ -433,12 +475,11 @@ class NoPrefetchGateway(BaseGateway):
         self._flood_ids: List[int] = []
         proxy.register_handler("np-report", self._on_report)
 
-    def close(self) -> None:
-        """Close the gateway and drop the per-flood dedup state it created."""
-        super().close()
+    def _release(self) -> None:
         for flood_id in self._flood_ids:
             self.flood.release(flood_id)
         self._flood_ids.clear()
+        self.protocol.release_session(*self.session_key)
 
     def start(self) -> None:
         """Schedule one query broadcast at the start of every period."""
@@ -489,70 +530,3 @@ class NoPrefetchGateway(BaseGateway):
             frozenset(partial.contributors),
             area_center=self._issue_positions.get(msg.k),
         )
-
-
-class SessionScheduler:
-    """Registry and starter for concurrent query sessions.
-
-    One scheduler per run owns all the gateways sharing a network: it
-    enforces that every ``(user_id, query_id)`` session is unique, starts
-    each gateway at its spec's ``start_s`` (sessions added mid-run start
-    immediately if their origin has passed), and exposes the session table
-    for workload-level bookkeeping.  Protocol instances stay shared — the
-    scheduler only manages the per-user proxy side.
-    """
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self._gateways: Dict[Tuple[int, int], BaseGateway] = {}
-        self._started: Set[Tuple[int, int]] = set()
-        self._start_events: Dict[Tuple[int, int], object] = {}
-
-    def add(self, gateway: BaseGateway) -> None:
-        """Register ``gateway`` and schedule its session start."""
-        key = gateway.session_key
-        if key in self._gateways:
-            raise ValueError(f"session {key} already scheduled")
-        self._gateways[key] = gateway
-        start_s = gateway.spec.start_s
-        if start_s <= self.sim.now:
-            self._start(key)
-        else:
-            self._start_events[key] = self.sim.schedule_at(start_s, self._start, key)
-
-    def remove(self, key: Tuple[int, int]) -> Optional[BaseGateway]:
-        """Release the scheduler slot for session ``key`` (cancel support).
-
-        A pending start event is cancelled; a session that already started
-        is simply dropped from the table (the caller closes its gateway).
-        Returns the gateway that held the slot, or None if unknown.
-        """
-        gateway = self._gateways.pop(key, None)
-        self._started.discard(key)
-        event = self._start_events.pop(key, None)
-        if event is not None:
-            event.cancel()  # type: ignore[attr-defined]
-        return gateway
-
-    def _start(self, key: Tuple[int, int]) -> None:
-        self._start_events.pop(key, None)
-        if key in self._started or key not in self._gateways:
-            return
-        self._started.add(key)
-        self._gateways[key].start()
-
-    def gateway(self, user_id: int, query_id: int) -> BaseGateway:
-        """The gateway serving session ``(user_id, query_id)``."""
-        return self._gateways[(user_id, query_id)]
-
-    def gateways(self) -> List[BaseGateway]:
-        """All registered gateways in session-key order."""
-        return [self._gateways[key] for key in sorted(self._gateways)]
-
-    def session_keys(self) -> List[Tuple[int, int]]:
-        """All registered ``(user_id, query_id)`` keys, sorted."""
-        return sorted(self._gateways)
-
-    def started_count(self) -> int:
-        """How many sessions have begun issuing queries."""
-        return len(self._started)

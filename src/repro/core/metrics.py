@@ -234,7 +234,6 @@ class StorageTracker:
         self.live_tree_states = 0
         self.max_tree_states = 0
         self.max_prefetch_length = 0
-        self.prefetch_length_series: List[Tuple[float, int]] = []
         tracer.subscribe("collector-assigned", self._on_assigned)
         tracer.subscribe("collector-released", self._on_released)
         tracer.subscribe("tree-created", self._on_tree_created)
@@ -247,6 +246,10 @@ class StorageTracker:
         tracker cannot always know every spec at construction time.
         """
         self._spec_by_session[spec.session_key] = spec
+
+    def forget_spec(self, session_key: Tuple[int, int]) -> None:
+        """Drop a torn-down session's spec (its collectors are released)."""
+        self._spec_by_session.pop(session_key, None)
 
     @staticmethod
     def _session_key(record: TraceRecord) -> Tuple[int, int, int]:
@@ -290,7 +293,6 @@ class StorageTracker:
             if k > spec.period_index(now):
                 per_session[key] = per_session.get(key, 0) + 1
         length = max(per_session.values(), default=0)
-        self.prefetch_length_series.append((now, length))
         self.max_prefetch_length = max(self.max_prefetch_length, length)
 
 

@@ -19,8 +19,8 @@ the grid:
   single-world service *with the same fault plan injected*.
 * **churn-no-leak** — interleaved cancel + fault churn leaves zero
   residual protocol state: no tree states, collector chains, live flood
-  dedup entries, scheduler slots, pending session starts, or future PSM
-  wake overrides, and the kernel's pending-event census stops shrinking
+  dedup entries, sessions not torn down, pending session starts, or future
+  PSM wake overrides, and the kernel's pending-event census stops shrinking
   only at the steady PSM floor (no session callback keeps rescheduling).
 
 A violated invariant is a loud failure: the CLI exits non-zero naming
@@ -326,7 +326,7 @@ def leak_census(service) -> Dict[str, int]:
     service.advance(service.sim.now + 2.0 * beacon)
     pending_after = service.sim.pending_count
     protocol = service.protocol
-    scheduler = service.workload.scheduler
+    open_handles = service.unreleased_handles()
     future_overrides = 0
     now = service.sim.now
     for node in service.network.sleeper_nodes:
@@ -339,8 +339,8 @@ def leak_census(service) -> Dict[str, int]:
         "collectors": len(protocol._collectors) if protocol else 0,
         "pending_batches": len(protocol._pending_batches) if protocol else 0,
         "live_floods": service.flood.live_flood_count(),
-        "scheduler_slots": len(scheduler._gateways),
-        "pending_starts": len(scheduler._start_events),
+        "scheduler_slots": len(open_handles),
+        "pending_starts": sum(1 for h in open_handles if h.gateway.start_pending),
         "future_psm_overrides": future_overrides,
         "summary_sessions": (
             service.summary_plane.live_session_count()

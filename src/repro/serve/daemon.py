@@ -27,7 +27,7 @@ distinguishes unknown from foreign) but nothing else leaks.
 
 A session ends everywhere at once: the moment the pump harvests a
 session's last outcome into its ring it *retires* the session — scores
-it and releases its proxy, scheduler slot and in-network state through
+it and releases its proxy and in-network state through
 :meth:`~repro.api.service.MobiQueryService.release_session_state`, the
 teardown a cancel performs — so the world the pump advances, and every
 per-submit and per-slice walk over sessions, carries the sessions live

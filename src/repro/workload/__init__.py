@@ -1,11 +1,12 @@
-"""Multi-user workload layer: spawn N mobile users on one shared network.
+"""What a multi-user run is made of besides the service itself.
 
-The paper evaluates MobiQuery one mobile user at a time; this package
-opens the concurrency axis.  A :class:`Workload` shares one network,
-kernel and protocol engine across N :class:`UserSession`\\ s — each with
-its own motion path, query spec, profile provider and proxy — started
-according to an arrival process (:mod:`repro.workload.arrivals`), and
-scores every session independently after the run.
+The paper evaluates MobiQuery one mobile user at a time; the concurrency
+axis is opened by :class:`~repro.api.service.MobiQueryService`, which
+admits, starts and tears down every session.  This package keeps the
+parts others read: the arrival processes that spread session starts
+(:mod:`repro.workload.arrivals`), the per-user proxy endpoint
+(:func:`build_proxy`, :func:`proxy_id_for`), and the scored outcome
+(:class:`SessionResult`, :class:`WorkloadResult`).
 """
 
 from .arrivals import (
@@ -16,12 +17,10 @@ from .arrivals import (
     ARRIVAL_UNIFORM,
     arrival_times,
 )
-from .engine import Workload, WorkloadResult
+from .engine import WorkloadResult
 from .session import (
     PROXY_ID_BASE,
     SessionResult,
-    UserPlan,
-    UserSession,
     build_proxy,
     proxy_id_for,
 )
@@ -33,10 +32,7 @@ __all__ = [
     "ARRIVAL_POISSON",
     "ARRIVAL_PROCESSES",
     "arrival_times",
-    "Workload",
     "WorkloadResult",
-    "UserPlan",
-    "UserSession",
     "SessionResult",
     "PROXY_ID_BASE",
     "proxy_id_for",

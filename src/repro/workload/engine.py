@@ -1,39 +1,18 @@
-"""The multi-user workload engine.
+"""The scored outcome of a multi-user run.
 
-One :class:`Workload` drives N concurrent user sessions over a single
-shared :class:`~repro.net.network.Network` and simulation kernel.  The
-in-network protocol engines (:class:`MobiQueryProtocol`, or the NP
-baseline) are shared — all users' trees coexist on the same backbone,
-keyed by ``(user_id, query_id)`` — while each user gets an independent
-proxy endpoint, motion path, profile provider and gateway, started at the
-arrival time baked into their spec (``spec.start_s``).
-
-Typical use::
-
-    workload = Workload(network, tracer)
-    for plan in plans:  # one UserPlan per user
-        workload.add_mobiquery_user(plan, protocol, rng=streams.stream(...))
-    workload.run(until=duration + tail)
-    result = workload.finalize(duration)
-    print(result.mean_success_ratio(), result.min_success_ratio())
+A :class:`WorkloadResult` is what ``QueryBackend.close()`` returns: every
+admitted session's :class:`~repro.workload.session.SessionResult`, in
+submission order, with the fleet-level summaries the CLI and the
+experiment harness print.  The sessions themselves are admitted, started
+and torn down by :class:`~repro.api.service.MobiQueryService`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-import numpy as np
-
-from ..approx.gateway import ApproxGateway
-from ..approx.plane import SummaryPlane
-from ..core.baseline import NoPrefetchProtocol
-from ..core.gateway import MobiQueryGateway, NoPrefetchGateway, SessionScheduler
-from ..core.service import MobiQueryProtocol
-from ..net.flooding import FloodManager
-from ..net.network import Network
-from ..sim.trace import Tracer
-from .session import SessionResult, UserPlan, UserSession, build_proxy
+from .session import SessionResult
 
 
 @dataclass
@@ -69,91 +48,3 @@ class WorkloadResult:
         if not self.sessions:
             return 0.0
         return sum(s.mean_fidelity for s in self.sessions) / len(self.sessions)
-
-
-class Workload:
-    """Spawn and score N user sessions on one shared network."""
-
-    def __init__(self, network: Network, tracer: Optional[Tracer] = None) -> None:
-        self.network = network
-        self.sim = network.sim
-        self.tracer = tracer if tracer is not None else network.tracer
-        self.scheduler = SessionScheduler(network.sim)
-        self.sessions: List[UserSession] = []
-
-    # ------------------------------------------------------------------
-    # Spawning
-    # ------------------------------------------------------------------
-    def add_mobiquery_user(
-        self,
-        plan: UserPlan,
-        protocol: MobiQueryProtocol,
-        rng: np.random.Generator,
-    ) -> UserSession:
-        """Spawn one MobiQuery user (JIT/greedy per the shared protocol)."""
-        if plan.provider is None:
-            raise ValueError(
-                f"user {plan.user_id}: a MobiQuery session needs a profile provider"
-            )
-        proxy = build_proxy(plan, self.network, rng, self.tracer)
-        gateway = MobiQueryGateway(
-            proxy, self.network, plan.spec, protocol, plan.provider, self.tracer
-        )
-        return self._register(plan, proxy, gateway)
-
-    def add_approx_user(
-        self,
-        plan: UserPlan,
-        plane: SummaryPlane,
-        accuracy: str,
-        rng: np.random.Generator,
-    ) -> UserSession:
-        """Spawn one summary-served user (``accuracy`` "coarse"/"medium").
-
-        No profile provider is needed: the session never places trees
-        ahead of the user, it composes each period's answer from the
-        plane at the user's actual position.
-        """
-        proxy = build_proxy(plan, self.network, rng, self.tracer)
-        gateway = ApproxGateway(
-            proxy, self.network, plan.spec, plane, plan.path, accuracy, self.tracer
-        )
-        return self._register(plan, proxy, gateway)
-
-    def add_noprefetch_user(
-        self,
-        plan: UserPlan,
-        protocol: NoPrefetchProtocol,
-        flood: FloodManager,
-        rng: np.random.Generator,
-    ) -> UserSession:
-        """Spawn one NP-baseline user (per-period broadcast)."""
-        proxy = build_proxy(plan, self.network, rng, self.tracer)
-        gateway = NoPrefetchGateway(
-            proxy, self.network, plan.spec, protocol, flood, self.tracer
-        )
-        return self._register(plan, proxy, gateway)
-
-    def _register(self, plan, proxy, gateway) -> UserSession:
-        session = UserSession(plan=plan, proxy=proxy, gateway=gateway)
-        self.scheduler.add(gateway)  # starts at spec.start_s
-        self.sessions.append(session)
-        return session
-
-    # ------------------------------------------------------------------
-    # Running and scoring
-    # ------------------------------------------------------------------
-    def run(self, until: float) -> None:
-        """Run the shared kernel to ``until`` (all sessions advance)."""
-        self.sim.run(until=until)
-
-    def finalize(
-        self, duration_s: float, fidelity_threshold: float = 0.95
-    ) -> WorkloadResult:
-        """Score every session against its own spec and true path."""
-        return WorkloadResult(
-            sessions=[
-                session.finalize(self.network, duration_s, fidelity_threshold)
-                for session in self.sessions
-            ]
-        )

@@ -7,8 +7,8 @@ These pin the API contract the redesign introduced:
 * ``handle.results()`` streams per-period outcomes while advancing the
   shared clock;
 * ``handle.cancel()`` mid-run releases *all* ``(user_id, query_id)``
-  in-network state — collector chains, tree states, flood dedup,
-  scheduler slots — and in-flight frames cannot resurrect it;
+  in-network state — collector chains, tree states, flood dedup, a
+  pending start — and in-flight frames cannot resurrect it;
 * admission rejection provably leaves the kernel untouched, and a
   rejected user can resubmit successfully once the area drains.
 """
@@ -165,7 +165,7 @@ class TestCancellation:
         keeper = service.submit(QueryRequest(radius_m=60.0))
         victim = service.submit(QueryRequest(radius_m=60.0, start_s=2.0))
         service.run_until(10.0)
-        key = victim.session_key
+        key, proxy_id = victim.session_key, victim.proxy.node_id
         protocol = service.protocol
         # mid-run the victim really owns state (a live prefetch chain)
         assert protocol.live_collector_periods(session=key)
@@ -174,16 +174,16 @@ class TestCancellation:
         # immediately after cancel: no collectors, no tree states, no slot
         assert protocol.live_collector_periods(session=key) == []
         assert protocol.tree_state_count(session=key) == 0
-        assert key not in service.workload.scheduler.session_keys()
-        assert victim.session.proxy.node_id not in (
-            service.network.channel._mobile
-        )
-        deliveries_at_cancel = len(victim.session.gateway.deliveries)
+        assert service.unreleased_handles() == [keeper]
+        assert proxy_id not in service.network.channel.mobile_ids()
+        # the handle let go of the proxy; the closed gateway stays for scoring
+        assert victim.proxy is None and victim.gateway.proxy is None
+        deliveries_at_cancel = len(victim.gateway.deliveries)
         # in-flight frames must not resurrect the chain by the run's end
         result = service.finalize()
         assert protocol.live_collector_periods(session=key) == []
         assert protocol.tree_state_count(session=key) == 0
-        assert len(victim.session.gateway.deliveries) == deliveries_at_cancel
+        assert len(victim.gateway.deliveries) == deliveries_at_cancel
         # the keeper kept running and scored over the full horizon
         keeper_score = result.session_for(keeper.user_id)
         assert keeper_score.metrics.num_periods == 15
@@ -193,31 +193,33 @@ class TestCancellation:
 
     def test_cancel_before_start_releases_slot_silently(self):
         service = make_service(duration=20.0)
-        service.submit(QueryRequest(radius_m=60.0))
+        first = service.submit(QueryRequest(radius_m=60.0))
         late = service.submit(QueryRequest(radius_m=60.0, start_s=15.0))
+        assert late.gateway.start_pending and not first.gateway.start_pending
         late.cancel()
         assert late.status == STATUS_CANCELLED
-        assert late.session_key not in service.workload.scheduler.session_keys()
+        assert service.unreleased_handles() == [first]
+        assert not late.gateway.start_pending
         service.run()
-        assert late.session.gateway.deliveries == []
-        assert service.workload.scheduler.started_count() == 1
+        assert late.gateway.deliveries == []
+        assert late.gateway.current_profile is None  # it never started
 
     def test_np_cancel_releases_flood_dedup_state(self):
         service = make_service(mode=MODE_NP, duration=20.0)
         keeper = service.submit(QueryRequest(radius_m=60.0))
         victim = service.submit(QueryRequest(radius_m=60.0, start_s=1.0))
         service.run_until(8.0)
-        assert victim.session.gateway._flood_ids  # floods were launched
+        assert victim.gateway._flood_ids  # floods were launched
         floods_before = service.flood.live_flood_count()
         assert service.np_protocol.session_state_count(*victim.session_key) > 0
         victim.cancel()
         assert service.flood.live_flood_count() < floods_before
         assert service.np_protocol.session_state_count(*victim.session_key) == 0
-        assert victim.session.gateway._flood_ids == []
+        assert victim.gateway._flood_ids == []
         service.finalize()
         # dead-session guard: nothing regrew from in-flight frames
         assert service.np_protocol.session_state_count(*victim.session_key) == 0
-        assert keeper.session.gateway.deliveries  # keeper unaffected
+        assert keeper.gateway.deliveries  # keeper unaffected
 
     def test_np_cancel_with_frames_in_flight_does_not_reflood(self):
         """A straggler flood frame must not re-seed released dedup state."""
@@ -226,7 +228,7 @@ class TestCancellation:
         # stop right after the first issue: the flood's rebroadcast wave
         # (jittered relays, frames on the air) is still in flight
         service.run_until(0.002)
-        assert victim.session.gateway._flood_ids
+        assert victim.gateway._flood_ids
         victim.cancel()
         assert service.flood.live_flood_count() == 0
         service.run()
@@ -259,7 +261,7 @@ class TestReleaseSessionState:
         service = make_service(duration=30.0)
         keeper = service.submit(QueryRequest(radius_m=60.0))
         short = service.submit(QueryRequest(radius_m=60.0, lifetime_s=8.0))
-        key, proxy = short.session_key, short.session.proxy.node_id
+        key, proxy = short.session_key, short.proxy.node_id
         service.run_until(7.9)
         service.release_session_state(short)  # last deadline (8.0) still ahead
         assert short.status == STATUS_ADMITTED and not short.released
@@ -267,9 +269,10 @@ class TestReleaseSessionState:
         service.run_until(8.0)
         service.release_session_state(short)
         assert short.status == STATUS_COMPLETED and short.released
-        assert service.network.channel.mobile_ids() == [keeper.session.proxy.node_id]
+        assert service.network.channel.mobile_ids() == [keeper.proxy.node_id]
         assert service.protocol.tree_state_count(session=key) == 0
-        assert key not in service.workload.scheduler.session_keys()
+        assert service.unreleased_handles() == [keeper]
+        assert short.proxy is None and short.gateway.proxy is None
         scored = short.result()  # cached: does not run the world on
         assert service.sim.now == 8.0 and scored.metrics.num_periods == 4
         teardowns = []
@@ -312,7 +315,7 @@ class TestAdmission:
         )
         assert admitted.accepted
         seq_before = service.sim._seq
-        sessions_before = len(service.workload.sessions)
+        handles_before = service.unreleased_handles()
         mobiles_before = set(service.network.channel._mobile)
         rejected = service.submit(
             QueryRequest(radius_m=150.0, path=square_path(240.0, 240.0))
@@ -321,7 +324,7 @@ class TestAdmission:
         assert "area cap" in rejected.reason
         # no event entered the kernel, no session, no proxy on the channel
         assert service.sim._seq == seq_before
-        assert len(service.workload.sessions) == sessions_before
+        assert service.unreleased_handles() == handles_before
         assert set(service.network.channel._mobile) == mobiles_before
         # after some simulated time, only the admitted session owns state
         service.run_until(4.0)

@@ -8,6 +8,11 @@ depend on the code it replaced.  ``experiments`` is a leaf: only
 itself may import it.  Checked on the source text (an AST walk over
 import statements), so lazy in-function imports count and no interpreter
 state is involved.
+
+The same walk keeps the model below the service: nothing under ``core``,
+``net``, ``sim``, ``geometry``, ``mobility`` or ``power`` imports
+``workload``, ``api``, ``cluster`` or ``serve`` — a gateway releases what
+it set up without learning what a handle, a shard or a daemon is.
 """
 
 import ast
@@ -16,6 +21,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: the only files allowed to import ``experiments`` (besides the package itself)
 FRONT_ENDS = ("cli.py", "__init__.py")
+#: the simulated model, and the layers built on it that it must not import
+MODEL_LAYERS = ("core", "net", "sim", "geometry", "mobility", "power")
+SERVICE_LAYERS = ("workload", "api", "cluster", "serve")
 
 
 def tree_sources():
@@ -40,18 +48,32 @@ def _imported_names(tree: ast.AST):
                 yield alias.name
 
 
-def experiments_imports(source: str):
-    """The names in ``source``'s imports that go through ``experiments``."""
+def imports_through(source: str, packages):
+    """The names in ``source``'s imports that go through one of ``packages``."""
     return [
         name
         for name in _imported_names(ast.parse(source))
-        if "experiments" in name.split(".")
+        if set(packages) & set(name.split("."))
     ]
 
 
-def offenders(sources):
-    found = {rel: experiments_imports(text) for rel, text in sources.items()}
+def experiments_imports(source: str):
+    """The names in ``source``'s imports that go through ``experiments``."""
+    return imports_through(source, ("experiments",))
+
+
+def offenders(sources, packages=("experiments",)):
+    found = {rel: imports_through(text, packages) for rel, text in sources.items()}
     return {rel: names for rel, names in found.items() if names}
+
+
+def model_sources():
+    """Source text of every module of the simulated model."""
+    return {
+        rel: text
+        for rel, text in tree_sources().items()
+        if rel.split("/")[0] in MODEL_LAYERS
+    }
 
 
 def test_stable_packages_do_not_import_experiments():
@@ -79,3 +101,21 @@ def test_checker_sees_every_import_form():
         ("from .config import ExperimentConfig  # not experiments\n", []),
     ):
         assert experiments_imports(source) == found
+
+
+def test_model_layers_do_not_import_the_service_layers():
+    sources = model_sources()
+    assert {"core/gateway.py", "net/channel.py", "sim/kernel.py"} <= set(sources)
+    assert offenders(sources, SERVICE_LAYERS) == {}
+
+
+def test_teaching_a_gateway_about_handles_is_caught():
+    sources = model_sources()
+    sources["core/gateway.py"] += (
+        "\ndef _owner(gateway):\n"
+        "    from ..api.service import SessionHandle\n"
+        "    return SessionHandle\n"
+    )
+    assert offenders(sources, SERVICE_LAYERS) == {
+        "core/gateway.py": ["api.service"]
+    }

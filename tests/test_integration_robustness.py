@@ -157,7 +157,7 @@ class TestConcurrentQueries:
 class TestCancelCrashChurn:
     """Heavy interleaved cancel + node-crash churn must leave *zero*
     residual state: no kernel events beyond the PSM floor, no wake-wheel
-    registrations, no flood-dedup entries, no scheduler slots.  The probe
+    registrations, no flood-dedup entries, no session left open.  The probe
     is the same census ``repro sweep`` runs per grid cell."""
 
     def _spec(self, faults):

@@ -272,9 +272,9 @@ class TestWakeWheel:
 
     def test_cancelled_session_leaves_wheel_cohort_intact(self):
         """Coalesced wakes service exactly the schedulers that remain
-        registered after a session cancel tears down its scheduler slot
-        (``SessionScheduler.remove``) and proxy: the network's sleepers all
-        keep duty-cycling on the shared wheel."""
+        registered after a session cancel tears down its gateway and
+        proxy: the network's sleepers all keep duty-cycling on the shared
+        wheel."""
         from repro.api import MobiQueryService, QueryRequest
         from repro.api.config import MODE_JIT, ExperimentConfig
 

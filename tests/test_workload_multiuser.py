@@ -10,7 +10,7 @@ collector/tree GC drains both sessions independently.
 
 import pytest
 
-from repro.core.gateway import MobiQueryGateway, SessionScheduler
+from repro.core.gateway import MobiQueryGateway
 from repro.core.query import Aggregation, QuerySpec
 from repro.core.service import MobiQueryConfig, MobiQueryProtocol
 from repro.geometry.vec import Vec2
@@ -20,7 +20,7 @@ from repro.mobility.profile import MotionProfile, ProfileArrival, ProfileProvide
 from repro.net.field import UniformField
 from repro.net.routing import GeoRouter
 from repro.sim.trace import Tracer
-from repro.workload import UserPlan, Workload, arrival_times
+from repro.workload import arrival_times, build_proxy
 from repro.workload.arrivals import (
     ARRIVAL_POISSON,
     ARRIVAL_SIMULTANEOUS,
@@ -88,7 +88,7 @@ class MultiStack:
             self.tracer,
         )
         self.duration = duration
-        self.workload = Workload(self.network, self.tracer)
+        self.gateways = []
         self.paths = []
         self.specs = []
         streams = RandomStreams(77)
@@ -109,18 +109,25 @@ class MultiStack:
                 provider = providers[user_id]
             if provider is None:
                 provider = FullKnowledgeProvider(path, duration)
-            plan = UserPlan(user_id=user_id, spec=spec, path=path, provider=provider)
-            self.workload.add_mobiquery_user(
-                plan, self.protocol, rng=streams.stream(f"proxy.{user_id}")
-            )
-            self.paths.append(path)
-            self.specs.append(spec)
+            self.add_user(spec, path, provider, streams.stream(f"proxy.{user_id}"))
+
+    def add_user(self, spec, path, provider, rng):
+        """One user the way the service admits them: proxy, gateway, begin."""
+        proxy = build_proxy(spec.user_id, path, self.network, rng, self.tracer)
+        gateway = MobiQueryGateway(
+            proxy, self.network, spec, self.protocol, provider, self.tracer
+        )
+        gateway.begin()
+        self.gateways.append(gateway)
+        self.paths.append(path)
+        self.specs.append(spec)
+        return gateway
 
     def run(self, until=None):
         self.sim.run(until=self.duration + 0.5 if until is None else until)
 
     def gateway(self, user_id):
-        return self.workload.sessions[user_id].gateway
+        return self.gateways[user_id]
 
     def area_ids(self, user_id):
         spec = self.specs[user_id]
@@ -315,26 +322,45 @@ class TestGarbageCollection:
             assert stack.protocol.tree_state_count(spec.session_key) == 0
 
 
-class TestSessionScheduler:
-    def test_duplicate_session_rejected(self, sim):
-        stack = MultiStack(sim, [OVERLAPPING[0]])
-        gateway = stack.gateway(0)
-        with pytest.raises(ValueError):
-            stack.workload.scheduler.add(gateway)
-
+class TestGatewayBegin:
     def test_started_count_tracks_origins(self, sim):
+        """``begin()`` starts at once when ``start_s`` has passed, and at
+        ``start_s`` — through one pending event — otherwise."""
         stack = MultiStack(sim, OVERLAPPING, starts=[0.0, 10.0])
-        assert stack.workload.scheduler.started_count() == 1
+        stack.tracer.keep_kind("profile-adopted")
+        assert [g.start_pending for g in stack.gateways] == [False, True]
+        sim.run(until=9.9)
+        assert stack.gateway(1).current_profile is None
         sim.run(until=11.0)
-        assert stack.workload.scheduler.started_count() == 2
+        assert [g.start_pending for g in stack.gateways] == [False, False]
+        adopted_at = [r.time for r in stack.tracer.records("profile-adopted")]
+        assert adopted_at == [0.0, 10.0]
 
-    def test_session_keys_sorted(self, sim):
-        stack = MultiStack(sim, OVERLAPPING)
-        keys = stack.workload.scheduler.session_keys()
-        assert keys == sorted(keys)
-        assert [k[0] for k in keys] == [0, 1]
+    def test_close_before_start_cancels_the_start(self, sim, monkeypatch):
+        """A session closed before ``start_s`` never starts: its start
+        event is cancelled, so it adopts no profile and sends no frame."""
+        started = []
+        start = MobiQueryGateway.start
+        monkeypatch.setattr(
+            MobiQueryGateway,
+            "start",
+            lambda gateway: (started.append(gateway.user_id), start(gateway)),
+        )
+        stack = MultiStack(sim, OVERLAPPING, starts=[0.0, 10.0])
+        late = stack.gateway(1)
+        proxy = late.proxy
+        sim.run(until=5.0)
+        pending = sim.pending_count
+        late.close()
+        assert not late.start_pending
+        assert sim.pending_count == pending - 1
+        stack.run()
+        assert started == [0]
+        assert late.current_profile is None and late.deliveries == []
+        assert proxy.mac.frames_queued == 0
+        assert {d.k for d in stack.gateway(0).deliveries} == set(range(1, 16))
 
-    def test_past_origin_session_added_mid_run_starts_cleanly(self, sim):
+    def test_past_origin_begin_mid_run_starts_cleanly(self, sim):
         """A session registered after its nominal origin must not fire the
         watchdog in the adoption instant (spurious superseding re-inject)."""
         duration = 40.0
@@ -349,16 +375,13 @@ class TestSessionScheduler:
             user_id=1,
             start_s=0.0,
         )
-        plan = UserPlan(
-            user_id=1,
-            spec=spec,
-            path=path,
-            provider=FullKnowledgeProvider(path, duration),
-        )
         sim.schedule_at(
             20.0,
-            lambda: stack.workload.add_mobiquery_user(
-                plan, stack.protocol, rng=RandomStreams(5).stream("late")
+            lambda: stack.add_user(
+                spec,
+                path,
+                FullKnowledgeProvider(path, duration),
+                RandomStreams(5).stream("late"),
             ),
         )
         stack.run()
@@ -498,9 +521,3 @@ class TestSpecSessionMath:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             QuerySpec(start_s=-1.0)
-
-    def test_plan_user_mismatch_rejected(self):
-        spec = QuerySpec(period_s=2.0, lifetime_s=10.0, user_id=1)
-        path = PiecewisePath.stationary(Vec2(0, 0))
-        with pytest.raises(ValueError):
-            UserPlan(user_id=2, spec=spec, path=path)
