@@ -8,7 +8,8 @@
 #   make bench-ab        alternating parent/change pairs of bench/ workloads
 #                        against one clone of a commit, an acceptance table
 #                        per workload (REF=<commit> WORKLOAD="<name> ..."
-#                        [PAIRS=10])
+#                        [PAIRS=10] [LAYERS=1]: then the per-layer metrics
+#                        that moved, from one traced run per side)
 #   make profile         cProfile one canonical scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -71,8 +72,8 @@ ledger:
 # each workload in turn between the clone and this checkout.
 bench-ab:
 	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
-		{ echo 'usage: make bench-ab REF=<commit> WORKLOAD="<name> ..." [PAIRS=10]'; exit 2; }
-	python3 scripts/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS)
+		{ echo 'usage: make bench-ab REF=<commit> WORKLOAD="<name> ..." [PAIRS=10] [LAYERS=1]'; exit 2; }
+	python3 scripts/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(LAYERS),--layers)
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant

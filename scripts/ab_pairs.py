@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of perf-ledger workloads.
 
-    python3 scripts/ab_pairs.py --ref <commit> --workload churn-mix [dense48 ...] [--pairs 10]
+    python3 scripts/ab_pairs.py --ref <commit> --workload churn-mix [dense48 ...] [--pairs 10] [--layers]
 
 Clones ``--ref`` once into a temporary directory (honours ``TMPDIR``) and
 runs, for each workload in turn and seeds 1..pairs, ``python3 -m bench
@@ -13,6 +13,13 @@ rule: a gain (or a loss) is claimed only when one side wins at least nine
 tenths of the pairs, ties counting for neither, and the medians differ by
 more than the distance between the parent's quartiles; anything else that
 moved is "unresolved".  A loss is set against the metric's regression bound.
+
+With ``--layers`` each workload's table is followed by where the difference
+sits: one ``--trace 1`` run per side at seed 1, and every per-layer
+``self_s`` / ``calls`` metric of ``BENCHMARK.json`` that moved by more than
+5 % between them (parent, change, delta; layers under a millisecond of self
+time on both sides are left out).  One profiled unit per side: read it for
+which layers moved and by roughly how much, not as a timing.
 """
 
 from __future__ import annotations
@@ -29,11 +36,13 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> Dict:
+def run_once(
+    checkout: str, workload: str, seed: int, seconds: int, trace: bool = False
+) -> Dict:
     """One bench run in ``checkout``; its last stdout line is the result."""
     done = subprocess.run(
         [sys.executable, "-m", "bench", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "1" if trace else "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -115,6 +124,32 @@ def report(workload: str, runs: Dict[str, List[Dict]], metrics: List[Dict], ref:
     print(flush=True)
 
 
+def report_layers(
+    workload: str, checkouts: Dict[str, str], metrics: List[Dict], seconds: int
+) -> None:
+    """Per-layer ``self_s`` / ``calls`` that differ by more than 5 % between
+    one traced run of each side at seed 1."""
+    traced = {
+        side: run_once(checkouts[side], workload, 1, seconds, trace=True)["metrics"]
+        for side in ("parent", "change")
+    }
+    print(f"{workload}: per-layer self_s / calls that moved by more than 5 % "
+          f"(one --trace 1 run per side, seed 1)")
+    for metric in metrics:
+        name = metric["name"]
+        if not name.endswith((".self_s", ".calls")):
+            continue
+        parent = traced["parent"][name]["value"]
+        change = traced["change"][name]["value"]
+        if abs(change - parent) <= 0.05 * abs(parent):
+            continue
+        if name.endswith(".self_s") and max(parent, change) < 1e-3:
+            continue  # a layer of microseconds moves by tens of % between any two runs
+        delta = f"{(change - parent) / parent:+.1%}" if parent else "new"
+        print(f"  {name:24s} parent {parent:<12.6g} change {change:<12.6g} {delta}")
+    print(flush=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="parent commit to compare against")
@@ -125,6 +160,10 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10, help="seeds 1..PAIRS (default 10)")
     parser.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--out", help="also write every run's metrics here as JSON")
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="after each table, the per-layer metrics that moved (one traced run per side)",
+    )
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
@@ -143,6 +182,8 @@ def main() -> int:
             # each table as soon as its workload is through: a later
             # workload failing does not cost the ones already measured
             report(workload, runs[workload], benchmark["end_to_end"], args.ref)
+            if args.layers:
+                report_layers(workload, checkouts, benchmark["per_layer"], seconds)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"ref": args.ref, "workloads": runs}, fh)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..geometry.vec import Vec2
 from ..mobility.path import PiecewisePath
@@ -209,6 +209,12 @@ class StorageTracker:
     Subscribe *before* the run starts; the tracker listens for
     ``collector-assigned`` / ``collector-released`` and ``tree-created`` /
     ``tree-released`` events.
+
+    ``max_prefetch_length`` is a running maximum, and between two of its own
+    assignments a session's chain can only shorten (collectors are released,
+    its current period advances).  So an assignment recounts the assigned
+    session alone, not the fleet — plus any session whose spec changed under
+    live collectors since, the one other way a chain can read longer.
     """
 
     def __init__(
@@ -228,9 +234,12 @@ class StorageTracker:
             s.session_key: s
             for s in (specs if specs is not None else ([spec] if spec else []))
         }
-        # (user, query, k) -> assign time; keyed per session so concurrent
-        # users on one network cannot clobber each other's chain state.
-        self._live_collectors: Dict[Tuple[int, int, int], float] = {}
+        # (user, query) -> periods with a live collector; keyed per session
+        # so concurrent users on one network cannot clobber each other's
+        # chain state.
+        self._live_collectors: Dict[Tuple[int, int], Set[int]] = {}
+        # sessions whose chain may read longer than when last counted
+        self._to_recount: Set[Tuple[int, int]] = set()
         self.live_tree_states = 0
         self.max_tree_states = 0
         self.max_prefetch_length = 0
@@ -246,21 +255,36 @@ class StorageTracker:
         tracker cannot always know every spec at construction time.
         """
         self._spec_by_session[spec.session_key] = spec
+        self._clock_changed(spec.session_key)
 
     def forget_spec(self, session_key: Tuple[int, int]) -> None:
         """Drop a torn-down session's spec (its collectors are released)."""
         self._spec_by_session.pop(session_key, None)
+        self._clock_changed(session_key)
+
+    def _clock_changed(self, session_key: Tuple[int, int]) -> None:
+        if session_key in self._live_collectors:
+            self._to_recount.add(session_key)
 
     @staticmethod
-    def _session_key(record: TraceRecord) -> Tuple[int, int, int]:
-        return (record.get("user", 0), record.get("query", 0), record["k"])
+    def _session_key(record: TraceRecord) -> Tuple[int, int]:
+        return (record.get("user", 0), record.get("query", 0))
 
     def _on_assigned(self, record: TraceRecord) -> None:
-        self._live_collectors[self._session_key(record)] = record.time
-        self._update_prefetch_length(record.time)
+        key = self._session_key(record)
+        self._live_collectors.setdefault(key, set()).add(record["k"])
+        self._to_recount.add(key)
+        for key in self._to_recount:
+            self._count_prefetch_length(key, record.time)
+        self._to_recount.clear()
 
     def _on_released(self, record: TraceRecord) -> None:
-        self._live_collectors.pop(self._session_key(record), None)
+        key = self._session_key(record)
+        live = self._live_collectors.get(key)
+        if live is not None:
+            live.discard(record["k"])
+            if not live:
+                del self._live_collectors[key]
 
     def _on_tree_created(self, record: TraceRecord) -> None:
         self.live_tree_states += 1
@@ -269,7 +293,7 @@ class StorageTracker:
     def _on_tree_released(self, record: TraceRecord) -> None:
         self.live_tree_states -= 1
 
-    def _update_prefetch_length(self, now: float) -> None:
+    def _count_prefetch_length(self, session_key: Tuple[int, int], now: float) -> None:
         """Prefetch length: trees set up ahead of the user's current period.
 
         With several sessions live, the reported length is the worst
@@ -284,16 +308,16 @@ class StorageTracker:
         tracker's primary spec when one was given, else they are skipped
         (their window cannot be computed).
         """
-        per_session: Dict[Tuple[int, int], int] = {}
-        for user, query, k in self._live_collectors:
-            key = (user, query)
-            spec = self._spec_by_session.get(key, self.spec)
-            if spec is None:
-                continue
-            if k > spec.period_index(now):
-                per_session[key] = per_session.get(key, 0) + 1
-        length = max(per_session.values(), default=0)
-        self.max_prefetch_length = max(self.max_prefetch_length, length)
+        spec = self._spec_by_session.get(session_key, self.spec)
+        if spec is None:
+            return
+        current = spec.period_index(now)
+        length = 0
+        for k in self._live_collectors.get(session_key, ()):
+            if k > current:
+                length += 1
+        if length > self.max_prefetch_length:
+            self.max_prefetch_length = length
 
 
 # ----------------------------------------------------------------------

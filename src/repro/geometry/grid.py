@@ -10,7 +10,7 @@ proportional to the local density instead of scanning all nodes.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
+from typing import Dict, Generic, List, Tuple, TypeVar
 
 from .vec import Vec2
 
@@ -57,11 +57,6 @@ class SpatialGrid(Generic[T]):
             raise ValueError(f"item {item!r} already present in grid")
         self._positions[item] = position
         self._cells[self._cell_of(position)].append((position, item))
-
-    def insert_many(self, items: Iterable[Tuple[T, Vec2]]) -> None:
-        """Register many ``(item, position)`` pairs."""
-        for item, position in items:
-            self.insert(item, position)
 
     def remove(self, item: T) -> None:
         """Unregister ``item``.

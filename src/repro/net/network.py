@@ -113,24 +113,6 @@ class Network:
         """Backbone nodes within ``radius`` of ``center``."""
         return [n for n in self.nodes_in_disk(center, radius) if n.is_active]
 
-    def nearest_active_node(self, point: Vec2) -> SensorNode:
-        """The backbone node closest to ``point``.
-
-        Raises:
-            ValueError: if no backbone exists (power management not applied).
-        """
-        best: Optional[SensorNode] = None
-        best_d = float("inf")
-        for node in self.nodes:
-            if not node.is_active:
-                continue
-            d = node.position.distance_sq_to(point)
-            if d < best_d:
-                best, best_d = node, d
-        if best is None:
-            raise ValueError("network has no active nodes")
-        return best
-
     @property
     def active_nodes(self) -> List[SensorNode]:
         """The always-on backbone."""

@@ -10,7 +10,7 @@ session starts, which is how the paper uses CCP for a 400 s experiment.
 from __future__ import annotations
 
 import abc
-from typing import List, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def _active_components(network: Network, active: Set[int]) -> List[Set[int]]:
 
 def _best_bridge(
     network: Network, active: Set[int], components: List[Set[int]]
-) -> int:
+) -> Optional[int]:
     """The sleeper id touching the most distinct active components, or None."""
     comp_index = {}
     for idx, component in enumerate(components):

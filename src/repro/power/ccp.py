@@ -25,19 +25,30 @@ The distributed protocol reaches this state through randomized backoff
 timers (nodes volunteer to withdraw one at a time).  We reproduce that as a
 sequential pass in random order, which yields the same family of backbones
 the distributed rounds converge to.
+
+**Cost.**  The rule is the one path in the tree whose cost is super-linear
+in node density (*n* coverage neighbours make *n²/2* circle pairs), so the
+pass is written for it: :func:`_disk_k_covered` tries coverage where it is
+likely — the order cannot change the answer, see there — while
+``tests/ccp_oracle.py`` keeps testing every point against every neighbour in
+list order.  What does not depend on the node being checked (where each
+sensing circle crosses the region's edges) is derived once per node in
+locals of one ``select_active`` call and dropped when it returns.
+Circle-pair crossings are recomputed for every node that asks: a per-pass
+table of them was measured (a fifth off a 600-node set-up) and left out,
+because its few MB showed in the process's peak memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..geometry.shapes import Rect
 from ..net.network import Network
-from ..net.node import SensorNode
 from .base import PowerManagementProtocol, repair_connectivity
 
 
@@ -68,42 +79,49 @@ class CcpProtocol(PowerManagementProtocol):
         self.config = config or CcpConfig()
 
     def select_active(self, network: Network, rng: np.random.Generator) -> Set[int]:
-        sensing_range = network.config.sensing_range_m
+        rs = network.config.sensing_range_m
         region = network.config.region if self.config.clip_to_region else None
+        k = self.config.coverage_degree
         active: Set[int] = {node.node_id for node in network.nodes}
         order = list(network.nodes)
         rng.shuffle(order)  # type: ignore[arg-type]
+        # Where a sensing circle crosses the region's edges does not depend
+        # on who asks: derived once per node for this pass, not once per
+        # neighbour being checked.
+        edge_points: Dict[int, List[Tuple[float, float]]] = {}
+        corners: List[Tuple[float, float]] = []
+        if region is not None:
+            for node in network.nodes:
+                edge_points[node.node_id] = _circle_rect_edge_intersections(
+                    node.position.x, node.position.y, rs, region
+                )
+            corners = [(corner.x, corner.y) for corner in region.corners()]
         for node in order:
-            if self._eligible_to_sleep(network, node, active, sensing_range, region):
+            # Coverage neighbours: active nodes whose sensing disks can
+            # overlap this one's, i.e. within 2 * Rs.
+            neighbours = [
+                other
+                for other in network.nodes_in_disk(node.position, 2.0 * rs)
+                if other.node_id != node.node_id and other.node_id in active
+            ]
+            if len(neighbours) < k:
+                continue
+            # disk(v) ∩ region: the theorem also needs every circle (v's own
+            # included) crossing the region's edges, and the region's corners.
+            boundary: List[Tuple[float, float]] = []
+            if region is not None:
+                for other in neighbours:
+                    boundary += edge_points[other.node_id]
+                boundary += edge_points[node.node_id]
+                boundary += corners
+            centers = [(other.position.x, other.position.y) for other in neighbours]
+            if _disk_k_covered(
+                node.position.x, node.position.y, centers, rs, k, region, boundary
+            ):
                 active.discard(node.node_id)
         if self.config.repair_connectivity:
             repair_connectivity(network, active)
         return active
-
-    # ------------------------------------------------------------------
-    # Eligibility rule
-    # ------------------------------------------------------------------
-    def _eligible_to_sleep(
-        self,
-        network: Network,
-        node: SensorNode,
-        active: Set[int],
-        rs: float,
-        region: Optional[Rect],
-    ) -> bool:
-        # Coverage neighbours: active nodes whose sensing disks can overlap
-        # mine, i.e. within 2 * Rs.
-        centers = [
-            (other.position.x, other.position.y)
-            for other in network.nodes_in_disk(node.position, 2.0 * rs)
-            if other.node_id != node.node_id and other.node_id in active
-        ]
-        k = self.config.coverage_degree
-        if len(centers) < k:
-            return False
-        return _disk_k_covered(
-            node.position.x, node.position.y, centers, rs, k, region
-        )
 
 
 #: margin for strict-interior containment tests
@@ -117,23 +135,36 @@ def _disk_k_covered(
     rs: float,
     k: int,
     region: Optional[Rect],
+    boundary: List[Tuple[float, float]],
 ) -> bool:
     """Whether the disk of radius ``rs`` at ``(vx, vy)`` is K-covered.
 
-    The eligibility rule as one float kernel: every check point of the
-    intersection-point theorem is produced in turn — neighbour circles
-    crossing ``v``'s circle, neighbour-circle pairs crossing inside ``v``'s
-    disk and, when ``region`` clips the requirement, circles crossing the
-    region's edges plus its corners, all restricted to ``disk(v) ∩ region``
-    — and tested against the neighbour disks as it is produced, returning
-    at the first one fewer than ``k`` of them cover.  With no check point
-    at all, coverage needs ``k`` neighbour disks that contain ``v``'s.
+    The eligibility rule as one float kernel, in two steps.  First every
+    check point of the intersection-point theorem is gathered: neighbour
+    circles crossing ``v``'s circle, neighbour-circle pairs crossing inside
+    ``v``'s disk and, when ``region`` clips the requirement, the points of
+    ``boundary`` (circles crossing the region's edges, and its corners)
+    inside ``v``'s disk — all restricted to ``disk(v) ∩ region``.  Then each
+    is tested against the neighbour disks, returning at the first one fewer
+    than ``k`` of them cover.  With no check point at all, coverage needs
+    ``k`` neighbour disks that contain ``v``'s.
+
+    **Scan order is free.**  The answer is "does an uncovered check point
+    exist", which no order of trying neighbours can change, so coverage is
+    tried where it is likely: for ``k == 1`` first the neighbour that
+    covered the previous point (check points arrive circle by circle, and
+    that guess answers about seven in eight on a dense field), then — and
+    for ``k >= 2`` from the start, counting — the neighbours nearest to
+    ``v`` first, because a neighbour a few metres from ``v`` covers almost
+    all of ``v``'s disk.  ``tests/ccp_oracle.py`` still tests every point
+    against every neighbour in list order.
 
     Every intersection is computed with the operation order of
     :meth:`~repro.geometry.shapes.Circle.intersection_points` on
-    :class:`~repro.geometry.vec.Vec2` (all radii equal ``rs``), so the
-    decision is bit-identical to evaluating the rule on those objects —
-    ``tests/ccp_oracle.py`` does, and the suite compares the two.
+    :class:`~repro.geometry.vec.Vec2` (all radii equal ``rs``; circle *i*
+    first, then ``v`` or the later circle *j*), so the decision is
+    bit-identical to evaluating the rule on those objects — the oracle
+    does, and the suite compares the two.
     """
     two_rs = rs + rs
     rs_sq = rs * rs
@@ -148,89 +179,98 @@ def _disk_k_covered(
         y_lo, y_hi = region.y_min - 1e-9, region.y_max + 1e-9
     hypot = math.hypot
     sqrt = math.sqrt
+    inf = math.inf
 
-    def uncovered(px: float, py: float) -> bool:
-        count = 0
+    points: List[Tuple[float, float]] = []  # check points in disk(v) ∩ region
+    keep = points.append
+    for i, (ax, ay) in enumerate(centers):
+        # Circle i against v's own circle, then against every later circle.
+        # The former's crossings lie on v's boundary and are kept whatever
+        # their computed distance from v reads; the latter's only inside
+        # v's disk.
+        for partners, limit in (
+            (((vx, vy),), inf), (centers[i + 1:], inside_thr)
+        ):
+            for bx, by in partners:
+                ex = bx - ax
+                if ex > two_rs or ex < -two_rs:
+                    continue
+                ey = by - ay
+                if ey > two_rs or ey < -two_rs:
+                    continue
+                d = hypot(ex, ey)
+                if d == 0.0 or d > two_rs:
+                    continue
+                # Equal radii: Circle's (r0^2 - r1^2 + d^2) / 2d is (d^2) / 2d
+                # exactly (0.0 + x == x) — but not d / 2, which rounds apart.
+                a = (d * d) / (2.0 * d)
+                h_sq = rs_sq - a * a
+                if h_sq < 0.0:
+                    h_sq = 0.0
+                h = sqrt(h_sq)
+                ux = ex / d
+                uy = ey / d
+                mx = ax + ux * a
+                my = ay + uy * a
+                ox = -uy * h
+                oy = ux * h
+                # mid + offset, then mid - offset; tangent circles (h == 0)
+                # have the one point mid, and mid + 0.0 is mid.
+                px = mx + ox
+                py = my + oy
+                dx = vx - px
+                dy = vy - py
+                if dx * dx + dy * dy <= limit and (
+                    not clipped or (x_lo <= px <= x_hi and y_lo <= py <= y_hi)
+                ):
+                    keep((px, py))
+                if h == 0.0:
+                    continue
+                px = mx - ox
+                py = my - oy
+                dx = vx - px
+                dy = vy - py
+                if dx * dx + dy * dy <= limit and (
+                    not clipped or (x_lo <= px <= x_hi and y_lo <= py <= y_hi)
+                ):
+                    keep((px, py))
+    for p in boundary:
+        dx = vx - p[0]
+        dy = vy - p[1]
+        if dx * dx + dy * dy <= inside_thr:
+            keep(p)
+    if not points:
+        # No intersection structure: coverage requires containment by a set
+        # of disks, which for circles means one disk contains mine (k of them).
+        containing = 0
         for cx, cy in centers:
+            if hypot(cx - vx, cy - vy) + rs <= rs + 1e-9:
+                containing += 1
+        return containing >= k
+
+    nearest = sorted(
+        [((cx - vx) ** 2 + (cy - vy) ** 2, cx, cy) for cx, cy in centers]
+    )
+    _, lx, ly = nearest[0]  # the neighbour that covered the previous point
+    for px, py in points:
+        if k == 1:
+            dx = lx - px
+            dy = ly - py
+            if dx * dx + dy * dy < cover_thr:
+                continue
+        count = 0
+        for _, cx, cy in nearest:
             dx = cx - px
             dy = cy - py
             if dx * dx + dy * dy < cover_thr:
                 count += 1
                 if count >= k:
-                    return False
-        return True
-
-    any_point = False
-    n = len(centers)
-    for i in range(n):
-        ax, ay = centers[i]
-        # Circle i against v's own circle (j == i), then against every
-        # later circle; only the latter's points need filtering to v's disk.
-        for j in range(i, n):
-            if j == i:
-                bx, by = vx, vy
-            else:
-                bx, by = centers[j]
-            ex = bx - ax
-            ey = by - ay
-            d = hypot(ex, ey)
-            if d == 0.0 or d > two_rs:
-                continue
-            # Equal radii: Circle's (r0^2 - r1^2 + d^2) / 2d is (d^2) / 2d
-            # exactly (0.0 + x == x) — but not d / 2, which rounds apart.
-            a = (d * d) / (2.0 * d)
-            h_sq = rs_sq - a * a
-            if h_sq < 0.0:
-                h_sq = 0.0
-            h = sqrt(h_sq)
-            ux = ex / d
-            uy = ey / d
-            mx = ax + ux * a
-            my = ay + uy * a
-            ox = -uy * h
-            oy = ux * h
-            if h == 0.0:
-                points = ((mx, my),)
-            else:
-                points = ((mx + ox, my + oy), (mx - ox, my - oy))
-            for px, py in points:
-                if j != i:
-                    dx = vx - px
-                    dy = vy - py
-                    if dx * dx + dy * dy > inside_thr:
-                        continue
-                if clipped and not (x_lo <= px <= x_hi and y_lo <= py <= y_hi):
-                    continue
-                if uncovered(px, py):
-                    return False
-                any_point = True
-    if clipped:
-        # disk(v) ∩ region: the theorem also needs every circle (v's own
-        # last) crossing the region's edges inside disk(v), and the region
-        # corners inside disk(v).
-        boundary = []
-        for cx, cy in centers + [(vx, vy)]:
-            boundary.extend(_circle_rect_edge_intersections(cx, cy, rs, region))
-        boundary += [
-            (region.x_min, region.y_min), (region.x_max, region.y_min),
-            (region.x_max, region.y_max), (region.x_min, region.y_max),
-        ]
-        for px, py in boundary:
-            dx = vx - px
-            dy = vy - py
-            if dx * dx + dy * dy <= inside_thr:
-                if uncovered(px, py):
-                    return False
-                any_point = True
-    if any_point:
-        return True
-    # No intersection structure: coverage requires containment by a set of
-    # disks, which for circles means one disk contains mine (k of them).
-    containing = 0
-    for cx, cy in centers:
-        if hypot(cx - vx, cy - vy) + rs <= rs + 1e-9:
-            containing += 1
-    return containing >= k
+                    lx = cx
+                    ly = cy
+                    break
+        else:
+            return False
+    return True
 
 
 def _circle_rect_edge_intersections(

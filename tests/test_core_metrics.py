@@ -1,7 +1,13 @@
 """Tests for metrics: fidelity, success ratio, storage/contention trackers."""
 
-import pytest
+import inspect
+import textwrap
 
+import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+import repro.core.metrics as metrics_module
 from repro.core.metrics import (
     ContentionTracker,
     SessionMetrics,
@@ -145,6 +151,169 @@ class TestStorageTracker:
         tracer.emit("tree-created", 3.0, node=9, k=2)
         assert tracker.max_tree_states == 5
         assert tracker.live_tree_states == 5
+
+
+class RescanOracle:
+    """``max_prefetch_length`` the way the tracker computed it before it kept
+    collectors per session: every live collector of every session rescanned
+    against its session's clock on each assignment, the worst chain kept."""
+
+    def __init__(self, spec, specs):
+        self.spec = spec
+        self.spec_by_session = {
+            s.session_key: s
+            for s in (specs if specs is not None else ([spec] if spec else []))
+        }
+        self.live = set()
+        self.max_prefetch_length = 0
+
+    def assigned(self, user, query, k, now):
+        self.live.add((user, query, k))
+        per_session = {}
+        for user, query, k in self.live:
+            spec = self.spec_by_session.get((user, query), self.spec)
+            if spec is not None and k > spec.period_index(now):
+                per_session[(user, query)] = per_session.get((user, query), 0) + 1
+        self.max_prefetch_length = max(
+            self.max_prefetch_length, max(per_session.values(), default=0)
+        )
+
+    def released(self, user, query, k):
+        self.live.discard((user, query, k))
+
+
+#: period lengths and origins a session's spec is drawn from (and redrawn
+#: from when ``register_spec`` replaces it under live collectors)
+CLOCKS = st.tuples(st.sampled_from([0.7, 2.0, 5.0]), st.sampled_from([0.0, 3.0, 8.0]))
+
+
+@st.composite
+def tracker_steps(draw):
+    """``(time since the last step, (kind, user, argument))`` for 1-6 users."""
+    users = st.integers(0, draw(st.integers(0, 5)))
+    ks = st.integers(0, 9)
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.4, 1.0, 3.5]),
+                st.one_of(
+                    st.tuples(st.just("assign"), users, ks),
+                    st.tuples(st.just("assign"), users, ks),
+                    st.tuples(st.just("release"), users, ks),
+                    st.tuples(st.just("register"), users, CLOCKS),
+                    st.tuples(st.just("forget"), users, st.none()),
+                ),
+            ),
+            min_size=1, max_size=40,
+        )
+    )
+
+
+def session_spec(user, clock):
+    period_s, start_s = clock
+    return QuerySpec(
+        period_s=period_s, lifetime_s=60.0, user_id=user, start_s=start_s, query_id=0
+    )
+
+
+def drive_tracker(fallback, upfront, steps):
+    """Any interleaving of assign / release / re-assign of a live ``k`` /
+    ``register_spec`` / ``forget_spec`` over up to six sessions: the tracker
+    and the full rescan agree after every step."""
+    spec = session_spec(0, fallback) if fallback else None
+    specs = (
+        [session_spec(user, clock) for user, clock in enumerate(upfront)]
+        if upfront is not None else None
+    )
+    tracer = Tracer()
+    tracker = StorageTracker(tracer, spec, specs=specs)
+    oracle = RescanOracle(spec, specs)
+    now = 0.0
+    for step, (dt, (kind, user, arg)) in enumerate(steps):
+        now += dt
+        if kind == "assign":
+            tracer.emit("collector-assigned", now, k=arg, user=user, query=0)
+            oracle.assigned(user, 0, arg, now)
+        elif kind == "release":
+            tracer.emit("collector-released", now, k=arg, user=user, query=0)
+            oracle.released(user, 0, arg)
+        elif kind == "register":
+            tracker.register_spec(session_spec(user, arg))
+            oracle.spec_by_session[(user, 0)] = session_spec(user, arg)
+        else:
+            tracker.forget_spec((user, 0))
+            oracle.spec_by_session.pop((user, 0), None)
+        assert tracker.max_prefetch_length == oracle.max_prefetch_length, (
+            f"step {step}: {kind} user {user} {arg!r} at t={now!r}"
+        )
+
+
+TRACKER_WORLDS = dict(
+    fallback=st.one_of(st.none(), CLOCKS),  # the legacy ``spec=`` argument
+    upfront=st.one_of(st.none(), st.lists(CLOCKS, min_size=1, max_size=6)),
+    steps=tracker_steps(),
+)
+
+
+# A chain can read longer without an assignment of its own only when its
+# session's clock changes: user 0's collectors for k = 2, 3, 4 are 1 ahead at
+# t = 7 under the first spec and 3 ahead once the spec's origin moves to
+# t = 8, and it is user 1's assignment that has to notice.
+RESPEC = dict(
+    fallback=None,
+    upfront=[(2.0, 0.0), (2.0, 0.0)],
+    steps=[
+        (7.0, ("assign", 0, 2)), (0.0, ("assign", 0, 3)), (0.0, ("assign", 0, 4)),
+        (0.0, ("register", 0, (2.0, 8.0))), (0.5, ("assign", 1, 1)),
+    ],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**TRACKER_WORLDS)
+@example(**RESPEC)
+def test_prefetch_length_recounts_one_session_like_the_full_rescan(
+    fallback, upfront, steps
+):
+    drive_tracker(fallback, upfront, steps)
+
+
+#: name -> (``StorageTracker`` method, text to replace, replacement)
+TRACKER_MUTATIONS = {
+    "counts against the wrong session's spec": (
+        "_count_prefetch_length",
+        "self._spec_by_session.get(session_key, self.spec)",
+        "next(iter(self._spec_by_session.values()), self.spec)",
+    ),
+    "a clock changed under live collectors is not recounted": (
+        "_clock_changed", "if session_key in self._live_collectors:", "if False:",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TRACKER_MUTATIONS)
+def test_property_fails_under_named_mutations(name, monkeypatch):
+    """The property above is strong enough to tell whose clock a chain is
+    counted on, and that a respec needs a recount: the same generator finds
+    a counterexample for either mutant."""
+    method, old, new = TRACKER_MUTATIONS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(StorageTracker, method)))
+    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
+    scope = {}
+    exec(source.replace(old, new), vars(metrics_module), scope)
+    monkeypatch.setattr(StorageTracker, method, scope[method])
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True, database=None,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(**TRACKER_WORLDS)
+    @example(**RESPEC)
+    def mutated(fallback, upfront, steps):
+        drive_tracker(fallback, upfront, steps)
+
+    with pytest.raises(AssertionError):
+        mutated()
 
 
 class TestContentionTracker:

@@ -103,17 +103,6 @@ class TestBackbone:
         node1 = network.node_by_id(1)
         assert {n.node_id for n in node1.active_neighbors} == {0, 2}
 
-    def test_nearest_active_node(self, sim):
-        network = make_network(sim, line_positions(4, 50.0))
-        network.apply_backbone([0, 3])
-        assert network.nearest_active_node(Vec2(140, 0)).node_id == 3
-
-    def test_nearest_active_without_backbone_raises(self, sim):
-        network = make_network(sim, line_positions(2, 50.0))
-        network.apply_backbone([])
-        with pytest.raises(ValueError):
-            network.nearest_active_node(Vec2(0, 0))
-
     def test_backbone_connectivity_check(self, sim):
         network = make_network(sim, line_positions(4, 100.0))
         network.apply_backbone([0, 1, 3])  # 3 is isolated (200 m gap to 1)
