@@ -10,6 +10,9 @@
 #                        per workload (REF=<commit> WORKLOAD="<name> ..."
 #                        [PAIRS=10] [LAYERS=1]: then the per-layer metrics
 #                        that moved, from one traced run per side)
+#   make loc             raw and `tokenize` code lines of src/, per package
+#                        and total ([REF=<commit>]: and the delta against it,
+#                        the two numbers a CHANGES.md entry reports)
 #   make profile         cProfile one canonical scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -42,7 +45,7 @@ CHAOS_SMOKE_PORT ?= 8652
 #: pairs `make bench-ab` runs (seeds 1..PAIRS)
 PAIRS ?= 10
 
-.PHONY: test bench bench-smoke ledger bench-ab profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke check
+.PHONY: test bench bench-smoke ledger bench-ab loc profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -74,6 +77,11 @@ bench-ab:
 	@test -n "$(REF)" -a -n "$(WORKLOAD)" || \
 		{ echo 'usage: make bench-ab REF=<commit> WORKLOAD="<name> ..." [PAIRS=10] [LAYERS=1]'; exit 2; }
 	python3 scripts/ab_pairs.py --ref $(REF) --workload $(WORKLOAD) --pairs $(PAIRS) $(if $(LAYERS),--layers)
+
+# What a deletion is reported with: lines of src/ raw and as code (no
+# comments, docstrings or blanks), and against REF through `git show`.
+loc:
+	python3 scripts/loc.py $(if $(REF),--ref $(REF))
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant

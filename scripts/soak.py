@@ -11,9 +11,9 @@ protocol state keyed by a session (the world), the wall time the 100 took
 (its cost), and the process RSS.  After a warm-up of a fifth of the run it
 fails if
 
-* ``registered_mobiles`` ever differs from the live sessions, or the median
-  world census is over 1.5 times the warm-up's (the world follows the live
-  sessions);
+* ``registered_mobiles`` or the protocol engine's session records ever
+  differ from the live sessions, or the median world census is over 1.5
+  times the warm-up's (the world follows the live sessions);
 * the median block of 100 took over 1.5 times the warm-up's (the cost
   follows them too: before sessions were retired at their last outcome,
   block 10 took five times as long as block 1);
@@ -72,18 +72,23 @@ def rss_mb() -> float:
         return int(fh.read().split()[1]) * 4096 / 1e6
 
 
+def engine_sessions(app: ServeApp) -> int:
+    """Sessions the protocol engines hold a record for, over every world."""
+    return sum(service.protocol.session_count() for service in app._services())
+
+
 def world_census(app: ServeApp) -> int:
     """Kernel events pending plus protocol/flood state keyed by a session and
     the sessions not torn down, over every world — ``leak_census`` without
     advancing the clock."""
-    total = 0
+    total = engine_sessions(app)
     for service in app._services():
         protocol = service.protocol
         total += (
             service.sim.pending_count
             + protocol.tree_state_count()
-            + len(protocol._collectors)
-            + len(protocol._pending_batches)
+            + protocol.collector_count()
+            + protocol.pending_batch_count()
             + service.flood.live_flood_count()
             + len(service.unreleased_handles())
         )
@@ -104,7 +109,7 @@ def soak(sessions: int) -> int:
     samples = []
     submitted = finished = 0
     block_started = time.perf_counter()
-    print("finished  mobiles  live  world  block_s  rss_mb")
+    print("finished  mobiles  live  world  block_s  rss_mb  engine")
     while finished < sessions:
         while submitted < sessions and len(flying) < IN_FLIGHT:
             now = app.healthz()["now"]
@@ -126,9 +131,10 @@ def soak(sessions: int) -> int:
                     world_census(app),
                     time.perf_counter() - block_started,
                     rss_mb(),
+                    engine_sessions(app),
                 )
             samples.append(sample)
-            print("%8d  %7d  %4d  %5d  %7.2f  %6.1f" % sample, flush=True)
+            print("%8d  %7d  %4d  %5d  %7.2f  %6.1f  %6d" % sample, flush=True)
             block_started = time.perf_counter()
     app.begin_drain()
     drained = app.wait_drained(60.0)
@@ -147,6 +153,8 @@ def soak(sessions: int) -> int:
         )
     if any(s[1] != s[2] or s[1] > IN_FLIGHT for s in samples):
         problems.append("registered mobiles != live sessions at a sample")
+    if any(s[6] != s[2] for s in samples):
+        problems.append("engine session records != live sessions at a sample")
     # medians: one sample can catch a flood or a slow moment of the machine
     for what, column, slack in (("world census", 3, 1.5), ("wall s per block", 4, 1.5)):
         before = statistics.median(s[column] for s in early)

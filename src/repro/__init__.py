@@ -27,7 +27,7 @@ Subpackages:
 * ``repro.api`` — **the stable public surface**: ``MobiQueryService``
   (submit/stream/cancel sessions, heterogeneous per-user queries),
   admission control, and the declarative scenario registry.
-* ``repro.sim`` — event kernel, processes, RNG streams, tracing.
+* ``repro.sim`` — event kernel, RNG streams, tracing.
 * ``repro.geometry`` — 2-D vectors, circles, spatial grid.
 * ``repro.net`` — channel, CSMA/CA MAC, 802.11-PSM duty cycling, energy,
   sensor nodes, geographic routing, scoped flooding, synthetic fields.

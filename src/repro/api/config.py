@@ -124,22 +124,11 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     # Sweep helpers (each figure varies one axis)
     # ------------------------------------------------------------------
-    def with_mode(self, mode: str) -> "ExperimentConfig":
-        return replace(self, mode=mode)
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
 
     def with_sleep_period(self, sleep_period_s: float) -> "ExperimentConfig":
         return replace(self, network=self.network.with_sleep_period(sleep_period_s))
-
-    def with_speed_range(self, speed_range: Tuple[float, float]) -> "ExperimentConfig":
-        return replace(self, mobility=replace(self.mobility, speed_range=speed_range))
-
-    def with_change_interval(self, interval_s: float) -> "ExperimentConfig":
-        return replace(
-            self, mobility=replace(self.mobility, change_interval_s=interval_s)
-        )
 
     def with_advance_time(self, advance_time_s: float) -> "ExperimentConfig":
         return replace(

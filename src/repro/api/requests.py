@@ -14,7 +14,7 @@ protocol engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.query import Aggregation
@@ -118,10 +118,6 @@ class QueryRequest:
                 f"unknown accuracy {self.accuracy!r}; "
                 f"expected one of {ACCURACY_LEVELS}"
             )
-
-    def with_start(self, start_s: float) -> "QueryRequest":
-        """The same request shifted to a new start time (phase assignment)."""
-        return replace(self, start_s=start_s)
 
 
 @dataclass(frozen=True)

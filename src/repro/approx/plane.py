@@ -260,8 +260,8 @@ class SummaryPlane:
         """Drop all per-session drill state (idempotent; cancel support)."""
         self._sessions.pop(key, None)
 
-    def live_session_count(self) -> int:
-        """Live approximate sessions (the leak census counts this)."""
+    def session_count(self) -> int:
+        """Sessions registered and not yet released."""
         return len(self._sessions)
 
     def drill_level(self, radius_m: float, accuracy: str) -> int:

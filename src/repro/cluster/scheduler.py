@@ -36,13 +36,6 @@ class LockstepScheduler:
         #: epochs completed by every shard (monotonic, telemetry)
         self.epochs_run = 0
 
-    def skew_s(self) -> float:
-        """Current clock skew between the fastest and slowest shard."""
-        if not self.sims:
-            return 0.0
-        nows = [sim.now for sim in self.sims]
-        return max(nows) - min(nows)
-
     def advance(self, until: float) -> None:
         """Run every shard kernel to ``until``, one epoch at a time.
 

@@ -11,6 +11,9 @@ The point of the baseline: with sleep periods several times the query
 period, only roughly ``Tperiod / Tsleep`` of the duty-cycled nodes can be
 woken in time, so data fidelity is capped far below the 95% success bar —
 which is exactly the Figure 4 result.
+
+Per-session state (the dedup marks) lives in one record per registered
+session, with the lifecycle of :class:`~repro.core.service.MobiQueryProtocol`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,17 @@ class NoPrefetchConfig:
 
 
 class NoPrefetchProtocol:
-    """Node-side handlers for the NP baseline."""
+    """Node-side handlers for the NP baseline.
+
+    Same session lifecycle as :class:`~repro.core.service.MobiQueryProtocol`:
+    a gateway's ``start()`` registers its ``(user_id, query_id)``, its
+    ``close()`` releases it.  The record of a session is its dedup marks —
+    the ``(node_id, k)`` query copies already handled — and *no record* is
+    the only dead-session test: a query or a scheduled reading of an
+    unregistered key stores and sends nothing.  ``_pending_batches`` stays
+    per node, as there: a sleeper batch is one node's frame and merges the
+    queries of every session heard, so it is filtered when a session leaves.
+    """
 
     def __init__(
         self,
@@ -61,46 +74,52 @@ class NoPrefetchProtocol:
         self.config = config or NoPrefetchConfig()
         self.tracer = tracer if tracer is not None else network.tracer
         self.sim = network.sim
-        self._seen: Set[Tuple[int, int, int, int]] = set()
+        #: session key -> the ``(node_id, k)`` query copies already handled
+        self._sessions: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
         self._pending_batches: Dict[int, List[NpQueryMessage]] = {}
         self._batch_scheduled: Set[int] = set()
-        #: sessions torn down by the service; in-flight queries are dropped
-        self._dead_sessions: Set[Tuple[int, int]] = set()
         for node in network.nodes:
             node.register_handler("np-query", self._on_query)
             node.register_handler("np-query-batch", self._on_query_batch)
             node.register_handler("np-relay", self._on_relay)
 
-    def release_session(self, user_id: int, query_id: int) -> None:
+    def register_session(self, key: Tuple[int, int]) -> None:
+        """Open the record of one session (its gateway's ``start()``)."""
+        self._sessions.setdefault(key, set())
+
+    def release_session(self, key: Tuple[int, int]) -> None:
         """Drop every per-node trace of one session (cancel/teardown).
 
-        Per-query dedup marks are forgotten and the session's broadcasts
+        The record goes with its dedup marks and the session's broadcasts
         are filtered out of pending sleeper batches; report events already
-        scheduled fire into a closed gateway and are ignored there.
+        scheduled find no record and do nothing.  Idempotent.
         """
-        session = (user_id, query_id)
-        self._dead_sessions.add(session)
-        self._seen = {
-            key for key in self._seen if (key[1], key[2]) != session
-        }
+        if self._sessions.pop(key, None) is None:
+            return
         for node_id, pending in list(self._pending_batches.items()):
-            kept = [m for m in pending if (m.user_id, m.query_id) != session]
+            kept = [m for m in pending if (m.user_id, m.query_id) != key]
             if kept:
                 self._pending_batches[node_id] = kept
             else:
                 del self._pending_batches[node_id]
 
-    def session_state_count(self, user_id: int, query_id: int) -> int:
+    def session_count(self) -> int:
+        """Sessions registered and not yet released."""
+        return len(self._sessions)
+
+    def pending_batch_count(self) -> int:
+        """Nodes holding queries buffered for their sleeping neighbours."""
+        return len(self._pending_batches)
+
+    def session_state_count(self, key: Tuple[int, int]) -> int:
         """Dedup marks + buffered queries one session still holds (tests)."""
-        session = (user_id, query_id)
-        seen = sum(1 for key in self._seen if (key[1], key[2]) == session)
         buffered = sum(
             1
             for pending in self._pending_batches.values()
             for m in pending
-            if (m.user_id, m.query_id) == session
+            if (m.user_id, m.query_id) == key
         )
-        return seen + buffered
+        return len(self._sessions.get(key, ())) + buffered
 
     # ------------------------------------------------------------------
     # Query reception
@@ -115,12 +134,13 @@ class NoPrefetchProtocol:
             self._handle_query(node, msg)
 
     def _handle_query(self, node: SensorNode, msg: NpQueryMessage) -> None:
-        if (msg.user_id, msg.query_id) in self._dead_sessions:
+        seen = self._sessions.get((msg.user_id, msg.query_id))
+        if seen is None:
             return
-        key = (node.node_id, msg.user_id, msg.query_id, msg.k)
-        if key in self._seen:
+        mark = (node.node_id, msg.k)
+        if mark in seen:
             return
-        self._seen.add(key)
+        seen.add(mark)
         if node.position.distance_to(msg.issue_position) > msg.radius_m:
             return  # spatial constraint: batches reach beyond the area edge
         now = self.sim.now
@@ -184,7 +204,7 @@ class NoPrefetchProtocol:
     # Reporting
     # ------------------------------------------------------------------
     def _respond(self, node: SensorNode, msg: NpQueryMessage) -> None:
-        if (msg.user_id, msg.query_id) in self._dead_sessions:
+        if (msg.user_id, msg.query_id) not in self._sessions:
             return  # session torn down after this reading was scheduled
         now = self.sim.now
         if now >= msg.deadline:

@@ -66,9 +66,12 @@ class BaseGateway:
     """The proxy side of one session: lifecycle and delivery bookkeeping.
 
     A gateway is the one owner of what its session sets up: :meth:`begin`
-    starts it at ``spec.start_s``; :meth:`close` stops it and releases the
-    pending start and whatever the subclass put into its in-network
-    engine (:meth:`_release`).
+    starts it at ``spec.start_s`` — the subclass's ``start()`` registers
+    the session with its in-network engine before anything is scheduled —
+    and :meth:`close` stops it and releases the pending start and the
+    engine's record of the session (:meth:`_release`).  An engine stores
+    nothing for a key that is not registered, so nothing sent before
+    ``start()`` or still in flight after ``close()`` can leave state behind.
     """
 
     def __init__(
@@ -244,11 +247,12 @@ class MobiQueryGateway(BaseGateway):
         proxy.register_handler("mq-result", self._on_result)
 
     def _release(self) -> None:
-        self.protocol.release_session(*self.session_key)
+        self.protocol.release_session(self.session_key)
         self.provider = None
 
     def start(self) -> None:
-        """Schedule all profile arrivals; the first one issues the query.
+        """Register with the engine and schedule all profile arrivals; the
+        first one issues the query.
 
         A session starting mid-run (``start_s`` > 0) collapses every
         arrival that predates its origin into the single newest one: the
@@ -259,6 +263,7 @@ class MobiQueryGateway(BaseGateway):
         arrivals = self.provider.arrivals()
         if not arrivals:
             raise ValueError("profile provider produced no profiles")
+        self.protocol.register_session(self.session_key)
         origin = max(self.sim.now, self.spec.start_s)
         past = [a for a in arrivals if a.time < origin]
         if past:
@@ -407,6 +412,8 @@ class MobiQueryGateway(BaseGateway):
         )
 
         def on_done(success: bool) -> None:
+            if self.closed:
+                return
             if success:
                 if cancel_profile is not None:
                     self.protocol.start_cancel_chain(
@@ -479,10 +486,12 @@ class NoPrefetchGateway(BaseGateway):
         for flood_id in self._flood_ids:
             self.flood.release(flood_id)
         self._flood_ids.clear()
-        self.protocol.release_session(*self.session_key)
+        self.protocol.release_session(self.session_key)
 
     def start(self) -> None:
-        """Schedule one query broadcast at the start of every period."""
+        """Register with the engine and schedule one query broadcast at the
+        start of every period."""
+        self.protocol.register_session(self.session_key)
         for k in range(1, self.spec.num_periods + 1):
             issue_at = self.spec.deadline(k) - self.spec.period_s + 1e-3
             self.sim.schedule_at(max(self.sim.now, issue_at), self._issue, k)

@@ -101,11 +101,6 @@ class SessionMetrics:
             if r.delivered_at is not None
         ]
 
-    def mean_delivery_margin(self) -> float:
-        """Average slack before the deadline (0.0 with no deliveries)."""
-        margins = self.delivery_margins()
-        return sum(margins) / len(margins) if margins else 0.0
-
     def warmup_periods_observed(self, run_length: int = 3) -> int:
         """Measured warmup: periods before fidelity first stays above the
         threshold for ``run_length`` consecutive periods.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set
+from typing import Optional, Set
 
 from ..geometry.areas import AreaTemplate, DiskTemplate, QueryArea
 from ..geometry.vec import Vec2
@@ -205,20 +205,3 @@ class AggregateState:
         if aggregation is Aggregation.MIN:
             return self.minimum
         return self.maximum
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """A finalized per-period result as seen by the user."""
-
-    query_id: int
-    k: int
-    deadline: float
-    delivered_at: float
-    value: Optional[float]
-    contributors: FrozenSet[int]
-
-    @property
-    def on_time(self) -> bool:
-        """Whether the result met its delivery deadline."""
-        return self.delivered_at <= self.deadline + 1e-9

@@ -23,12 +23,16 @@ phases of Section 4 onto every sensor node:
 4. **Cancellation** — when the user abandons a predicted path, a cancel
    message chases the prefetch chain collector-to-collector, tearing down
    pending state; it gives up after two consecutive pickup points with no
-   matching state.
+   matching state, or where the session is no longer registered.
+
+Everything the engine stores belongs to one ``(user_id, query_id)`` session
+and lives in that session's record; :class:`MobiQueryProtocol` describes
+the lifecycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.areas import QueryArea
@@ -116,8 +120,50 @@ class MobiQueryConfig:
             raise ValueError("result guard must be >= 0")
 
 
+@dataclass
+class _SessionRecord:
+    """Everything the engine holds for one ``(user_id, query_id)`` session.
+
+    The record *is* the storage — no world-wide table sits beside it — so a
+    session leaves as a unit: ``release_session`` pops it and walks only it.
+    """
+
+    #: collector duty by pickup index ``k``
+    collectors: Dict[int, CollectorState] = field(default_factory=dict)
+    #: tree memberships by ``(node_id, k)`` — Section 5.2's query states
+    trees: Dict[Tuple[int, int], TreeNodeState] = field(default_factory=dict)
+    #: ``(node_id, generation)`` -> lowest cancelled pickup index: "G is
+    #: dead from pickup k on here" — the node may still serve earlier ones
+    cancelled_from: Dict[Tuple[int, int], int] = field(default_factory=dict)
+
+    def is_cancelled(self, node_id: int, generation: int, k: int) -> bool:
+        """Whether pickup ``k`` of ``generation``'s chain is cancelled at
+        node ``node_id``."""
+        min_k = self.cancelled_from.get((node_id, generation))
+        return min_k is not None and k >= min_k
+
+
 class MobiQueryProtocol:
-    """Node-side MobiQuery: prefetch, dissemination, collection, cancel."""
+    """Node-side MobiQuery: prefetch, dissemination, collection, cancel.
+
+    Sessions have the lifecycle of the other two engines
+    (:class:`~repro.core.baseline.NoPrefetchProtocol`,
+    :class:`~repro.approx.plane.SummaryPlane`): a gateway's ``start()``
+    calls :meth:`register_session`, its ``close()`` :meth:`release_session`,
+    and in between every collector, tree state and cancel mark of the
+    session lives in its one :class:`_SessionRecord`.
+
+    *No record* is the only dead-session test.  A frame, timer or cancel
+    chase of an unregistered key — never started, or torn down with traffic
+    in flight — stores nothing, so a released session cannot regrow and no
+    table outlives its session.  (A prefetch timer already armed at the
+    inject node still sends — frame counts are pinned; where it lands
+    drops it.)
+
+    ``_pending_batches`` is the one per-node table left: a sleeper batch is
+    one node's frame and merges the setups of every session that crossed
+    the node, so it is keyed by node and filtered when a session leaves.
+    """
 
     def __init__(
         self,
@@ -131,16 +177,10 @@ class MobiQueryProtocol:
         self.config = config or MobiQueryConfig()
         self.tracer = tracer if tracer is not None else network.tracer
         self.sim = network.sim
-        # Protocol state, all keyed by (user_id, query_id, ...) so the
-        # concurrent sessions of a multi-user workload share one protocol
-        # instance (and the backbone) without clobbering each other.
-        self._collectors: Dict[Tuple[int, int, int], CollectorState] = {}
-        self._tree_states: Dict[Tuple[int, int, int, int], TreeNodeState] = {}
-        # node id -> {(user_id, query_id, generation): lowest cancelled
-        # pickup index}.  Cancellation is k-aware: "generation G is dead
-        # from pickup k on" — the same node may still serve earlier pickups
-        # of that chain.
-        self._cancelled_from: Dict[int, Dict[Tuple[int, int, int], int]] = {}
+        # One record per registered (user_id, query_id): the concurrent
+        # sessions of a multi-user workload share one protocol instance
+        # (and the backbone) without clobbering each other.
+        self._sessions: Dict[Tuple[int, int], _SessionRecord] = {}
         self._pending_batches: Dict[int, List[SetupMessage]] = {}
         self._batch_scheduled: Set[int] = set()
         # Optional summary plane (repro.approx): when set, readings the
@@ -149,11 +189,6 @@ class MobiQueryProtocol:
         # RNG, so exact-only runs (observer None) are byte-for-byte
         # untouched.
         self.summary_observer = None
-        # Sessions torn down by the service (operator cancel): frames of a
-        # dead session still in flight must not resurrect its chain — a
-        # prefetch mid-route would otherwise re-assign a collector and
-        # regrow the whole tree sequence.  One tuple per cancelled session.
-        self._dead_sessions: Set[Tuple[int, int]] = set()
         for node in network.nodes:
             node.register_handler("mq-inject", self._on_inject)
             node.register_handler("mq-prefetch", self._on_prefetch)
@@ -195,7 +230,7 @@ class MobiQueryProtocol:
     # ------------------------------------------------------------------
     def _on_inject(self, node: SensorNode, frame: Frame) -> None:
         msg: InjectMessage = frame.payload
-        if msg.spec.session_key in self._dead_sessions:
+        if msg.spec.session_key not in self._sessions:
             return
         self.tracer.emit(
             "inject",
@@ -228,8 +263,7 @@ class MobiQueryProtocol:
         handle = self.sim.schedule_at(
             send_at, self._forward_prefetch, node, spec, profile, k, proxy_id
         )
-        key = (spec.user_id, spec.query_id, k - 1)
-        holder = self._collectors.get(key)
+        holder = self._sessions[spec.session_key].collectors.get(k - 1)
         if holder is not None and holder.node_id == node.node_id:
             holder.forward_timer = handle
 
@@ -241,8 +275,9 @@ class MobiQueryProtocol:
         k: int,
         proxy_id: int,
     ) -> None:
-        if self._is_cancelled(
-            node.node_id, spec.user_id, spec.query_id, profile.generation, k
+        record = self._sessions.get(spec.session_key)
+        if record is not None and record.is_cancelled(
+            node.node_id, profile.generation, k
         ):
             return
         pickup = self.pickup_point(profile, spec, k)
@@ -266,15 +301,13 @@ class MobiQueryProtocol:
     def _on_prefetch(self, node: SensorNode, frame: Frame) -> None:
         msg: PrefetchMessage = frame.payload
         spec, profile, k = msg.spec, msg.profile, msg.k
-        if spec.session_key in self._dead_sessions:
+        record = self._sessions.get(spec.session_key)
+        if record is None:
             return
         now = self.sim.now
-        if self._is_cancelled(
-            node.node_id, spec.user_id, spec.query_id, profile.generation, k
-        ):
+        if record.is_cancelled(node.node_id, profile.generation, k):
             return
-        key = (spec.user_id, spec.query_id, k)
-        existing = self._collectors.get(key)
+        existing = record.collectors.get(k)
         if existing is not None:
             if existing.profile.generation >= profile.generation:
                 return  # duplicate or stale prefetch
@@ -291,7 +324,7 @@ class MobiQueryProtocol:
             proxy_id=msg.proxy_id,
             assigned_at=now,
         )
-        self._collectors[key] = collector
+        record.collectors[k] = collector
         self.tracer.emit(
             "collector-assigned",
             now,
@@ -301,7 +334,7 @@ class MobiQueryProtocol:
             query=spec.query_id,
             user=spec.user_id,
         )
-        self._setup_tree(node, collector)
+        self._setup_tree(record, node, collector)
         self._schedule_prefetch_forward(node, spec, profile, k + 1, msg.proxy_id)
         collector.result_timer = self.sim.schedule_at(
             max(now, deadline - self.config.result_guard_s),
@@ -313,7 +346,9 @@ class MobiQueryProtocol:
     # ------------------------------------------------------------------
     # Phase 2 — query dissemination (tree setup)
     # ------------------------------------------------------------------
-    def _setup_tree(self, node: SensorNode, collector: CollectorState) -> None:
+    def _setup_tree(
+        self, record: _SessionRecord, node: SensorNode, collector: CollectorState
+    ) -> None:
         spec = collector.spec
         pickup = self.pickup_point(collector.profile, spec, collector.k)
         setup = SetupMessage(
@@ -341,8 +376,7 @@ class MobiQueryProtocol:
         )
         # The collector roots the tree even if the anycast delivered outside
         # the nominal Rp disk (expanded delivery under sparse backbones).
-        key = (node.node_id, spec.user_id, spec.query_id, collector.k)
-        existing = self._tree_states.get(key)
+        existing = record.trees.get((node.node_id, collector.k))
         if existing is not None:
             # This node was a member of the superseded generation's tree:
             # promote the state to root in place.
@@ -352,7 +386,7 @@ class MobiQueryProtocol:
             existing.pickup = pickup
             existing.profile_generation = collector.profile.generation
         else:
-            self._create_tree_state(node, setup, parent_id=None)
+            self._create_tree_state(record, node, setup, parent_id=None)
         self._broadcast_setup(node, setup)
         self._queue_sleeper_delivery(node, setup)
 
@@ -375,10 +409,10 @@ class MobiQueryProtocol:
             self._handle_setup(node, setup, src_id=frame.src)
 
     def _handle_setup(self, node: SensorNode, setup: SetupMessage, src_id: int) -> None:
-        if (setup.user_id, setup.query_id) in self._dead_sessions:
+        record = self._sessions.get((setup.user_id, setup.query_id))
+        if record is None:
             return
-        key = (node.node_id, setup.user_id, setup.query_id, setup.k)
-        existing = self._tree_states.get(key)
+        existing = record.trees.get((node.node_id, setup.k))
         if existing is not None:
             if setup.profile_generation > existing.profile_generation:
                 self._reparent_to_new_generation(node, existing, setup, src_id)
@@ -390,7 +424,7 @@ class MobiQueryProtocol:
         now = self.sim.now
         if now >= setup.deadline - 1e-6:
             return  # stale: this period cannot be served anymore
-        state = self._create_tree_state(node, setup, parent_id=src_id)
+        state = self._create_tree_state(record, node, setup, parent_id=src_id)
         if state is None:
             return
         if node.is_active:
@@ -399,10 +433,14 @@ class MobiQueryProtocol:
             self._join_as_leaf(node, setup, state)
 
     def _create_tree_state(
-        self, node: SensorNode, setup: SetupMessage, parent_id: Optional[int]
+        self,
+        record: _SessionRecord,
+        node: SensorNode,
+        setup: SetupMessage,
+        parent_id: Optional[int],
     ) -> Optional[TreeNodeState]:
-        key = (node.node_id, setup.user_id, setup.query_id, setup.k)
-        if key in self._tree_states:
+        key = (node.node_id, setup.k)
+        if key in record.trees:
             return None
         state = TreeNodeState(
             query_id=setup.query_id,
@@ -416,7 +454,7 @@ class MobiQueryProtocol:
             profile_generation=setup.profile_generation,
             user_id=setup.user_id,
         )
-        self._tree_states[key] = state
+        record.trees[key] = state
         self.tracer.emit(
             "tree-created",
             self.sim.now,
@@ -428,22 +466,32 @@ class MobiQueryProtocol:
         self.sim.schedule_at(
             setup.deadline + self.config.state_gc_grace_s,
             self._gc_tree_state,
+            state.session_key,
             key,
         )
         return state
 
-    def _gc_tree_state(self, key: Tuple[int, int, int, int]) -> None:
-        state = self._tree_states.pop(key, None)
-        if state is not None:
-            state.cancel_timer()
-            self.tracer.emit(
-                "tree-released",
-                self.sim.now,
-                node=state.node_id,
-                k=state.k,
-                query=state.query_id,
-                user=state.user_id,
-            )
+    def _gc_tree_state(self, session: Tuple[int, int], key: Tuple[int, int]) -> None:
+        record = self._sessions.get(session)
+        state = record.trees.pop(key, None) if record is not None else None
+        if state is None:
+            return
+        self._release_tree_state(state)
+        if not record.trees:
+            # A dict keeps its peak capacity after pops, and in a batch run
+            # a finished session's record stays until close().
+            record.trees = {}
+
+    def _release_tree_state(self, state: TreeNodeState) -> None:
+        state.cancel_timer()
+        self.tracer.emit(
+            "tree-released",
+            self.sim.now,
+            node=state.node_id,
+            k=state.k,
+            query=state.query_id,
+            user=state.user_id,
+        )
 
     def _reparent_to_new_generation(
         self,
@@ -703,8 +751,8 @@ class MobiQueryProtocol:
 
     def _on_report(self, node: SensorNode, frame: Frame) -> None:
         msg: ReportMessage = frame.payload
-        key = (node.node_id, msg.user_id, msg.query_id, msg.k)
-        state = self._tree_states.get(key)
+        record = self._sessions.get((msg.user_id, msg.query_id))
+        state = record.trees.get((node.node_id, msg.k)) if record else None
         if state is None or state.sent:
             self.tracer.emit(
                 "report-late", self.sim.now, node=node.node_id, k=msg.k
@@ -722,8 +770,10 @@ class MobiQueryProtocol:
             return
         collector.result_sent = True
         spec = collector.spec
-        key = (node.node_id, spec.user_id, spec.query_id, collector.k)
-        state = self._tree_states.get(key)
+        # An uncancelled collector is in its session's record.
+        state = self._sessions[spec.session_key].trees.get(
+            (node.node_id, collector.k)
+        )
         partial = state.partial if state is not None else AggregateState()
         area = self.query_area(collector.profile, collector.spec, collector.k)
         if state is not None:
@@ -783,10 +833,7 @@ class MobiQueryProtocol:
         the session report rather than a hang.
         """
         spec = collector.spec
-        if spec.session_key in self._dead_sessions:
-            # A recovering chain must not resurrect a cancelled session.
-            self._release_collector(collector, reason="session-released")
-            return
+        trees = self._sessions[spec.session_key].trees
         if collector.reelect_attempts >= self.config.reelect_attempt_limit:
             self.tracer.emit(
                 "collector-lost", self.sim.now, k=collector.k, node=dead_node.node_id
@@ -818,10 +865,9 @@ class MobiQueryProtocol:
             candidates,
             key=lambda n: (n.position.distance_sq_to(pickup), n.node_id),
         )
-        old_key = (dead_node.node_id, spec.user_id, spec.query_id, collector.k)
-        new_key = (new_node.node_id, spec.user_id, spec.query_id, collector.k)
-        old_state = self._tree_states.pop(old_key, None)
-        existing = self._tree_states.get(new_key)
+        new_key = (new_node.node_id, collector.k)
+        old_state = trees.pop((dead_node.node_id, collector.k), None)
+        existing = trees.get(new_key)
         if existing is not None:
             # The heir was already a tree member: promote it to root in
             # place, folding in whatever the dead root had aggregated.
@@ -830,15 +876,19 @@ class MobiQueryProtocol:
             existing.collector_id = new_node.node_id
             if old_state is not None:
                 existing.partial.merge(old_state.partial)
+                # The dead root's own state ends here: say so, or storage
+                # accounting counts it for the rest of the run.
+                self._release_tree_state(old_state)
         elif old_state is not None:
             old_state.cancel_timer()
             old_state.node_id = new_node.node_id
             old_state.parent_id = None
             old_state.collector_id = new_node.node_id
-            self._tree_states[new_key] = old_state
+            trees[new_key] = old_state
             self.sim.schedule_at(
                 old_state.deadline + self.config.state_gc_grace_s,
                 self._gc_tree_state,
+                spec.session_key,
                 new_key,
             )
         collector.node_id = new_node.node_id
@@ -891,23 +941,15 @@ class MobiQueryProtocol:
             inner_size=CANCEL_SIZE_BYTES,
         )
 
-    def _is_cancelled(
-        self, node_id: int, user_id: int, query_id: int, generation: int, k: int
-    ) -> bool:
-        """Whether pickup ``k`` of ``generation``'s chain is cancelled here."""
-        marks = self._cancelled_from.get(node_id)
-        if not marks:
-            return False
-        min_k = marks.get((user_id, query_id, generation))
-        return min_k is not None and k >= min_k
-
     def _on_cancel(self, node: SensorNode, frame: Frame) -> None:
         msg: CancelMessage = frame.payload
-        marks = self._cancelled_from.setdefault(node.node_id, {})
-        gen_key = (msg.user_id, msg.query_id, msg.profile_generation)
+        record = self._sessions.get((msg.user_id, msg.query_id))
+        if record is None:
+            return  # the session is gone: nothing left for the chase to stop
+        marks = record.cancelled_from
+        gen_key = (node.node_id, msg.profile_generation)
         marks[gen_key] = min(marks.get(gen_key, msg.k), msg.k)
-        key = (msg.user_id, msg.query_id, msg.k)
-        collector = self._collectors.get(key)
+        collector = record.collectors.get(msg.k)
         matched = (
             collector is not None
             and collector.profile.generation == msg.profile_generation
@@ -939,7 +981,9 @@ class MobiQueryProtocol:
         collector.cancelled = True
         collector.cancel_timers()
         spec = collector.spec
-        self._collectors.pop((spec.user_id, spec.query_id, collector.k), None)
+        record = self._sessions.get(spec.session_key)
+        if record is not None:
+            record.collectors.pop(collector.k, None)
         self.tracer.emit(
             "collector-released",
             self.sim.now,
@@ -950,47 +994,59 @@ class MobiQueryProtocol:
             user=spec.user_id,
         )
 
-    def release_session(self, user_id: int, query_id: int) -> None:
+    # ------------------------------------------------------------------
+    # Session lifecycle
+    # ------------------------------------------------------------------
+    def register_session(self, key: Tuple[int, int]) -> None:
+        """Open the record of one ``(user_id, query_id)`` session."""
+        self._sessions.setdefault(key, _SessionRecord())
+
+    def release_session(self, key: Tuple[int, int]) -> None:
         """Tear down every piece of in-network state one session owns.
 
         Service-level cancellation (the user hung up, or an operator evicted
-        the session): collectors are released with their timers, tree states
-        are dropped node by node (each emitting ``tree-released`` so storage
-        accounting stays exact), cancel marks are forgotten, and buffered
-        sleeper setups are filtered out of pending PSM batches.  The
-        in-protocol cancel *chase* (phase 4) still handles the paper's
-        profile-replacement case; this is the operator's backstop, executed
-        with the service's global knowledge rather than by message passing.
+        the session): the record is popped, its collectors are released with
+        their timers, its tree states are dropped node by node (each
+        emitting ``tree-released`` so storage accounting stays exact), its
+        cancel marks go with it, and its buffered sleeper setups are
+        filtered out of pending PSM batches.  The in-protocol cancel *chase*
+        (phase 4) still handles the paper's profile-replacement case; this
+        is the operator's backstop, executed with the service's global
+        knowledge rather than by message passing.  A no-op for a key that
+        is not registered.
 
         Leaf wake overrides already installed in sleep schedulers are left
         to expire on their own — they are bounded by one freshness window
         and cannot be attributed to a session after installation.
         """
-        session = (user_id, query_id)
-        self._dead_sessions.add(session)
-        for key in [k for k in self._collectors if k[0] == user_id and k[1] == query_id]:
-            self._release_collector(self._collectors[key], reason="session-released")
-        for key in [
-            k
-            for k, state in self._tree_states.items()
-            if state.session_key == session
-        ]:
-            self._gc_tree_state(key)
-        for marks in self._cancelled_from.values():
-            for gen_key in [k for k in marks if (k[0], k[1]) == session]:
-                del marks[gen_key]
+        record = self._sessions.pop(key, None)
+        if record is None:
+            return
+        for collector in record.collectors.values():
+            self._release_collector(collector, reason="session-released")
+        for state in record.trees.values():
+            self._release_tree_state(state)
         for node_id, setups in list(self._pending_batches.items()):
-            kept = [
-                s for s in setups if (s.user_id, s.query_id) != session
-            ]
+            kept = [s for s in setups if (s.user_id, s.query_id) != key]
             if kept:
                 self._pending_batches[node_id] = kept
             else:
                 del self._pending_batches[node_id]
 
+    def session_count(self) -> int:
+        """Sessions registered and not yet released."""
+        return len(self._sessions)
+
     # ------------------------------------------------------------------
-    # Introspection (tests, metrics)
+    # Introspection (tests, metrics, the leak census)
     # ------------------------------------------------------------------
+    def _records(self, session: Optional[Tuple[int, int]]) -> List[_SessionRecord]:
+        """The one record of ``session`` (none if unregistered), or all."""
+        if session is None:
+            return list(self._sessions.values())
+        record = self._sessions.get(session)
+        return [] if record is None else [record]
+
     def live_collector_periods(
         self, session: Optional[Tuple[int, int]] = None
     ) -> List[int]:
@@ -1000,10 +1056,12 @@ class MobiQueryProtocol:
         session; by default all sessions are pooled (the single-user view).
         """
         return sorted(
-            cs.k
-            for cs in self._collectors.values()
-            if not cs.cancelled and (session is None or cs.session_key == session)
+            k for record in self._records(session) for k in record.collectors
         )
+
+    def collector_count(self) -> int:
+        """Collectors currently assigned, over all sessions."""
+        return sum(len(record.collectors) for record in self._sessions.values())
 
     def tree_state_count(self, session: Optional[Tuple[int, int]] = None) -> int:
         """Tree states currently stored across all nodes.
@@ -1011,14 +1069,16 @@ class MobiQueryProtocol:
         ``session`` restricts the count to one ``(user_id, query_id)``
         session's trees.
         """
-        if session is None:
-            return len(self._tree_states)
-        return sum(
-            1 for st in self._tree_states.values() if st.session_key == session
-        )
+        return sum(len(record.trees) for record in self._records(session))
+
+    def pending_batch_count(self) -> int:
+        """Nodes holding setups buffered for their sleeping neighbours."""
+        return len(self._pending_batches)
 
     def active_sessions(self) -> List[Tuple[int, int]]:
         """All ``(user_id, query_id)`` sessions with live in-network state."""
-        keys = {cs.session_key for cs in self._collectors.values()}
-        keys.update(st.session_key for st in self._tree_states.values())
-        return sorted(keys)
+        return sorted(
+            key
+            for key, record in self._sessions.items()
+            if record.collectors or record.trees
+        )

@@ -41,11 +41,6 @@ class TreeNodeState:
         """The owning ``(user_id, query_id)`` session."""
         return (self.user_id, self.query_id)
 
-    @property
-    def is_root(self) -> bool:
-        """Whether this state belongs to the collector."""
-        return self.parent_id is None
-
     def cancel_timer(self) -> None:
         """Stop the pending sub-deadline send, if any."""
         if self.send_timer is not None:

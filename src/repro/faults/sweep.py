@@ -326,27 +326,24 @@ def leak_census(service) -> Dict[str, int]:
     service.advance(service.sim.now + 2.0 * beacon)
     pending_after = service.sim.pending_count
     protocol = service.protocol
+    engines = [e for e in (protocol, service.np_protocol) if e is not None]
+    plane = service.summary_plane
     open_handles = service.unreleased_handles()
-    future_overrides = 0
     now = service.sim.now
-    for node in service.network.sleeper_nodes:
-        sched = node.sleep_scheduler
-        if sched is None:
-            continue
-        future_overrides += sum(1 for _s, end in sched._overrides if end > now)
     return {
         "tree_states": protocol.tree_state_count() if protocol else 0,
-        "collectors": len(protocol._collectors) if protocol else 0,
-        "pending_batches": len(protocol._pending_batches) if protocol else 0,
+        "collectors": protocol.collector_count() if protocol else 0,
+        "pending_batches": sum(e.pending_batch_count() for e in engines),
+        "engine_sessions": sum(e.session_count() for e in engines),
         "live_floods": service.flood.live_flood_count(),
         "scheduler_slots": len(open_handles),
         "pending_starts": sum(1 for h in open_handles if h.gateway.start_pending),
-        "future_psm_overrides": future_overrides,
-        "summary_sessions": (
-            service.summary_plane.live_session_count()
-            if getattr(service, "summary_plane", None) is not None
-            else 0
+        "future_psm_overrides": sum(
+            node.sleep_scheduler.pending_override_count(now)
+            for node in service.network.sleeper_nodes
+            if node.sleep_scheduler is not None
         ),
+        "summary_sessions": plane.session_count() if plane is not None else 0,
         "pending_growth": max(0, pending_after - pending_before),
     }
 

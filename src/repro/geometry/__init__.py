@@ -8,14 +8,7 @@ from .areas import (
     SectorTemplate,
 )
 from .grid import SpatialGrid
-from .shapes import (
-    Circle,
-    Rect,
-    is_point_covered,
-    is_point_k_covered,
-    points_in_circle,
-    segment_point_distance,
-)
+from .shapes import Circle, Rect
 from .vec import Vec2
 
 __all__ = [
@@ -28,8 +21,4 @@ __all__ = [
     "Circle",
     "Rect",
     "SpatialGrid",
-    "points_in_circle",
-    "is_point_covered",
-    "is_point_k_covered",
-    "segment_point_distance",
 ]

@@ -68,10 +68,6 @@ class SpatialGrid(Generic[T]):
         bucket = self._cells[self._cell_of(position)]
         bucket[:] = [(p, it) for (p, it) in bucket if it != item]
 
-    def position_of(self, item: T) -> Vec2:
-        """The position ``item`` was registered at."""
-        return self._positions[item]
-
     def __len__(self) -> int:
         return len(self._positions)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .vec import Vec2
 
@@ -34,20 +34,6 @@ class Circle:
     def area(self) -> float:
         """Disk area."""
         return math.pi * self.radius * self.radius
-
-    def intersects(self, other: "Circle") -> bool:
-        """Whether the two disks share at least one point."""
-        d = self.center.distance_to(other.center)
-        return d <= self.radius + other.radius
-
-    def contains_circle(self, other: "Circle") -> bool:
-        """Whether ``other`` lies entirely inside this disk."""
-        d = self.center.distance_to(other.center)
-        return d + other.radius <= self.radius + 1e-9
-
-    def boundary_point(self, angle: float) -> Vec2:
-        """Point on the boundary at ``angle`` radians from the +x axis."""
-        return self.center + Vec2.from_polar(self.radius, angle)
 
     def intersection_points(self, other: "Circle") -> List[Vec2]:
         """The 0, 1 or 2 intersection points of the two circle *boundaries*.
@@ -133,42 +119,3 @@ class Rect:
             Vec2(self.x_max, self.y_max),
             Vec2(self.x_min, self.y_max),
         )
-
-
-def points_in_circle(points: Iterable[Vec2], circle: Circle) -> List[Vec2]:
-    """Filter ``points`` down to those inside ``circle``."""
-    r_sq = circle.radius * circle.radius
-    c = circle.center
-    return [p for p in points if c.distance_sq_to(p) <= r_sq + 1e-9]
-
-
-def is_point_covered(point: Vec2, disks: Sequence[Circle]) -> bool:
-    """Whether ``point`` lies inside at least one of ``disks``."""
-    return any(d.contains(point) for d in disks)
-
-
-def is_point_k_covered(point: Vec2, disks: Sequence[Circle], k: int) -> bool:
-    """Whether ``point`` lies inside at least ``k`` of ``disks``.
-
-    This is the predicate CCP evaluates on sensing-circle intersection
-    points to decide K-coverage eligibility.
-    """
-    count = 0
-    for d in disks:
-        if d.contains(point):
-            count += 1
-            if count >= k:
-                return True
-    return k <= 0
-
-
-def segment_point_distance(a: Vec2, b: Vec2, p: Vec2) -> float:
-    """Distance from point ``p`` to the segment ``ab``."""
-    ab = b - a
-    denom = ab.norm_sq()
-    if denom == 0.0:
-        return a.distance_to(p)
-    t = (p - a).dot(ab) / denom
-    t = min(1.0, max(0.0, t))
-    closest = a + ab * t
-    return closest.distance_to(p)

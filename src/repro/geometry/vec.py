@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,23 +121,12 @@ class Vec2:
         s = math.sin(angle)
         return Vec2(self.x * c - self.y * s, self.x * s + self.y * c)
 
-    def lerp(self, other: "Vec2", t: float) -> "Vec2":
-        """Linear interpolation: ``self`` at ``t=0``, ``other`` at ``t=1``."""
-        return Vec2(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-
     def clamped(self, lo: "Vec2", hi: "Vec2") -> "Vec2":
         """Component-wise clamp into the axis-aligned box ``[lo, hi]``."""
         return Vec2(
             min(max(self.x, lo.x), hi.x),
             min(max(self.y, lo.y), hi.y),
         )
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """The ``(x, y)`` tuple, e.g. for numpy interop."""
-        return (self.x, self.y)
 
     def is_close(self, other: "Vec2", tol: float = 1e-9) -> bool:
         """Approximate equality within absolute tolerance ``tol``."""

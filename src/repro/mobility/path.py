@@ -78,23 +78,6 @@ class PiecewisePath:
             ]
         )
 
-    @staticmethod
-    def from_segments(
-        start: Vec2,
-        start_time: float,
-        segments: Sequence[Tuple[Vec2, float]],
-    ) -> "PiecewisePath":
-        """Chain ``(velocity, duration)`` segments from a starting point."""
-        waypoints = [Waypoint(start_time, start)]
-        t, p = start_time, start
-        for velocity, duration in segments:
-            if duration <= 0:
-                raise ValueError("segment durations must be > 0")
-            t += duration
-            p = p + velocity * duration
-            waypoints.append(Waypoint(t, p))
-        return PiecewisePath(waypoints)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -209,13 +192,6 @@ class PiecewisePath:
                     best = speed
             self._max_speed = best
         return self._max_speed
-
-    def total_distance(self) -> float:
-        """Arc length of the whole path."""
-        return sum(
-            a.position.distance_to(b.position)
-            for a, b in zip(self.waypoints, self.waypoints[1:])
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

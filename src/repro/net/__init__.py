@@ -3,7 +3,6 @@
 from .channel import BroadcastReception, Channel
 from .energy import PAPER_POWER_MODEL, EnergyMeter, PowerModel, RadioState
 from .field import (
-    GradientField,
     Hotspot,
     HotspotField,
     ScalarField,
@@ -28,7 +27,6 @@ __all__ = [
     "RadioState",
     "ScalarField",
     "UniformField",
-    "GradientField",
     "Hotspot",
     "HotspotField",
     "fire_scenario_field",

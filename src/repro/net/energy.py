@@ -138,22 +138,6 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
-    def total_joules(self) -> float:
-        """Energy consumed from t=0 through now."""
-        self._settle()
-        return self._joules
-
-    def seconds_in(self, state: RadioState) -> float:
-        """Cumulative seconds spent in ``state``."""
-        self._settle()
-        if state is RadioState.TX:
-            return self._tx_s
-        if state is RadioState.RX:
-            return self._rx_s
-        if state is RadioState.IDLE:
-            return self._idle_s
-        return self._sleep_s
-
     def average_power_w(self) -> float:
         """Mean draw in watts from the meter's creation through now."""
         self._settle()

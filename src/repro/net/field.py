@@ -35,18 +35,6 @@ class UniformField(ScalarField):
 
 
 @dataclass(frozen=True)
-class GradientField(ScalarField):
-    """A planar gradient: ``base + slope . position`` (static)."""
-
-    base: float = 0.0
-    slope_x: float = 0.1
-    slope_y: float = 0.0
-
-    def value(self, position: Vec2, time: float) -> float:
-        return self.base + self.slope_x * position.x + self.slope_y * position.y
-
-
-@dataclass(frozen=True)
 class Hotspot:
     """One Gaussian bump, optionally drifting and growing over time."""
 

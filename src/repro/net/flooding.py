@@ -107,10 +107,6 @@ class FloodManager:
             payload=envelope,
         )
 
-    def register_envelope(self, envelope: FloodEnvelope) -> None:
-        """Track an externally created envelope (proxy-originated flood)."""
-        self._seen.setdefault(envelope.flood_id, set())
-
     def release(self, flood_id: int) -> None:
         """Drop the dedup state of one flood (session cancel/teardown).
 

@@ -93,15 +93,6 @@ class MacLayer:
     # ------------------------------------------------------------------
     # Transmit path
     # ------------------------------------------------------------------
-    @property
-    def is_idle(self) -> bool:
-        """Whether the MAC has nothing queued or in flight."""
-        return not self._busy and not self._queue
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
-
     def send(self, frame: Frame, callback: Optional[SendCallback] = None) -> None:
         """Queue ``frame`` for transmission.
 

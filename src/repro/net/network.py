@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Set
 
 from ..geometry.grid import SpatialGrid
-from ..geometry.shapes import Circle, Rect
+from ..geometry.shapes import Rect
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.rng import RandomStreams
@@ -104,10 +104,6 @@ class Network:
     def nodes_in_disk(self, center: Vec2, radius: float) -> List[SensorNode]:
         """All sensor nodes within ``radius`` of ``center``."""
         return self.grid.query_disk(center, radius)
-
-    def nodes_in_area(self, area: Circle) -> List[SensorNode]:
-        """All sensor nodes inside a query area."""
-        return self.nodes_in_disk(area.center, area.radius)
 
     def active_nodes_in_disk(self, center: Vec2, radius: float) -> List[SensorNode]:
         """Backbone nodes within ``radius`` of ``center``."""

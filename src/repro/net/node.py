@@ -22,7 +22,7 @@ from .energy import PowerModel
 from .field import ScalarField, UniformField
 from .mac import MacConfig, MacLayer, SendCallback
 from .packet import Frame
-from .psm import PsmConfig, SleepScheduler, delivery_time
+from .psm import PsmConfig, SleepScheduler
 from .radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -129,27 +129,6 @@ class SensorNode:
             payload=payload,
         )
         self._dispatch(frame)
-
-    def send_when_listening(
-        self,
-        frame: Frame,
-        dest: "SensorNode",
-        callback: Optional[SendCallback] = None,
-    ) -> None:
-        """Buffer-and-forward: transmit when ``dest`` is scheduled to listen.
-
-        This is the PSM buffering behaviour: backbone nodes hold frames for
-        sleeping neighbours and release them in the next active window.
-        A tiny random stagger avoids every buffered sender hitting the
-        window's first microsecond simultaneously.
-        """
-        now = self.sim.now
-        at = delivery_time(dest.sleep_scheduler, now)
-        if at <= now:
-            self.send(frame, callback)
-            return
-        stagger = float(self.rng.uniform(0.0, 2e-3))
-        self.sim.schedule_at_fast(at + stagger, self.send, frame, callback)
 
     # ------------------------------------------------------------------
     # Roles and sensing

@@ -59,11 +59,6 @@ class PsmConfig:
         if not 0 <= self.offset_s < self.beacon_interval_s:
             raise ValueError("offset must be in [0, beacon_interval)")
 
-    @property
-    def duty_cycle(self) -> float:
-        """Fraction of time a sleeper's radio is on under the beacon cycle."""
-        return self.active_window_s / self.beacon_interval_s
-
     #: tolerance for float noise at window boundaries.  A boundary event
     #: scheduled at ``offset + n*T`` can evaluate its own phase to a hair
     #: below ``T`` instead of 0; without folding, the node would neither
@@ -215,10 +210,6 @@ class SleepScheduler:
     # ------------------------------------------------------------------
     # Schedule queries (usable by other nodes thanks to clock sync)
     # ------------------------------------------------------------------
-    def beacon_window_start(self, index: int) -> float:
-        """Start time of beacon window ``index``."""
-        return index * self.config.beacon_interval_s + self.config.offset_s
-
     def is_scheduled_awake(self, t: float) -> bool:
         """Whether the schedule has the node awake at time ``t``."""
         # config.in_window inlined: this runs on every wake boundary and
@@ -288,6 +279,10 @@ class SleepScheduler:
         else:
             self.sim.schedule_at_fast(start, self._on_override_start, end)
         self._prune_overrides(now)
+
+    def pending_override_count(self, now: float) -> int:
+        """Wake overrides whose end is still ahead of ``now`` (leak census)."""
+        return sum(1 for _start, end in self._overrides if end > now)
 
     def _on_override_start(self, end: float) -> None:
         # The override's wake moment: wake the radio and arm the end check.

@@ -1,21 +1,14 @@
-"""Discrete-event simulation substrate: kernel, processes, RNG, tracing."""
+"""Discrete-event simulation substrate: kernel, RNG, tracing."""
 
 from .kernel import EventHandle, SimulationError, Simulator
-from .process import Interrupted, Process, Signal, Timeout, start_process
 from .rng import RandomStreams
-from .trace import NullTracer, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "SimulationError",
-    "Process",
-    "Signal",
-    "Timeout",
-    "Interrupted",
-    "start_process",
     "RandomStreams",
     "Tracer",
-    "NullTracer",
     "TraceRecord",
 ]

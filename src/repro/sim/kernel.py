@@ -11,10 +11,6 @@ played for the paper.  The kernel is a plain binary-heap event loop with:
 * ``run(until=...)`` which executes events with ``time <= until`` and leaves
   the clock at ``until``.
 
-Protocol code that reads better as a coroutine uses :mod:`repro.sim.process`
-on top of this; hot paths (MAC timers, receptions) call ``schedule``
-directly.
-
 Hot-path layout: the heap stores ``(time, seq, handle)`` tuples so ordering
 is resolved by C-level tuple comparison instead of a Python ``__lt__`` call
 per heap swap (the single largest per-event cost in profiles).  ``seq`` is
@@ -184,11 +180,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is drained."""
-        self._drop_cancelled()
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remained."""
         self._drop_cancelled()

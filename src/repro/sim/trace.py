@@ -112,10 +112,3 @@ class Tracer:
         """Drop retained records and counters."""
         self._records.clear()
         self.counts.clear()
-
-
-class NullTracer(Tracer):
-    """A tracer that never retains anything (still counts kinds)."""
-
-    def __init__(self) -> None:
-        super().__init__(keep=None, keep_all=False)

@@ -50,7 +50,12 @@ def eligible_to_sleep(network, node, active, rs, region, k) -> bool:
         return False
     points = check_points(my_disk, neighbor_disks, region)
     if not points:
-        containing = sum(1 for disk in neighbor_disks if disk.contains_circle(my_disk))
+        # no check point at all: eligible iff k neighbour disks hold all of mine
+        containing = sum(
+            1
+            for disk in neighbor_disks
+            if disk.center.distance_to(my_disk.center) + my_disk.radius <= disk.radius + 1e-9
+        )
         return containing >= k
     # Points x disks in one broadcast: every pair is tested, nothing is
     # skipped (the kernel's early exits are what this oracle checks).

@@ -211,14 +211,14 @@ class TestCancellation:
         service.run_until(8.0)
         assert victim.gateway._flood_ids  # floods were launched
         floods_before = service.flood.live_flood_count()
-        assert service.np_protocol.session_state_count(*victim.session_key) > 0
+        assert service.np_protocol.session_state_count(victim.session_key) > 0
         victim.cancel()
         assert service.flood.live_flood_count() < floods_before
-        assert service.np_protocol.session_state_count(*victim.session_key) == 0
+        assert service.np_protocol.session_state_count(victim.session_key) == 0
         assert victim.gateway._flood_ids == []
         service.finalize()
         # dead-session guard: nothing regrew from in-flight frames
-        assert service.np_protocol.session_state_count(*victim.session_key) == 0
+        assert service.np_protocol.session_state_count(victim.session_key) == 0
         assert keeper.gateway.deliveries  # keeper unaffected
 
     def test_np_cancel_with_frames_in_flight_does_not_reflood(self):

@@ -123,9 +123,9 @@ class TestApproxSessions:
         service.submit(approx_request(start_s=1.0))
         assert service.summary_plane is not None
         # registration happens when the gateway *starts*, not at submit
-        assert service.summary_plane.live_session_count() == 0
+        assert service.summary_plane.session_count() == 0
         service.advance(2.0)
-        assert service.summary_plane.live_session_count() == 1
+        assert service.summary_plane.session_count() == 1
         service.finalize()
 
     def test_stale_summaries_surface_as_degraded_periods(self):
@@ -165,13 +165,13 @@ class TestCancelReleasesSummaryState:
             service.submit(approx_request(start_s=float(i))) for i in range(3)
         ]
         service.advance(10.0)  # sessions live, drill state populated
-        assert service.summary_plane.live_session_count() == 3
+        assert service.summary_plane.session_count() == 3
         handles[0].cancel()
-        assert service.summary_plane.live_session_count() == 2
+        assert service.summary_plane.session_count() == 2
         service.advance(18.0)
         for handle in handles[1:]:
             handle.cancel()
-        assert service.summary_plane.live_session_count() == 0
+        assert service.summary_plane.session_count() == 0
         census = leak_census(service)
         assert "summary_sessions" in census
         assert census == {key: 0 for key in census}

@@ -26,10 +26,17 @@ from repro.approx.plane import (
 from repro.core.query import Aggregation
 from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
-from repro.net.field import GradientField
+from repro.net.field import ScalarField
 from repro.net.network import NetworkConfig, build_network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
+
+
+class EastwardRamp(ScalarField):
+    """10 at the west edge, rising 0.05 per metre east (static)."""
+
+    def value(self, position, time):
+        return 10.0 + 0.05 * position.x
 
 
 def grid_positions(side: float, per_row: int):
@@ -58,7 +65,7 @@ def make_plane(side=400.0, per_row=8, sleep_period=3.0, field_model=None):
         sim,
         config,
         RandomStreams(7),
-        field_model=field_model or GradientField(base=10.0, slope_x=0.05),
+        field_model=field_model or EastwardRamp(),
         positions=positions,
     )
     return SummaryPlane(network)
@@ -218,7 +225,7 @@ class TestSessions:
         plane = make_plane()
         key = (0, 1)
         plane.register_session(key, "coarse")
-        assert plane.live_session_count() == 1
+        assert plane.session_count() == 1
         plane.answer(
             Vec2(200.0, 200.0), 90.0, "coarse", 10.0, Aggregation.AVG,
             session_key=key,
@@ -227,7 +234,7 @@ class TestSessions:
         assert plane._sessions[key].last_level == 0
         plane.release_session(key)
         plane.release_session(key)  # idempotent
-        assert plane.live_session_count() == 0
+        assert plane.session_count() == 0
 
     def test_exact_accuracy_rejected(self):
         plane = make_plane()

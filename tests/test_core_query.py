@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.query import AggregateState, Aggregation, QueryResult, QuerySpec
+from repro.core.query import AggregateState, Aggregation, QuerySpec
 
 
 class TestQuerySpec:
@@ -95,19 +95,3 @@ class TestAggregateState:
             backward.merge(AggregateState.from_reading(nid, v))
         for agg in Aggregation:
             assert forward.value(agg) == pytest.approx(backward.value(agg))
-
-
-class TestQueryResult:
-    def test_on_time(self):
-        result = QueryResult(
-            query_id=1, k=3, deadline=6.0, delivered_at=5.9,
-            value=1.0, contributors=frozenset({1}),
-        )
-        assert result.on_time
-
-    def test_late(self):
-        result = QueryResult(
-            query_id=1, k=3, deadline=6.0, delivered_at=6.1,
-            value=1.0, contributors=frozenset({1}),
-        )
-        assert not result.on_time

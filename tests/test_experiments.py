@@ -37,9 +37,6 @@ class TestConfig:
     def test_sweep_helpers(self):
         config = ExperimentConfig()
         assert config.with_sleep_period(15.0).network.sleep_period_s == 15.0
-        assert config.with_speed_range((6.0, 10.0)).mobility.speed_range == (6.0, 10.0)
-        assert config.with_change_interval(42.0).mobility.change_interval_s == 42.0
-        assert config.with_mode(MODE_NP).mode == MODE_NP
         assert config.with_seed(9).seed == 9
 
     def test_advance_time_helper_sets_planner(self):

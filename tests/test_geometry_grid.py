@@ -39,9 +39,6 @@ class TestRegistration:
         with pytest.raises(KeyError):
             grid.remove("nope")
 
-    def test_position_of(self, grid):
-        assert grid.position_of("c") == Vec2(50, 50)
-
 
 class TestDiskQueries:
     def test_query_disk_finds_inside_only(self, grid):

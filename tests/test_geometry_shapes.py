@@ -1,17 +1,10 @@
-"""Unit tests for circles, rectangles and coverage predicates."""
+"""Unit tests for circles and rectangles."""
 
 import math
 
 import pytest
 
-from repro.geometry.shapes import (
-    Circle,
-    Rect,
-    is_point_covered,
-    is_point_k_covered,
-    points_in_circle,
-    segment_point_distance,
-)
+from repro.geometry.shapes import Circle, Rect
 from repro.geometry.vec import Vec2
 
 
@@ -28,21 +21,6 @@ class TestCircle:
 
     def test_area(self):
         assert Circle(Vec2(0, 0), 2.0).area() == pytest.approx(4 * math.pi)
-
-    def test_intersects(self):
-        a = Circle(Vec2(0, 0), 5.0)
-        assert a.intersects(Circle(Vec2(9, 0), 5.0))
-        assert a.intersects(Circle(Vec2(10, 0), 5.0))  # tangent
-        assert not a.intersects(Circle(Vec2(11, 0), 5.0))
-
-    def test_contains_circle(self):
-        outer = Circle(Vec2(0, 0), 10.0)
-        assert outer.contains_circle(Circle(Vec2(2, 0), 5.0))
-        assert not outer.contains_circle(Circle(Vec2(6, 0), 5.0))
-
-    def test_boundary_point(self):
-        c = Circle(Vec2(1, 1), 2.0)
-        assert c.boundary_point(0.0).is_close(Vec2(3, 1))
 
 
 class TestCircleIntersectionPoints:
@@ -115,27 +93,3 @@ class TestRect:
     def test_corners_ccw(self):
         corners = Rect(0, 0, 1, 2).corners()
         assert corners == (Vec2(0, 0), Vec2(1, 0), Vec2(1, 2), Vec2(0, 2))
-
-
-class TestCoveragePredicates:
-    def test_points_in_circle_filters(self):
-        circle = Circle(Vec2(0, 0), 2.0)
-        inside = points_in_circle([Vec2(1, 0), Vec2(3, 0), Vec2(0, 1.9)], circle)
-        assert inside == [Vec2(1, 0), Vec2(0, 1.9)]
-
-    def test_is_point_covered(self):
-        disks = [Circle(Vec2(0, 0), 1.0), Circle(Vec2(5, 0), 1.0)]
-        assert is_point_covered(Vec2(5.5, 0), disks)
-        assert not is_point_covered(Vec2(2.5, 0), disks)
-
-    def test_is_point_k_covered(self):
-        disks = [Circle(Vec2(0, 0), 2.0), Circle(Vec2(1, 0), 2.0), Circle(Vec2(9, 9), 1.0)]
-        assert is_point_k_covered(Vec2(0.5, 0), disks, k=2)
-        assert not is_point_k_covered(Vec2(0.5, 0), disks, k=3)
-        assert is_point_k_covered(Vec2(0.5, 0), disks, k=0)
-
-    def test_segment_point_distance(self):
-        a, b = Vec2(0, 0), Vec2(10, 0)
-        assert segment_point_distance(a, b, Vec2(5, 3)) == pytest.approx(3.0)
-        assert segment_point_distance(a, b, Vec2(-4, 3)) == pytest.approx(5.0)
-        assert segment_point_distance(a, a, Vec2(3, 4)) == pytest.approx(5.0)

@@ -87,19 +87,10 @@ class TestTransforms:
     def test_rotated_quarter_turn(self):
         assert Vec2(1, 0).rotated(math.pi / 2).is_close(Vec2(0, 1), tol=1e-12)
 
-    def test_lerp_endpoints_and_midpoint(self):
-        a, b = Vec2(0, 0), Vec2(10, 20)
-        assert a.lerp(b, 0.0) == a
-        assert a.lerp(b, 1.0) == b
-        assert a.lerp(b, 0.5) == Vec2(5, 10)
-
     def test_clamped(self):
         lo, hi = Vec2(0, 0), Vec2(10, 10)
         assert Vec2(-5, 20).clamped(lo, hi) == Vec2(0, 10)
         assert Vec2(5, 5).clamped(lo, hi) == Vec2(5, 5)
-
-    def test_as_tuple(self):
-        assert Vec2(1.5, 2.5).as_tuple() == (1.5, 2.5)
 
     def test_is_close_tolerance(self):
         assert Vec2(1, 1).is_close(Vec2(1 + 1e-10, 1 - 1e-10))

@@ -223,7 +223,7 @@ class TestCancelCrashChurn:
         handle.cancel()
         service.advance(30.0)  # recovery + drain window
         assert service.protocol.tree_state_count() == 0
-        assert len(service.protocol._collectors) == 0
+        assert service.protocol.collector_count() == 0
         assert service.flood.live_flood_count() == 0
 
 

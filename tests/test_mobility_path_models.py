@@ -58,13 +58,6 @@ class TestPiecewisePath:
         with pytest.raises(ValueError):
             PiecewisePath.from_velocity(Vec2(0, 0), Vec2(1, 0), 0, 0)
 
-    def test_from_segments(self):
-        path = PiecewisePath.from_segments(
-            Vec2(0, 0), 0.0, [(Vec2(1, 0), 10.0), (Vec2(0, 2), 5.0)]
-        )
-        assert path.position_at(10).is_close(Vec2(10, 0))
-        assert path.position_at(15).is_close(Vec2(10, 10))
-
     def test_restricted(self):
         path = PiecewisePath(
             [Waypoint(0, Vec2(0, 0)), Waypoint(10, Vec2(10, 0)), Waypoint(20, Vec2(20, 10))]
@@ -86,12 +79,6 @@ class TestPiecewisePath:
             [Waypoint(0, Vec2(0, 0)), Waypoint(10, Vec2(1, 0)), Waypoint(20, Vec2(2, 0))]
         )
         assert path.change_times() == [10]
-
-    def test_total_distance(self):
-        path = PiecewisePath(
-            [Waypoint(0, Vec2(0, 0)), Waypoint(1, Vec2(3, 4)), Waypoint(2, Vec2(3, 4))]
-        )
-        assert path.total_distance() == pytest.approx(5.0)
 
 
 def _bits(value):

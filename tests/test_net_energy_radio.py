@@ -43,23 +43,6 @@ class TestPowerModel:
 
 
 class TestEnergyMeter:
-    def test_integrates_over_states(self):
-        sim = Simulator()
-        meter = EnergyMeter(sim, PowerModel())
-        # idle 2 s, then sleep 3 s
-        sim.schedule(2.0, meter.on_state_change, RadioState.SLEEP)
-        sim.run(until=5.0)
-        expected = 2.0 * 0.830 + 3.0 * 0.130
-        assert meter.total_joules() == pytest.approx(expected)
-
-    def test_seconds_in_state(self):
-        sim = Simulator()
-        meter = EnergyMeter(sim, PowerModel())
-        sim.schedule(1.0, meter.on_state_change, RadioState.TX)
-        sim.schedule(1.5, meter.on_state_change, RadioState.IDLE)
-        sim.run(until=4.0)
-        assert meter.seconds_in(RadioState.TX) == pytest.approx(0.5)
-        assert meter.seconds_in(RadioState.IDLE) == pytest.approx(3.5)
 
     def test_average_power(self):
         sim = Simulator()

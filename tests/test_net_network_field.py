@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.geometry.shapes import Circle, Rect
+from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
 from repro.net.field import (
-    GradientField,
     Hotspot,
     HotspotField,
     UniformField,
@@ -71,12 +70,10 @@ class TestBuildNetwork:
             }
             assert {n.node_id for n in node.neighbors} == expected
 
-    def test_nodes_in_disk_and_area(self, sim):
+    def test_nodes_in_disk(self, sim):
         network = make_network(sim, line_positions(5, 50.0))
         found = network.nodes_in_disk(Vec2(0, 0), 120.0)
         assert sorted(n.node_id for n in found) == [0, 1, 2]
-        found_area = network.nodes_in_area(Circle(Vec2(0, 0), 120.0))
-        assert sorted(n.node_id for n in found_area) == [0, 1, 2]
 
     def test_node_by_id(self, sim):
         network = make_network(sim, line_positions(3, 50.0))
@@ -118,10 +115,6 @@ class TestFields:
     def test_uniform(self):
         field = UniformField(level=37.5)
         assert field.value(Vec2(1, 2), 10.0) == 37.5
-
-    def test_gradient(self):
-        field = GradientField(base=10.0, slope_x=1.0, slope_y=2.0)
-        assert field.value(Vec2(3, 4), 0.0) == pytest.approx(10 + 3 + 8)
 
     def test_hotspot_peak_at_center(self):
         spot = Hotspot(center=Vec2(0, 0), amplitude=100.0, sigma=10.0)

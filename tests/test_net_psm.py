@@ -19,10 +19,6 @@ class TestPsmConfig:
         with pytest.raises(ValueError):
             PsmConfig(beacon_interval_s=9.0, active_window_s=0.1, offset_s=10.0)
 
-    def test_duty_cycle(self):
-        config = PsmConfig(beacon_interval_s=15.0, active_window_s=0.15)
-        assert config.duty_cycle == pytest.approx(0.01)
-
     def test_in_window_with_offset(self):
         config = PsmConfig(beacon_interval_s=9.0, active_window_s=0.1, offset_s=4.0)
         assert config.in_window(4.05)
@@ -156,18 +152,3 @@ class TestDeliveryTime:
         sleeper = network.nodes[1]
         sim.run(until=4.05)
         assert delivery_time(sleeper.sleep_scheduler, 4.05) == pytest.approx(4.05)
-
-    def test_send_when_listening_buffers(self, sim):
-        network = make_network(sim, line_positions(2, 50.0), sleep_period=9.0, psm_offset=4.0)
-        network.apply_backbone([0])
-        got = []
-        network.nodes[1].register_handler("buf", lambda n, f: got.append(sim.now))
-        sim.schedule(
-            1.0,
-            network.nodes[0].send_when_listening,
-            Frame("buf", 0, 1, 20),
-            network.nodes[1],
-        )
-        sim.run(until=5.0)
-        assert len(got) == 1
-        assert 4.0 <= got[0] <= 4.1  # inside the window

@@ -178,13 +178,6 @@ class TestEdgeCases:
         sim.run()
         assert len(errors) == 1
 
-    def test_peek_skips_cancelled_head(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek() == 2.0
-
     def test_cancelled_events_do_not_count_as_executed(self):
         sim = Simulator()
         keep = sim.schedule(1.0, lambda: None)
@@ -247,12 +240,6 @@ class TestRunControl:
 
     def test_step_returns_false_on_empty(self):
         assert Simulator().step() is False
-
-    def test_peek(self):
-        sim = Simulator()
-        assert sim.peek() is None
-        sim.schedule(3.0, lambda: None)
-        assert sim.peek() == 3.0
 
     def test_events_executed_counter(self):
         sim = Simulator()
@@ -325,9 +312,8 @@ class TestFastScheduling:
         log = []
         sim.schedule_fast(1.0, log.append, "x")
         assert sim.pending_count == 1
-        assert sim.peek() == 1.0
         assert sim.step() is True
-        assert log == ["x"]
+        assert log == ["x"] and sim.now == 1.0
 
 
 class TestCancellationAccounting:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import Tracer
 
 
 class TestRandomStreams:
@@ -99,9 +99,3 @@ class TestTracer:
         tracer.clear()
         assert tracer.records() == []
         assert tracer.count("a") == 0
-
-    def test_null_tracer_counts_but_keeps_nothing(self):
-        tracer = NullTracer()
-        tracer.emit("x", 1.0)
-        assert tracer.count("x") == 1
-        assert tracer.records() == []
