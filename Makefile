@@ -105,7 +105,9 @@ fuzz-smoke:
 # burst from 4 concurrent clients, drain it with SIGTERM, then prove the
 # recorded submission log replays bit-identically — and that the daemon
 # retired every session that ran out (one `retire` op each) and had no
-# proxy left on a channel once drained.  Artifacts land in
+# proxy left on a channel once drained — and that the slam kept its
+# connections alive: at most two per client identity, one for its
+# submit loop and one for its stream thread.  Artifacts land in
 # SERVE_serve-smoke.json + SLAM_serve-smoke.json.
 serve-smoke:
 	@rm -f SERVE_serve-smoke.json SLAM_serve-smoke.json; \
@@ -131,7 +133,8 @@ serve-smoke:
 	kill -TERM $$SERVE_PID; \
 	wait $$SERVE_PID || exit 1; \
 	PYTHONPATH=src $(PY) -m repro replay SERVE_serve-smoke.json || exit 1; \
-	$(PY) -c "import json; d = json.load(open('SERVE_serve-smoke.json')); s = d['summary']; retires = [op['op'] for op in d['ops']].count('retire'); done = s['sessions']['admitted'] - s['sessions']['cancelled']; assert retires == done > 0, (retires, done); assert s['registered_mobiles'] == 0, s['registered_mobiles']; print('serve-smoke: %d retire ops, one per completed session; 0 registered mobiles after drain' % retires)"
+	$(PY) -c "import json; d = json.load(open('SERVE_serve-smoke.json')); s = d['summary']; retires = [op['op'] for op in d['ops']].count('retire'); done = s['sessions']['admitted'] - s['sessions']['cancelled']; assert retires == done > 0, (retires, done); assert s['registered_mobiles'] == 0, s['registered_mobiles']; print('serve-smoke: %d retire ops, one per completed session; 0 registered mobiles after drain' % retires)"; \
+	$(PY) -c "import json; h = json.load(open('SLAM_serve-smoke.json'))['http']; assert max(h['connections_per_client']) <= 2, h; print('serve-smoke: %d requests over %d connections (%s per client)' % (h['requests'], h['connections'], h['connections_per_client']))"
 
 # The long form of tests/test_serve_steady_state.py (scripts/soak.py):
 # 2 000 eight-second sessions through a free-running in-process daemon;

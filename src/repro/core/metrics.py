@@ -88,19 +88,6 @@ class SessionMetrics:
         """``(k, fidelity)`` pairs — the Figure 5 trace."""
         return [(r.k, r.fidelity) for r in self.records]
 
-    def delivery_margins(self) -> List[float]:
-        """Per-period slack between delivery and deadline (positive = early).
-
-        The paper observes that MQ-GP's result latency "has a high
-        variance" even though deadlines are met; the spread of these
-        margins is that observation's metric.
-        """
-        return [
-            r.deadline - r.delivered_at
-            for r in self.records
-            if r.delivered_at is not None
-        ]
-
     def warmup_periods_observed(self, run_length: int = 3) -> int:
         """Measured warmup: periods before fidelity first stays above the
         threshold for ``run_length`` consecutive periods.

@@ -14,7 +14,7 @@ from .mac import MacConfig, MacLayer
 from .network import Network, NetworkConfig, build_network, uniform_positions
 from .node import ROLE_ACTIVE, ROLE_SLEEPER, MobileEndpoint, SensorNode
 from .packet import ACK_SIZE_BYTES, BROADCAST, MAC_HEADER_BYTES, Frame
-from .psm import PsmConfig, SleepScheduler, WakeWheel, delivery_time
+from .psm import PsmConfig, SleepScheduler, WakeWheel
 from .radio import Radio
 from .routing import GeoEnvelope, GeoRouter
 
@@ -49,7 +49,6 @@ __all__ = [
     "PsmConfig",
     "SleepScheduler",
     "WakeWheel",
-    "delivery_time",
     "Radio",
     "GeoRouter",
     "GeoEnvelope",

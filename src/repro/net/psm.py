@@ -249,12 +249,6 @@ class SleepScheduler:
                 best = start
         return best
 
-    def earliest_listen_time(self, after: float) -> float:
-        """Earliest time >= ``after`` when the node is scheduled to listen."""
-        if self.is_scheduled_awake(after):
-            return after
-        return self.next_window_start(after)
-
     # ------------------------------------------------------------------
     # Overrides
     # ------------------------------------------------------------------
@@ -318,15 +312,3 @@ class SleepScheduler:
             self.sim.schedule_fast(self._SLEEP_RETRY_S, self._maybe_sleep)
             return
         radio.sleep()
-
-
-def delivery_time(scheduler: Optional[SleepScheduler], now: float) -> float:
-    """When a frame for this node can first be transmitted.
-
-    Backbone nodes (``scheduler is None``) are always reachable; sleepers are
-    reachable at their next scheduled listening time.  Synchronized clocks
-    make this knowable by any sender, standing in for the PSM ATIM handshake.
-    """
-    if scheduler is None:
-        return now
-    return scheduler.earliest_listen_time(now)

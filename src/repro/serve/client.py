@@ -7,6 +7,22 @@ body) surface as the typed ``daemon-unreachable``
 ``{code, message}`` payload seen, so CLI callers can map any failure to
 the contract's exit codes.
 
+Connections are reused (HTTP/1.1 keep-alive).  The client keeps a free
+list of idle connections: a request takes one — or opens one when the
+list is empty — and hands it back after a complete response, unless
+the response said the daemon will close it.  A connection in use is off
+the list, so threads sharing one client (a ``repro slam`` worker's
+submit loop and its stream thread) each get their own.  Before reusing
+an idle connection the client tests its socket for readability with a
+zero timeout, as urllib3's ``is_connection_dropped`` does: an idle
+connection with something to read was closed by the daemon (its idle
+timeout) and is discarded unused.
+
+A failure on a reused connection is what it is on a fresh one: one
+counted transport failure, after which the connection is dropped.  No
+request is ever re-sent behind the :class:`RetryPolicy`'s back — a
+retry is an attempt, counted and backed off like any other.
+
 Resilience (opt-in via :class:`RetryPolicy`):
 
 * **Bounded retry with decorrelated-jitter backoff** — each retry
@@ -27,12 +43,12 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import select
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from ..sim.rng import RandomStreams
 from .daemon import IDEMPOTENCY_HEADER, TOKEN_HEADER
@@ -76,6 +92,19 @@ class _TransportFailure(Exception):
     """Internal: one failed round trip (no parseable HTTP response)."""
 
 
+def _dropped(conn: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection is unusable: closed on our side, or
+    readable — which, with no request outstanding, means the daemon
+    closed it (or sent bytes nobody asked for)."""
+    sock = conn.sock
+    if sock is None:
+        return True
+    try:
+        return bool(select.select([sock], [], [], 0.0)[0])
+    except (OSError, ValueError):
+        return True
+
+
 class ServeClient:
     """One client identity (token) talking to one daemon."""
 
@@ -87,6 +116,12 @@ class ServeClient:
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(
+                f"daemon URL must look like http://host:port, got {base_url!r}"
+            )
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
         self.token = token
         self.timeout_s = timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
@@ -95,6 +130,8 @@ class ServeClient:
         )
         self._lock = threading.Lock()
         self._idem = itertools.count(1)
+        #: idle kept-alive connections, most recently returned last
+        self._idle: List[http.client.HTTPConnection] = []
         self.counters: Dict[str, int] = {
             "requests": 0,
             "attempts": 0,
@@ -104,9 +141,24 @@ class ServeClient:
             "overloaded": 0,
             "chaos_injected": 0,
             "gave_up": 0,
+            "connections": 0,
         }
         #: attempts consumed per finished logical request
         self.attempts_per_request: List[int] = []
+
+    def close(self) -> None:
+        """Close every idle connection.  The client stays usable: the next
+        request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Observability
@@ -122,6 +174,23 @@ class ServeClient:
     # ------------------------------------------------------------------
     # One wire round trip (no retries)
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the daemon has not closed, else a new one."""
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                break
+            if not _dropped(conn):
+                return conn
+            conn.close()
+        conn = http.client.HTTPConnection(
+            self._host, self._port, timeout=self.timeout_s
+        )
+        conn.connect()
+        self._note("connections")
+        return conn
+
     def _round_trip(
         self,
         method: str,
@@ -133,7 +202,11 @@ class ServeClient:
 
         Raises :class:`_TransportFailure` when no parseable HTTP
         response arrived (connection refused/reset, truncated or
-        malformed body).
+        malformed body) and drops the connection.  A status line with
+        an unreadable body is a transport failure too, not a verdict:
+        the typed payload — the only thing that tells a 503 shed from a
+        503 chaos injection — never arrived, so retrying is the only
+        honest move.
         """
         data = json.dumps(body).encode("utf-8") if body is not None else None
         all_headers = {
@@ -142,55 +215,44 @@ class ServeClient:
         }
         if headers:
             all_headers.update(headers)
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=all_headers
-        )
+        conn: Optional[http.client.HTTPConnection] = None
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                raw = resp.read()
-                try:
-                    return resp.status, json.loads(raw.decode("utf-8")), None
-                except (ValueError, UnicodeDecodeError) as exc:
-                    raise _TransportFailure(
-                        f"malformed response body (HTTP {resp.status}): {exc}"
-                    ) from exc
-        except urllib.error.HTTPError as exc:
-            # Typed errors ride in the body; keep them as data, not
-            # raises — the caller decides what a 409 verdict means.
-            retry_after: Optional[float] = None
-            header = exc.headers.get("Retry-After") if exc.headers else None
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-            try:
-                raw = exc.read()
-                payload = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError, OSError,
-                    http.client.HTTPException) as body_exc:
-                # A status line with an unreadable/truncated body is a
-                # transport failure, not a verdict: the typed payload —
-                # the only thing that tells a 503 shed from a 503 chaos
-                # injection — never arrived, so retrying is the only
-                # honest move.
-                raise _TransportFailure(
-                    f"unreadable error body (HTTP {exc.code}): "
-                    f"{type(body_exc).__name__}: {body_exc}"
-                ) from body_exc
-            error = payload.get("error") if isinstance(payload, dict) else None
-            if isinstance(error, dict) and error.get("retry_after_s") is not None:
-                # The JSON hint is finer-grained than the integer header
-                retry_after = float(error["retry_after_s"])
-            return exc.code, payload, retry_after
-        except _TransportFailure:
-            raise
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,
-            OSError,
-        ) as exc:
+            conn = self._connection()
+            conn.request(
+                method, self._prefix + path, body=data, headers=all_headers
+            )
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (http.client.HTTPException, OSError) as exc:
+            if conn is not None:
+                conn.close()
             raise _TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            conn.close()
+            raise _TransportFailure(
+                f"malformed response body (HTTP {resp.status}): {exc}"
+            ) from exc
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        # Typed errors ride in the body; keep them as data, not raises —
+        # the caller decides what a 409 verdict means.
+        retry_after: Optional[float] = None
+        header = resp.getheader("Retry-After")
+        if header is not None:
+            try:
+                retry_after = float(header)
+            except ValueError:
+                retry_after = None
+        error = payload.get("error") if isinstance(payload, dict) else None
+        if isinstance(error, dict) and error.get("retry_after_s") is not None:
+            # The JSON hint is finer-grained than the integer header
+            retry_after = float(error["retry_after_s"])
+        return resp.status, payload, retry_after
 
     # ------------------------------------------------------------------
     # The retrying request loop

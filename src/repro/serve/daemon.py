@@ -41,6 +41,18 @@ live sessions run to completion (bounded by ``--drain-timeout``,
 stragglers are recorded force-cancels), the backend closes into a final
 :class:`~repro.workload.engine.WorkloadResult`, and the log + summary
 land in ``SERVE_<name>.json``.
+
+Transport: connections persist (HTTP/1.1 keep-alive), so a client pays
+for one TCP connection and one handler thread, not one per request.
+Every response — status line, headers and body — leaves in one write on
+a socket with ``TCP_NODELAY`` set.  Written in two parts on a kept-alive
+socket, the body waited in Nagle's algorithm for the peer's delayed ACK
+of the header block: on a 2-CPU box a keep-alive client measured
+serve-paced ``submit_p90_ms`` at 36–48 ms against 8–28 ms with a
+connection per request.  A connection left idle for
+:data:`IDLE_TIMEOUT_S` is closed, so an abandoned client pins a handler
+thread for that long at most; ``GET /stats`` counts connections
+accepted and requests dispatched under ``server.http``.
 """
 
 from __future__ import annotations
@@ -71,6 +83,12 @@ DEFAULT_SLICE_S = 0.5
 DEFAULT_TIME_SCALE = 8.0
 #: hard cap on one long-poll wait
 MAX_WAIT_S = 30.0
+#: a kept-alive connection with no request for this long is closed (well
+#: above MAX_WAIT_S, so a client between long-polls is never cut off)
+IDLE_TIMEOUT_S = 120.0
+#: how often the HTTP server checks for shutdown — the last step of a
+#: drain waits out at most one interval
+SERVE_POLL_S = 0.05
 #: the largest request body a handler thread will read (a submit with a
 #: long waypoint list is a few KiB); longer, negative or non-integer
 #: Content-Lengths are refused before a byte of body is read
@@ -175,6 +193,10 @@ class ServeApp:
         self._slices = 0
         self._advance_wall_s = 0.0
         self._timers: Dict[str, _EndpointTimer] = {}
+        # Counted before a request is served, so under a lock of their
+        # own: a new connection never waits out a pump slice.
+        self._http = {"connections": 0, "requests": 0}
+        self._http_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -201,6 +223,11 @@ class ServeApp:
     def note_latency(self, endpoint: str, ms: float) -> None:
         with self._lock:
             self._timers.setdefault(endpoint, _EndpointTimer()).note(ms)
+
+    def note_http(self, key: str) -> None:
+        """One more accepted ``"connections"`` or dispatched ``"requests"``."""
+        with self._http_lock:
+            self._http[key] += 1
 
     def _pump_lag_locked(self) -> float:
         """How far the pump trails its pacing schedule, in wall seconds.
@@ -458,6 +485,8 @@ class ServeApp:
 
     def stats_payload(self) -> Dict:
         """GET /stats: backend counters + server-side attribution."""
+        with self._http_lock:
+            http = dict(self._http)
         with self._lock:
             data = self.backend.stats().to_dict()
             data["server"] = {
@@ -487,6 +516,7 @@ class ServeApp:
                     "entries": len(self._idempotent),
                     "hits": self._idempotent_hits,
                 },
+                "http": http,
                 "latency_ms": {
                     name: timer.snapshot()
                     for name, timer in sorted(self._timers.items())
@@ -623,10 +653,19 @@ class ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: set by :func:`make_server` on the server class
     server_version = "repro-serve/1"
+    #: TCP_NODELAY on every accepted socket (see the module docstring)
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServeApp:
         return self.server.app  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        # The idle timeout is read per connection, not fixed on the class,
+        # so the module constant is the one place that sets it.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+        self.app.note_http("connections")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # the daemon's stdout is for the banner, not access logs
@@ -647,15 +686,19 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.send_header(
                 "Retry-After", str(max(0, int(-(-retry_after_s // 1))))
             )
-        self.end_headers()
         if getattr(self, "_chaos_truncate", False) and len(body) > 1:
             # Wire chaos: state is committed but the response is cut
             # short mid-body; the client sees an IncompleteRead and must
             # lean on its idempotency key to retry safely.
-            self.wfile.write(body[: len(body) // 2])
+            body = body[: len(body) // 2]
             self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # no header block to join it to
             return
-        self.wfile.write(body)
+        # One write: end_headers() would send the header block on its own,
+        # leaving the body to wait for the peer's delayed ACK.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _token(self) -> str:
         token = (self.headers.get(TOKEN_HEADER) or "").strip()
@@ -698,6 +741,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             ) from exc
 
     def _dispatch(self, method: str) -> None:
+        self.app.note_http("requests")
         endpoint = "?"
         t0 = time.perf_counter()
         self._chaos_truncate = False
@@ -868,7 +912,10 @@ def run_serve(
         previous[signum] = signal.signal(signum, _request_stop)
     app.start()
     server_thread = threading.Thread(
-        target=server.serve_forever, name="serve-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": SERVE_POLL_S},
+        name="serve-http",
+        daemon=True,
     )
     server_thread.start()
     bound = server.server_address
@@ -922,8 +969,10 @@ __all__ = [
     "DEFAULT_SLICE_S",
     "DEFAULT_TIME_SCALE",
     "IDEMPOTENCY_HEADER",
+    "IDLE_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "MAX_WAIT_S",
+    "SERVE_POLL_S",
     "TOKEN_HEADER",
     "ServeApp",
     "ServeHandler",

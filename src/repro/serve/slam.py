@@ -257,11 +257,16 @@ def run_slam(spec: ScenarioSpec, config: SlamConfig) -> Dict:
     ]
     retry_counters: Dict[str, int] = {}
     attempts_all: List[int] = []
+    connections: List[int] = []
     for worker in workers:
+        worker.client.close()
         counters, attempts = worker.client.counters_snapshot()
         for key, value in counters.items():
             retry_counters[key] = retry_counters.get(key, 0) + value
         attempts_all.extend(attempts)
+        connections.append(counters["connections"])
+    # every attempt is one request on the wire
+    requests = retry_counters.get("attempts", 0)
     wall_s = time.monotonic() - t_start
     submitted = len(submissions)
     return {
@@ -305,6 +310,14 @@ def run_slam(spec: ScenarioSpec, config: SlamConfig) -> Dict:
             "counters": retry_counters,
             "attempts": summarize([float(a) for a in attempts_all]),
         },
+        "http": {
+            "requests": requests,
+            "connections": sum(connections),
+            "requests_per_connection": requests / max(1, sum(connections)),
+            # by client identity: its submit loop and stream thread need
+            # one connection each, so 2 unless the daemon closed one
+            "connections_per_client": connections,
+        },
         "errors": errors[:50],
         "submissions": submissions,
     }
@@ -313,6 +326,7 @@ def run_slam(spec: ScenarioSpec, config: SlamConfig) -> Dict:
 def markdown_table(report: Dict) -> str:
     """The slam report's headline numbers as a markdown table."""
     counts = report["counts"]
+    http = report["http"]
     submit = report["latency_ms"]["submit"] or {}
     poll = report["latency_ms"]["poll"] or {}
     success = report["success"] or {}
@@ -339,6 +353,8 @@ def markdown_table(report: Dict) -> str:
         f"{ms(submit, 'p99')} |",
         f"| poll latency p50/p99 (ms) | {ms(poll, 'p50')} / "
         f"{ms(poll, 'p99')} |",
+        f"| requests per connection | {http['requests_per_connection']:.1f} "
+        f"({http['requests']} / {http['connections']}) |",
         f"| session success mean/p50/p99 | {ratio(success, 'mean')} / "
         f"{ratio(success, 'p50')} / {ratio(success, 'p99')} |",
         f"| wall time (s) | {report['wall_s']:.1f} |",

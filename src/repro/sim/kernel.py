@@ -142,10 +142,6 @@ class Simulator:
         heappush(self._queue, (time, seq, handle))
         return handle
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at the current time (after pending peers)."""
-        return self.schedule_at(self.now, fn, *args)
-
     def schedule_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget ``schedule``: no :class:`EventHandle` is created.
 
@@ -180,24 +176,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False if none remained."""
-        self._drop_cancelled()
-        if not self._queue:
-            return False
-        entry = heapq.heappop(self._queue)
-        self.now = entry[0]
-        handle = entry[2]
-        if handle is None:
-            fn, args = entry[3], entry[4]
-        else:
-            fn, args = handle.fn, handle.args
-            handle.fn, handle.args = None, ()
-        self.events_executed += 1
-        assert fn is not None
-        fn(*args)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains or the clock passes ``until``.
 
@@ -231,8 +209,8 @@ class Simulator:
         queue = self._queue
         try:
             while not self._stopped:
-                # Inlined _drop_cancelled/step: one loop iteration per event
-                # with no extra method dispatch on the hot path.
+                # One loop iteration per event (a cancelled head is popped
+                # on the way) with no method dispatch on the hot path.
                 if not queue:
                     break
                 entry = queue[0]
@@ -290,12 +268,3 @@ class Simulator:
             ]
             heapq.heapify(queue)
             self._cancelled = 0
-
-    def _drop_cancelled(self) -> None:
-        queue = self._queue
-        while queue:
-            handle = queue[0][2]
-            if handle is None or not handle.cancelled:
-                return
-            heapq.heappop(queue)
-            self._cancelled -= 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.energy import RadioState
 from repro.net.packet import Frame
-from repro.net.psm import PsmConfig, delivery_time
+from repro.net.psm import PsmConfig
 from repro.sim.kernel import Simulator
 
 from .conftest import line_positions, make_network
@@ -131,24 +131,3 @@ class TestSleepScheduler:
         sim.run(until=6.0)
         assert outcomes == [True]
         assert sleeper.radio.is_sleeping
-
-
-class TestDeliveryTime:
-    def test_active_node_reachable_now(self, sim):
-        network = make_network(sim, line_positions(2, 50.0), sleep_period=9.0, psm_offset=4.0)
-        network.apply_backbone([0])
-        active = network.nodes[0]
-        assert delivery_time(active.sleep_scheduler, 1.0) == 1.0
-
-    def test_sleeper_reachable_at_next_window(self, sim):
-        network = make_network(sim, line_positions(2, 50.0), sleep_period=9.0, psm_offset=4.0)
-        network.apply_backbone([0])
-        sleeper = network.nodes[1]
-        assert delivery_time(sleeper.sleep_scheduler, 1.0) == pytest.approx(4.0)
-
-    def test_sleeper_awake_now_reachable_now(self, sim):
-        network = make_network(sim, line_positions(2, 50.0), sleep_period=9.0, psm_offset=4.0)
-        network.apply_backbone([0])
-        sleeper = network.nodes[1]
-        sim.run(until=4.05)
-        assert delivery_time(sleeper.sleep_scheduler, 4.05) == pytest.approx(4.05)

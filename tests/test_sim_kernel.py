@@ -40,13 +40,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
-    def test_call_soon_runs_at_current_time(self):
-        sim = Simulator()
-        times = []
-        sim.schedule(1.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
-        sim.run()
-        assert times == [1.0]
-
     def test_nested_scheduling(self):
         sim = Simulator()
         log = []
@@ -112,7 +105,7 @@ class TestEdgeCases:
 
         def arm():
             victim2 = sim2.schedule(0.0, log2.append, "victim")
-            sim2.call_soon(victim2.cancel)
+            sim2.schedule(0.0, victim2.cancel)
             victim2.cancel()  # cancelled before its slot: must never fire
 
         sim2.schedule(1.0, arm)
@@ -129,8 +122,8 @@ class TestEdgeCases:
         assert not handle.pending
 
     def test_same_instant_fifo_across_schedule_and_schedule_at(self):
-        """Mixing schedule()/schedule_at()/call_soon at one instant keeps
-        strict scheduling order (the seq tie-break)."""
+        """Mixing schedule()/schedule_at() at one instant keeps strict
+        scheduling order (the seq tie-break)."""
         sim = Simulator()
         log = []
         sim.schedule(1.0, log.append, "a")
@@ -238,9 +231,6 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(until=100.0, max_events=50)
 
-    def test_step_returns_false_on_empty(self):
-        assert Simulator().step() is False
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(4):
@@ -312,7 +302,7 @@ class TestFastScheduling:
         log = []
         sim.schedule_fast(1.0, log.append, "x")
         assert sim.pending_count == 1
-        assert sim.step() is True
+        sim.run(max_events=1)  # one step: exactly the one event
         assert log == ["x"] and sim.now == 1.0
 
 
