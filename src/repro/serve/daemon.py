@@ -49,7 +49,10 @@ a socket with ``TCP_NODELAY`` set.  Written in two parts on a kept-alive
 socket, the body waited in Nagle's algorithm for the peer's delayed ACK
 of the header block: on a 2-CPU box a keep-alive client measured
 serve-paced ``submit_p90_ms`` at 36–48 ms against 8–28 ms with a
-connection per request.  A connection left idle for
+connection per request.  A request's body is read before anything can
+answer it — a typed error refused before the route parses it included —
+so no leftover body is ever parsed as the next request.  A connection
+left idle for
 :data:`IDLE_TIMEOUT_S` is closed, so an abandoned client pins a handler
 thread for that long at most; ``GET /stats`` counts connections
 accepted and requests dispatched under ``server.http``.
@@ -655,15 +658,14 @@ class ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     #: TCP_NODELAY on every accepted socket (see the module docstring)
     disable_nagle_algorithm = True
+    #: a connection idle this long is closed
+    timeout = IDLE_TIMEOUT_S
 
     @property
     def app(self) -> ServeApp:
         return self.server.app  # type: ignore[attr-defined]
 
     def setup(self) -> None:
-        # The idle timeout is read per connection, not fixed on the class,
-        # so the module constant is the one place that sets it.
-        self.timeout = IDLE_TIMEOUT_S
         super().setup()
         self.app.note_http("connections")
 
@@ -709,22 +711,31 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
         return token
 
-    def _body(self) -> object:
-        declared = self.headers.get("Content-Length") or "0"
+    def _read_body(self) -> Optional[bytes]:
+        """The request's raw body, or ``None`` if its Content-Length is bad.
+
+        Read before anything can answer the request: a body left unread
+        would be parsed as the next request on a kept-alive connection.  A
+        body whose length cannot be trusted cannot be skipped either, so
+        its connection closes after the response.
+        """
         try:
-            length = int(declared)
+            length = int(self.headers.get("Content-Length") or "0")
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            # The unread body would be parsed as the next request on a
-            # kept-alive connection, so this one closes after the error.
             self.close_connection = True
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def _body(self) -> object:
+        raw = self._raw_body
+        if raw is None:
             raise WireError(
                 "invalid-request",
                 f"Content-Length must be an integer between 0 and "
-                f"{MAX_BODY_BYTES}, got {declared!r}",
+                f"{MAX_BODY_BYTES}, got {self.headers.get('Content-Length')!r}",
             )
-        raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -759,6 +770,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._chaos_truncate = action.truncate
             inject_error = action.inject_error
         try:
+            self._raw_body = self._read_body()
             if inject_error:
                 raise WireError(
                     "chaos-injected",

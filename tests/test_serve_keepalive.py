@@ -23,10 +23,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.faults.plan import WireChaos
-from repro.serve import daemon as daemon_module
 from repro.serve.chaos import WireChaosPlane
 from repro.serve.client import RetryPolicy, ServeClient
-from repro.serve.daemon import ServeApp, ServeHandler, make_server
+from repro.serve.daemon import MAX_WAIT_S, ServeApp, ServeHandler, make_server
 from repro.serve.errors import WireError
 
 from .test_serve_daemon import PAYLOAD, tiny_spec
@@ -80,8 +79,10 @@ def test_sequential_requests_share_one_connection():
 # ----------------------------------------------------------------------
 def check_two_threads_never_share_a_connection(monkeypatch):
     """Thread A long-polls a session with no outcome due for minutes, so
-    its connection is busy for the whole wait; thread B starts once the
-    daemon holds A's request and must get a connection of its own."""
+    its connection is busy until the session ends; thread B starts once
+    the daemon holds A's request, must get a connection of its own, and
+    ends A's wait by cancelling the session (in-process, off the wire)
+    when it is done."""
     with serving(time_scale=0.01) as (app, url), ServeClient(url, "alice") as client:
         status, resp = answered(client.submit, dict(PAYLOAD))
         assert status == 201
@@ -91,7 +92,9 @@ def check_two_threads_never_share_a_connection(monkeypatch):
 
         def poll():
             try:
-                replies["a"].append(client.results(sid, after=0, wait_s=1.0))
+                replies["a"].append(
+                    client.results(sid, after=0, wait_s=MAX_WAIT_S)
+                )
             except WireError as exc:
                 errors.append(exc)
 
@@ -104,6 +107,8 @@ def check_two_threads_never_share_a_connection(monkeypatch):
                     replies["b"].append(client.healthz())
             except WireError as exc:
                 errors.append(exc)
+            finally:
+                app.cancel("alice", sid)
 
         threads = [threading.Thread(target=poll), threading.Thread(target=probe)]
         for thread in threads:
@@ -113,6 +118,7 @@ def check_two_threads_never_share_a_connection(monkeypatch):
         assert not errors, errors
         [polled] = replies["a"]
         assert polled["session"] == sid and polled["outcomes"] == []
+        assert polled["done"]  # the wait ended with the session, not a clock
         assert len(replies["b"]) == 5
         assert all(reply.get("ok") is True for reply in replies["b"])
         counters, _ = client.counters_snapshot()
@@ -128,7 +134,7 @@ def test_two_threads_sharing_a_client_never_share_a_connection(monkeypatch):
 # (c) a connection the daemon closed while idle is never reused
 # ----------------------------------------------------------------------
 def check_idle_close_is_detected_before_reuse(monkeypatch):
-    monkeypatch.setattr(daemon_module, "IDLE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(ServeHandler, "timeout", 0.2)
     with serving() as (app, url), ServeClient(url, "alice") as client:
         assert answered(client.healthz)["ok"]
         [conn] = client._idle
@@ -173,6 +179,35 @@ def test_chaos_on_a_reused_connection_is_one_transport_failure(fault):
         assert counters["transport_errors"] == 2
         assert wire(app) == {"connections": 3, "requests": 4}
         client.close()
+
+
+# ----------------------------------------------------------------------
+# an error answered before the body is parsed leaves the connection clean
+# ----------------------------------------------------------------------
+def check_early_error_leaves_connection_reusable(monkeypatch, case="chaos"):
+    """A POST refused before its route reads the body — a chaos-injected
+    503, a missing token, an unknown route — must not leave that body on
+    the wire, where it would be parsed as the next request."""
+    token = "" if case == "no-token" else "alice"
+    path = "/no/such/route" if case == "route" else "/sessions"
+    with serving() as (app, url), ServeClient(url, token) as client:
+        if case == "chaos":
+            app.chaos = WireChaosPlane(WireChaos(error_prob=1.0), seed=1)
+        status, payload = answered(client.request, "POST", path, dict(PAYLOAD))
+        code = {"chaos": "chaos-injected", "no-token": "missing-token",
+                "route": "unknown-route"}[case]
+        assert payload["error"]["code"] == code, payload
+        app.chaos = None
+        assert answered(client.healthz)["ok"]
+        counters, _ = client.counters_snapshot()
+        assert counters["transport_errors"] == 0
+        assert counters["connections"] == 1
+        assert wire(app) == {"connections": 1, "requests": 2}
+
+
+@pytest.mark.parametrize("case", ["chaos", "no-token", "route"])
+def test_early_error_leaves_the_connection_reusable(case, monkeypatch):
+    check_early_error_leaves_connection_reusable(monkeypatch, case)
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +305,13 @@ MUTATIONS = {
         'self._headers_buffer.append(b"\\r\\n" + body)',
         "self.end_headers(); self.wfile.write(body)",
         check_each_response_is_one_write,
+    ),
+    "error answered with the body unread": (
+        ServeHandler,
+        "_dispatch",
+        "self._raw_body = self._read_body()",
+        "self._raw_body = None if inject_error else self._read_body()",
+        check_early_error_leaves_connection_reusable,
     ),
 }
 
