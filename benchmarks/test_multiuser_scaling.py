@@ -91,7 +91,7 @@ def run_scaling(scale: Optional[str] = None) -> List[ScalingRow]:
                 wall_clock_s=wall,
                 success_ratios=ratios,
                 mean_success=result.mean_user_success_ratio,
-                min_success=result.min_user_success_ratio,
+                min_success=result.workload.min_success_ratio(),
                 mean_fidelity=result.workload.mean_fidelity(),
                 frames_sent=result.frames_sent,
                 frames_collided=result.frames_collided,

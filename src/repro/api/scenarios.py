@@ -22,7 +22,7 @@ burst`` (a simultaneous 12-user burst tamed by server-side phase
 assignment), ``heterogeneous-mix`` (8 users with mixed periods, radii,
 aggregations and freshness bounds — the ROADMAP's heterogeneous-workload
 item), and ``cluster_scale_64users`` (64 users on 4 regional shards —
-the scale-out scenario ``benchmarks/test_cluster_scale.py`` pins).
+the scale-out scenario pinned in ``tests/data/pins.json``).
 
 A spec may also ask for the sharded backend: ``shards: 4`` partitions
 the field into regional worlds (``partitioner`` picks the scheme) and

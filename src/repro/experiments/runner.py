@@ -10,9 +10,8 @@ repackages the scores as a :class:`RunResult`.
 
 The adapter is deliberately bit-identical to the pre-API runner: the same
 RNG streams are consumed in the same per-user order and the same kernel
-events are scheduled in the same sequence, so the golden determinism
-tests (`tests/test_golden_determinism.py`) and the pinned perf
-fingerprints hold across the redesign.  New code that wants
+events are scheduled in the same sequence, so the pins of
+`tests/data/pins.json` hold across the redesign.  New code that wants
 heterogeneous per-user queries, admission control, streaming results or
 cancellation should use :class:`~repro.api.service.MobiQueryService`
 directly — this module remains for the paper-figure reproduction paths.
@@ -88,10 +87,6 @@ class RunResult:
     @property
     def mean_user_success_ratio(self) -> float:
         return self.workload.mean_success_ratio()
-
-    @property
-    def min_user_success_ratio(self) -> float:
-        return self.workload.min_success_ratio()
 
 
 def legacy_requests(config: ExperimentConfig, streams: RandomStreams) -> List[QueryRequest]:

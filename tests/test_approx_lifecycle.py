@@ -38,17 +38,7 @@ from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
 from repro.workload.arrivals import ARRIVAL_STAGGERED
 
-# The same pins tests/test_golden_determinism.py guards.  Duplicated here
-# on purpose: this file asserts the *accuracy field itself* cannot move
-# them — ``accuracy="exact"`` threaded explicitly through QueryParams
-# must leave the pre-approx hot path untouched, frame for frame.
-GOLDEN_SINGLE_USER = {
-    "frames_sent": 1701,
-    "frames_delivered": 26903,
-    "frames_collided": 62,
-    "success_ratios": (0.9666666666666667,),
-    "events_executed": 6309,
-}
+from .test_pins import ledger_mismatches
 
 
 def sweep_path(cx=200.0, cy=200.0, half=30.0, speed=12.0):
@@ -201,14 +191,8 @@ class TestExactBitIdentity:
             query=QueryParams(radius_m=60.0, accuracy="exact"),
         )
         result = run_experiment(config)
-        assert result.frames_sent == GOLDEN_SINGLE_USER["frames_sent"]
-        assert result.frames_delivered == GOLDEN_SINGLE_USER["frames_delivered"]
-        assert result.frames_collided == GOLDEN_SINGLE_USER["frames_collided"]
-        assert (
-            tuple(result.user_success_ratios)
-            == GOLDEN_SINGLE_USER["success_ratios"]
-        )
-        assert result.events_executed == GOLDEN_SINGLE_USER["events_executed"]
+        # the ledger's ``single_user`` run, with the accuracy field threaded
+        assert ledger_mismatches("single_user", result) == []
 
     def test_mixed_run_exact_sessions_unperturbed(self):
         """An approx session sharing the world must not move an exact one.

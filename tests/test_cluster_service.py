@@ -12,6 +12,7 @@ from repro.api import (
     QueryRequest,
 )
 from repro.api.admission import PerAreaCapPolicy, PhaseAssignPolicy
+from repro.api.scenarios import _scenario_config, get_scenario, run_scenario
 from repro.api.service import ServiceClosedError
 from repro.cluster import (
     BalancedKDPartitioner,
@@ -177,6 +178,27 @@ class TestSingleShardIdentity:
         cluster = ClusterService(config, shards=1)
         assert cluster.shard_configs[0] == config
         assert cluster.num_shards == 1
+
+    def test_single_shard_identity_off_pin(self):
+        """Identity holds away from the pinned seed/duration too."""
+        spec = get_scenario("cluster_scale_64users").with_overrides(
+            duration_s=16.0, seed=7, shards=1, workers=0
+        )
+        small = spec.to_dict()
+        small["requests"] = [{**dict(spec.requests[0]), "count": 6}]
+        spec = type(spec).from_dict(small)
+        single = run_scenario(spec)
+        cluster = run_scenario(
+            spec, backend=ClusterService(_scenario_config(spec), shards=1)
+        )
+        assert (
+            cluster.frames_sent,
+            cluster.frames_delivered,
+            cluster.events_executed,
+        ) == (single.frames_sent, single.frames_delivered, single.events_executed)
+        assert [s.success_ratio for s in cluster.workload.sessions] == [
+            s.success_ratio for s in single.workload.sessions
+        ]
 
 
 # ----------------------------------------------------------------------
