@@ -6,16 +6,52 @@ receptions, the PSM wake-wheel) are only admissible because simulation
 *results* are bit-identical to the pre-optimization code.  The golden
 configs' pins live in the ledger with every other run's
 (``tests/data/pins.json``, checked by ``tests/test_pins.py``, which also
-states the re-pin rules).  This module holds the properties around them:
-a rerun is self-identical, the parallel replications match the serial
-ones, and fault plans that leave the world empty move no pin.
+states the re-pin rules).  This module checks the golden configs' two
+families one by one, on the ledger check's own run of each config, and
+holds the properties around them: a rerun is self-identical, the
+parallel replications match the serial ones, and fault plans that leave
+the world empty move no pin.
 """
 
 import pytest
 
 from repro.experiments.runner import run_experiment, run_replications
 
-from .test_pins import golden_config, ledger_mismatches
+from .test_pins import (
+    golden_config,
+    ledger_mismatches,
+    load_pins,
+    measured,
+    mismatches,
+    named_runs,
+)
+
+GOLDEN_RUNS = [("single_user", 1), ("four_user", 4)]
+
+
+def _golden_mismatches(name, num_users, family):
+    """The ledger mismatches of golden run ``name`` in one pin family."""
+    assert named_runs()[name].args[0] == golden_config(num_users)
+    problems = mismatches(load_pins()[name], measured(name))
+    return [p for p in problems if p.startswith(family)]
+
+
+@pytest.mark.parametrize("name,num_users", GOLDEN_RUNS)
+def test_run_matches_pre_optimization_golden(name, num_users):
+    """The ``results`` family: frame counters and per-user success ratios
+    bit-identical to the pre-optimization code, exact floats included."""
+    assert _golden_mismatches(name, num_users, "results.") == []
+
+
+@pytest.mark.parametrize("name,num_users", GOLDEN_RUNS)
+def test_event_census_matches_pinned_structure(name, num_users):
+    """The ``events`` family: catches *accidental* event-structure drift.
+
+    A legitimate batching/coalescing change re-records the ledger's
+    ``events`` (``tests/test_pins.py``); anything else tripping this is an
+    optimization quietly executing different work.
+    """
+    assert _golden_mismatches(name, num_users, "events") == []
 
 
 def test_rerun_is_self_identical():

@@ -51,7 +51,7 @@ import json
 import math
 import pathlib
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List
 
 import pytest
@@ -166,6 +166,12 @@ def ledger_mismatches(name: str, result) -> List[str]:
     return mismatches(load_pins()[name], fingerprint(result))
 
 
+@lru_cache(maxsize=None)
+def measured(name: str) -> Dict[str, object]:
+    """The fingerprint of named run ``name``, run at most once per session."""
+    return fingerprint(named_runs()[name]())
+
+
 def record(path: pathlib.Path, measured: Dict[str, dict]) -> int:
     """Print the before/after table; rewrite ``events`` if no result moved.
 
@@ -207,7 +213,7 @@ def test_ledger_names_match_registry():
 
 @pytest.mark.parametrize("name", list(named_runs()))
 def test_pinned_run(name):
-    problems = ledger_mismatches(name, named_runs()[name]())
+    problems = mismatches(load_pins()[name], measured(name))
     assert not problems, "\n".join(f"{name} {p}" for p in problems)
 
 
@@ -306,5 +312,4 @@ class TestRecorder:
 
 
 if __name__ == "__main__":
-    measured = {name: fingerprint(run()) for name, run in named_runs().items()}
-    sys.exit(record(PINS, measured))
+    sys.exit(record(PINS, {name: measured(name) for name in named_runs()}))
