@@ -17,8 +17,9 @@
 Every run is at quick scale, whatever ``REPRO_BENCH_SCALE`` says.  Each
 entry has two families, under different rules:
 
-* ``results`` — what the simulation computes: frame counters and success
-  ratios, exact floats included.  A pure optimisation or refactor never
+* ``results`` — what the simulation computes: frame counters, success
+  ratios (exact floats included) and, for runs with a ``PowerReport``,
+  the sleepers' and the always-on nodes' mean radio draw.  A pure optimisation or refactor never
   moves one.  Only a deliberate model change edits them, by hand from the
   recorder's table, in the commit that states the change.
 * ``events`` — kernel events executed, an implementation property.  A
@@ -112,8 +113,14 @@ def named_runs() -> Dict[str, Callable]:
 
 
 def fingerprint(result) -> Dict[str, object]:
-    """Every pinnable field of a ``RunResult`` or ``ScenarioResult``."""
-    return {
+    """Every pinnable field of a ``RunResult`` or ``ScenarioResult``.
+
+    A run with a ``PowerReport`` (a ``RunResult``) also gives the mean draw
+    of its sleepers and of its always-on nodes, rounded to 9 decimals (the
+    nanowatt Fig. 8 is compared at): what every radio's RX, idle and sleep
+    seconds add up to.
+    """
+    measured = {
         "frames_sent": result.frames_sent,
         "frames_delivered": result.frames_delivered,
         "frames_collided": result.frames_collided,
@@ -121,6 +128,11 @@ def fingerprint(result) -> Dict[str, object]:
         "mean_success": round(result.workload.mean_success_ratio(), 6),
         "events": result.events_executed,
     }
+    power = getattr(result, "power", None)
+    if power is not None:
+        measured["sleeper_power_w"] = round(power.mean_sleeper_power_w, 9)
+        measured["active_power_w"] = round(power.mean_active_power_w, 9)
+    return measured
 
 
 def load_pins(path: pathlib.Path = PINS) -> Dict[str, dict]:
