@@ -12,7 +12,7 @@ the calls must be the oracle's clean receptions the frame is addressed to.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.vec import Vec2
@@ -24,6 +24,7 @@ from repro.sim.trace import Tracer
 
 from .conftest import make_network
 from .reception_oracle import OracleRadio
+from .test_net_carrier_sense import FRINGE_FIELD, OFFSETS, RC
 from .test_net_mobile_index import Endpoint
 
 LISTENING = (RadioState.IDLE, RadioState.RX)
@@ -73,7 +74,15 @@ class World:
         }
         self.rx = []  # (frame seq, kind, receiver id), in resolution order
         self.collisions = []  # (frame seq, kind, receiver id, reason)
+        self.readers = 0  # receptions begun at an addressee or for a broadcast
+        self.sent = []  # frame seqs in transmission order
         self.expected_calls = []
+        self.jamming = False
+
+    def jam(self, on):
+        """Open or close a fault window that corrupts every frame sent."""
+        self.jamming = on
+        self.channel.fault_jam = (lambda frame: True) if on else None
 
     def _add(self, x, y, register):
         self.endpoints.append(Recorder(self.sim, len(self.endpoints), x, y, self.calls))
@@ -96,6 +105,7 @@ class World:
     def transmit(self, sender, dst, size, kind="data"):
         now = self.sim.now
         frame = Frame(kind, sender.node_id, dst, size)
+        self.sent.append(frame.seq)
         self.oracle[sender].set_state(RadioState.TX)
         self._meter(sender)
         cohort = []
@@ -103,6 +113,10 @@ class World:
             if listener is not sender and self.oracle[listener].state in LISTENING:
                 cohort.append((listener, self.oracle[listener].begin_reception()))
                 self._meter(listener)
+                self.readers += frame.is_broadcast or frame.dst == listener.node_id
+        if self.jamming:
+            for _, reception in cohort:
+                reception.corrupt("fault-degraded")
         self.channel.transmit(sender, frame, lambda: self._finish(sender, frame, cohort))
         return frame
 
@@ -121,6 +135,16 @@ class World:
             if frame.is_broadcast or frame.dst == at:
                 self.expected_calls.append((at, frame.seq))
 
+    def check_energy(self):
+        """Read every meter (as the power report does) and compare them."""
+        for endpoint in self.endpoints:
+            meter, reference = endpoint.radio.energy, self.meters[endpoint]
+            assert meter.average_power_w() == reference.average_power_w()
+            for name in METER_FIELDS:
+                assert getattr(meter, name) == getattr(reference, name), (
+                    f"endpoint {endpoint.node_id}: EnergyMeter.{name}"
+                )
+
     def check(self):
         channel, tracer = self.channel, self.tracer
         assert self.calls == self.expected_calls
@@ -138,12 +162,9 @@ class World:
             assert tracer.records() == []
         for endpoint in self.endpoints:
             radio, oracle = endpoint.radio, self.oracle[endpoint]
-            assert radio.rx_count == len(oracle.active)
-            assert radio.state is oracle.state
-            for name in METER_FIELDS:
-                assert getattr(radio.energy, name) == getattr(self.meters[endpoint], name), (
-                    f"endpoint {endpoint.node_id}: EnergyMeter.{name}"
-                )
+            who = f"endpoint {endpoint.node_id} at t={self.sim.now!r}"
+            assert radio.rx_count == len(oracle.active), who
+            assert radio.state is oracle.state, who
 
 
 # sender 0 and addressee 1; 2 hears both; 3 hears 0 and will doze off; 4 hears
@@ -166,6 +187,7 @@ class TestWhoIsCalled:
         ack = world.transmit(addressee, sender.node_id, ACK_SIZE_BYTES, kind="mac-ack")
         world.sim.run(until=0.02)
         world.check()
+        world.check_energy()
         assert world.calls == [(addressee.node_id, data.seq), (sender.node_id, ack.seq)]
         # the bystanders paid for both frames at the radio all the same ...
         assert (data.seq, "data", 2) in world.rx and (ack.seq, "mac-ack", 2) in world.rx
@@ -187,6 +209,7 @@ class TestWhoIsCalled:
         world.transmit(hidden, BROADCAST, 64)
         world.sim.run(until=0.02)
         world.check()
+        world.check_energy()
         cohort = [
             ep.node_id
             for ep in world.channel.listeners_near(Vec2(0.0, 0.0), 0.0)
@@ -205,43 +228,132 @@ ops = st.one_of(
     st.tuples(st.just("broadcast"), index, st.sampled_from([64, 1500])),
     st.tuples(st.just("doze"), index, st.none()),
     st.tuples(st.just("wait"), st.sampled_from([0.0, 1e-4, 1e-3, 0.02]), st.none()),
+    st.tuples(st.just("jam"), st.none(), st.none()),  # opens or closes a window
+    st.tuples(st.just("meter"), st.none(), st.none()),  # the power report reads
 )
-coords = st.integers(min_value=0, max_value=250).map(float)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
+# a 1 m lattice, and the fringe within a nanometre of a multiple of Rc: of a
+# grid-cell edge and of being exactly Rc from a neighbour on the lattice
+lattice = st.integers(min_value=0, max_value=250).map(float)
+fringe = st.builds(
+    lambda cell, offset: cell * RC + offset,
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(OFFSETS),
+)
+coords = st.one_of(lattice, fringe)
+WORLDS = dict(
     statics=st.lists(st.tuples(coords, coords), min_size=2, max_size=7),
     mobiles=st.lists(st.tuples(coords, coords), max_size=3),
     watch=st.booleans(),
     script=st.lists(ops, min_size=5, max_size=30),
 )
-def test_any_interleaving_agrees_with_the_oracle(statics, mobiles, watch, script):
+
+
+def drive(statics, mobiles, watch, script):
+    """Play ``script`` on one field through the channel and the oracle,
+    checking after every step, reading the meters where it says so and
+    once all frames are off the air."""
     world = World(statics, mobiles, watch)
     endpoints = world.endpoints
     for kind, a, b in script:
         if kind == "wait":
             world.sim.run(until=world.sim.now + a)
-            continue
-        endpoint = endpoints[a % len(endpoints)]
-        if kind == "doze":
+        elif kind == "jam":
+            world.jam(not world.jamming)
+        elif kind == "meter":
+            world.check_energy()
+        elif kind == "doze":
+            endpoint = endpoints[a % len(endpoints)]
             asleep = endpoint.radio.is_sleeping
             world.set_state(endpoint, RadioState.IDLE if asleep else RadioState.SLEEP)
-        elif not world.can_transmit(endpoint):
-            continue
-        elif kind == "broadcast":
-            world.transmit(endpoint, BROADCAST, b)
-        else:  # addressed to anyone, itself and out-of-range nodes included
-            world.transmit(
-                endpoint,
-                endpoints[b % len(endpoints)].node_id,
-                500 if kind == "unicast" else ACK_SIZE_BYTES,
-                kind="data" if kind == "unicast" else "mac-ack",
-            )
+        elif world.can_transmit(endpoints[a % len(endpoints)]):
+            endpoint = endpoints[a % len(endpoints)]
+            if kind == "broadcast":
+                world.transmit(endpoint, BROADCAST, b)
+            else:  # addressed to anyone, itself and out-of-range nodes included
+                world.transmit(
+                    endpoint,
+                    endpoints[b % len(endpoints)].node_id,
+                    500 if kind == "unicast" else ACK_SIZE_BYTES,
+                    kind="data" if kind == "unicast" else "mac-ack",
+                )
         world.check()
     world.sim.run(until=world.sim.now + 1.0)
     world.check()
+    world.check_energy()
     assert all(ep.radio.rx_count == 0 for ep in endpoints)
+    return world
+
+
+# 0 unicasts to 1 with 2 and the proxy 4 listening in; 3 hears only 2
+LINE = [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0), (200.0, 0.0)]
+LINE_PROXY = [(40.0, 30.0)]
+#: a bystander starts sending mid-reception, to the addressee of the frame
+#: it was hearing
+TX_MID_RECEPTION = [
+    ("unicast", 0, 1), ("wait", 1e-4, None), ("unicast", 2, 1),
+    ("wait", 0.02, None), ("unicast", 0, 1), ("wait", 0.02, None),
+]
+#: a bystander dozes off mid-reception and wakes while the frame is still
+#: on the air, and a frame addressed to it then meets the one it still
+#: counts; asleep when the next one begins, it wakes under it and hears a
+#: later one clean
+WAKE_IN_FLIGHT = [
+    ("unicast", 0, 1), ("wait", 1e-4, None), ("doze", 2, None),
+    ("doze", 2, None), ("unicast", 3, 2), ("wait", 0.02, None),
+    ("doze", 2, None), ("unicast", 0, 1), ("wait", 1e-4, None), ("doze", 2, None),
+    ("wait", 0.02, None), ("unicast", 3, 2), ("wait", 0.02, None),
+]
+#: a fault window corrupts a unicast frame's every reception, the
+#: bystanders' included; a frame sent after it closes still overlaps the
+#: jammed one at 2, and the next is clean
+JAMMED = [
+    ("jam", None, None), ("unicast", 0, 1), ("meter", None, None),
+    ("jam", None, None), ("unicast", 3, 2), ("wait", 0.02, None),
+    ("unicast", 0, 1), ("wait", 1e-4, None), ("meter", None, None),
+    ("wait", 0.02, None),
+]
+#: ``tests/test_net_carrier_sense.py``'s fringe field: 1 exactly on the
+#: range threshold from 0; 2 inside the slack beyond Rc from 3 and across
+#: the cell edge 3's grid window stops at; 4 just outside
+FRINGE_SCRIPT = [
+    ("unicast", 1, 0), ("unicast", 3, 2), ("wait", 1e-4, None), ("unicast", 4, 3),
+    ("wait", 0.02, None), ("broadcast", 3, 64), ("wait", 1e-4, None),
+    ("unicast", 0, 5), ("wait", 0.02, None),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**WORLDS)
+@example(statics=LINE, mobiles=LINE_PROXY, watch=True, script=TX_MID_RECEPTION)
+@example(statics=LINE, mobiles=LINE_PROXY, watch=False, script=WAKE_IN_FLIGHT)
+@example(statics=LINE, mobiles=LINE_PROXY, watch=True, script=JAMMED)
+@example(statics=FRINGE_FIELD, mobiles=[(10.0, 0.0)], watch=True, script=FRINGE_SCRIPT)
+def test_any_interleaving_agrees_with_the_oracle(statics, mobiles, watch, script):
+    drive(statics, mobiles, watch, script)
+
+
+def test_the_named_interleavings_do_what_they_say():
+    """The explicit examples above reach the states they are named for."""
+    world = drive(LINE, LINE_PROXY, True, TX_MID_RECEPTION)
+    first, second, third = world.sent
+    assert (first, "data", 2, "receiver_left_listening") in world.collisions
+    assert (second, "data", 1, "overlap") in world.collisions
+    assert (third, "data", 2) in world.rx and (third, "data", 4) in world.rx
+    world = drive(LINE, LINE_PROXY, True, WAKE_IN_FLIGHT)
+    first, second, third, fourth = world.sent
+    assert (first, "data", 2, "receiver_left_listening") in world.collisions
+    assert (second, "data", 2, "overlap") in world.collisions
+    # asleep when the third frame began and woken under it: never received
+    assert not [o for o in world.rx + world.collisions if o[0] == third and o[2] == 2]
+    assert (fourth, "data", 2) in world.rx
+    world = drive(LINE, LINE_PROXY, True, JAMMED)
+    first, second, third = world.sent
+    assert {c[2:] for c in world.collisions if c[0] == first} == {
+        (1, "fault-degraded"), (2, "fault-degraded"), (4, "fault-degraded")
+    }
+    # the second overlaps the jammed first at 2; the jam's reason stays first
+    assert (second, "data", 2, "overlap") in world.collisions
+    assert (third, "data", 2) in world.rx
 
 
 def test_a_bystander_of_a_mac_exchange_is_never_called():
