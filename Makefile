@@ -1,7 +1,8 @@
 # MobiQuery reproduction — common developer entry points.
 #
 #   make test            tier-1 unit/integration tests + the bench contract
-#   make bench-smoke     the two CI benchmark smokes (fig4 + multi-user scaling)
+#   make bench-smoke     the three CI benchmark smokes (fig4, multi-user
+#                        scaling, fig8 power)
 #   make bench           every benchmark (regenerates all paper figures, slow)
 #   make ledger          ten seeds of every bench/ workload into
 #                        bench/out/ledger.json (input of `bench compare`)
@@ -58,7 +59,7 @@ examples-smoke:
 	done; echo "all examples OK"
 
 bench-smoke:
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/test_fig4_success_ratio.py benchmarks/test_multiuser_scaling.py
+	PYTHONPATH=src $(PY) -m pytest -q benchmarks/test_fig4_success_ratio.py benchmarks/test_multiuser_scaling.py benchmarks/test_fig8_power.py
 
 bench:
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/

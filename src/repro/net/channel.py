@@ -33,32 +33,45 @@ happens about once per frame; state written forty to a hundred times more
 often than it is read is cheaper computed at the read.  (The counters live
 on as the test oracle ``tests/carrier_sense_oracle.py``.)
 
-Receptions are **batched per frame**: one :class:`BroadcastReception`
-record carries the whole listener cohort in parallel arrays (receiver
-refs, corrupt flags, corruption reasons), and a single end-of-airtime
-kernel event resolves every receiver in a batch loop.  Every reception is
-paid for there — radio, energy, an ``rx`` or ``collision`` outcome — but
-only a broadcast's clean receivers and a unicast frame's addressee are
-handed the frame (``deliver_frame``); a bystander's MAC would drop it at
-its first comparison, so the channel does not make the call.  Per-radio
-reception state collapses to a counter plus a pointer to the radio's unique
-still-clean reception (two overlapping frames corrupt each other, so at
-most one in-flight reception per radio is ever clean — see
-:class:`~repro.net.radio.Radio`); corruption by overlap or by the receiver
-leaving a listening state flips the flag in the record's arrays directly.
-(The object-per-reception semantics this replaced live on as the test
-oracle ``tests/reception_oracle.py``.)
+Every listener in range pays for a frame — the paper's Fig. 8 power is the
+RX time of every radio that heard something — but only a broadcast's
+listeners and a unicast frame's addressee act on it.  **A unicast frame's
+bystanders are counted, not received**: the channel begins a reception at
+the readers (every listener of a broadcast, the addressee of a unicast
+frame) and nowhere else.  One :class:`BroadcastReception` record per frame
+carries the readers' receptions in parallel arrays (receiver refs, corrupt
+flags, corruption reasons) next to the frame's cohort (the sender's static
+listener tuple, the mobiles it heard) and its index in ``frames_sent``, and
+a single end-of-airtime kernel event resolves the frame in two batch loops:
+one over the cohort that counts each bystander — a member listening since
+before the frame began with no reception begun, which therefore heard it
+whole and alone — and adds the airtime to its meter's ``bystander_s``, and
+one over the begun receptions (radio, energy, ``rx`` / ``collision``
+outcome, and ``deliver_frame`` for a reader).  Per-radio reception state is
+a counter of begun receptions plus a pointer to the radio's unique
+still-clean one (two overlapping frames corrupt each other, so at most one
+in-flight reception per radio is ever clean — see
+:class:`~repro.net.radio.Radio`), and ``Radio._bystander_since``, the
+``frames_sent`` value since which it has been a possible bystander.
+
+A bystander's reception is begun after all — at its radio, as of the
+frame's start — only where something would tell the difference: a second
+frame starting in range of it (found from the in-flight list: only a frame
+sent within ``2 Rc`` can share a listener with the new one), its radio
+leaving a listening state, or a read of its meter.  Its outcome, RX time,
+``rx_count`` and counters are then exactly those of the object-per-reception
+model this replaced, which lives on as the test oracle
+``tests/reception_oracle.py``; trace records are kept for readers only,
+bystanders' outcomes are ticked.  State beyond the frames in flight: none.
 
 There is **one reception path, one join body and one mobile-listener
-lookup**: ``transmit`` begins the cohort in ``_begin_reception`` and the
-end-of-airtime event resolves it in ``_finish_transmission``, both plain
-loops over plain :class:`~repro.net.radio.Radio` objects.  A frame starts
-about as many receptions at proxies as at sensor nodes once a fleet is
-registered, so a mobile listener is made to cost what a static one does:
-``_begin_reception`` first collects the mobiles in range, then runs a single
-loop over the static listeners followed by those mobiles, and that loop's
-inlined body (overlap corruption, clean-slot tracking, IDLE->RX with its
-energy step) is the only place a reception begins.
+lookup**: ``transmit`` begins the readers' receptions in
+``_begin_reception`` and the end-of-airtime event resolves the frame in
+``_finish_transmission``.  ``_begin_reception`` first collects the mobiles
+in range (the cohort's second half), then finds the members still
+receiving another frame, and its join loop's inlined body (overlap
+corruption, clean-slot tracking, IDLE->RX with its energy step) is the
+only place a reception begins at its frame's start.
 
 Mobile listeners come from a **reach-bounded cell index**: a dict from grid
 cell (side ``comm_range / 2``) to the proxies whose *reach disk* —
@@ -107,7 +120,7 @@ from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from .energy import RadioState
 from .packet import BROADCAST, Frame
-from .radio import Radio
+from .radio import NEVER, Radio
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..mobility.path import MotionPiece
@@ -143,9 +156,10 @@ class ChannelEndpoint(Protocol):
     def deliver_frame(self, frame: Frame) -> None:
         """Hand a successfully received frame to the endpoint's MAC.
 
-        Called for broadcast frames and frames addressed to ``node_id``; a
-        clean reception of somebody else's unicast frame or ACK costs the
-        radio its airtime and is counted, but is not delivered.
+        Called for broadcast frames and frames addressed to ``node_id``.
+        Somebody else's unicast frame or ACK is not received here at all:
+        the endpoint is a bystander, counted and billed its airtime at the
+        frame's end.
         """
         ...
 
@@ -196,33 +210,56 @@ class _Tracked:
 
 
 class BroadcastReception:
-    """One frame on the air, with its entire listener cohort batched.
+    """One frame on the air: its cohort, and the receptions begun for it.
 
-    The receiver set and per-receiver corruption state live in parallel arrays
-    (``receivers[i]`` / ``corrupt[i]`` / ``reasons[i]``) carried by a
-    single per-frame record, and ONE end-of-airtime kernel event resolves
-    the whole cohort — radio RX end, energy accounting, collision and
-    delivery outcomes — in a batch loop, so kernel events and allocations
-    scale O(frames), not O(frames x listeners).  While it is in
-    ``Channel._active`` the record is also what carrier sense reads: who is
-    sending (``sender_id``), from where (``position``), until when
-    (``end_time``).
+    The receptions the channel begins — every listener's for a broadcast,
+    the addressee's and any overlapped bystander's for a unicast frame —
+    live in parallel arrays (``receivers[i]`` / ``corrupt[i]`` /
+    ``reasons[i]``) carried by this one per-frame record, and ONE
+    end-of-airtime kernel event resolves them and bills the bystanders in a
+    batch loop, so kernel events and allocations scale O(frames), not
+    O(frames x listeners).  The cohort itself is kept as the sender's static
+    listener tuple and the mobiles it heard, with the frame's ``index`` in
+    ``Channel.frames_sent``: a listener of the cohort whose radio has been
+    listening since before that index was listening when the frame began.
+    While it is in ``Channel._active`` the record is also what carrier sense
+    reads: who is sending (``sender_id``), from where (``position``), until
+    when (``end_time``).
     """
 
     __slots__ = (
-        "frame", "sender_id", "position", "end_time",
-        "receivers", "corrupt", "reasons", "on_airtime_end",
+        "frame", "sender_id", "position", "start", "end_time", "index",
+        "statics", "static_radios", "heard", "jammed", "receivers", "corrupt",
+        "reasons", "on_airtime_end",
     )
 
     def __init__(
-        self, frame: Frame, sender_id: int, position: Vec2, end_time: float
+        self,
+        frame: Frame,
+        sender_id: int,
+        position: Vec2,
+        start: float,
+        end_time: float,
+        index: int,
+        statics: Tuple[ChannelEndpoint, ...],
+        static_radios: Tuple[Radio, ...],
+        heard: List[ChannelEndpoint],
     ) -> None:
         self.frame = frame
         self.sender_id = sender_id
         self.position = position
+        self.start = start
         self.end_time = end_time
-        #: endpoints that began receiving this frame, in reception order
-        #: (static listeners in grid-query order, then mobiles)
+        #: ``Channel.frames_sent`` when the frame began
+        self.index = index
+        #: the cohort: static endpoints in range (and their radios), then
+        #: the mobiles in range
+        self.statics = statics
+        self.static_radios = static_radios
+        self.heard = heard
+        #: a fault window corrupted every reception of the frame
+        self.jammed = False
+        #: endpoints whose reception was begun, in reception order
         self.receivers: List[ChannelEndpoint] = []
         #: per-receiver corruption flag, parallel to ``receivers``
         self.corrupt: List[bool] = []
@@ -267,10 +304,10 @@ class Channel:
         #: mobile endpoints by id, in registration order
         self._mobile: Dict[int, _Tracked] = {}
         self._active: List[BroadcastReception] = []
-        #: per static node: its listener endpoints in grid-query order, and
-        #: the node's mobile-index cell
+        #: per static node: its listener endpoints in grid-query order, their
+        #: radios, and the node's mobile-index cell
         self._neighbor_cache: Dict[
-            int, Tuple[Tuple[ChannelEndpoint, ...], _CellKey]
+            int, Tuple[Tuple[ChannelEndpoint, ...], Tuple[Radio, ...], _CellKey]
         ] = {}
         #: descending sentinel ids assigned to in-flight transmissions whose
         #: mobile sender unregistered mid-airtime (see unregister_mobile)
@@ -281,6 +318,13 @@ class Channel:
         #: exact mobile range tests run (work counter: the candidates the
         #: cell index handed to every frame)
         self.mobile_range_tests = 0
+        #: receptions begun at a reader — the addressee of a unicast frame,
+        #: every listener of a broadcast (work counter: a bystander's
+        #: reception is counted, not begun, unless a second frame or a
+        #: state change overlaps it)
+        self.reader_receptions = 0
+        #: squared reach within which two senders can share a listener
+        self._shared_reach_sq = (2.0 * comm_range + _REACH_SLACK_M) ** 2
         # The mobile cell index (module docstring), valid while
         # ``now <= _index_until``: every mobile carries its reach disk and
         # each cell lists the mobiles whose disk touches it, in registration
@@ -303,9 +347,27 @@ class Channel:
         if endpoint.node_id in self._static or endpoint.node_id in self._mobile:
             raise ValueError(f"endpoint {endpoint.node_id} already registered")
         self._static[endpoint.node_id] = endpoint
-        self._grid.insert(endpoint.node_id, endpoint.position_at(0.0))
+        position = endpoint.position_at(0.0)
+        self._grid.insert(endpoint.node_id, position)
+        self._attach(endpoint, (position.x, position.y))
         # New static nodes change neighbourhoods; caches rebuild lazily.
         self._neighbor_cache.clear()
+
+    def _attach(
+        self, endpoint: ChannelEndpoint, xy: Optional[Tuple[float, float]]
+    ) -> None:
+        """Tie the endpoint's radio to this channel.
+
+        Its listening starts now: a frame already on the air never counts
+        it, though it may be in range.
+        """
+        radio = endpoint.radio
+        radio._channel = self
+        radio._endpoint = endpoint
+        radio._xy = xy
+        if radio.listening and not radio._rx_n:
+            radio._bystander_since = self.frames_sent
+        radio.energy.before_read = radio._settle_bystanding
 
     def register_mobile(self, endpoint: ChannelEndpoint) -> None:
         """Register a moving endpoint (the user's proxy).
@@ -328,6 +390,7 @@ class Channel:
                 f"got {speed}"
             )
         tracked = self._mobile[endpoint.node_id] = _Tracked(endpoint)
+        self._attach(endpoint, None)
         now = self.sim.now
         if now <= self._index_until:
             # Last in registration order, so appending keeps lists sorted.
@@ -407,12 +470,14 @@ class Channel:
 
     def _static_cache(
         self, node_id: int
-    ) -> Tuple[Tuple[ChannelEndpoint, ...], _CellKey]:
+    ) -> Tuple[Tuple[ChannelEndpoint, ...], Tuple[Radio, ...], _CellKey]:
         cached = self._neighbor_cache.get(node_id)
         if cached is None:
             position = self._static[node_id].position_at(0.0)
+            listeners = self._static_near(position, node_id)
             cached = (
-                self._static_near(position, node_id),
+                listeners,
+                tuple(endpoint.radio for endpoint in listeners),
                 self._cell_of(position.x, position.y),
             )
             self._neighbor_cache[node_id] = cached
@@ -555,12 +620,14 @@ class Channel:
         # and the sender is already excluded); a mobile sender's footprint
         # is evaluated at its current position.
         if self._static.get(sender_id) is sender:
-            static_listeners, cell = self._static_cache(sender_id)
+            static_listeners, static_radios, cell = self._static_cache(sender_id)
         else:
             static_listeners = self._static_near(position, sender_id)
+            static_radios = tuple(endpoint.radio for endpoint in static_listeners)
             cell = self._cell_of(position.x, position.y)
         record = self._begin_reception(
-            frame, sender_id, position, now + duration, static_listeners, cell, now
+            frame, sender_id, position, now + duration,
+            static_listeners, static_radios, cell, now,
         )
         record.on_airtime_end = on_airtime_end
         jam = self.fault_jam
@@ -578,12 +645,15 @@ class Channel:
         return duration
 
     def _corrupt_cohort(self, record: BroadcastReception, reason: str) -> None:
-        """Corrupt every still-clean reception of one in-flight frame.
+        """Corrupt every reception of one in-flight frame.
 
-        Uses the same per-slot writes as :meth:`Radio.set_state` and
-        releases each radio's clean-slot pointer, preserving the
-        at-most-one-clean-reception invariant the finish loop relies on.
+        The begun ones through the same per-slot writes as
+        :meth:`Radio.set_state`, releasing each radio's clean-slot pointer
+        (the at-most-one-clean-reception invariant the finish loop relies
+        on); the bystanders' by flagging the record, which resolves them as
+        collisions and begins any made real later as corrupt.
         """
+        record.jammed = True
         corrupt = record.corrupt
         reasons = record.reasons
         for i, receiver in enumerate(record.receivers):
@@ -600,14 +670,18 @@ class Channel:
         position: Vec2,
         end_time: float,
         static_listeners: Tuple[ChannelEndpoint, ...],
+        static_radios: Tuple[Radio, ...],
         cell: _CellKey,
         now: float,
     ) -> BroadcastReception:
-        """Begin the frame's receptions: static cohort first, then mobiles.
+        """Begin the frame's receptions at its readers and overlapped radios.
 
-        Static listeners join in grid-query order; mobiles after them in
-        fleet registration order, from the index list of the sender's
-        ``cell`` (every mobile that can be in range during this window).
+        The cohort is the static listeners in grid-query order, then the
+        mobiles in fleet registration order, from the index list of the
+        sender's ``cell`` (every mobile that can be in range during this
+        window).  A broadcast begins a reception at every listening member;
+        a unicast frame at its addressee, and at any member still receiving
+        another frame — the overlap corrupts both.
         """
         if now > self._index_until:
             self._reindex(now)
@@ -619,9 +693,7 @@ class Channel:
         self.mobile_range_tests += len(members)
         # The exact range test, ``_Tracked.xy_at`` inlined: float arithmetic
         # on each candidate's current motion piece, no call and no Vec2
-        # unless the clock has left the piece.  It has no side effects and a
-        # static join cannot change a proxy's ``listening``, so the mobiles
-        # in range are collected first and join below with the static cohort.
+        # unless the clock has left the piece.
         heard: List[ChannelEndpoint] = []
         px, py = position.x, position.y
         r_sq_eps = self.comm_range * self.comm_range + 1e-9
@@ -638,25 +710,38 @@ class Channel:
                 and tracked.node_id != sender_id
             ):
                 heard.append(tracked.endpoint)
-        record = BroadcastReception(frame, sender_id, position, end_time)
+        record = BroadcastReception(
+            frame, sender_id, position, now, end_time, self.frames_sent,
+            static_listeners, static_radios, heard,
+        )
+        busy = self._busy_listeners(static_listeners, heard, px, py) if self._active else []
+        dst = frame.dst
+        if dst == BROADCAST:
+            joiners: Iterable[ChannelEndpoint] = chain(static_listeners, heard)
+        else:
+            joiners = busy
+            addressee = self._addressee(dst, sender_id, px, py, heard)
+            if addressee is not None and addressee.radio.listening:
+                self.reader_receptions += 1
+                if not addressee.radio._rx_n:  # else it is in ``busy``
+                    joiners.append(addressee)
         receivers = record.receivers
         corrupt = record.corrupt
         reasons = record.reasons
         # Reception begin is inlined in the one join loop below (overlap
-        # corruption + IDLE->RX radio/energy transition) — one reception
-        # starts per listening endpoint in range per transmission, the
-        # hottest inner loop in the model.  No per-listener object is
-        # allocated: the cohort's state is appended to the record's parallel
-        # arrays, and each radio tracks only a count plus its single
-        # still-clean reception.
+        # corruption + IDLE->RX radio/energy transition).  No per-listener
+        # object is allocated: the cohort's state is appended to the
+        # record's parallel arrays, and each radio tracks only a count plus
+        # its single still-clean reception.
         rx_state = RadioState.RX
         idle_state = RadioState.IDLE
-        for listener in chain(static_listeners, heard):
+        for listener in joiners:
             radio = listener.radio
             if not radio.listening:
                 continue
-            n = radio.rx_count
-            radio.rx_count = n + 1
+            n = radio._rx_n
+            radio._rx_n = n + 1
+            radio._bystander_since = NEVER
             if n:
                 # Overlap: the newcomer and whatever was still clean at
                 # this radio are both corrupt (first reason wins).
@@ -683,18 +768,155 @@ class Channel:
                     energy._state_since = now
                 energy._state = rx_state
                 energy._state_w = energy.model.rx_w
+        if dst == BROADCAST:
+            self.reader_receptions += len(receivers)
         return record
+
+    def _addressee(
+        self,
+        dst: int,
+        sender_id: int,
+        px: float,
+        py: float,
+        heard: List[ChannelEndpoint],
+    ) -> Optional[ChannelEndpoint]:
+        """The cohort member a unicast frame sent from ``(px, py)`` is for."""
+        if dst == sender_id:
+            return None
+        endpoint = self._static.get(dst)
+        if endpoint is not None:
+            x, y = endpoint.radio._xy
+            sep_x = x - px
+            sep_y = y - py
+            # the grid's own range test, so the same answer as the cohort's
+            if sep_x * sep_x + sep_y * sep_y <= self.comm_range * self.comm_range + 1e-9:
+                return endpoint
+            return None
+        for endpoint in heard:
+            if endpoint.node_id == dst:
+                return endpoint
+        return None
+
+    def _busy_listeners(
+        self,
+        statics: Tuple[ChannelEndpoint, ...],
+        heard: List[ChannelEndpoint],
+        px: float,
+        py: float,
+    ) -> List[ChannelEndpoint]:
+        """Listening members of a new frame's cohort still receiving another.
+
+        Each is found from the in-flight list, and a bystander's reception
+        it was counting is made real first, so that the new frame's join
+        corrupts both.  Only a frame sent within ``2 Rc`` (or, for a mobile,
+        one that heard mobiles too) can share a listener with the new one;
+        without such a frame on the air nobody in the cohort is receiving.
+        """
+        reach_sq = self._shared_reach_sq
+        near = []
+        for record in self._active:
+            tpos = record.position
+            dx = tpos.x - px
+            dy = tpos.y - py
+            if (heard and record.heard) or dx * dx + dy * dy <= reach_sq:
+                near.append(record)
+        if not near:
+            return []
+        busy = []
+        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        spots = [(record, record.index, record.position) for record in near]
+        for endpoint in statics:
+            radio = endpoint.radio
+            since = radio._bystander_since
+            if since == NEVER:
+                if radio._rx_n and radio.listening:
+                    busy.append(endpoint)
+                continue
+            # ``_bystander_frame`` inlined: this runs for a whole cohort
+            x, y = radio._xy
+            for record, index, tpos in spots:
+                if index >= since:
+                    dx = x - tpos.x
+                    dy = y - tpos.y
+                    if dx * dx + dy * dy <= r_sq_eps:
+                        self._join_late(radio, record)
+                        busy.append(endpoint)
+                        break
+        for endpoint in heard:
+            radio = endpoint.radio
+            if radio._bystander_since == NEVER:
+                if radio._rx_n and radio.listening:
+                    busy.append(endpoint)
+                continue
+            record = self._bystander_frame(radio, near)
+            if record is not None:
+                self._join_late(radio, record)
+                busy.append(endpoint)
+        return busy
+
+    def _bystander_frame(
+        self, radio: Radio, records: Iterable[BroadcastReception]
+    ) -> Optional[BroadcastReception]:
+        """The frame of ``records`` (in flight) a possible bystander is
+        hearing: one of its cohort begun since it became a possible
+        bystander."""
+        since = radio._bystander_since
+        xy = radio._xy
+        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        for record in records:
+            if record.index < since:
+                continue
+            if xy is None:
+                endpoint = radio._endpoint
+                if any(member is endpoint for member in record.heard):
+                    return record
+                continue
+            tpos = record.position
+            dx = xy[0] - tpos.x
+            dy = xy[1] - tpos.y
+            if dx * dx + dy * dy <= r_sq_eps:
+                return record
+        return None
+
+    def _join_late(self, radio: Radio, record: BroadcastReception) -> None:
+        """Begin a bystander's reception of ``record`` as of the frame's
+        start: clean unless jammed, and RX since then at the meter."""
+        index = len(record.receivers)
+        record.receivers.append(radio._endpoint)
+        jammed = record.jammed
+        record.corrupt.append(jammed)
+        record.reasons.append("fault-degraded" if jammed else None)
+        if not jammed:
+            radio._rx_record = record
+            radio._rx_index = index
+        radio._rx_n = 1
+        radio._bystander_since = NEVER
+        radio._state = RadioState.RX
+        energy = radio.energy
+        start = record.start
+        elapsed = start - energy._state_since
+        if elapsed > 0:
+            energy._joules += elapsed * energy._state_w
+            energy._idle_s += elapsed
+            energy._state_since = start
+        energy._state = RadioState.RX
+        energy._state_w = energy.model.rx_w
 
     def _finish_transmission(
         self, sender: ChannelEndpoint, record: BroadcastReception
     ) -> None:
-        """End-of-airtime batch event: resolve every receiver of one frame.
+        """End-of-airtime batch event: resolve every reception of one frame.
 
-        One kernel event per frame (scheduled by :meth:`transmit`) walks
-        the record's parallel arrays — reception end, RX->IDLE radio and
-        energy transitions, collision/delivery outcome and upward dispatch
-        all happen in this loop, in the same receiver order the per-object
-        path used, so downstream event sequences are unchanged.
+        One kernel event per frame (scheduled by :meth:`transmit`).  First
+        the bystanders of a unicast frame still counted only on the record:
+        each listening member of the cohort that has been listening since
+        before the frame and has no reception begun heard it whole and alone
+        (anything else would have made its reception real), so it is billed
+        the IDLE interval up to the frame's start and the RX interval of its
+        airtime, the two steps a begun reception takes, and counted.  Then
+        the begun receptions: reception end, RX->IDLE radio and energy
+        transitions, collision/delivery outcome and, for a reader, trace
+        record and upward dispatch, in reception order.
         """
         self._active.remove(record)
         sender.radio.end_transmission()
@@ -705,29 +927,46 @@ class Channel:
         to_all = dst == BROADCAST
         rx_state = RadioState.RX
         idle_state = RadioState.IDLE
+        bystanders = 0
+        if not to_all:
+            index = record.index
+            airtime = now - record.start
+            for radio in record.static_radios:
+                if radio._bystander_since <= index:
+                    bystanders += 1
+                    radio.energy.bystander_s += airtime
+            for listener in record.heard:
+                radio = listener.radio
+                if radio._bystander_since <= index:
+                    bystanders += 1
+                    radio.energy.bystander_s += airtime
         corrupt = record.corrupt
         reasons = record.reasons
         emit_collision = tracer is not None and tracer.wants("collision")
         emit_rx = tracer is not None and tracer.wants("rx")
-        collided = 0
-        delivered = 0
+        collided = delivered = emitted_collisions = emitted_rx = 0
+        sent = self.frames_sent
         for i, receiver in enumerate(record.receivers):
             radio = receiver.radio
-            n = radio.rx_count - 1
-            radio.rx_count = n
-            if not n and radio._state is rx_state:
-                radio._state = idle_state
-                energy = radio.energy
-                elapsed = now - energy._state_since
-                if elapsed > 0:
-                    energy._joules += elapsed * energy._state_w
-                    energy._rx_s += elapsed
-                    energy._state_since = now
-                energy._state = idle_state
-                energy._state_w = energy.model.idle_w
+            n = radio._rx_n - 1
+            radio._rx_n = n
+            if not n and radio.listening:
+                radio._bystander_since = sent
+                if radio._state is rx_state:
+                    radio._state = idle_state
+                    energy = radio.energy
+                    elapsed = now - energy._state_since
+                    if elapsed > 0:
+                        energy._joules += elapsed * energy._state_w
+                        energy._rx_s += elapsed
+                        energy._state_since = now
+                    energy._state = idle_state
+                    energy._state_w = energy.model.idle_w
+            reader = to_all or receiver.node_id == dst
             if corrupt[i]:
                 collided += 1
-                if emit_collision:
+                if emit_collision and reader:
+                    emitted_collisions += 1
                     tracer.emit(
                         "collision",
                         now,
@@ -741,27 +980,30 @@ class Channel:
             # the unique clean one at its radio — release the radio's slot.
             radio._rx_record = None
             delivered += 1
-            if emit_rx:
-                tracer.emit(
-                    "rx",
-                    now,
-                    frame=frame.seq,
-                    frame_kind=frame.kind,
-                    at=receiver.node_id,
-                )
-            # Every clean reception is paid for above; only the addressee's
-            # (or a broadcast's) goes up the stack.
-            if to_all or receiver.node_id == dst:
+            if reader:
+                if emit_rx:
+                    emitted_rx += 1
+                    tracer.emit(
+                        "rx",
+                        now,
+                        frame=frame.seq,
+                        frame_kind=frame.kind,
+                        at=receiver.node_id,
+                    )
                 receiver.deliver_frame(frame)
+        if record.jammed:
+            collided += bystanders
+        else:
+            delivered += bystanders
         self.frames_collided += collided
         self.frames_delivered += delivered
         if tracer is not None:
-            # Batch the unwatched tick counting: one counter bump per frame
-            # instead of one per receiver.
-            if collided and not emit_collision:
-                tracer.tick_many("collision", collided)
-            if delivered and not emit_rx:
-                tracer.tick_many("rx", delivered)
+            # Count what was not emitted in one bump per frame: bystanders'
+            # outcomes always, readers' when nobody watches the kind.
+            if collided > emitted_collisions:
+                tracer.tick_many("collision", collided - emitted_collisions)
+            if delivered > emitted_rx:
+                tracer.tick_many("rx", delivered - emitted_rx)
         callback = record.on_airtime_end
         if callback is not None:
             callback()

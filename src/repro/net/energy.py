@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from ..sim.kernel import Simulator
 
@@ -57,15 +58,20 @@ class EnergyMeter:
     dict lookup on the hot path).
 
     The hottest transitions never call this class at all: the channel's
-    batch begin/finish loops integrate IDLE<->RX directly against the
-    meter's fields for a whole receiver cohort per frame, and
-    ``Radio.set_state`` inlines the general transition — see
+    begin/finish loops integrate IDLE<->RX directly against the meter's
+    fields, and ``Radio.set_state`` inlines the general transition — see
     ``on_state_change`` for the keep-in-sync contract.
+
+    A bystander's reception (somebody else's unicast frame, heard whole and
+    alone) never changes the state here: the channel adds its airtime to
+    ``bystander_s`` at the frame's end, and the readouts move those seconds
+    from IDLE, where the meter integrated them, to RX.  A reception still on
+    the air at a read is first made real by the radio (``before_read``).
     """
 
     __slots__ = (
         "sim", "model", "_state", "_state_w", "_state_since", "_joules",
-        "_tx_s", "_rx_s", "_idle_s", "_sleep_s",
+        "_tx_s", "_rx_s", "_idle_s", "_sleep_s", "bystander_s", "before_read",
     )
 
     def __init__(self, sim: Simulator, model: PowerModel = PAPER_POWER_MODEL) -> None:
@@ -79,16 +85,20 @@ class EnergyMeter:
         self._rx_s = 0.0
         self._idle_s = 0.0
         self._sleep_s = 0.0
+        #: RX seconds of bystander receptions, integrated above as IDLE
+        self.bystander_s = 0.0
+        #: run before every readout: the radio's hook that makes a
+        #: bystander's reception still on the air real (None: nothing to do)
+        self.before_read: Optional[Callable[[], None]] = None
 
     def on_state_change(self, new_state: RadioState) -> None:
         """Close the current state interval and open a new one.
 
-        NOTE: three places inline this logic and must be kept in sync with
+        NOTE: four places inline this logic and must be kept in sync with
         it — :meth:`repro.net.radio.Radio.set_state` (the general
-        transition), and the IDLE->RX / RX->IDLE special cases in the one
-        join loop of ``Channel._begin_reception`` and the resolve loop of
-        ``Channel._finish_transmission``, which every listener of a frame,
-        static or mobile, goes through.
+        transition), the IDLE->RX step of ``Channel._begin_reception``'s join
+        loop and of ``Channel._join_late``, and the RX->IDLE step of
+        ``Channel._finish_transmission``.
         """
         # _settle and the watts lookup are inlined: this fires on every
         # radio transition and the two extra calls are measurable.
@@ -138,10 +148,26 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
+    def readout(self) -> Tuple[float, float, float, float, float]:
+        """``(joules, tx_s, rx_s, idle_s, sleep_s)`` from creation through
+        now, bystander receptions billed as RX."""
+        if self.before_read is not None:
+            self.before_read()
+        self._settle()
+        heard = self.bystander_s
+        model = self.model
+        return (
+            self._joules + heard * (model.rx_w - model.idle_w),
+            self._tx_s,
+            self._rx_s + heard,
+            self._idle_s - heard,
+            self._sleep_s,
+        )
+
     def average_power_w(self) -> float:
         """Mean draw in watts from the meter's creation through now."""
-        self._settle()
+        joules = self.readout()[0]
         total_time = self._tx_s + self._rx_s + self._idle_s + self._sleep_s
         if total_time <= 0:
             return self._state_w
-        return self._joules / total_time
+        return joules / total_time

@@ -7,17 +7,29 @@ frame is delivered only if its receiver stayed in a listening state
 transmission corrupted it.  Falling asleep or starting a transmission
 mid-reception kills the reception — that is how duty cycling destroys naive
 query dissemination in the paper's motivating example.
+
+A radio in range of somebody else's unicast frame is a *bystander*: the
+channel counts its reception and bills its RX time at the frame's end, but
+begins nothing at the radio (see :mod:`repro.net.channel`).  Until something
+reads or changes the radio, that reception lives only on the frame's record;
+``rx_count`` and ``state`` answer for it from the in-flight list, and a
+state change or a meter read first turns it into a real reception, as it
+would have been since the frame began.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import sys
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from .energy import EnergyMeter, PowerModel, RadioState
 
+#: ``Radio._bystander_since`` of a radio that is no possible bystander
+NEVER = sys.maxsize
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .channel import BroadcastReception
+    from .channel import BroadcastReception, Channel
 
 
 class Radio:
@@ -39,9 +51,10 @@ class Radio:
         #: call is measurable; maintained by ``set_state``.
         self.listening = initial_state in (RadioState.IDLE, RadioState.RX)
         self.energy.on_state_change(initial_state)
-        #: number of receptions currently in flight at this radio.  The
-        #: channel and the PSM sleep check read this instead of a list.
-        self.rx_count = 0
+        #: number of real receptions in flight at this radio: begun by the
+        #: channel's join loop or turned real from a bystander's (the
+        #: channel reads this; everyone else reads ``rx_count``)
+        self._rx_n = 0
         # The radio's single still-clean batched reception, as a record
         # reference plus its index in the record's parallel arrays.  Two
         # overlapping frames corrupt each other, so at most one in-flight
@@ -50,13 +63,58 @@ class Radio:
         # the record directly and clear this slot.
         self._rx_record: Optional["BroadcastReception"] = None
         self._rx_index = -1
+        # Set by the channel the owner registers with: the channel, the
+        # endpoint, a static endpoint's fixed ``(x, y)`` (None for a mobile)
+        # and ``Channel.frames_sent`` when the radio last became a possible
+        # bystander — listening, with no reception begun — or ``NEVER``
+        # while it is not one.  A frame of its cohort with an index at or
+        # above that began, and stayed, unheard by anything else here.
+        self._channel: Optional["Channel"] = None
+        self._endpoint: Any = None
+        self._xy: Optional[Tuple[float, float]] = None
+        self._bystander_since = NEVER
 
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
     @property
     def state(self) -> RadioState:
+        """``RX`` while a bystander's reception is on the air, as for any."""
+        if self._state is RadioState.IDLE and self._bystanding() is not None:
+            return RadioState.RX
         return self._state
+
+    @property
+    def rx_count(self) -> int:
+        """Receptions in flight at this radio, a bystander's included.
+
+        Counts every frame that began while the radio listened and has not
+        ended, also one it stopped listening to since — the PSM sleep check
+        waits for this to reach zero.
+        """
+        if self._rx_n:
+            return self._rx_n
+        return 0 if self._bystanding() is None else 1
+
+    def _bystanding(self) -> Optional["BroadcastReception"]:
+        """The frame this radio is a bystander of right now, if any.
+
+        At most one: a second frame beginning at the radio turns the
+        first into a real reception.
+        """
+        if self._bystander_since == NEVER:
+            return None
+        return self._channel._bystander_frame(self, self._channel._active)
+
+    def _settle_bystanding(self) -> None:
+        """Turn a bystander's reception in flight into a real one.
+
+        Run before anything that changes or reads what it has cost: the
+        radio leaving a listening state, a meter read.
+        """
+        record = self._bystanding()
+        if record is not None:
+            self._channel._join_late(self, record)
 
     @property
     def is_sleeping(self) -> bool:
@@ -81,6 +139,10 @@ class Radio:
         if new_state is self._state:
             return
         if new_state is RadioState.TX or new_state is RadioState.SLEEP:
+            if self._bystander_since != NEVER:
+                if self._channel._active:
+                    self._settle_bystanding()
+                self._bystander_since = NEVER
             record = self._rx_record
             if record is not None:
                 # The one still-clean batched reception dies with the
@@ -90,6 +152,8 @@ class Radio:
                 self._rx_record = None
             self.listening = False
         else:
+            if not self.listening and not self._rx_n and self._channel is not None:
+                self._bystander_since = self._channel.frames_sent
             self.listening = True
         self._state = new_state
         # Energy integration inlined (EnergyMeter.on_state_change semantics):

@@ -350,6 +350,16 @@ def _census_run(n_nodes: int, frames: int):
     sim.run(until=30.0)
     assert channel.frames_sent == frames
     assert channel.frames_delivered == frames * (n_nodes - 1)
+    assert channel.reader_receptions == frames * (n_nodes - 1)  # all read
+    before = channel.frames_delivered
+    # then unicast exchanges: data to 1 and its ACK to 0 are read once each,
+    # and every other node of the clique is a bystander of both
+    for _ in range(frames):
+        nodes[0].send(Frame("census", 0, 1, 200))
+    sim.run(until=60.0)
+    assert channel.frames_sent == 3 * frames
+    assert channel.frames_delivered - before == 2 * frames * (n_nodes - 1)
+    assert channel.reader_receptions == frames * (n_nodes - 1) + 2 * frames
     return finish_events, sim.events_executed
 
 
@@ -365,10 +375,25 @@ def test_reception_events_scale_with_frames_not_listeners():
     frames = 40
     finish_small, events_small = _census_run(6, frames)
     finish_large, events_large = _census_run(20, frames)
-    assert finish_small == frames  # O(frames), not O(frames x listeners)
-    assert finish_large == frames
+    assert finish_small == 3 * frames  # O(frames), not O(frames x listeners)
+    assert finish_large == 3 * frames
     assert events_small == events_large
     # Per broadcast frame: one MAC attempt + one end-of-airtime batch
-    # event (the MAC completion rides the latter).  Everything beyond that
-    # would be per-listener leakage.
-    assert events_small <= 2 * frames
+    # event (the MAC completion rides the latter); per unicast exchange at
+    # most three more (the ACK's attempt and airtime end, the ACK timer).
+    # Everything beyond that would be per-listener leakage.
+    assert events_small <= 2 * frames + 4 * frames
+
+
+def test_reader_receptions_match_the_oracle_on_a_fixed_field():
+    """On the delivery oracle's line field: receptions begun at readers are
+    the oracle's, while bystanders hear far more than that."""
+    from .test_net_delivery import LINE, LINE_PROXY, drive
+
+    script = [("unicast", 0, 1), ("wait", 0.02, None), ("ack", 1, 0),
+              ("wait", 0.02, None), ("broadcast", 2, 64), ("wait", 0.02, None),
+              ("unicast", 3, 2), ("wait", 0.02, None)]
+    world = drive(LINE, LINE_PROXY, False, script)
+    # data at 1, ACK at 0, the broadcast at 0, 1, 3 and the proxy, then 2
+    assert world.channel.reader_receptions == world.readers == 1 + 1 + 4 + 1
+    assert world.channel.frames_delivered == 3 + 3 + 4 + 1

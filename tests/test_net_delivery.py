@@ -1,19 +1,29 @@
-"""The channel addresses the frame: who pays for a reception, who is called.
+"""The channel addresses the frame: who is called, who is counted.
 
 Every listener in range of a frame pays for it at the radio — RX time and
 energy, an ``rx`` or ``collision`` outcome, corruption of whatever else it
 was hearing — but only the addressee of a unicast frame (and every clean
-receiver of a broadcast) is handed the frame through ``deliver_frame``.
-Each interleaving below runs through the real channel, over endpoints that
-record their ``deliver_frame`` calls, and through the object-per-reception
-oracle (``tests/reception_oracle.py``) driving one real ``EnergyMeter`` per
-endpoint; counters, trace, radios and meters must agree with the oracle, and
-the calls must be the oracle's clean receptions the frame is addressed to.
+receiver of a broadcast) is handed the frame through ``deliver_frame``, and
+only those readers get a reception begun and a trace record: a unicast
+frame's bystanders are counted, not received.  Each interleaving below runs
+through the real channel, over endpoints that record their ``deliver_frame``
+calls, and through the object-per-reception oracle
+(``tests/reception_oracle.py``) driving one real ``EnergyMeter`` per
+endpoint; counters, tick counts, readers' trace records, receptions begun
+at readers, ``rx_count`` and state after every step, and every meter where
+the script reads it, must agree with the oracle, and the calls must be the
+oracle's clean receptions the frame is addressed to.
 """
 
+import inspect
+import math
+import textwrap
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+
+import repro.net.channel as channel_module
 
 from repro.geometry.vec import Vec2
 from repro.net.channel import Channel
@@ -36,7 +46,7 @@ def rx_seconds(radio, elapsed_s):
     model = radio.energy.model
     surplus_w = radio.energy.average_power_w() - model.idle_w
     return surplus_w * elapsed_s / (model.rx_w - model.idle_w)
-METER_FIELDS = ("_state", "_state_since", "_joules", "_tx_s", "_rx_s", "_idle_s", "_sleep_s")
+READOUT = ("joules", "tx_s", "rx_s", "idle_s", "sleep_s")
 
 
 class Recorder(Endpoint):
@@ -74,7 +84,11 @@ class World:
         }
         self.rx = []  # (frame seq, kind, receiver id), in resolution order
         self.collisions = []  # (frame seq, kind, receiver id, reason)
-        self.readers = 0  # receptions begun at an addressee or for a broadcast
+        # the outcomes at readers — the addressee of a unicast frame, every
+        # listener of a broadcast — which alone leave trace records
+        self.read_rx = []
+        self.read_collisions = []
+        self.readers = 0  # receptions begun at readers
         self.sent = []  # frame seqs in transmission order
         self.expected_calls = []
         self.jamming = False
@@ -128,36 +142,51 @@ class World:
             self.oracle[listener].end_reception(reception)
             self._meter(listener)
             at = listener.node_id
+            reader = frame.is_broadcast or frame.dst == at
             if reception.corrupted:
-                self.collisions.append((frame.seq, frame.kind, at, reception.reason))
+                outcome = (frame.seq, frame.kind, at, reception.reason)
+                self.collisions.append(outcome)
+                if reader:
+                    self.read_collisions.append(outcome)
                 continue
             self.rx.append((frame.seq, frame.kind, at))
-            if frame.is_broadcast or frame.dst == at:
+            if reader:
+                self.read_rx.append((frame.seq, frame.kind, at))
                 self.expected_calls.append((at, frame.seq))
 
     def check_energy(self):
-        """Read every meter (as the power report does) and compare them."""
+        """Read every meter (as the power report does) and compare them.
+
+        A bystander's RX seconds are summed apart from the IDLE interval
+        they fell in and moved at the read, so the totals agree to float
+        rounding: 1e-12 relative (1e-15 absolute for the seconds of a
+        state a radio has hardly been in).
+        """
         for endpoint in self.endpoints:
             meter, reference = endpoint.radio.energy, self.meters[endpoint]
-            assert meter.average_power_w() == reference.average_power_w()
-            for name in METER_FIELDS:
-                assert getattr(meter, name) == getattr(reference, name), (
-                    f"endpoint {endpoint.node_id}: EnergyMeter.{name}"
+            got, want = meter.readout(), reference.readout()
+            for name, a, b in zip(READOUT, got, want):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15), (
+                    f"endpoint {endpoint.node_id}: {name} {a!r} != {b!r}"
                 )
+            assert math.isclose(
+                meter.average_power_w(), reference.average_power_w(), rel_tol=1e-12
+            )
 
     def check(self):
         channel, tracer = self.channel, self.tracer
         assert self.calls == self.expected_calls
         assert channel.frames_delivered == tracer.count("rx") == len(self.rx)
         assert channel.frames_collided == tracer.count("collision") == len(self.collisions)
+        assert channel.reader_receptions == self.readers
         if self.watch:
             assert [
                 (r["frame"], r["frame_kind"], r["at"]) for r in tracer.records("rx")
-            ] == self.rx
+            ] == self.read_rx
             assert [
                 (r["frame"], r["frame_kind"], r["at"], r["reason"])
                 for r in tracer.records("collision")
-            ] == self.collisions
+            ] == self.read_collisions
         else:
             assert tracer.records() == []
         for endpoint in self.endpoints:
@@ -354,6 +383,54 @@ def test_the_named_interleavings_do_what_they_say():
     # the second overlaps the jammed first at 2; the jam's reason stays first
     assert (second, "data", 2, "overlap") in world.collisions
     assert (third, "data", 2) in world.rx
+
+
+#: ROADMAP item 12's named mutations: name -> (method of ``Channel``, text
+#: to replace, replacement)
+MUTATIONS = {
+    "a frame starting mid-reception not checked against pending receptions": (
+        "_begin_reception",
+        "busy = self._busy_listeners(static_listeners, heard, px, py) if self._active else []",
+        "busy = []",
+    ),
+    "a sleeping reader counted clean": (
+        "_begin_reception",
+        "        if not radio.listening:\n            continue\n        n = radio._rx_n",
+        "        n = radio._rx_n",
+    ),
+    "a bystander's RX time dropped": (
+        "_finish_transmission",
+        "bystanders += 1\n                radio.energy.bystander_s += airtime\n"
+        "        for listener in record.heard:",
+        "bystanders += 1\n        for listener in record.heard:",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_property_fails_under_named_mutations(name, monkeypatch):
+    """The property above is strong enough to tell: with any of the three
+    mutants in place the same examples find a counterexample."""
+    method, old, new = MUTATIONS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(Channel, method)))
+    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
+    scope = {}
+    exec(source.replace(old, new), vars(channel_module), scope)
+    monkeypatch.setattr(Channel, method, scope[method])
+
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(**WORLDS)
+    @example(statics=LINE, mobiles=LINE_PROXY, watch=True, script=TX_MID_RECEPTION)
+    @example(statics=LINE, mobiles=LINE_PROXY, watch=False, script=WAKE_IN_FLIGHT)
+    @example(statics=LINE, mobiles=LINE_PROXY, watch=True, script=JAMMED)
+    def mutated(statics, mobiles, watch, script):
+        drive(statics, mobiles, watch, script)
+
+    with pytest.raises(AssertionError):
+        mutated()
 
 
 def test_a_bystander_of_a_mac_exchange_is_never_called():
