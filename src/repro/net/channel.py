@@ -40,8 +40,9 @@ bystanders are counted, not received**: the channel begins a reception at
 the readers (every listener of a broadcast, the addressee of a unicast
 frame) and nowhere else.  One :class:`BroadcastReception` record per frame
 carries the readers' receptions in parallel arrays (receiver refs, corrupt
-flags, corruption reasons) next to the frame's cohort (the sender's static
-listener tuple, the mobiles it heard) and its index in ``frames_sent``, and
+flags, corruption reasons) next to the frame's cohort (the radios of the
+sender's static listeners, the mobiles it heard) and its index in
+``frames_sent``, and
 a single end-of-airtime kernel event resolves the frame in two batch loops:
 one over the cohort that counts each bystander — a member listening since
 before the frame began with no reception begun, which therefore heard it
@@ -118,7 +119,7 @@ from ..geometry.grid import SpatialGrid
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
-from .energy import RadioState
+from .energy import IDLE, RX
 from .packet import BROADCAST, Frame
 from .radio import NEVER, Radio
 
@@ -218,10 +219,10 @@ class BroadcastReception:
     ``reasons[i]``) carried by this one per-frame record, and ONE
     end-of-airtime kernel event resolves them and bills the bystanders in a
     batch loop, so kernel events and allocations scale O(frames), not
-    O(frames x listeners).  The cohort itself is kept as the sender's static
-    listener tuple and the mobiles it heard, with the frame's ``index`` in
-    ``Channel.frames_sent``: a listener of the cohort whose radio has been
-    listening since before that index was listening when the frame began.
+    O(frames x listeners).  The cohort itself is kept as the radios of the
+    sender's static listeners and the mobiles it heard, with the frame's
+    ``index`` in ``Channel.frames_sent``: a member that has been a possible
+    bystander since before that index heard the frame whole and alone.
     While it is in ``Channel._active`` the record is also what carrier sense
     reads: who is sending (``sender_id``), from where (``position``), until
     when (``end_time``).
@@ -229,8 +230,8 @@ class BroadcastReception:
 
     __slots__ = (
         "frame", "sender_id", "position", "start", "end_time", "index",
-        "statics", "static_radios", "heard", "jammed", "receivers", "corrupt",
-        "reasons", "on_airtime_end",
+        "static_radios", "heard", "jammed", "receivers", "corrupt", "reasons",
+        "on_airtime_end",
     )
 
     def __init__(
@@ -241,7 +242,6 @@ class BroadcastReception:
         start: float,
         end_time: float,
         index: int,
-        statics: Tuple[ChannelEndpoint, ...],
         static_radios: Tuple[Radio, ...],
         heard: List[ChannelEndpoint],
     ) -> None:
@@ -252,9 +252,8 @@ class BroadcastReception:
         self.end_time = end_time
         #: ``Channel.frames_sent`` when the frame began
         self.index = index
-        #: the cohort: static endpoints in range (and their radios), then
+        #: the cohort: the radios of the static endpoints in range, then
         #: the mobiles in range
-        self.statics = statics
         self.static_radios = static_radios
         self.heard = heard
         #: a fault window corrupted every reception of the frame
@@ -712,7 +711,7 @@ class Channel:
                 heard.append(tracked.endpoint)
         record = BroadcastReception(
             frame, sender_id, position, now, end_time, self.frames_sent,
-            static_listeners, static_radios, heard,
+            static_radios, heard,
         )
         busy = self._busy_listeners(static_listeners, heard, px, py) if self._active else []
         dst = frame.dst
@@ -733,8 +732,6 @@ class Channel:
         # object is allocated: the cohort's state is appended to the
         # record's parallel arrays, and each radio tracks only a count plus
         # its single still-clean reception.
-        rx_state = RadioState.RX
-        idle_state = RadioState.IDLE
         for listener in joiners:
             radio = listener.radio
             if not radio.listening:
@@ -758,15 +755,15 @@ class Channel:
                 radio._rx_record = record
                 radio._rx_index = len(receivers)
             receivers.append(listener)
-            if radio._state is idle_state:
-                radio._state = rx_state
+            if radio._state is IDLE:
+                radio._state = RX
                 energy = radio.energy
                 elapsed = now - energy._state_since
                 if elapsed > 0:
                     energy._joules += elapsed * energy._state_w
                     energy._idle_s += elapsed
                     energy._state_since = now
-                energy._state = rx_state
+                energy._state = RX
                 energy._state_w = energy.model.rx_w
         if dst == BROADCAST:
             self.reader_receptions += len(receivers)
@@ -891,7 +888,7 @@ class Channel:
             radio._rx_index = index
         radio._rx_n = 1
         radio._bystander_since = NEVER
-        radio._state = RadioState.RX
+        radio._state = RX
         energy = radio.energy
         start = record.start
         elapsed = start - energy._state_since
@@ -899,7 +896,7 @@ class Channel:
             energy._joules += elapsed * energy._state_w
             energy._idle_s += elapsed
             energy._state_since = start
-        energy._state = RadioState.RX
+        energy._state = RX
         energy._state_w = energy.model.rx_w
 
     def _finish_transmission(
@@ -925,8 +922,6 @@ class Channel:
         frame = record.frame
         dst = frame.dst
         to_all = dst == BROADCAST
-        rx_state = RadioState.RX
-        idle_state = RadioState.IDLE
         bystanders = 0
         if not to_all:
             index = record.index
@@ -952,15 +947,15 @@ class Channel:
             radio._rx_n = n
             if not n and radio.listening:
                 radio._bystander_since = sent
-                if radio._state is rx_state:
-                    radio._state = idle_state
+                if radio._state is RX:
+                    radio._state = IDLE
                     energy = radio.energy
                     elapsed = now - energy._state_since
                     if elapsed > 0:
                         energy._joules += elapsed * energy._state_w
                         energy._rx_s += elapsed
                         energy._state_since = now
-                    energy._state = idle_state
+                    energy._state = IDLE
                     energy._state_w = energy.model.idle_w
             reader = to_all or receiver.node_id == dst
             if corrupt[i]:

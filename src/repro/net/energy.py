@@ -25,6 +25,15 @@ class RadioState(enum.Enum):
     SLEEP = "sleep"
 
 
+#: The states as plain module constants.  Reading a member off an ``Enum``
+#: class costs about 0.1 us in CPython 3.11 (ten times a global), and radio
+#: transitions read several per call, twice per frame sent.
+TX = RadioState.TX
+RX = RadioState.RX
+IDLE = RadioState.IDLE
+SLEEP = RadioState.SLEEP
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Power draw in watts for each radio state."""
@@ -36,11 +45,11 @@ class PowerModel:
 
     def watts(self, state: RadioState) -> float:
         """Draw for ``state`` in watts."""
-        if state is RadioState.TX:
+        if state is TX:
             return self.tx_w
-        if state is RadioState.RX:
+        if state is RX:
             return self.rx_w
-        if state is RadioState.IDLE:
+        if state is IDLE:
             return self.idle_w
         return self.sleep_w
 
@@ -77,8 +86,8 @@ class EnergyMeter:
     def __init__(self, sim: Simulator, model: PowerModel = PAPER_POWER_MODEL) -> None:
         self.sim = sim
         self.model = model
-        self._state = RadioState.IDLE
-        self._state_w = model.watts(RadioState.IDLE)
+        self._state = IDLE
+        self._state_w = model.watts(IDLE)
         self._state_since = sim.now
         self._joules = 0.0
         self._tx_s = 0.0
@@ -107,22 +116,22 @@ class EnergyMeter:
         if elapsed > 0:
             self._joules += elapsed * self._state_w
             state = self._state
-            if state is RadioState.IDLE:
+            if state is IDLE:
                 self._idle_s += elapsed
-            elif state is RadioState.SLEEP:
+            elif state is SLEEP:
                 self._sleep_s += elapsed
-            elif state is RadioState.RX:
+            elif state is RX:
                 self._rx_s += elapsed
             else:
                 self._tx_s += elapsed
             self._state_since = now
         self._state = new_state
         model = self.model
-        if new_state is RadioState.IDLE:
+        if new_state is IDLE:
             self._state_w = model.idle_w
-        elif new_state is RadioState.SLEEP:
+        elif new_state is SLEEP:
             self._state_w = model.sleep_w
-        elif new_state is RadioState.RX:
+        elif new_state is RX:
             self._state_w = model.rx_w
         else:
             self._state_w = model.tx_w
@@ -133,11 +142,11 @@ class EnergyMeter:
         if elapsed > 0:
             self._joules += elapsed * self._state_w
             state = self._state
-            if state is RadioState.IDLE:
+            if state is IDLE:
                 self._idle_s += elapsed
-            elif state is RadioState.SLEEP:
+            elif state is SLEEP:
                 self._sleep_s += elapsed
-            elif state is RadioState.RX:
+            elif state is RX:
                 self._rx_s += elapsed
             else:
                 self._tx_s += elapsed

@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from ..sim.kernel import Simulator
-from .energy import EnergyMeter, PowerModel, RadioState
+from .energy import IDLE, RX, SLEEP, TX, EnergyMeter, PowerModel, RadioState
 
 #: ``Radio._bystander_since`` of a radio that is no possible bystander
 NEVER = sys.maxsize
@@ -40,7 +40,7 @@ class Radio:
         sim: Simulator,
         owner_id: int,
         power_model: PowerModel,
-        initial_state: RadioState = RadioState.IDLE,
+        initial_state: RadioState = IDLE,
     ) -> None:
         self.sim = sim
         self.owner_id = owner_id
@@ -49,7 +49,7 @@ class Radio:
         #: plain-attribute mirror of ``is_listening`` — the channel reads it
         #: once per potential listener per transmission, where a property
         #: call is measurable; maintained by ``set_state``.
-        self.listening = initial_state in (RadioState.IDLE, RadioState.RX)
+        self.listening = initial_state in (IDLE, RX)
         self.energy.on_state_change(initial_state)
         #: number of real receptions in flight at this radio: begun by the
         #: channel's join loop or turned real from a bystander's (the
@@ -80,8 +80,8 @@ class Radio:
     @property
     def state(self) -> RadioState:
         """``RX`` while a bystander's reception is on the air, as for any."""
-        if self._state is RadioState.IDLE and self._bystanding() is not None:
-            return RadioState.RX
+        if self._state is IDLE and self._bystanding() is not None:
+            return RX
         return self._state
 
     @property
@@ -118,11 +118,11 @@ class Radio:
 
     @property
     def is_sleeping(self) -> bool:
-        return self._state is RadioState.SLEEP
+        return self._state is SLEEP
 
     @property
     def is_transmitting(self) -> bool:
-        return self._state is RadioState.TX
+        return self._state is TX
 
     @property
     def is_listening(self) -> bool:
@@ -138,7 +138,7 @@ class Radio:
         """
         if new_state is self._state:
             return
-        if new_state is RadioState.TX or new_state is RadioState.SLEEP:
+        if new_state is TX or new_state is SLEEP:
             if self._bystander_since != NEVER:
                 if self._channel._active:
                     self._settle_bystanding()
@@ -165,22 +165,22 @@ class Radio:
         if elapsed > 0:
             energy._joules += elapsed * energy._state_w
             state = energy._state
-            if state is RadioState.IDLE:
+            if state is IDLE:
                 energy._idle_s += elapsed
-            elif state is RadioState.SLEEP:
+            elif state is SLEEP:
                 energy._sleep_s += elapsed
-            elif state is RadioState.RX:
+            elif state is RX:
                 energy._rx_s += elapsed
             else:
                 energy._tx_s += elapsed
             energy._state_since = now
         energy._state = new_state
         model = energy.model
-        if new_state is RadioState.IDLE:
+        if new_state is IDLE:
             energy._state_w = model.idle_w
-        elif new_state is RadioState.SLEEP:
+        elif new_state is SLEEP:
             energy._state_w = model.sleep_w
-        elif new_state is RadioState.RX:
+        elif new_state is RX:
             energy._state_w = model.rx_w
         else:
             energy._state_w = model.tx_w
@@ -195,25 +195,25 @@ class Radio:
             RuntimeError: if asleep (a sleeping radio cannot transmit) or
                 already transmitting (the MAC serializes transmissions).
         """
-        if self._state is RadioState.SLEEP:
+        if self._state is SLEEP:
             raise RuntimeError(f"radio {self.owner_id} cannot transmit while asleep")
-        if self._state is RadioState.TX:
+        if self._state is TX:
             raise RuntimeError(f"radio {self.owner_id} is already transmitting")
-        self.set_state(RadioState.TX)
+        self.set_state(TX)
 
     def end_transmission(self) -> None:
         """Return to idle after a transmission (no-op if forced asleep)."""
-        if self._state is RadioState.TX:
-            self.set_state(RadioState.IDLE)
+        if self._state is TX:
+            self.set_state(IDLE)
 
     def sleep(self) -> None:
         """Enter the sleep state (corrupts in-flight receptions)."""
-        self.set_state(RadioState.SLEEP)
+        self.set_state(SLEEP)
 
     def wake(self) -> None:
         """Leave sleep for idle listening.  No effect in TX/RX/IDLE."""
-        if self._state is RadioState.SLEEP:
-            self.set_state(RadioState.IDLE)
+        if self._state is SLEEP:
+            self.set_state(IDLE)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Radio node={self.owner_id} {self._state.value}>"
