@@ -385,8 +385,8 @@ def test_the_named_interleavings_do_what_they_say():
     assert (third, "data", 2) in world.rx
 
 
-#: ROADMAP item 12's named mutations: name -> (method of ``Channel``, text
-#: to replace, replacement)
+#: named mutations of the reader / bystander split: name -> (method of
+#: ``Channel``, text to replace, replacement)
 MUTATIONS = {
     "a frame starting mid-reception not checked against pending receptions": (
         "_begin_reception",
