@@ -104,14 +104,15 @@ fuzz-smoke:
 
 # The serving-layer smoke: boot the daemon, slam it with the rush-hour
 # burst from 4 concurrent clients, drain it with SIGTERM, then prove the
-# recorded submission log replays bit-identically — and that the daemon
+# drained log replays bit-identically, and so does the WAL it was
+# rendered from, whose ops must equal the JSON's — and that the daemon
 # retired every session that ran out (one `retire` op each) and had no
 # proxy left on a channel once drained — and that the slam kept its
 # connections alive: at most two per client identity, one for its
 # submit loop and one for its stream thread.  Artifacts land in
-# SERVE_serve-smoke.json + SLAM_serve-smoke.json.
+# SERVE_serve-smoke.json + SERVE_serve-smoke.wal + SLAM_serve-smoke.json.
 serve-smoke:
-	@rm -f SERVE_serve-smoke.json SLAM_serve-smoke.json; \
+	@rm -f SERVE_serve-smoke.json SERVE_serve-smoke.wal SLAM_serve-smoke.json; \
 	PYTHONPATH=src $(PY) -m repro serve rush-hour-burst --duration 30 \
 		--port $(SERVE_SMOKE_PORT) --time-scale 6 --drain-timeout 120 \
 		--name serve-smoke & \
@@ -134,6 +135,8 @@ serve-smoke:
 	kill -TERM $$SERVE_PID; \
 	wait $$SERVE_PID || exit 1; \
 	PYTHONPATH=src $(PY) -m repro replay SERVE_serve-smoke.json || exit 1; \
+	PYTHONPATH=src $(PY) -m repro replay SERVE_serve-smoke.wal || exit 1; \
+	PYTHONPATH=src $(PY) -c "import json; from repro.serve.log import read_log; w = read_log('SERVE_serve-smoke.wal'); d = json.load(open('SERVE_serve-smoke.json')); assert not w['torn'] and w['scenario'] == d['scenario'], 'WAL header or tail'; assert w['ops'] == d['ops'], 'the WAL and the JSON carry different ops'; print('serve-smoke: the WAL and the JSON carry the same %d ops' % len(d['ops']))" || exit 1; \
 	$(PY) -c "import json; d = json.load(open('SERVE_serve-smoke.json')); s = d['summary']; retires = [op['op'] for op in d['ops']].count('retire'); done = s['sessions']['admitted'] - s['sessions']['cancelled']; assert retires == done > 0, (retires, done); assert s['registered_mobiles'] == 0, s['registered_mobiles']; print('serve-smoke: %d retire ops, one per completed session; 0 registered mobiles after drain' % retires)"; \
 	$(PY) -c "import json; h = json.load(open('SLAM_serve-smoke.json'))['http']; assert max(h['connections_per_client']) <= 2, h; print('serve-smoke: %d requests over %d connections (%s per client)' % (h['requests'], h['connections'], h['connections_per_client']))"
 
@@ -151,11 +154,13 @@ soak-smoke:
 # that absorbs it all with bounded retries + idempotency keys, a SIGKILL
 # mid-flight (no drain, no report), and the proof that the crash-safe
 # WAL's flushed prefix still replays bit-identically.  Artifacts:
+# SERVE_chaos-smoke.scenario.json (the scenario both processes read) +
 # SLAM_chaos-smoke.json + SERVE_chaos-smoke.wal.
+CHAOS_SCENARIO = SERVE_chaos-smoke.scenario.json
 chaos-smoke:
-	@rm -f SERVE_chaos-smoke.wal SLAM_chaos-smoke.json /tmp/chaos_scenario.json; \
-	PYTHONPATH=src $(PY) -c "import json; from repro.api.scenarios import get_scenario; spec = get_scenario('rush-hour-burst').with_overrides(duration_s=24.0, faults={'wire': {'reset_prob': 0.06, 'delay_prob': 0.1, 'delay_s': 0.05, 'error_prob': 0.06, 'truncate_prob': 0.06}}); json.dump(spec.to_dict(), open('/tmp/chaos_scenario.json', 'w'))"; \
-	PYTHONPATH=src $(PY) -m repro serve --file /tmp/chaos_scenario.json \
+	@rm -f SERVE_chaos-smoke.wal SLAM_chaos-smoke.json $(CHAOS_SCENARIO); \
+	PYTHONPATH=src $(PY) -c "import json; from repro.api.scenarios import get_scenario; spec = get_scenario('rush-hour-burst').with_overrides(duration_s=24.0, faults={'wire': {'reset_prob': 0.06, 'delay_prob': 0.1, 'delay_s': 0.05, 'error_prob': 0.06, 'truncate_prob': 0.06}}); json.dump(spec.to_dict(), open('$(CHAOS_SCENARIO)', 'w'))"; \
+	PYTHONPATH=src $(PY) -m repro serve --file $(CHAOS_SCENARIO) \
 		--port $(CHAOS_SMOKE_PORT) --time-scale 4 --wal-flush 2 \
 		--name chaos-smoke & \
 	SERVE_PID=$$!; \
@@ -170,13 +175,13 @@ chaos-smoke:
 		echo "chaos-smoke: daemon never answered /healthz"; \
 		kill $$SERVE_PID 2>/dev/null; exit 1; \
 	fi; \
-	PYTHONPATH=src $(PY) -m repro slam --file /tmp/chaos_scenario.json \
+	PYTHONPATH=src $(PY) -m repro slam --file $(CHAOS_SCENARIO) \
 		--url http://127.0.0.1:$(CHAOS_SMOKE_PORT) --rate 16 --clients 4 \
 		--duration 90 --retries 8 --name chaos-smoke \
 		|| { kill -KILL $$SERVE_PID 2>/dev/null; exit 1; }; \
 	kill -KILL $$SERVE_PID; \
 	wait $$SERVE_PID 2>/dev/null; \
-	PYTHONPATH=src $(PY) -m repro replay --partial SERVE_chaos-smoke.wal
+	PYTHONPATH=src $(PY) -m repro replay SERVE_chaos-smoke.wal
 
 # The approximate-query smoke: run the pinned frontier scenario at both
 # accuracy levels (coarse answers from in-network summaries, exact runs

@@ -25,7 +25,7 @@ import threading
 
 from repro.api.scenarios import get_scenario
 from repro.serve.daemon import ServeApp, make_server
-from repro.serve.log import load_partial_log, verify_partial_log
+from repro.serve.log import read_log, verify_log
 from repro.serve.slam import SlamConfig, run_slam
 
 #: the pinned chaos plan: every wire failure mode on, none overwhelming
@@ -94,7 +94,7 @@ class TestChaosRecovery:
         server.shutdown()
         server.server_close()
         chaos_snapshot = app.chaos.snapshot()
-        data = load_partial_log(wal_path)
+        data = read_log(wal_path)
         emit(_format_drill(report, chaos_snapshot, len(data["ops"])))
 
         # Chaos actually fired (else the drill proved nothing).
@@ -122,6 +122,6 @@ class TestChaosRecovery:
         assert len(data["ops"]) == app.log.flushed_ops
 
         # The flushed prefix replays bit-identically, twice over.
-        ok, first, second = verify_partial_log(data)
+        ok, first, second = verify_log(data)
         assert ok, f"prefix replay diverged:\n{first}\n{second}"
         assert len(first["sessions"]) == len(submits)

@@ -19,14 +19,15 @@ This example walks the whole PR-9 robustness surface in one sitting:
 4. **The crash-safe WAL** — every committed op is appended to
    ``SERVE_<name>.wal`` as it happens.  We SIGKILL the daemon (well:
    stop answering and never drain, the in-process equivalent) and prove
-   the flushed prefix replays bit-identically, twice over.
+   the flushed prefix replays bit-identically, twice over: a WAL carries
+   no fingerprints, so ``verify_log`` compares two replays.
 
 The CLI twin of this script is ``make chaos-smoke``::
 
     repro serve --file chaos_scenario.json --time-scale 4 --wal-flush 2 &
     repro slam  --file chaos_scenario.json --retries 8 --rate 16
     kill -KILL %1                         # no drain, no mercy
-    repro replay --partial SERVE_<name>.wal
+    repro replay SERVE_<name>.wal
 
 Run:
     python examples/chaos_drill.py
@@ -43,11 +44,11 @@ from repro.serve import (
     ServeApp,
     SlamConfig,
     WireError,
-    load_partial_log,
     make_server,
     markdown_table,
+    read_log,
     run_slam,
-    verify_partial_log,
+    verify_log,
 )
 
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "24"))
@@ -131,13 +132,13 @@ def main() -> int:
     # -- the SIGKILL: stop answering, never drain, read the WAL --------
     server.shutdown()
     server.server_close()
-    data = load_partial_log(wal_path)
+    data = read_log(wal_path)
     submits = [op for op in data["ops"] if op["op"] == "submit"]
     unique = len({op["session"] for op in submits})
     print(f"\nWAL after the 'crash': {len(data['ops'])} flushed ops, "
           f"{len(submits)} submits, {unique} unique sessions "
           f"(double-admits: {len(submits) - unique})")
-    ok, first, second = verify_partial_log(data)
+    ok, first, second = verify_log(data)
     if not ok:
         print("PARTIAL REPLAY DIVERGED — determinism broken!")
         return 1

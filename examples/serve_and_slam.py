@@ -10,11 +10,13 @@ generator: it replays a scenario's arrival process at a configured rate
 from N concurrent clients and reports admission/latency/success
 percentiles.
 
-The determinism lever: the daemon records every submission (payload +
-admission decision + arrival time) in an op log.  After the drain this
-script hands that log to ``replay_submission_log`` and checks the
-in-process re-execution reproduces the live run's result fingerprints
-bit for bit — a load test and a determinism proof in one artifact.
+The determinism lever: the daemon appends every submission (payload +
+admission decision + arrival time) to its write-ahead op log as it
+commits.  After the drain this script writes ``SERVE_<name>.json`` (the
+closed log plus the live run's result fingerprints), reads it back with
+``read_log`` and checks with ``verify_log`` that the in-process
+re-execution reproduces those fingerprints bit for bit — a load test and
+a determinism proof in one artifact.
 
 Everything here runs in-process on an ephemeral port; the CLI twin is::
 
@@ -27,8 +29,8 @@ Run:
     python examples/serve_and_slam.py
 """
 
-import json
 import os
+import tempfile
 import threading
 
 from repro.api.scenarios import get_scenario
@@ -38,8 +40,9 @@ from repro.serve import (
     SlamConfig,
     make_server,
     markdown_table,
+    read_log,
     run_slam,
-    verify_submission_log,
+    verify_log,
 )
 
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "30"))
@@ -88,10 +91,8 @@ def main() -> int:
           f"rejected={sessions['rejected']} leak_total={summary['leak_total']}")
 
     # -- the replay proof ----------------------------------------------
-    log = json.loads(
-        json.dumps(app.log.to_dict(fingerprints=summary["fingerprints"]))
-    )
-    ok, recorded, replayed = verify_submission_log(log)
+    path = app.write_log(out_dir=tempfile.mkdtemp())
+    ok, recorded, replayed = verify_log(read_log(path))
     fp = replayed
     print(f"replay {'ok' if ok else 'MISMATCH'}: "
           f"{len(fp['sessions'])} sessions, frames sent={fp['frames_sent']} "

@@ -425,21 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser(
         "replay",
-        help="re-execute a SERVE_<name>.json submission log in-process and "
-        "verify it reproduces the daemon's result fingerprints",
+        help="re-execute a daemon's op log in-process: a drained "
+        "SERVE_<name>.json must reproduce its result fingerprints, a "
+        "SERVE_<name>.wal (a killed daemon's flushed prefix) must replay "
+        "twice bit for bit",
     )
     replay_p.set_defaults(handler=_cmd_replay)
     replay_p.add_argument(
-        "log",
-        help="path to a SERVE_<name>.json log (or a SERVE_<name>.wal "
-        "with --partial)",
-    )
-    replay_p.add_argument(
-        "--partial",
-        action="store_true",
-        help="treat the input as a crash-safe WAL (SERVE_<name>.wal) from "
-        "a killed daemon: replay its flushed prefix twice and verify the "
-        "two executions agree bit for bit",
+        "log", help="path to a SERVE_<name>.json or SERVE_<name>.wal log"
     )
 
     fuzz_p = sub.add_parser(
@@ -875,35 +868,26 @@ def _cmd_slam(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    """Re-execute a daemon's log; ``--partial`` takes a killed daemon's WAL,
-    which carries no fingerprints, and compares two replays of its prefix."""
-    from .serve.log import (
-        load_partial_log,
-        verify_partial_log,
-        verify_submission_log,
-    )
+    """Re-execute a daemon's log: a drained one against its fingerprints, a
+    killed daemon's WAL, which carries none, against a second replay."""
+    from .serve.log import read_log, verify_log
 
-    if args.partial:
-        data = load_partial_log(args.log)
-        ok, before, after = verify_partial_log(data)
-        names = ("first ", "second")
-        mismatch = ("two executions of the flushed WAL prefix diverged — "
-                    "the log is not deterministic")
-    else:
-        data = _load_json_object(args.log)
-        ok, before, after = verify_submission_log(data)
-        if before is None:
-            raise ValueError(
-                f"{args.log} carries no fingerprints to verify against"
-            )
-        names = ("recorded", "replayed")
-        mismatch = "the in-process replay diverged from the live run"
+    log = read_log(args.log)
+    ok, before, after = verify_log(log)
+    partial = log["fingerprints"] is None
     if not ok:
+        if partial:
+            names = ("first ", "second")
+            mismatch = ("two executions of the flushed WAL prefix diverged — "
+                        "the log is not deterministic")
+        else:
+            names = ("recorded", "replayed")
+            mismatch = "the in-process replay diverged from the live run"
         print(f"repro replay: REPLAY MISMATCH: {mismatch}", file=sys.stderr)
         print(f"  {names[0]}: {before}", file=sys.stderr)
         print(f"  {names[1]}: {after}", file=sys.stderr)
         return EXIT_FAILURE
-    kinds = [op.get("op") for op in data.get("ops", [])]
+    kinds = [op.get("op") for op in log["ops"]]
     counts = f"{kinds.count('submit')} submissions, {kinds.count('cancel')} cancels"
     if "retire" in kinds:  # absent from logs older than the retire op
         counts += f", {kinds.count('retire')} retires"
@@ -911,10 +895,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     frames = (f"(sent={after['frames_sent']}, "
               f"collided={after['frames_collided']}, "
               f"delivered={after['frames_delivered']})")
-    if args.partial:
+    if partial:
         tail = (
             " (an unflushed tail line was truncated by the crash, as designed)"
-            if data["wal_truncated_tail"]
+            if log["torn"]
             else ""
         )
         print(f"partial replay ok: flushed prefix of {counts} replays "

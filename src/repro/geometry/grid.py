@@ -58,16 +58,6 @@ class SpatialGrid(Generic[T]):
         self._positions[item] = position
         self._cells[self._cell_of(position)].append((position, item))
 
-    def remove(self, item: T) -> None:
-        """Unregister ``item``.
-
-        Raises:
-            KeyError: if the item is not present.
-        """
-        position = self._positions.pop(item)
-        bucket = self._cells[self._cell_of(position)]
-        bucket[:] = [(p, it) for (p, it) in bucket if it != item]
-
     def __len__(self) -> int:
         return len(self._positions)
 
@@ -135,34 +125,3 @@ class SpatialGrid(Generic[T]):
                     if dx * dx + dy * dy <= r_sq + 1e-9:
                         found.append(item)
         return found
-
-    def nearest(self, center: Vec2) -> T:
-        """The registered item closest to ``center``.
-
-        Searches outward ring by ring; falls back to a full scan only if the
-        grid is sparse relative to the query point.
-
-        Raises:
-            ValueError: if the grid is empty.
-        """
-        if not self._positions:
-            raise ValueError("nearest() on empty grid")
-        # Expanding-ring search: try radius = cell, 2*cell, 4*cell, ...
-        radius = self.cell_size
-        max_radius = self._max_extent(center)
-        while radius <= max_radius * 2:
-            candidates = self.query_disk(center, radius)
-            if candidates:
-                return min(
-                    candidates, key=lambda it: self._positions[it].distance_sq_to(center)
-                )
-            radius *= 2
-        return min(
-            self._positions, key=lambda it: self._positions[it].distance_sq_to(center)
-        )
-
-    def _max_extent(self, center: Vec2) -> float:
-        extent = 0.0
-        for position in self._positions.values():
-            extent = max(extent, position.distance_to(center))
-        return extent if extent > 0 else self.cell_size

@@ -3,7 +3,7 @@
 ``repro serve`` puts any :class:`~repro.api.backend.QueryBackend` behind
 an HTTP/JSON session API with multi-tenant ownership, bounded result
 rings, graceful SIGTERM drain, and a bit-identically replayable
-submission log; ``repro slam`` is the load generator that proves it.
+write-ahead op log; ``repro slam`` is the load generator that proves it.
 """
 
 from .chaos import ChaosAction, WireChaosPlane
@@ -32,11 +32,10 @@ from .log import (
     LOG_FORMAT,
     WAL_FORMAT,
     SubmissionLog,
-    load_partial_log,
+    read_log,
     replay_submission_log,
     result_fingerprints,
-    verify_partial_log,
-    verify_submission_log,
+    verify_log,
 )
 from .ring import ResultRing
 from .slam import SlamConfig, markdown_table, run_slam, write_slam_outputs
@@ -67,19 +66,18 @@ __all__ = [
     "WAL_FORMAT",
     "WireChaosPlane",
     "WireError",
-    "load_partial_log",
     "make_server",
     "map_exception",
     "markdown_table",
     "outcome_to_wire",
     "percentile",
+    "read_log",
     "replay_submission_log",
     "request_from_wire",
     "result_fingerprints",
     "run_serve",
     "run_slam",
     "summarize",
-    "verify_partial_log",
-    "verify_submission_log",
+    "verify_log",
     "write_slam_outputs",
 ]

@@ -34,13 +34,15 @@ per-submit and per-slice walk over sessions, carries the sessions live
 now, not every session ever served.
 
 Determinism: every submit (accepted *and* rejected), cancel **and
-retire** is recorded in the :class:`~repro.serve.log.SubmissionLog`;
-replaying that log in-process reproduces the daemon's sessions and
-physics counters bit for bit.  ``SIGTERM`` drains: new submits get 503,
-live sessions run to completion (bounded by ``--drain-timeout``,
-stragglers are recorded force-cancels), the backend closes into a final
-:class:`~repro.workload.engine.WorkloadResult`, and the log + summary
-land in ``SERVE_<name>.json``.
+retire** is appended to the write-ahead log ``SERVE_<name>.wal`` as it
+commits (:class:`~repro.serve.log.SubmissionLog`; the daemon keeps no
+other record of its ops); replaying that log in-process reproduces the
+daemon's sessions and physics counters bit for bit.  ``SIGTERM`` drains:
+new submits get 503, live sessions run to completion (bounded by
+``--drain-timeout``, stragglers are recorded force-cancels), the backend
+closes into a final :class:`~repro.workload.engine.WorkloadResult`, and
+``SERVE_<name>.json`` renders the closed WAL's ops with the run's
+fingerprints and summary.
 
 Transport: connections persist (HTTP/1.1 keep-alive), so a client pays
 for one TCP connection and one handler thread, not one per request.
@@ -62,7 +64,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import signal
+import tempfile
 import threading
 import time
 from collections import deque
@@ -76,7 +80,7 @@ from ..faults.sweep import leak_census
 from .chaos import WireChaosPlane
 from .edge import EdgeConfig, EdgeGuard
 from .errors import WireError, map_exception
-from .log import SubmissionLog, result_fingerprints
+from .log import LOG_FORMAT, SubmissionLog, read_log, result_fingerprints
 from .ring import ResultRing
 from .wire import outcome_to_wire, request_from_wire, summarize
 
@@ -101,6 +105,11 @@ TOKEN_HEADER = "X-Repro-Token"
 #: the submit-dedup header: a retried POST /sessions with the same key
 #: returns the stored first response instead of double-admitting
 IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
+
+
+def _log_stem(name: str) -> str:
+    """``SERVE_<name>``, the daemon's file stem (``/`` and spaces as ``-``)."""
+    return "SERVE_" + name.replace("/", "-").replace(" ", "-")
 
 
 class _EndpointTimer:
@@ -138,7 +147,8 @@ class ServeApp:
     """The daemon's brain, independent of HTTP: sessions, pump, drain.
 
     Tests drive this object directly; :class:`ServeHandler` is a thin
-    JSON shim over it.
+    JSON shim over it.  Without ``wal_path`` the op log goes to a
+    temporary file the app owns, removed with the app.
     """
 
     def __init__(
@@ -160,6 +170,9 @@ class ServeApp:
         self.time_scale = time_scale
         self.slice_s = slice_s
         self.backend = build_backend(spec)
+        if wal_path is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="repro-serve-")
+            wal_path = os.path.join(self._scratch.name, "ops.wal")
         self.log = SubmissionLog(
             spec, wal_path=wal_path, flush_every=wal_flush_every
         )
@@ -400,7 +413,7 @@ class ServeApp:
             self.sessions[sid] = sess
             # The log needs every admission verdict, in order, to replay
             # the run bit-identically.
-            self.log.record_submit(now, sid, dict(payload), handle.decision)
+            self.log.record_submit(now, sid, payload, handle.decision)
             if not handle.accepted:
                 self._end_session(sess)
                 resp = {
@@ -636,14 +649,18 @@ class ServeApp:
         return self.summary
 
     def write_log(self, out_dir: str = ".", name: Optional[str] = None) -> str:
-        """Write ``SERVE_<name>.json``: the replayable log + summary."""
-        import os
-
+        """Write ``SERVE_<name>.json``: the closed WAL's scenario and ops,
+        the fingerprints their replay must reproduce, and the summary."""
         summary = self.finish()
-        data = self.log.to_dict(fingerprints=summary["fingerprints"])
-        data["summary"] = summary
-        safe = (name or self.spec.name).replace("/", "-").replace(" ", "-")
-        path = os.path.join(out_dir, f"SERVE_{safe}.json")
+        log = read_log(self.log.wal_path)
+        data = {
+            "format": LOG_FORMAT,
+            "scenario": log["scenario"],
+            "ops": log["ops"],
+            "fingerprints": summary["fingerprints"],
+            "summary": summary,
+        }
+        path = os.path.join(out_dir, _log_stem(name or self.spec.name) + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -879,8 +896,8 @@ def run_serve(
     """The blocking ``repro serve`` entrypoint: serve until SIGTERM/SIGINT.
 
     Always writes the crash-safe WAL (``SERVE_<name>.wal``) as ops
-    commit, so even a SIGKILL'd daemon leaves a replayable flushed
-    prefix behind for ``repro replay --partial``.
+    commit, so even a SIGKILL'd daemon leaves a flushed prefix behind
+    that ``repro replay`` proves.
 
     Daemon posture defaults come from the *scenario*: when ``edge`` /
     ``wal_flush_every`` are not passed (CLI flags override), the spec's
@@ -891,8 +908,6 @@ def run_serve(
     Returns the process exit code: 0 on a clean drain with a leak-free
     census, 3 (EXIT_FAILURE) when residual protocol state survived.
     """
-    import os
-
     from .errors import EXIT_FAILURE
 
     if edge is None:
@@ -903,8 +918,7 @@ def run_serve(
         )
     if wal_flush_every is None:
         wal_flush_every = spec.wal_flush
-    safe = (name or spec.name).replace("/", "-").replace(" ", "-")
-    wal_path = os.path.join(out_dir, f"SERVE_{safe}.wal")
+    wal_path = os.path.join(out_dir, _log_stem(name or spec.name) + ".wal")
     app = ServeApp(
         spec,
         ring_capacity=ring_capacity,

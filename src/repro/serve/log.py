@@ -1,4 +1,4 @@
-"""The daemon's submission log — and the replay that proves the wire.
+"""The daemon's op log — and the replay that proves the wire.
 
 Every request the daemon accepts *or rejects*, and every session it
 retires, is appended as one op: ``("submit", sim_now, payload,
@@ -17,25 +17,26 @@ collides or carrier-senses, so replay releases it at the same instant.
 A log written before the daemon retired sessions has no such op and
 replays as it always did.)
 
-``repro replay SERVE_<name>.json`` runs :func:`verify_submission_log`
-to check a recorded run's fingerprints — the wire layer provably adds
-no physics.
+One writer: :class:`SubmissionLog` appends each op to a JSONL
+write-ahead log (``SERVE_<name>.wal``: a header line with the scenario,
+then one line per op) as it commits, fsync'd every ``flush_every`` ops,
+and keeps nothing in memory.  A SIGKILL'd daemon leaves a readable
+flushed prefix on disk; a drained one renders the closed WAL, with the
+run's fingerprints and summary, as ``SERVE_<name>.json``.
 
-Crash safety: when constructed with ``wal_path``, the log doubles as an
-append-on-commit write-ahead log — every recorded op is appended as one
-JSON line and fsync'd every ``flush_every`` ops, so a SIGKILL'd daemon
-leaves a readable flushed prefix on disk.  ``repro replay --partial``
-loads that prefix with :func:`load_partial_log` (tolerating a line
-truncated mid-write by the crash) and :func:`verify_partial_log` proves
-it replays bit-identically: no recorded fingerprints survive a SIGKILL,
-so the proof replays the prefix twice and compares.
+One reader: :func:`read_log` takes either file, and :func:`verify_log`
+proves it — ``repro replay`` runs both.  A drained log carries the live
+run's fingerprints and one replay must reproduce them; a WAL carries
+none (nothing survives a SIGKILL but the ops), so the proof replays its
+prefix twice and compares.  Either way the wire layer provably adds no
+physics.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, Tuple
 
 from ..api.admission import AdmissionDecision
 from ..api.backend import BackendStats
@@ -75,66 +76,44 @@ def result_fingerprints(
 
 
 class SubmissionLog:
-    """Ordered record of every op a live daemon applied to its backend.
+    """The daemon's op log: a JSONL write-ahead log, appended as ops commit.
 
-    With ``wal_path`` set the record is also crash-safe: ops are
-    appended to a JSONL write-ahead log as they commit and fsync'd every
+    The file is the only record of the ops.  They are fsync'd every
     ``flush_every`` ops (the durability/throughput dial).  Callers hold
-    the daemon's app lock around ``record_*``, so the WAL needs no lock
+    the daemon's app lock around ``record_*``, so the file needs no lock
     of its own.
     """
 
     def __init__(
-        self,
-        spec: ScenarioSpec,
-        wal_path: Optional[str] = None,
-        flush_every: int = 1,
+        self, spec: ScenarioSpec, wal_path: str, flush_every: int = 1
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        self.spec = spec
-        self.ops: List[Dict] = []
         self.wal_path = wal_path
         self.flush_every = int(flush_every)
-        self._wal: Optional[TextIO] = None
-        self._written = 0
-        self._unflushed = 0
-        #: how many ops are durably on disk (survive SIGKILL)
+        #: ops written so far, and how many of them are durably on disk
+        #: (survive SIGKILL)
+        self.written_ops = 0
         self.flushed_ops = 0
-        if wal_path is not None:
-            self._wal = open(wal_path, "w", encoding="utf-8")
-            self._wal.write(
-                json.dumps(
-                    {"format": WAL_FORMAT, "scenario": spec.to_dict()},
-                    sort_keys=True,
-                )
-                + "\n"
+        self._wal = open(wal_path, "w", encoding="utf-8")
+        self._wal.write(
+            json.dumps(
+                {"format": WAL_FORMAT, "scenario": spec.to_dict()},
+                sort_keys=True,
             )
-            self._flush_wal()
+            + "\n"
+        )
+        self._flush()
 
-    def _append_wal(self, op: Dict) -> None:
-        if self._wal is None:
-            return
-        self._wal.write(json.dumps(op, sort_keys=True) + "\n")
-        self._written += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self._flush_wal()
-
-    def _flush_wal(self) -> None:
-        if self._wal is None:
-            return
+    def _flush(self) -> None:
         self._wal.flush()
         os.fsync(self._wal.fileno())
-        self.flushed_ops = self._written
-        self._unflushed = 0
+        self.flushed_ops = self.written_ops
 
     def close_wal(self) -> None:
         """Final flush + close (clean shutdown; a SIGKILL never gets here)."""
-        if self._wal is not None:
-            self._flush_wal()
-            self._wal.close()
-            self._wal = None
+        self._flush()
+        self._wal.close()
 
     def record_submit(
         self,
@@ -148,7 +127,7 @@ class SubmissionLog:
                 "op": "submit",
                 "now": now,
                 "session": session,
-                "payload": dict(payload),
+                "payload": payload,
                 "decision": decision_to_dict(decision),
             }
         )
@@ -160,33 +139,20 @@ class SubmissionLog:
         self._record({"op": "retire", "now": now, "session": session})
 
     def _record(self, op: Dict) -> None:
-        self.ops.append(op)
-        self._append_wal(op)
-
-    def to_dict(self, fingerprints: Optional[Dict] = None) -> Dict:
-        data = {
-            "format": LOG_FORMAT,
-            "scenario": self.spec.to_dict(),
-            "ops": list(self.ops),
-        }
-        if fingerprints is not None:
-            data["fingerprints"] = fingerprints
-        return data
+        self._wal.write(json.dumps(op, sort_keys=True) + "\n")
+        self.written_ops += 1
+        if self.written_ops - self.flushed_ops >= self.flush_every:
+            self._flush()
 
 
 def replay_submission_log(data: Dict) -> Dict:
-    """Re-execute a recorded run in-process; return its fingerprints.
+    """Re-execute a log read by :func:`read_log`; return its fingerprints.
 
     Deterministic: the same log always yields the same fingerprints,
     and they match the live daemon's — that is the acceptance test.
     """
-    if data.get("format") != LOG_FORMAT:
-        raise ValueError(
-            f"unsupported log format {data.get('format')!r}; "
-            f"expected {LOG_FORMAT!r}"
-        )
     spec = ScenarioSpec.from_dict(data["scenario"])
-    ops = list(data.get("ops", ()))
+    ops = data["ops"]
     decisions = [
         decision_from_dict(op["decision"]) for op in ops if op["op"] == "submit"
     ]
@@ -213,86 +179,71 @@ def replay_submission_log(data: Dict) -> Dict:
     return result_fingerprints(workload, backend.stats())
 
 
-def load_partial_log(path: str) -> Dict:
-    """Read a (possibly SIGKILL-truncated) WAL into replayable log form.
+def read_log(path: str) -> Dict:
+    """Read a drained ``SERVE_<name>.json`` or a ``SERVE_<name>.wal``.
 
-    The header line must parse — a WAL whose very first fsync never
-    landed is unreadable and raises ``ValueError``.  Op lines are read
-    until the first one that does not parse: a crash can only truncate
-    the *tail* of the file (appends are sequential), so everything
-    before the torn line is exactly the flushed prefix.
+    Returns ``{"scenario", "ops", "fingerprints", "torn"}``.  A JSON log
+    must carry the live run's fingerprints.  A WAL carries none
+    (``fingerprints`` is None): its ops are the lines after the header
+    that end in a newline.  Appends are sequential, so a crash can only
+    cut the last line; ``torn`` says one was cut, and it is dropped.
     """
-    header: Optional[Dict] = None
-    ops: List[Dict] = []
-    truncated = False
     with open(path, "r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                entry = json.loads(stripped)
-            except ValueError:
-                truncated = True
-                break
-            if index == 0:
-                if not isinstance(entry, dict) or entry.get("format") != WAL_FORMAT:
-                    raise ValueError(
-                        f"{path} is not a {WAL_FORMAT} write-ahead log "
-                        f"(header: {entry!r})"
-                    )
-                header = entry
-            else:
-                ops.append(entry)
-    if header is None:
-        raise ValueError(f"{path} has no readable WAL header line")
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        header = None
+    if isinstance(header, dict) and header.get("format") == WAL_FORMAT:
+        *complete, tail = body.split("\n")
+        return {
+            "scenario": header["scenario"],
+            "ops": [json.loads(line) for line in complete if line.strip()],
+            "fingerprints": None,
+            "torn": bool(tail.strip()),
+        }
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    if data.get("format") != LOG_FORMAT:
+        raise ValueError(
+            f"unsupported log format {data.get('format')!r}; "
+            f"expected {LOG_FORMAT!r} or {WAL_FORMAT!r}"
+        )
+    if data.get("fingerprints") is None:
+        raise ValueError(f"{path} carries no fingerprints to verify against")
     return {
-        "format": LOG_FORMAT,
-        "scenario": header["scenario"],
-        "ops": ops,
-        "wal_truncated_tail": truncated,
+        "scenario": data["scenario"],
+        "ops": data.get("ops", []),
+        "fingerprints": data["fingerprints"],
+        "torn": False,
     }
 
 
-def verify_partial_log(data: Dict) -> Tuple[bool, Dict, Dict]:
-    """Prove a flushed WAL prefix is deterministic: replay it twice.
+def verify_log(log: Dict) -> Tuple[bool, Dict, Dict]:
+    """Replay a log read by :func:`read_log` and check the result.
 
-    A SIGKILL'd daemon wrote no fingerprints, so there is nothing
-    recorded to compare against — instead the prefix is re-executed
-    through two independently built backends, and bit-identical
-    fingerprints from both is the crash-safety guarantee ``repro
-    replay --partial`` gates on.
+    Returns ``(ok, expected, replayed)``.  ``expected`` is the log's
+    recorded fingerprints; a WAL has none, so it is a first replay
+    through its own backend, and ``replayed`` the second.  The
+    comparison normalises through JSON, so fingerprints read back from
+    disk and freshly computed ones compare exactly.
     """
-    first = replay_submission_log(data)
-    second = replay_submission_log(data)
-    canon_first = json.loads(json.dumps(first))
-    canon_second = json.loads(json.dumps(second))
-    return canon_first == canon_second, first, second
-
-
-def verify_submission_log(data: Dict) -> Tuple[bool, Optional[Dict], Dict]:
-    """Replay a log and compare against its recorded fingerprints.
-
-    Returns ``(ok, recorded, replayed)``; ``recorded`` is None (and
-    ``ok`` False) when the log carries no fingerprints to check against.
-    The comparison normalises through JSON so a log read back from disk
-    and an in-memory one verify identically.
-    """
-    recorded = data.get("fingerprints")
-    replayed = replay_submission_log(data)
-    if recorded is None:
-        return False, None, replayed
-    canon = json.loads(json.dumps(recorded))
-    return canon == json.loads(json.dumps(replayed)), recorded, replayed
+    expected = log["fingerprints"]
+    if expected is None:
+        expected = replay_submission_log(log)
+    replayed = replay_submission_log(log)
+    canon = json.loads(json.dumps(expected))
+    return canon == json.loads(json.dumps(replayed)), expected, replayed
 
 
 __all__ = [
     "LOG_FORMAT",
     "WAL_FORMAT",
     "SubmissionLog",
-    "load_partial_log",
+    "read_log",
     "replay_submission_log",
     "result_fingerprints",
-    "verify_partial_log",
-    "verify_submission_log",
+    "verify_log",
 ]

@@ -20,6 +20,12 @@ session at its last outcome (PR 17) and carry no ``retire`` op: their
 transcripts are the proof that such a log still replays to its recorded
 fingerprints.  ``replay-retired-ok`` replays one that does.
 
+The four ``replay-partial-*`` cases pass no flag since ``repro replay``
+got one reader for both files: the file says whether it is a drained
+log or a WAL.  Their output is unchanged but for
+``replay-partial-not-a-wal``, which now gets the one format error that
+``replay-wrong-format`` gets, naming both formats.
+
 Re-record (only when a behaviour change is intended) with
 ``PYTHONPATH=src python tests/test_cli_fixtures.py``.
 """
@@ -55,8 +61,8 @@ CASES = {
     ],
     "replay-ok": ["replay", "served.json"],
     "replay-retired-ok": ["replay", "served-retired.json"],
-    "replay-partial-ok": ["replay", "--partial", "served.wal"],
-    "replay-partial-torn-tail": ["replay", "--partial", "served-torn.wal"],
+    "replay-partial-ok": ["replay", "served.wal"],
+    "replay-partial-torn-tail": ["replay", "served-torn.wal"],
     "analysis": ["analysis"],
     "topology": ["topology", "--seed", "1"],
     # one failing invocation (or more) per subcommand
@@ -94,8 +100,8 @@ CASES = {
     "replay-wrong-format": ["replay", "not-a-wal.wal"],
     "replay-mismatch": ["replay", "served-tampered.json"],
     "replay-no-fingerprints": ["replay", "served-unsigned.json"],
-    "replay-partial-missing": ["replay", "--partial", "missing.wal"],
-    "replay-partial-not-a-wal": ["replay", "--partial", "not-a-wal.wal"],
+    "replay-partial-missing": ["replay", "missing.wal"],
+    "replay-partial-not-a-wal": ["replay", "not-a-wal.wal"],
     "profile-bad-sort": ["profile", "fig4_jit", "--sort", "bogus"],
     "profile-bad-top": ["profile", "fig4_jit", "--top", "0"],
     "profile-unknown": ["profile", "nope"],

@@ -30,15 +30,6 @@ class TestRegistration:
         assert "a" in grid
         assert "zzz" not in grid
 
-    def test_remove(self, grid):
-        grid.remove("b")
-        assert "b" not in grid
-        assert grid.query_disk(Vec2(5, 5), 1.0) == []
-
-    def test_remove_missing_raises(self, grid):
-        with pytest.raises(KeyError):
-            grid.remove("nope")
-
 
 class TestDiskQueries:
     def test_query_disk_finds_inside_only(self, grid):
@@ -89,21 +80,6 @@ class TestDiskQueries:
                 i for i, p in points.items() if p.distance_to(center) <= radius + 1e-9
             }
             assert set(grid.query_disk(center, radius)) == expected
-
-
-class TestNearest:
-    def test_nearest_basic(self, grid):
-        assert grid.nearest(Vec2(48, 48)) == "c"
-        assert grid.nearest(Vec2(1, 1)) == "a"
-
-    def test_nearest_empty_raises(self):
-        g: SpatialGrid[int] = SpatialGrid(cell_size=5.0)
-        with pytest.raises(ValueError):
-            g.nearest(Vec2(0, 0))
-
-    def test_nearest_far_query_point(self, grid):
-        # query point far outside any populated cell: falls back gracefully
-        assert grid.nearest(Vec2(500, 500)) == "c"
 
 
 class TestExcludingCollection:

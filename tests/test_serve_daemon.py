@@ -15,7 +15,7 @@ from repro.api.scenarios import ScenarioSpec
 from repro.serve.daemon import MAX_BODY_BYTES, ServeApp, make_server
 from repro.serve.client import ServeClient
 from repro.serve.errors import WireError
-from repro.serve.log import verify_submission_log
+from repro.serve.log import read_log, verify_log
 
 
 def tiny_spec(**overrides):
@@ -46,12 +46,16 @@ def finish_and_verify(app):
     assert app.wait_drained(60.0)
     summary = app.finish()
     assert summary["leak_total"] == 0, summary["leaks"]
-    log = json.loads(
-        json.dumps(app.log.to_dict(fingerprints=summary["fingerprints"]))
-    )
-    ok, recorded, replayed = verify_submission_log(log)
+    log = read_log(app.log.wal_path)
+    log["fingerprints"] = summary["fingerprints"]
+    ok, recorded, replayed = verify_log(log)
     assert ok, f"replay diverged:\nlive    {recorded}\nreplay  {replayed}"
     return summary
+
+
+def logged_ops(app):
+    """The ops of a finished app's closed WAL."""
+    return read_log(app.log.wal_path)["ops"]
 
 
 def stream_all(app, token, sid):
@@ -130,11 +134,11 @@ def test_cancel_race_is_idempotent_and_recorded_once():
     for t in threads:
         t.join()
     assert sum(1 for o in outcomes if o["cancelled"]) == 1
-    cancel_ops = [op for op in app.log.ops if op["op"] == "cancel"]
-    assert len(cancel_ops) == 1
     resp = app.results("alice", sid, after=0, wait_s=0.5)
     assert resp["done"] and resp["status"] == "cancelled"
     finish_and_verify(app)
+    cancel_ops = [op for op in logged_ops(app) if op["op"] == "cancel"]
+    assert len(cancel_ops) == 1
 
 
 def test_cancel_after_completion_is_a_noop():
@@ -145,8 +149,8 @@ def test_cancel_after_completion_is_a_noop():
     resp = app.cancel("alice", sid)
     assert resp["cancelled"] is False
     assert resp["status"] == "completed"
-    assert not [op for op in app.log.ops if op["op"] == "cancel"]
     finish_and_verify(app)
+    assert not [op for op in logged_ops(app) if op["op"] == "cancel"]
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +205,7 @@ def test_horizon_passed_is_refused_before_touching_the_backend():
     assert info.value.code == "horizon-passed"
     # Refused up front: nothing recorded, no backend state, replay of the
     # (empty) log trivially matches.
-    assert app.log.ops == []
+    assert app.log.written_ops == 0
     assert app.backend.stats().submitted == 0
 
 
@@ -226,13 +230,13 @@ def test_admission_rejection_is_typed_and_replayable():
     assert second["status"] == "rejected"
     assert second["error"]["code"] == "admission-rejected"
     assert second["reason"]
-    # The rejection is part of the recorded history (it consumed the
-    # admission decision sequence), so replay must reproduce it.
-    assert len([op for op in app.log.ops if op["op"] == "submit"]) == 2
     resp = app.results("bob", second["session"], wait_s=0.2)
     assert resp["done"] and resp["outcomes"] == []
     summary = finish_and_verify(app)
     assert summary["sessions"]["rejected"] == 1
+    # The rejection is part of the recorded history (it consumed the
+    # admission decision sequence), so replay must reproduce it.
+    assert len([op for op in logged_ops(app) if op["op"] == "submit"]) == 2
 
 
 # ----------------------------------------------------------------------

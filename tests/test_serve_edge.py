@@ -6,15 +6,13 @@ RNG draw.  The edge can throttle as hard as it likes without ever
 perturbing the replay identity.
 """
 
-import json
-
 import pytest
 
 from repro.api.scenarios import ScenarioSpec
 from repro.serve.daemon import ServeApp
 from repro.serve.edge import EdgeConfig, EdgeGuard, TokenBucket
 from repro.serve.errors import WireError
-from repro.serve.log import verify_submission_log
+from repro.serve.log import read_log, verify_log
 
 
 def tiny_spec(**overrides):
@@ -143,13 +141,13 @@ def test_daemon_shed_leaves_no_log_op_and_no_backend_submit():
         app.submit("alice", dict(PAYLOAD))
     assert info.value.code == "overloaded"
     # The shed consumed nothing: one log op, one backend submission.
-    assert len(app.log.ops) == 1
+    assert app.log.written_ops == 1
     assert app.backend.stats().submitted == 1
     # An edge-shed invalid payload still never reaches validation state.
     with pytest.raises(WireError) as info:
         app.submit("alice", {"radius_m": -1})
     assert info.value.code == "overloaded"
-    assert len(app.log.ops) == 1
+    assert app.log.written_ops == 1
     # Counters surface in GET /stats.
     app.start()
     edge_stats = app.stats_payload()["server"]["edge"]
@@ -159,10 +157,9 @@ def test_daemon_shed_leaves_no_log_op_and_no_backend_submit():
     app.begin_drain()
     assert app.wait_drained(60.0)
     summary = app.finish()
-    log = json.loads(
-        json.dumps(app.log.to_dict(fingerprints=summary["fingerprints"]))
-    )
-    ok, recorded, replayed = verify_submission_log(log)
+    log = read_log(app.log.wal_path)
+    log["fingerprints"] = summary["fingerprints"]
+    ok, recorded, replayed = verify_log(log)
     assert ok, f"replay diverged:\nlive    {recorded}\nreplay  {replayed}"
 
 

@@ -65,10 +65,7 @@ def wal_lines(path):
 
 def replay(path, capsys):
     """``repro replay <path>``: (exit code, stdout, stderr)."""
-    argv = ["replay", str(path)]
-    if str(path).endswith(".wal"):
-        argv.insert(1, "--partial")
-    code = main(argv)
+    code = main(["replay", str(path)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

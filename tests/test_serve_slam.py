@@ -15,7 +15,7 @@ import pytest
 from repro.api.scenarios import get_scenario
 from repro.cli import main
 from repro.serve.daemon import ServeApp, make_server
-from repro.serve.log import verify_submission_log
+from repro.serve.log import read_log, verify_log
 from repro.serve.slam import (
     SlamConfig,
     markdown_table,
@@ -90,10 +90,9 @@ def test_slam_sustains_the_burst_and_replays(live_daemon, tmp_path):
     summary = app.finish()
     assert summary["leak_total"] == 0, summary["leaks"]
     assert summary["sessions"]["admitted"] == 12
-    log = json.loads(
-        json.dumps(app.log.to_dict(fingerprints=summary["fingerprints"]))
-    )
-    ok, recorded, replayed = verify_submission_log(log)
+    log = read_log(app.log.wal_path)
+    log["fingerprints"] = summary["fingerprints"]
+    ok, recorded, replayed = verify_log(log)
     assert ok, f"replay diverged:\nlive    {recorded}\nreplay  {replayed}"
 
 

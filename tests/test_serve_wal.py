@@ -3,7 +3,7 @@
 The WAL's contract: every committed op is appended before the response
 leaves the daemon, fsynced every ``flush_every`` ops, and a SIGKILL at
 any moment leaves a flushed prefix that replays bit-identically (at
-worst one partially written tail line, which the partial loader drops).
+worst one partially written tail line, which the reader drops).
 Idempotency closes the remaining hole — a committed submit whose
 response died on the wire can be retried without double-admitting.
 """
@@ -16,11 +16,7 @@ from repro.api.admission import AdmissionDecision
 from repro.api.scenarios import ScenarioSpec
 from repro.cli import main
 from repro.serve.daemon import ServeApp
-from repro.serve.log import (
-    SubmissionLog,
-    load_partial_log,
-    verify_partial_log,
-)
+from repro.serve.log import SubmissionLog, read_log, verify_log
 
 
 def tiny_spec(**overrides):
@@ -56,9 +52,9 @@ def test_wal_writes_header_then_ops_and_tracks_flushes(tmp_path):
     log = SubmissionLog(tiny_spec(), wal_path=path, flush_every=2)
     assert log.flushed_ops == 0
     record(log, 1)
-    assert log.flushed_ops == 0  # buffered, below the flush interval
+    assert (log.written_ops, log.flushed_ops) == (1, 0)  # below the interval
     record(log, 2, start=1.0)
-    assert log.flushed_ops == 2
+    assert (log.written_ops, log.flushed_ops) == (2, 2)
     log.close_wal()
     lines = open(path, encoding="utf-8").read().splitlines()
     assert len(lines) == 3
@@ -68,9 +64,9 @@ def test_wal_writes_header_then_ops_and_tracks_flushes(tmp_path):
     assert json.loads(lines[1])["op"] == "submit"
 
 
-def test_wal_flush_every_validation():
+def test_wal_flush_every_validation(tmp_path):
     with pytest.raises(ValueError):
-        SubmissionLog(tiny_spec(), wal_path=None, flush_every=0)
+        SubmissionLog(tiny_spec(), wal_path=str(tmp_path / "x.wal"), flush_every=0)
 
 
 def test_partial_loader_recovers_full_and_truncated_wals(tmp_path):
@@ -80,10 +76,10 @@ def test_partial_loader_recovers_full_and_truncated_wals(tmp_path):
     log.record_cancel(now=3.0, session=1)
     log.close_wal()
 
-    data = load_partial_log(path)
+    data = read_log(path)
     assert [op["op"] for op in data["ops"]] == ["submit", "cancel"]
-    assert not data["wal_truncated_tail"]
-    ok, first, second = verify_partial_log(data)
+    assert data["fingerprints"] is None and not data["torn"]
+    ok, first, second = verify_log(data)
     assert ok and first == second
     assert len(first["sessions"]) == 1
 
@@ -91,10 +87,10 @@ def test_partial_loader_recovers_full_and_truncated_wals(tmp_path):
     raw = open(path, "rb").read()
     with open(path, "wb") as fh:
         fh.write(raw[: len(raw) - 7])
-    data = load_partial_log(path)
+    data = read_log(path)
     assert [op["op"] for op in data["ops"]] == ["submit"]
-    assert data["wal_truncated_tail"]
-    ok, first, second = verify_partial_log(data)
+    assert data["torn"]
+    ok, first, second = verify_log(data)
     assert ok, f"prefix replay diverged:\n{first}\n{second}"
 
 
@@ -102,15 +98,15 @@ def test_partial_loader_rejects_missing_or_alien_headers(tmp_path):
     empty = tmp_path / "empty.wal"
     empty.write_text("")
     with pytest.raises(ValueError):
-        load_partial_log(str(empty))
+        read_log(str(empty))
     alien = tmp_path / "alien.wal"
     alien.write_text('{"format": "something-else/9"}\n')
     with pytest.raises(ValueError):
-        load_partial_log(str(alien))
+        read_log(str(alien))
     garbage = tmp_path / "garbage.wal"
     garbage.write_text("not json at all\n")
     with pytest.raises(ValueError):
-        load_partial_log(str(garbage))
+        read_log(str(garbage))
 
 
 # ----------------------------------------------------------------------
@@ -124,13 +120,13 @@ def test_abandoned_daemon_wal_replays_bit_identically(tmp_path):
     app.cancel("bob", second["session"])
     # No drain, no finish, no close — the process "dies" here.  Every op
     # was flushed (flush_every=1), so the whole log is the prefix.
-    data = load_partial_log(path)
+    data = read_log(path)
     assert [op["op"] for op in data["ops"]] == ["submit", "submit", "cancel"]
     submits = [op for op in data["ops"] if op["op"] == "submit"]
     assert {op["session"] for op in submits} == {
         first["session"], second["session"],
     }
-    ok, a, b = verify_partial_log(data)
+    ok, a, b = verify_log(data)
     assert ok, f"prefix replay diverged:\n{a}\n{b}"
 
 
@@ -138,10 +134,10 @@ def test_cli_replay_partial_exit_codes(tmp_path, capsys):
     path = str(tmp_path / "SERVE_cli.wal")
     app = ServeApp(tiny_spec(), time_scale=0.0, wal_path=path, wal_flush_every=1)
     app.submit("alice", dict(PAYLOAD))
-    assert main(["replay", "--partial", path]) == 0
+    assert main(["replay", path]) == 0
     out = capsys.readouterr().out
     assert "partial replay ok" in out
-    assert main(["replay", "--partial", str(tmp_path / "missing.wal")]) == 2
+    assert main(["replay", str(tmp_path / "missing.wal")]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -153,12 +149,12 @@ def test_duplicate_idempotency_key_returns_same_session_one_log_op():
     replayed = app.submit("alice", dict(PAYLOAD), idempotency_key="alice.1")
     assert replayed == first
     assert replayed is not first  # a defensive copy, not the cached dict
-    assert len(app.log.ops) == 1
+    assert app.log.written_ops == 1
     assert app.backend.stats().submitted == 1
     # A different key is a genuinely new submit.
     third = app.submit("alice", dict(PAYLOAD), idempotency_key="alice.2")
     assert third["session"] != first["session"]
-    assert len(app.log.ops) == 2
+    assert app.log.written_ops == 2
     # Keys are scoped per tenant: bob's "alice.1" is his own.
     fourth = app.submit("bob", dict(PAYLOAD), idempotency_key="alice.1")
     assert fourth["session"] != first["session"]
@@ -192,7 +188,7 @@ def test_rejected_verdicts_are_cached_by_idempotency_key_too():
     # its key must return the cached verdict, not re-ask admission.
     again = app.submit("alice", dict(payload), idempotency_key="a.2")
     assert again == rejected
-    assert len(app.log.ops) == 2
+    assert app.log.written_ops == 2
     app.start()
     app.begin_drain()
     assert app.wait_drained(60.0)
