@@ -18,10 +18,10 @@ fails if
   follows them too: before sessions were retired at their last outcome,
   block 10 took five times as long as block 1);
 * RSS grows by more than ``RSS_KB_PER_SESSION`` per session.  RSS is *not*
-  flat yet: the handle (with its closed gateway and delivery records), ring
-  and log ops of every session ever served are kept until they get a TTL,
-  about 16 KB a session since a torn-down handle drops its proxy, and that
-  swamps what the world itself holds — the census above is what watches
+  flat yet: the handle (with its closed gateway and delivery records) and
+  ring of every session ever served are kept until they get a TTL, about
+  14 KB a session (the log's ops are on disk only), and that swamps what
+  the world itself holds — the census above is what watches
   the world; this bound only catches a session starting to retain more
   than it does today.
 
@@ -167,7 +167,7 @@ def soak(sessions: int) -> int:
         1e3 * (samples[-1][5] - early[-1][5]) / max(1, samples[-1][0] - early[-1][0])
     )
     print(f"rss after warm-up: {kb_per_session:+.1f} KB per session "
-          f"(bound {RSS_KB_PER_SESSION:g}; handles, rings and log ops are kept)")
+          f"(bound {RSS_KB_PER_SESSION:g}; handles and rings are kept)")
     if kb_per_session > RSS_KB_PER_SESSION:
         problems.append(f"rss grew {kb_per_session:.1f} KB per session")
     for problem in problems:

@@ -80,7 +80,7 @@ from ..faults.sweep import leak_census
 from .chaos import WireChaosPlane
 from .edge import EdgeConfig, EdgeGuard
 from .errors import WireError, map_exception
-from .log import LOG_FORMAT, SubmissionLog, read_log, result_fingerprints
+from .log import SubmissionLog, render_log, result_fingerprints
 from .ring import ResultRing
 from .wire import outcome_to_wire, request_from_wire, summarize
 
@@ -651,15 +651,7 @@ class ServeApp:
     def write_log(self, out_dir: str = ".", name: Optional[str] = None) -> str:
         """Write ``SERVE_<name>.json``: the closed WAL's scenario and ops,
         the fingerprints their replay must reproduce, and the summary."""
-        summary = self.finish()
-        log = read_log(self.log.wal_path)
-        data = {
-            "format": LOG_FORMAT,
-            "scenario": log["scenario"],
-            "ops": log["ops"],
-            "fingerprints": summary["fingerprints"],
-            "summary": summary,
-        }
+        data = render_log(self.log.wal_path, self.finish())
         path = os.path.join(out_dir, _log_stem(name or self.spec.name) + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)

@@ -22,7 +22,8 @@ write-ahead log (``SERVE_<name>.wal``: a header line with the scenario,
 then one line per op) as it commits, fsync'd every ``flush_every`` ops,
 and keeps nothing in memory.  A SIGKILL'd daemon leaves a readable
 flushed prefix on disk; a drained one renders the closed WAL, with the
-run's fingerprints and summary, as ``SERVE_<name>.json``.
+run's fingerprints and summary, as ``SERVE_<name>.json``
+(:func:`render_log`).
 
 One reader: :func:`read_log` takes either file, and :func:`verify_log`
 proves it — ``repro replay`` runs both.  A drained log carries the live
@@ -221,6 +222,20 @@ def read_log(path: str) -> Dict:
     }
 
 
+def render_log(wal_path: str, summary: Dict) -> Dict:
+    """The drained log ``SERVE_<name>.json`` holds: the closed WAL's
+    scenario and ops, the fingerprints their replay must reproduce, and
+    the daemon's summary."""
+    log = read_log(wal_path)
+    return {
+        "format": LOG_FORMAT,
+        "scenario": log["scenario"],
+        "ops": log["ops"],
+        "fingerprints": summary["fingerprints"],
+        "summary": summary,
+    }
+
+
 def verify_log(log: Dict) -> Tuple[bool, Dict, Dict]:
     """Replay a log read by :func:`read_log` and check the result.
 
@@ -243,6 +258,7 @@ __all__ = [
     "WAL_FORMAT",
     "SubmissionLog",
     "read_log",
+    "render_log",
     "replay_submission_log",
     "result_fingerprints",
     "verify_log",
