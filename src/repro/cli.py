@@ -524,7 +524,7 @@ def _resolve_spec(args: argparse.Namespace, what: str = "scenario"):
     )
 
 
-def _load_json_object(path: str, holds: str = "a JSON object") -> dict:
+def _load_json_object(path: str, holds: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
