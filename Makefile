@@ -198,4 +198,4 @@ approx-smoke:
 profile:
 	PYTHONPATH=src $(PY) -m repro profile $(SCENARIO) $(ARGS)
 
-check: test bench-smoke examples-smoke soak-smoke
+check: test bench-smoke examples-smoke soak-smoke approx-smoke

@@ -28,7 +28,7 @@ Subpackages:
   (submit/stream/cancel sessions, heterogeneous per-user queries),
   admission control, and the declarative scenario registry.
 * ``repro.sim`` — event kernel, RNG streams, tracing.
-* ``repro.geometry`` — 2-D vectors, circles, spatial grid.
+* ``repro.geometry`` — 2-D vectors, circles, the cell rule, spatial grid.
 * ``repro.net`` — channel, CSMA/CA MAC, 802.11-PSM duty cycling, energy,
   sensor nodes, geographic routing, scoped flooding, synthetic fields.
 * ``repro.power`` — CCP / SPAN / GAF backbone selection.

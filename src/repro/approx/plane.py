@@ -7,6 +7,10 @@ at zero additional frames.  The plane keeps those partials at
 :data:`NUM_LEVELS` nested grid resolutions over the deployment region
 and answers a query disk by composing the cells that cover it.
 
+Its cells are :mod:`repro.geometry.grid`'s, from the region's corner (a
+shard's own): a node's cell is clamped to the region, and a disk's window
+carries the one slack, so a cell the disk only grazes still meets the test.
+
 Two refresh paths feed a cell:
 
 * **beacon snapshots** — materialised lazily: when a cell is first
@@ -45,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.query import Aggregation
+from ..geometry.grid import cell_bounds, cell_of, cell_window, gap_sq
 from ..geometry.vec import Vec2
 from ..net.network import Network
 
@@ -143,7 +148,7 @@ class SummaryPlane:
         for level in range(NUM_LEVELS):
             members = self._members[level]
             for node in network.nodes:
-                members.setdefault(self._locate(node.position, level), []).append(
+                members.setdefault(self._cell_at(node.position, level), []).append(
                     node
                 )
         #: live approximate sessions (keyed like all protocol state)
@@ -164,20 +169,14 @@ class SummaryPlane:
         """Characteristic cell size (the larger side) at ``level``."""
         return max(self.cell_extent(level))
 
-    def _locate(self, position: Vec2, level: int) -> Tuple[int, int]:
+    def _cell_at(self, position: Vec2, level: int) -> Tuple[int, int]:
+        """The cell holding ``position``, clamped to the region (a node on
+        the far edge belongs to the last cell)."""
         nx, ny = self.grid_shape(level)
         w, h = self.cell_extent(level)
-        cx = min(nx - 1, max(0, int((position.x - self.region.x_min) / w)))
-        cy = min(ny - 1, max(0, int((position.y - self.region.y_min) / h)))
-        return (cx, cy)
-
-    def _cell_bounds(
-        self, index: Tuple[int, int], level: int
-    ) -> Tuple[float, float, float, float]:
-        w, h = self.cell_extent(level)
-        x0 = self.region.x_min + index[0] * w
-        y0 = self.region.y_min + index[1] * h
-        return (x0, y0, x0 + w, y0 + h)
+        region = self.region
+        cx, cy = cell_of(position.x, position.y, region.x_min, region.y_min, w, h)
+        return (min(nx - 1, max(0, cx)), min(ny - 1, max(0, cy)))
 
     def _covering_cells(
         self, center: Vec2, radius_m: float, level: int
@@ -185,27 +184,22 @@ class SummaryPlane:
         """(outer, inner) cell indices: intersecting vs fully-contained."""
         nx, ny = self.grid_shape(level)
         w, h = self.cell_extent(level)
-        lo_x = max(0, int((center.x - radius_m - self.region.x_min) / w))
-        hi_x = min(nx - 1, int((center.x + radius_m - self.region.x_min) / w))
-        lo_y = max(0, int((center.y - radius_m - self.region.y_min) / h))
-        hi_y = min(ny - 1, int((center.y + radius_m - self.region.y_min) / h))
+        x_min, y_min = self.region.x_min, self.region.y_min
+        x, y = center.x, center.y
+        lo_x, hi_x = cell_window(x - radius_m, x + radius_m, x_min, w)
+        lo_y, hi_y = cell_window(y - radius_m, y + radius_m, y_min, h)
         outer: List[Tuple[int, int]] = []
         inner: List[Tuple[int, int]] = []
         r_sq = radius_m * radius_m
-        for cx in range(lo_x, hi_x + 1):
-            for cy in range(lo_y, hi_y + 1):
-                x0, y0, x1, y1 = self._cell_bounds((cx, cy), level)
-                # nearest point of the cell to the disk centre
-                nx_ = min(max(center.x, x0), x1)
-                ny_ = min(max(center.y, y0), y1)
-                if (nx_ - center.x) ** 2 + (ny_ - center.y) ** 2 > r_sq:
-                    continue
-                outer.append((cx, cy))
-                # farthest corner inside the disk => cell fully contained
-                fx = x0 if center.x - x0 > x1 - center.x else x1
-                fy = y0 if center.y - y0 > y1 - center.y else y1
-                if (fx - center.x) ** 2 + (fy - center.y) ** 2 <= r_sq:
-                    inner.append((cx, cy))
+        for cx in range(max(0, lo_x), min(nx - 1, hi_x) + 1):
+            for cy in range(max(0, lo_y), min(ny - 1, hi_y) + 1):
+                x0, y0, x1, y1 = cell_bounds(cx, cy, x_min, y_min, w, h)
+                if gap_sq(x, y, x0, y0, x1, y1) <= r_sq:
+                    outer.append((cx, cy))
+                    fx = (x0 if x - x0 > x1 - x else x1) - x
+                    fy = (y0 if y - y0 > y1 - y else y1) - y
+                    if fx * fx + fy * fy <= r_sq:
+                        inner.append((cx, cy))
         return outer, inner
 
     # ------------------------------------------------------------------
@@ -242,7 +236,7 @@ class SummaryPlane:
         on behalf of exact traffic nobody summarises.
         """
         for level in range(NUM_LEVELS):
-            cell = self._cells[level].get(self._locate(position, level))
+            cell = self._cells[level].get(self._cell_at(position, level))
             if cell is not None and now >= cell.sampled_s:
                 cell.overlay[node_id] = value
 

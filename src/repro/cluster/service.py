@@ -57,6 +57,7 @@ from ..api.service import (
 )
 from ..faults.plan import FaultPlan
 from ..approx.plane import SummaryAnswer, merge_answers
+from ..geometry.grid import gap_sq
 from ..geometry.shapes import Rect
 from ..workload.engine import WorkloadResult
 from .partition import (
@@ -326,10 +327,8 @@ class ClusterService:
         """
         partials: List[SummaryAnswer] = []
         for region, service in zip(self.regions, self.services):
-            # Disk-rect intersection: clamp the centre into the region.
-            dx = center.x - min(max(center.x, region.x_min), region.x_max)
-            dy = center.y - min(max(center.y, region.y_min), region.y_max)
-            if dx * dx + dy * dy > radius_m * radius_m:
+            box = (region.x_min, region.y_min, region.x_max, region.y_max)
+            if gap_sq(center.x, center.y, *box) > radius_m * radius_m:
                 continue
             answer = service.summary_answer(
                 center, radius_m, aggregation, accuracy, freshness_s

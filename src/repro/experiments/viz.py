@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..geometry.areas import QueryArea
+from ..geometry.grid import cell_of
 from ..geometry.vec import Vec2
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
@@ -36,9 +37,9 @@ def render_field(
     grid: List[List[str]] = [[" "] * width for _ in range(height)]
 
     def to_cell(p: Vec2) -> Tuple[int, int]:
-        col = min(width - 1, max(0, int((p.x - region.x_min) / cell_w)))
-        row = min(height - 1, max(0, int((p.y - region.y_min) / cell_h)))
-        return height - 1 - row, col  # rows grow downward on screen
+        col, row = cell_of(p.x, p.y, region.x_min, region.y_min, cell_w, cell_h)
+        # rows grow downward on screen
+        return height - 1 - min(height - 1, max(0, row)), min(width - 1, max(0, col))
 
     if area is not None:
         for row in range(height):

@@ -1,10 +1,14 @@
-"""Spatial hash grid for neighbourhood queries.
+"""The one cell rule, and the spatial hash grid built on it.
 
-The sensor field is static, so neighbour discovery is a one-time cost — but
-the mobile user's proxy re-queries "which nodes are within range of me?" on
-every contact, and experiment code repeatedly asks "which nodes fall in this
-query area?".  A uniform bucket grid answers disk queries in time
-proportional to the local density instead of scanning all nodes.
+Every module that addresses space by cell (the channel's static grid and
+mobile index, the summary plane's levels, the cluster's shard test, GAF's
+virtual grid, the ASCII renderer) asks these functions, on bare floats,
+with its own grid origin and cell sides: :func:`cell_of` (which cell holds a
+point), :func:`cell_window` (which cells an interval spans, widened by the
+one :data:`_WINDOW_SLACK_M`), :func:`cell_bounds` (a cell's rectangle) and
+:func:`gap_sq` (the one disk-versus-rectangle test).  A fringe bug is then
+fixed once for every client.  :class:`SpatialGrid` answers disk queries
+over static items in time proportional to the local density.
 """
 
 from __future__ import annotations
@@ -19,9 +23,45 @@ T = TypeVar("T")
 #: Metres a disk query's window of cells reaches beyond its radius.  The
 #: range test accepts ``d^2 <= r^2 + 1e-9`` — up to ``sqrt(1e-9)`` m past
 #: ``r`` (4.8e-12 m at r = 105) — and an item that far outside the disk can
-#: lie across a cell edge the bare radius stops at; the window has to hold
-#: every item the test would accept, wherever the cell edges fall.
+#: lie across a cell edge the bare radius stops at, as can a cell that a
+#: disk's rounded edge touches.  The window has to hold every item and cell
+#: the exact test would accept, wherever the cell edges fall.
 _WINDOW_SLACK_M = 1e-4
+
+
+def cell_of(
+    x: float, y: float, x0: float, y0: float, w: float, h: float
+) -> Tuple[int, int]:
+    """The cell holding ``(x, y)``: floor division from the origin ``(x0, y0)``."""
+    return (int((x - x0) // w), int((y - y0) // h))
+
+
+def cell_window(lo: float, hi: float, origin: float, side: float) -> Tuple[int, int]:
+    """First and last index of the cells along one axis that ``[lo, hi]``
+    spans, widened by :data:`_WINDOW_SLACK_M` at both ends."""
+    return (
+        int((lo - _WINDOW_SLACK_M - origin) // side),
+        int((hi + _WINDOW_SLACK_M - origin) // side),
+    )
+
+
+def cell_bounds(
+    i: int, j: int, x0: float, y0: float, w: float, h: float
+) -> Tuple[float, float, float, float]:
+    """Cell ``(i, j)``'s rectangle ``(x_lo, y_lo, x_hi, y_hi)``."""
+    x_lo = x0 + i * w
+    y_lo = y0 + j * h
+    return (x_lo, y_lo, x_lo + w, y_lo + h)
+
+
+def gap_sq(
+    x: float, y: float, x_lo: float, y_lo: float, x_hi: float, y_hi: float
+) -> float:
+    """Squared distance from ``(x, y)`` to the rectangle, 0 inside it: a
+    disk of radius ``r`` meets the rectangle iff this is ``<= r * r``."""
+    dx = x_lo - x if x < x_lo else x - x_hi if x > x_hi else 0.0
+    dy = y_lo - y if y < y_lo else y - y_hi if y > y_hi else 0.0
+    return dx * dx + dy * dy
 
 
 class SpatialGrid(Generic[T]):
@@ -30,7 +70,7 @@ class SpatialGrid(Generic[T]):
     Items are arbitrary hashable objects registered together with a fixed
     position.  ``cell_size`` should be on the order of the most common query
     radius (the radio range works well) so that disk queries touch only a
-    handful of cells.
+    handful of cells.  The grid's origin is ``(0, 0)``.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -39,12 +79,6 @@ class SpatialGrid(Generic[T]):
         self.cell_size = cell_size
         self._cells: Dict[Tuple[int, int], List[Tuple[Vec2, T]]] = defaultdict(list)
         self._positions: Dict[T, Vec2] = {}
-
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def _cell_of(self, point: Vec2) -> Tuple[int, int]:
-        return (int(point.x // self.cell_size), int(point.y // self.cell_size))
 
     def insert(self, item: T, position: Vec2) -> None:
         """Register ``item`` at ``position``.
@@ -56,7 +90,10 @@ class SpatialGrid(Generic[T]):
         if item in self._positions:
             raise ValueError(f"item {item!r} already present in grid")
         self._positions[item] = position
-        self._cells[self._cell_of(position)].append((position, item))
+        cs = self.cell_size
+        self._cells[cell_of(position.x, position.y, 0.0, 0.0, cs, cs)].append(
+            (position, item)
+        )
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -64,20 +101,15 @@ class SpatialGrid(Generic[T]):
     def __contains__(self, item: T) -> bool:
         return item in self._positions
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def query_disk(self, center: Vec2, radius: float) -> List[T]:
-        """All items within ``radius`` of ``center`` (boundary included)."""
+        """All items within ``radius`` of ``center`` (boundary included),
+        cell by cell in window order, each cell's in insertion order."""
         if radius < 0:
             return []
         r_sq = radius * radius
         cs = self.cell_size
-        reach = radius + _WINDOW_SLACK_M
-        cx_min = int((center.x - reach) // cs)
-        cx_max = int((center.x + reach) // cs)
-        cy_min = int((center.y - reach) // cs)
-        cy_max = int((center.y + reach) // cs)
+        cx_min, cx_max = cell_window(center.x - radius, center.x + radius, 0.0, cs)
+        cy_min, cy_max = cell_window(center.y - radius, center.y + radius, 0.0, cs)
         found: List[T] = []
         cells = self._cells
         for cx in range(cx_min, cx_max + 1):
@@ -86,40 +118,6 @@ class SpatialGrid(Generic[T]):
                 if not bucket:
                     continue
                 for position, item in bucket:
-                    dx = position.x - center.x
-                    dy = position.y - center.y
-                    if dx * dx + dy * dy <= r_sq + 1e-9:
-                        found.append(item)
-        return found
-
-    def query_disk_excluding(
-        self, center: Vec2, radius: float, excluded: T
-    ) -> List[T]:
-        """Disk query that drops one item (typically the querying node).
-
-        The excluded item is skipped while collecting, not filtered from a
-        fully built candidate list afterwards (this runs once per node at
-        network construction over every node's neighbourhood).
-        """
-        if radius < 0:
-            return []
-        r_sq = radius * radius
-        cs = self.cell_size
-        reach = radius + _WINDOW_SLACK_M
-        cx_min = int((center.x - reach) // cs)
-        cx_max = int((center.x + reach) // cs)
-        cy_min = int((center.y - reach) // cs)
-        cy_max = int((center.y + reach) // cs)
-        found: List[T] = []
-        cells = self._cells
-        for cx in range(cx_min, cx_max + 1):
-            for cy in range(cy_min, cy_max + 1):
-                bucket = cells.get((cx, cy))
-                if not bucket:
-                    continue
-                for position, item in bucket:
-                    if item == excluded:
-                        continue
                     dx = position.x - center.x
                     dy = position.y - center.y
                     if dx * dx + dy * dy <= r_sq + 1e-9:

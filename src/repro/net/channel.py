@@ -15,9 +15,11 @@ The channel is the broker between transmitting radios and listening ones:
   collide mainly through hidden terminals and same-slot backoff expiry —
   the loss mechanism behind MQ-GP's fidelity variance in Figure 5.
 
-Static sensor nodes are indexed in a spatial grid once; mobile endpoints
-(the users' proxies) are tracked separately, each as the flat linear piece
-of its motion it is currently on, and evaluated at transmission start.
+Static sensor nodes are indexed once, in ``Channel.grid``: the field's only
+static index, which the network's neighbour lists and disk queries read.
+Mobile endpoints (the users' proxies) are tracked separately, each as the
+flat linear piece of its motion it is currently on, and evaluated at
+transmission start.  Cells are :mod:`repro.geometry.grid`'s.
 
 Hot-path layout: node positions are fixed at t=0, so each static node's
 in-range listener set is computed once (lazily, in grid-query order so
@@ -115,7 +117,7 @@ from typing import (
     Tuple,
 )
 
-from ..geometry.grid import SpatialGrid
+from ..geometry.grid import SpatialGrid, cell_bounds, cell_of, gap_sq
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
@@ -298,7 +300,8 @@ class Channel:
         self.bitrate_bps = bitrate_bps
         self.preamble_s = preamble_s
         self.tracer = tracer
-        self._grid: SpatialGrid[int] = SpatialGrid(cell_size=comm_range)
+        #: the field's only static index, in registration order
+        self.grid: SpatialGrid[ChannelEndpoint] = SpatialGrid(cell_size=comm_range)
         self._static: Dict[int, ChannelEndpoint] = {}
         #: mobile endpoints by id, in registration order
         self._mobile: Dict[int, _Tracked] = {}
@@ -347,7 +350,7 @@ class Channel:
             raise ValueError(f"endpoint {endpoint.node_id} already registered")
         self._static[endpoint.node_id] = endpoint
         position = endpoint.position_at(0.0)
-        self._grid.insert(endpoint.node_id, position)
+        self.grid.insert(endpoint, position)
         self._attach(endpoint, (position.x, position.y))
         # New static nodes change neighbourhoods; caches rebuild lazily.
         self._neighbor_cache.clear()
@@ -474,10 +477,11 @@ class Channel:
         if cached is None:
             position = self._static[node_id].position_at(0.0)
             listeners = self._static_near(position, node_id)
+            size = self._cell_size
             cached = (
                 listeners,
                 tuple(endpoint.radio for endpoint in listeners),
-                self._cell_of(position.x, position.y),
+                cell_of(position.x, position.y, 0.0, 0.0, size, size),
             )
             self._neighbor_cache[node_id] = cached
         return cached
@@ -487,20 +491,15 @@ class Channel:
     ) -> Tuple[ChannelEndpoint, ...]:
         """Static endpoints in range of ``position``, in grid-query order,
         without the sender."""
-        static = self._static
         return tuple(
-            static[i]
-            for i in self._grid.query_disk(position, self.comm_range)
-            if i != sender_id
+            endpoint
+            for endpoint in self.grid.query_disk(position, self.comm_range)
+            if endpoint.node_id != sender_id
         )
 
     # ------------------------------------------------------------------
     # Mobile cell index
     # ------------------------------------------------------------------
-    def _cell_of(self, x: float, y: float) -> _CellKey:
-        size = self._cell_size
-        return (int(x // size), int(y // size))
-
     def _index_disk(self, tracked: _Tracked, now: float) -> None:
         """Take ``tracked``'s reach disk for the live window.
 
@@ -525,23 +524,17 @@ class Channel:
     def _touching(self, mobiles: Iterable[_Tracked], cell: _CellKey) -> List[_Tracked]:
         """Those of ``mobiles`` whose reach disk meets ``cell``'s square."""
         size = self._cell_size
-        x0 = cell[0] * size
-        x1 = x0 + size
-        y0 = cell[1] * size
-        y1 = y0 + size
+        x0, y0, x1, y1 = cell_bounds(cell[0], cell[1], 0.0, 0.0, size, size)
         found = []
         for tracked in mobiles:
             x, y, reach_sq = tracked.disk
-            dx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
-            dy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
-            if dx * dx + dy * dy <= reach_sq:
+            if gap_sq(x, y, x0, y0, x1, y1) <= reach_sq:
                 found.append(tracked)
         return found
 
     def listeners_near(self, position: Vec2, time: float) -> List[ChannelEndpoint]:
         """All endpoints within range of ``position`` at ``time`` (any state)."""
-        ids = self._grid.query_disk(position, self.comm_range)
-        found = [self._static[i] for i in ids]
+        found = self.grid.query_disk(position, self.comm_range)
         r_sq = self.comm_range * self.comm_range
         for tracked in self._mobile.values():
             ep = tracked.endpoint
@@ -623,7 +616,8 @@ class Channel:
         else:
             static_listeners = self._static_near(position, sender_id)
             static_radios = tuple(endpoint.radio for endpoint in static_listeners)
-            cell = self._cell_of(position.x, position.y)
+            size = self._cell_size
+            cell = cell_of(position.x, position.y, 0.0, 0.0, size, size)
         record = self._begin_reception(
             frame, sender_id, position, now + duration,
             static_listeners, static_radios, cell, now,

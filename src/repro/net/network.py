@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Set
 
-from ..geometry.grid import SpatialGrid
 from ..geometry.shapes import Rect
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
@@ -65,7 +64,11 @@ class NetworkConfig:
 
 
 class Network:
-    """A built sensor field: nodes, channel, spatial index, role partition."""
+    """A built sensor field: nodes, channel, role partition.
+
+    The channel's grid is the field's one spatial index: neighbour lists
+    and disk queries both read it.
+    """
 
     def __init__(
         self,
@@ -80,9 +83,6 @@ class Network:
         self.channel = channel
         self.nodes = nodes
         self.tracer = tracer
-        self.grid: SpatialGrid[SensorNode] = SpatialGrid(cell_size=config.comm_range_m)
-        for node in nodes:
-            self.grid.insert(node, node.position)
         self._compute_neighbors()
         self._backbone_applied = False
 
@@ -90,9 +90,9 @@ class Network:
     # Topology
     # ------------------------------------------------------------------
     def _compute_neighbors(self) -> None:
-        rc = self.config.comm_range_m
+        listeners = self.channel.static_listeners
         for node in self.nodes:
-            node.neighbors = self.grid.query_disk_excluding(node.position, rc, node)
+            node.neighbors = listeners(node.node_id)
 
     def node_by_id(self, node_id: int) -> SensorNode:
         """Look up a node by id (ids are dense, starting at 0)."""
@@ -103,7 +103,7 @@ class Network:
 
     def nodes_in_disk(self, center: Vec2, radius: float) -> List[SensorNode]:
         """All sensor nodes within ``radius`` of ``center``."""
-        return self.grid.query_disk(center, radius)
+        return self.channel.grid.query_disk(center, radius)
 
     def active_nodes_in_disk(self, center: Vec2, radius: float) -> List[SensorNode]:
         """Backbone nodes within ``radius`` of ``center``."""

@@ -12,7 +12,7 @@ position is a function of time supplied by the mobility model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
@@ -73,8 +73,8 @@ class SensorNode:
         #: wake blocked); protocol recovery paths key off this flag
         self.crashed = False
         self.sleep_scheduler: Optional[SleepScheduler] = None
-        #: all nodes within communication range (set by the network builder)
-        self.neighbors: List["SensorNode"] = []
+        #: nodes in range: its channel's static listeners (set by the builder)
+        self.neighbors: Sequence["SensorNode"] = ()
         #: backbone subset of ``neighbors`` (set after power management)
         self.active_neighbors: List["SensorNode"] = []
         self._handlers: Dict[str, FrameHandler] = {}

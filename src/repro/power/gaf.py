@@ -15,6 +15,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from ..geometry.grid import cell_of
 from ..net.network import Network
 from ..net.node import SensorNode
 from .base import PowerManagementProtocol, repair_connectivity
@@ -36,8 +37,8 @@ class GafProtocol(PowerManagementProtocol):
         side = self.cell_side(network)
         cells: Dict[Tuple[int, int], List[SensorNode]] = defaultdict(list)
         for node in network.nodes:
-            cell = (int(node.position.x // side), int(node.position.y // side))
-            cells[cell].append(node)
+            x, y = node.position.x, node.position.y
+            cells[cell_of(x, y, 0.0, 0.0, side, side)].append(node)
         active: Set[int] = set()
         for members in cells.values():
             # GAF ranks candidates by expected lifetime; with identical

@@ -3,7 +3,7 @@
 The channel used to answer ``medium_busy`` / ``busy_until`` for a static node
 from bookkeeping written on every frame: a count of the in-flight
 transmissions from *other* senders covering the node and the latest end time
-among them, incremented at ``transmit`` for every id the grid's
+among them, incremented at ``transmit`` for every endpoint the grid's
 ``query_disk`` returned around the sender and decremented again at the end of
 the airtime.  Carrier sense is read about once per frame and those counters
 were written twice per neighbour per frame, so the channel now scans its
@@ -83,9 +83,9 @@ class CarrierSenseOracle:
     def transmit(self, sender: ChannelEndpoint, position: Vec2, end_time: float) -> OnAir:
         """A frame from ``sender`` at ``position`` goes on the air."""
         tx = OnAir(sender, position, end_time, [])
-        for node_id in self.channel._grid.query_disk(position, self.channel.comm_range):
-            if self.static[node_id] is not sender:
-                self._cover(tx, node_id)
+        for endpoint in self.channel.grid.query_disk(position, self.channel.comm_range):
+            if endpoint is not sender:
+                self._cover(tx, endpoint.node_id)
         self.in_flight.append(tx)
         return tx
 

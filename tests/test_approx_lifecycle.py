@@ -15,7 +15,11 @@ End-to-end contracts for the ``repro.approx`` subsystem:
 * the cluster composes per-shard summaries into boundary-free answers.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import MobiQueryService, QueryRequest
 from repro.api.scenarios import (
@@ -38,6 +42,7 @@ from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
 from repro.workload.arrivals import ARRIVAL_STAGGERED
 
+from .test_approx_plane import nudged, nudges
 from .test_pins import ledger_mismatches
 
 
@@ -305,7 +310,74 @@ class TestAccuracyThreading:
         assert ".r90" in cell.payload["name"]
 
 
+@functools.lru_cache(maxsize=None)
+def summary_cluster(shards):
+    """A ``shards``-shard uav-survey cluster, built once (nothing runs)."""
+    from repro.api.admission import make_admission_policy
+    from repro.api.scenarios import _scenario_config
+    from repro.cluster.service import ClusterService
+
+    spec = get_scenario("uav-survey").with_overrides(duration_s=18.0, shards=shards)
+    return ClusterService(
+        _scenario_config(spec),
+        shards=shards,
+        admission=make_admission_policy(spec.admission),
+        partitioner=spec.partitioner,
+        workers=0,
+        faults=spec.fault_plan(),
+    )
+
+
+@st.composite
+def shard_fringe_disks(draw):
+    """A disk on a 2- or 4-shard cluster whose edge (or centre) sits within
+    a nudge of a shard region's edge, often off the field."""
+    shards = draw(st.sampled_from([2, 4]))
+    regions = summary_cluster(shards).regions
+    radius = draw(
+        st.one_of(
+            st.sampled_from([30.0, 75.0, 105.0, 225.0]),
+            st.floats(min_value=1.0, max_value=300.0),
+        )
+    )
+
+    def coordinate(axis):
+        region = draw(st.sampled_from(regions))
+        edge = draw(st.sampled_from(
+            [region.x_min, region.x_max] if axis == "x" else [region.y_min, region.y_max]
+        ))
+        reach = draw(st.sampled_from([-radius, 0.0, radius, 0.5 * radius]))
+        return nudged(edge + reach, draw(nudges))
+
+    return shards, Vec2(coordinate("x"), coordinate("y")), radius
+
+
 class TestClusterSummaries:
+    @settings(max_examples=300, deadline=None)
+    @given(disk=shard_fringe_disks())
+    def test_asks_exactly_the_shards_the_disk_meets(self, disk):
+        """A shard answers iff the disk meets its region (edge touches
+        included), by a brute-force nearest-point test on every region."""
+        shards, center, radius = disk
+        cluster = summary_cluster(shards)
+        asked = []
+        for index, service in enumerate(cluster.services):
+            service.summary_answer = (
+                lambda *args, index=index, **kwargs: asked.append(index)
+            )
+        try:
+            assert cluster.summary_answer(center, radius, Aggregation.AVG) is None
+        finally:
+            for service in cluster.services:
+                del service.summary_answer
+        expected = []
+        for index, region in enumerate(cluster.regions):
+            dx = min(max(center.x, region.x_min), region.x_max) - center.x
+            dy = min(max(center.y, region.y_min), region.y_max) - center.y
+            if dx * dx + dy * dy <= radius * radius:
+                expected.append(index)
+        assert asked == expected
+
     def test_cluster_merge_is_boundary_free(self):
         from repro.api.admission import make_admission_policy
         from repro.api.scenarios import _scenario_config

@@ -9,12 +9,17 @@ end-to-end frontier benchmark leans on:
 * beacon-window snapshot stamping and freshness/degraded accounting;
 * per-aggregation error bounds that really bracket the exact answer;
 * associative cross-shard merging (:func:`merge_answers`);
-* report-overlay sharpening and session registration/release.
+* report-overlay sharpening and session registration/release;
+* the covering window against a brute force over every cell, on a fringe
+  lattice of disk edges a few ulp either side of a cell edge.
 """
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.approx.plane import (
     ACCURACY_LEVEL_CAP,
@@ -30,6 +35,8 @@ from repro.net.field import ScalarField
 from repro.net.network import NetworkConfig, build_network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
+
+from .test_net_carrier_sense import OFFSETS
 
 
 class EastwardRamp(ScalarField):
@@ -49,12 +56,20 @@ def grid_positions(side: float, per_row: int):
     ]
 
 
-def make_plane(side=400.0, per_row=8, sleep_period=3.0, field_model=None):
+def make_plane(
+    side=400.0, per_row=8, sleep_period=3.0, field_model=None, region=None
+):
+    """A plane over a lattice field: ``side`` m square, or on ``region``
+    (a shard's, say: its cells do not start at 0)."""
     sim = Simulator()
     positions = grid_positions(side, per_row)
+    if region is None:
+        region = Rect.square(side)
+    else:
+        positions = [Vec2(region.x_min + p.x, region.y_min + p.y) for p in positions]
     config = NetworkConfig(
         n_nodes=len(positions),
-        region=Rect.square(side),
+        region=region,
         comm_range_m=105.0,
         sensing_range_m=50.0,
         sleep_period_s=sleep_period,
@@ -99,7 +114,9 @@ class TestGeometry:
         outer, inner = plane._covering_cells(center, radius, 2)
         assert inner, "a 150 m disk must fully contain some 50 m cells"
         for index in inner:
-            x0, y0, x1, y1 = plane._cell_bounds(index, 2)
+            w, h = plane.cell_extent(2)
+            x0, y0 = index[0] * w, index[1] * h
+            x1, y1 = x0 + w, y0 + h
             for corner in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
                 d = math.hypot(corner[0] - center.x, corner[1] - center.y)
                 assert d <= radius + 1e-9
@@ -112,6 +129,110 @@ class TestGeometry:
         # a small disk drills as far as the class cap allows
         assert plane.drill_level(10.0, "coarse") == ACCURACY_LEVEL_CAP["coarse"]
         assert plane.drill_level(10.0, "medium") == ACCURACY_LEVEL_CAP["medium"]
+
+
+#: fields the window property runs on: the default 450 m field, and the
+#: east half of it, as a 2-shard cluster's second world holds it
+WINDOW_REGIONS = [Rect.square(450.0), Rect(225.0, 0.0, 450.0, 450.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def window_plane(region_index):
+    region = WINDOW_REGIONS[region_index]
+    return make_plane(side=region.width, region=region)
+
+
+def brute_force_covering(plane, center, radius_m, level):
+    """(outer, inner) over every cell of ``level``, each cell tested on the
+    bounds ``origin + i * side`` with the plane's exact tests: its nearest
+    point within the radius, and its farthest corner within it."""
+    n, _ = plane.grid_shape(level)
+    region = plane.region
+    w, h = region.width / n, region.height / n
+    r_sq = radius_m * radius_m
+    outer, inner = set(), set()
+    for i in range(n):
+        for j in range(n):
+            x0 = region.x_min + i * w
+            y0 = region.y_min + j * h
+            x1, y1 = x0 + w, y0 + h
+            dx = min(max(center.x, x0), x1) - center.x
+            dy = min(max(center.y, y0), y1) - center.y
+            if dx * dx + dy * dy > r_sq:
+                continue
+            outer.add((i, j))
+            fx = (x0 if center.x - x0 > x1 - center.x else x1) - center.x
+            fy = (y0 if center.y - y0 > y1 - center.y else y1) - center.y
+            if fx * fx + fy * fy <= r_sq:
+                inner.add((i, j))
+    return outer, inner
+
+
+def nudged(value, nudge):
+    """``value`` moved by whole ulps (an int) or by metres (a float)."""
+    if isinstance(nudge, float):
+        return value + nudge
+    for _ in range(abs(nudge)):
+        value = math.nextafter(value, math.copysign(math.inf, nudge))
+    return value
+
+
+#: how far a coordinate sits off its lattice point: the carrier-sense
+#: fringe's metres, or up to three ulp either way
+nudges = st.one_of(st.sampled_from(OFFSETS), st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def fringe_disks(draw):
+    """A disk whose edge (or centre) sits within a nudge of a cell edge of
+    some level, its centre often off the field."""
+    region_index = draw(st.integers(min_value=0, max_value=len(WINDOW_REGIONS) - 1))
+    region = WINDOW_REGIONS[region_index]
+    radius = draw(
+        st.one_of(
+            st.sampled_from([10.0, 28.125, 56.25, 75.0, 105.0, 150.0]),
+            st.floats(min_value=1.0, max_value=250.0),
+        )
+    )
+    n = GRID_BASE * 2 ** draw(st.integers(min_value=0, max_value=NUM_LEVELS - 1))
+
+    def coordinate(lo, extent):
+        edge = lo + draw(st.integers(min_value=0, max_value=n)) * (extent / n)
+        reach = draw(st.sampled_from([-radius, 0.0, radius, -0.5 * radius]))
+        return nudged(edge + reach, draw(nudges))
+
+    center = Vec2(
+        coordinate(region.x_min, region.width), coordinate(region.y_min, region.height)
+    )
+    return region_index, center, radius
+
+
+class TestCoveringWindow:
+    """``_covering_cells``' window must hold every cell its exact test
+    accepts, wherever the disk's edge falls against the cell edges."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(disk=fringe_disks())
+    def test_covering_cells_equal_a_brute_force_over_every_cell(self, disk):
+        region_index, center, radius = disk
+        plane = window_plane(region_index)
+        for level in range(NUM_LEVELS):
+            outer, inner = plane._covering_cells(center, radius, level)
+            assert len(set(outer)) == len(outer)
+            assert (set(outer), set(inner)) == brute_force_covering(
+                plane, center, radius, level
+            )
+
+    def test_window_reaches_a_cell_touched_past_the_bare_radius(self):
+        """The disk's east edge lands 1.4e-14 m short of cell (1, 6)'s
+        west edge, and the distance rounds to exactly the radius: the exact
+        test accepts the cell, and a window stopped at the bare radius
+        never offered it."""
+        plane = window_plane(0)
+        center = Vec2(-18.750000000000007, 388.2487360742308)
+        outer, inner = plane._covering_cells(center, 75.0, 1)
+        assert sorted(outer) == [(0, 5), (0, 6), (0, 7), (1, 6)]
+        assert (set(outer), set(inner)) == brute_force_covering(plane, center, 75.0, 1)
 
 
 class TestRefreshAndFreshness:

@@ -24,15 +24,16 @@ from repro.net.packet import BROADCAST, Frame
 from repro.sim.kernel import Simulator
 
 from .carrier_sense_oracle import CarrierSenseOracle
-from .test_net_mobile_index import FIRST_PROXY_ID, fixed, patrolling
-
-RC = 105.0  # the radio range, and so the side of the channel's grid cells
-#: a separation whose square is, in floats, exactly the range test's
-#: threshold ``Rc^2 + 1e-9``: in range with ``<=``, out of range with ``<``
-ON_THE_THRESHOLD = 105.00000000000476
-#: metres off a lattice point: nothing, inside the threshold's slack
-#: (4.76e-12 m at this range), just outside it, and a nanometre
-OFFSETS = [0.0, 2e-12, -2e-12, 4e-12, -4e-12, ON_THE_THRESHOLD - RC, 6e-12, -6e-12, 1e-9, -1e-9]
+# the fringe lattice (RC, ON_THE_THRESHOLD, OFFSETS) lives in the mobile
+# index's test, which runs on it too and which this module imports anyway
+from .test_net_mobile_index import (
+    FIRST_PROXY_ID,
+    OFFSETS,
+    ON_THE_THRESHOLD,
+    RC,
+    fixed,
+    patrolling,
+)
 
 # a 1 m lattice for the bulk of the field; the fringe sits within a
 # nanometre of a multiple of Rc, i.e. of a cell edge *and* of being exactly

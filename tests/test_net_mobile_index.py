@@ -31,6 +31,15 @@ from repro.sim.kernel import Simulator
 FIELD_M = 300.0
 FIRST_PROXY_ID = 1000
 
+RC = 105.0  # the radio range, and so the side of the channel's grid cells
+#: a separation whose square is, in floats, exactly the range test's
+#: threshold ``Rc^2 + 1e-9``: in range with ``<=``, out of range with ``<``
+ON_THE_THRESHOLD = 105.00000000000476
+#: the fringe lattice every cell-addressing test runs on — metres off a
+#: lattice point: nothing, inside the threshold's slack (4.76e-12 m at this
+#: range), just outside it, and a nanometre
+OFFSETS = [0.0, 2e-12, -2e-12, 4e-12, -4e-12, ON_THE_THRESHOLD - RC, 6e-12, -6e-12, 1e-9, -1e-9]
+
 
 class Endpoint:
     """The least a channel needs of an endpoint: id, radio, position."""
@@ -84,8 +93,18 @@ def teleporting(sim, node_id):
 
 
 # a 1 m lattice: patrol hops are zero or walkable (a 1e-146 m hop adds no
-# time at float precision), and 105, 210, ... sit exactly on cell edges
-coords = st.integers(min_value=0, max_value=int(FIELD_M)).map(float)
+# time at float precision), and 105, 210, ... sit exactly on cell edges;
+# the fringe sits within a nanometre either side of an edge of the mobile
+# index's cells (side Rc / 2): senders whose cell a rounding decides, and
+# proxies a hair either side of Rc from a node on the lattice
+coords = st.one_of(
+    st.integers(min_value=0, max_value=int(FIELD_M)).map(float),
+    st.builds(
+        lambda cell, offset: cell * RC / 2.0 + offset,
+        st.integers(min_value=0, max_value=int(FIELD_M // (RC / 2.0))),
+        st.sampled_from(OFFSETS),
+    ),
+)
 points = st.tuples(coords, coords)
 patrols = st.tuples(
     st.lists(points, min_size=2, max_size=4),

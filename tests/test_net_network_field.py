@@ -57,18 +57,36 @@ class TestBuildNetwork:
         with pytest.raises(ValueError):
             build_network(sim, config, RandomStreams(1), positions=[Vec2(0, 0)])
 
-    def test_neighbors_match_brute_force(self, sim):
-        config = NetworkConfig(n_nodes=60, region=Rect.square(300.0))
-        network = build_network(sim, config, RandomStreams(7))
-        rc = config.comm_range_m
-        for node in network.nodes[:20]:
-            expected = {
-                other.node_id
-                for other in network.nodes
-                if other is not node
-                and other.position.distance_to(node.position) <= rc + 1e-9
-            }
-            assert {n.node_id for n in node.neighbors} == expected
+    def test_neighbors_match_brute_force(self):
+        """Neighbour lists and disk queries come from the channel's grid, the
+        field's one static index: a node's neighbours *are* its static
+        listeners, in their order, and a disk query is the grid's answer —
+        on a small field and on the 600-node one."""
+        for n_nodes, side in ((60, 300.0), (600, 450.0)):
+            config = NetworkConfig(n_nodes=n_nodes, region=Rect.square(side))
+            network = build_network(Simulator(), config, RandomStreams(7))
+            channel = network.channel
+            rc, rs = config.comm_range_m, config.sensing_range_m
+            for node in network.nodes[:20]:
+                expected = {
+                    other.node_id
+                    for other in network.nodes
+                    if other is not node
+                    and other.position.distance_to(node.position) <= rc + 1e-9
+                }
+                assert {n.node_id for n in node.neighbors} == expected
+            for node in network.nodes:
+                assert node.neighbors == channel.static_listeners(node.node_id)
+            for node in network.nodes[:: n_nodes // 30]:
+                for radius in (rs, rc, 2.0 * rs):  # coverage, neighbours, CCP
+                    found = network.nodes_in_disk(node.position, radius)
+                    assert found == channel.grid.query_disk(node.position, radius)
+                    assert {n.node_id for n in found} == {
+                        other.node_id
+                        for other in network.nodes
+                        if other.position.distance_sq_to(node.position)
+                        <= radius * radius + 1e-9
+                    }
 
     def test_nodes_in_disk(self, sim):
         network = make_network(sim, line_positions(5, 50.0))
