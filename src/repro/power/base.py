@@ -42,8 +42,9 @@ def repair_connectivity(network: Network, active: Set[int]) -> Set[int]:
     With the paper's parameters (``Rc >= 2 * Rs``) CCP's coverage-preserving
     backbone is provably connected, but other range ratios or protocols can
     leave islands.  This greedy repair promotes, at each step, the sleeper
-    adjacent to the largest active component that also touches another
-    component (or, failing that, the sleeper touching the most components).
+    whose neighbours touch the most distinct active components (at least
+    two; the first such sleeper in node order on a tie), until one
+    component is left or no sleeper touches two.
 
     Returns the augmented active set (mutates and returns ``active``).
     """

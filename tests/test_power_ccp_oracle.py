@@ -3,13 +3,15 @@
 ``CcpProtocol.select_active`` must return the identical active set as
 ``tests/ccp_oracle.py`` — same RNG stream, same field — with the coverage
 requirement clipped to the region and not, at 1- and 2-coverage.  The kernel
-tries coverage where it is likely (the neighbour that covered the previous
-check point, then the neighbours nearest first); the oracle tests every
-point against every neighbour in list order.
+takes pair crossings from one per-pass table and tests check points against
+the nearest neighbours first; the oracle derives every point again for every
+node and tests it against every neighbour in list order.
 """
 
 import inspect
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -124,32 +126,71 @@ class TestDenseProperty:
         kernel_matches_oracle(field, seed)
 
 
-#: name -> (text of ``_disk_k_covered`` to replace, replacement)
+#: name -> (function of ``repro.power.ccp``, text of it to replace, replacement)
 MUTATIONS = {
-    "memo trusted without the range test": (
-        "            if dx * dx + dy * dy < cover_thr:\n                continue\n",
-        "            if True:\n                continue\n",
+    "nearest-first stage trusted without the range test": (
+        "_k_covered",
+        "count = _covering(points, centres[:, :_NEAREST], cover_thr)",
+        "count = np.full(points.shape[1], min(k, centres.shape[1]))",
     ),
     "a pair's crossings kept whatever their distance from v": (
-        "(centers[i + 1:], inside_thr)", "(centers[i + 1:], inf)",
+        "_eligibility_pass", "keep = dx <= inside_thr", "keep = dx >= 0.0",
+    ),
+    "edge crossings kept whatever their distance from v": (
+        "_own_points",
+        "inside = np.flatnonzero(dx <= inside_thr)",
+        "inside = np.arange(len(dx))",
     ),
     "nearest-first scan stops one neighbour short": (
-        "for _, cx, cy in nearest:", "for _, cx, cy in nearest[:-1]:",
+        "_k_covered", "centres[:, stop:4 * stop]", "centres[:, stop:4 * stop - 1]",
     ),
-    "K = 2 answered by the K = 1 fast path": ("if k == 1:", "if True:"),
+    "the nearest-first stage's count taken as final for K = 2": (
+        "_k_covered",
+        "    stop = _NEAREST\n",
+        "    stop = centres.shape[1] if k == 2 else _NEAREST\n",
+    ),
+    "K = 2 answered as K = 1": (
+        "_k_covered",
+        "short = np.flatnonzero(count < k)",
+        "short = np.flatnonzero(count < 1)",
+    ),
 }
+
+
+#: Mutants that change no active set, so no property can fail under them.
+#: A sleeper's crossings lie in a disk its active neighbours already cover.
+#: At K = 1 every hole in the coverage has a vertex that is its pair's
+#: first crossing: walking the hole's boundary, the ranks of the circles
+#: met cannot fall at every step.  Random search over 4 000 sparse K = 2
+#: and K = 3 fields and 3 000 dense lattice and free fields found no
+#: counterexample to either.
+EQUIVALENT_MUTATIONS = {
+    "a sleeping neighbour's crossings kept (one end's active mask dropped)": (
+        "_eligibility_pass", "            keep &= mask[ends[1]]\n", "",
+    ),
+    "the second crossing dropped when h != 0": (
+        "_crossings",
+        "second = np.flatnonzero(h != 0.0)",
+        "second = np.flatnonzero(h < 0.0)",
+    ),
+}
+
+
+def mutate(mutations, name, monkeypatch):
+    """Put the named mutant of a ``repro.power.ccp`` function in its place."""
+    function, old, new = mutations[name]
+    source = inspect.getsource(getattr(ccp_module, function))
+    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
+    scope = {}
+    exec(source.replace(old, new), vars(ccp_module), scope)
+    monkeypatch.setattr(ccp_module, function, scope[function])
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_property_fails_under_named_mutations(name, monkeypatch):
     """The dense property is strong enough to tell: with any of the mutants
     in the kernel's place the same generator finds a counterexample."""
-    old, new = MUTATIONS[name]
-    source = inspect.getsource(ccp_module._disk_k_covered)
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(ccp_module), scope)
-    monkeypatch.setattr(ccp_module, "_disk_k_covered", scope["_disk_k_covered"])
+    mutate(MUTATIONS, name, monkeypatch)
 
     @settings(
         max_examples=10, deadline=None, derandomize=True, database=None,
@@ -162,6 +203,29 @@ def test_property_fails_under_named_mutations(name, monkeypatch):
 
     with pytest.raises(AssertionError):
         mutated()
+
+
+@pytest.mark.parametrize("name", EQUIVALENT_MUTATIONS)
+def test_equivalent_mutants_change_no_active_set(name, monkeypatch):
+    """Why those two mutants are not named above: on the pinned dense field
+    and a 200-node paper field, every configuration's active set is the
+    kernel's own.  Should this fail, the mutant has become telling: move it
+    to ``MUTATIONS``."""
+    paper = build_network(Simulator(), NetworkConfig(n_nodes=200), RandomStreams(2))
+    fields = [(placed_network(LATTICE_60[1], LATTICE_60[0]), 7), (paper, 2)]
+
+    def active_sets():
+        return [
+            CcpProtocol(CcpConfig(coverage_degree=k, clip_to_region=clip)).select_active(
+                network, RandomStreams(seed).stream("p")
+            )
+            for network, seed in fields
+            for clip, k in CONFIGS
+        ]
+
+    before = active_sets()
+    mutate(EQUIVALENT_MUTATIONS, name, monkeypatch)
+    assert active_sets() == before
 
 
 def test_edge_crossings_derived_once_are_the_oracles():
@@ -180,3 +244,63 @@ def test_edge_crossings_derived_once_are_the_oracles():
         assert derived == [(p.x, p.y) for p in expected]
         with_crossings += bool(derived)
     assert 0 < with_crossings < len(network.nodes)
+
+
+def test_crossing_table_is_the_oracles_float_for_float():
+    """The per-pass table holds, for every pair of sensing circles, exactly
+    what :meth:`Circle.intersection_points` gives for that pair, float for
+    float, in grid-query orientation: the circle a ``nodes_in_disk`` list
+    returns first is the first circle.  Unclipped and clipped to the region,
+    on a 600-node field.  A 1-ulp move of a crossing shows here even where
+    no active set would change."""
+    network = build_network(Simulator(), NetworkConfig(n_nodes=600), RandomStreams(5))
+    rs, region = network.config.sensing_range_m, network.config.region
+    ranked = ccp_module._grid_ranked(network)
+    rank = {node.node_id: r for r, node in enumerate(ranked)}
+    expected = {}
+    for node in network.nodes:
+        found = network.nodes_in_disk(node.position, 2.0 * rs)
+        assert [rank[other.node_id] for other in found] == sorted(
+            rank[other.node_id] for other in found
+        )
+        # The pairs this node opens: itself, then every node after it.
+        for other in found[found.index(node) + 1:]:
+            points = Circle(node.position, rs).intersection_points(
+                Circle(other.position, rs)
+            )
+            if points:
+                expected[(node.node_id, other.node_id)] = sorted((p.x, p.y) for p in points)
+    xy = np.array([[node.position.x for node in ranked], [node.position.y for node in ranked]])
+    for clip in (None, region):
+        box = None if clip is None else (
+            region.x_min - 1e-9, region.y_min - 1e-9, region.x_max + 1e-9, region.y_max + 1e-9
+        )
+        table = ccp_module._CrossingTable(xy, rs, box)
+        held = {}
+        for point, (i, j) in zip(table.xy.T.tolist(), table.ends.T.tolist()):
+            held.setdefault((ranked[i].node_id, ranked[j].node_id), []).append(tuple(point))
+        want = {
+            pair: kept
+            for pair, points in expected.items()
+            if (kept := [p for p in points if clip is None or clip.contains(Vec2(*p), tol=1e-9)])
+        }
+        assert {pair: sorted(points) for pair, points in held.items()} == want
+        # Every crossing sits in the cell run the table files it under.
+        for cell in range(table.rows * table.cols):
+            s, e = table.starts[cell], table.starts[cell + 1]
+            assert (table._key(table.xy[:, s:e]) == cell).all()
+
+
+def test_one_pass_on_the_dense48_field_traces_at_most_3_mb():
+    """The table and its transients stay small: one ``select_active`` on the
+    600-node field ``dense48`` builds (seed 1) peaks at no more than 3 MB of
+    traced allocations (the table itself is ~0.9 MB)."""
+    network = build_network(Simulator(), NetworkConfig(n_nodes=600), RandomStreams(1))
+    rng = RandomStreams(1).stream("power-ccp")
+    tracemalloc.start()
+    try:
+        CcpProtocol().select_active(network, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, f"traced peak {peak / 1e6:.2f} MB"
