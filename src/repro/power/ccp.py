@@ -42,10 +42,9 @@ The table is small beside the world: int16 node ranks and float64 points,
 ~44 000 crossings (0.9 MB) on a 600-node field.  It is built in two passes
 so that the build holds the pairs and their sort keys but never a second
 table, and dropped when ``select_active`` returns, before the backbone is
-applied.  One pass
-traces ~2 MB at its peak on that field (the scalar kernel it replaced:
-~0.5 MB).  What it leaves in the process's peak RSS is mostly numpy's own
-code, paged in on first use.
+applied.  One pass traces ~2 MB at its peak on that field (the scalar
+kernel it replaced: ~0.5 MB).  What it leaves in the process's peak RSS
+is mostly numpy's own code, paged in on first use.
 """
 
 from __future__ import annotations
