@@ -25,6 +25,12 @@ entry has two families, under different rules:
 * ``events`` — kernel events executed, an implementation property.  A
   change that packs work into fewer events legitimately moves it: re-record
   and add a line to the trail below.
+* ``joules`` — for the runs with a ``PowerReport``, a sha256 over every
+  node's ``repr(energy.readout())`` (joules and seconds per radio state,
+  exact floats) in node-id order.  The rounded mean draws above miss a
+  step that bills the right seconds to the wrong state; this does not.
+  It is a ``results`` field in all but name: only a deliberate model
+  change edits it, by hand.
 
 Re-record with ``PYTHONPATH=src python tests/test_pins.py``.  It re-runs
 every named run and prints the before/after table; it rewrites the
@@ -48,18 +54,22 @@ Comment trail for ``events``:
   wake-wheel removed ~83 % of kernel events, results bit-identical.
 """
 
+import hashlib
 import json
 import math
 import pathlib
 import sys
 from functools import lru_cache, partial
 from typing import Callable, Dict, List
+from unittest import mock
 
 import pytest
 
 from repro.api.config import MODE_JIT, ExperimentConfig, QueryParams
 from repro.api.scenarios import _scenario_config, get_scenario, run_scenario
 from repro.cluster import ClusterService
+from repro.core.metrics import measure_power
+from repro.experiments import runner
 from repro.experiments.figures import SCALE_QUICK
 from repro.experiments.perf import _run_once, perf_scenarios
 from repro.workload.arrivals import ARRIVAL_STAGGERED
@@ -135,6 +145,15 @@ def fingerprint(result) -> Dict[str, object]:
     return measured
 
 
+def joule_digest(network) -> str:
+    """sha256 over every node's ``repr(energy.readout())``, in node-id order."""
+    readouts = "\n".join(
+        repr(node.radio.energy.readout())
+        for node in sorted(network.nodes, key=lambda node: node.node_id)
+    )
+    return hashlib.sha256(readouts.encode("ascii")).hexdigest()
+
+
 def load_pins(path: pathlib.Path = PINS) -> Dict[str, dict]:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -145,8 +164,9 @@ def pinned_fields(pin: dict, measured: dict) -> List[tuple]:
         (f"results.{field}", value, measured[field])
         for field, value in pin["results"].items()
     ]
-    if "events" in pin:
-        fields.append(("events", pin["events"], measured["events"]))
+    for family in ("events", "joules"):
+        if family in pin:
+            fields.append((family, pin[family], measured[family]))
     return fields
 
 
@@ -174,14 +194,32 @@ def unmatched_names(ledger: dict, names) -> List[str]:
 
 
 def ledger_mismatches(name: str, result) -> List[str]:
-    """How ``result`` departs from the ledger's pins for run ``name``."""
-    return mismatches(load_pins()[name], fingerprint(result))
+    """How ``result`` departs from the ledger's pins for run ``name``.
+
+    A bare result carries no network, so the ``joules`` family is left to
+    the ledger's own run of ``name`` (:func:`measured`).
+    """
+    pin = dict(load_pins()[name])
+    del pin["joules"]
+    return mismatches(pin, fingerprint(result))
 
 
 @lru_cache(maxsize=None)
 def measured(name: str) -> Dict[str, object]:
-    """The fingerprint of named run ``name``, run at most once per session."""
-    return fingerprint(named_runs()[name]())
+    """The fingerprint of named run ``name``, run at most once per session,
+    with the ``joules`` digest of its network when the run reads power."""
+    digests = []
+
+    def measuring(network):
+        report = measure_power(network)
+        digests.append(joule_digest(network))
+        return report
+
+    with mock.patch.object(runner, "measure_power", measuring):
+        fingerprinted = fingerprint(named_runs()[name]())
+    if digests:
+        (fingerprinted["joules"],) = digests
+    return fingerprinted
 
 
 def record(path: pathlib.Path, measured: Dict[str, dict]) -> int:
@@ -229,6 +267,14 @@ def test_pinned_run(name):
     assert not problems, "\n".join(f"{name} {p}" for p in problems)
 
 
+def test_every_power_run_pins_its_joules():
+    """The digest sits beside every pinned mean draw, and nowhere else."""
+    ledger = load_pins()
+    assert [name for name, pin in ledger.items() if "joules" in pin] == [
+        name for name, pin in ledger.items() if "sleeper_power_w" in pin["results"]
+    ]
+
+
 def test_runs_stay_quick_under_paper_scale(monkeypatch):
     """``REPRO_BENCH_SCALE=paper`` must not turn the check into a no-op."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
@@ -251,7 +297,7 @@ def test_runs_stay_quick_under_paper_scale(monkeypatch):
 def _reproducing(ledger: dict) -> Dict[str, dict]:
     """What runs that reproduce every pin of ``ledger`` would measure."""
     return {
-        name: {**pin["results"], "events": pin.get("events")}
+        name: {**pin["results"], "events": pin.get("events"), "joules": pin.get("joules")}
         for name, pin in ledger.items()
     }
 
@@ -261,17 +307,29 @@ class TestChecker:
         pin = load_pins()["four_user"]
         ratios = list(pin["results"]["success_ratios"])
         ratios[2] = math.nextafter(ratios[2], 1.0)  # one ulp
-        measured = {**pin["results"], "success_ratios": ratios, "events": pin["events"]}
+        measured = {
+            **pin["results"],
+            "success_ratios": ratios,
+            "events": pin["events"],
+            "joules": pin["joules"],
+        }
         (problem,) = mismatches(pin, measured)
         assert problem.startswith("results.success_ratios: ")
         assert problem.endswith(RESULTS_MOVED)
 
     def test_moved_event_count_is_reported_as_events(self):
         pin = load_pins()["fig4_jit"]
-        measured = {**pin["results"], "events": pin["events"] + 1}
+        measured = {**pin["results"], "events": pin["events"] + 1, "joules": pin["joules"]}
         (problem,) = mismatches(pin, measured)
         assert problem.startswith("events: ")
         assert problem.endswith(EVENTS_MOVED)
+
+    def test_moved_joules_are_reported_as_results(self):
+        pin = load_pins()["single_user"]
+        measured = {**pin["results"], "events": pin["events"], "joules": "0" * 64}
+        (problem,) = mismatches(pin, measured)
+        assert problem.startswith("joules: ")
+        assert problem.endswith(RESULTS_MOVED)
 
     def test_named_run_missing_from_ledger_fails(self):
         ledger = load_pins()
