@@ -72,9 +72,9 @@ lookup**: ``transmit`` begins the readers' receptions in
 ``_begin_reception`` and the end-of-airtime event resolves the frame in
 ``_finish_transmission``.  ``_begin_reception`` first collects the mobiles
 in range (the cohort's second half), then finds the members still
-receiving another frame, and its join loop's inlined body (overlap
-corruption, clean-slot tracking, IDLE->RX with its energy step) is the
-only place a reception begins at its frame's start.
+receiving another frame, and its join loop (overlap corruption, clean-slot
+tracking, the IDLE->RX step) is the only place a reception begins at its
+frame's start.
 
 Mobile listeners come from a **reach-bounded cell index**: a dict from grid
 cell (side ``comm_range / 2``) to the proxies whose *reach disk* —
@@ -203,7 +203,11 @@ class _Tracked:
         self.disk = (0.0, 0.0, 0.0)
 
     def xy_at(self, now: float) -> Tuple[float, float]:
-        """Position at ``now``, bit-equal to the endpoint's ``position_at``."""
+        """Position at ``now``, bit-equal to the endpoint's ``position_at``.
+
+        The range test of ``Channel._begin_reception`` keeps a copy, pinned
+        to this by ``tests/test_net_mobile_index.py``.
+        """
         t_lo, t_hi, t_ref, span, x0, dx, y0, dy = self.piece
         if not t_lo <= now < t_hi:
             self.piece = piece = self.segment_at(now)
@@ -297,6 +301,9 @@ class Channel:
             raise ValueError(f"bitrate must be > 0, got {bitrate_bps}")
         self.sim = sim
         self.comm_range = comm_range
+        #: the squared range with the grid's ``1e-9`` m^2 slack: every range
+        #: test here accepts ``d^2 <= _range_sq``, as ``query_disk`` does
+        self._range_sq = comm_range * comm_range + 1e-9
         self.bitrate_bps = bitrate_bps
         self.preamble_s = preamble_s
         self.tracer = tracer
@@ -455,7 +462,7 @@ class Channel:
         """Whether ``a`` and ``b`` are within communication range at ``time``."""
         return (
             a.position_at(time).distance_sq_to(b.position_at(time))
-            <= self.comm_range * self.comm_range + 1e-9
+            <= self._range_sq
         )
 
     def static_listeners(self, node_id: int) -> Tuple[ChannelEndpoint, ...]:
@@ -535,10 +542,10 @@ class Channel:
     def listeners_near(self, position: Vec2, time: float) -> List[ChannelEndpoint]:
         """All endpoints within range of ``position`` at ``time`` (any state)."""
         found = self.grid.query_disk(position, self.comm_range)
-        r_sq = self.comm_range * self.comm_range
+        range_sq = self._range_sq
         for tracked in self._mobile.values():
             ep = tracked.endpoint
-            if ep.position_at(time).distance_sq_to(position) <= r_sq + 1e-9:
+            if ep.position_at(time).distance_sq_to(position) <= range_sq:
                 found.append(ep)
         return found
 
@@ -570,7 +577,7 @@ class Channel:
         else:
             pos = endpoint.position_at(now)
             px, py = pos.x, pos.y
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        range_sq = self._range_sq
         latest: Optional[float] = None
         for tx in active:
             if tx.sender_id == node_id:
@@ -578,7 +585,7 @@ class Channel:
             tpos = tx.position
             dx = tpos.x - px
             dy = tpos.y - py
-            if dx * dx + dy * dy <= r_sq_eps:
+            if dx * dx + dy * dy <= range_sq:
                 if latest is None or tx.end_time > latest:
                     latest = tx.end_time
         return latest
@@ -684,12 +691,15 @@ class Channel:
             # registration order, and so does every list built from it.
             members = self._cells[cell] = self._touching(self._mobile.values(), cell)
         self.mobile_range_tests += len(members)
-        # The exact range test, ``_Tracked.xy_at`` inlined: float arithmetic
-        # on each candidate's current motion piece, no call and no Vec2
-        # unless the clock has left the piece.
+        # The exact range test on each candidate's current motion piece,
+        # ``_Tracked.xy_at`` inlined, A/B: 2026-10-17, fleet16, -6.3 %
+        # (the call, with the copies of the energy step, the PSM window, the
+        # push and the bystander test folded too; this copy back: -0.5 %,
+        # unresolved).  ~39 candidates a frame on churn-mix: no call and no
+        # Vec2 unless the clock has left the piece.
         heard: List[ChannelEndpoint] = []
         px, py = position.x, position.y
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        range_sq = self._range_sq
         for tracked in members:
             t_lo, t_hi, t_ref, span, x0, dx, y0, dy = tracked.piece
             if not t_lo <= now < t_hi:
@@ -699,7 +709,7 @@ class Channel:
             sep_x = x0 + dx * frac - px
             sep_y = y0 + dy * frac - py
             if (
-                sep_x * sep_x + sep_y * sep_y <= r_sq_eps
+                sep_x * sep_x + sep_y * sep_y <= range_sq
                 and tracked.node_id != sender_id
             ):
                 heard.append(tracked.endpoint)
@@ -721,11 +731,11 @@ class Channel:
         receivers = record.receivers
         corrupt = record.corrupt
         reasons = record.reasons
-        # Reception begin is inlined in the one join loop below (overlap
-        # corruption + IDLE->RX radio/energy transition).  No per-listener
-        # object is allocated: the cohort's state is appended to the
-        # record's parallel arrays, and each radio tracks only a count plus
-        # its single still-clean reception.
+        # Reception begins in the one join loop below (overlap corruption,
+        # then the IDLE->RX step).  No per-listener object is allocated: the
+        # cohort's state is appended to the record's parallel arrays, and
+        # each radio tracks only a count plus its single still-clean
+        # reception.
         for listener in joiners:
             radio = listener.radio
             if not radio.listening:
@@ -751,14 +761,7 @@ class Channel:
             receivers.append(listener)
             if radio._state is IDLE:
                 radio._state = RX
-                energy = radio.energy
-                elapsed = now - energy._state_since
-                if elapsed > 0:
-                    energy._joules += elapsed * energy._state_w
-                    energy._idle_s += elapsed
-                    energy._state_since = now
-                energy._state = RX
-                energy._state_w = energy.model.rx_w
+                radio.energy.on_state_change(RX, now)
         if dst == BROADCAST:
             self.reader_receptions += len(receivers)
         return record
@@ -780,7 +783,7 @@ class Channel:
             sep_x = x - px
             sep_y = y - py
             # the grid's own range test, so the same answer as the cohort's
-            if sep_x * sep_x + sep_y * sep_y <= self.comm_range * self.comm_range + 1e-9:
+            if sep_x * sep_x + sep_y * sep_y <= self._range_sq:
                 return endpoint
             return None
         for endpoint in heard:
@@ -814,26 +817,7 @@ class Channel:
         if not near:
             return []
         busy = []
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
-        spots = [(record, record.index, record.position) for record in near]
-        for endpoint in statics:
-            radio = endpoint.radio
-            since = radio._bystander_since
-            if since == NEVER:
-                if radio._rx_n and radio.listening:
-                    busy.append(endpoint)
-                continue
-            # ``_bystander_frame`` inlined: this runs for a whole cohort
-            x, y = radio._xy
-            for record, index, tpos in spots:
-                if index >= since:
-                    dx = x - tpos.x
-                    dy = y - tpos.y
-                    if dx * dx + dy * dy <= r_sq_eps:
-                        self._join_late(radio, record)
-                        busy.append(endpoint)
-                        break
-        for endpoint in heard:
+        for endpoint in chain(statics, heard):
             radio = endpoint.radio
             if radio._bystander_since == NEVER:
                 if radio._rx_n and radio.listening:
@@ -853,7 +837,7 @@ class Channel:
         bystander."""
         since = radio._bystander_since
         xy = radio._xy
-        r_sq_eps = self.comm_range * self.comm_range + 1e-9
+        range_sq = self._range_sq
         for record in records:
             if record.index < since:
                 continue
@@ -865,7 +849,7 @@ class Channel:
             tpos = record.position
             dx = xy[0] - tpos.x
             dy = xy[1] - tpos.y
-            if dx * dx + dy * dy <= r_sq_eps:
+            if dx * dx + dy * dy <= range_sq:
                 return record
         return None
 
@@ -883,15 +867,7 @@ class Channel:
         radio._rx_n = 1
         radio._bystander_since = NEVER
         radio._state = RX
-        energy = radio.energy
-        start = record.start
-        elapsed = start - energy._state_since
-        if elapsed > 0:
-            energy._joules += elapsed * energy._state_w
-            energy._idle_s += elapsed
-            energy._state_since = start
-        energy._state = RX
-        energy._state_w = energy.model.rx_w
+        radio.energy.on_state_change(RX, record.start)
 
     def _finish_transmission(
         self, sender: ChannelEndpoint, record: BroadcastReception
@@ -943,14 +919,7 @@ class Channel:
                 radio._bystander_since = sent
                 if radio._state is RX:
                     radio._state = IDLE
-                    energy = radio.energy
-                    elapsed = now - energy._state_since
-                    if elapsed > 0:
-                        energy._joules += elapsed * energy._state_w
-                        energy._rx_s += elapsed
-                        energy._state_since = now
-                    energy._state = IDLE
-                    energy._state_w = energy.model.idle_w
+                    radio.energy.on_state_change(IDLE, now)
             reader = to_all or receiver.node_id == dst
             if corrupt[i]:
                 collided += 1

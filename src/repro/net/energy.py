@@ -64,12 +64,8 @@ class EnergyMeter:
     State changes fire on every radio transition — roughly twice per
     reception — so the meter keeps the current state's draw as a scalar and
     accumulates per-state seconds in four plain floats (no enum hashing or
-    dict lookup on the hot path).
-
-    The hottest transitions never call this class at all: the channel's
-    begin/finish loops integrate IDLE<->RX directly against the meter's
-    fields, and ``Radio.set_state`` inlines the general transition — see
-    ``on_state_change`` for the keep-in-sync contract.
+    dict lookup on the hot path).  Every transition, the channel's
+    IDLE<->RX steps included, goes through :meth:`on_state_change`.
 
     A bystander's reception (somebody else's unicast frame, heard whole and
     alone) never changes the state here: the channel adds its airtime to
@@ -100,19 +96,14 @@ class EnergyMeter:
         #: bystander's reception still on the air real (None: nothing to do)
         self.before_read: Optional[Callable[[], None]] = None
 
-    def on_state_change(self, new_state: RadioState) -> None:
-        """Close the current state interval and open a new one.
+    def on_state_change(self, new_state: RadioState, at: float) -> None:
+        """Close the current state interval at ``at`` and open ``new_state``.
 
-        NOTE: four places inline this logic and must be kept in sync with
-        it — :meth:`repro.net.radio.Radio.set_state` (the general
-        transition), the IDLE->RX step of ``Channel._begin_reception``'s join
-        loop and of ``Channel._join_late``, and the RX->IDLE step of
-        ``Channel._finish_transmission``.
+        The one energy step: every radio transition and every readout
+        takes it.  ``at`` is ``now`` but for a bystander's reception made
+        real late, whose IDLE interval closes at its frame's start.
         """
-        # _settle and the watts lookup are inlined: this fires on every
-        # radio transition and the two extra calls are measurable.
-        now = self.sim.now
-        elapsed = now - self._state_since
+        elapsed = at - self._state_since
         if elapsed > 0:
             self._joules += elapsed * self._state_w
             state = self._state
@@ -124,7 +115,7 @@ class EnergyMeter:
                 self._rx_s += elapsed
             else:
                 self._tx_s += elapsed
-            self._state_since = now
+            self._state_since = at
         self._state = new_state
         model = self.model
         if new_state is IDLE:
@@ -136,24 +127,6 @@ class EnergyMeter:
         else:
             self._state_w = model.tx_w
 
-    def _settle(self) -> None:
-        now = self.sim.now
-        elapsed = now - self._state_since
-        if elapsed > 0:
-            self._joules += elapsed * self._state_w
-            state = self._state
-            if state is IDLE:
-                self._idle_s += elapsed
-            elif state is SLEEP:
-                self._sleep_s += elapsed
-            elif state is RX:
-                self._rx_s += elapsed
-            else:
-                self._tx_s += elapsed
-            self._state_since = now
-        elif elapsed != 0.0:  # pragma: no cover - clock never runs backwards
-            self._state_since = now
-
     # ------------------------------------------------------------------
     # Readouts
     # ------------------------------------------------------------------
@@ -162,7 +135,7 @@ class EnergyMeter:
         now, bystander receptions billed as RX."""
         if self.before_read is not None:
             self.before_read()
-        self._settle()
+        self.on_state_change(self._state, self.sim.now)
         heard = self.bystander_s
         model = self.model
         return (

@@ -212,42 +212,12 @@ class SleepScheduler:
     # ------------------------------------------------------------------
     def is_scheduled_awake(self, t: float) -> bool:
         """Whether the schedule has the node awake at time ``t``."""
-        # config.in_window inlined: this runs on every wake boundary and
-        # sleep attempt for every sleeper.
-        cfg = self.config
-        interval = cfg.beacon_interval_s
-        eps = cfg._BOUNDARY_EPS
-        phase = (t - cfg.offset_s) % interval
-        if phase >= interval - eps:
-            phase = 0.0
-        if phase < cfg.active_window_s - eps:
+        if self.config.in_window(t):
             return True
         for start, end in self._overrides:
             if start - 1e-12 <= t < end - 1e-12:
                 return True
         return False
-
-    def next_window_start(self, after: float) -> float:
-        """Earliest scheduled wake boundary strictly relevant after ``after``.
-
-        Returns the start of the next beacon window or override, whichever
-        comes first.  If ``after`` falls inside a window, returns the next
-        *future* boundary (delivery planners call this only when the target
-        is asleep).
-        """
-        # PsmConfig.next_window_start inlined (identical arithmetic): this
-        # chains every sleeper's beacon cycle, once per boundary event.
-        cfg = self.config
-        interval = cfg.beacon_interval_s
-        offset = cfg.offset_s
-        shifted = after - offset
-        best = (math.floor(shifted / interval) + 1) * interval + offset
-        if best <= after + cfg._BOUNDARY_EPS:
-            best += interval
-        for start, _end in self._overrides:
-            if after < start < best:
-                best = start
-        return best
 
     # ------------------------------------------------------------------
     # Overrides

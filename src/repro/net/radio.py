@@ -50,7 +50,7 @@ class Radio:
         #: once per potential listener per transmission, where a property
         #: call is measurable; maintained by ``set_state``.
         self.listening = initial_state in (IDLE, RX)
-        self.energy.on_state_change(initial_state)
+        self.energy.on_state_change(initial_state, sim.now)
         #: number of real receptions in flight at this radio: begun by the
         #: channel's join loop or turned real from a bystander's (the
         #: channel reads this; everyone else reads ``rx_count``)
@@ -156,34 +156,7 @@ class Radio:
                 self._bystander_since = self._channel.frames_sent
             self.listening = True
         self._state = new_state
-        # Energy integration inlined (EnergyMeter.on_state_change semantics):
-        # radio transitions are the single most frequent state change in a
-        # run and the extra call per transition is measurable.
-        energy = self.energy
-        now = self.sim.now
-        elapsed = now - energy._state_since
-        if elapsed > 0:
-            energy._joules += elapsed * energy._state_w
-            state = energy._state
-            if state is IDLE:
-                energy._idle_s += elapsed
-            elif state is SLEEP:
-                energy._sleep_s += elapsed
-            elif state is RX:
-                energy._rx_s += elapsed
-            else:
-                energy._tx_s += elapsed
-            energy._state_since = now
-        energy._state = new_state
-        model = energy.model
-        if new_state is IDLE:
-            energy._state_w = model.idle_w
-        elif new_state is SLEEP:
-            energy._state_w = model.sleep_w
-        elif new_state is RX:
-            energy._state_w = model.rx_w
-        else:
-            energy._state_w = model.tx_w
+        self.energy.on_state_change(new_state, self.sim.now)
 
     # ------------------------------------------------------------------
     # Channel integration

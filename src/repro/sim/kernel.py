@@ -116,15 +116,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        # Fast path: the relative-delay form is the hot one (MAC timers,
-        # receptions); inline the push instead of dispatching through
-        # schedule_at so each event costs one call, not two.
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, self)
-        heappush(self._queue, (time, seq, handle))
-        return handle
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute time ``time``.

@@ -6,11 +6,15 @@ rule the slow, obvious way — build every check point as a
 :class:`~repro.geometry.vec.Vec2` through the public
 :meth:`~repro.geometry.shapes.Circle.intersection_points`, then count the
 covering disks of each — so ``tests/test_power_ccp_oracle.py`` can require
-the identical active set from both.
+the identical active set from both.  A pair of circles meets again in the
+checks of every node near it, so one call of :func:`oracle_select_active`
+keeps each ordered pair's crossings (:class:`Crossings`), keyed on the
+exact floats of both circles: ``intersection_points`` is pure, so the
+points are the ones it would derive again.
 """
 
 import math
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -24,6 +28,20 @@ from repro.power.ccp import CcpConfig
 INTERIOR_EPS = 1e-6
 
 
+class Crossings:
+    """``Circle.intersection_points`` of each ordered pair, derived once."""
+
+    def __init__(self) -> None:
+        self._points: Dict[Tuple[float, ...], Tuple[Vec2, ...]] = {}
+
+    def of(self, a: Circle, b: Circle) -> Tuple[Vec2, ...]:
+        key = (a.center.x, a.center.y, a.radius, b.center.x, b.center.y, b.radius)
+        points = self._points.get(key)
+        if points is None:
+            points = self._points[key] = tuple(a.intersection_points(b))
+        return points
+
+
 def oracle_select_active(network: Network, rng, config: CcpConfig) -> Set[int]:
     """``CcpProtocol(config).select_active`` with object-based eligibility."""
     rs = network.config.sensing_range_m
@@ -31,15 +49,18 @@ def oracle_select_active(network: Network, rng, config: CcpConfig) -> Set[int]:
     active = {node.node_id for node in network.nodes}
     order = list(network.nodes)
     rng.shuffle(order)
+    crossings = Crossings()
     for node in order:
-        if eligible_to_sleep(network, node, active, rs, region, config.coverage_degree):
+        if eligible_to_sleep(
+            network, node, active, rs, region, config.coverage_degree, crossings
+        ):
             active.discard(node.node_id)
     if config.repair_connectivity:
         repair_connectivity(network, active)
     return active
 
 
-def eligible_to_sleep(network, node, active, rs, region, k) -> bool:
+def eligible_to_sleep(network, node, active, rs, region, k, crossings) -> bool:
     my_disk = Circle(node.position, rs)
     neighbor_disks = [
         Circle(other.position, rs)
@@ -48,7 +69,7 @@ def eligible_to_sleep(network, node, active, rs, region, k) -> bool:
     ]
     if len(neighbor_disks) < k:
         return False
-    points = check_points(my_disk, neighbor_disks, region)
+    points = check_points(my_disk, neighbor_disks, region, crossings)
     if not points:
         # no check point at all: eligible iff k neighbour disks hold all of mine
         containing = sum(
@@ -68,17 +89,20 @@ def eligible_to_sleep(network, node, active, rs, region, k) -> bool:
 
 
 def check_points(
-    my_disk: Circle, neighbor_disks: List[Circle], region: Optional[Rect]
+    my_disk: Circle,
+    neighbor_disks: List[Circle],
+    region: Optional[Rect],
+    crossings: Crossings,
 ) -> List[Vec2]:
     """Every check point of the intersection-point theorem for ``my_disk``."""
     points = []
     n = len(neighbor_disks)
     for i in range(n):
-        for p in neighbor_disks[i].intersection_points(my_disk):
+        for p in crossings.of(neighbor_disks[i], my_disk):
             if region is None or region.contains(p, tol=1e-9):
                 points.append(p)
         for j in range(i + 1, n):
-            for p in neighbor_disks[i].intersection_points(neighbor_disks[j]):
+            for p in crossings.of(neighbor_disks[i], neighbor_disks[j]):
                 if not my_disk.contains(p):
                     continue
                 if region is None or region.contains(p, tol=1e-9):

@@ -189,7 +189,7 @@ def test_the_threshold_separation_is_exact():
 #: name -> (text of ``Channel.busy_until`` to replace, replacement)
 MUTATIONS = {
     "own frame counted": ("if tx.sender_id == node_id:", "if False:"),
-    "< for <= at the range test": ("<= r_sq_eps", "< r_sq_eps"),
+    "< for <= at the range test": ("<= range_sq", "< range_sq"),
     "first in-range end time, not the latest": (
         "if latest is None or tx.end_time > latest:", "if latest is None:",
     ),

@@ -106,7 +106,7 @@ class World:
         """Bill the oracle radio's state to the endpoint's reference meter."""
         state = self.oracle[endpoint].state
         if state is not self.meters[endpoint]._state:
-            self.meters[endpoint].on_state_change(state)
+            self.meters[endpoint].on_state_change(state, self.sim.now)
 
     def set_state(self, endpoint, state):
         endpoint.radio.set_state(state)

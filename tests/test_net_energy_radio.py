@@ -47,7 +47,7 @@ class TestEnergyMeter:
     def test_average_power(self):
         sim = Simulator()
         meter = EnergyMeter(sim, PowerModel())
-        sim.schedule(5.0, meter.on_state_change, RadioState.SLEEP)
+        sim.schedule_at(5.0, meter.on_state_change, RadioState.SLEEP, 5.0)
         sim.run(until=10.0)
         expected = (5 * 0.830 + 5 * 0.130) / 10.0
         assert meter.average_power_w() == pytest.approx(expected)

@@ -10,17 +10,20 @@ the same from both, whatever the fleet does between frames and whichever of
 """
 
 import ast
+import inspect
 import math
 import pathlib
+import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.net
+import repro.net.channel as channel_module
 from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
-from repro.net.channel import _INDEX_WINDOW_S, Channel
+from repro.net.channel import _INDEX_WINDOW_S, Channel, _Tracked
 from repro.net.energy import PowerModel
 from repro.net.packet import BROADCAST, Frame
 from repro.net.radio import Radio
@@ -310,6 +313,81 @@ class TestIndexedCohort:
         assert sim.now < channel._index_until  # still the first window
         channel.transmit(sender, Frame("data", 0, BROADCAST, 64))
         assert channel._active[-1].receivers == [walker]
+
+
+def cohorts_read_the_home(statics, fleet, waits):
+    """Every frame's mobile cohort is the mobiles in range at the positions
+    ``_Tracked.xy_at`` gives, in registration order: the range test's copy
+    of it reads the same positions.  The home runs on trackers of its own."""
+    sim = Simulator()
+    channel = Channel(sim, comm_range=RC, bitrate_bps=2e6)
+    nodes = [fixed(sim, i, x, y) for i, (x, y) in enumerate(statics)]
+    for node in nodes:
+        channel.register_static(node)
+    proxies = [patrolling(sim, FIRST_PROXY_ID + k, *proxy) for k, proxy in enumerate(fleet)]
+    for proxy in proxies:
+        channel.register_mobile(proxy)
+    homes = [_Tracked(proxy) for proxy in proxies]
+    for wait in waits:
+        sim.run(until=sim.now + wait)
+        for (px, py), node in zip(statics, nodes):
+            expected = []
+            for home in homes:
+                x, y = home.xy_at(sim.now)
+                sep_x = x - px
+                sep_y = y - py
+                if sep_x * sep_x + sep_y * sep_y <= channel._range_sq:
+                    expected.append(home.endpoint)
+            airtime = channel.transmit(node, Frame("data", node.node_id, BROADCAST, 64))
+            assert channel._active[-1].heard == expected
+            sim.run(until=sim.now + airtime)
+
+
+cohort_worlds = dict(
+    statics=st.lists(points, min_size=1, max_size=4),
+    fleet=fleets,
+    waits=st.lists(
+        st.floats(min_value=0.0, max_value=1.5 * _INDEX_WINDOW_S), min_size=1, max_size=8
+    ),
+)
+
+#: named mutations of ``_Tracked.xy_at``'s copy in the range test of
+#: ``Channel._begin_reception``: name -> (text to replace, replacement)
+XY_AT_MUTATIONS = {
+    "a motion piece kept past its end": (
+        "if not t_lo <= now < t_hi:", "if not t_lo <= now:",
+    ),
+    "the x step taken for y": (
+        "sep_y = y0 + dy * frac - py", "sep_y = y0 + dx * frac - py",
+    ),
+}
+
+
+class TestRangeTestCopy:
+    @settings(max_examples=60, deadline=None)
+    @given(**cohort_worlds)
+    def test_range_test_reads_the_positions_of_xy_at(self, statics, fleet, waits):
+        cohorts_read_the_home(statics, fleet, waits)
+
+    @pytest.mark.parametrize("name", XY_AT_MUTATIONS)
+    def test_property_fails_under_named_mutations(self, name, monkeypatch):
+        old, new = XY_AT_MUTATIONS[name]
+        source = textwrap.dedent(inspect.getsource(Channel._begin_reception))
+        assert source.count(old) == 1, f"mutation {name!r} no longer applies"
+        scope = {}
+        exec(source.replace(old, new), vars(channel_module), scope)
+        monkeypatch.setattr(Channel, "_begin_reception", scope["_begin_reception"])
+
+        @settings(
+            max_examples=60, deadline=None, derandomize=True, database=None,
+            phases=[Phase.explicit, Phase.generate],
+        )
+        @given(**cohort_worlds)
+        def mutated(statics, fleet, waits):
+            cohorts_read_the_home(statics, fleet, waits)
+
+        with pytest.raises(AssertionError):
+            mutated()
 
 
 class TestSpeedBoundContract:

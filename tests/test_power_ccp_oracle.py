@@ -4,8 +4,9 @@
 ``tests/ccp_oracle.py`` — same RNG stream, same field — with the coverage
 requirement clipped to the region and not, at 1- and 2-coverage.  The kernel
 takes pair crossings from one per-pass table and tests check points against
-the nearest neighbours first; the oracle derives every point again for every
-node and tests it against every neighbour in list order.
+the nearest neighbours first; the oracle builds every node's points as
+objects, each pair's crossings derived once per call and shared by the
+nodes near it, and tests each point against every neighbour in list order.
 """
 
 import inspect
