@@ -1,16 +1,15 @@
 """Golden determinism: the hot-path optimizations change speed, nothing else.
 
 The hot-path overhauls (cached static topology, per-node carrier sense,
-kernel fast paths, inlined radio/energy transitions, batched per-frame
-receptions, the PSM wake-wheel) are only admissible because simulation
-*results* are bit-identical to the pre-optimization code.  The golden
-configs' pins live in the ledger with every other run's
-(``tests/data/pins.json``, checked by ``tests/test_pins.py``, which also
-states the re-pin rules).  This module checks the golden configs' two
-families one by one, on the ledger check's own run of each config, and
-holds the properties around them: a rerun is self-identical, the
-parallel replications match the serial ones, and fault plans that leave
-the world empty move no pin.
+kernel fast paths, batched per-frame receptions, the PSM wake-wheel) are
+only admissible because simulation *results* are bit-identical to the
+pre-optimization code.  The golden configs' pins live in the ledger with
+every other run's (``tests/data/pins.json``, checked by
+``tests/test_pins.py``, which also states the re-pin rules).  This module
+checks the golden configs' two families one by one, on the ledger check's
+own run of each config, and holds the properties around them: a rerun
+is self-identical, the parallel replications match the serial ones, and
+fault plans that leave the world empty move no pin.
 """
 
 import pytest

@@ -200,7 +200,7 @@ def ledger_mismatches(name: str, result) -> List[str]:
     the ledger's own run of ``name`` (:func:`measured`).
     """
     pin = dict(load_pins()[name])
-    del pin["joules"]
+    pin.pop("joules", None)
     return mismatches(pin, fingerprint(result))
 
 
