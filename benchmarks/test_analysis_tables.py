@@ -19,8 +19,7 @@ from repro.core.analysis import (
 )
 from repro.experiments.figures import (
     contention_analysis_table,
-    measured_contention,
-    measured_storage,
+    measured_section5,
     run_warmup_comparison,
     storage_analysis_table,
 )
@@ -29,7 +28,7 @@ from repro.experiments.reporting import format_table
 
 def test_storage_table(once, emit):
     rows = storage_analysis_table()
-    measured = once(measured_storage)
+    measured = once(measured_section5)["prefetch_length"]
     emit(
         format_table(
             "Tab A — Section 5.2 storage cost (closed form)",
@@ -56,7 +55,7 @@ def test_storage_table(once, emit):
 
 def test_contention_table(once, emit):
     rows = contention_analysis_table()
-    measured = once(measured_contention)
+    measured = once(measured_section5)["interference_length"]
     emit(
         format_table(
             "Tab B — Section 5.4 network contention (closed form)",

@@ -59,8 +59,13 @@ _REQUEST_KEYS = frozenset(
 #: every key one *expanded* request payload may carry (no count/spacing)
 _PAYLOAD_KEYS = _REQUEST_KEYS - {"count", "spacing_s"}
 
-#: every key the ``network`` override dict may carry
-_NETWORK_KEYS = frozenset(f.name for f in dataclass_fields(NetworkConfig))
+#: every key the ``network`` override dict may carry: the NetworkConfig
+#: fields a JSON number sets and the world honours (``region`` is an object,
+#: and the service draws its own ``psm_offset_s``)
+_NETWORK_KEYS = frozenset({
+    "n_nodes", "comm_range_m", "sensing_range_m", "bitrate_bps",
+    "sleep_period_s", "active_window_s", "sensor_noise_std",
+})
 
 #: spec fields that hold a nested dict (copied on the way in and out)
 _DICT_FIELDS = ("network", "admission", "faults")
@@ -75,7 +80,8 @@ class ScenarioSpec:
     mode: str = "jit"
     seed: int = 1
     duration_s: float = 120.0
-    #: NetworkConfig field overrides (e.g. {"sleep_period_s": 9.0})
+    #: NetworkConfig field overrides (e.g. {"sleep_period_s": 9.0}; the
+    #: keys are ``_NETWORK_KEYS``)
     network: Dict = field(default_factory=dict)
     #: admission policy dict (see :func:`make_admission_policy`)
     admission: Dict = field(default_factory=dict)

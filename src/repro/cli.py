@@ -601,13 +601,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         faults = load_fault_file(args.faults)
     if args.shards > 1:
-        # The same fleet on a regional cluster: same requests as the
-        # one-world runner, scored from what close() returns.
-        from .cluster.service import ClusterService
+        # The same fleet on a regional cluster, built the way `repro
+        # scenario` builds one: same requests as the one-world runner,
+        # scored from what close() returns.
+        from .api.scenarios import ScenarioSpec, build_backend
         from .sim.rng import RandomStreams
 
-        cluster = ClusterService(
-            config, shards=args.shards, workers=max(args.workers, 0), faults=faults
+        cluster = build_backend(
+            ScenarioSpec(
+                name="run",
+                mode=args.mode,
+                seed=args.seed,
+                duration_s=args.duration,
+                network={"sleep_period_s": args.sleep_period},
+                shards=args.shards,
+                workers=max(args.workers, 0),
+                faults=faults.to_dict() if faults is not None else {},
+            )
         )
         for request in legacy_requests(config, RandomStreams(config.seed)):
             cluster.submit(request)

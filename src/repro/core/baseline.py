@@ -18,7 +18,6 @@ session, with the lifecycle of :class:`~repro.core.service.MobiQueryProtocol`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net.flooding import FloodManager
@@ -35,16 +34,12 @@ from .messages import (
 )
 
 
-@dataclass(frozen=True)
-class NoPrefetchConfig:
-    """Baseline tuning."""
-
-    #: delivery radius when routing a report back toward the user
-    relay_radius_m: float = 60.0
-    #: random stagger for readings taken at the sense time
-    report_jitter_max_s: float = 0.15
-    #: how long a woken leaf stays up to transmit its report
-    wake_slack_s: float = 0.15
+#: delivery radius when routing a report back toward the user
+RELAY_RADIUS_M = 60.0
+#: random stagger for readings taken at the sense time
+REPORT_JITTER_MAX_S = 0.15
+#: how long a woken leaf stays up to transmit its report
+WAKE_SLACK_S = 0.15
 
 
 class NoPrefetchProtocol:
@@ -65,13 +60,11 @@ class NoPrefetchProtocol:
         network: Network,
         geo: GeoRouter,
         flood: FloodManager,
-        config: Optional[NoPrefetchConfig] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.network = network
         self.geo = geo
         self.flood = flood
-        self.config = config or NoPrefetchConfig()
         self.tracer = tracer if tracer is not None else network.tracer
         self.sim = network.sim
         #: session key -> the ``(node_id, k)`` query copies already handled
@@ -154,9 +147,9 @@ class NoPrefetchProtocol:
             return
         if node.sleep_scheduler is not None:
             node.sleep_scheduler.add_wake_interval(
-                sense_time, min(msg.deadline, sense_time + self.config.wake_slack_s)
+                sense_time, min(msg.deadline, sense_time + WAKE_SLACK_S)
             )
-        jitter = float(node.rng.uniform(0.0, self.config.report_jitter_max_s))
+        jitter = float(node.rng.uniform(0.0, REPORT_JITTER_MAX_S))
         self.sim.schedule_at(sense_time + jitter, self._respond, node, msg)
 
     def _buffer_for_sleepers(self, node: SensorNode, msg: NpQueryMessage) -> None:
@@ -220,13 +213,13 @@ class NoPrefetchProtocol:
         )
         # Route toward where the user issued the query; the delivering node
         # relays the final hop to the proxy directly.
-        if node.position.distance_to(msg.issue_position) <= self.config.relay_radius_m:
+        if node.position.distance_to(msg.issue_position) <= RELAY_RADIUS_M:
             self._relay_to_proxy(node, msg, report)
             return
         self.geo.send(
             origin=node,
             dest=msg.issue_position,
-            deliver_radius=self.config.relay_radius_m,
+            deliver_radius=RELAY_RADIUS_M,
             inner_kind="np-relay",
             inner_payload=(msg, report),
             inner_size=NP_REPORT_SIZE_BYTES,

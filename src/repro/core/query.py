@@ -117,10 +117,6 @@ class QuerySpec:
             raise ValueError(f"period index must be >= 1, got {k}")
         return self.start_s + k * self.period_s
 
-    def sense_time(self, k: int) -> float:
-        """Earliest reading time that is still fresh at the k-th deadline."""
-        return self.deadline(k) - self.freshness_s
-
     def period_index(self, t: float) -> int:
         """The period containing absolute time ``t`` (0 before deadline 1).
 

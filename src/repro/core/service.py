@@ -66,58 +66,57 @@ POLICY_JIT = "jit"
 POLICY_GREEDY = "greedy"
 
 
+#: how long before each deadline the collector transmits the result to
+#: the user
+RESULT_GUARD_S = 0.05
+#: random stagger of leaf reports after the sense time, to decorrelate the
+#: wake-up burst
+LEAF_JITTER_MAX_S = 0.2
+#: how long past the sense time a leaf's wake override lasts (the MAC drain
+#: can extend it slightly)
+WAKE_SLACK_S = 0.35
+#: max random delay before a backbone node rebroadcasts a setup flood frame
+SETUP_REBROADCAST_JITTER_S = 4e-3
+#: how long after its deadline a tree state lingers before garbage
+#: collection (for duplicate suppression)
+STATE_GC_GRACE_S = 2.0
+#: consecutive pickup points without matching state after which a cancel
+#: chain stops
+CANCEL_MISS_LIMIT = 2
+#: how many times collector duty may move to another backbone node after a
+#: crash before the period is abandoned (fault recovery; no effect without
+#: a fault plan)
+REELECT_ATTEMPT_LIMIT = 3
+#: base delay before a re-elected collector sends the salvaged result;
+#: grows linearly with the attempt count
+REELECT_BACKOFF_S = 0.05
+
+
 @dataclass(frozen=True)
 class MobiQueryConfig:
-    """Protocol tuning knobs.
+    """Protocol knobs a run sets.
 
     Attributes:
         prefetch_policy: ``"jit"`` or ``"greedy"``.
         pickup_radius_m: the anycast delivery radius ``Rp``.
-        result_guard_s: how long before each deadline the collector
-            transmits the result to the user.
-        leaf_jitter_max_s: random stagger of leaf reports after the sense
-            time, to decorrelate the wake-up burst.
-        wake_slack_s: how long past the sense time a leaf's wake override
-            lasts (the MAC drain can extend it slightly).
-        setup_rebroadcast_jitter_s: max random delay before a backbone node
-            rebroadcasts a setup flood frame.
-        state_gc_grace_s: how long after its deadline a tree state lingers
-            before garbage collection (for duplicate suppression).
-        cancel_miss_limit: consecutive pickup points without matching state
-            after which a cancel chain stops.
         parent_upgrade: adopt a closer-to-collector parent from duplicate
             setup receptions (ablation flag; disabling reproduces the
             first-sender flood tree and its sub-deadline inversions).
         redeliver_setups: keep buffered setups pending across beacon
             windows until their period expires, PSM-style (ablation flag;
             disabling gives sleepers exactly one delivery chance).
-        reelect_attempt_limit: how many times collector duty may move to
-            another backbone node after a crash before the period is
-            abandoned (fault recovery; no effect without a fault plan).
-        reelect_backoff_s: base delay before a re-elected collector sends
-            the salvaged result; grows linearly with the attempt count.
     """
 
     prefetch_policy: str = POLICY_JIT
     pickup_radius_m: float = 30.0
-    result_guard_s: float = 0.05
-    leaf_jitter_max_s: float = 0.2
-    wake_slack_s: float = 0.35
-    setup_rebroadcast_jitter_s: float = 4e-3
-    state_gc_grace_s: float = 2.0
-    cancel_miss_limit: int = 2
     parent_upgrade: bool = True
     redeliver_setups: bool = True
-    reelect_attempt_limit: int = 3
-    reelect_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.prefetch_policy not in (POLICY_JIT, POLICY_GREEDY):
             raise ValueError(f"unknown prefetch policy {self.prefetch_policy!r}")
         if self.pickup_radius_m <= 0:
             raise ValueError("pickup radius must be > 0")
-        if self.result_guard_s < 0:
-            raise ValueError("result guard must be >= 0")
 
 
 @dataclass
@@ -337,7 +336,7 @@ class MobiQueryProtocol:
         self._setup_tree(record, node, collector)
         self._schedule_prefetch_forward(node, spec, profile, k + 1, msg.proxy_id)
         collector.result_timer = self.sim.schedule_at(
-            max(now, deadline - self.config.result_guard_s),
+            max(now, deadline - RESULT_GUARD_S),
             self._send_result,
             node,
             collector,
@@ -464,7 +463,7 @@ class MobiQueryProtocol:
             user=setup.user_id,
         )
         self.sim.schedule_at(
-            setup.deadline + self.config.state_gc_grace_s,
+            setup.deadline + STATE_GC_GRACE_S,
             self._gc_tree_state,
             state.session_key,
             key,
@@ -523,7 +522,7 @@ class MobiQueryProtocol:
             if node.is_active:
                 # Spread the corrected tree to peers that also hold old state.
                 jitter = float(
-                    node.rng.uniform(5e-4, self.config.setup_rebroadcast_jitter_s)
+                    node.rng.uniform(5e-4, SETUP_REBROADCAST_JITTER_S)
                 )
                 self.sim.schedule(jitter, self._rebroadcast_setup, node, setup)
                 self._queue_sleeper_delivery(node, setup)
@@ -563,7 +562,7 @@ class MobiQueryProtocol:
         self, node: SensorNode, setup: SetupMessage, state: TreeNodeState
     ) -> None:
         """Backbone node: rebroadcast, buffer for sleepers, arm sub-deadline."""
-        jitter = float(node.rng.uniform(5e-4, self.config.setup_rebroadcast_jitter_s))
+        jitter = float(node.rng.uniform(5e-4, SETUP_REBROADCAST_JITTER_S))
         self.sim.schedule(jitter, self._rebroadcast_setup, node, setup)
         self._queue_sleeper_delivery(node, setup)
         du = self._sub_deadline(node, setup)
@@ -597,9 +596,9 @@ class MobiQueryProtocol:
         scheduler = node.sleep_scheduler
         if scheduler is not None:
             scheduler.add_wake_interval(
-                sense_time, min(setup.deadline, sense_time + self.config.wake_slack_s)
+                sense_time, min(setup.deadline, sense_time + WAKE_SLACK_S)
             )
-        jitter = float(node.rng.uniform(0.0, self.config.leaf_jitter_max_s))
+        jitter = float(node.rng.uniform(0.0, LEAF_JITTER_MAX_S))
         state.send_timer = self.sim.schedule_at(
             sense_time + jitter, self._leaf_report, node, state
         )
@@ -834,7 +833,7 @@ class MobiQueryProtocol:
         """
         spec = collector.spec
         trees = self._sessions[spec.session_key].trees
-        if collector.reelect_attempts >= self.config.reelect_attempt_limit:
+        if collector.reelect_attempts >= REELECT_ATTEMPT_LIMIT:
             self.tracer.emit(
                 "collector-lost", self.sim.now, k=collector.k, node=dead_node.node_id
             )
@@ -886,7 +885,7 @@ class MobiQueryProtocol:
             old_state.collector_id = new_node.node_id
             trees[new_key] = old_state
             self.sim.schedule_at(
-                old_state.deadline + self.config.state_gc_grace_s,
+                old_state.deadline + STATE_GC_GRACE_S,
                 self._gc_tree_state,
                 spec.session_key,
                 new_key,
@@ -902,7 +901,7 @@ class MobiQueryProtocol:
             attempt=collector.reelect_attempts,
         )
         collector.result_timer = self.sim.schedule(
-            self.config.reelect_backoff_s * collector.reelect_attempts,
+            REELECT_BACKOFF_S * collector.reelect_attempts,
             self._send_result,
             new_node,
             collector,
@@ -962,7 +961,7 @@ class MobiQueryProtocol:
         else:
             misses = msg.misses + 1
         next_k = msg.k + 1
-        if misses >= self.config.cancel_miss_limit:
+        if misses >= CANCEL_MISS_LIMIT:
             return
         if next_k > msg.spec.num_periods:
             return

@@ -93,10 +93,6 @@ class Vec2:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def angle(self) -> float:
-        """Angle of the vector in radians, in ``(-pi, pi]``."""
-        return math.atan2(self.y, self.x)
-
     # ------------------------------------------------------------------
     # Transforms
     # ------------------------------------------------------------------
@@ -114,19 +110,6 @@ class Vec2:
     def perpendicular(self) -> "Vec2":
         """The vector rotated +90 degrees."""
         return Vec2(-self.y, self.x)
-
-    def rotated(self, angle: float) -> "Vec2":
-        """The vector rotated by ``angle`` radians counter-clockwise."""
-        c = math.cos(angle)
-        s = math.sin(angle)
-        return Vec2(self.x * c - self.y * s, self.x * s + self.y * c)
-
-    def clamped(self, lo: "Vec2", hi: "Vec2") -> "Vec2":
-        """Component-wise clamp into the axis-aligned box ``[lo, hi]``."""
-        return Vec2(
-            min(max(self.x, lo.x), hi.x),
-            min(max(self.y, lo.y), hi.y),
-        )
 
     def is_close(self, other: "Vec2", tol: float = 1e-9) -> bool:
         """Approximate equality within absolute tolerance ``tol``."""

@@ -28,6 +28,9 @@ from .gps import GpsModel
 from .path import PiecewisePath
 from .profile import MotionProfile, ProfileArrival, ProfileProvider
 
+#: how often (s) the proxy checks a GPS fix against the current profile
+MONITOR_INTERVAL_S = 2.0
+
 
 class HistoryPredictorProvider(ProfileProvider):
     """Two-fix velocity extrapolation with GPS error + divergence reissue."""
@@ -39,15 +42,12 @@ class HistoryPredictorProvider(ProfileProvider):
         gps: GpsModel,
         rng: np.random.Generator,
         sampling_period_s: float = 8.0,
-        monitor_interval_s: float = 2.0,
         divergence_threshold_m: float = 10.0,
     ) -> None:
         if duration_s <= 0:
             raise ValueError("duration must be > 0")
         if sampling_period_s <= 0:
             raise ValueError("sampling period must be > 0")
-        if monitor_interval_s <= 0:
-            raise ValueError("monitor interval must be > 0")
         if divergence_threshold_m <= 0:
             raise ValueError("divergence threshold must be > 0")
         self.true_path = true_path
@@ -55,7 +55,6 @@ class HistoryPredictorProvider(ProfileProvider):
         self.gps = gps
         self.rng = rng
         self.sampling_period_s = sampling_period_s
-        self.monitor_interval_s = monitor_interval_s
         self.divergence_threshold_m = divergence_threshold_m
 
     # ------------------------------------------------------------------
@@ -107,7 +106,7 @@ class HistoryPredictorProvider(ProfileProvider):
             # Divergence monitoring for the rest of the leg.
             t = leg_start + delta
             while True:
-                t += self.monitor_interval_s
+                t += MONITOR_INTERVAL_S
                 if t >= min(leg_end, self.duration_s):
                     break
                 fix = self.gps.read(self.true_path, t, self.rng)

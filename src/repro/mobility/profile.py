@@ -48,18 +48,9 @@ class MotionProfile:
         """``Ta = ts - tg``; positive for planners, negative for predictors."""
         return self.ts - self.tg
 
-    @property
-    def expires_at(self) -> float:
-        """End of the validity interval (``ts + Tv``)."""
-        return self.ts + self.validity_s
-
     def position_at(self, t: float) -> Vec2:
         """Predicted user position at time ``t`` (path semantics: clamped)."""
         return self.path.position_at(t)
-
-    def covers(self, t: float) -> bool:
-        """Whether ``t`` falls inside the validity interval."""
-        return self.ts <= t <= self.expires_at
 
     def regenerated(self) -> "MotionProfile":
         """A copy carrying a fresh (strictly newer) generation.

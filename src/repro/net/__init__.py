@@ -10,7 +10,7 @@ from .field import (
     fire_scenario_field,
 )
 from .flooding import FloodEnvelope, FloodManager
-from .mac import MacConfig, MacLayer
+from .mac import MacLayer
 from .network import Network, NetworkConfig, build_network, uniform_positions
 from .node import ROLE_ACTIVE, ROLE_SLEEPER, MobileEndpoint, SensorNode
 from .packet import ACK_SIZE_BYTES, BROADCAST, MAC_HEADER_BYTES, Frame
@@ -32,7 +32,6 @@ __all__ = [
     "fire_scenario_field",
     "FloodManager",
     "FloodEnvelope",
-    "MacConfig",
     "MacLayer",
     "Network",
     "NetworkConfig",

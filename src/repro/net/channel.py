@@ -128,6 +128,9 @@ from .radio import NEVER, Radio
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..mobility.path import MotionPiece
 
+#: fixed PHY preamble/PLCP time per frame (802.11 long preamble at 1 Mb/s
+#: is 192 us)
+PREAMBLE_S = 192e-6
 #: Sim-seconds one build of the mobile cell index stays valid.  A longer
 #: window rebuilds less often but widens every reach disk by
 #: ``max_speed_mps`` metres per second of window, lengthening the lists.
@@ -285,15 +288,12 @@ class Channel:
         comm_range: float,
         bitrate_bps: float,
         tracer: Optional[Tracer] = None,
-        preamble_s: float = 192e-6,
     ) -> None:
         """Args:
         sim: event kernel.
         comm_range: unit-disk radius ``Rc`` in metres.
         bitrate_bps: link bitrate (2e6 in the paper's evaluation).
         tracer: optional tracer; emits ``tx``, ``rx``, ``collision`` kinds.
-        preamble_s: fixed PHY preamble/PLCP time per frame (802.11 long
-            preamble at 1 Mb/s is 192 us).
         """
         if comm_range <= 0:
             raise ValueError(f"comm_range must be > 0, got {comm_range}")
@@ -305,7 +305,6 @@ class Channel:
         #: test here accepts ``d^2 <= _range_sq``, as ``query_disk`` does
         self._range_sq = comm_range * comm_range + 1e-9
         self.bitrate_bps = bitrate_bps
-        self.preamble_s = preamble_s
         self.tracer = tracer
         #: the field's only static index, in registration order
         self.grid: SpatialGrid[ChannelEndpoint] = SpatialGrid(cell_size=comm_range)
@@ -456,14 +455,7 @@ class Channel:
     # ------------------------------------------------------------------
     def airtime(self, frame: Frame) -> float:
         """Seconds the frame occupies the medium."""
-        return self.preamble_s + (frame.wire_bytes() * 8.0) / self.bitrate_bps
-
-    def in_range(self, a: ChannelEndpoint, b: ChannelEndpoint, time: float) -> bool:
-        """Whether ``a`` and ``b`` are within communication range at ``time``."""
-        return (
-            a.position_at(time).distance_sq_to(b.position_at(time))
-            <= self._range_sq
-        )
+        return PREAMBLE_S + (frame.wire_bytes() * 8.0) / self.bitrate_bps
 
     def static_listeners(self, node_id: int) -> Tuple[ChannelEndpoint, ...]:
         """Static endpoints within range of static node ``node_id`` (cached).

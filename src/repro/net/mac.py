@@ -21,7 +21,6 @@ receivers; hidden terminals collide regardless of carrier sense.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from ..sim.kernel import EventHandle, Simulator
@@ -36,20 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 SendCallback = Callable[[bool], None]
 
 
-@dataclass(frozen=True)
-class MacConfig:
-    """Tunable MAC timing and retry parameters (802.11-flavoured defaults)."""
-
-    slot_s: float = 20e-6
-    sifs_s: float = 10e-6
-    difs_s: float = 50e-6
-    cw_min: int = 16
-    cw_max: int = 1024
-    retry_limit: int = 7
-    #: extra ACK wait slack beyond SIFS + ACK airtime
-    ack_slack_s: float = 60e-6
-    #: how many recently seen (src, seq) pairs to remember for dedupe
-    dedupe_window: int = 64
+#: 802.11 DCF timing: one backoff slot, SIFS and DIFS
+SLOT_S = 20e-6
+SIFS_S = 10e-6
+DIFS_S = 50e-6
+#: contention window bounds for binary exponential backoff (slots)
+CW_MIN = 16
+CW_MAX = 1024
+#: retransmissions of a unicast frame before the MAC reports failure
+RETRY_LIMIT = 7
+#: extra ACK wait slack beyond SIFS + ACK airtime
+ACK_SLACK_S = 60e-6
+#: how many recently seen (src, seq) pairs to remember for dedupe
+DEDUPE_WINDOW = 64
 
 
 class MacLayer:
@@ -61,20 +59,18 @@ class MacLayer:
         sim: Simulator,
         channel: Channel,
         rng: np.random.Generator,
-        config: Optional[MacConfig] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.endpoint = endpoint
         self.sim = sim
         self.channel = channel
         self.rng = rng
-        self.config = config or MacConfig()
         self.tracer = tracer
         self._queue: Deque[Tuple[Frame, Optional[SendCallback]]] = deque()
         self._busy = False
         self._current: Optional[Tuple[Frame, Optional[SendCallback]]] = None
         self._retries = 0
-        self._cw = self.config.cw_min
+        self._cw = CW_MIN
         self._ack_timer: Optional[EventHandle] = None
         self._awaited_ack_seq: Optional[int] = None
         #: an ACK's wire size is a constant, so its airtime is priced once
@@ -82,7 +78,7 @@ class MacLayer:
         self._ack_airtime = channel.airtime(
             Frame("mac-ack", BROADCAST, BROADCAST, ACK_SIZE_BYTES, seq=0)
         )
-        self._seen: Deque[Tuple[int, int]] = deque(maxlen=self.config.dedupe_window)
+        self._seen: Deque[Tuple[int, int]] = deque(maxlen=DEDUPE_WINDOW)
         self._seen_set: set = set()
         #: upward delivery target, set by the owning node
         self.receive_callback: Optional[Callable[[Frame], None]] = None
@@ -111,13 +107,12 @@ class MacLayer:
         self._busy = True
         self._current = self._queue.popleft()
         self._retries = 0
-        self._cw = self.config.cw_min
+        self._cw = CW_MIN
         self._schedule_attempt(first=True)
 
     def _schedule_attempt(self, first: bool) -> None:
-        cfg = self.config
         backoff_slots = int(self.rng.integers(0, self._cw))
-        delay = cfg.difs_s + backoff_slots * cfg.slot_s
+        delay = DIFS_S + backoff_slots * SLOT_S
         if not first:
             # After sensing busy, also wait out the current occupancy.
             busy_until = self.channel.busy_until(self.endpoint)
@@ -145,12 +140,7 @@ class MacLayer:
             self.channel.transmit(self.endpoint, frame, self._finish_broadcast)
             return
         airtime = self.channel.transmit(self.endpoint, frame)
-        ack_wait = (
-            airtime
-            + self.config.sifs_s
-            + self._ack_airtime
-            + self.config.ack_slack_s
-        )
+        ack_wait = airtime + SIFS_S + self._ack_airtime + ACK_SLACK_S
         self._awaited_ack_seq = frame.seq
         self._ack_timer = self.sim.schedule(ack_wait, self._on_ack_timeout)
 
@@ -162,7 +152,7 @@ class MacLayer:
         self._ack_timer = None
         self._awaited_ack_seq = None
         self._retries += 1
-        if self._retries > self.config.retry_limit:
+        if self._retries > RETRY_LIMIT:
             self.unicast_failures += 1
             if self.tracer is not None:
                 assert self._current is not None
@@ -175,7 +165,7 @@ class MacLayer:
                 )
             self._finish_current(False)
             return
-        self._cw = min(self._cw * 2, self.config.cw_max)
+        self._cw = min(self._cw * 2, CW_MAX)
         self._schedule_attempt(first=False)
 
     def _finish_current(self, success: bool) -> None:
@@ -212,7 +202,7 @@ class MacLayer:
             if dst != self.endpoint.node_id:
                 return
             # ACK even duplicates: the sender may have missed our first ACK.
-            self.sim.schedule_fast(self.config.sifs_s, self._send_ack, frame)
+            self.sim.schedule_fast(SIFS_S, self._send_ack, frame)
         key = (frame.src, frame.seq)
         if key in self._seen_set:
             return

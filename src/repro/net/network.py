@@ -18,9 +18,7 @@ from ..sim.kernel import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import Tracer
 from .channel import Channel
-from .energy import PAPER_POWER_MODEL, PowerModel
 from .field import ScalarField, UniformField
-from .mac import MacConfig
 from .node import ROLE_ACTIVE, SensorNode
 from .psm import PsmConfig
 
@@ -39,8 +37,6 @@ class NetworkConfig:
     #: phase of the shared beacon schedule relative to t=0; experiments draw
     #: this randomly so query start and wake-up windows are not aligned
     psm_offset_s: float = 0.0
-    mac: MacConfig = field(default_factory=MacConfig)
-    power_model: PowerModel = PAPER_POWER_MODEL
     sensor_noise_std: float = 0.0
 
     def __post_init__(self) -> None:
@@ -220,8 +216,6 @@ def build_network(
             sim=sim,
             channel=channel,
             rng=streams.stream(f"mac-{node_id}"),
-            mac_config=config.mac,
-            power_model=config.power_model,
             field=the_field,
             sensor_noise_std=config.sensor_noise_std,
             tracer=tracer,

@@ -18,9 +18,9 @@ from ..geometry.vec import Vec2
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from .channel import Channel
-from .energy import PowerModel
+from .energy import PAPER_POWER_MODEL
 from .field import ScalarField, UniformField
-from .mac import MacConfig, MacLayer, SendCallback
+from .mac import MacLayer, SendCallback
 from .packet import Frame
 from .psm import PsmConfig, SleepScheduler
 from .radio import Radio
@@ -48,8 +48,6 @@ class SensorNode:
         sim: Simulator,
         channel: Channel,
         rng: np.random.Generator,
-        mac_config: Optional[MacConfig] = None,
-        power_model: Optional[PowerModel] = None,
         field: Optional[ScalarField] = None,
         sensor_noise_std: float = 0.0,
         tracer: Optional[Tracer] = None,
@@ -62,8 +60,8 @@ class SensorNode:
         self.tracer = tracer
         self.field = field or UniformField()
         self.sensor_noise_std = sensor_noise_std
-        self.radio = Radio(sim, node_id, power_model or PowerModel())
-        self.mac = MacLayer(self, sim, channel, rng, mac_config, tracer)
+        self.radio = Radio(sim, node_id, PAPER_POWER_MODEL)
+        self.mac = MacLayer(self, sim, channel, rng, tracer)
         self.mac.receive_callback = self._dispatch
         # Bind channel delivery straight to the MAC: one call per reception
         # instead of two (the class method below documents the contract).
@@ -170,8 +168,6 @@ class MobileEndpoint:
         channel: Channel,
         rng: np.random.Generator,
         position_fn: Callable[[float], Vec2],
-        mac_config: Optional[MacConfig] = None,
-        power_model: Optional[PowerModel] = None,
         tracer: Optional[Tracer] = None,
         max_speed_mps: float = float("inf"),
         segment_fn: Optional[Callable[[float], "MotionPiece"]] = None,
@@ -200,8 +196,8 @@ class MobileEndpoint:
         # Bind the mobility model straight onto the instance: the proxy's
         # own transmissions and the gateway ask for its position.
         self.position_at = position_fn  # type: ignore[method-assign]
-        self.radio = Radio(sim, node_id, power_model or PowerModel())
-        self.mac = MacLayer(self, sim, channel, rng, mac_config, tracer)
+        self.radio = Radio(sim, node_id, PAPER_POWER_MODEL)
+        self.mac = MacLayer(self, sim, channel, rng, tracer)
         self.mac.receive_callback = self._dispatch
         self.deliver_frame = self.mac.on_frame  # type: ignore[method-assign]
         self._handlers: Dict[str, Callable[["MobileEndpoint", Frame], None]] = {}

@@ -40,17 +40,17 @@ class Radio:
         sim: Simulator,
         owner_id: int,
         power_model: PowerModel,
-        initial_state: RadioState = IDLE,
     ) -> None:
         self.sim = sim
         self.owner_id = owner_id
         self.energy = EnergyMeter(sim, power_model)
-        self._state = initial_state
-        #: plain-attribute mirror of ``is_listening`` — the channel reads it
-        #: once per potential listener per transmission, where a property
-        #: call is measurable; maintained by ``set_state``.
-        self.listening = initial_state in (IDLE, RX)
-        self.energy.on_state_change(initial_state, sim.now)
+        self._state = IDLE
+        #: whether the radio could begin receiving a frame right now (IDLE
+        #: or RX) — a plain attribute: the channel reads it once per
+        #: potential listener per transmission, where a property call is
+        #: measurable; maintained by ``set_state``.
+        self.listening = True
+        self.energy.on_state_change(IDLE, sim.now)
         #: number of real receptions in flight at this radio: begun by the
         #: channel's join loop or turned real from a bystander's (the
         #: channel reads this; everyone else reads ``rx_count``)
@@ -123,11 +123,6 @@ class Radio:
     @property
     def is_transmitting(self) -> bool:
         return self._state is TX
-
-    @property
-    def is_listening(self) -> bool:
-        """Whether the radio could begin receiving a frame right now."""
-        return self.listening
 
     def set_state(self, new_state: RadioState) -> None:
         """Transition the radio, corrupting in-flight receptions if needed.

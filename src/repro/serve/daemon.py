@@ -258,10 +258,6 @@ class ServeApp:
         allowed = self._anchor[1] + (wall - self._anchor[0]) * self.time_scale
         return max(0.0, (allowed - self._now()) / self.time_scale)
 
-    def pump_lag_s(self) -> float:
-        with self._lock:
-            return self._pump_lag_locked()
-
     # ------------------------------------------------------------------
     # The pump thread: the only thing that advances the clock
     # ------------------------------------------------------------------
@@ -313,7 +309,7 @@ class ServeApp:
                 sess.next_k += 1
             else:  # ran out of periods: that was its last outcome
                 handle.service.release_session_state(handle)
-                self.log.record_retire(now, sess.sid)
+                self._append(self.log.record_retire, now, sess.sid)
                 self._retired += 1
                 self._end_session(sess)
         self._work.notify_all()
@@ -381,6 +377,7 @@ class ServeApp:
                 raise WireError(
                     "service-closed", "the daemon has shut down"
                 )
+            self._refuse_without_wal()
             if self._draining:
                 raise WireError(
                     "draining",
@@ -408,12 +405,17 @@ class ServeApp:
                 )
             handle = self.backend.submit(request)
             sid = next(self._sids)
+            # The log needs every admission verdict, in order, to replay
+            # the run bit-identically.
+            if not self._append(
+                self.log.record_submit, now, sid, payload, handle.decision
+            ):
+                # The WAL lost it: the world drops it too.
+                self.backend.cancel(handle)
+                self._refuse_without_wal()
             ring = ResultRing(self.ring_capacity)
             sess = _Session(sid, token, handle, ring)
             self.sessions[sid] = sess
-            # The log needs every admission verdict, in order, to replay
-            # the run bit-identically.
-            self.log.record_submit(now, sid, payload, handle.decision)
             if not handle.accepted:
                 self._end_session(sess)
                 resp = {
@@ -446,6 +448,28 @@ class ServeApp:
                 # consume them again.
                 self._idempotent[(token, idempotency_key)] = dict(resp)
             return resp
+
+    def _append(self, record, *args) -> bool:
+        """Log one op through ``record``; False once the WAL has failed.
+
+        A WAL that raised ``OSError`` (a full or read-only disk) holds the
+        ops before the one it lost and never another: the app takes no
+        more ops, ``/healthz`` says ``ok: false`` and :meth:`finish` signs
+        no fingerprints.  The pump keeps serving the sessions it has.
+        """
+        try:
+            record(*args)
+        except OSError:
+            return False
+        return True
+
+    def _refuse_without_wal(self) -> None:
+        if self.log.error is not None:
+            raise WireError(
+                "service-closed",
+                f"the op log cannot be written ({self.log.error}); "
+                "the daemon takes no more ops",
+            )
 
     def _owned(self, token: str, sid: int) -> _Session:
         """The caller's session, or a typed unknown/foreign error."""
@@ -482,6 +506,7 @@ class ServeApp:
     def cancel(self, token: str, sid: int) -> Dict:
         """DELETE /sessions/{id}: idempotent cancel, recorded for replay."""
         with self._work:
+            self._refuse_without_wal()
             sess = self._owned(token, sid)
             if sid not in self._live:
                 return {
@@ -490,7 +515,7 @@ class ServeApp:
                     "status": sess.handle.status,
                 }
             self.backend.cancel(sess.handle)
-            self.log.record_cancel(self._now(), sid)
+            self._append(self.log.record_cancel, self._now(), sid)
             self._end_session(sess)
             self._work.notify_all()
             return {
@@ -543,7 +568,7 @@ class ServeApp:
     def healthz(self) -> Dict:
         with self._lock:
             return {
-                "ok": not self._finished,
+                "ok": not self._finished and self.log.error is None,
                 "scenario": self.spec.name,
                 "draining": self._draining,
                 "now": self._now(),
@@ -584,7 +609,7 @@ class ServeApp:
         with self._work:
             for sess in self._live_sessions():
                 self.backend.cancel(sess.handle)
-                self.log.record_cancel(self._now(), sess.sid)
+                self._append(self.log.record_cancel, self._now(), sess.sid)
                 self._end_session(sess)
                 cancelled += 1
             self._work.notify_all()
@@ -610,7 +635,13 @@ class ServeApp:
             registered_mobiles = self._registered_mobiles()
             workload = self.backend.close()
             stats = self.backend.stats()
-            fingerprints = result_fingerprints(workload, stats)
+            # Signed only if the WAL holds every op: one it lost would
+            # replay to other numbers.
+            fingerprints = (
+                result_fingerprints(workload, stats)
+                if self.log.error is None
+                else None
+            )
             # Whatever was live when the pump stopped was never retired:
             # release it now so the leak census judges the daemon.
             for sess in self._live_sessions():

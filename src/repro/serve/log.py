@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..api.admission import AdmissionDecision
 from ..api.backend import BackendStats
@@ -82,7 +82,9 @@ class SubmissionLog:
     The file is the only record of the ops.  They are fsync'd every
     ``flush_every`` ops (the durability/throughput dial).  Callers hold
     the daemon's app lock around ``record_*``, so the file needs no lock
-    of its own.
+    of its own.  The first ``OSError`` (a full or read-only disk) is kept
+    in ``error`` and raised again by every later ``record_*``: nothing
+    more is written, so the file stays the prefix a SIGKILL would leave.
     """
 
     def __init__(
@@ -96,6 +98,7 @@ class SubmissionLog:
         #: (survive SIGKILL)
         self.written_ops = 0
         self.flushed_ops = 0
+        self.error: Optional[OSError] = None
         self._wal = open(wal_path, "w", encoding="utf-8")
         self._wal.write(
             json.dumps(
@@ -112,7 +115,15 @@ class SubmissionLog:
         self.flushed_ops = self.written_ops
 
     def close_wal(self) -> None:
-        """Final flush + close (clean shutdown; a SIGKILL never gets here)."""
+        """Final flush + close (clean shutdown; a SIGKILL never gets here).
+
+        A failed WAL drops what its buffers still hold, as a SIGKILL
+        would: closing the raw file first makes the text layer's close a
+        no-op instead of a retried write.
+        """
+        if self.error is not None:
+            self._wal.buffer.raw.close()
+            return
         self._flush()
         self._wal.close()
 
@@ -140,10 +151,16 @@ class SubmissionLog:
         self._record({"op": "retire", "now": now, "session": session})
 
     def _record(self, op: Dict) -> None:
-        self._wal.write(json.dumps(op, sort_keys=True) + "\n")
-        self.written_ops += 1
-        if self.written_ops - self.flushed_ops >= self.flush_every:
-            self._flush()
+        if self.error is not None:
+            raise self.error
+        try:
+            self._wal.write(json.dumps(op, sort_keys=True) + "\n")
+            self.written_ops += 1
+            if self.written_ops - self.flushed_ops >= self.flush_every:
+                self._flush()
+        except OSError as exc:
+            self.error = exc
+            raise
 
 
 def replay_submission_log(data: Dict) -> Dict:

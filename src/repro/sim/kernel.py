@@ -15,16 +15,12 @@ Hot-path layout: the heap stores ``(time, seq, handle)`` tuples so ordering
 is resolved by C-level tuple comparison instead of a Python ``__lt__`` call
 per heap swap (the single largest per-event cost in profiles).  ``seq`` is
 unique, so the handle itself is never compared.  Cancelled events stay in
-the heap until they surface, but a live counter keeps ``pending_count``
-O(1) and triggers an in-place compaction when cancellations dominate the
-queue, so cancel-heavy models (MAC ACK timers) never pay for re-sifting
-dead entries.
+the heap until they surface and are popped there.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -36,35 +32,20 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled callback.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
-    ):
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
         self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
         self.cancelled = False
-        self._sim = sim
 
     def cancel(self) -> None:
         """Cancel the event.  Cancelling twice or after firing is a no-op."""
-        was_queued = self.fn is not None and not self.cancelled
-        # Flip the flag before notifying the kernel: _note_cancelled may
-        # compact the heap and must see this handle as already cancelled.
         self.cancelled = True
         self.fn = None
         self.args = ()
-        if was_queued:
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancelled()
 
     @property
     def pending(self) -> bool:
@@ -80,9 +61,6 @@ class EventHandle:
 #: ``(time, seq, None, fn, args)`` for fire-and-forget ones — compared as a
 #: tuple; ``seq`` is unique so the third element never takes part.
 _Entry = Tuple[Any, ...]
-
-#: compact the heap only when at least this many cancelled entries linger
-_COMPACT_MIN_CANCELLED = 64
 
 
 class Simulator:
@@ -100,9 +78,7 @@ class Simulator:
         self.now = float(start_time)
         self._queue: List[_Entry] = []
         self._seq = 0
-        self._cancelled = 0
         self._running = False
-        self._stopped = False
         self.events_executed = 0
 
     # ------------------------------------------------------------------
@@ -130,7 +106,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, self)
+        handle = EventHandle(time, seq, fn, args)
         heappush(self._queue, (time, seq, handle))
         return handle
 
@@ -188,7 +164,6 @@ class Simulator:
                 f"run(until={until:.6f}) is before now={self.now:.6f}"
             )
         self._running = True
-        self._stopped = False
         executed = 0
         # Event execution allocates heavily (frames, receptions, Vec2s) but
         # the model creates no reference cycles; pausing the cyclic GC for
@@ -196,20 +171,17 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # The queue list is only ever mutated in place (heappush/heappop and
-        # the in-place compaction), so holding one reference stays valid.
+        # The queue list is only ever mutated in place (heappush/heappop),
+        # so holding one reference stays valid.
         queue = self._queue
         try:
-            while not self._stopped:
-                # One loop iteration per event (a cancelled head is popped
-                # on the way) with no method dispatch on the hot path.
-                if not queue:
-                    break
+            # One loop iteration per event (a cancelled head is popped on
+            # the way) with no method dispatch on the hot path.
+            while queue:
                 entry = queue[0]
                 handle = entry[2]
                 if handle is not None and handle.cancelled:
                     heappop(queue)
-                    self._cancelled -= 1
                     continue
                 time = entry[0]
                 if until is not None and time > until:
@@ -232,31 +204,15 @@ class Simulator:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-        if until is not None and not self._stopped and self.now < until:
+        if until is not None and self.now < until:
             self.now = until
-
-    def stop(self) -> None:
-        """Stop the current ``run()`` after the executing event returns."""
-        self._stopped = True
 
     @property
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
-        return len(self._queue) - self._cancelled
+        """Number of live (non-cancelled) events in the queue.
 
-    def _note_cancelled(self) -> None:
-        """A queued handle was cancelled; compact if the heap is mostly dead."""
-        self._cancelled += 1
-        queue = self._queue
-        if (
-            self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > len(queue)
-        ):
-            # In-place so aliases held by a running loop stay valid.
-            queue[:] = [
-                entry
-                for entry in queue
-                if entry[2] is None or not entry[2].cancelled
-            ]
-            heapq.heapify(queue)
-            self._cancelled = 0
+        Counted when read: only the leak census, the soak and tests ask.
+        """
+        return sum(
+            1 for entry in self._queue if entry[2] is None or not entry[2].cancelled
+        )

@@ -45,9 +45,5 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, salt: int) -> "RandomStreams":
-        """A derived family for replication ``salt`` (e.g. per-run seeds)."""
-        return RandomStreams(self.root_seed * 1_000_003 + salt)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomStreams(root_seed={self.root_seed})"

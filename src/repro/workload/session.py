@@ -45,7 +45,6 @@ def build_proxy(
         channel=network.channel,
         rng=rng,
         position_fn=path.position_at,
-        mac_config=network.config.mac,
         tracer=tracer,
         max_speed_mps=path.max_speed(),
         segment_fn=path.segment_at,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
-from repro.net.mac import MacConfig
 from repro.net.network import Network, NetworkConfig, build_network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -48,7 +47,6 @@ def make_network(
         sleep_period_s=sleep_period,
         active_window_s=active_window,
         psm_offset_s=psm_offset,
-        mac=MacConfig(),
     )
     return build_network(
         sim,

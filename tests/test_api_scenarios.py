@@ -194,6 +194,21 @@ class TestStrictValidation:
         with pytest.raises(ValueError, match="unknown network key 'sleep_period'"):
             ScenarioSpec(name="x", network={"sleep_period": 9.0})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mac", {"cw_min": 8}),
+            ("region", [0.0, 0.0, 450.0, 450.0]),
+            ("power_model", {"tx_w": 1.4}),
+            ("psm_offset_s", 1.0),
+        ],
+    )
+    def test_network_key_the_world_cannot_honour_rejected_at_load(self, key, value):
+        # JSON cannot carry a Rect or a config object, and the service
+        # draws its own beacon phase: each is refused where it is read.
+        with pytest.raises(ValueError, match=f"unknown network key '{key}'"):
+            ScenarioSpec.from_dict({"name": "x", "network": {key: value}})
+
     def test_expansion_keys_still_accepted(self):
         spec = ScenarioSpec(
             name="x",

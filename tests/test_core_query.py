@@ -23,7 +23,6 @@ class TestQuerySpec:
     def test_deadline_and_sense_time(self):
         spec = QuerySpec(period_s=2.0, freshness_s=1.0)
         assert spec.deadline(5) == pytest.approx(10.0)
-        assert spec.sense_time(5) == pytest.approx(9.0)
 
     def test_deadline_index_validation(self):
         with pytest.raises(ValueError):

@@ -68,9 +68,6 @@ class TestMeasures:
     def test_distance_sq(self):
         assert Vec2(0, 0).distance_sq_to(Vec2(1, 1)) == pytest.approx(2.0)
 
-    def test_angle(self):
-        assert Vec2(0, 2).angle() == pytest.approx(math.pi / 2)
-
 
 class TestTransforms:
     def test_normalized_has_unit_length(self):
@@ -83,14 +80,6 @@ class TestTransforms:
     def test_perpendicular_is_orthogonal(self):
         v = Vec2(3, 4)
         assert v.dot(v.perpendicular()) == pytest.approx(0.0)
-
-    def test_rotated_quarter_turn(self):
-        assert Vec2(1, 0).rotated(math.pi / 2).is_close(Vec2(0, 1), tol=1e-12)
-
-    def test_clamped(self):
-        lo, hi = Vec2(0, 0), Vec2(10, 10)
-        assert Vec2(-5, 20).clamped(lo, hi) == Vec2(0, 10)
-        assert Vec2(5, 5).clamped(lo, hi) == Vec2(5, 5)
 
     def test_is_close_tolerance(self):
         assert Vec2(1, 1).is_close(Vec2(1 + 1e-10, 1 - 1e-10))

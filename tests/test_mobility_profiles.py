@@ -50,17 +50,10 @@ class TestMotionProfile:
     def test_advance_time(self):
         profile = MotionProfile(path=straight_path(), ts=10.0, validity_s=50.0, tg=4.0)
         assert profile.advance_time == pytest.approx(6.0)
-        assert profile.expires_at == pytest.approx(60.0)
 
     def test_negative_advance_time(self):
         profile = MotionProfile(path=straight_path(), ts=10.0, validity_s=50.0, tg=18.0)
         assert profile.advance_time == pytest.approx(-8.0)
-
-    def test_covers(self):
-        profile = MotionProfile(path=straight_path(), ts=10.0, validity_s=50.0, tg=10.0)
-        assert profile.covers(30.0)
-        assert not profile.covers(5.0)
-        assert not profile.covers(70.0)
 
     def test_generations_increase(self):
         a = MotionProfile(path=straight_path(), ts=0.0, validity_s=1.0, tg=0.0)
@@ -165,7 +158,7 @@ class TestPredictorProvider:
         ).arrivals()
         # Prediction error at a late time under the latest profile is small.
         last = with_monitor[-1].profile
-        t = min(290.0, last.expires_at)
+        t = min(290.0, last.ts + last.validity_s)
         error = last.position_at(t).distance_to(path.position_at(t))
         assert error < 40.0
 

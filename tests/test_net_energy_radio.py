@@ -66,13 +66,13 @@ class TestRadio:
     def test_initial_state_idle(self):
         _, radio = self._radio()
         assert radio.state is RadioState.IDLE
-        assert radio.is_listening
+        assert radio.listening
 
     def test_sleep_and_wake(self):
         _, radio = self._radio()
         radio.sleep()
         assert radio.is_sleeping
-        assert not radio.is_listening
+        assert not radio.listening
         radio.wake()
         assert radio.state is RadioState.IDLE
 

@@ -47,10 +47,6 @@ class TestVecProperties:
     def test_distance_symmetric(self, a, b):
         assert math.isclose(a.distance_to(b), b.distance_to(a), abs_tol=1e-9)
 
-    @given(vecs)
-    def test_rotation_preserves_norm(self, v):
-        assert math.isclose(v.rotated(1.234).norm(), v.norm(), rel_tol=1e-9, abs_tol=1e-9)
-
 
 class TestCircleProperties:
     @given(vecs, st.floats(min_value=0.1, max_value=500.0),

@@ -8,7 +8,9 @@ Idempotency closes the remaining hole — a committed submit whose
 response died on the wire can be retried without double-admitting.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.api.admission import AdmissionDecision
 from repro.api.scenarios import ScenarioSpec
 from repro.cli import main
 from repro.serve.daemon import ServeApp
+from repro.serve.errors import WireError
 from repro.serve.log import SubmissionLog, read_log, verify_log
 
 
@@ -193,3 +196,71 @@ def test_rejected_verdicts_are_cached_by_idempotency_key_too():
     app.begin_drain()
     assert app.wait_drained(60.0)
     app.finish()
+
+
+# ----------------------------------------------------------------------
+# A WAL that cannot be written ends the op stream
+# ----------------------------------------------------------------------
+class FullDisk:
+    """The WAL's file on a full disk: the next ``failures`` writes raise
+    ``ENOSPC``; after that the disk has room again."""
+
+    def __init__(self, wal, failures):
+        self._wal = wal
+        self.failures = failures
+
+    def write(self, text):
+        if self.failures:
+            self.failures -= 1
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._wal.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._wal, name)
+
+
+def test_a_failed_wal_write_stops_the_op_stream(tmp_path):
+    path = str(tmp_path / "SERVE_full.wal")
+    app = ServeApp(tiny_spec(), time_scale=0.0, wal_path=path, wal_flush_every=1)
+    first = app.submit("alice", dict(PAYLOAD))
+    app.log._wal = FullDisk(app.log._wal, failures=1)
+    # The submit the WAL lost is refused, and so is every op after it,
+    # though the disk has room again: the log must stay a prefix.
+    for op in (
+        lambda: app.submit("bob", dict(PAYLOAD)),
+        lambda: app.submit("carol", dict(PAYLOAD)),
+        lambda: app.cancel("alice", first["session"]),
+    ):
+        with pytest.raises(WireError) as refused:
+            op()
+        assert refused.value.code == "service-closed"
+    assert app.healthz()["ok"] is False
+    app.start()
+    assert app.wait_drained(60.0)
+    summary = app.finish()
+    assert summary["fingerprints"] is None
+    assert summary["sessions"]["submitted"] == 1
+    data = read_log(path)
+    assert [op["op"] for op in data["ops"]] == ["submit"]
+    ok, a, b = verify_log(data)
+    assert ok, f"prefix replay diverged:\n{a}\n{b}"
+
+
+def test_a_failed_retire_record_leaves_the_pump_serving(tmp_path):
+    path = str(tmp_path / "SERVE_full.wal")
+    app = ServeApp(tiny_spec(), time_scale=0.0, wal_path=path, wal_flush_every=1)
+    first = app.submit("alice", dict(PAYLOAD))
+    app.log._wal = FullDisk(app.log._wal, failures=10**9)
+    app.start()
+    # The session runs out and the pump's retire record fails: the pump
+    # retires it all the same and keeps running.
+    assert app.wait_drained(60.0)
+    assert app._pump.is_alive()
+    assert app.results("alice", first["session"])["done"]
+    assert app.healthz()["ok"] is False
+    with pytest.raises(WireError) as refused:
+        app.submit("bob", dict(PAYLOAD))
+    assert refused.value.code == "service-closed"
+    assert app.finish()["fingerprints"] is None
+    ok, a, b = verify_log(read_log(path))
+    assert ok, f"prefix replay diverged:\n{a}\n{b}"

@@ -117,7 +117,3 @@ class TestConfigValidation:
     def test_bad_pickup_radius_rejected(self):
         with pytest.raises(ValueError):
             MobiQueryConfig(pickup_radius_m=0.0)
-
-    def test_negative_guard_rejected(self):
-        with pytest.raises(ValueError):
-            MobiQueryConfig(result_guard_s=-0.1)

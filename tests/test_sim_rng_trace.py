@@ -35,14 +35,6 @@ class TestRandomStreams:
         second_only = list(s2.stream("second").integers(0, 10**9, 4))
         assert first_then == second_only
 
-    def test_spawn_derives_new_family(self):
-        base = RandomStreams(9)
-        child = base.spawn(1)
-        assert child.root_seed != base.root_seed
-        assert list(child.stream("x").integers(0, 10**9, 4)) != list(
-            base.stream("x").integers(0, 10**9, 4)
-        )
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomStreams(-1)
