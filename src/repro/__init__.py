@@ -102,14 +102,7 @@ from .experiments import (
     run_experiment,
     run_replications,
 )
-from .geometry import (
-    Circle,
-    DiskTemplate,
-    Rect,
-    RectTemplate,
-    SectorTemplate,
-    Vec2,
-)
+from .geometry import Circle, Rect, Vec2
 from .mobility import (
     FullKnowledgeProvider,
     GpsModel,
@@ -202,9 +195,6 @@ __all__ = [
     "Vec2",
     "Circle",
     "Rect",
-    "DiskTemplate",
-    "SectorTemplate",
-    "RectTemplate",
     # mobility
     "PiecewisePath",
     "MotionProfile",

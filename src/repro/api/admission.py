@@ -91,9 +91,9 @@ class PerAreaCapPolicy(AdmissionPolicy):
 
     A new session is rejected when, at its start instant, at least
     ``max_overlapping`` already-admitted sessions have query areas
-    intersecting the newcomer's (circle-overlap test on the bounding
-    radii).  Sessions that ended or were cancelled do not count, so a
-    rejected user who resubmits after the area drains is admitted.
+    intersecting the newcomer's (circle-overlap test on the two radii).
+    Sessions that ended or were cancelled do not count, so a rejected user
+    who resubmits after the area drains is admitted.
     """
 
     name = "per-area-cap"
@@ -111,7 +111,7 @@ class PerAreaCapPolicy(AdmissionPolicy):
         overlapping = 0
         for other in service.live_session_specs(at=t):
             other_center = other.path.position_at(t)
-            reach = spec.effective_radius_m + other.spec.effective_radius_m
+            reach = spec.radius_m + other.spec.radius_m
             if center.distance_sq_to(other_center) <= reach * reach:
                 overlapping += 1
                 if overlapping >= self.max_overlapping:

@@ -34,12 +34,7 @@ from ..approx.gateway import ApproxGateway
 from ..approx.plane import SummaryAnswer, SummaryPlane
 from ..core.baseline import NoPrefetchProtocol
 from ..core.gateway import BaseGateway, MobiQueryGateway, NoPrefetchGateway
-from ..core.metrics import (
-    ContentionTracker,
-    SessionMetrics,
-    StorageTracker,
-    build_session_metrics,
-)
+from ..core.metrics import SessionMetrics, StorageTracker, build_session_metrics
 from ..core.query import QuerySpec
 from ..core.service import MobiQueryConfig, MobiQueryProtocol
 from ..faults.injector import FaultInjector
@@ -471,7 +466,6 @@ class MobiQueryService:
         self.protocol: Optional[MobiQueryProtocol] = None
         self.np_protocol: Optional[NoPrefetchProtocol] = None
         self.storage: Optional[StorageTracker] = None
-        self.contention: Optional[ContentionTracker] = None
         if config.mode in (MODE_JIT, MODE_GREEDY):
             self.protocol = MobiQueryProtocol(
                 self.network,
@@ -485,14 +479,6 @@ class MobiQueryService:
                 self.tracer,
             )
             self.storage = StorageTracker(self.tracer)
-            self.contention = ContentionTracker(
-                self.tracer,
-                sleep_period_s=config.network.sleep_period_s,
-                active_window_s=config.network.active_window_s,
-                query_radius_m=config.query.radius_m,
-                comm_range_m=config.network.comm_range_m,
-                psm_offset_s=self.psm_offset_s,
-            )
         self.faults = faults if faults is not None else FaultPlan()
         self.fault_injector: Optional[FaultInjector] = None
         if not self.faults.world_empty:

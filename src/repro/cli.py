@@ -1006,7 +1006,7 @@ def config_spec_area(config: ExperimentConfig, path):
         freshness_s=config.query.freshness_s,
         lifetime_s=config.duration_s,
     )
-    return spec.area_at(path.position_at(0.0), path.velocity_at(0.0))
+    return spec.area_at(path.position_at(0.0))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

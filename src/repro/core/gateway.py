@@ -53,8 +53,6 @@ class DeliveryRecord:
     value: Optional[float]
     contributors: FrozenSet[int]
     area_center: Optional[Vec2] = None
-    #: the exact placed query area, when the service reported it
-    area: Optional[object] = None
     #: True when the result was salvaged through fault recovery
     #: (collector re-election) rather than the normal collection path
     degraded: bool = False
@@ -161,7 +159,6 @@ class BaseGateway:
         value: Optional[float],
         contributors: FrozenSet[int],
         area_center: Optional[Vec2] = None,
-        area: Optional[object] = None,
         degraded: bool = False,
         error_bound: Optional[float] = None,
     ) -> None:
@@ -172,7 +169,6 @@ class BaseGateway:
             value=value,
             contributors=contributors,
             area_center=area_center,
-            area=area,
             degraded=degraded,
             error_bound=error_bound,
         )
@@ -457,7 +453,6 @@ class MobiQueryGateway(BaseGateway):
             msg.aggregate.value(self.spec.aggregation),
             frozenset(msg.aggregate.contributors),
             area_center=msg.pickup,
-            area=msg.area,
             degraded=msg.degraded,
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..geometry.areas import QueryArea
+from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
 from ..mobility.profile import MotionProfile
 from .query import AggregateState, QuerySpec
@@ -58,16 +58,16 @@ class PrefetchMessage:
 class SetupMessage:
     """Collector -> query area (flood): build the query tree for period k.
 
-    ``pickup`` doubles as the query-area centre and the reference point for
-    the sub-deadline formula (eq. 1): nodes farther from the collector time
-    out earlier.
+    ``pickup`` is ``area.center`` and the reference point for the
+    sub-deadline formula (eq. 1): nodes farther from the collector time out
+    earlier.
     """
 
     query_id: int
     k: int
     collector_id: int
     pickup: Vec2
-    area: QueryArea
+    area: Circle
     deadline: float
     freshness_s: float
     pickup_radius_m: float
@@ -105,7 +105,6 @@ class ResultMessage:
     aggregate: AggregateState
     sent_at: float
     pickup: Vec2
-    area: QueryArea
     user_id: int = 0
     #: True when collector duty had to be re-elected after a crash — the
     #: gateway marks the period as degraded in the session report

@@ -129,12 +129,10 @@ def build_session_metrics(
     for k in range(1, periods + 1):
         deadline = spec.deadline(k)
         user_position = true_path.position_at(deadline)
-        actual_area = spec.area_at(user_position, true_path.velocity_at(deadline))
+        actual_area = spec.area_at(user_position)
         actual_ids = {
             node.node_id
-            for node in network.nodes_in_disk(
-                user_position, actual_area.bounding_radius
-            )
+            for node in network.nodes_in_disk(user_position, spec.radius_m)
             if actual_area.contains(node.position)
         }
         chosen, met_deadline = gateway.best_delivery(k)
@@ -150,12 +148,10 @@ def build_session_metrics(
             contributors = set(chosen.contributors)
             queried_center = chosen.area_center or user_position
             prediction_error = queried_center.distance_to(user_position)
-            queried_area = chosen.area or spec.area_at(queried_center)
+            queried_area = spec.area_at(queried_center)
             queried_ids = {
                 node.node_id
-                for node in network.nodes_in_disk(
-                    queried_center, queried_area.bounding_radius
-                )
+                for node in network.nodes_in_disk(queried_center, spec.radius_m)
                 if queried_area.contains(node.position)
             }
             contributors_in_area = len(queried_ids & contributors)

@@ -2,10 +2,16 @@
 
 A spatiotemporal query is the paper's six-tuple
 ``(α, F, A(Pu(t)), Tperiod, Tfresh, Td)``: an attribute, an aggregation
-function, a query area relative to the user's position (a disk of radius
-``Rq``), the result period, the data-freshness bound, and the query
-lifetime.  The k-th result is due at ``k * Tperiod`` and must aggregate
-readings taken no earlier than ``k * Tperiod - Tfresh``.
+function, a query area relative to the user's position, the result period,
+the data-freshness bound, and the query lifetime.  The k-th result is due
+at ``k * Tperiod`` and must aggregate readings taken no earlier than
+``k * Tperiod - Tfresh``.
+
+The query area is the paper's Section 3 disk: a
+:class:`~repro.geometry.shapes.Circle` of radius ``Rq`` centred on the
+user's (predicted) position, built by :meth:`QuerySpec.area_at`.  Every
+node-side area test — tree membership, the collector's own reading, the
+fidelity denominator — goes through that circle's ``contains``.
 
 :class:`AggregateState` is the partial aggregate that flows up the query
 tree (TAG-style): it carries enough sufficient statistics to finalize any
@@ -20,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from ..geometry.areas import AreaTemplate, DiskTemplate, QueryArea
+from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
 
 
@@ -44,14 +50,11 @@ class QuerySpec:
     Attributes:
         attribute: the sensor attribute ``α`` (e.g. ``"temperature"``).
         aggregation: the aggregation function ``F``.
-        radius_m: query-area radius ``Rq`` around the user (used when no
-            explicit ``area_template`` is given).
+        radius_m: query-area radius ``Rq`` around the user.
         period_s: ``Tperiod`` — one result is due every period.
         freshness_s: ``Tfresh`` — readings may be at most this old when the
             result is delivered.
         lifetime_s: ``Td`` — the query session length.
-        area_template: optional non-disk query-area shape (sector,
-            corridor, ...) — the extension the paper's Section 3 sketches.
         query_id: unique id (auto-assigned).
         user_id: owning mobile user.  All in-network protocol state is
             keyed by ``(user_id, query_id)`` so concurrent sessions from
@@ -67,7 +70,6 @@ class QuerySpec:
     period_s: float = 2.0
     freshness_s: float = 1.0
     lifetime_s: float = 400.0
-    area_template: Optional[AreaTemplate] = None
     query_id: int = field(default_factory=lambda: next(_query_ids))
     user_id: int = 0
     start_s: float = 0.0
@@ -94,17 +96,9 @@ class QuerySpec:
         """Absolute end of the session (``start_s + lifetime_s``)."""
         return self.start_s + self.lifetime_s
 
-    @property
-    def effective_radius_m(self) -> float:
-        """Bounding radius of the query area (``Rq`` for the default disk)."""
-        if self.area_template is not None:
-            return self.area_template.bounding_radius
-        return self.radius_m
-
-    def area_at(self, center: Vec2, heading: Optional[Vec2] = None) -> QueryArea:
-        """The query area anchored at ``center``, oriented along ``heading``."""
-        template = self.area_template or DiskTemplate(self.radius_m)
-        return template.at(center, heading)
+    def area_at(self, center: Vec2) -> Circle:
+        """The query area centred on ``center``: the disk of radius ``Rq``."""
+        return Circle(center, self.radius_m)
 
     @property
     def num_periods(self) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..geometry.areas import QueryArea
+from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
 from ..mobility.profile import MotionProfile
 from ..net.network import Network
@@ -215,14 +215,9 @@ class MobiQueryProtocol:
 
     def query_area(
         self, profile: MotionProfile, spec: QuerySpec, k: int
-    ) -> QueryArea:
-        """The query area for period ``k``: anchored at the pickup point,
-        oriented along the predicted heading (relevant for sector/corridor
-        area templates; a disk ignores the heading)."""
-        deadline = spec.deadline(k)
-        return spec.area_at(
-            profile.position_at(deadline), profile.path.velocity_at(deadline)
-        )
+    ) -> Circle:
+        """The query area for period ``k``: the disk around the pickup point."""
+        return spec.area_at(self.pickup_point(profile, spec, k))
 
     # ------------------------------------------------------------------
     # Phase 1 — prefetching
@@ -355,7 +350,7 @@ class MobiQueryProtocol:
             k=collector.k,
             collector_id=node.node_id,
             pickup=pickup,
-            area=self.query_area(collector.profile, spec, collector.k),
+            area=spec.area_at(pickup),
             deadline=collector.deadline,
             freshness_s=spec.freshness_s,
             pickup_radius_m=self.config.pickup_radius_m,
@@ -787,8 +782,7 @@ class MobiQueryProtocol:
             collector_id=node.node_id,
             aggregate=partial.copy(),
             sent_at=self.sim.now,
-            pickup=self.pickup_point(collector.profile, spec, collector.k),
-            area=area,
+            pickup=area.center,
             user_id=spec.user_id,
             degraded=collector.degraded,
         )

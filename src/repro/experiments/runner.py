@@ -24,7 +24,12 @@ from typing import List, Optional
 
 from ..api.requests import QueryRequest
 from ..api.service import RUN_TAIL_S, MobiQueryService
-from ..core.metrics import PowerReport, SessionMetrics, measure_power
+from ..core.metrics import (
+    ContentionTracker,
+    PowerReport,
+    SessionMetrics,
+    measure_power,
+)
 from ..workload.arrivals import arrival_times
 from ..workload.engine import WorkloadResult
 from ..workload.session import PROXY_ID_BASE, SessionResult
@@ -132,6 +137,18 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
     ``None`` (or an empty plan) is bit-identical to the pre-fault runner.
     """
     service = MobiQueryService(config, faults=faults)
+    contention = None
+    if service.protocol is not None:
+        # The interference length's one reader: every session here shares
+        # the config's radius, so 2 * Rq + Rc is the run's own range.
+        contention = ContentionTracker(
+            service.tracer,
+            sleep_period_s=config.network.sleep_period_s,
+            active_window_s=config.network.active_window_s,
+            query_radius_m=config.query.radius_m,
+            comm_range_m=config.network.comm_range_m,
+            psm_offset_s=service.psm_offset_s,
+        )
     sessions: List[SessionResult] = []
     metrics = None
     if config.mode != MODE_IDLE:
@@ -145,7 +162,6 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
         service.run()
     network = service.network
     storage = service.storage
-    contention = service.contention
     return RunResult(
         config=config,
         metrics=metrics,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..geometry.areas import QueryArea
 from ..geometry.grid import cell_of
+from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
@@ -21,7 +21,7 @@ def render_field(
     width: int = 72,
     path: Optional[PiecewisePath] = None,
     path_samples: int = 120,
-    area: Optional[QueryArea] = None,
+    area: Optional[Circle] = None,
     user: Optional[Vec2] = None,
 ) -> str:
     """Render the deployment as an ASCII map.

@@ -1,23 +1,15 @@
-"""2-D geometry primitives: vectors, circles, rectangles, areas, grid."""
+"""2-D geometry primitives: vectors, circles, rectangles, grid.
 
-from .areas import (
-    AreaTemplate,
-    DiskTemplate,
-    QueryArea,
-    RectTemplate,
-    SectorTemplate,
-)
+A query area is a :class:`Circle` of radius ``Rq`` around the user (the
+paper's Section 3), the same type that models radio and sensing ranges.
+"""
+
 from .grid import SpatialGrid
 from .shapes import Circle, Rect
 from .vec import Vec2
 
 __all__ = [
     "Vec2",
-    "QueryArea",
-    "AreaTemplate",
-    "DiskTemplate",
-    "SectorTemplate",
-    "RectTemplate",
     "Circle",
     "Rect",
     "SpatialGrid",

@@ -4,8 +4,8 @@ The whole simulator works in a flat 2-D plane measured in metres, matching
 the paper's 450 m x 450 m deployment region.  ``Vec2`` is deliberately a
 tiny immutable value type: positions, velocities and displacements are all
 ``Vec2`` instances, and the hot paths (channel neighbour checks, routing
-progress computations) only ever need squared distances, dot products and
-linear interpolation.
+progress computations) only ever need squared distances and linear
+interpolation.
 """
 
 from __future__ import annotations
@@ -67,21 +67,9 @@ class Vec2:
     # ------------------------------------------------------------------
     # Measures
     # ------------------------------------------------------------------
-    def dot(self, other: "Vec2") -> float:
-        """Dot product with ``other``."""
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vec2") -> float:
-        """Z component of the 3-D cross product (signed parallelogram area)."""
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         """Euclidean length."""
         return math.hypot(self.x, self.y)
-
-    def norm_sq(self) -> float:
-        """Squared Euclidean length (avoids a sqrt on hot paths)."""
-        return self.x * self.x + self.y * self.y
 
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to ``other``."""

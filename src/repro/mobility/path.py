@@ -146,16 +146,6 @@ class PiecewisePath:
         return (a.time, b.time, a.time, b.time - a.time,
                 pa.x, pb.x - pa.x, pa.y, pb.y - pa.y)
 
-    def velocity_at(self, t: float) -> Vec2:
-        """Velocity at time ``t`` (zero outside the span; left-continuous
-        at waypoints)."""
-        wps = self.waypoints
-        if t < wps[0].time or t >= wps[-1].time or len(wps) == 1:
-            return Vec2.zero()
-        idx = bisect.bisect_right(self._times, t) - 1
-        a, b = wps[idx], wps[idx + 1]
-        return (b.position - a.position) / (b.time - a.time)
-
     def restricted(self, t0: float, t1: float) -> "PiecewisePath":
         """The sub-path covering ``[t0, t1]`` (endpoints interpolated).
 

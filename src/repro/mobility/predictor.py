@@ -30,6 +30,8 @@ from .profile import MotionProfile, ProfileArrival, ProfileProvider
 
 #: how often (s) the proxy checks a GPS fix against the current profile
 MONITOR_INTERVAL_S = 2.0
+#: the "system threshold" (m): a fix farther off the profile reissues it
+DIVERGENCE_THRESHOLD_M = 10.0
 
 
 class HistoryPredictorProvider(ProfileProvider):
@@ -42,20 +44,16 @@ class HistoryPredictorProvider(ProfileProvider):
         gps: GpsModel,
         rng: np.random.Generator,
         sampling_period_s: float = 8.0,
-        divergence_threshold_m: float = 10.0,
     ) -> None:
         if duration_s <= 0:
             raise ValueError("duration must be > 0")
         if sampling_period_s <= 0:
             raise ValueError("sampling period must be > 0")
-        if divergence_threshold_m <= 0:
-            raise ValueError("divergence threshold must be > 0")
         self.true_path = true_path
         self.duration_s = duration_s
         self.gps = gps
         self.rng = rng
         self.sampling_period_s = sampling_period_s
-        self.divergence_threshold_m = divergence_threshold_m
 
     # ------------------------------------------------------------------
     # Profile construction
@@ -111,7 +109,7 @@ class HistoryPredictorProvider(ProfileProvider):
                     break
                 fix = self.gps.read(self.true_path, t, self.rng)
                 divergence = fix.position.distance_to(profile.position_at(t))
-                if divergence <= self.divergence_threshold_m:
+                if divergence <= DIVERGENCE_THRESHOLD_M:
                     continue
                 # Reissue from the two newest same-leg fixes (t - δ >= leg
                 # start holds because t > leg_start + δ).

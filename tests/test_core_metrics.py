@@ -8,6 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.metrics as metrics_module
+from repro.api.scenarios import build_backend, get_scenario
 from repro.core.metrics import (
     ContentionTracker,
     SessionMetrics,
@@ -349,6 +350,13 @@ class TestContentionTracker:
         tracer.emit("tree-setup-start", 1.0, k=1, pickup_x=0.0, pickup_y=0.0)
         tracer.emit("tree-setup-start", 1.1, k=2, pickup_x=1000.0, pickup_y=0.0)
         assert tracker.interference_length() == 0
+
+    def test_a_scenario_world_keeps_no_setup_intervals(self):
+        """Only ``run_experiment`` reads the interference length, so only it
+        subscribes a tracker; a scenario's world, whose requests may have
+        any radii, keeps no interval per tree setup."""
+        backend = build_backend(get_scenario("heterogeneous-mix"))
+        assert not backend.tracer.wants("tree-setup-start")
 
 
 class TestPowerReport:

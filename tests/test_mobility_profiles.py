@@ -7,7 +7,7 @@ from repro.geometry.vec import Vec2
 from repro.mobility.gps import GpsModel
 from repro.mobility.path import PiecewisePath, Waypoint
 from repro.mobility.planner import FullKnowledgeProvider, PlannerProfileProvider
-from repro.mobility.predictor import HistoryPredictorProvider
+from repro.mobility.predictor import DIVERGENCE_THRESHOLD_M, HistoryPredictorProvider
 from repro.mobility.profile import MotionProfile
 
 
@@ -141,20 +141,18 @@ class TestPredictorProvider:
         assert len(provider.arrivals()) == 1
 
     def test_divergence_reissues_with_error(self):
+        # GPS error as large as DIVERGENCE_THRESHOLD_M: the monitor fires.
         provider = self._provider(
-            straight_path(duration=300.0),
-            err=10.0,
-            duration=300.0,
-            divergence_threshold_m=5.0,
+            straight_path(duration=300.0), err=DIVERGENCE_THRESHOLD_M, duration=300.0
         )
         arrivals = provider.arrivals()
-        assert len(arrivals) > 1  # monitor fired at least once
+        assert len(arrivals) > 2  # reissued more than once
 
     def test_reissue_reduces_prediction_error(self):
         path = straight_path(duration=300.0)
         rng = np.random.default_rng(5)
         with_monitor = HistoryPredictorProvider(
-            path, 300.0, GpsModel(10.0), rng, divergence_threshold_m=10.0
+            path, 300.0, GpsModel(10.0), rng
         ).arrivals()
         # Prediction error at a late time under the latest profile is small.
         last = with_monitor[-1].profile

@@ -93,13 +93,14 @@ class TestBatchTiming:
 
 
 class TestQueryAreaOrientation:
-    def test_disk_area_ignores_heading(self, sim):
+    def test_query_area_is_the_disk_around_the_pickup(self, sim):
         stack = Stack(sim)
         sim.run(until=0.5)  # let the t=0 profile arrival be adopted
         profile = stack.gateway.current_profile
         area = stack.protocol.query_area(profile, stack.spec, 3)
         assert area.contains(Vec2(105, 105))
-        assert area.bounding_radius == stack.spec.radius_m
+        assert area.center == stack.protocol.pickup_point(profile, stack.spec, 3)
+        assert area.radius == stack.spec.radius_m
 
     def test_pickup_matches_profile_position(self, sim):
         stack = Stack(sim)

@@ -13,7 +13,12 @@ exempt.
 
 The scan matches names, not qualified names: a method whose name another
 method shares (``Simulator.stop`` beside the daemon client's ``stop``) is
-counted as called through the other, and is beyond it.
+counted as called through the other, and is beyond it.  That is how a whole
+class can go unused with every method "called": a second shape class whose
+``contains`` shares its name with the one the service runs.  So every class
+is checked too: its name must appear outside ``tests/`` as a name, an
+attribute, an import or a string, and a package ``__init__.py`` re-exporting
+it does not count.
 """
 
 import ast
@@ -84,6 +89,33 @@ def references(source: str):
     return attrs, bare
 
 
+def classes(source: str, module: str):
+    """``(qualified name, name)`` of every class in ``source``."""
+    found = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                found.append((f"{module}.{prefix}{child.name}", child.name))
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def unnamed(sources, defined):
+    """Qualified names of the classes in ``defined`` nothing in ``sources`` names."""
+    named = set()
+    for source in sources:
+        attrs, bare = references(source)
+        named |= attrs | bare
+    return [qualified for qualified, name in defined if name not in named]
+
+
 def uncalled(sources, defined):
     """Qualified names in ``defined`` that nothing in ``sources`` calls."""
     attrs, bare = set(), set()
@@ -101,19 +133,22 @@ def uncalled(sources, defined):
     ]
 
 
-def tree_definitions():
+def tree_definitions(scan=definitions):
     defined = []
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC).with_suffix("").parts
         module = ".".join(("repro",) + tuple(p for p in parts if p != "__init__"))
-        defined += definitions(path.read_text(encoding="utf-8"), module)
+        defined += scan(path.read_text(encoding="utf-8"), module)
     return defined
 
 
-def caller_sources():
+def caller_sources(reexports=True):
+    """Every caller file's text; without the package ``__init__.py`` files
+    (which only import and list ``__all__``) when ``reexports`` is False."""
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            yield path.read_text(encoding="utf-8")
+            if reexports or path.name != "__init__.py":
+                yield path.read_text(encoding="utf-8")
 
 
 def test_every_def_has_a_caller_outside_tests():
@@ -124,8 +159,20 @@ def test_every_def_has_a_caller_outside_tests():
     )
 
 
+def test_every_class_is_named_outside_tests():
+    found = [
+        q for q in unnamed(caller_sources(reexports=False), tree_definitions(classes))
+        if q not in ALLOWED
+    ]
+    assert found == [], (
+        "nothing outside tests/ names these classes: delete them with their "
+        f"tests, or say in ALLOWED why they stay: {found}"
+    )
+
+
 def test_every_allowed_name_is_still_defined():
     defined = {qualified for qualified, _, _ in tree_definitions()}
+    defined |= {qualified for qualified, _ in tree_definitions(classes)}
     assert sorted(set(ALLOWED) - defined) == []
 
 
@@ -153,6 +200,16 @@ class TestScan:
     def test_getattr_dispatch_by_string_passes(self):
         source = "class C:\n    def run_x(self):\n        pass\ngetattr(C(), 'run_x')\n"
         assert uncalled([source], definitions(source, "m")) == []
+
+    def test_an_unnamed_class_is_caught(self):
+        source = "class A:\n    pass\nclass B:\n    class Inner:\n        pass\n"
+        found = unnamed([source], classes(source, "m"))
+        assert found == ["m.A", "m.B", "m.B.Inner"]
+
+    def test_a_class_named_by_a_read_an_attribute_an_import_or_a_string_passes(self):
+        source = "".join(f"class {name}:\n    pass\n" for name in "ABCD")
+        callers = ["x = A()\n", "y = m.B\n", "from m import C\n", "z = 'D'\n"]
+        assert unnamed(callers, classes(source, "m")) == []
 
     def test_dunders_and_http_hooks_are_exempt(self):
         source = "class H:\n    def __len__(self):\n        return 0\n    def do_GET(self):\n        pass\n"
