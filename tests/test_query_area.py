@@ -108,6 +108,13 @@ def test_property_fails_under_named_mutations(name, monkeypatch):
 def test_spec_area_is_the_disk_of_radius_rq():
     area = QuerySpec(radius_m=120.0).area_at(Vec2(10, 10))
     assert area == Circle(Vec2(10, 10), 120.0)
-    assert area.contains(Vec2(10, 10))
     assert area.contains(Vec2(10, 130))
     assert not area.contains(Vec2(10, 131))
+
+
+def test_area_at_has_circle_semantics():
+    area = QuerySpec(radius_m=100.0).area_at(Vec2(50, 50))
+    assert area.contains(Vec2(50, 50))
+    assert area.contains(Vec2(150, 50))
+    assert not area.contains(Vec2(151, 50))
+    assert area.radius == 100.0
