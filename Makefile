@@ -27,7 +27,10 @@
 #                        bit-identical partial WAL replay
 #   make approx-smoke    uav-survey at coarse + exact accuracy, then the
 #                        accuracy/energy frontier gate
-#   make check           what CI runs on every push
+#   make drills          the blackout- and chaos-recovery benchmark drills
+#   make dense48-pin     the 600-node world's seed-1 fingerprint against
+#                        bench/pins.json
+#   make check           what CI runs on every push, every job's steps
 
 PY ?= python
 
@@ -46,7 +49,7 @@ CHAOS_SMOKE_PORT ?= 8652
 #: pairs `make bench-ab` runs (seeds 1..PAIRS)
 PAIRS ?= 10
 
-.PHONY: test bench bench-smoke ledger bench-ab loc profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke check
+.PHONY: test bench bench-smoke ledger bench-ab loc profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke drills dense48-pin check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -86,8 +89,10 @@ loc:
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant
-# enforced — fault-monotonicity, shards1-identity (faults included),
-# churn-no-leak.  Exits 3 naming the invariant on any violation; the
+# enforced — fault-monotonicity, density-monotonicity, admission-no-harm,
+# shards1-identity (faults included), churn-no-leak; the grid holds one
+# density and one admission policy, so those two have nothing to compare
+# here.  Exits 3 naming the invariant and the row on any violation; the
 # report lands in SWEEP_robustness-smoke.json.
 sweep-smoke:
 	PYTHONPATH=src $(PY) -m repro sweep blackout-recovery-16users \
@@ -198,4 +203,15 @@ approx-smoke:
 profile:
 	PYTHONPATH=src $(PY) -m repro profile $(SCENARIO) $(ARGS)
 
-check: test bench-smoke examples-smoke soak-smoke approx-smoke
+# The benchmark drills CI runs beside the smokes: the blackout-recovery
+# gate (5 pp post-recovery) and the chaos-recovery gate (retry
+# completeness, dedup, WAL).
+drills:
+	PYTHONPATH=src $(PY) -m pytest -q benchmarks/test_blackout_recovery.py benchmarks/test_chaos_recovery.py
+
+# No tier-1 pin covers a 600-node field: dense48 at seed 1 (~10 s) exits 1
+# if its seed-1 fingerprint moved against bench/pins.json.
+dense48-pin:
+	python3 -m bench --workload dense48 --seed 1 --seconds 1 --trace 0
+
+check: test dense48-pin bench-smoke examples-smoke drills sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke

@@ -21,6 +21,7 @@ Run:
 import os
 
 from repro import ExperimentConfig, MobiQueryService, QueryRequest, MODE_JIT
+from repro.core.metrics import StorageTracker
 
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "120"))
 
@@ -35,6 +36,9 @@ def main() -> None:
     )
     print(f"Backbone: {service.backbone_size} of "
           f"{service.config.network.n_nodes} nodes stay awake (CCP)")
+    # Storage cost (Section 5.2) is read off the trace: trees created
+    # and released, collectors assigned ahead of the user's period.
+    storage = StorageTracker(service.tracer)
 
     handle = service.submit(
         QueryRequest(
@@ -44,6 +48,7 @@ def main() -> None:
             freshness_s=1.0,  # Tfresh
         )
     )
+    storage.register_spec(handle.spec)
     print(f"Session admitted: user {handle.user_id}, query {handle.query_id}\n")
 
     print(" k   deadline  value    on-time  contributors")
@@ -62,7 +67,7 @@ def main() -> None:
     print(f"Warmup periods at session start: "
           f"{metrics.warmup_periods_observed()}")
     print(f"Max trees prefetched ahead of the user: "
-          f"{service.storage.max_prefetch_length}")
+          f"{storage.max_prefetch_length}")
     print(f"Frames on air: {service.network.channel.frames_sent}")
 
 

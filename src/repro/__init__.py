@@ -64,6 +64,7 @@ from .api import (
     QueryRequest,
     ScenarioResult,
     ScenarioSpec,
+    HorizonPassedError,
     ServiceClosedError,
     SessionHandle,
     build_backend,
@@ -139,6 +140,7 @@ __all__ = [
     "QueryRequest",
     "PeriodOutcome",
     "AdmissionError",
+    "HorizonPassedError",
     "ServiceClosedError",
     "AdmissionPolicy",
     "AdmissionDecision",

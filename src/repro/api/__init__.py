@@ -50,6 +50,7 @@ from .scenarios import (
 from .service import (
     AdmissionError,
     MobiQueryService,
+    HorizonPassedError,
     ServiceClosedError,
     SessionHandle,
     STATUS_ADMITTED,
@@ -68,6 +69,7 @@ __all__ = [
     "QueryRequest",
     "PeriodOutcome",
     "AdmissionError",
+    "HorizonPassedError",
     "ServiceClosedError",
     "validate_query_params",
     "STATUS_REJECTED",

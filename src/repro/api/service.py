@@ -34,7 +34,7 @@ from ..approx.gateway import ApproxGateway
 from ..approx.plane import SummaryAnswer, SummaryPlane
 from ..core.baseline import NoPrefetchProtocol
 from ..core.gateway import BaseGateway, MobiQueryGateway, NoPrefetchGateway
-from ..core.metrics import SessionMetrics, StorageTracker, build_session_metrics
+from ..core.metrics import SessionMetrics, build_session_metrics
 from ..core.query import QuerySpec
 from ..core.service import MobiQueryConfig, MobiQueryProtocol
 from ..faults.injector import FaultInjector
@@ -90,6 +90,13 @@ class ServiceClosedError(ValueError):
 
     Subclasses :class:`ValueError` so callers that guarded against the old
     untyped raise keep working.
+    """
+
+
+class HorizonPassedError(ValueError):
+    """``submit()`` of a session that would start with no serviceable
+    period left before the service horizon.  Raised before the request
+    touches the world: no user id, path draw or handle is spent on it.
     """
 
 
@@ -465,7 +472,6 @@ class MobiQueryService:
         self.flood = FloodManager(self.network)
         self.protocol: Optional[MobiQueryProtocol] = None
         self.np_protocol: Optional[NoPrefetchProtocol] = None
-        self.storage: Optional[StorageTracker] = None
         if config.mode in (MODE_JIT, MODE_GREEDY):
             self.protocol = MobiQueryProtocol(
                 self.network,
@@ -478,7 +484,6 @@ class MobiQueryService:
                 ),
                 self.tracer,
             )
-            self.storage = StorageTracker(self.tracer)
         self.faults = faults if faults is not None else FaultPlan()
         self.fault_injector: Optional[FaultInjector] = None
         if not self.faults.world_empty:
@@ -546,6 +551,8 @@ class MobiQueryService:
         side effect of rejection is that a synthesised path has consumed
         draws from the user's mobility stream, so a resubmission without
         an explicit path walks a different (equally distributed) route.
+        A start with no serviceable period left raises
+        :class:`HorizonPassedError` before any of that: it draws nothing.
         """
         if self.config.mode == MODE_IDLE:
             raise ValueError("an idle-mode service accepts no queries")
@@ -562,8 +569,14 @@ class MobiQueryService:
             raise ServiceClosedError(
                 "the service horizon has passed (run finished)"
             )
-        user_id = self._sessions.assign_user_id(request.user_id)
         start_s = max(request.start_s, self.sim.now)
+        horizon = self.duration_s
+        if start_s > horizon - request.period_s + 1e-9:
+            raise HorizonPassedError(
+                f"session starts at {start_s:.1f}s but the service horizon is "
+                f"{horizon:.1f}s — no serviceable period left"
+            )
+        user_id = self._sessions.assign_user_id(request.user_id)
         path = request.path
         if path is None:
             path = make_user_path(self.config, self.streams, user_id)
@@ -598,11 +611,6 @@ class MobiQueryService:
         self, request: QueryRequest, user_id: int, start_s: float
     ) -> QuerySpec:
         horizon = self.duration_s
-        if start_s > horizon - request.period_s + 1e-9:
-            raise ValueError(
-                f"session starts at {start_s:.1f}s but the service horizon is "
-                f"{horizon:.1f}s — no serviceable period left"
-            )
         lifetime = request.lifetime_s
         if lifetime is None:
             lifetime = horizon - start_s
@@ -671,8 +679,6 @@ class MobiQueryService:
                 proxy, self.network, spec, self.protocol, provider, self.tracer
             )
         gateway.begin()  # now, or at spec.start_s
-        if self.storage is not None:
-            self.storage.register_spec(spec)
         if self.fault_injector is not None:
             # Lets the gateway watchdog mark unrecoverable periods as
             # degraded; stays False in fault-free runs so ordinary watchdog
@@ -746,8 +752,6 @@ class MobiQueryService:
         handle.released = True
         gateway.close()  # lets go of the proxy
         self.network.channel.unregister_mobile(proxy_id)
-        if self.storage is not None:
-            self.storage.forget_spec(gateway.session_key)
 
     def release_session_state(self, handle: SessionHandle) -> None:
         """Release a *finished* session's proxy and in-network state.
@@ -884,6 +888,7 @@ __all__ = [
     "AdmissionError",
     "BackendStats",
     "MobiQueryService",
+    "HorizonPassedError",
     "ServiceClosedError",
     "SessionHandle",
     "RUN_TAIL_S",

@@ -6,9 +6,10 @@ Commands:
   per-period summary and an ASCII fidelity strip.
 * ``scenario`` — run a named declarative scenario from the registry (or a
   JSON file) through the service façade; ``--list`` shows the catalogue.
-* ``sweep`` — fan a scenario across users x shards x fault-intensity x
-  arrival axes, write ``SWEEP_<name>.json`` + a markdown table, and fail
-  loudly when a metamorphic invariant breaks.
+* ``sweep`` — fan a scenario across the axes
+  :class:`~repro.faults.sweep.SweepAxes` declares (one flag each), write
+  ``SWEEP_<name>.json`` + a markdown table, and fail loudly when a
+  metamorphic invariant breaks.
 * ``fuzz`` — draw seeded randomized scenarios from strictly bounded
   ranges and run each through the sweep's metamorphic invariants.
 * ``serve`` / ``slam`` / ``replay`` — the always-on query daemon, its
@@ -54,48 +55,18 @@ from .experiments.figures import (
 from .experiments.reporting import format_table
 from .experiments.runner import legacy_requests, run_experiment
 from .experiments.viz import render_fidelity_strip
+from .faults.sweep import (
+    AXES as SWEEP_AXES,
+    SweepAxes,
+    run_sweep,
+    write_sweep_outputs,
+)
 from .net.network import NetworkConfig
 from .serve.errors import EXIT_FAILURE, EXIT_USAGE, WireError
 from .workload.arrivals import ARRIVAL_PROCESSES, ARRIVAL_STAGGERED
 
 #: the ``ScenarioSpec.with_overrides`` keys a command line may set
 _SPEC_OVERRIDES = ("duration_s", "seed", "shards", "workers")
-
-#: ``repro sweep``'s axis flags: (flag, element type, help)
-_SWEEP_AXES = (
-    ("--users", int, "comma-separated fleet sizes, e.g. 4,8"),
-    ("--shards", int, "comma-separated shard counts, e.g. 1,2"),
-    (
-        "--intensities",
-        float,
-        "comma-separated fault intensities in [0,1], e.g. 0,0.5,1",
-    ),
-    ("--arrivals", str, "comma-separated arrival processes (staggered, burst)"),
-    (
-        "--admissions",
-        str,
-        "comma-separated admission policies "
-        "(accept-all, per-area-cap, phase-assign)",
-    ),
-    (
-        "--accuracies",
-        str,
-        "comma-separated accuracy levels (exact, medium, coarse) — "
-        "covers the summary-served path in the fault grid",
-    ),
-    (
-        "--densities",
-        int,
-        "comma-separated node counts, e.g. 150,200,300 "
-        "(0 = the scenario's own density)",
-    ),
-    (
-        "--radio-ranges",
-        float,
-        "comma-separated comm ranges in metres, e.g. 90,105,120 "
-        "(0 = the scenario's own range)",
-    ),
-)
 
 #: ``repro fig``'s tables: number -> (runner, title, headers, row of one result)
 _FIGURE_TABLES = {
@@ -281,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser(
         "sweep",
-        help="adversarial robustness sweep over users x shards x faults x arrivals",
+        help="adversarial robustness sweep over " + " x ".join(SWEEP_AXES),
         parents=[spec_args, horizon_args, report_args],
     )
     sweep_p.set_defaults(handler=_cmd_sweep)
@@ -289,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--axes",
         default=None,
         metavar="FILE",
-        help="JSON file with the sweep axes "
-        '({"users": [...], "shards": [...], "intensities": [...], '
-        '"arrivals": [...]}); CLI axis flags override its entries',
+        help="JSON file with the sweep axes (an object of lists keyed by "
+        + ", ".join(SWEEP_AXES) + "); CLI axis flags override its entries",
     )
-    for flag, _, axis_help in _SWEEP_AXES:
-        sweep_p.add_argument(flag, default=None, help=axis_help)
+    for axis, declared in SWEEP_AXES.items():
+        sweep_p.add_argument(_axis_flag(axis), default=None, help=declared.flag_help)
     sweep_p.add_argument(
         "--workers",
         type=int,
@@ -739,21 +709,25 @@ def _parse_axis_list(text: str, cast, flag: str) -> tuple:
     return values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .faults.sweep import SweepAxes, run_sweep, write_sweep_outputs
+def _axis_flag(axis: str) -> str:
+    """``repro sweep``'s flag for one :class:`SweepAxes` field."""
+    return "--" + axis.replace("_", "-")
 
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_spec(args, "base scenario")
     axes_data = (
         _load_json_object(args.axes, "a JSON object of sweep axes")
         if args.axes
         else {}
     )
-    for flag, cast, _ in _SWEEP_AXES:
-        # argparse's dest for ``--radio-ranges`` is also the SweepAxes key
-        axis = flag[2:].replace("-", "_")
+    for axis, declared in SWEEP_AXES.items():
+        # argparse's dest for ``--radio-ranges`` is the SweepAxes field
         if getattr(args, axis):
-            axes_data[axis] = _parse_axis_list(getattr(args, axis), cast, flag)
-    axes = SweepAxes.from_dict(axes_data) if axes_data else SweepAxes()
+            axes_data[axis] = _parse_axis_list(
+                getattr(args, axis), declared.cast, _axis_flag(axis)
+            )
+    axes = SweepAxes.from_dict(axes_data)
     print(
         f"sweep base={base.name} cells={axes.cell_count()} "
         f"workers={max(args.workers, 0)}",
@@ -763,13 +737,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(result.markdown_table())
     path = write_sweep_outputs(result, args.out_dir)
     print(f"\nsweep report written to {path} ({len(result.rows)} cells)")
-    if result.violations:
-        for violation in result.violations:
-            print(f"repro sweep: INVARIANT VIOLATED: {violation}", file=sys.stderr)
+    return _invariant_verdict(
+        "sweep",
+        result.violations,
+        "metamorphic invariants hold: fault-monotonicity, shards1-identity, "
+        "churn-no-leak, admission-no-harm, density-monotonicity",
+    )
+
+
+def _invariant_verdict(command: str, violations, holds: str) -> int:
+    """Each violation on stderr and the failure exit, or ``holds``."""
+    for violation in violations:
+        print(f"repro {command}: INVARIANT VIOLATED: {violation}", file=sys.stderr)
+    if violations:
         return EXIT_FAILURE
-    print("metamorphic invariants hold: fault-monotonicity, "
-          "shards1-identity, churn-no-leak, admission-no-harm, "
-          "density-monotonicity")
+    print(holds)
     return 0
 
 
@@ -793,15 +775,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     cells = sum(case["cells"] for case in result.cases)
     print(f"\nfuzz report written to {path} ({result.runs} cases, "
           f"{cells} sweep cells)")
-    if result.violations:
-        for violation in result.violations:
-            print(
-                f"repro fuzz: INVARIANT VIOLATED: {violation}", file=sys.stderr
-            )
-        return EXIT_FAILURE
-    print(f"metamorphic invariants hold across all {result.runs} drawn "
-          f"cases (replay with --seed {result.seed})")
-    return 0
+    return _invariant_verdict(
+        "fuzz",
+        result.violations,
+        f"metamorphic invariants hold across all {result.runs} drawn "
+        f"cases (replay with --seed {result.seed})",
+    )
 
 
 def _flag_or(value, fallback):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..geometry.shapes import Circle
 from ..net.flooding import FloodManager
 from ..net.network import Network
 from ..net.node import SensorNode
@@ -134,7 +135,7 @@ class NoPrefetchProtocol:
         if mark in seen:
             return
         seen.add(mark)
-        if node.position.distance_to(msg.issue_position) > msg.radius_m:
+        if not Circle(msg.issue_position, msg.radius_m).contains(node.position):
             return  # spatial constraint: batches reach beyond the area edge
         now = self.sim.now
         if now >= msg.deadline - 1e-3:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..geometry.shapes import Circle
 from ..geometry.vec import Vec2
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
@@ -106,6 +107,20 @@ class SessionMetrics:
         return len(self.records)
 
 
+def _area_ids(network: Network, area: Circle) -> Set[int]:
+    """Ids of the nodes ``area.contains`` — the area the query tree accepts.
+
+    The grid's disk query is narrower at the fringe (``d² <= r² + 1e-9``
+    against the circle's ``(r + 1e-9)²``), so it gathers over the band's
+    outer edge and the circle decides.
+    """
+    return {
+        node.node_id
+        for node in network.nodes_in_disk(area.center, area.radius + 1e-9)
+        if area.contains(node.position)
+    }
+
+
 def build_session_metrics(
     gateway: BaseGateway,
     network: Network,
@@ -129,12 +144,7 @@ def build_session_metrics(
     for k in range(1, periods + 1):
         deadline = spec.deadline(k)
         user_position = true_path.position_at(deadline)
-        actual_area = spec.area_at(user_position)
-        actual_ids = {
-            node.node_id
-            for node in network.nodes_in_disk(user_position, spec.radius_m)
-            if actual_area.contains(node.position)
-        }
+        actual_ids = _area_ids(network, spec.area_at(user_position))
         chosen, met_deadline = gateway.best_delivery(k)
         contributors_in_area = 0
         fidelity = 0.0
@@ -148,12 +158,7 @@ def build_session_metrics(
             contributors = set(chosen.contributors)
             queried_center = chosen.area_center or user_position
             prediction_error = queried_center.distance_to(user_position)
-            queried_area = spec.area_at(queried_center)
-            queried_ids = {
-                node.node_id
-                for node in network.nodes_in_disk(queried_center, spec.radius_m)
-                if queried_area.contains(node.position)
-            }
+            queried_ids = _area_ids(network, spec.area_at(queried_center))
             contributors_in_area = len(queried_ids & contributors)
             if queried_ids:
                 fidelity = contributors_in_area / len(queried_ids)
@@ -207,7 +212,7 @@ class StorageTracker:
         # mixes period_s values, and "how many periods ahead" is only
         # meaningful against the owning session's clock.  Sessions can be
         # registered up front (``specs``) or as they are admitted
-        # (:meth:`register_spec`, the service path).
+        # (:meth:`register_spec`, the runner's path).
         self._spec_by_session: Dict[Tuple[int, int], QuerySpec] = {
             s.session_key: s
             for s in (specs if specs is not None else ([spec] if spec else []))
@@ -230,15 +235,11 @@ class StorageTracker:
         """Register (or update) one session's spec for period arithmetic.
 
         The service façade admits sessions while the run is live, so the
-        tracker cannot always know every spec at construction time.
+        tracker cannot always know every spec at construction time:
+        ``run_experiment`` registers each one right after its submit.
         """
         self._spec_by_session[spec.session_key] = spec
         self._clock_changed(spec.session_key)
-
-    def forget_spec(self, session_key: Tuple[int, int]) -> None:
-        """Drop a torn-down session's spec (its collectors are released)."""
-        self._spec_by_session.pop(session_key, None)
-        self._clock_changed(session_key)
 
     def _clock_changed(self, session_key: Tuple[int, int]) -> None:
         if session_key in self._live_collectors:

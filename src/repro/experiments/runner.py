@@ -28,6 +28,7 @@ from ..core.metrics import (
     ContentionTracker,
     PowerReport,
     SessionMetrics,
+    StorageTracker,
     measure_power,
 )
 from ..workload.arrivals import arrival_times
@@ -137,8 +138,11 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
     ``None`` (or an empty plan) is bit-identical to the pre-fault runner.
     """
     service = MobiQueryService(config, faults=faults)
-    contention = None
+    contention = storage = None
     if service.protocol is not None:
+        # Storage's one reader too: subscribed before the first submit,
+        # told each session's spec as it is admitted.
+        storage = StorageTracker(service.tracer)
         # The interference length's one reader: every session here shares
         # the config's radius, so 2 * Rq + Rc is the run's own range.
         contention = ContentionTracker(
@@ -153,7 +157,9 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
     metrics = None
     if config.mode != MODE_IDLE:
         for request in legacy_requests(config, service.streams):
-            service.submit(request).require_admitted()
+            handle = service.submit(request).require_admitted()
+            if storage is not None:
+                storage.register_spec(handle.spec)
         result = service.finalize()
         sessions = result.sessions
         if sessions:
@@ -161,7 +167,6 @@ def run_experiment(config: ExperimentConfig, faults=None) -> RunResult:
     else:
         service.run()
     network = service.network
-    storage = service.storage
     return RunResult(
         config=config,
         metrics=metrics,

@@ -1,11 +1,11 @@
 """``repro fuzz`` — seeded randomized scenarios through the sweep harness.
 
 The adversarial sweep (:mod:`repro.faults.sweep`) checks metamorphic
-invariants — fault-monotonicity, shards=1 identity, churn-no-leak,
-admission-no-harm — over a *hand-picked* grid.  The fuzzer closes the
-remaining gap: it draws whole scenario configurations (fleet size,
-request geometry, arrival process, admission policy, shard count, fault
-intensity) from **strictly bounded** ranges using one seeded RNG stream
+invariants — fault-monotonicity, density-monotonicity, admission-no-harm,
+shards1-identity, churn-no-leak — over a *hand-picked* grid.  The fuzzer
+closes the remaining gap: it draws whole scenario configurations (fleet
+size, request geometry, arrival process, admission policy, shard count,
+fault intensity) from **strictly bounded** ranges using one seeded RNG stream
 (``"fuzz"``), and feeds each drawn case through the same invariant
 machinery.  Every case therefore asks the exact question the sweep
 asks — "do the invariants hold *here* too?" — at a point no one thought
@@ -19,75 +19,57 @@ report names its case's drawn parameters, so any finding replays with
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.scenarios import ScenarioSpec
 from ..sim.rng import RandomStreams
-from .sweep import (
-    ADMISSION_ACCEPT_ALL,
-    ARRIVAL_BURST,
-    ARRIVAL_STAGGERED,
-    SweepAxes,
-    run_sweep,
-)
+from .sweep import ADMISSION_ACCEPT_ALL, AXES, SweepAxes, run_sweep, write_report
 
-#: the axis values the fuzzer may draw from
-FUZZ_ARRIVALS = (ARRIVAL_STAGGERED, ARRIVAL_BURST)
-FUZZ_ADMISSIONS = (ADMISSION_ACCEPT_ALL, "per-area-cap", "phase-assign")
+#: the axis values the fuzzer may draw from: every one the sweep declares
+FUZZ_ARRIVALS = AXES["arrivals"].choices
+FUZZ_ADMISSIONS = AXES["admissions"].choices
 
 
-def _check_range(name: str, lo: float, hi: float, minimum: float) -> None:
-    if lo > hi:
-        raise ValueError(f"fuzz bounds {name}: lo {lo} > hi {hi}")
-    if lo < minimum:
-        raise ValueError(f"fuzz bounds {name}: lo {lo} < minimum {minimum}")
+def _bounds(default: Tuple[float, float], minimum: float):
+    """A :class:`FuzzBounds` field: its ``(lo, hi)`` default and the least
+    ``lo`` a draw may start from."""
+    return field(default=default, metadata={"minimum": minimum})
 
 
 @dataclass(frozen=True)
 class FuzzBounds:
     """The strictly bounded parameter ranges every draw stays inside."""
 
-    users: Tuple[int, int] = (2, 6)
-    shards: Tuple[int, int] = (1, 2)
-    duration_s: Tuple[float, float] = (18.0, 30.0)
-    period_s: Tuple[float, float] = (1.5, 3.0)
-    radius_m: Tuple[float, float] = (40.0, 90.0)
-    spacing_s: Tuple[float, float] = (0.5, 2.5)
-    intensity: Tuple[float, float] = (0.25, 1.0)
+    users: Tuple[int, int] = _bounds((2, 6), 1)
+    shards: Tuple[int, int] = _bounds((1, 2), 1)
+    duration_s: Tuple[float, float] = _bounds((18.0, 30.0), 6.0)
+    period_s: Tuple[float, float] = _bounds((1.5, 3.0), 0.5)
+    radius_m: Tuple[float, float] = _bounds((40.0, 90.0), 10.0)
+    spacing_s: Tuple[float, float] = _bounds((0.5, 2.5), 0.0)
+    intensity: Tuple[float, float] = _bounds((0.25, 1.0), 0.0)
     # Degenerate by default: lo == hi means "keep the base scenario's
     # network" and draws nothing, so existing seeds replay bit-identically.
-    n_nodes: Tuple[int, int] = (200, 200)
-    comm_range_m: Tuple[float, float] = (105.0, 105.0)
+    n_nodes: Tuple[int, int] = _bounds((200, 200), 8)
+    comm_range_m: Tuple[float, float] = _bounds((105.0, 105.0), 20.0)
 
     def __post_init__(self) -> None:
-        _check_range("users", *self.users, minimum=1)
-        _check_range("shards", *self.shards, minimum=1)
-        _check_range("duration_s", *self.duration_s, minimum=6.0)
-        _check_range("period_s", *self.period_s, minimum=0.5)
-        _check_range("radius_m", *self.radius_m, minimum=10.0)
-        _check_range("spacing_s", *self.spacing_s, minimum=0.0)
-        _check_range("intensity", *self.intensity, minimum=0.0)
-        _check_range("n_nodes", *self.n_nodes, minimum=8)
-        _check_range("comm_range_m", *self.comm_range_m, minimum=20.0)
+        for bound in fields(self):
+            lo, hi = getattr(self, bound.name)
+            minimum = bound.metadata["minimum"]
+            if lo > hi:
+                raise ValueError(f"fuzz bounds {bound.name}: lo {lo} > hi {hi}")
+            if lo < minimum:
+                raise ValueError(
+                    f"fuzz bounds {bound.name}: lo {lo} < minimum {minimum}"
+                )
         if self.intensity[1] > 1.0:
             raise ValueError(
                 f"fuzz intensity hi must be <= 1, got {self.intensity[1]}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "users": list(self.users),
-            "shards": list(self.shards),
-            "duration_s": list(self.duration_s),
-            "period_s": list(self.period_s),
-            "radius_m": list(self.radius_m),
-            "spacing_s": list(self.spacing_s),
-            "intensity": list(self.intensity),
-            "n_nodes": list(self.n_nodes),
-            "comm_range_m": list(self.comm_range_m),
-        }
+        return {bound.name: list(getattr(self, bound.name)) for bound in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -155,13 +137,9 @@ def draw_case(
     payload["faults"] = {}
     payload["shards"] = 1
     payload["workers"] = 0
-    if n_nodes is not None or comm_range is not None:
-        network = dict(payload.get("network", {}))
-        if n_nodes is not None:
-            network["n_nodes"] = n_nodes
-        if comm_range is not None:
-            network["comm_range_m"] = comm_range
-        payload["network"] = network
+    # The sweep's own network override; an undrawn ``None`` keeps the base's.
+    AXES["densities"].rewrite(payload, base, n_nodes)
+    AXES["radio_ranges"].rewrite(payload, base, comm_range)
     spec = ScenarioSpec.from_dict(payload)
 
     # Always include the fault-free point (monotonicity baseline) and —
@@ -298,13 +276,7 @@ def markdown_summary(result: FuzzResult) -> str:
 
 def write_fuzz_outputs(result: FuzzResult, out_dir: str = ".") -> str:
     """Write ``FUZZ_<name>.json`` (and return its path)."""
-    safe = result.name.replace("/", "-").replace(" ", "-")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"FUZZ_{safe}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_report("FUZZ", result.name, result.to_dict(), out_dir)
 
 
 __all__ = [

@@ -1,10 +1,10 @@
 """The adversarial robustness sweep (``repro sweep``).
 
-Fans one base :class:`~repro.api.scenarios.ScenarioSpec` across axis
-ranges — fleet size x shard count x fault intensity x arrival process x
-answer accuracy x node density x radio range — through the cluster
-transport's process pool, and checks the *metamorphic invariants* on
-the grid:
+Fans one base :class:`~repro.api.scenarios.ScenarioSpec` across the
+eight axes :class:`SweepAxes` declares — fleet size x shard count x fault
+intensity x arrival process x admission policy x answer accuracy x node
+density x radio range — through the cluster transport's process pool,
+and checks the *metamorphic invariants* on the grid:
 
 * **fault-monotonicity** — mean success never *improves* as fault
   intensity rises (within a 1 pp tolerance for tie-break noise), holding
@@ -15,6 +15,8 @@ the grid:
 * **density-monotonicity** — at a fixed radio range, mean success never
   improves as node density rises: more radios in the same field can
   only add channel contention.
+* **admission-no-harm** — a policy that turned sessions away never
+  leaves the admitted ones worse off than accept-all at the same point.
 * **shards1-identity** — a ``shards=1`` cluster is bit-identical to the
   single-world service *with the same fault plan injected*.
 * **churn-no-leak** — interleaved cancel + fault churn leaves zero
@@ -24,29 +26,30 @@ the grid:
   only at the steady PSM floor (no session callback keeps rescheduling).
 
 A violated invariant is a loud failure: the CLI exits non-zero naming
-the invariant.  Results are written as ``SWEEP_<name>.json`` plus a
-markdown table.
+the invariant and every coordinate of the offending row.  Results are
+written as ``SWEEP_<name>.json`` plus a markdown table.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..api.requests import ACCURACY_LEVELS
 from ..api.scenarios import ScenarioSpec, build_requests
 from ..api.service import RUN_TAIL_S
-from .plan import FaultPlan, reject_unknown_keys
+from ..workload.arrivals import ARRIVAL_STAGGERED
+from .plan import reject_unknown_keys
 
-#: tolerance for the monotonicity invariant (success is a ratio in [0,1])
+#: tolerance for the monotonicity invariants (success is a ratio in [0,1])
 MONOTONICITY_TOLERANCE = 0.01
 
-#: the arrival-process axis values
-ARRIVAL_STAGGERED = "staggered"
+#: the arrival-process axis values (staggered keeps the template's spacing)
 ARRIVAL_BURST = "burst"
-_ARRIVALS = (ARRIVAL_STAGGERED, ARRIVAL_BURST)
 
 #: the admission-policy axis values (names -> scenario admission configs)
 ADMISSION_ACCEPT_ALL = "accept-all"
@@ -55,113 +58,6 @@ _ADMISSION_CONFIGS: Dict[str, Dict] = {
     "per-area-cap": {"policy": "per-area-cap", "max_overlapping": 3},
     "phase-assign": {"policy": "phase-assign", "slots": 4},
 }
-
-_AXES_KEYS = frozenset(
-    {"users", "shards", "intensities", "arrivals", "admissions",
-     "accuracies", "densities", "radio_ranges"}
-)
-
-#: sentinel axis values meaning "keep the base scenario's network config"
-DENSITY_BASE = 0
-RADIO_RANGE_BASE = 0.0
-
-
-@dataclass(frozen=True)
-class SweepAxes:
-    """The sweep grid: every combination of these values runs as one cell."""
-
-    users: Tuple[int, ...] = (4, 8)
-    shards: Tuple[int, ...] = (1, 2)
-    intensities: Tuple[float, ...] = (0.0, 0.5, 1.0)
-    arrivals: Tuple[str, ...] = (ARRIVAL_STAGGERED, ARRIVAL_BURST)
-    admissions: Tuple[str, ...] = (ADMISSION_ACCEPT_ALL,)
-    accuracies: Tuple[str, ...] = ("exact",)
-    densities: Tuple[int, ...] = (DENSITY_BASE,)
-    radio_ranges: Tuple[float, ...] = (RADIO_RANGE_BASE,)
-
-    def __post_init__(self) -> None:
-        for axis in ("users", "shards", "intensities", "arrivals",
-                     "admissions", "accuracies", "densities",
-                     "radio_ranges"):
-            if not getattr(self, axis):
-                raise ValueError(f"sweep axis {axis!r} must not be empty")
-        for n in self.users:
-            if n < 1:
-                raise ValueError(f"sweep users must be >= 1, got {n}")
-        for n in self.shards:
-            if n < 1:
-                raise ValueError(f"sweep shards must be >= 1, got {n}")
-        for accuracy in self.accuracies:
-            if accuracy not in ACCURACY_LEVELS:
-                raise ValueError(
-                    f"unknown sweep accuracy {accuracy!r}; expected one of "
-                    f"{list(ACCURACY_LEVELS)}"
-                )
-        for density in self.densities:
-            # DENSITY_BASE (0) keeps the base scenario's node count.
-            if density < 0:
-                raise ValueError(
-                    f"sweep density must be >= 0, got {density}"
-                )
-        for radio_range in self.radio_ranges:
-            # RADIO_RANGE_BASE (0) keeps the base comm range.
-            if radio_range < 0:
-                raise ValueError(
-                    f"sweep radio range must be >= 0, got {radio_range}"
-                )
-        for intensity in self.intensities:
-            if not 0.0 <= intensity <= 1.0:
-                raise ValueError(
-                    f"sweep intensity must be in [0, 1], got {intensity}"
-                )
-        for arrival in self.arrivals:
-            if arrival not in _ARRIVALS:
-                raise ValueError(
-                    f"unknown sweep arrival {arrival!r}; expected one of "
-                    f"{list(_ARRIVALS)}"
-                )
-        for admission in self.admissions:
-            if admission not in _ADMISSION_CONFIGS:
-                raise ValueError(
-                    f"unknown sweep admission {admission!r}; expected one of "
-                    f"{sorted(_ADMISSION_CONFIGS)}"
-                )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxes":
-        """Build axes from plain data, rejecting unknown keys loudly."""
-        reject_unknown_keys(data, _AXES_KEYS, "sweep-axis")
-        payload: Dict[str, tuple] = {}
-        for axis in ("users", "shards"):
-            if axis in data:
-                payload[axis] = tuple(int(v) for v in data[axis])
-        if "intensities" in data:
-            payload["intensities"] = tuple(float(v) for v in data["intensities"])
-        if "arrivals" in data:
-            payload["arrivals"] = tuple(str(v) for v in data["arrivals"])
-        if "admissions" in data:
-            payload["admissions"] = tuple(str(v) for v in data["admissions"])
-        if "accuracies" in data:
-            payload["accuracies"] = tuple(str(v) for v in data["accuracies"])
-        if "densities" in data:
-            payload["densities"] = tuple(int(v) for v in data["densities"])
-        if "radio_ranges" in data:
-            payload["radio_ranges"] = tuple(
-                float(v) for v in data["radio_ranges"]
-            )
-        return cls(**payload)
-
-    def cell_count(self) -> int:
-        return (
-            len(self.users)
-            * len(self.shards)
-            * len(self.intensities)
-            * len(self.arrivals)
-            * len(self.admissions)
-            * len(self.accuracies)
-            * len(self.densities)
-            * len(self.radio_ranges)
-        )
 
 
 def plan_for_intensity(spec: ScenarioSpec, intensity: float) -> Dict:
@@ -201,14 +97,198 @@ def plan_for_intensity(spec: ScenarioSpec, intensity: float) -> Dict:
     }
 
 
-def _merge_fault_dicts(base: Dict, derived: Dict) -> Dict:
-    """Concatenate two plain fault plans kind by kind."""
+def _faults_at(payload: Dict, base: ScenarioSpec, intensity: float) -> None:
+    """The base plan plus the intensity-derived one, kind by kind."""
+    derived = plan_for_intensity(base, intensity)
     merged: Dict = {}
     for kind in ("crashes", "blackouts", "degradations", "worker_kills"):
-        entries = list(base.get(kind, ())) + list(derived.get(kind, ()))
+        entries = list(base.faults.get(kind, ())) + list(derived.get(kind, ()))
         if entries:
             merged[kind] = entries
-    return merged
+    payload["faults"] = merged
+
+
+def _spacing_for(payload: Dict, base: ScenarioSpec, arrival: str) -> None:
+    """Keep the template's spacing (``staggered``) or zero it (``burst``)."""
+    template = payload["requests"][0]
+    spacing = float(template.get("spacing_s", 2.0)) or 2.0
+    template["spacing_s"] = 0.0 if arrival == ARRIVAL_BURST else spacing
+
+
+def _network(key: str) -> Callable[[Dict, Any, Any], None]:
+    """Rewrite one network key; a falsy value (the base coordinate ``0``,
+    or no draw at all) keeps the scenario's own."""
+
+    def rewrite(payload: Dict, base: Any, value: Any) -> None:
+        if value:
+            payload["network"] = {**payload.get("network", {}), key: value}
+
+    return rewrite
+
+
+@dataclass(frozen=True)
+class Axis:
+    """Everything the sweep knows of one axis, declared once.
+
+    The grid product, value checks, ``from_dict``, the cell names, the row
+    coordinates, the report's ``axes``, the invariants' grouping and
+    ``repro sweep``'s flags all read this; a new axis is one more
+    :class:`SweepAxes` field.
+    """
+
+    #: the coordinate's name in a cell and a report row
+    key: str
+    #: element type, from JSON and from the command line
+    cast: type
+    #: the ``repro sweep`` flag's help (``{}``: the choices)
+    help: str
+    #: cell-name fragment, ``str.format``-ed with the coordinate
+    tag: str
+    #: rewrites a cell's payload (``requests[0]`` is its template) in place
+    rewrite: Callable[[Dict, ScenarioSpec, Any], None]
+    #: the coordinate a row without ``key`` sits at
+    base: Any = None
+    #: the base coordinate adds no tag, so older cell names stay
+    quiet: bool = False
+    choices: Tuple[str, ...] = ()
+    at_least: Optional[float] = None
+    at_most: Optional[float] = None
+
+    def error(self, value: Any) -> Optional[str]:
+        """Why ``value`` is not a coordinate of this axis (``None``: it is)."""
+        noun = self.key.replace("_", " ")
+        if self.choices and value not in self.choices:
+            return (f"unknown sweep {noun} {value!r}; expected one of "
+                    f"{list(self.choices)}")
+        if self.at_most is not None:
+            if not self.at_least <= value <= self.at_most:
+                return (f"sweep {noun} must be in [{self.at_least}, "
+                        f"{self.at_most}], got {value}")
+        elif self.at_least is not None and value < self.at_least:
+            return f"sweep {noun} must be >= {self.at_least}, got {value}"
+        return None
+
+    @property
+    def flag_help(self) -> str:
+        return self.help.format(", ".join(self.choices))
+
+    def fragment(self, value: Any) -> str:
+        """The cell-name fragment of one coordinate."""
+        return "" if self.quiet and value == self.base else self.tag.format(value)
+
+
+def _axis(default: tuple, **declaration: Any):
+    """A :class:`SweepAxes` field carrying its :class:`Axis`."""
+    return field(default=default, metadata={"axis": Axis(**declaration)})
+
+
+@dataclass(frozen=True)
+class SweepAxes:
+    """The sweep grid: every combination of these values runs as one cell.
+
+    Each field is one axis and carries its :class:`Axis` declaration.
+    """
+
+    users: Tuple[int, ...] = _axis(
+        (4, 8), key="users", cast=int, at_least=1, tag=".u{}",
+        help="comma-separated fleet sizes, e.g. 4,8",
+        rewrite=lambda payload, base, n: payload["requests"][0].update(count=n),
+    )
+    shards: Tuple[int, ...] = _axis(
+        (1, 2), key="shards", cast=int, at_least=1, tag=".s{}",
+        help="comma-separated shard counts, e.g. 1,2",
+        rewrite=lambda payload, base, n: payload.update(shards=n),
+    )
+    intensities: Tuple[float, ...] = _axis(
+        (0.0, 0.5, 1.0), key="intensity", cast=float, at_least=0, at_most=1,
+        tag=".f{:g}", rewrite=_faults_at,
+        help="comma-separated fault intensities in [0,1], e.g. 0,0.5,1",
+    )
+    arrivals: Tuple[str, ...] = _axis(
+        (ARRIVAL_STAGGERED, ARRIVAL_BURST), key="arrival", cast=str,
+        choices=(ARRIVAL_STAGGERED, ARRIVAL_BURST), tag=".{}",
+        rewrite=_spacing_for,
+        help="comma-separated arrival processes ({})",
+    )
+    admissions: Tuple[str, ...] = _axis(
+        (ADMISSION_ACCEPT_ALL,), key="admission", cast=str,
+        choices=tuple(_ADMISSION_CONFIGS), base=ADMISSION_ACCEPT_ALL,
+        tag=".{}",
+        rewrite=lambda payload, base, name: payload.update(
+            admission=dict(_ADMISSION_CONFIGS[name])
+        ),
+        help="comma-separated admission policies ({})",
+    )
+    accuracies: Tuple[str, ...] = _axis(
+        ("exact",), key="accuracy", cast=str, choices=ACCURACY_LEVELS,
+        base="exact", quiet=True, tag=".a-{}",
+        rewrite=lambda payload, base, level: payload["requests"][0].update(
+            accuracy=level
+        ),
+        help="comma-separated accuracy levels ({}) — covers the "
+        "summary-served path in the fault grid",
+    )
+    densities: Tuple[int, ...] = _axis(
+        (0,), key="density", cast=int, at_least=0, base=0, quiet=True,
+        tag=".n{}", rewrite=_network("n_nodes"),
+        help="comma-separated node counts, e.g. 150,200,300 "
+        "(0 = the scenario's own density)",
+    )
+    radio_ranges: Tuple[float, ...] = _axis(
+        (0.0,), key="radio_range", cast=float, at_least=0, base=0.0,
+        quiet=True, tag=".r{:g}", rewrite=_network("comm_range_m"),
+        help="comma-separated comm ranges in metres, e.g. 90,105,120 "
+        "(0 = the scenario's own range)",
+    )
+
+    def __post_init__(self) -> None:
+        for name in AXES:
+            if not getattr(self, name):
+                raise ValueError(f"sweep axis {name!r} must not be empty")
+        for name, axis in AXES.items():
+            for value in getattr(self, name):
+                error = axis.error(value)
+                if error:
+                    raise ValueError(error)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxes":
+        """Build axes from plain data, rejecting unknown keys loudly."""
+        reject_unknown_keys(data, frozenset(AXES), "sweep-axis")
+        return cls(**{
+            name: tuple(axis.cast(v) for v in data[name])
+            for name, axis in AXES.items()
+            if name in data
+        })
+
+    def to_dict(self) -> Dict[str, list]:
+        return {name: list(getattr(self, name)) for name in AXES}
+
+    def cell_count(self) -> int:
+        return math.prod(len(getattr(self, name)) for name in AXES)
+
+
+#: field name (the plural ``from_dict`` / ``--flag`` spelling) -> its axis
+AXES: Dict[str, Axis] = {f.name: f.metadata["axis"] for f in fields(SweepAxes)}
+
+
+def _coord(row: Mapping[str, Any], axis: Axis) -> Any:
+    return row.get(axis.key, axis.base)
+
+
+def _shown(row: Mapping[str, Any], axis: Axis) -> str:
+    """``row``'s coordinate on ``axis`` as the reports print it."""
+    value = _coord(row, axis)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _describe(row: Mapping[str, Any], without: str = "") -> str:
+    """``users=2 shards=1 ...``: every coordinate of ``row`` but ``without``."""
+    return " ".join(
+        f"{axis.key}={_shown(row, axis)}"
+        for axis in AXES.values()
+        if axis.key != without
+    )
 
 
 @dataclass(frozen=True)
@@ -216,95 +296,47 @@ class SweepCell:
     """One grid point: its coordinates plus the fully-derived spec dict.
 
     The payload travels as plain data so process pools can pickle cells
-    without dragging live worlds along.
+    without dragging live worlds along.  A coordinate reads as an
+    attribute under its axis key: ``cell.users``, ``cell.arrival``.
     """
 
-    users: int
-    shards: int
-    intensity: float
-    arrival: str
     payload: Dict
-    admission: str = ADMISSION_ACCEPT_ALL
-    accuracy: str = "exact"
-    density: int = DENSITY_BASE
-    radio_range: float = RADIO_RANGE_BASE
+    coords: Dict[str, Any]
+
+    def __getattr__(self, key: str) -> Any:
+        try:
+            return self.__dict__["coords"][key]
+        except KeyError:
+            raise AttributeError(key) from None
 
 
 def build_cells(base: ScenarioSpec, axes: SweepAxes) -> List[SweepCell]:
     """Expand the grid: one cell per axis combination.
 
-    The base scenario's *first* request template is the fleet prototype —
-    ``count`` becomes the cell's user count and ``spacing_s`` follows the
-    arrival axis (kept for ``staggered``, zeroed for ``burst``).  The
+    The base scenario's *first* request template is the fleet prototype;
+    each axis rewrites its copy in the cell's payload (``count`` becomes
+    the user count, ``spacing_s`` follows the arrival axis, ...).  The
     cell's fault plan is the base plan plus the intensity-derived one.
     """
     if not base.requests:
         raise ValueError(
             f"scenario {base.name!r} has no request templates to sweep"
         )
-    prototype = dict(base.requests[0])
-    base_spacing = float(prototype.get("spacing_s", 2.0)) or 2.0
     cells: List[SweepCell] = []
-    combos = [
-        (users, shards, intensity, arrival, admission, accuracy, density,
-         radio_range)
-        for users in axes.users
-        for shards in axes.shards
-        for intensity in axes.intensities
-        for arrival in axes.arrivals
-        for admission in axes.admissions
-        for accuracy in axes.accuracies
-        for density in axes.densities
-        for radio_range in axes.radio_ranges
-    ]
-    for (users, shards, intensity, arrival, admission, accuracy, density,
-         radio_range) in combos:
-        template = dict(prototype)
-        template["count"] = users
-        template["spacing_s"] = (
-            0.0 if arrival == ARRIVAL_BURST else base_spacing
-        )
-        template["accuracy"] = accuracy
+    for point in itertools.product(*(getattr(axes, name) for name in AXES)):
+        placed = list(zip(AXES.values(), point))
         payload = base.to_dict()
-        # Default axis values keep the legacy cell names (and therefore
-        # stable report diffs); only non-default coordinates grow suffixes.
-        payload["name"] = (
-            f"{base.name}.u{users}.s{shards}"
-            f".f{intensity:g}.{arrival}.{admission}"
-            + (f".a-{accuracy}" if accuracy != "exact" else "")
-            + (f".n{density}" if density != DENSITY_BASE else "")
-            + (f".r{radio_range:g}" if radio_range != RADIO_RANGE_BASE else "")
-        )
-        payload["requests"] = [template]
-        payload["shards"] = shards
+        payload["requests"] = [dict(base.requests[0])]
         # Cells parallelise across the pool, not within it.
         payload["workers"] = 0
-        payload["admission"] = dict(_ADMISSION_CONFIGS[admission])
-        network = dict(payload.get("network", {}))
-        if density != DENSITY_BASE:
-            network["n_nodes"] = density
-        if radio_range != RADIO_RANGE_BASE:
-            network["comm_range_m"] = radio_range
-        if network:
-            payload["network"] = network
-        payload["faults"] = _merge_fault_dicts(
-            dict(base.faults),
-            plan_for_intensity(base, intensity),
+        for axis, value in placed:
+            axis.rewrite(payload, base, value)
+        payload["name"] = base.name + "".join(
+            axis.fragment(value) for axis, value in placed
         )
         ScenarioSpec.from_dict(payload)  # fail at build time
-        cells.append(
-            SweepCell(
-                users=users,
-                shards=shards,
-                intensity=intensity,
-                arrival=arrival,
-                payload=payload,
-                admission=admission,
-                accuracy=accuracy,
-                density=density,
-                radio_range=radio_range,
-            )
-        )
+        coords = {axis.key: value for axis, value in placed}
+        cells.append(SweepCell(payload=payload, coords=coords))
     return cells
 
 
@@ -403,14 +435,7 @@ def run_sweep_cell(cell: SweepCell) -> Dict[str, Any]:
     result = run_scenario(spec)
     sessions = result.workload.sessions
     row: Dict[str, Any] = {
-        "users": cell.users,
-        "shards": cell.shards,
-        "intensity": cell.intensity,
-        "arrival": cell.arrival,
-        "admission": cell.admission,
-        "accuracy": cell.accuracy,
-        "density": cell.density,
-        "radio_range": cell.radio_range,
+        **cell.coords,
         "admitted": result.admitted,
         "rejected": result.rejected,
         "mean_success": result.mean_success,
@@ -420,7 +445,7 @@ def run_sweep_cell(cell: SweepCell) -> Dict[str, Any]:
         "frames_collided": result.frames_collided,
         "events_executed": result.events_executed,
     }
-    if cell.shards == 1:
+    if spec.shards == 1:
         # The identity leg: an explicit one-shard cluster must reproduce
         # the single world bit for bit, faults included.
         from ..api.admission import make_admission_policy
@@ -466,29 +491,22 @@ class SweepResult:
         return {
             "name": self.name,
             "base_scenario": self.base.to_dict(),
-            "axes": {
-                "users": list(self.axes.users),
-                "shards": list(self.axes.shards),
-                "intensities": list(self.axes.intensities),
-                "arrivals": list(self.axes.arrivals),
-                "admissions": list(self.axes.admissions),
-                "accuracies": list(self.axes.accuracies),
-                "densities": list(self.axes.densities),
-                "radio_ranges": list(self.axes.radio_ranges),
-            },
+            "axes": self.axes.to_dict(),
             "rows": self.rows,
             "violations": self.violations,
             "ok": self.ok,
         }
 
     def markdown_table(self) -> str:
-        """The grid as a GitHub-flavored markdown table."""
-        header = (
-            "| users | shards | arrival | admission | intensity | rejected | "
-            "mean success | min success | degraded | identity | leaks |\n"
-            "|---|---|---|---|---|---|---|---|---|---|---|"
-        )
-        lines = [header]
+        """The grid as a GitHub-flavored markdown table, one column per axis."""
+        columns = [axis.key.replace("_", " ") for axis in AXES.values()] + [
+            "rejected", "mean success", "min success", "degraded",
+            "identity", "leaks",
+        ]
+        lines = [
+            "| " + " | ".join(columns) + " |",
+            "|" + "---|" * len(columns),
+        ]
         for row in self.rows:
             identity = (
                 "ok" if row.get("identity_ok") else "FAIL"
@@ -496,11 +514,9 @@ class SweepResult:
             leaks = (
                 str(row["leak_total"]) if "leak_total" in row else "-"
             )
-            admission = row.get("admission", ADMISSION_ACCEPT_ALL)
+            coords = [_shown(row, axis) for axis in AXES.values()]
             lines.append(
-                f"| {row['users']} | {row['shards']} | {row['arrival']} "
-                f"| {admission} "
-                f"| {row['intensity']:g} | {row.get('rejected', 0)} "
+                "| " + " | ".join(coords) + f" | {row.get('rejected', 0)} "
                 f"| {row['mean_success']:.3f} "
                 f"| {row['min_success']:.3f} | {row['degraded_periods']} "
                 f"| {identity} | {leaks} |"
@@ -508,23 +524,26 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def check_invariants(rows: List[Dict[str, Any]]) -> List[str]:
-    """Evaluate the metamorphic invariants over a finished grid."""
-    violations: List[str] = []
-    groups: Dict[Tuple, List[Dict]] = {}
+def _along(rows: List[Dict[str, Any]], key: str) -> List[List[Dict[str, Any]]]:
+    """Rows grouped by every coordinate except ``key``, each group ordered
+    along ``key`` — the paper's one-parameter-at-a-time comparison."""
+    axis = next(a for a in AXES.values() if a.key == key)
+    groups: Dict[Tuple, List[Dict[str, Any]]] = {}
     for row in rows:
-        key = (
-            row["users"],
-            row["shards"],
-            row["arrival"],
-            row.get("admission", ADMISSION_ACCEPT_ALL),
-            row.get("accuracy", "exact"),
-            row.get("density", DENSITY_BASE),
-            row.get("radio_range", RADIO_RANGE_BASE),
-        )
-        groups.setdefault(key, []).append(row)
-    for key, group in sorted(groups.items()):
-        group.sort(key=lambda r: r["intensity"])
+        point = tuple(_coord(row, a) for a in AXES.values() if a is not axis)
+        groups.setdefault(point, []).append(row)
+    return [
+        sorted(group, key=lambda row: _coord(row, axis))
+        for _, group in sorted(groups.items())
+    ]
+
+
+def _monotonicity(
+    invariant: str, rows: List[Dict[str, Any]], key: str
+) -> List[str]:
+    """Mean success must not rise (beyond the tolerance) along ``key``."""
+    violations: List[str] = []
+    for group in _along(rows, key):
         best_so_far = None
         for row in group:
             success = row["mean_success"]
@@ -533,101 +552,67 @@ def check_invariants(rows: List[Dict[str, Any]]) -> List[str]:
                 and success > best_so_far + MONOTONICITY_TOLERANCE
             ):
                 violations.append(
-                    "fault-monotonicity: users=%d shards=%d arrival=%s "
-                    "admission=%s — mean success %.4f at intensity %g "
-                    "exceeds %.4f at a lower intensity"
-                    % (key[0], key[1], key[2], key[3], success,
-                       row["intensity"], best_so_far)
+                    "%s: %s — mean success %.4f at %s %g exceeds %.4f at a "
+                    "lower %s"
+                    % (invariant, _describe(row, without=key), success, key,
+                       row[key], best_so_far, key)
                 )
             best_so_far = (
                 success if best_so_far is None else min(best_so_far, success)
             )
+    return violations
+
+
+def check_invariants(rows: List[Dict[str, Any]]) -> List[str]:
+    """Evaluate the metamorphic invariants over a finished grid."""
+    violations = _monotonicity("fault-monotonicity", rows, "intensity")
     # density-monotonicity: at a fixed radio range, packing more nodes
     # into the same field can only raise channel contention — mean
     # success must not *improve* as density rises (same tolerance).  The
-    # DENSITY_BASE sentinel is excluded: "keep the base count" has no
-    # defined ordering against explicit node counts.
-    density_groups: Dict[Tuple, List[Dict]] = {}
-    for row in rows:
-        if row.get("density", DENSITY_BASE) == DENSITY_BASE:
-            continue
-        key = (
-            row["users"],
-            row["shards"],
-            row["intensity"],
-            row["arrival"],
-            row.get("admission", ADMISSION_ACCEPT_ALL),
-            row.get("accuracy", "exact"),
-            row.get("radio_range", RADIO_RANGE_BASE),
-        )
-        density_groups.setdefault(key, []).append(row)
-    for key, group in sorted(density_groups.items()):
-        group.sort(key=lambda r: r["density"])
-        best_so_far = None
-        for row in group:
-            success = row["mean_success"]
-            if (
-                best_so_far is not None
-                and success > best_so_far + MONOTONICITY_TOLERANCE
-            ):
-                violations.append(
-                    "density-monotonicity: users=%d shards=%d intensity=%g "
-                    "arrival=%s admission=%s accuracy=%s radio_range=%g — "
-                    "mean success %.4f at density %d exceeds %.4f at a "
-                    "lower density"
-                    % (key[0], key[1], key[2], key[3], key[4], key[5],
-                       key[6], success, row["density"], best_so_far)
-                )
-            best_so_far = (
-                success if best_so_far is None else min(best_so_far, success)
-            )
+    # base density (0, "keep the scenario's count") is excluded: it has
+    # no defined ordering against explicit node counts.
+    violations += _monotonicity(
+        "density-monotonicity",
+        [row for row in rows if row.get("density")],
+        "density",
+    )
     for row in rows:
         if row.get("identity_ok") is False:
             violations.append(
-                "shards1-identity: users=%d intensity=%g arrival=%s — "
-                "ClusterService(shards=1) diverged from MobiQueryService"
-                % (row["users"], row["intensity"], row["arrival"])
+                "shards1-identity: %s — ClusterService(shards=1) diverged "
+                "from MobiQueryService" % _describe(row)
             )
         if row.get("leak_total", 0) > 0:
             leaked = {
                 k: v for k, v in row.get("leaks", {}).items() if v
             }
             violations.append(
-                "churn-no-leak: users=%d intensity=%g arrival=%s — "
-                "residual state after cancel/crash churn: %s"
-                % (row["users"], row["intensity"], row["arrival"], leaked)
+                "churn-no-leak: %s — residual state after cancel/crash "
+                "churn: %s" % (_describe(row), leaked)
             )
     # admission-no-harm: turning sessions away must never *reduce* the
     # admitted users' mean success vs the accept-all baseline at the same
     # grid point — rejection is allowed to cost coverage, not quality.
-    baselines: Dict[Tuple, float] = {}
-    for row in rows:
-        if row.get("admission", ADMISSION_ACCEPT_ALL) == ADMISSION_ACCEPT_ALL:
-            point = (row["users"], row["shards"], row["intensity"],
-                     row["arrival"], row.get("accuracy", "exact"),
-                     row.get("density", DENSITY_BASE),
-                     row.get("radio_range", RADIO_RANGE_BASE))
-            baselines[point] = row["mean_success"]
-    for row in rows:
-        admission = row.get("admission", ADMISSION_ACCEPT_ALL)
-        if admission == ADMISSION_ACCEPT_ALL or not row.get("rejected"):
+    for group in _along(rows, "admission"):
+        baselines: List[Dict[str, Any]] = []
+        judged: List[Dict[str, Any]] = []
+        for row in group:
+            admission = row.get("admission", ADMISSION_ACCEPT_ALL)
+            (baselines if admission == ADMISSION_ACCEPT_ALL else judged).append(row)
+        if not baselines:
             continue
-        point = (row["users"], row["shards"], row["intensity"],
-                 row["arrival"], row.get("accuracy", "exact"),
-                 row.get("density", DENSITY_BASE),
-                 row.get("radio_range", RADIO_RANGE_BASE))
-        baseline = baselines.get(point)
-        if baseline is None:
-            continue
-        if row["mean_success"] < baseline - MONOTONICITY_TOLERANCE:
-            violations.append(
-                "admission-no-harm: users=%d shards=%d intensity=%g "
-                "arrival=%s — admission=%s rejected %d sessions yet mean "
-                "success %.4f fell below the accept-all baseline %.4f"
-                % (row["users"], row["shards"], row["intensity"],
-                   row["arrival"], admission, row["rejected"],
-                   row["mean_success"], baseline)
-            )
+        baseline = baselines[-1]["mean_success"]
+        for row in judged:
+            if not row.get("rejected"):
+                continue
+            if row["mean_success"] < baseline - MONOTONICITY_TOLERANCE:
+                violations.append(
+                    "admission-no-harm: %s — admission=%s rejected %d "
+                    "sessions yet mean success %.4f fell below the "
+                    "accept-all baseline %.4f"
+                    % (_describe(row, without="admission"), row["admission"],
+                       row["rejected"], row["mean_success"], baseline)
+                )
     return violations
 
 
@@ -659,21 +644,28 @@ def run_sweep(
     )
 
 
-def write_sweep_outputs(result: SweepResult, out_dir: str = ".") -> str:
-    """Write ``SWEEP_<name>.json`` (and return its path)."""
-    safe = result.name.replace("/", "-").replace(" ", "-")
+def write_report(prefix: str, name: str, data: Dict, out_dir: str = ".") -> str:
+    """Write ``<prefix>_<name>.json`` under ``out_dir`` (and return its path)."""
+    safe = name.replace("/", "-").replace(" ", "-")
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"SWEEP_{safe}.json")
+    path = os.path.join(out_dir, f"{prefix}_{safe}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def write_sweep_outputs(result: SweepResult, out_dir: str = ".") -> str:
+    """Write ``SWEEP_<name>.json`` (and return its path)."""
+    return write_report("SWEEP", result.name, result.to_dict(), out_dir)
 
 
 __all__ = [
     "ADMISSION_ACCEPT_ALL",
     "ARRIVAL_BURST",
     "ARRIVAL_STAGGERED",
+    "AXES",
+    "Axis",
     "MONOTONICITY_TOLERANCE",
     "SweepAxes",
     "SweepCell",
@@ -685,5 +677,6 @@ __all__ = [
     "plan_for_intensity",
     "run_sweep",
     "run_sweep_cell",
+    "write_report",
     "write_sweep_outputs",
 ]

@@ -75,7 +75,7 @@ from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.scenarios import ScenarioSpec, build_backend
-from ..api.service import SessionHandle
+from ..api.service import HorizonPassedError, SessionHandle
 from ..faults.sweep import leak_census
 from .chaos import WireChaosPlane
 from .edge import EdgeConfig, EdgeGuard
@@ -360,13 +360,11 @@ class ServeApp:
         Order matters for determinism.  The edge guard sheds *first* —
         before validation, the backend, and the log — so a rate-limited
         or overloaded submit consumes zero RNG draws and leaves zero
-        state (replay never sees it).  Validation happens *before* the
-        backend sees the request — ``backend.submit`` consumes
-        mobility-RNG draws while synthesising the user's walk, so a
-        submission that would raise inside the backend (horizon passed)
-        must be refused up front to keep the submission log replayable.
-        Rejections by the admission policy *are* recorded: they consumed
-        draws, so replay must repeat them.
+        state (replay never sees it).  A start past the horizon is
+        refused by ``backend.submit`` itself (``HorizonPassedError``)
+        before it synthesises a walk, so that refusal draws nothing and
+        is not logged either.  Rejections by the admission policy *are*
+        recorded: they consumed draws, so replay must repeat them.
 
         A repeated ``idempotency_key`` (same token) returns the stored
         first response verbatim: a client retrying a submit whose
@@ -395,15 +393,10 @@ class ServeApp:
             )
             request = request_from_wire(payload)
             now = self._now()
-            start = max(request.start_s, now)
-            horizon = self.backend.duration_s
-            if start > horizon - request.period_s + 1e-9:
-                raise WireError(
-                    "horizon-passed",
-                    f"session would start at {start:.1f}s but the service "
-                    f"horizon is {horizon:.1f}s — no serviceable period left",
-                )
-            handle = self.backend.submit(request)
+            try:
+                handle = self.backend.submit(request)
+            except HorizonPassedError as exc:
+                raise map_exception(exc) from None
             sid = next(self._sids)
             # The log needs every admission verdict, in order, to replay
             # the run bit-identically.

@@ -102,17 +102,20 @@ def map_exception(exc: BaseException) -> WireError:
     """Fold any exception into the typed contract.
 
     ``ServiceClosedError`` (the backend sealed itself) becomes
-    ``service-closed``; ``KeyError`` is the scenario-registry miss;
+    ``service-closed``, ``HorizonPassedError`` ``horizon-passed``;
+    ``KeyError`` is the scenario-registry miss;
     spec/request validation errors (``ValueError``/``TypeError``) become
     ``invalid-request``; anything else is ``internal`` — the catch-all
     that keeps a daemon thread from dying silently.
     """
-    from ..api.service import ServiceClosedError
+    from ..api.service import HorizonPassedError, ServiceClosedError
 
     if isinstance(exc, WireError):
         return exc
     if isinstance(exc, ServiceClosedError):
         return WireError("service-closed", str(exc))
+    if isinstance(exc, HorizonPassedError):
+        return WireError("horizon-passed", str(exc))
     if isinstance(exc, KeyError):
         detail = exc.args[0] if exc.args else exc
         return WireError("unknown-scenario", str(detail))

@@ -18,6 +18,7 @@ import pytest
 from repro.api import (
     AcceptAllPolicy,
     AdmissionError,
+    HorizonPassedError,
     PerAreaCapPolicy,
     PhaseAssignPolicy,
     QueryRequest,
@@ -396,6 +397,17 @@ class TestRequestValidation:
         service = make_service(duration=10.0)
         with pytest.raises(ValueError, match="no serviceable period"):
             service.submit(QueryRequest(start_s=9.5, period_s=2.0))
+
+    def test_start_beyond_horizon_draws_nothing(self):
+        # The refusal comes before the user's walk is synthesised, so the
+        # next pathless submit walks what a service that never saw the
+        # refusal walks.
+        refused, twin = make_service(duration=10.0), make_service(duration=10.0)
+        with pytest.raises(HorizonPassedError, match="no serviceable period"):
+            refused.submit(QueryRequest(start_s=9.5, period_s=2.0))
+        assert refused.handles == []
+        walks = [s.submit(QueryRequest()).path.waypoints for s in (refused, twin)]
+        assert walks[0] == walks[1]
 
     def test_auto_user_ids_skip_live_ones(self):
         service = make_service()

@@ -153,6 +153,12 @@ class TestStorageTracker:
         assert tracker.max_tree_states == 5
         assert tracker.live_tree_states == 5
 
+    def test_a_scenario_world_keeps_no_storage_tracker(self):
+        """Only ``run_experiment`` reads storage, so only it subscribes a
+        tracker; a scenario's world records no collector or tree event."""
+        backend = build_backend(get_scenario("heterogeneous-mix"))
+        assert not backend.tracer.wants("collector-assigned")
+
 
 class RescanOracle:
     """``max_prefetch_length`` the way the tracker computed it before it kept
@@ -202,7 +208,6 @@ def tracker_steps(draw):
                     st.tuples(st.just("assign"), users, ks),
                     st.tuples(st.just("release"), users, ks),
                     st.tuples(st.just("register"), users, CLOCKS),
-                    st.tuples(st.just("forget"), users, st.none()),
                 ),
             ),
             min_size=1, max_size=40,
@@ -219,7 +224,7 @@ def session_spec(user, clock):
 
 def drive_tracker(fallback, upfront, steps):
     """Any interleaving of assign / release / re-assign of a live ``k`` /
-    ``register_spec`` / ``forget_spec`` over up to six sessions: the tracker
+    ``register_spec`` over up to six sessions: the tracker
     and the full rescan agree after every step."""
     spec = session_spec(0, fallback) if fallback else None
     specs = (
@@ -238,12 +243,9 @@ def drive_tracker(fallback, upfront, steps):
         elif kind == "release":
             tracer.emit("collector-released", now, k=arg, user=user, query=0)
             oracle.released(user, 0, arg)
-        elif kind == "register":
+        else:
             tracker.register_spec(session_spec(user, arg))
             oracle.spec_by_session[(user, 0)] = session_spec(user, arg)
-        else:
-            tracker.forget_spec((user, 0))
-            oracle.spec_by_session.pop((user, 0), None)
         assert tracker.max_prefetch_length == oracle.max_prefetch_length, (
             f"step {step}: {kind} user {user} {arg!r} at t={now!r}"
         )

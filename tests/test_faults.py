@@ -405,6 +405,28 @@ class TestSweepInvariants:
         (violation,) = check_invariants(rows)
         assert violation.startswith("fault-monotonicity:")
 
+    @pytest.mark.parametrize(
+        "key, values, shown",
+        [
+            ("accuracy", ("exact", "coarse"), ("accuracy=exact", "accuracy=coarse")),
+            ("radio_range", (90.0, 120.0), ("radio_range=90", "radio_range=120")),
+        ],
+    )
+    def test_violations_name_every_coordinate(self, key, values, shown):
+        """Two groups that differ only in ``key`` give two messages a
+        reader can tell apart: each names its own ``key`` coordinate."""
+        rows = [
+            self._row(**{key: value}, **over)
+            for value in values
+            for over in ({"mean_success": 0.5},
+                         {"intensity": 1.0, "mean_success": 0.9})
+        ]
+        violations = check_invariants(rows)
+        assert len(violations) == 2 and violations[0] != violations[1]
+        for coordinate in shown:
+            (violation,) = [v for v in violations if coordinate in v]
+            assert violation.startswith("fault-monotonicity:")
+
     def test_small_wobble_within_tolerance_passes(self):
         rows = [
             self._row(mean_success=0.900),

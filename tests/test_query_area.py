@@ -118,3 +118,71 @@ def test_area_at_has_circle_semantics():
     assert area.contains(Vec2(150, 50))
     assert not area.contains(Vec2(151, 50))
     assert area.radius == 100.0
+
+
+# ----------------------------------------------------------------------
+# The scorer and the NP baseline take the same area the tree does
+# ----------------------------------------------------------------------
+RQ = 150.0
+CENTRE = Vec2(200.0, 200.0)
+#: past ``Rq`` by less than the circle's tolerance, beyond the grid's
+FRINGE = Vec2(200.0 + RQ + 5e-10, 200.0)
+
+
+def fringe_network():
+    """Node 0 at the area's centre, node 1 on its fringe (``Rq + 5e-10``)."""
+    from repro.net.network import NetworkConfig, build_network
+    from repro.sim.kernel import Simulator
+    from repro.sim.rng import RandomStreams
+
+    assert Circle(CENTRE, RQ).contains(FRINGE)
+    return build_network(
+        Simulator(), NetworkConfig(n_nodes=2), RandomStreams(1),
+        positions=[CENTRE, FRINGE],
+    )
+
+
+def test_scorer_counts_a_fringe_node_the_area_contains():
+    from types import SimpleNamespace
+
+    from repro.core.gateway import DeliveryRecord
+    from repro.core.metrics import build_session_metrics
+
+    network = fringe_network()
+    spec = QuerySpec(radius_m=RQ, period_s=2.0, freshness_s=1.0, lifetime_s=2.0)
+    delivery = DeliveryRecord(
+        k=1, time=1.9, value=20.0, contributors=frozenset({0, 1}),
+        area_center=CENTRE,
+    )
+    metrics = build_session_metrics(
+        SimpleNamespace(best_delivery=lambda k: (delivery, True)),
+        network,
+        spec,
+        SimpleNamespace(position_at=lambda t: CENTRE),
+        duration_s=2.0,
+    )
+    (record,) = metrics.records
+    assert record.area_node_count == 2
+    assert record.contributors_in_area == 2
+
+
+def test_np_answers_a_fringe_node_the_area_contains():
+    from repro.core.baseline import NoPrefetchProtocol
+    from repro.core.messages import NpQueryMessage
+    from repro.net.flooding import FloodManager
+    from repro.net.routing import GeoRouter
+
+    network = fringe_network()
+    protocol = NoPrefetchProtocol(
+        network, GeoRouter(network), FloodManager(network)
+    )
+    answered = []
+    protocol._respond = lambda node, msg: answered.append(node.node_id)
+    protocol.register_session((0, 1))
+    msg = NpQueryMessage(
+        query_id=1, k=1, deadline=4.0, freshness_s=1.0, proxy_id=99,
+        issue_position=CENTRE, radius_m=RQ,
+    )
+    protocol._handle_query(network.nodes[1], msg)
+    network.sim.run(until=4.0)
+    assert answered == [1]
