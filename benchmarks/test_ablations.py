@@ -15,10 +15,9 @@ measuring what happens without them:
 import statistics
 from dataclasses import replace
 
-from repro.api.config import paper_section62_config
-from repro.experiments.figures import bench_scale
+from repro.api.scenarios import run_scenario
+from repro.experiments.figures import bench_scale, paper_section62_config
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_experiment
 
 
 def _duration() -> float:
@@ -29,19 +28,19 @@ def run_redelivery_ablation():
     rows = []
     for mode in ("jit", "greedy"):
         for redeliver in (True, False):
-            config = replace(
+            spec = replace(
                 paper_section62_config(
                     mode=mode, sleep_period_s=9.0, seed=1, duration_s=_duration()
                 ),
                 redeliver_setups=redeliver,
             )
-            result = run_experiment(config)
+            (session,) = run_scenario(spec).workload.sessions
             rows.append(
                 (
                     mode,
                     "on" if redeliver else "off",
-                    result.metrics.success_ratio(),
-                    result.metrics.mean_fidelity(),
+                    session.metrics.success_ratio(),
+                    session.metrics.mean_fidelity(),
                 )
             )
     return rows
@@ -68,19 +67,19 @@ def run_parent_upgrade_ablation():
     rows = []
     for seed in (1, 2, 3):
         for upgrade in (True, False):
-            config = replace(
+            spec = replace(
                 paper_section62_config(
                     mode="jit", sleep_period_s=9.0, seed=seed, duration_s=_duration()
                 ),
                 parent_upgrade=upgrade,
             )
-            result = run_experiment(config)
+            (session,) = run_scenario(spec).workload.sessions
             rows.append(
                 (
                     seed,
                     "on" if upgrade else "off",
-                    result.metrics.success_ratio(),
-                    result.metrics.mean_fidelity(),
+                    session.metrics.success_ratio(),
+                    session.metrics.mean_fidelity(),
                 )
             )
     return rows

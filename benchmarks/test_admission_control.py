@@ -20,17 +20,9 @@ the admitted fleet's minimum success ratio over accept-all at N=16.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.api import (
-    AcceptAllPolicy,
-    AdmissionPolicy,
-    MobiQueryService,
-    PerAreaCapPolicy,
-    PhaseAssignPolicy,
-    QueryRequest,
-)
-from repro.api.config import MODE_JIT, ExperimentConfig
+from repro.api import ScenarioSpec, run_scenario
 from repro.experiments.figures import SCALE_PAPER, bench_scale
 from repro.experiments.reporting import format_table
 
@@ -51,26 +43,32 @@ class AdmissionRow:
     frames_collided: int
 
 
-def _run_policy(
-    name: str, policy: AdmissionPolicy, duration_s: float, seed: int
-) -> AdmissionRow:
-    config = ExperimentConfig(mode=MODE_JIT, seed=seed, duration_s=duration_s)
-    service = MobiQueryService(config, admission=policy)
-    handles = [
-        # a simultaneous burst: the phase-locking worst case
-        service.submit(
-            QueryRequest(radius_m=FLEET_RADIUS_M, period_s=2.0, freshness_s=1.0)
+def _run_policy(admission: Dict, duration_s: float, seed: int) -> AdmissionRow:
+    result = run_scenario(
+        ScenarioSpec(
+            name=f"burst-{admission.get('policy', 'accept-all')}",
+            seed=seed,
+            duration_s=duration_s,
+            admission=admission,
+            requests=(
+                # a simultaneous burst: the phase-locking worst case
+                {
+                    "radius_m": FLEET_RADIUS_M,
+                    "period_s": 2.0,
+                    "freshness_s": 1.0,
+                    "count": NUM_USERS,
+                    "arrival": "simultaneous",
+                },
+            ),
         )
-        for _ in range(NUM_USERS)
-    ]
-    result = service.finalize()
+    )
     return AdmissionRow(
-        policy=name,
-        admitted=sum(1 for h in handles if h.accepted),
-        rejected=sum(1 for h in handles if not h.accepted),
-        mean_success=result.mean_success_ratio(),
-        min_success=result.min_success_ratio(),
-        frames_collided=service.network.channel.frames_collided,
+        policy=admission.get("policy", "accept-all"),
+        admitted=result.admitted,
+        rejected=result.rejected,
+        mean_success=result.mean_success,
+        min_success=result.min_success,
+        frames_collided=result.frames_collided,
     )
 
 
@@ -79,11 +77,9 @@ def run_admission_comparison(scale: Optional[str] = None) -> List[AdmissionRow]:
     duration = 240.0 if scale == SCALE_PAPER else 90.0
     seed = 1
     return [
-        _run_policy("accept-all", AcceptAllPolicy(), duration, seed),
-        _run_policy(
-            "per-area-cap", PerAreaCapPolicy(max_overlapping=3), duration, seed
-        ),
-        _run_policy("phase-assign", PhaseAssignPolicy(slots=4), duration, seed),
+        _run_policy({}, duration, seed),
+        _run_policy({"policy": "per-area-cap", "max_overlapping": 3}, duration, seed),
+        _run_policy({"policy": "phase-assign", "slots": 4}, duration, seed),
     ]
 
 

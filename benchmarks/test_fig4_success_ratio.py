@@ -7,11 +7,16 @@ period and speed.  The reproduced table must preserve those orderings and
 trends (absolute values depend on the MAC substrate).
 """
 
+import pathlib
 from collections import defaultdict
 
 from repro.api.config import MODE_GREEDY, MODE_JIT, MODE_NP
-from repro.experiments.figures import run_fig4
+from repro.api.scenarios import load_scenario_file, run_scenario
+from repro.experiments.figures import SCALE_QUICK, bench_scale, run_fig4
 from repro.experiments.reporting import format_table
+
+#: the quick-scale MQ-JIT, Tsleep = 9 s cell, stored as a scenario file
+CELL = pathlib.Path(__file__).parent.parent / "tests" / "data" / "cli" / "fig4-cell.json"
 
 
 def test_fig4_success_ratio(once, emit):
@@ -56,3 +61,12 @@ def test_fig4_success_ratio(once, emit):
         assert series[-1] <= series[0] + 0.05  # non-increasing (with slack)
         assert series[-1] < 0.35  # longest sleep period: paper's NP band
         assert max(series) < 0.8
+
+    # A figure cell is a file: the stored quick-scale cell re-runs its bar.
+    if bench_scale() == SCALE_QUICK:
+        spec = load_scenario_file(str(CELL))
+        sleep_period = spec.world().network.sleep_period_s
+        (row,) = [
+            r for r in rows if (r.mode, r.sleep_period_s) == (spec.mode, sleep_period)
+        ]
+        assert run_scenario(spec).mean_success == row.success_ratio

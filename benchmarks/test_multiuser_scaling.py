@@ -23,10 +23,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.api.config import MODE_JIT, ExperimentConfig, QueryParams
+from repro.api.scenarios import ScenarioSpec, run_scenario
 from repro.experiments.figures import SCALE_PAPER, bench_scale
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_experiment
 from repro.workload.arrivals import ARRIVAL_STAGGERED
 
 #: query radius for the fleet runs.  The paper's Rq=150 m covers a third
@@ -67,30 +66,32 @@ def run_scaling(scale: Optional[str] = None) -> List[ScalingRow]:
     """One shared network per N; all users ride the same kernel run."""
     scale = scale or bench_scale()
     fleet_sizes, duration = scaling_grid(scale)
-    base = ExperimentConfig(
-        mode=MODE_JIT,
-        seed=1,
-        duration_s=duration,
-        query=QueryParams(radius_m=FLEET_RADIUS_M),
-    )
     rows: List[ScalingRow] = []
     for n in fleet_sizes:
-        config = base.with_num_users(
-            n,
-            arrival_process=ARRIVAL_STAGGERED,
-            arrival_spacing_s=ARRIVAL_SPACING_S,
+        spec = ScenarioSpec(
+            name=f"fleet-{n}",
+            seed=1,
+            duration_s=duration,
+            requests=(
+                {
+                    "radius_m": FLEET_RADIUS_M,
+                    "count": n,
+                    "arrival": ARRIVAL_STAGGERED,
+                    "spacing_s": ARRIVAL_SPACING_S,
+                },
+            ),
         )
         started = time.perf_counter()
-        result = run_experiment(config)
+        result = run_scenario(spec)
         wall = time.perf_counter() - started
-        ratios = tuple(result.user_success_ratios)
+        ratios = tuple(result.workload.success_ratios())
         rows.append(
             ScalingRow(
                 num_users=n,
                 duration_s=duration,
                 wall_clock_s=wall,
                 success_ratios=ratios,
-                mean_success=result.mean_user_success_ratio,
+                mean_success=result.mean_success,
                 min_success=result.workload.min_success_ratio(),
                 mean_fidelity=result.workload.mean_fidelity(),
                 frames_sent=result.frames_sent,

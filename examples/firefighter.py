@@ -9,8 +9,9 @@ answers flowing even though the sensors sleep 98.9% of the time, and the
 hot-spot readings visibly rise as his route passes near the fronts.
 
 This example wires the library's layers together explicitly (instead of
-using ``run_experiment``) to show the composable API: network + CCP +
-routing + MobiQuery protocol + planner-provided motion profiles.
+describing the run as a ``ScenarioSpec``) to show the composable API:
+network + CCP + routing + MobiQuery protocol + planner-provided motion
+profiles.
 
 Run:
     python examples/firefighter.py

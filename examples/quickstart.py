@@ -37,7 +37,9 @@ def main() -> None:
     print(f"Backbone: {service.backbone_size} of "
           f"{service.config.network.n_nodes} nodes stay awake (CCP)")
     # Storage cost (Section 5.2) is read off the trace: trees created
-    # and released, collectors assigned ahead of the user's period.
+    # and released, collectors assigned ahead of the user's period (each
+    # assignment record carries its session's spec, so the tracker knows
+    # every session's clock without being told).
     storage = StorageTracker(service.tracer)
 
     handle = service.submit(
@@ -48,7 +50,6 @@ def main() -> None:
             freshness_s=1.0,  # Tfresh
         )
     )
-    storage.register_spec(handle.spec)
     print(f"Session admitted: user {handle.user_id}, query {handle.query_id}\n")
 
     print(" k   deadline  value    on-time  contributors")

@@ -18,16 +18,15 @@ Run:
 
 import os
 
-from repro.api.config import paper_section63_config
-from repro.experiments.runner import run_experiment
+from repro.api.scenarios import run_scenario
+from repro.experiments.figures import paper_section63_config
 
 #: override for quick smoke runs (CI examples-smoke)
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "240"))
 CHANGE_INTERVAL_S = 70.0
 
 
-def describe(label: str, result) -> None:
-    metrics = result.metrics
+def describe(label: str, metrics) -> None:
     print(f"\n--- {label} ---")
     print(f"success ratio        : {metrics.success_ratio():.1%}")
     print(f"mean data fidelity   : {metrics.mean_fidelity():.1%}")
@@ -43,7 +42,7 @@ def main() -> None:
           f"for {DURATION_S:.0f} s; motion changes every {CHANGE_INTERVAL_S:.0f} s.")
 
     print("\n[1/2] Robot with a motion planner (profiles 10 s in advance)...")
-    planner_result = run_experiment(
+    (planner,) = run_scenario(
         paper_section63_config(
             sleep_period_s=9.0,
             change_interval_s=CHANGE_INTERVAL_S,
@@ -51,12 +50,12 @@ def main() -> None:
             seed=42,
             duration_s=DURATION_S,
         )
-    )
-    describe("motion planner, Ta = +10 s", planner_result)
+    ).workload.sessions
+    describe("motion planner, Ta = +10 s", planner.metrics)
 
     print("\n[2/2] Human-carried proxy with GPS-history prediction "
           "(10 m fixes, 8 s sampling)...")
-    predictor_result = run_experiment(
+    (predictor,) = run_scenario(
         paper_section63_config(
             sleep_period_s=9.0,
             change_interval_s=CHANGE_INTERVAL_S,
@@ -64,13 +63,10 @@ def main() -> None:
             seed=42,
             duration_s=DURATION_S,
         )
-    )
-    describe("history predictor, GPS error <= 10 m", predictor_result)
+    ).workload.sessions
+    describe("history predictor, GPS error <= 10 m", predictor.metrics)
 
-    gain = (
-        planner_result.metrics.success_ratio()
-        - predictor_result.metrics.success_ratio()
-    )
+    gain = planner.metrics.success_ratio() - predictor.metrics.success_ratio()
     print(f"\nAdvance knowledge bought {gain:+.1%} success ratio — the paper's")
     print("Section 6.3 conclusion: MobiQuery exploits early profiles when it")
     print("can, and degrades gracefully under late, noisy prediction.")

@@ -13,14 +13,18 @@ Quick tour of the public API (the service façade)::
         print(outcome.k, outcome.on_time, outcome.value)
     print(handle.result().success_ratio)
 
-The legacy experiment surface still works (and now routes through the
-service)::
+A whole run — world plus request templates — is one plain-data
+``ScenarioSpec``; every paper figure cell is one, and so is every
+registry scenario::
 
-    from repro import run_experiment
+    from repro import ScenarioSpec, run_scenario
 
-    result = run_experiment(ExperimentConfig(mode=MODE_JIT, seed=7,
-                                             duration_s=120.0))
-    print(result.metrics.success_ratio())
+    result = run_scenario(ScenarioSpec(
+        name="walkers", mode=MODE_JIT, seed=7, duration_s=120.0,
+        requests=({"radius_m": 60.0, "count": 4, "spacing_s": 2.5,
+                   "path": {"kind": "random", "speed_range": [3, 5]}},),
+    ))
+    print(result.mean_success, result.power.mean_sleeper_power_w)
 
 Subpackages:
 
@@ -47,7 +51,8 @@ Subpackages:
   ``FaultPlan`` schedules (crashes, blackouts, radio degradation, worker
   kills) executed off a dedicated RNG stream, plus the adversarial
   robustness sweep (``repro.faults.sweep``).
-* ``repro.experiments`` — per-figure experiment harness.
+* ``repro.experiments`` — per-figure experiment harness: every figure
+  cell a ``ScenarioSpec``, replicated across seeds.
 """
 
 from .api import (
@@ -97,10 +102,8 @@ from .experiments import (
     MODE_JIT,
     MODE_NP,
     ExperimentConfig,
-    RunResult,
     paper_section62_config,
     paper_section63_config,
-    run_experiment,
     run_replications,
 )
 from .geometry import Circle, Rect, Vec2
@@ -162,8 +165,6 @@ __all__ = [
     "load_fault_file",
     # experiments
     "ExperimentConfig",
-    "RunResult",
-    "run_experiment",
     "run_replications",
     "paper_section62_config",
     "paper_section63_config",

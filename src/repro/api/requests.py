@@ -2,10 +2,9 @@
 
 A :class:`QueryRequest` is what one mobile user asks of the service: the
 paper's query six-tuple, a session start time, and (optionally) the
-user's motion.  Unlike the experiment-era ``QueryParams`` — one frozen
-parameter set shared by every user of a run — each request stands alone,
-so a single service instance can serve heterogeneous workloads: mixed
-periods, radii, aggregations and freshness bounds side by side.
+user's motion.  Each request stands alone, so a single service instance
+can serve heterogeneous workloads: mixed periods, radii, aggregations,
+freshness bounds, walks and profile pipelines side by side.
 
 Validation lives here so that an invalid combination fails at the API
 boundary with one clear sentence instead of a traceback deep inside the
@@ -19,6 +18,7 @@ from typing import Optional
 
 from ..core.query import Aggregation
 from ..geometry.vec import Vec2
+from ..mobility.models import RandomDirectionConfig
 from ..mobility.path import PiecewisePath
 from ..mobility.profile import ProfileProvider
 
@@ -37,8 +37,8 @@ def validate_query_params(
 ) -> None:
     """Reject impossible query-parameter combinations with one-line errors.
 
-    Shared by :class:`QueryRequest`, the experiment config, and the CLI so
-    every entry point fails the same way.
+    Shared by :class:`QueryRequest` and the CLI so every entry point fails
+    the same way.
     """
     if radius_m <= 0:
         raise ValueError(f"query radius must be > 0 m, got {radius_m:g}")
@@ -68,8 +68,12 @@ class QueryRequest:
         start_s: requested session start (admission may offset it).
         lifetime_s: ``Td``; None = run until the service horizon.
         user_id: stable user identity; None = assigned by the service.
-        path: the user's true motion.  None = the service synthesises the
-            paper's random-direction walk for this user.
+        path: the user's true motion.  None = the service synthesises a
+            random-direction walk for this user from its own mobility
+            stream.
+        walk: the random-direction model of that synthesised walk (speed
+            range, leg length); None = the paper's 3-5 m/s, 50 s legs.
+            Ignored when ``path`` is given.
         provider: explicit motion-profile provider.  None = built from
             ``profile_mode`` (or the service default) over ``path``.
         profile_mode: "full" | "planner" | "predictor" | None (service
@@ -90,6 +94,7 @@ class QueryRequest:
     lifetime_s: Optional[float] = None
     user_id: Optional[int] = None
     path: Optional[PiecewisePath] = None
+    walk: Optional[RandomDirectionConfig] = None
     provider: Optional[ProfileProvider] = None
     profile_mode: Optional[str] = None
     advance_time_s: Optional[float] = None

@@ -1,20 +1,29 @@
 """Declarative scenarios: named, JSON-loadable service workloads.
 
-A :class:`ScenarioSpec` is a plain-data description of one service run —
-world (mode/seed/duration/network), admission policy, and a list of
-request templates — that round-trips through ``dict``/JSON, so workloads
-can live in version control, ship in bug reports, and run from the CLI:
+A :class:`ScenarioSpec` is a plain-data description of one run — world
+(mode/seed/duration/network and the protocol's two ablation flags),
+admission policy, and a list of request templates — that round-trips
+through ``dict``/JSON, so workloads and paper figure cells alike can live
+in version control, ship in bug reports, and run from the CLI:
 
     repro scenario heterogeneous-mix
     repro scenario --file my_workload.json
 
+It is the repo's one run description: :func:`run_scenario` runs it and
+returns the one result type, :class:`ScenarioResult`.
+
 Request templates are dicts mirroring :class:`~repro.api.requests.
-QueryRequest` (aggregations by name), plus two expansion keys:
-``count`` clones a template N times and ``spacing_s`` staggers the
-clones' start times.  An optional ``path`` dict gives the user a
-deterministic motion (``{"kind": "patrol", "waypoints": [[x, y], ...],
-"speed": 4.0, "loops": 4}``); without one the service synthesises the
-paper's random-direction walk.
+QueryRequest` (aggregations by name), plus three expansion keys:
+``count`` clones a template N times, ``arrival`` picks how the clones'
+starts are spread (``staggered`` — the default — ``simultaneous``,
+``uniform`` or ``poisson``; see :mod:`repro.workload.arrivals`) and
+``spacing_s`` is that process's spacing.  The stochastic processes draw
+from the seed's ``arrivals`` stream.  A ``path`` dict sets the user's
+motion: ``{"kind": "patrol", "waypoints": [[x, y], ...], "speed": 4.0,
+"loops": 4}`` is a deterministic beat; ``{"kind": "random",
+"speed_range": [lo, hi], "change_interval_s": s}`` — or no path at all,
+for the paper's 3-5 m/s and 50 s legs — is a random-direction walk the
+service synthesises from the user's own mobility stream.
 
 Five scenarios are built in: ``paper-default`` (the Section 6.1 single
 user), ``patrol-fleet`` (6 robots on rectangular beats), ``rush-hour-
@@ -36,28 +45,46 @@ import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Optional, Tuple
 
+from ..core.metrics import PowerReport, measure_power
 from ..core.query import Aggregation
 from ..faults.plan import FaultPlan, reject_unknown_keys
 from ..geometry.vec import Vec2
-from ..mobility.models import patrol_path
+from ..mobility.models import RandomDirectionConfig, patrol_path
 from ..net.network import NetworkConfig
+from ..sim.rng import RandomStreams
+from ..workload.arrivals import (
+    ARRIVAL_POISSON,
+    ARRIVAL_PROCESSES,
+    ARRIVAL_STAGGERED,
+    ARRIVAL_UNIFORM,
+    arrival_times,
+)
 from ..workload.engine import WorkloadResult
 from .admission import AdmissionPolicy, make_admission_policy
 from .backend import QueryBackend
-from .config import ExperimentConfig
+from .config import DEFAULT_WALK, MODE_IDLE, ExperimentConfig, validate_world
 from .requests import ACCURACY_LEVELS, QueryRequest
 from .service import MobiQueryService, SessionHandle
 
-#: request-template keys that are not QueryRequest fields
-_EXPANSION_KEYS = ("count", "spacing_s", "path", "aggregation")
+#: template keys that expand one template into several requests
+_CLONE_KEYS = ("count", "spacing_s", "arrival")
 
-#: every key a request template may carry (QueryRequest fields + expansion)
-_REQUEST_KEYS = frozenset(
-    f.name for f in dataclass_fields(QueryRequest)
-) | set(_EXPANSION_KEYS)
+#: every key a request template may carry: the QueryRequest fields plain
+#: data can set (a path as its dict; no walk or provider object) and the
+#: clone keys
+_REQUEST_KEYS = (
+    frozenset(f.name for f in dataclass_fields(QueryRequest)) - {"walk", "provider"}
+) | set(_CLONE_KEYS)
 
-#: every key one *expanded* request payload may carry (no count/spacing)
-_PAYLOAD_KEYS = _REQUEST_KEYS - {"count", "spacing_s"}
+#: every key one *expanded* request payload may carry (no clone keys)
+_PAYLOAD_KEYS = _REQUEST_KEYS - set(_CLONE_KEYS)
+
+#: every key of a path dict, per kind; the required ones are in _PATH_NEEDS
+_PATH_KEYS = {
+    "random": frozenset({"kind", "speed_range", "change_interval_s"}),
+    "patrol": frozenset({"kind", "waypoints", "speed", "loops"}),
+}
+_PATH_NEEDS = {"random": (), "patrol": ("waypoints",)}
 
 #: every key the ``network`` override dict may carry: the NetworkConfig
 #: fields a JSON number sets and the world honours (``region`` is an object,
@@ -97,6 +124,10 @@ class ScenarioSpec:
     workers: int = 0
     #: spatial partitioner registry name (see repro.cluster.PARTITIONERS)
     partitioner: str = "balanced-kd"
+    #: ablation flag — parent upgrades in the setup flood (DESIGN.md §4)
+    parent_upgrade: bool = True
+    #: ablation flag — PSM-style setup redelivery across beacon windows
+    redeliver_setups: bool = True
     # -- declarative serve-daemon posture (ROADMAP item 2) ------------
     # CLI flags still override: a flag given on ``repro serve`` beats
     # the spec; the spec beats the built-in defaults.
@@ -112,8 +143,19 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
+        # Every template keeps at least one serviceable period: the one
+        # horizon rule expansion relies on when it clamps a late start.
+        longest = max(
+            (float(t.get("period_s", QueryRequest.period_s)) for t in self.requests),
+            default=0.0,
+        )
+        if self.duration_s < longest:
+            raise ValueError("duration must cover at least one query period")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration_s:g}")
+        validate_world(self.mode, self.seed)
+        if self.mode == MODE_IDLE and self.requests:
+            raise ValueError("idle runs have no users to multiply")
         for knob, value in (
             ("shards", self.shards),
             ("workers", self.workers),
@@ -142,6 +184,12 @@ class ScenarioSpec:
             )
         if self.wal_flush < 1:
             raise ValueError(f"wal_flush must be >= 1, got {self.wal_flush}")
+        for knob, value in (
+            ("parent_upgrade", self.parent_upgrade),
+            ("redeliver_setups", self.redeliver_setups),
+        ):
+            if not isinstance(value, bool):
+                raise ValueError(f"{knob} must be true or false, got {value!r}")
         from ..cluster.partition import PARTITIONERS  # lazy: avoid cycle
 
         if self.partitioner not in PARTITIONERS:
@@ -153,6 +201,14 @@ class ScenarioSpec:
         # one clear sentence, not as a TypeError deep in request expansion.
         for template in self.requests:
             reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
+            if "path" in template:
+                _check_path(template["path"])
+            arrival = template.get("arrival", ARRIVAL_STAGGERED)
+            if arrival not in ARRIVAL_PROCESSES:
+                raise ValueError(
+                    f"unknown arrival process {arrival!r}; "
+                    f"expected one of {ARRIVAL_PROCESSES}"
+                )
         reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
         # Same strictness for the fault plan: FaultPlan.from_dict names the
         # first unknown key at every nesting level.
@@ -223,6 +279,18 @@ class ScenarioSpec:
         """The validated :class:`FaultPlan` this scenario injects."""
         return FaultPlan.from_dict(self.faults)
 
+    def world(self) -> ExperimentConfig:
+        """The world a backend builds for this scenario (every shard's
+        base): the one place a spec becomes an :class:`ExperimentConfig`."""
+        return ExperimentConfig(
+            mode=self.mode,
+            seed=self.seed,
+            duration_s=self.duration_s,
+            network=NetworkConfig(**self.network),
+            parent_upgrade=self.parent_upgrade,
+            redeliver_setups=self.redeliver_setups,
+        )
+
 
 #: every key a scenario dict may carry: the spec's own fields
 _SPEC_KEYS = frozenset(f.name for f in dataclass_fields(ScenarioSpec))
@@ -237,28 +305,56 @@ def load_scenario_file(path: str) -> ScenarioSpec:
 # ----------------------------------------------------------------------
 # Template expansion
 # ----------------------------------------------------------------------
-def _build_path(path_spec: Dict):
+def _check_path(path_spec: Dict) -> str:
+    """A path dict's kind, once its keys are known good.
+
+    Each kind refuses a key it does not read and names a missing one, so a
+    typo'd walk cannot run silently at the defaults.
+    """
+    if not isinstance(path_spec, dict):
+        raise ValueError(f"a path must be an object, got {path_spec!r}")
     kind = path_spec.get("kind", "random")
-    if kind == "random":
-        return None  # the service synthesises the paper's walk
-    if kind == "patrol":
+    known = _PATH_KEYS.get(kind)
+    if known is None:
+        raise ValueError(
+            f"unknown path kind {kind!r}; expected 'random' or 'patrol'"
+        )
+    reject_unknown_keys(path_spec, known, f"{kind} path")
+    for key in _PATH_NEEDS[kind]:
+        if key not in path_spec:
+            raise ValueError(f"a {kind} path needs {key!r}")
+    return kind
+
+
+def _build_path(path_spec: Dict, kwargs: Dict) -> None:
+    """Set ``kwargs``' ``path`` (a patrol) or ``walk`` (a random walk with
+    keys of its own; the bare kind leaves the paper's walk to the service)."""
+    if _check_path(path_spec) == "patrol":
         waypoints = [Vec2(float(x), float(y)) for x, y in path_spec["waypoints"]]
-        return patrol_path(
+        kwargs["path"] = patrol_path(
             waypoints,
             speed=float(path_spec.get("speed", 4.0)),
             start_time=0.0,
             loops=int(path_spec.get("loops", 1)),
         )
-    raise ValueError(f"unknown path kind {kind!r}; expected 'random' or 'patrol'")
+    elif path_spec.keys() - {"kind"}:
+        lo, hi = path_spec.get("speed_range", DEFAULT_WALK.speed_range)
+        kwargs["walk"] = RandomDirectionConfig(
+            speed_range=(float(lo), float(hi)),
+            change_interval_s=float(
+                path_spec.get("change_interval_s", DEFAULT_WALK.change_interval_s)
+            ),
+        )
 
 
 def request_from_payload(payload: Dict) -> QueryRequest:
     """One concrete :class:`QueryRequest` from its JSON-able dict form.
 
     The payload is a request template *after* expansion (no ``count`` /
-    ``spacing_s``): ``aggregation`` may be a name string, ``path`` a path
-    dict (``{"kind": "patrol", ...}``); every other key maps straight to
-    a :class:`QueryRequest` field.  Shared by :func:`build_requests` and
+    ``spacing_s`` / ``arrival``): ``aggregation`` may be a name string,
+    ``path`` a path dict (a patrol sets ``QueryRequest.path``, a random
+    walk with keys of its own ``QueryRequest.walk``); every other key maps
+    straight to a :class:`QueryRequest` field.  Shared by :func:`build_requests` and
     the serve daemon's wire codec, so an over-the-wire submission builds
     exactly the request the in-process expansion would.
     """
@@ -271,7 +367,7 @@ def request_from_payload(payload: Dict) -> QueryRequest:
         kwargs["aggregation"] = Aggregation(str(aggregation).lower())
     path_spec = kwargs.pop("path", None)
     if path_spec is not None:
-        kwargs["path"] = _build_path(path_spec)
+        _build_path(path_spec, kwargs)
     return QueryRequest(**kwargs)
 
 
@@ -279,25 +375,37 @@ def build_request_payloads(spec: ScenarioSpec) -> List[Dict]:
     """Expand the templates into JSON-able per-user request payloads.
 
     The same expansion :func:`build_requests` performs — ``count``
-    cloning, ``spacing_s`` staggering, start clamping so a scaled-down
-    scenario keeps one serviceable period per user — but stopping at
-    plain data: one payload dict per user, in template order.  This is
-    what ``repro slam`` replays over the wire against a live daemon.
+    cloning, starts offset by the template's ``arrival`` process, start
+    clamping so a scaled-down scenario keeps one serviceable period per
+    user — but stopping at plain data: one payload dict per user, in
+    template order.  This is what ``repro slam`` replays over the wire
+    against a live daemon.
+
+    ``uniform`` and ``poisson`` draw from a fresh ``arrivals`` stream of
+    the spec's seed, shared by the templates in order; streams are keyed
+    by name, so a world built from the same seed never sees the draws.
     """
     payloads: List[Dict] = []
+    arrivals = None
     for template in spec.requests:
         count = int(template.get("count", 1))
-        spacing = float(template.get("spacing_s", 0.0))
         if count < 1:
             raise ValueError(f"request count must be >= 1, got {count}")
-        base = {
-            k: v for k, v in template.items() if k not in ("count", "spacing_s")
-        }
-        period = float(base.get("period_s", 2.0))
+        process = template.get("arrival", ARRIVAL_STAGGERED)
+        if process in (ARRIVAL_UNIFORM, ARRIVAL_POISSON) and arrivals is None:
+            arrivals = RandomStreams(spec.seed).stream("arrivals")
+        offsets = arrival_times(
+            count,
+            process=process,
+            spacing_s=float(template.get("spacing_s", 0.0)),
+            rng=arrivals,
+        )
+        base = {k: v for k, v in template.items() if k not in _CLONE_KEYS}
+        period = float(base.get("period_s", QueryRequest.period_s))
         latest_start = spec.duration_s - period
-        for clone in range(count):
+        for offset in offsets:
             payload = dict(base)
-            start = float(base.get("start_s", 0.0)) + clone * spacing
+            start = float(base.get("start_s", 0.0)) + offset
             payload["start_s"] = min(start, max(0.0, latest_start))
             payloads.append(payload)
     return payloads
@@ -318,26 +426,26 @@ def build_requests(spec: ScenarioSpec) -> List[QueryRequest]:
 # ----------------------------------------------------------------------
 @dataclass
 class ScenarioResult:
-    """One scenario run: per-user scores plus service-level counters."""
+    """One run: per-user scores plus service-level counters — the one
+    result type every figure, CLI command and benchmark reads."""
 
     scenario: ScenarioSpec
     workload: WorkloadResult
+    #: every handle issued, in submission order.  They reach the live
+    #: world; a result shipped between processes leaves them behind
+    #: (``replace(result, handles=[])``) and keeps the counts below.
     handles: List[SessionHandle]
     events_executed: int
     frames_sent: int
     frames_collided: int
     frames_delivered: int
     backbone_size: int
+    admitted: int
+    rejected: int
     #: independent worlds that served the run (1 = single service)
     shards: int = 1
-
-    @property
-    def admitted(self) -> int:
-        return sum(1 for h in self.handles if h.accepted)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for h in self.handles if not h.accepted)
+    #: the radios' mean draw per node class; one-world runs only
+    power: Optional[PowerReport] = None
 
     @property
     def mean_success(self) -> float:
@@ -346,15 +454,6 @@ class ScenarioResult:
     @property
     def min_success(self) -> float:
         return self.workload.min_success_ratio()
-
-
-def _scenario_config(spec: ScenarioSpec) -> ExperimentConfig:
-    return ExperimentConfig(
-        mode=spec.mode,
-        seed=spec.seed,
-        duration_s=spec.duration_s,
-        network=NetworkConfig(**spec.network),
-    )
 
 
 def build_service(
@@ -367,7 +466,7 @@ def build_service(
     here to reproduce a recorded run's verdicts verbatim.
     """
     return MobiQueryService(
-        _scenario_config(spec),
+        spec.world(),
         admission=(
             admission
             if admission is not None
@@ -395,7 +494,7 @@ def build_backend(
     from ..cluster.service import ClusterService  # lazy: avoid cycle
 
     return ClusterService(
-        _scenario_config(spec),
+        spec.world(),
         shards=spec.shards,
         admission=(
             admission
@@ -421,9 +520,11 @@ def run_scenario(
 
     ``backend`` injects a pre-built backend (the cluster benchmarks use
     this to time an explicit ``ClusterService(shards=1)`` against the
-    default single-world path); otherwise one is built from the spec.
-    ``accuracy`` rewrites every request template (``repro scenario
-    --accuracy`` — how a scenario's exact twin runs).
+    default single-world path; the Section 5 readers subscribe to a
+    service's tracer before handing it over); otherwise one is built from
+    the spec.  ``accuracy`` rewrites every request template (``repro
+    scenario --accuracy`` — how a scenario's exact twin runs).  A
+    one-world run also reads every radio's meter into ``power``.
     """
     spec = spec.with_overrides(
         duration_s=duration_s, seed=seed, shards=shards, workers=workers
@@ -444,7 +545,14 @@ def run_scenario(
         frames_collided=stats.frames_collided,
         frames_delivered=stats.frames_delivered,
         backbone_size=stats.backbone_size,
+        admitted=sum(1 for h in handles if h.accepted),
+        rejected=sum(1 for h in handles if not h.accepted),
         shards=stats.shards,
+        power=(
+            measure_power(backend.network)
+            if isinstance(backend, MobiQueryService)
+            else None
+        ),
     )
 
 
@@ -478,7 +586,7 @@ def _uav_sweep(index: int) -> List[List[float]]:
 _HETERO_REQUESTS = (
     # A deliberate mix: periods 1.5-4 s, radii 40-120 m, four aggregation
     # functions, freshness at or below each period — per-user parameters
-    # the single shared QueryParams of the experiment era could not express.
+    # side by side on one world.
     {"period_s": 2.0, "radius_m": 60.0, "freshness_s": 1.0, "aggregation": "avg", "start_s": 0.0},
     {"period_s": 1.5, "radius_m": 40.0, "freshness_s": 0.75, "aggregation": "max", "start_s": 2.5},
     {"period_s": 3.0, "radius_m": 90.0, "freshness_s": 1.5, "aggregation": "min", "start_s": 5.0},

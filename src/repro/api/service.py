@@ -19,10 +19,10 @@ not a special mode.  A pluggable :class:`AdmissionPolicy` guards the
 shared medium (per-area caps, server-side phase assignment); rejected
 requests provably leave the kernel untouched.
 
-The legacy experiment surface (``ExperimentConfig`` + ``run_experiment``)
-is reimplemented as a thin adapter over this façade and remains
-bit-identical to its pre-API behaviour; new code should talk to the
-service directly.
+A whole run — world plus request templates — is described by a
+:class:`~repro.api.scenarios.ScenarioSpec` and run by
+:func:`~repro.api.scenarios.run_scenario`, which builds this service (or
+the sharded cluster) from the spec.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..geometry.vec import Vec2
 from ..mobility.gps import GpsModel
-from ..mobility.models import random_direction_path
+from ..mobility.models import RandomDirectionConfig, random_direction_path
 from ..mobility.path import PiecewisePath
 from ..mobility.planner import FullKnowledgeProvider, PlannerProfileProvider
 from ..mobility.predictor import HistoryPredictorProvider
@@ -59,6 +59,11 @@ from ..workload.session import SessionResult, build_proxy
 from .admission import AcceptAllPolicy, AdmissionDecision, AdmissionPolicy
 from .backend import BackendStats
 from .config import (
+    DEFAULT_ADVANCE_TIME_S,
+    DEFAULT_GPS_ERROR_M,
+    DEFAULT_PROFILE_MODE,
+    DEFAULT_SAMPLING_PERIOD_S,
+    DEFAULT_WALK,
     MODE_GREEDY,
     MODE_IDLE,
     MODE_JIT,
@@ -114,23 +119,21 @@ def make_user_path(
     config: ExperimentConfig,
     streams: RandomStreams,
     user_id: int = 0,
+    walk: RandomDirectionConfig = DEFAULT_WALK,
 ) -> PiecewisePath:
     """The paper's user motion: random-direction from the region corner.
 
     User 0 starts at the corner exactly as in the paper; later users start
     at an independent uniform position inside the margin-inset region (a
     fleet piling onto one corner would measure MAC contention at a single
-    cell, not the service).
+    cell, not the service).  ``walk`` sets the speed range and leg length.
     """
     region = config.network.region
     rng = streams.stream(user_stream("mobility", user_id))
+    margin = walk.margin_m
     if user_id == 0:
-        start = Vec2(
-            region.x_min + config.mobility.margin_m,
-            region.y_min + config.mobility.margin_m,
-        )
+        start = Vec2(region.x_min + margin, region.y_min + margin)
     else:
-        margin = config.mobility.margin_m
         start = Vec2(
             float(rng.uniform(region.x_min + margin, region.x_max - margin)),
             float(rng.uniform(region.y_min + margin, region.y_max - margin)),
@@ -138,7 +141,7 @@ def make_user_path(
     return random_direction_path(
         region=region,
         duration_s=config.duration_s,
-        config=config.mobility,
+        config=walk,
         rng=rng,
         start=start,
     )
@@ -156,26 +159,26 @@ def make_profile_provider(
 ) -> ProfileProvider:
     """Build the motion-profile pipeline for one user.
 
-    ``profile_mode`` and the knob overrides default to the service config;
-    a per-request override lets one fleet mix full-knowledge, planner and
-    predictor users.
+    ``profile_mode`` and the knobs come from the request; one left unset
+    takes the module default (``DEFAULT_*`` in :mod:`repro.api.config`),
+    so one fleet can mix full-knowledge, planner and predictor users.
     """
-    mode = profile_mode or config.profile_mode
+    mode = profile_mode or DEFAULT_PROFILE_MODE
     if mode == PROFILE_FULL:
         return FullKnowledgeProvider(true_path, config.duration_s)
     if mode == PROFILE_PLANNER:
         advance = (
-            advance_time_s if advance_time_s is not None else config.advance_time_s
+            advance_time_s if advance_time_s is not None else DEFAULT_ADVANCE_TIME_S
         )
         return PlannerProfileProvider(
             true_path, config.duration_s, advance_time_s=advance
         )
     if mode == PROFILE_PREDICTOR:
-        error = gps_error_m if gps_error_m is not None else config.gps_error_m
+        error = gps_error_m if gps_error_m is not None else DEFAULT_GPS_ERROR_M
         sampling = (
             sampling_period_s
             if sampling_period_s is not None
-            else config.sampling_period_s
+            else DEFAULT_SAMPLING_PERIOD_S
         )
         return HistoryPredictorProvider(
             true_path,
@@ -433,11 +436,9 @@ class MobiQueryService:
 
     Args:
         config: the world description — service variant (``mode``), seed,
-            horizon (``duration_s``), network, default mobility and profile
-            pipeline.  The ``query``/``num_users``/``arrival_*`` fields are
-            *defaults for the legacy experiment adapter only*; the service
-            itself takes per-user parameters from each
-            :class:`QueryRequest`.
+            horizon (``duration_s``), network and the protocol's ablation
+            flags.  Per-user parameters (query, motion, profile pipeline)
+            come from each :class:`QueryRequest`.
         admission: the admission policy (default accept-all).
         tracer: optional shared tracer (a fresh one by default).
         faults: optional :class:`FaultPlan` to inject against this world.
@@ -478,7 +479,6 @@ class MobiQueryService:
                 self.geo,
                 MobiQueryConfig(
                     prefetch_policy=config.mode,
-                    pickup_radius_m=config.pickup_radius_m,
                     parent_upgrade=config.parent_upgrade,
                     redeliver_setups=config.redeliver_setups,
                 ),
@@ -579,7 +579,12 @@ class MobiQueryService:
         user_id = self._sessions.assign_user_id(request.user_id)
         path = request.path
         if path is None:
-            path = make_user_path(self.config, self.streams, user_id)
+            path = make_user_path(
+                self.config,
+                self.streams,
+                user_id,
+                DEFAULT_WALK if request.walk is None else request.walk,
+            )
         spec = self._build_spec(request, user_id, start_s)
         decision = self.admission.decide(spec, path, self)
         if not decision.admitted:
@@ -830,7 +835,6 @@ class MobiQueryService:
                     spec,
                     handle.path,
                     duration,
-                    fidelity_threshold=self.config.fidelity_threshold,
                 ),
                 deliveries=len(gateway.deliveries),
                 degraded_periods=len(gateway.degraded_ks),
@@ -866,7 +870,7 @@ class MobiQueryService:
         return self._closed_result
 
     # ------------------------------------------------------------------
-    # Convenience metrics mirrors (the RunResult fields)
+    # Convenience metrics mirrors
     # ------------------------------------------------------------------
     @property
     def events_executed(self) -> int:
@@ -883,7 +887,6 @@ class MobiQueryService:
         )
 
 
-# Re-exported for the legacy runner's scoring path
 __all__ = [
     "AdmissionError",
     "BackendStats",

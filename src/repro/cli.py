@@ -34,15 +34,8 @@ import json
 import sys
 from typing import List, Optional
 
-from .api.config import (
-    MODE_GREEDY,
-    MODE_IDLE,
-    MODE_JIT,
-    MODE_NP,
-    ExperimentConfig,
-    QueryParams,
-)
-from .api.requests import ACCURACY_LEVELS
+from .api.config import MODE_GREEDY, MODE_IDLE, MODE_JIT, MODE_NP, ExperimentConfig
+from .api.requests import ACCURACY_LEVELS, validate_query_params
 from .experiments.figures import (
     contention_analysis_table,
     run_fig4,
@@ -53,7 +46,6 @@ from .experiments.figures import (
     storage_analysis_table,
 )
 from .experiments.reporting import format_table
-from .experiments.runner import legacy_requests, run_experiment
 from .experiments.viz import render_fidelity_strip
 from .faults.sweep import (
     AXES as SWEEP_AXES,
@@ -61,9 +53,8 @@ from .faults.sweep import (
     run_sweep,
     write_sweep_outputs,
 )
-from .net.network import NetworkConfig
 from .serve.errors import EXIT_FAILURE, EXIT_USAGE, WireError
-from .workload.arrivals import ARRIVAL_PROCESSES, ARRIVAL_STAGGERED
+from .workload.arrivals import ARRIVAL_PROCESSES, ARRIVAL_STAGGERED, arrival_times
 
 #: the ``ScenarioSpec.with_overrides`` keys a command line may set
 _SPEC_OVERRIDES = ("duration_s", "seed", "shards", "workers")
@@ -547,60 +538,85 @@ def _print_frames(counters) -> None:
           f"{counters.frames_collided}, events: {counters.events_executed}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_spec(args: argparse.Namespace):
+    """The one spec ``repro run``'s flags describe, whatever ``--shards``.
+
+    The flags are checked first, in the order and with the messages the
+    run has always given; the late-arrival refusal is the CLI's own (a
+    spec's expansion clamps a late start instead), drawing the starts the
+    expansion will from a fresh ``arrivals`` stream.
+    """
+    from .api.scenarios import ScenarioSpec
+    from .sim.rng import RandomStreams
+
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    config = ExperimentConfig(
+    validate_query_params(args.radius, args.period, args.freshness)
+    users = () if args.mode == MODE_IDLE and args.users == 1 else (
+        {
+            "radius_m": args.radius,
+            "period_s": args.period,
+            "freshness_s": args.freshness,
+            "accuracy": args.accuracy,
+            "count": args.users,
+            "arrival": args.arrival,
+            "spacing_s": args.spacing,
+        },
+    )
+    spec = ScenarioSpec(
+        name="run",
         mode=args.mode,
         seed=args.seed,
         duration_s=args.duration,
-        network=NetworkConfig(sleep_period_s=args.sleep_period),
-        query=QueryParams(
-            radius_m=args.radius,
-            period_s=args.period,
-            freshness_s=args.freshness,
-            accuracy=args.accuracy,
-        ),
-        num_users=args.users,
-        arrival_process=args.arrival,
-        arrival_spacing_s=args.spacing,
+        network={"sleep_period_s": args.sleep_period},
+        requests=users,
+        shards=args.shards,
+        workers=max(args.workers, 0),
     )
-    faults = None
+    if args.users < 1:
+        raise ValueError(f"num_users must be >= 1, got {args.users}")
+    if args.spacing < 0:
+        raise ValueError("arrival spacing must be >= 0")
     if args.faults:
         from .faults.plan import load_fault_file
 
-        faults = load_fault_file(args.faults)
-    if args.shards > 1:
-        # The same fleet on a regional cluster, built the way `repro
-        # scenario` builds one: same requests as the one-world runner,
-        # scored from what close() returns.
-        from .api.scenarios import ScenarioSpec, build_backend
-        from .sim.rng import RandomStreams
-
-        cluster = build_backend(
-            ScenarioSpec(
-                name="run",
-                mode=args.mode,
-                seed=args.seed,
-                duration_s=args.duration,
-                network={"sleep_period_s": args.sleep_period},
-                shards=args.shards,
-                workers=max(args.workers, 0),
-                faults=faults.to_dict() if faults is not None else {},
-            )
+        spec = spec.with_overrides(faults=load_fault_file(args.faults).to_dict())
+    if users:
+        starts = arrival_times(
+            args.users,
+            process=args.arrival,
+            spacing_s=args.spacing,
+            rng=RandomStreams(args.seed).stream("arrivals"),
         )
-        for request in legacy_requests(config, RandomStreams(config.seed)):
-            cluster.submit(request)
-        workload = cluster.close()
-        stats = cluster.stats()
+        for user_id, start in enumerate(starts):
+            if start > args.duration - args.period:
+                raise ValueError(
+                    f"user {user_id} arrives at {start:.1f}s but the run ends at "
+                    f"{args.duration:.1f}s — no serviceable period left; "
+                    f"shorten the arrival spacing or lengthen the run"
+                )
+    return spec
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .api.scenarios import build_backend, run_scenario
+    from .core.metrics import StorageTracker
+
+    spec = _run_spec(args)
+    faults = spec.fault_plan() if args.faults else None
+    backend = build_backend(spec)
+    if spec.shards > 1:
+        # The same fleet on a regional cluster, scored from what close()
+        # returns.
+        result = run_scenario(spec, backend=backend)
         print(
             f"mode={args.mode} seed={args.seed} duration={args.duration:.0f}s "
-            f"shards={cluster.num_shards} partitioner={cluster.partitioner.name} "
-            f"users={config.num_users} backbone={stats.backbone_size}"
-            + (" (parallel workers)" if cluster.parallel_used else "")
+            f"shards={backend.num_shards} partitioner={backend.partitioner.name} "
+            f"users={args.users} backbone={result.backbone_size}"
+            + (" (parallel workers)" if backend.parallel_used else "")
         )
-        _print_fleet(workload, faults)
-        _print_frames(stats)
+        _print_fleet(result.workload, faults)
+        _print_frames(result)
         return 0
     if args.workers > 0:
         print(
@@ -608,28 +624,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "running one world in-process",
             file=sys.stderr,
         )
-    result = run_experiment(config, faults=faults)
+    storage = StorageTracker(backend.tracer)
+    result = run_scenario(spec, backend=backend)
+    sessions = result.workload.sessions
     print(f"mode={args.mode} seed={args.seed} duration={args.duration:.0f}s "
           f"sleep={args.sleep_period:.0f}s backbone={result.backbone_size}"
           + (f" users={args.users} arrival={args.arrival}" if args.users > 1 else ""))
-    if result.metrics is None:
+    if not sessions:
         print(f"idle run: mean sleeper power "
               f"{result.power.mean_sleeper_power_w * 1000:.0f} mW")
         return 0
-    if len(result.sessions) > 1:
+    if len(sessions) > 1:
         _print_fleet(result.workload, faults)
         # network-wide numbers, not per-user
-        print(f"prefetch len  : {result.max_prefetch_length} (worst chain)")
+        print(f"prefetch len  : {storage.max_prefetch_length} (worst chain)")
         print(f"sleeper power : {result.power.mean_sleeper_power_w * 1000:.0f} mW")
         print("\nuser 0 (baseline-aligned session):")
-    metrics = result.metrics
+    metrics = sessions[0].metrics
     print(f"success ratio : {metrics.success_ratio():.1%}")
     print(f"mean fidelity : {metrics.mean_fidelity():.1%}")
     print(f"warmup periods: {metrics.warmup_periods_observed()}")
-    if len(result.sessions) == 1:
-        print(f"prefetch len  : {result.max_prefetch_length}")
+    if len(sessions) == 1:
+        print(f"prefetch len  : {storage.max_prefetch_length}")
         print(f"sleeper power : {result.power.mean_sleeper_power_w * 1000:.0f} mW")
-        _print_degraded("degraded periods", result.sessions, faults)
+        _print_degraded("degraded periods", sessions, faults)
     print("\nfidelity per period:")
     print(render_fidelity_strip(metrics.fidelity_series()))
     return 0
@@ -956,6 +974,7 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
 
 def _cmd_topology(args: argparse.Namespace) -> int:
     from .api.service import make_user_path
+    from .core.query import QuerySpec
     from .experiments.viz import render_field
     from .power.ccp import CcpProtocol
     from .sim.kernel import Simulator
@@ -968,24 +987,12 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     network = build_network(sim, config.network, streams)
     CcpProtocol().apply(network, streams)
     path = make_user_path(config, streams)
-    area = config_spec_area(config, path)
+    # the default request's query area at the session start
+    area = QuerySpec(lifetime_s=config.duration_s).area_at(path.position_at(0.0))
     print(render_field(network, width=args.width, path=path, area=area,
                        user=path.position_at(0.0)))
     print(f"\nbackbone: {len(network.active_nodes)}/{config.network.n_nodes} nodes")
     return 0
-
-
-def config_spec_area(config: ExperimentConfig, path):
-    """The query area at the session start (for the topology view)."""
-    from .core.query import QuerySpec
-
-    spec = QuerySpec(
-        radius_m=config.query.radius_m,
-        period_s=config.query.period_s,
-        freshness_s=config.query.freshness_s,
-        lifetime_s=config.duration_s,
-    )
-    return spec.area_at(path.position_at(0.0))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -191,7 +191,9 @@ class StorageTracker:
 
     Subscribe *before* the run starts; the tracker listens for
     ``collector-assigned`` / ``collector-released`` and ``tree-created`` /
-    ``tree-released`` events.
+    ``tree-released`` events.  The MobiQuery engine's ``collector-assigned``
+    records carry their session's ``spec``, so a tracker on a service's
+    tracer learns every session's clock as its first collector is assigned.
 
     ``max_prefetch_length`` is a running maximum, and between two of its own
     assignments a session's chain can only shorten (collectors are released,
@@ -211,8 +213,8 @@ class StorageTracker:
         # own origin *and its own period length* — a heterogeneous workload
         # mixes period_s values, and "how many periods ahead" is only
         # meaningful against the owning session's clock.  Sessions can be
-        # registered up front (``specs``) or as they are admitted
-        # (:meth:`register_spec`, the runner's path).
+        # registered up front (``specs``), later (:meth:`register_spec`),
+        # or by the ``spec`` an assignment record carries.
         self._spec_by_session: Dict[Tuple[int, int], QuerySpec] = {
             s.session_key: s
             for s in (specs if specs is not None else ([spec] if spec else []))
@@ -234,9 +236,9 @@ class StorageTracker:
     def register_spec(self, spec: QuerySpec) -> None:
         """Register (or update) one session's spec for period arithmetic.
 
-        The service façade admits sessions while the run is live, so the
-        tracker cannot always know every spec at construction time:
-        ``run_experiment`` registers each one right after its submit.
+        For records that carry no ``spec`` of their own: the service
+        façade admits sessions while the run is live, so the tracker
+        cannot always know every spec at construction time.
         """
         self._spec_by_session[spec.session_key] = spec
         self._clock_changed(spec.session_key)
@@ -251,6 +253,9 @@ class StorageTracker:
 
     def _on_assigned(self, record: TraceRecord) -> None:
         key = self._session_key(record)
+        spec = record.get("spec")
+        if spec is not None:
+            self.register_spec(spec)
         self._live_collectors.setdefault(key, set()).add(record["k"])
         self._to_recount.add(key)
         for key in self._to_recount:

@@ -327,6 +327,7 @@ class MobiQueryProtocol:
             gen=profile.generation,
             query=spec.query_id,
             user=spec.user_id,
+            spec=spec,
         )
         self._setup_tree(record, node, collector)
         self._schedule_prefetch_forward(node, spec, profile, k + 1, msg.proxy_id)

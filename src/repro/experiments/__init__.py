@@ -1,4 +1,4 @@
-"""Experiment harness: configs, runner, per-figure reproductions."""
+"""Experiment harness: figure presets, replications, per-figure sweeps."""
 
 from ..api.config import (
     MODE_GREEDY,
@@ -9,13 +9,13 @@ from ..api.config import (
     PROFILE_PLANNER,
     PROFILE_PREDICTOR,
     ExperimentConfig,
-    QueryParams,
-    paper_section62_config,
-    paper_section63_config,
 )
 from .figures import (
     bench_scale,
     contention_analysis_table,
+    figure_cells,
+    paper_section62_config,
+    paper_section63_config,
     run_fig4,
     run_fig5,
     run_fig6,
@@ -25,20 +25,14 @@ from .figures import (
     storage_analysis_table,
 )
 from .reporting import format_series, format_table
-from .runner import (
-    PROXY_NODE_ID,
-    RunResult,
-    mean_success_ratio,
-    run_experiment,
-    run_replications,
-)
+from .runner import mean_success_ratio, run_replications
 from .viz import render_fidelity_strip, render_field
 
 __all__ = [
     "ExperimentConfig",
-    "QueryParams",
     "paper_section62_config",
     "paper_section63_config",
+    "figure_cells",
     "MODE_JIT",
     "MODE_GREEDY",
     "MODE_NP",
@@ -46,11 +40,8 @@ __all__ = [
     "PROFILE_FULL",
     "PROFILE_PLANNER",
     "PROFILE_PREDICTOR",
-    "RunResult",
-    "run_experiment",
     "run_replications",
     "mean_success_ratio",
-    "PROXY_NODE_ID",
     "run_fig4",
     "run_fig5",
     "run_fig6",

@@ -8,10 +8,11 @@ Three scenarios cover the simulator's hot paths:
 * ``scale_16users`` — the 16-user point of the multi-user scaling
   benchmark (staggered arrivals, fleet-sized query areas): the multi-user
   hot path that bounds how far the concurrency axis can be pushed.
-* ``hetero_mix_8users`` — the ``heterogeneous-mix`` scenario through the
-  service façade (8 users, mixed periods/radii/aggregations): the
-  per-request API code path, so a service-layer regression cannot hide
-  behind the legacy adapter.
+* ``hetero_mix_8users`` — the ``heterogeneous-mix`` scenario (8 users,
+  mixed periods/radii/aggregations): the per-request code path.
+
+Each is a :class:`~repro.api.scenarios.ScenarioSpec`, run by
+:func:`~repro.api.scenarios.run_scenario` like every other run.
 
 ``repro profile`` runs one of them under cProfile.  Their quick-scale
 result and event fingerprints are pinned in ``tests/data/pins.json``
@@ -24,54 +25,40 @@ Nothing here measures speed: that is ``python3 -m bench``
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
-from ..api.scenarios import get_scenario, run_scenario
-from ..workload.arrivals import ARRIVAL_STAGGERED
-from ..api.config import MODE_JIT, ExperimentConfig, QueryParams, paper_section62_config
-from .figures import SCALE_PAPER, bench_scale
-from .runner import run_experiment
+from ..api.scenarios import ScenarioSpec, get_scenario, run_scenario
+from .figures import SCALE_PAPER, bench_scale, paper_section62_config
 
 
-def perf_scenarios(scale: Optional[str] = None) -> Dict[str, object]:
-    """The canonical hot-path scenarios for ``scale`` (quick|paper).
-
-    Values are either an :class:`ExperimentConfig` (run through the legacy
-    adapter) or a :class:`~repro.api.scenarios.ScenarioSpec` (run through
-    the service façade); :func:`_run_once` dispatches on type.
-    """
+def perf_scenarios(scale: Optional[str] = None) -> Dict[str, ScenarioSpec]:
+    """The canonical hot-path scenarios for ``scale`` (quick|paper)."""
     scale = scale or bench_scale()
     if scale == SCALE_PAPER:
         fig4_duration, fleet_duration, hetero_duration = 400.0, 300.0, 300.0
     else:
         fig4_duration, fleet_duration, hetero_duration = 150.0, 120.0, 120.0
-    fleet = ExperimentConfig(
-        mode=MODE_JIT,
-        seed=1,
-        duration_s=fleet_duration,
-        query=QueryParams(radius_m=60.0),
-    ).with_num_users(16, arrival_process=ARRIVAL_STAGGERED, arrival_spacing_s=2.5)
     return {
         "fig4_jit": paper_section62_config(
-            mode=MODE_JIT,
             sleep_period_s=9.0,
             speed_range=(3.0, 5.0),
             seed=1,
             duration_s=fig4_duration,
         ),
-        "scale_16users": fleet,
+        "scale_16users": ScenarioSpec(
+            name="scale_16users",
+            description=(
+                "The multi-user scaling point: 16 users, Rq=60 m, staggered "
+                "2.5 s apart."
+            ),
+            seed=1,
+            duration_s=fleet_duration,
+            requests=({"radius_m": 60.0, "count": 16, "spacing_s": 2.5},),
+        ),
         "hetero_mix_8users": get_scenario("heterogeneous-mix").with_overrides(
             duration_s=hetero_duration
         ),
     }
-
-
-def _run_once(config):
-    """Run one scenario object and return its result."""
-    if isinstance(config, ExperimentConfig):
-        return run_experiment(config)
-    return run_scenario(config)
 
 
 #: where ``repro profile`` writes the raw cProfile dump by default
@@ -106,20 +93,17 @@ def profile_scenario(
     import pstats
 
     scenarios = perf_scenarios(scale)
-    config = scenarios.get(name)
-    if config is None:
+    spec = scenarios.get(name)
+    if spec is None:
         raise KeyError(
             f"unknown scenario {name!r}; expected one of: "
             + ", ".join(sorted(scenarios))
         )
     if duration_s is not None:
-        if isinstance(config, ExperimentConfig):
-            config = replace(config, duration_s=duration_s)
-        else:
-            config = config.with_overrides(duration_s=duration_s)
+        spec = spec.with_overrides(duration_s=duration_s)
     profiler = cProfile.Profile()
     profiler.enable()
-    _run_once(config)
+    run_scenario(spec)
     profiler.disable()
     profiler.dump_stats(out_path)
     return pstats.Stats(profiler)

@@ -449,11 +449,11 @@ def run_sweep_cell(cell: SweepCell) -> Dict[str, Any]:
         # The identity leg: an explicit one-shard cluster must reproduce
         # the single world bit for bit, faults included.
         from ..api.admission import make_admission_policy
-        from ..api.scenarios import _scenario_config, run_scenario as rerun
+        from ..api.scenarios import run_scenario as rerun
         from ..cluster.service import ClusterService
 
         twin = ClusterService(
-            _scenario_config(spec),
+            spec.world(),
             shards=1,
             admission=make_admission_policy(spec.admission),
             partitioner=spec.partitioner,

@@ -9,7 +9,7 @@ duty-cycled sleepers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set
 
 from ..geometry.shapes import Rect
@@ -53,10 +53,6 @@ class NetworkConfig:
             active_window_s=self.active_window_s,
             offset_s=self.psm_offset_s % self.sleep_period_s,
         )
-
-    def with_sleep_period(self, sleep_period_s: float) -> "NetworkConfig":
-        """Copy with a different sleep period (the Fig. 4/6/8 sweep knob)."""
-        return replace(self, sleep_period_s=sleep_period_s)
 
 
 class Network:

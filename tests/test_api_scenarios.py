@@ -14,13 +14,18 @@ from repro.api.admission import PhaseAssignPolicy, make_admission_policy
 from repro.api.scenarios import (
     SCENARIOS,
     ScenarioSpec,
+    build_request_payloads,
     build_requests,
     get_scenario,
     list_scenarios,
     load_scenario_file,
+    request_from_payload,
     run_scenario,
 )
-from repro.api.service import MobiQueryService
+from repro.api.service import MobiQueryService, make_user_path
+from repro.mobility.models import RandomDirectionConfig
+from repro.sim.rng import RandomStreams
+from repro.workload.arrivals import arrival_times
 from repro.cli import main
 from repro.core.query import Aggregation
 
@@ -286,3 +291,113 @@ class TestShardedScenarios:
         assert cluster.shards == 1
         assert cluster.frames_sent == single.frames_sent
         assert cluster.events_executed == single.events_executed
+
+
+def _template_spec(template, **world):
+    return ScenarioSpec.from_dict(
+        {"name": "t", "duration_s": 20.0, "requests": [template], **world}
+    )
+
+
+class TestPathDicts:
+    """Each path kind reads its own keys and refuses every other one."""
+
+    def test_random_path_refuses_a_typo(self):
+        path = {"kind": "random", "speed_rnage": [6, 10]}
+        with pytest.raises(ValueError, match="unknown random path key 'speed_rnage'"):
+            request_from_payload({"path": path})
+        with pytest.raises(ValueError, match="unknown random path key 'speed_rnage'"):
+            _template_spec({"path": path})
+
+    def test_patrol_path_without_waypoints_is_a_value_error(self):
+        with pytest.raises(ValueError, match="a patrol path needs 'waypoints'"):
+            request_from_payload({"path": {"kind": "patrol", "speed": 4.0}})
+        with pytest.raises(ValueError, match="unknown patrol path key 'speed_range'"):
+            request_from_payload(
+                {"path": {"kind": "patrol", "waypoints": [[0, 0], [9, 9]],
+                          "speed_range": [1, 2]}}
+            )
+
+    def test_random_path_keys_set_the_walk(self):
+        request = request_from_payload(
+            {"path": {"kind": "random", "speed_range": [6, 10],
+                      "change_interval_s": 30}}
+        )
+        assert request.path is None
+        assert request.walk == RandomDirectionConfig(
+            speed_range=(6.0, 10.0), change_interval_s=30.0
+        )
+        bare = request_from_payload({"path": {"kind": "random"}})
+        assert bare.path is None and bare.walk is None
+
+    def test_walk_is_synthesised_from_the_users_own_stream(self):
+        """The service walks the request's model on the user's own
+        ``mobility`` stream, exactly as ``make_user_path`` does."""
+        spec = _template_spec(
+            {"path": {"kind": "random", "speed_range": [6, 10]}, "count": 2}
+        )
+        result = run_scenario(spec)
+        walk = RandomDirectionConfig(speed_range=(6.0, 10.0))
+        for user_id, handle in enumerate(result.handles):
+            expected = make_user_path(
+                spec.world(), RandomStreams(spec.seed), user_id, walk
+            )
+            assert handle.path.waypoints == expected.waypoints
+        first, second = result.handles[0].path.waypoints[:2]
+        speed = first.position.distance_to(second.position) / (
+            second.time - first.time
+        )
+        assert 6.0 <= speed <= 10.0
+
+
+class TestWorldValidation:
+    """A spec refuses, at load, a world no service can build."""
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            ScenarioSpec.from_dict({"name": "x", "mode": "bogus"})
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            ScenarioSpec.from_dict({"name": "x", "seed": -3})
+
+    def test_idle_world_with_users(self):
+        with pytest.raises(ValueError, match="idle runs have no users to multiply"):
+            ScenarioSpec.from_dict(
+                {"name": "x", "mode": "idle", "requests": [{"count": 2}]}
+            )
+
+    def test_duration_shorter_than_a_period(self):
+        with pytest.raises(ValueError, match="at least one query period"):
+            _template_spec({"period_s": 30.0})
+
+    def test_ablation_flags_are_booleans(self):
+        with pytest.raises(ValueError, match="parent_upgrade must be true or false"):
+            ScenarioSpec.from_dict({"name": "x", "parent_upgrade": 1})
+        spec = ScenarioSpec.from_dict({"name": "x", "redeliver_setups": False})
+        assert spec.world().redeliver_setups is False
+
+
+class TestArrivals:
+    def test_stochastic_arrivals_draw_the_seeds_arrivals_stream(self):
+        """Starts equal ``arrival_times`` on a fresh ``arrivals`` stream of
+        the spec's seed, offset by the template's ``start_s``."""
+        for process in ("uniform", "poisson"):
+            spec = _template_spec(
+                {"count": 4, "arrival": process, "spacing_s": 2.0, "start_s": 1.0},
+                seed=9,
+            )
+            starts = arrival_times(
+                4, process, spacing_s=2.0, rng=RandomStreams(9).stream("arrivals")
+            )
+            assert [p["start_s"] for p in build_request_payloads(spec)] == [
+                1.0 + s for s in starts
+            ]
+
+    def test_simultaneous_arrivals_ignore_spacing(self):
+        spec = _template_spec({"count": 3, "arrival": "simultaneous", "spacing_s": 5.0})
+        assert [p["start_s"] for p in build_request_payloads(spec)] == [0.0] * 3
+
+    def test_unknown_arrival_refused_at_load(self):
+        with pytest.raises(ValueError, match="unknown arrival process 'burst'"):
+            _template_spec({"count": 2, "arrival": "burst"})

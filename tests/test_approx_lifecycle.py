@@ -30,13 +30,7 @@ from repro.api.scenarios import (
     run_scenario,
 )
 from repro.core.query import Aggregation
-from repro.api.config import (
-    MODE_JIT,
-    MODE_NP,
-    ExperimentConfig,
-    QueryParams,
-)
-from repro.experiments.runner import run_experiment
+from repro.api.config import MODE_JIT, MODE_NP, ExperimentConfig
 from repro.faults.sweep import SweepAxes, build_cells, leak_census
 from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
@@ -189,13 +183,13 @@ class TestCancelReleasesSummaryState:
 
 class TestExactBitIdentity:
     def test_exact_accuracy_leaves_golden_fingerprints_untouched(self):
-        config = ExperimentConfig(
-            mode=MODE_JIT,
+        spec = ScenarioSpec(
+            name="golden-exact",
             seed=1,
             duration_s=120.0,
-            query=QueryParams(radius_m=60.0, accuracy="exact"),
+            requests=({"radius_m": 60.0, "accuracy": "exact"},),
         )
-        result = run_experiment(config)
+        result = run_scenario(spec)
         # the ledger's ``single_user`` run, with the accuracy field threaded
         assert ledger_mismatches("single_user", result) == []
 
@@ -314,12 +308,11 @@ class TestAccuracyThreading:
 def summary_cluster(shards):
     """A ``shards``-shard uav-survey cluster, built once (nothing runs)."""
     from repro.api.admission import make_admission_policy
-    from repro.api.scenarios import _scenario_config
     from repro.cluster.service import ClusterService
 
     spec = get_scenario("uav-survey").with_overrides(duration_s=18.0, shards=shards)
     return ClusterService(
-        _scenario_config(spec),
+        spec.world(),
         shards=shards,
         admission=make_admission_policy(spec.admission),
         partitioner=spec.partitioner,
@@ -380,14 +373,13 @@ class TestClusterSummaries:
 
     def test_cluster_merge_is_boundary_free(self):
         from repro.api.admission import make_admission_policy
-        from repro.api.scenarios import _scenario_config
         from repro.cluster.service import ClusterService
 
         spec = get_scenario("uav-survey").with_overrides(
             duration_s=18.0, shards=4
         )
         cluster = ClusterService(
-            _scenario_config(spec),
+            spec.world(),
             shards=4,
             admission=make_admission_policy(spec.admission),
             partitioner=spec.partitioner,
@@ -411,14 +403,13 @@ class TestClusterSummaries:
 
     def test_cluster_skips_shards_the_disk_misses(self):
         from repro.api.admission import make_admission_policy
-        from repro.api.scenarios import _scenario_config
         from repro.cluster.service import ClusterService
 
         spec = get_scenario("uav-survey").with_overrides(
             duration_s=18.0, shards=4
         )
         cluster = ClusterService(
-            _scenario_config(spec),
+            spec.world(),
             shards=4,
             admission=make_admission_policy(spec.admission),
             partitioner=spec.partitioner,

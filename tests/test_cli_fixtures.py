@@ -15,6 +15,10 @@ with them byte-unchanged.  Six date from that refactor instead:
   ``[Errno 2] No such file or directory: ...``; one boundary prints one
   form, the one that names the file.  Exit codes are unchanged.
 
+``scenario-fig4-cell`` re-runs a figure cell from its file: the
+quick-scale Fig. 4 bar (MQ-JIT, Tsleep = 9 s) exactly as ``repro fig 4``
+runs it, stored as the ``ScenarioSpec`` ``fig4-cell.json``.
+
 ``served.json`` and ``served.wal`` were written before the daemon retired a
 session at its last outcome (PR 17) and carry no ``retire`` op: their
 transcripts are the proof that such a log still replays to its recorded
@@ -56,6 +60,7 @@ CASES = {
         "scenario", "heterogeneous-mix", "--duration", "20", "--shards", "2",
     ],
     "scenario-rejections": ["scenario", "--file", "capped.json"],
+    "scenario-fig4-cell": ["scenario", "--file", "fig4-cell.json"],
     "scenario-workers-note": [
         "scenario", "paper-default", "--duration", "10", "--workers", "2",
     ],

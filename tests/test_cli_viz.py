@@ -120,14 +120,14 @@ class TestCli:
                 if line[:5].strip().isdigit()]
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
 
-        from repro.api.config import ExperimentConfig
+        from repro.api.scenarios import ScenarioSpec, build_requests
         from repro.cluster import ClusterService
-        from repro.experiments.runner import legacy_requests
-        from repro.sim.rng import RandomStreams
 
-        config = ExperimentConfig(duration_s=20.0, num_users=4)
-        cluster = ClusterService(config, shards=2)
-        for request in legacy_requests(config, RandomStreams(config.seed)):
+        spec = ScenarioSpec(
+            name="run", duration_s=20.0, requests=({"count": 4, "spacing_s": 2.5},)
+        )
+        cluster = ClusterService(spec.world(), shards=2)
+        for request in build_requests(spec):
             cluster.submit(request)
         ratios = cluster.close().success_ratios()
         assert [row[3] for row in rows] == [f"{r:.1%}" for r in ratios]

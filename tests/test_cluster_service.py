@@ -12,7 +12,7 @@ from repro.api import (
     QueryRequest,
 )
 from repro.api.admission import PerAreaCapPolicy, PhaseAssignPolicy
-from repro.api.scenarios import _scenario_config, get_scenario, run_scenario
+from repro.api.scenarios import get_scenario, run_scenario
 from repro.api.service import ServiceClosedError
 from repro.cluster import (
     BalancedKDPartitioner,
@@ -25,7 +25,7 @@ from repro.cluster import (
     run_shard_plan,
     shard_node_counts,
 )
-from repro.api.config import ExperimentConfig, QueryParams
+from repro.api.config import ExperimentConfig
 from repro.geometry.shapes import Rect
 from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
@@ -33,13 +33,12 @@ from repro.net.network import NetworkConfig
 
 
 def small_config(seed: int = 3, duration_s: float = 18.0, **kwargs) -> ExperimentConfig:
-    """A fast world: 60 nodes, short horizon, fleet-sized query radius."""
+    """A fast world: 60 nodes, short horizon."""
     return ExperimentConfig(
         mode="jit",
         seed=seed,
         duration_s=duration_s,
         network=NetworkConfig(n_nodes=60, sleep_period_s=3.0),
-        query=QueryParams(radius_m=60.0),
         **kwargs,
     )
 
@@ -189,7 +188,7 @@ class TestSingleShardIdentity:
         spec = type(spec).from_dict(small)
         single = run_scenario(spec)
         cluster = run_scenario(
-            spec, backend=ClusterService(_scenario_config(spec), shards=1)
+            spec, backend=ClusterService(spec.world(), shards=1)
         )
         assert (
             cluster.frames_sent,

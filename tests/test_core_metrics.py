@@ -143,6 +143,20 @@ class TestStorageTracker:
         # t=3.1 is period 0 of the late session; k=5 and k=6 are both ahead
         assert tracker.max_prefetch_length == 2
 
+    def test_assignment_record_registers_its_spec(self):
+        """A record carrying its session's ``spec`` (the engine's do) needs
+        no ``register_spec``: the tracker takes the clock from it."""
+        tracer = Tracer()
+        tracker = StorageTracker(tracer)
+        late = QuerySpec(period_s=4.0, lifetime_s=40.0, user_id=7, start_s=2.0)
+        for k, now in ((5, 3.0), (6, 3.1)):
+            tracer.emit(
+                "collector-assigned", now, k=k, user=7, query=late.query_id,
+                spec=late,
+            )
+        # t=3.1 is period 0 of the late session; k=5 and k=6 are both ahead
+        assert tracker.max_prefetch_length == 2
+
     def test_tree_state_peak(self):
         tracer = Tracer()
         tracker = StorageTracker(tracer, QuerySpec(period_s=2.0, lifetime_s=40.0))
@@ -154,8 +168,9 @@ class TestStorageTracker:
         assert tracker.live_tree_states == 5
 
     def test_a_scenario_world_keeps_no_storage_tracker(self):
-        """Only ``run_experiment`` reads storage, so only it subscribes a
-        tracker; a scenario's world records no collector or tree event."""
+        """Only a Section 5 reader (``measured_section5``, ``repro run``)
+        subscribes a tracker, to the world it injects into ``run_scenario``;
+        a scenario's own world records no collector or tree event."""
         backend = build_backend(get_scenario("heterogeneous-mix"))
         assert not backend.tracer.wants("collector-assigned")
 
@@ -354,9 +369,9 @@ class TestContentionTracker:
         assert tracker.interference_length() == 0
 
     def test_a_scenario_world_keeps_no_setup_intervals(self):
-        """Only ``run_experiment`` reads the interference length, so only it
-        subscribes a tracker; a scenario's world, whose requests may have
-        any radii, keeps no interval per tree setup."""
+        """Only ``measured_section5`` reads the interference length, so
+        only it subscribes a tracker; a scenario's own world, whose requests
+        may have any radii, keeps no interval per tree setup."""
         backend = build_backend(get_scenario("heterogeneous-mix"))
         assert not backend.tracer.wants("tree-setup-start")
 

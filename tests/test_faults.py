@@ -23,7 +23,7 @@ from repro.api import MobiQueryService, QueryRequest, ServiceClosedError
 from repro.api.scenarios import ScenarioSpec
 from repro.cli import main as cli_main
 from repro.cluster import ClusterService
-from repro.api.config import ExperimentConfig, QueryParams
+from repro.api.config import ExperimentConfig
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -51,7 +51,6 @@ def _tiny_config(duration_s: float = 30.0, seed: int = 1) -> ExperimentConfig:
         mode="jit",
         seed=seed,
         duration_s=duration_s,
-        query=QueryParams(radius_m=60.0, period_s=2.0, freshness_s=1.0),
     )
 
 
@@ -280,7 +279,7 @@ class TestServiceClosedErrors:
 # ----------------------------------------------------------------------
 class TestWorkerKillReplay:
     def test_killed_shard_replays_bit_identically(self):
-        config = small_config().with_num_users(4)
+        config = small_config()
         baseline = ClusterService(config, shards=2, workers=2)
         submit_fleet(baseline, 4)
         base_workload = baseline.close()

@@ -14,7 +14,8 @@ fault plans that leave the world empty move no pin.
 
 import pytest
 
-from repro.experiments.runner import run_experiment, run_replications
+from repro.api.scenarios import run_scenario
+from repro.experiments.runner import run_replications
 
 from .test_pins import (
     golden_config,
@@ -56,13 +57,13 @@ def test_event_census_matches_pinned_structure(name, num_users):
 def test_rerun_is_self_identical():
     """Two runs of one config agree exactly (no hidden global state in the
     neighbor caches, busy counters, wake wheel, or kernel fast paths)."""
-    first = run_experiment(golden_config(4))
-    second = run_experiment(golden_config(4))
+    first = run_scenario(golden_config(4))
+    second = run_scenario(golden_config(4))
     assert first.events_executed == second.events_executed
     assert first.frames_sent == second.frames_sent
     assert first.frames_delivered == second.frames_delivered
     assert first.frames_collided == second.frames_collided
-    assert first.user_success_ratios == second.user_success_ratios
+    assert first.workload.success_ratios() == second.workload.success_ratios()
 
 
 def _fingerprint(result):
@@ -71,9 +72,14 @@ def _fingerprint(result):
         result.frames_sent,
         result.frames_delivered,
         result.frames_collided,
-        tuple(result.user_success_ratios),
+        tuple(result.workload.success_ratios()),
         result.power.mean_sleeper_power_w,
     )
+
+
+def _with_plan(spec, plan):
+    """``spec`` injecting ``plan``, through the spec's plain-data form."""
+    return spec.with_overrides(faults=plan.to_dict())
 
 
 @pytest.mark.parametrize("num_users", [1, 4])
@@ -83,10 +89,10 @@ def test_empty_fault_plan_is_bit_identical(num_users):
     threading it through the runner must not move a single golden pin."""
     from repro.faults import FaultPlan
 
-    plain = run_experiment(golden_config(num_users))
-    with_empty_plan = run_experiment(golden_config(num_users), faults=FaultPlan())
-    with_empty_dict_plan = run_experiment(
-        golden_config(num_users), faults=FaultPlan.from_dict({})
+    plain = run_scenario(golden_config(num_users))
+    with_empty_plan = run_scenario(_with_plan(golden_config(num_users), FaultPlan()))
+    with_empty_dict_plan = run_scenario(
+        _with_plan(golden_config(num_users), FaultPlan.from_dict({}))
     )
     assert _fingerprint(plain) == _fingerprint(with_empty_plan)
     assert _fingerprint(plain) == _fingerprint(with_empty_dict_plan)
@@ -101,7 +107,7 @@ def test_worker_kill_only_plan_leaves_the_world_identical():
 
     plan = FaultPlan(worker_kills=(WorkerKill(shard=0),))
     assert plan.world_empty and not plan.empty
-    result = run_experiment(golden_config(1), faults=plan)
+    result = run_scenario(_with_plan(golden_config(1), plan))
     assert ledger_mismatches("single_user", result) == []
 
 
@@ -118,7 +124,7 @@ def test_wire_only_plan_leaves_the_world_identical():
     )
     assert plan.world_empty and not plan.empty
     assert FaultPlan.from_dict({"wire": {}}).empty
-    result = run_experiment(golden_config(1), faults=plan)
+    result = run_scenario(_with_plan(golden_config(1), plan))
     assert ledger_mismatches("single_user", result) == []
 
 
@@ -127,16 +133,16 @@ def test_parallel_replications_match_serial_per_seed():
     serial path, in seed order (forced 2-worker pool, real processes)."""
     from repro.experiments.runner import run_replications_parallel
 
-    config = golden_config(1)
+    spec = golden_config(1)
     seeds = [1, 2]
-    serial = run_replications(config, seeds)
-    parallel = run_replications_parallel(config, seeds, max_workers=2)
-    assert [r.config.seed for r in parallel] == seeds
+    serial = run_replications(spec, seeds)
+    parallel = run_replications_parallel(spec, seeds, max_workers=2)
+    assert [r.scenario.seed for r in parallel] == seeds
     for ser, par in zip(serial, parallel):
         assert ser.events_executed == par.events_executed
         assert ser.frames_sent == par.frames_sent
         assert ser.frames_delivered == par.frames_delivered
         assert ser.frames_collided == par.frames_collided
-        assert ser.user_success_ratios == par.user_success_ratios
+        assert ser.workload.success_ratios() == par.workload.success_ratios()
         assert ser.power.mean_sleeper_power_w == par.power.mean_sleeper_power_w
         assert ser.backbone_size == par.backbone_size

@@ -202,7 +202,7 @@ class TestCancelCrashChurn:
         the dead-session guards must drop any stale tree state instead of
         re-growing it."""
         from repro.api import MobiQueryService, QueryRequest
-        from repro.api.config import ExperimentConfig, QueryParams
+        from repro.api.config import ExperimentConfig
         from repro.faults import FaultPlan
         from repro.net.network import NetworkConfig
 
@@ -213,7 +213,6 @@ class TestCancelCrashChurn:
         config = ExperimentConfig(
             mode="jit", seed=5, duration_s=24.0,
             network=NetworkConfig(n_nodes=60, sleep_period_s=3.0),
-            query=QueryParams(radius_m=50.0, period_s=2.0, freshness_s=1.0),
         )
         service = MobiQueryService(config, faults=plan)
         handle = service.submit(

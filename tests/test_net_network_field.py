@@ -28,7 +28,11 @@ class TestNetworkConfig:
         assert config.active_window_s == pytest.approx(0.1)
 
     def test_with_sleep_period(self):
-        config = NetworkConfig().with_sleep_period(15.0)
+        """The Fig. 4/6/8 sweep knob: a spec's sleep period reaches PSM."""
+        from repro.api.scenarios import ScenarioSpec
+
+        spec = ScenarioSpec(name="tsleep", network={"sleep_period_s": 15.0})
+        config = spec.world().network
         assert config.sleep_period_s == 15.0
         assert config.psm.beacon_interval_s == 15.0
 

@@ -65,14 +65,12 @@ from unittest import mock
 
 import pytest
 
-from repro.api.config import MODE_JIT, ExperimentConfig, QueryParams
-from repro.api.scenarios import _scenario_config, get_scenario, run_scenario
+from repro.api import scenarios
+from repro.api.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.cluster import ClusterService
 from repro.core.metrics import measure_power
-from repro.experiments import runner
 from repro.experiments.figures import SCALE_QUICK
-from repro.experiments.perf import _run_once, perf_scenarios
-from repro.workload.arrivals import ARRIVAL_STAGGERED
+from repro.experiments.perf import perf_scenarios
 
 PINS = pathlib.Path(__file__).parent / "data" / "pins.json"
 
@@ -83,22 +81,20 @@ EVENTS_MOVED = (
 )
 
 
-def golden_config(num_users: int) -> ExperimentConfig:
+def golden_config(num_users: int) -> ScenarioSpec:
     """120 s, Rq=60 m, seed 1; extra users arrive staggered 2.5 s apart."""
-    base = ExperimentConfig(
-        mode=MODE_JIT, seed=1, duration_s=120.0, query=QueryParams(radius_m=60.0)
-    )
-    if num_users == 1:
-        return base
-    return base.with_num_users(
-        num_users, arrival_process=ARRIVAL_STAGGERED, arrival_spacing_s=2.5
+    template = {"radius_m": 60.0}
+    if num_users > 1:
+        template.update(count=num_users, spacing_s=2.5)
+    return ScenarioSpec(
+        name=f"golden-{num_users}", seed=1, duration_s=120.0, requests=(template,)
     )
 
 
 def _through_cluster(spec):
     """Run ``spec`` on a ClusterService, even at one shard."""
     backend = ClusterService(
-        _scenario_config(spec),
+        spec.world(),
         shards=spec.shards,
         workers=spec.workers,
         partitioner=spec.partitioner,
@@ -107,13 +103,13 @@ def _through_cluster(spec):
 
 
 def named_runs() -> Dict[str, Callable]:
-    """Every pinned run as a zero-argument call; its config is ``args[0]``."""
+    """Every pinned run as a zero-argument call; its spec is ``args[0]``."""
     runs = {
-        "single_user": partial(_run_once, golden_config(1)),
-        "four_user": partial(_run_once, golden_config(4)),
+        "single_user": partial(run_scenario, golden_config(1)),
+        "four_user": partial(run_scenario, golden_config(4)),
     }
-    for name, config in perf_scenarios(SCALE_QUICK).items():
-        runs[name] = partial(_run_once, config)
+    for name, spec in perf_scenarios(SCALE_QUICK).items():
+        runs[name] = partial(run_scenario, spec)
     cluster = get_scenario("cluster_scale_64users")
     runs["cluster64_shards1"] = partial(
         _through_cluster, cluster.with_overrides(shards=1, workers=0)
@@ -123,10 +119,10 @@ def named_runs() -> Dict[str, Callable]:
 
 
 def fingerprint(result) -> Dict[str, object]:
-    """Every pinnable field of a ``RunResult`` or ``ScenarioResult``.
+    """Every pinnable field of a ``ScenarioResult``.
 
-    A run with a ``PowerReport`` (a ``RunResult``) also gives the mean draw
-    of its sleepers and of its always-on nodes, rounded to 9 decimals (the
+    A one-world run also gives the mean draw of its sleepers and of its
+    always-on nodes from its ``power``, rounded to 9 decimals (the
     nanowatt Fig. 8 is compared at): what every radio's RX, idle and sleep
     seconds add up to.
     """
@@ -138,10 +134,9 @@ def fingerprint(result) -> Dict[str, object]:
         "mean_success": round(result.workload.mean_success_ratio(), 6),
         "events": result.events_executed,
     }
-    power = getattr(result, "power", None)
-    if power is not None:
-        measured["sleeper_power_w"] = round(power.mean_sleeper_power_w, 9)
-        measured["active_power_w"] = round(power.mean_active_power_w, 9)
+    if result.power is not None:
+        measured["sleeper_power_w"] = round(result.power.mean_sleeper_power_w, 9)
+        measured["active_power_w"] = round(result.power.mean_active_power_w, 9)
     return measured
 
 
@@ -215,7 +210,7 @@ def measured(name: str) -> Dict[str, object]:
         digests.append(joule_digest(network))
         return report
 
-    with mock.patch.object(runner, "measure_power", measuring):
+    with mock.patch.object(scenarios, "measure_power", measuring):
         fingerprinted = fingerprint(named_runs()[name]())
     if digests:
         (fingerprinted["joules"],) = digests

@@ -209,6 +209,21 @@ def test_horizon_passed_is_refused_before_touching_the_backend():
     assert app.backend.stats().submitted == 0
 
 
+@pytest.mark.parametrize(
+    "path",
+    [{"kind": "random", "speed_rnage": [6, 10]}, {"kind": "patrol", "speed": 4.0}],
+    ids=["random-typo", "patrol-without-waypoints"],
+)
+def test_bad_path_dict_is_an_invalid_request(path):
+    """A typo'd walk is not served at the default speeds, and a patrol
+    with no waypoints is the client's error, not an unknown scenario."""
+    app = make_app()
+    with pytest.raises(WireError) as info:
+        app.submit("alice", {**PAYLOAD, "path": path})
+    assert info.value.code == "invalid-request"
+    assert app.log.written_ops == 0
+
+
 def test_admission_rejection_is_typed_and_replayable():
     # A per-area cap of one plus two users pinned to the same patrol path
     # forces a deterministic rejection for the second submit.

@@ -23,14 +23,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import MobiQueryService, QueryRequest
-from repro.api.config import MODE_JIT, MODE_NP, ExperimentConfig, QueryParams
+from repro.api.config import MODE_JIT, MODE_NP, ExperimentConfig
 from repro.approx.gateway import ApproxGateway
 from repro.approx.plane import SummaryPlane
 from repro.core.gateway import BaseGateway
 from repro.core import service as engine_module
 from repro.core.query import QuerySpec
 from repro.core.service import MobiQueryProtocol
-from repro.experiments.runner import legacy_requests
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.faults.sweep import leak_census
 from repro.geometry.shapes import Rect
@@ -168,7 +167,6 @@ def make_world(mode):
             network=NetworkConfig(
                 n_nodes=60, region=Rect.square(250.0), sleep_period_s=3.0
             ),
-            query=QueryParams(radius_m=60.0),
         ),
         faults=REELECTION_FAULTS,
     )
@@ -350,12 +348,8 @@ def predictor_world():
     """One predictor-fed user for 80 s: at t = 58 a corrected profile is
     injected and, once the inject is through, a cancel chase is routed along
     the abandoned path, hop by hop."""
-    config = ExperimentConfig(
-        mode=MODE_JIT, seed=3, duration_s=80.0, profile_mode="predictor"
-    )
-    service = MobiQueryService(config)
-    (request,) = legacy_requests(config, service.streams)
-    return service, service.submit(request)
+    service = MobiQueryService(ExperimentConfig(mode=MODE_JIT, seed=3, duration_s=80.0))
+    return service, service.submit(QueryRequest(user_id=0, profile_mode="predictor"))
 
 
 def cancel_route_times(monkeypatch):

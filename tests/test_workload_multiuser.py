@@ -432,71 +432,77 @@ class TestArrivalProcesses:
 
 
 class TestExperimentRunnerIntegration:
-    """The num_users dimension through the experiments layer (small nets)."""
+    """The user-count dimension of a scenario's templates (small nets)."""
 
     @staticmethod
-    def _config(**overrides):
-        from repro.api.config import ExperimentConfig, QueryParams
+    def _spec(mode="jit", **template):
+        from repro.api.scenarios import ScenarioSpec
+
+        return ScenarioSpec(
+            name="small", mode=mode, seed=3, duration_s=20.0,
+            requests=({"radius_m": 80.0, **template},),
+        )
+
+    @staticmethod
+    def _run(spec):
+        """Run ``spec`` on a 60-node 250 m field (a world a spec's network
+        keys cannot draw: they leave the region alone)."""
+        from dataclasses import replace
+
+        from repro.api import MobiQueryService
+        from repro.api.scenarios import run_scenario
         from repro.geometry.shapes import Rect
         from repro.net.network import NetworkConfig
 
-        defaults = dict(
-            mode="jit",
-            seed=3,
-            duration_s=20.0,
-            network=NetworkConfig(n_nodes=60, region=Rect.square(250.0)),
-            query=QueryParams(radius_m=80.0),
+        world = replace(
+            spec.world(), network=NetworkConfig(n_nodes=60, region=Rect.square(250.0))
         )
-        defaults.update(overrides)
-        return ExperimentConfig(**defaults)
+        return run_scenario(spec, backend=MobiQueryService(world))
 
     def test_multi_user_run_reports_all_sessions(self):
-        from repro.experiments.runner import run_experiment
-
-        config = self._config().with_num_users(
-            3, arrival_process=ARRIVAL_STAGGERED, arrival_spacing_s=2.5
+        result = self._run(
+            self._spec(count=3, arrival=ARRIVAL_STAGGERED, spacing_s=2.5)
         )
-        result = run_experiment(config)
-        assert [s.user_id for s in result.sessions] == [0, 1, 2]
-        assert [s.start_s for s in result.sessions] == [0.0, 2.5, 5.0]
-        assert result.metrics is result.sessions[0].metrics
-        assert len(result.user_success_ratios) == 3
+        sessions = result.workload.sessions
+        assert [s.user_id for s in sessions] == [0, 1, 2]
+        assert [s.start_s for s in sessions] == [0.0, 2.5, 5.0]
+        assert len(result.workload.success_ratios()) == 3
 
     def test_single_user_run_has_one_session(self):
-        from repro.experiments.runner import run_experiment
-
-        result = run_experiment(self._config())
-        assert len(result.sessions) == 1
-        assert result.sessions[0].user_id == 0
-        assert result.success_ratio == result.sessions[0].success_ratio
+        result = self._run(self._spec())
+        (session,) = result.workload.sessions
+        assert session.user_id == 0
+        assert result.mean_success == session.success_ratio
 
     def test_np_baseline_multi_user(self):
-        from repro.experiments.runner import run_experiment
-
-        config = self._config(mode="np").with_num_users(2)
-        result = run_experiment(config)
-        assert len(result.sessions) == 2
-        for session in result.sessions:
+        result = self._run(self._spec(mode="np", count=2, spacing_s=2.5))
+        assert len(result.workload.sessions) == 2
+        for session in result.workload.sessions:
             assert session.deliveries > 0
 
-    def test_arrival_past_run_end_rejected(self):
-        from repro.experiments.runner import run_experiment
+    def test_arrival_past_run_end_rejected(self, capsys):
+        """``repro run`` refuses a start past the last serviceable period;
+        a spec's expansion clamps it to that period instead."""
+        from repro.api.scenarios import build_request_payloads
+        from repro.cli import main
 
-        config = self._config().with_num_users(
-            2, arrival_process=ARRIVAL_STAGGERED, arrival_spacing_s=19.5
-        )
-        with pytest.raises(ValueError, match="no serviceable period"):
-            run_experiment(config)
+        argv = ["run", "--users", "2", "--spacing", "19.5", "--duration", "20"]
+        assert main(argv) == 2
+        assert "no serviceable period" in capsys.readouterr().err
+        payloads = build_request_payloads(self._spec(count=2, spacing_s=19.5))
+        assert [p["start_s"] for p in payloads] == [0.0, 18.0]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            self._config(num_users=0)
-        with pytest.raises(ValueError):
-            self._config(arrival_process="burst")
-        with pytest.raises(ValueError):
-            self._config(arrival_spacing_s=-1.0)
-        with pytest.raises(ValueError):
-            self._config(mode="idle", num_users=2)
+        from repro.api.scenarios import build_request_payloads
+
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            build_request_payloads(self._spec(count=0))
+        with pytest.raises(ValueError, match="unknown arrival process"):
+            self._spec(count=2, arrival="burst")
+        with pytest.raises(ValueError, match="spacing must be >= 0"):
+            build_request_payloads(self._spec(count=2, spacing_s=-1.0))
+        with pytest.raises(ValueError, match="idle runs have no users"):
+            self._spec(mode="idle", count=2)
 
 
 class TestSpecSessionMath:
