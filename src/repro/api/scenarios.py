@@ -97,6 +97,9 @@ _NETWORK_KEYS = frozenset({
 #: spec fields that hold a nested dict (copied on the way in and out)
 _DICT_FIELDS = ("network", "admission", "faults")
 
+#: the protocol's ablation flags (True = the full protocol)
+_ABLATION_FLAGS = ("parent_upgrade", "redeliver_setups")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -184,10 +187,8 @@ class ScenarioSpec:
             )
         if self.wal_flush < 1:
             raise ValueError(f"wal_flush must be >= 1, got {self.wal_flush}")
-        for knob, value in (
-            ("parent_upgrade", self.parent_upgrade),
-            ("redeliver_setups", self.redeliver_setups),
-        ):
+        for knob in _ABLATION_FLAGS:
+            value = getattr(self, knob)
             if not isinstance(value, bool):
                 raise ValueError(f"{knob} must be true or false, got {value!r}")
         from ..cluster.partition import PARTITIONERS  # lazy: avoid cycle
@@ -225,11 +226,19 @@ class ScenarioSpec:
         return ScenarioSpec(**payload)
 
     def to_dict(self) -> Dict:
-        """The JSON-ready plain-dict form."""
+        """The JSON-ready plain-dict form.
+
+        An ablation flag is written only when it ablates (False): a spec
+        running the full protocol keeps the form it had before the flags
+        were spec keys, and so do the reports and logs that embed it.
+        """
         payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         payload["requests"] = [dict(r) for r in self.requests]
         for key in _DICT_FIELDS:
             payload[key] = dict(payload[key])
+        for flag in _ABLATION_FLAGS:
+            if payload[flag]:
+                del payload[flag]
         return payload
 
     def with_overrides(
