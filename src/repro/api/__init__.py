@@ -18,8 +18,9 @@ Since PR 5 the surface is backend-agnostic: :class:`QueryBackend`
 :class:`repro.cluster.ClusterService` (regional shards) implement —
 ``build_backend(spec)`` picks the plane a scenario asks for.
 
-The legacy experiment surface (``repro.experiments``) is a thin adapter
-over this package and remains bit-identical for the paper figures.
+A run is described once, as a ``ScenarioSpec``: the paper's figure cells
+(``repro.experiments``) are specs too, run by ``run_scenario`` like any
+registry scenario.
 """
 
 from .admission import (

@@ -7,8 +7,7 @@ superlinearly — see ``benchmarks/test_multiuser_scaling.py``).  An
 service takes the session at all and whether its start time is adjusted.
 Three policies ship:
 
-* :class:`AcceptAllPolicy` — the open service (and the legacy-experiment
-  behaviour).
+* :class:`AcceptAllPolicy` — the open service (a spec's default).
 * :class:`PerAreaCapPolicy` — reject a session whose query area would
   overlap too many already-admitted live sessions: spatial load shedding
   that trades served-user count for worst-user quality.

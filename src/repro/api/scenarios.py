@@ -79,12 +79,11 @@ _REQUEST_KEYS = (
 #: every key one *expanded* request payload may carry (no clone keys)
 _PAYLOAD_KEYS = _REQUEST_KEYS - set(_CLONE_KEYS)
 
-#: every key of a path dict, per kind; the required ones are in _PATH_NEEDS
+#: every key of a path dict, per kind (a patrol also needs its waypoints)
 _PATH_KEYS = {
     "random": frozenset({"kind", "speed_range", "change_interval_s"}),
     "patrol": frozenset({"kind", "waypoints", "speed", "loops"}),
 }
-_PATH_NEEDS = {"random": (), "patrol": ("waypoints",)}
 
 #: every key the ``network`` override dict may carry: the NetworkConfig
 #: fields a JSON number sets and the world honours (``region`` is an object,
@@ -228,9 +227,9 @@ class ScenarioSpec:
     def to_dict(self) -> Dict:
         """The JSON-ready plain-dict form.
 
-        An ablation flag is written only when it ablates (False): a spec
-        running the full protocol keeps the form it had before the flags
-        were spec keys, and so do the reports and logs that embed it.
+        An ablation flag is written only when it ablates (False), so a
+        full-protocol spec — and every report and log that embeds one —
+        reads the same whether or not its reader knows the flags.
         """
         payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
         payload["requests"] = [dict(r) for r in self.requests]
@@ -328,10 +327,10 @@ def _check_path(path_spec: Dict) -> str:
         raise ValueError(
             f"unknown path kind {kind!r}; expected 'random' or 'patrol'"
         )
-    reject_unknown_keys(path_spec, known, f"{kind} path")
-    for key in _PATH_NEEDS[kind]:
-        if key not in path_spec:
-            raise ValueError(f"a {kind} path needs {key!r}")
+    if not path_spec.keys() <= known:
+        reject_unknown_keys(path_spec, known, f"{kind} path")
+    if kind == "patrol" and "waypoints" not in path_spec:
+        raise ValueError("a patrol path needs 'waypoints'")
     return kind
 
 
@@ -346,7 +345,7 @@ def _build_path(path_spec: Dict, kwargs: Dict) -> None:
             start_time=0.0,
             loops=int(path_spec.get("loops", 1)),
         )
-    elif path_spec.keys() - {"kind"}:
+    elif len(path_spec) > ("kind" in path_spec):
         lo, hi = path_spec.get("speed_range", DEFAULT_WALK.speed_range)
         kwargs["walk"] = RandomDirectionConfig(
             speed_range=(float(lo), float(hi)),
@@ -363,8 +362,8 @@ def request_from_payload(payload: Dict) -> QueryRequest:
     ``spacing_s`` / ``arrival``): ``aggregation`` may be a name string,
     ``path`` a path dict (a patrol sets ``QueryRequest.path``, a random
     walk with keys of its own ``QueryRequest.walk``); every other key maps
-    straight to a :class:`QueryRequest` field.  Shared by :func:`build_requests` and
-    the serve daemon's wire codec, so an over-the-wire submission builds
+    straight to a :class:`QueryRequest` field.  Shared by
+    :func:`build_requests` and the serve daemon's wire codec, so an over-the-wire submission builds
     exactly the request the in-process expansion would.
     """
     reject_unknown_keys(payload, _PAYLOAD_KEYS, "request-payload")

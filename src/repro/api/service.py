@@ -579,12 +579,8 @@ class MobiQueryService:
         user_id = self._sessions.assign_user_id(request.user_id)
         path = request.path
         if path is None:
-            path = make_user_path(
-                self.config,
-                self.streams,
-                user_id,
-                DEFAULT_WALK if request.walk is None else request.walk,
-            )
+            walk = request.walk or DEFAULT_WALK
+            path = make_user_path(self.config, self.streams, user_id, walk)
         spec = self._build_spec(request, user_id, start_s)
         decision = self.admission.decide(spec, path, self)
         if not decision.admitted:

@@ -527,7 +527,7 @@ def _print_fleet_summary(workload) -> None:
 
 
 def _print_degraded(label: str, sessions, faults) -> None:
-    if faults is not None and not faults.empty:
+    if not faults.empty:
         degraded = sum(s.degraded_periods for s in sessions)
         print(f"{label}: {degraded} (collector re-election / recovery windows)")
 
@@ -541,10 +541,10 @@ def _print_frames(counters) -> None:
 def _run_spec(args: argparse.Namespace):
     """The one spec ``repro run``'s flags describe, whatever ``--shards``.
 
-    The flags are checked first, in the order and with the messages the
-    run has always given; the late-arrival refusal is the CLI's own (a
-    spec's expansion clamps a late start instead), drawing the starts the
-    expansion will from a fresh ``arrivals`` stream.
+    Each flag is checked with its own one-line message.  The late-arrival
+    refusal is the CLI's own (a spec's expansion clamps a late start
+    instead): it draws the starts the expansion will, from a fresh
+    ``arrivals`` stream of the seed.
     """
     from .api.scenarios import ScenarioSpec
     from .sim.rng import RandomStreams
@@ -603,7 +603,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .core.metrics import StorageTracker
 
     spec = _run_spec(args)
-    faults = spec.fault_plan() if args.faults else None
+    faults = spec.fault_plan()
     backend = build_backend(spec)
     if spec.shards > 1:
         # The same fleet on a regional cluster, scored from what close()

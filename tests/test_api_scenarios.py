@@ -376,8 +376,7 @@ class TestWorldValidation:
             ScenarioSpec.from_dict({"name": "x", "parent_upgrade": 1})
         spec = ScenarioSpec.from_dict({"name": "x", "redeliver_setups": False})
         assert spec.world().redeliver_setups is False
-        # written only when they ablate: a full-protocol spec's JSON is the
-        # form it had before the flags were spec keys
+        # written only when they ablate
         assert spec.to_dict()["redeliver_setups"] is False
         assert "parent_upgrade" not in spec.to_dict()
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
