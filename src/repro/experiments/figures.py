@@ -84,7 +84,10 @@ def paper_section62_config(
 ) -> ScenarioSpec:
     """The Section 6.2 setting: accurate full-path profile, 50 s changes."""
     return ScenarioSpec(
-        name=f"s62-{mode}-tsleep{sleep_period_s:g}",
+        name=(
+            f"s62-{mode}-tsleep{sleep_period_s:g}"
+            f"-v{speed_range[0]:g}-{speed_range[1]:g}"
+        ),
         description=(
             "Paper Section 6.2: one user on a random-direction walk with "
             "50 s legs, full-path motion profile."
@@ -109,10 +112,12 @@ def paper_section63_config(
     ``Ta`` (planner) or GPS-error prediction (predictor)."""
     if gps_error_m is not None:
         profile = {"profile_mode": PROFILE_PREDICTOR, "gps_error_m": gps_error_m}
+        variant = f"gps{gps_error_m:g}"
     else:
         profile = {"profile_mode": PROFILE_PLANNER, "advance_time_s": advance_time_s}
+        variant = f"ta{advance_time_s:g}"
     return ScenarioSpec(
-        name=f"s63-tsleep{sleep_period_s:g}-legs{change_interval_s:g}",
+        name=f"s63-tsleep{sleep_period_s:g}-legs{change_interval_s:g}-{variant}",
         description=(
             "Paper Section 6.3: MQ-JIT, one user on a random-direction "
             "walk, planner or predictor motion profiles."
