@@ -23,7 +23,7 @@ Run:
 
 import os
 
-from repro import ExperimentConfig, MobiQueryService, MODE_JIT, Tracer
+from repro import MobiQueryService, Tracer
 from repro.api.scenarios import ScenarioSpec, build_requests
 
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "90"))
@@ -59,10 +59,8 @@ def run(spec: ScenarioSpec, faults: bool):
         "degradation-start", "degradation-end",
         "node-crashed", "node-recovered", "collector-reelected",
     ])
-    config = ExperimentConfig(mode=MODE_JIT, seed=spec.seed,
-                              duration_s=spec.duration_s)
     service = MobiQueryService(
-        config, tracer=tracer,
+        spec.world(), tracer=tracer,
         faults=spec.fault_plan() if faults else None,
     )
     for request in build_requests(spec):
