@@ -203,6 +203,15 @@ class ScenarioSpec:
             reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
             if "path" in template:
                 _check_path(template["path"])
+            count = template.get("count", 1)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ValueError(
+                    f"request count must be an integer >= 1, got {count!r}"
+                )
+            if template.get("spacing_s", 0.0) < 0:
+                raise ValueError(
+                    f"arrival spacing must be >= 0, got {template['spacing_s']}"
+                )
             arrival = template.get("arrival", ARRIVAL_STAGGERED)
             if arrival not in ARRIVAL_PROCESSES:
                 raise ValueError(
@@ -396,14 +405,11 @@ def build_request_payloads(spec: ScenarioSpec) -> List[Dict]:
     payloads: List[Dict] = []
     arrivals = None
     for template in spec.requests:
-        count = int(template.get("count", 1))
-        if count < 1:
-            raise ValueError(f"request count must be >= 1, got {count}")
         process = template.get("arrival", ARRIVAL_STAGGERED)
         if process in (ARRIVAL_UNIFORM, ARRIVAL_POISSON) and arrivals is None:
             arrivals = RandomStreams(spec.seed).stream("arrivals")
         offsets = arrival_times(
-            count,
+            template.get("count", 1),
             process=process,
             spacing_s=float(template.get("spacing_s", 0.0)),
             rng=arrivals,

@@ -552,6 +552,10 @@ def _run_spec(args: argparse.Namespace):
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
     validate_query_params(args.radius, args.period, args.freshness)
+    if args.users < 1:
+        raise ValueError(f"num_users must be >= 1, got {args.users}")
+    if args.spacing < 0:
+        raise ValueError("arrival spacing must be >= 0")
     users = () if args.mode == MODE_IDLE and args.users == 1 else (
         {
             "radius_m": args.radius,
@@ -573,10 +577,6 @@ def _run_spec(args: argparse.Namespace):
         shards=args.shards,
         workers=max(args.workers, 0),
     )
-    if args.users < 1:
-        raise ValueError(f"num_users must be >= 1, got {args.users}")
-    if args.spacing < 0:
-        raise ValueError("arrival spacing must be >= 0")
     if args.faults:
         from .faults.plan import load_fault_file
 

@@ -16,7 +16,7 @@ from ..api.requests import PeriodOutcome, QueryRequest
 from .errors import WireError
 
 #: template keys a wire submission may not carry
-_FORBIDDEN_WIRE_KEYS = ("user_id", "provider", "count", "spacing_s")
+_FORBIDDEN_WIRE_KEYS = ("user_id", "provider", "count", "spacing_s", "arrival")
 
 
 def request_from_wire(payload: object) -> QueryRequest:

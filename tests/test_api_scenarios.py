@@ -402,6 +402,15 @@ class TestArrivals:
         spec = _template_spec({"count": 3, "arrival": "simultaneous", "spacing_s": 5.0})
         assert [p["start_s"] for p in build_request_payloads(spec)] == [0.0] * 3
 
+    @pytest.mark.parametrize(
+        "template",
+        [{"count": 0}, {"count": 2.5}, {"count": True}, {"count": 2, "spacing_s": -1}],
+        ids=["zero", "float", "bool", "negative-spacing"],
+    )
+    def test_clone_keys_checked_at_load(self, template):
+        with pytest.raises(ValueError, match="count must be an integer|spacing must"):
+            _template_spec(template)
+
     def test_unknown_arrival_refused_at_load(self):
         with pytest.raises(ValueError, match="unknown arrival process 'burst'"):
             _template_spec({"count": 2, "arrival": "burst"})

@@ -228,7 +228,7 @@ def test_request_from_wire_decodes_a_payload():
 
 
 @pytest.mark.parametrize(
-    "key", ["user_id", "provider", "count", "spacing_s"]
+    "key", ["user_id", "provider", "count", "spacing_s", "arrival"]
 )
 def test_request_from_wire_forbids_host_side_fields(key):
     with pytest.raises(WireError) as info:

@@ -493,14 +493,12 @@ class TestExperimentRunnerIntegration:
         assert [p["start_s"] for p in payloads] == [0.0, 18.0]
 
     def test_config_validation(self):
-        from repro.api.scenarios import build_request_payloads
-
-        with pytest.raises(ValueError, match="count must be >= 1"):
-            build_request_payloads(self._spec(count=0))
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            self._spec(count=0)
         with pytest.raises(ValueError, match="unknown arrival process"):
             self._spec(count=2, arrival="burst")
         with pytest.raises(ValueError, match="spacing must be >= 0"):
-            build_request_payloads(self._spec(count=2, spacing_s=-1.0))
+            self._spec(count=2, spacing_s=-1.0)
         with pytest.raises(ValueError, match="idle runs have no users"):
             self._spec(mode="idle", count=2)
 
