@@ -14,6 +14,8 @@
 #   make loc             raw and `tokenize` code lines of src/, per package
 #                        and total ([REF=<commit>]: and the delta against it,
 #                        the two numbers a CHANGES.md entry reports)
+#   make census          defaulted parameters and dataclass fields under src/
+#                        that no file outside tests/ sets (not a gate)
 #   make profile         cProfile one canonical scenario (SCENARIO=..., ARGS=...)
 #   make examples-smoke  run every examples/ script at quick scale
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
@@ -49,7 +51,7 @@ CHAOS_SMOKE_PORT ?= 8652
 #: pairs `make bench-ab` runs (seeds 1..PAIRS)
 PAIRS ?= 10
 
-.PHONY: test bench bench-smoke ledger bench-ab loc profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke drills dense48-pin check
+.PHONY: test bench bench-smoke ledger bench-ab loc census profile examples-smoke sweep-smoke fuzz-smoke serve-smoke soak-smoke chaos-smoke approx-smoke drills dense48-pin check
 
 test:
 	PYTHONPATH=src $(PY) -m pytest -q tests/ bench/
@@ -86,6 +88,12 @@ bench-ab:
 # comments, docstrings or blanks), and against REF through `git show`.
 loc:
 	python3 scripts/loc.py $(if $(REF),--ref $(REF))
+
+# The settable-value census (scripts/census.py): each defaulted parameter
+# and dataclass field under src/ that nothing outside tests/ sets, with
+# its setters; the last line is the count a diet reports before and after.
+census:
+	python3 scripts/census.py
 
 # A quick adversarial sweep over the blackout drill: a 2x2x2 grid
 # (users x shards x fault intensity) with every metamorphic invariant

@@ -24,10 +24,12 @@ synthesise for the decision consumed mobility-stream draws).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.query import QuerySpec
+from ..faults.plan import reject_unknown_keys
 from ..mobility.path import PiecewisePath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,8 +170,9 @@ def make_admission_policy(config: Optional[Dict] = None) -> AdmissionPolicy:
     """Build a policy from a plain dict (the declarative scenario form).
 
     ``{"policy": "per-area-cap", "max_overlapping": 2}`` — every key other
-    than ``policy`` is passed to the policy constructor.  ``None`` or an
-    empty dict yields :class:`AcceptAllPolicy`.  ``phase-assign`` accepts a
+    than ``policy`` is passed to the policy constructor, and a key the
+    constructor does not take is refused by name.  ``None`` or an empty
+    dict yields :class:`AcceptAllPolicy`.  ``phase-assign`` accepts a
     nested ``inner`` dict of the same shape.
     """
     if not config:
@@ -182,6 +185,8 @@ def make_admission_policy(config: Optional[Dict] = None) -> AdmissionPolicy:
             f"unknown admission policy {name!r}; "
             f"expected one of {sorted(ADMISSION_POLICIES)}"
         )
+    known = frozenset(inspect.signature(cls).parameters) | {"policy"}
+    reject_unknown_keys(config, known, f"{name} admission")
     if "inner" in params:
         params["inner"] = make_admission_policy(params["inner"])
     return cls(**params)

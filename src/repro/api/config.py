@@ -47,17 +47,14 @@ DEFAULT_SAMPLING_PERIOD_S = 8.0
 DEFAULT_WALK = RandomDirectionConfig()
 
 
-def validate_world(mode: str, seed: int) -> None:
-    """Reject a world no service can build, with one-line errors.
-
-    Shared by :class:`ExperimentConfig` and :class:`~repro.api.scenarios.
-    ScenarioSpec`, so a spec fails at load with the message the service
-    would give.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def check_accuracy_served(mode: str, accuracy: str) -> None:
+    """NP serves exact queries only: the one rule behind
+    ``MobiQueryService.submit`` and a scenario's templates at load."""
+    if accuracy != "exact" and mode == MODE_NP:
+        raise ValueError(
+            "approximate accuracy requires the MobiQuery service; the "
+            "NP baseline serves exact queries only"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,4 +71,7 @@ class ExperimentConfig:
     redeliver_setups: bool = True
 
     def __post_init__(self) -> None:
-        validate_world(self.mode, self.seed)
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -25,13 +25,20 @@ motion: ``{"kind": "patrol", "waypoints": [[x, y], ...], "speed": 4.0,
 for the paper's 3-5 m/s and 50 s legs — is a random-direction walk the
 service synthesises from the user's own mobility stream.
 
-Five scenarios are built in: ``paper-default`` (the Section 6.1 single
+Seven scenarios are built in: ``paper-default`` (the Section 6.1 single
 user), ``patrol-fleet`` (6 robots on rectangular beats), ``rush-hour-
 burst`` (a simultaneous 12-user burst tamed by server-side phase
 assignment), ``heterogeneous-mix`` (8 users with mixed periods, radii,
 aggregations and freshness bounds — the ROADMAP's heterogeneous-workload
-item), and ``cluster_scale_64users`` (64 users on 4 regional shards —
-the scale-out scenario pinned in ``tests/data/pins.json``).
+item), ``blackout-recovery-16users`` (16 users riding out a region
+blackout — the fault drill), ``uav-survey`` (4 fast UAVs under coarse
+accuracy — the accuracy/energy frontier) and ``cluster_scale_64users``
+(64 users on 4 regional shards — the scale-out scenario pinned in
+``tests/data/pins.json``).
+
+A spec is checked once, when it is built: it builds its world, its
+admission policy, its fault plan and each template's request, so a bad
+value fails at load with the message of the code that builds it.
 
 A spec may also ask for the sharded backend: ``shards: 4`` partitions
 the field into regional worlds (``partitioner`` picks the scheme) and
@@ -54,16 +61,16 @@ from ..net.network import NetworkConfig
 from ..sim.rng import RandomStreams
 from ..workload.arrivals import (
     ARRIVAL_POISSON,
-    ARRIVAL_PROCESSES,
     ARRIVAL_STAGGERED,
     ARRIVAL_UNIFORM,
     arrival_times,
+    check_arrivals,
 )
 from ..workload.engine import WorkloadResult
 from .admission import AdmissionPolicy, make_admission_policy
 from .backend import QueryBackend
-from .config import DEFAULT_WALK, MODE_IDLE, ExperimentConfig, validate_world
-from .requests import ACCURACY_LEVELS, QueryRequest
+from .config import DEFAULT_WALK, MODE_IDLE, ExperimentConfig, check_accuracy_served
+from .requests import QueryRequest
 from .service import MobiQueryService, SessionHandle
 
 #: template keys that expand one template into several requests
@@ -143,6 +150,10 @@ class ScenarioSpec:
     wal_flush: int = 8
 
     def __post_init__(self) -> None:
+        """Check the spec once, at load, by building what is cheap to
+        build: the world, the admission policy, the fault plan and every
+        template's request.  Each value is refused with the message of
+        the code that builds it."""
         if not self.name:
             raise ValueError("a scenario needs a name")
         # Every template keeps at least one serviceable period: the one
@@ -155,7 +166,8 @@ class ScenarioSpec:
             raise ValueError("duration must cover at least one query period")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration_s:g}")
-        validate_world(self.mode, self.seed)
+        reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
+        self.world()
         if self.mode == MODE_IDLE and self.requests:
             raise ValueError("idle runs have no users to multiply")
         for knob, value in (
@@ -190,35 +202,23 @@ class ScenarioSpec:
             value = getattr(self, knob)
             if not isinstance(value, bool):
                 raise ValueError(f"{knob} must be true or false, got {value!r}")
-        from ..cluster.partition import PARTITIONERS  # lazy: avoid cycle
+        from ..cluster.partition import make_partitioner  # lazy: avoid cycle
 
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"unknown partitioner {self.partitioner!r}; expected one of "
-                f"{sorted(PARTITIONERS)}"
-            )
-        # Strict template validation: a typo'd key fails at load time with
-        # one clear sentence, not as a TypeError deep in request expansion.
+        make_partitioner(self.partitioner)
+        # Strict template validation: a typo'd key or a bad value fails at
+        # load time with one clear sentence, not deep in request expansion.
         for template in self.requests:
             reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
-            if "path" in template:
-                _check_path(template["path"])
-            count = template.get("count", 1)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ValueError(
-                    f"request count must be an integer >= 1, got {count!r}"
-                )
-            if template.get("spacing_s", 0.0) < 0:
-                raise ValueError(
-                    f"arrival spacing must be >= 0, got {template['spacing_s']}"
-                )
-            arrival = template.get("arrival", ARRIVAL_STAGGERED)
-            if arrival not in ARRIVAL_PROCESSES:
-                raise ValueError(
-                    f"unknown arrival process {arrival!r}; "
-                    f"expected one of {ARRIVAL_PROCESSES}"
-                )
-        reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
+            check_arrivals(
+                template.get("count", 1),
+                template.get("arrival", ARRIVAL_STAGGERED),
+                template.get("spacing_s", 0.0),
+            )
+            request = request_from_payload(
+                {k: v for k, v in template.items() if k not in _CLONE_KEYS}
+            )
+            check_accuracy_served(self.mode, request.accuracy)
+        make_admission_policy(self.admission)
         # Same strictness for the fault plan: FaultPlan.from_dict names the
         # first unknown key at every nesting level.
         FaultPlan.from_dict(self.faults)
@@ -255,7 +255,6 @@ class ScenarioSpec:
         seed: Optional[int] = None,
         shards: Optional[int] = None,
         workers: Optional[int] = None,
-        partitioner: Optional[str] = None,
         faults: Optional[Dict] = None,
     ) -> "ScenarioSpec":
         """The same scenario at a different scale, seed or shard layout."""
@@ -268,8 +267,6 @@ class ScenarioSpec:
             payload["shards"] = shards
         if workers is not None:
             payload["workers"] = workers
-        if partitioner is not None:
-            payload["partitioner"] = partitioner
         if faults is not None:
             payload["faults"] = faults
         return ScenarioSpec.from_dict(payload)
@@ -280,13 +277,9 @@ class ScenarioSpec:
         This is how a scenario's exact twin is built (and how the CLI's
         ``--accuracy`` / the sweep's ``--accuracies`` axis rewrite a
         cell): only the ``accuracy`` key of each template changes, so
-        paths, seeds and arrival phases stay identical.
+        paths, seeds and arrival phases stay identical; an unknown level
+        is refused by the request each template builds.
         """
-        if accuracy not in ACCURACY_LEVELS:
-            raise ValueError(
-                f"unknown accuracy {accuracy!r}; expected one of "
-                f"{ACCURACY_LEVELS}"
-            )
         payload = self.to_dict()
         for template in payload["requests"]:
             template["accuracy"] = accuracy

@@ -41,7 +41,11 @@ from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..geometry.vec import Vec2
 from ..mobility.gps import GpsModel
-from ..mobility.models import RandomDirectionConfig, random_direction_path
+from ..mobility.models import (
+    WALK_MARGIN_M,
+    RandomDirectionConfig,
+    random_direction_path,
+)
 from ..mobility.path import PiecewisePath
 from ..mobility.planner import FullKnowledgeProvider, PlannerProfileProvider
 from ..mobility.predictor import HistoryPredictorProvider
@@ -72,6 +76,7 @@ from .config import (
     PROFILE_PLANNER,
     PROFILE_PREDICTOR,
     ExperimentConfig,
+    check_accuracy_served,
 )
 from .requests import PeriodOutcome, QueryRequest
 
@@ -130,7 +135,7 @@ def make_user_path(
     """
     region = config.network.region
     rng = streams.stream(user_stream("mobility", user_id))
-    margin = walk.margin_m
+    margin = WALK_MARGIN_M
     if user_id == 0:
         start = Vec2(region.x_min + margin, region.y_min + margin)
     else:
@@ -556,11 +561,7 @@ class MobiQueryService:
         """
         if self.config.mode == MODE_IDLE:
             raise ValueError("an idle-mode service accepts no queries")
-        if request.accuracy != "exact" and self.config.mode == MODE_NP:
-            raise ValueError(
-                "approximate accuracy requires the MobiQuery service; the "
-                "NP baseline serves exact queries only"
-            )
+        check_accuracy_served(self.config.mode, request.accuracy)
         if self._closed:
             raise ServiceClosedError(
                 "submit() on a closed service (close() already sealed the run)"

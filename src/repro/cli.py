@@ -2,8 +2,10 @@
 
 Commands:
 
-* ``run`` — one query session with chosen mode/seed/duration; prints the
-  per-period summary and an ASCII fidelity strip.
+* ``run`` — one user or a homogeneous fleet (``--users``, ``--arrival``)
+  with chosen mode/seed/duration, on one world or ``--shards`` regional
+  ones; prints the per-period summary and an ASCII fidelity strip, or a
+  per-user table.
 * ``scenario`` — run a named declarative scenario from the registry (or a
   JSON file) through the service façade; ``--list`` shows the catalogue.
 * ``sweep`` — fan a scenario across the axes
@@ -35,7 +37,7 @@ import sys
 from typing import List, Optional
 
 from .api.config import MODE_GREEDY, MODE_IDLE, MODE_JIT, MODE_NP, ExperimentConfig
-from .api.requests import ACCURACY_LEVELS, validate_query_params
+from .api.requests import ACCURACY_LEVELS
 from .experiments.figures import (
     contention_analysis_table,
     run_fig4,
@@ -541,21 +543,14 @@ def _print_frames(counters) -> None:
 def _run_spec(args: argparse.Namespace):
     """The one spec ``repro run``'s flags describe, whatever ``--shards``.
 
-    Each flag is checked with its own one-line message.  The late-arrival
-    refusal is the CLI's own (a spec's expansion clamps a late start
-    instead): it draws the starts the expansion will, from a fresh
-    ``arrivals`` stream of the seed.
+    The spec checks every flag it carries, with the message of the code
+    that builds the value.  The late-arrival refusal is the CLI's own (a
+    spec's expansion clamps a late start instead): it draws the starts the
+    expansion will, from a fresh ``arrivals`` stream of the seed.
     """
     from .api.scenarios import ScenarioSpec
     from .sim.rng import RandomStreams
 
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    validate_query_params(args.radius, args.period, args.freshness)
-    if args.users < 1:
-        raise ValueError(f"num_users must be >= 1, got {args.users}")
-    if args.spacing < 0:
-        raise ValueError("arrival spacing must be >= 0")
     users = () if args.mode == MODE_IDLE and args.users == 1 else (
         {
             "radius_m": args.radius,
@@ -575,7 +570,7 @@ def _run_spec(args: argparse.Namespace):
         network={"sleep_period_s": args.sleep_period},
         requests=users,
         shards=args.shards,
-        workers=max(args.workers, 0),
+        workers=args.workers,
     )
     if args.faults:
         from .faults.plan import load_fault_file

@@ -20,7 +20,7 @@ from .partition import (
     overlap_area,
     shard_node_counts,
 )
-from .scheduler import DEFAULT_EPOCH_S, LockstepScheduler
+from .scheduler import EPOCH_S, LockstepScheduler
 from .service import ClusterService
 from .transport import (
     ReplayAdmissionPolicy,
@@ -44,7 +44,7 @@ __all__ = [
     "shard_node_counts",
     # scheduling
     "LockstepScheduler",
-    "DEFAULT_EPOCH_S",
+    "EPOCH_S",
     # worker transport
     "ShardPlan",
     "ShardOutcome",

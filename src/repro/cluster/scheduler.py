@@ -15,24 +15,20 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-#: default epoch length: one paper query period — fine-grained enough that
-#: mid-run cluster snapshots are coherent, coarse enough to stay off the
-#: kernels' hot path
-DEFAULT_EPOCH_S = 2.0
+#: epoch length: one paper query period — fine-grained enough that mid-run
+#: cluster snapshots are coherent, coarse enough to stay off the kernels'
+#: hot path
+EPOCH_S = 2.0
 
 
 class LockstepScheduler:
     """Advance a fleet of shard kernels in bounded-skew epochs."""
 
-    def __init__(self, sims: Sequence, epoch_s: float = DEFAULT_EPOCH_S) -> None:
+    def __init__(self, sims: Sequence) -> None:
         """Args:
         sims: the shard kernels (anything with ``now`` and ``run(until=)``).
-        epoch_s: epoch length in simulated seconds.
         """
-        if epoch_s <= 0:
-            raise ValueError(f"epoch length must be > 0, got {epoch_s:g}")
         self.sims: List = list(sims)
-        self.epoch_s = epoch_s
         #: epochs completed by every shard (monotonic, telemetry)
         self.epochs_run = 0
 
@@ -41,14 +37,14 @@ class LockstepScheduler:
 
         Within an epoch shards run in shard-index order; an epoch only
         begins once every shard finished the previous one, so shard clocks
-        never drift apart by more than ``epoch_s``.  Idempotent: shards
+        never drift apart by more than :data:`EPOCH_S`.  Idempotent: shards
         already at or past ``until`` are left untouched.
         """
         if not self.sims:
             return
         floor = min(sim.now for sim in self.sims)
         while floor < until:
-            target = min(until, floor + self.epoch_s)
+            target = min(until, floor + EPOCH_S)
             for sim in self.sims:
                 if sim.now < target:
                     sim.run(until=target)
@@ -56,4 +52,4 @@ class LockstepScheduler:
             floor = target
 
 
-__all__ = ["DEFAULT_EPOCH_S", "LockstepScheduler"]
+__all__ = ["EPOCH_S", "LockstepScheduler"]

@@ -66,7 +66,7 @@ from .partition import (
     overlap_area,
     shard_node_counts,
 )
-from .scheduler import DEFAULT_EPOCH_S, LockstepScheduler
+from .scheduler import LockstepScheduler
 from .transport import ShardOutcome, ShardPlan, run_shards_parallel
 
 
@@ -112,7 +112,6 @@ class ClusterService:
             default (balanced-kd).
         workers: worker processes for the batch ``finalize()`` path
             (0/1 = in-process; capped at the shard count).
-        epoch_s: lockstep epoch length for cluster-level advancing.
         faults: optional cluster-wide :class:`FaultPlan`.  World faults
             (crashes/blackouts/degradations) are handed to every shard —
             each world applies what falls inside it, so ``shards=1`` stays
@@ -129,11 +128,8 @@ class ClusterService:
         admission: Optional[AdmissionPolicy] = None,
         partitioner: Union[Partitioner, str, None] = None,
         workers: int = 0,
-        epoch_s: float = DEFAULT_EPOCH_S,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {shards}")
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.config = config
@@ -159,7 +155,7 @@ class ClusterService:
             for shard_config in self.shard_configs
         ]
         self.scheduler = LockstepScheduler(
-            [service.sim for service in self.services], epoch_s=epoch_s
+            [service.sim for service in self.services]
         )
         self._sessions = SessionIndex()
         self._handle_shard: Dict[int, int] = {}

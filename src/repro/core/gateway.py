@@ -511,7 +511,6 @@ class NoPrefetchGateway(BaseGateway):
             inner_kind="np-query",
             inner_payload=message,
             inner_size=NP_QUERY_SIZE_BYTES,
-            active_only=True,
         )
         self._flood_ids.append(envelope.flood_id)
         self.tracer.emit("np-issue", self.sim.now, k=k)

@@ -27,7 +27,10 @@ from .gateway import BaseGateway
 from .query import QuerySpec
 
 #: the paper's data-fidelity success bar
-DEFAULT_FIDELITY_THRESHOLD = 0.95
+FIDELITY_THRESHOLD = 0.95
+
+#: consecutive periods at or above the bar that end the measured warm-up
+WARMUP_RUN_LENGTH = 3
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class SessionMetrics:
     """Per-period records plus the headline ratios."""
 
     records: List[PeriodRecord]
-    fidelity_threshold: float = DEFAULT_FIDELITY_THRESHOLD
 
     @property
     def num_periods(self) -> int:
@@ -89,19 +91,19 @@ class SessionMetrics:
         """``(k, fidelity)`` pairs — the Figure 5 trace."""
         return [(r.k, r.fidelity) for r in self.records]
 
-    def warmup_periods_observed(self, run_length: int = 3) -> int:
+    def warmup_periods_observed(self) -> int:
         """Measured warmup: periods before fidelity first stays above the
-        threshold for ``run_length`` consecutive periods.
+        threshold for :data:`WARMUP_RUN_LENGTH` consecutive periods.
 
         Returns the number of below-par leading periods (0 = no warmup);
         if the run never stabilizes, returns the period count.
         """
         good = 0
         for index, record in enumerate(self.records):
-            if record.fidelity >= self.fidelity_threshold:
+            if record.fidelity >= FIDELITY_THRESHOLD:
                 good += 1
-                if good >= run_length:
-                    return index + 1 - run_length
+                if good >= WARMUP_RUN_LENGTH:
+                    return index + 1 - WARMUP_RUN_LENGTH
             else:
                 good = 0
         return len(self.records)
@@ -127,7 +129,6 @@ def build_session_metrics(
     spec: QuerySpec,
     true_path: PiecewisePath,
     duration_s: float,
-    fidelity_threshold: float = DEFAULT_FIDELITY_THRESHOLD,
 ) -> SessionMetrics:
     """Convert raw delivery records into per-period metrics.
 
@@ -177,10 +178,10 @@ def build_session_metrics(
                 fidelity_actual=fidelity_actual,
                 prediction_error_m=prediction_error,
                 on_time=met_deadline,
-                success=met_deadline and fidelity >= fidelity_threshold,
+                success=met_deadline and fidelity >= FIDELITY_THRESHOLD,
             )
         )
-    return SessionMetrics(records, fidelity_threshold)
+    return SessionMetrics(records)
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,14 @@ from ..mobility.path import PiecewisePath
 from ..net.network import Network
 
 
+#: points a rendered user path is sampled at, end to end
+PATH_SAMPLES = 120
+
+
 def render_field(
     network: Network,
     width: int = 72,
     path: Optional[PiecewisePath] = None,
-    path_samples: int = 120,
     area: Optional[Circle] = None,
     user: Optional[Vec2] = None,
 ) -> str:
@@ -53,8 +56,8 @@ def render_field(
 
     if path is not None and path.end_time > path.start_time:
         span = path.end_time - path.start_time
-        for i in range(path_samples + 1):
-            t = path.start_time + span * i / path_samples
+        for i in range(PATH_SAMPLES + 1):
+            t = path.start_time + span * i / PATH_SAMPLES
             r, c = to_cell(path.position_at(t))
             grid[r][c] = "*"
 

@@ -21,6 +21,11 @@ from ..geometry.vec import Vec2
 from .path import PiecewisePath, Waypoint
 
 
+#: keep-out border of a random-direction walk, so the query area is not
+#: mostly outside the field
+WALK_MARGIN_M = 20.0
+
+
 @dataclass(frozen=True)
 class RandomDirectionConfig:
     """Parameters of the paper's user motion.
@@ -30,13 +35,12 @@ class RandomDirectionConfig:
             (3, 5) walking, (6, 10) running, (16, 20) vehicle.
         change_interval_s: seconds between direction/speed changes (50 s in
             Section 6.2, 42–210 s in Section 6.3).
-        margin_m: keep-out border so the query area is not mostly outside
-            the field.
+
+    The walk keeps :data:`WALK_MARGIN_M` off the field's edge.
     """
 
     speed_range: Tuple[float, float] = (3.0, 5.0)
     change_interval_s: float = 50.0
-    margin_m: float = 20.0
 
     def __post_init__(self) -> None:
         lo, hi = self.speed_range
@@ -61,10 +65,10 @@ def random_direction_path(
     sampling, with a pull toward the centre if a corner traps the user).
     """
     inset = Rect(
-        region.x_min + config.margin_m,
-        region.y_min + config.margin_m,
-        region.x_max - config.margin_m,
-        region.y_max - config.margin_m,
+        region.x_min + WALK_MARGIN_M,
+        region.y_min + WALK_MARGIN_M,
+        region.x_max - WALK_MARGIN_M,
+        region.y_max - WALK_MARGIN_M,
     )
     if start is None:
         start = Vec2(inset.x_min, inset.y_min)

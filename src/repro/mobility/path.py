@@ -56,9 +56,9 @@ class PiecewisePath:
     # Construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def stationary(position: Vec2, at_time: float = 0.0) -> "PiecewisePath":
-        """A degenerate path: standing still at ``position``."""
-        return PiecewisePath([Waypoint(at_time, position)])
+    def stationary(position: Vec2) -> "PiecewisePath":
+        """A degenerate path: standing still at ``position`` from t = 0."""
+        return PiecewisePath([Waypoint(0.0, position)])
 
     @staticmethod
     def from_velocity(

@@ -38,7 +38,6 @@ class FloodEnvelope:
     inner_kind: str
     inner_payload: Any
     inner_size: int
-    active_only: bool
 
     def wire_size(self) -> int:
         """Bytes on the air."""
@@ -68,9 +67,11 @@ class FloodManager:
         inner_payload: Any,
         inner_size: int,
         origin: Optional[SensorNode] = None,
-        active_only: bool = True,
     ) -> FloodEnvelope:
         """Begin a flood of ``inner_*`` over ``area``.
+
+        Only backbone nodes rebroadcast; awake sleepers still hear and
+        deliver.
 
         Args:
             area: geographic scope; only nodes inside rebroadcast/deliver.
@@ -81,8 +82,6 @@ class FloodManager:
                 is *injected* at every awake node in the area closest to the
                 centre — callers flooding from a mobile proxy instead send a
                 broadcast frame of kind ``"flood"`` themselves.
-            active_only: if True only backbone nodes rebroadcast (sleepers
-                can still *hear* and deliver if awake).
         """
         envelope = FloodEnvelope(
             flood_id=next(_flood_ids),
@@ -90,7 +89,6 @@ class FloodManager:
             inner_kind=inner_kind,
             inner_payload=inner_payload,
             inner_size=inner_size,
-            active_only=active_only,
         )
         self._seen[envelope.flood_id] = set()
         if origin is not None:
@@ -138,7 +136,7 @@ class FloodManager:
         if not envelope.area.contains(node.position):
             return
         node.handle_local(envelope.inner_kind, envelope.inner_payload, envelope.inner_size)
-        if envelope.active_only and not node.is_active:
+        if not node.is_active:
             return
         jitter = float(node.rng.uniform(5e-4, 4e-3))
         node.sim.schedule(jitter, self._rebroadcast, node, envelope)

@@ -29,6 +29,9 @@ from .packet import Frame
 #: wire overhead of the geo envelope beyond the inner message
 GEO_HEADER_BYTES = 12
 
+#: hops after which a routed message is dropped (``hop_limit``)
+MAX_HOPS = 64
+
 _route_ids = itertools.count(1)
 
 
@@ -43,7 +46,6 @@ class GeoEnvelope:
     inner_size: int
     route_id: int = field(default_factory=lambda: next(_route_ids))
     hops: int = 0
-    max_hops: int = 64
 
     def wire_size(self) -> int:
         """Bytes the envelope occupies on the air."""
@@ -74,7 +76,6 @@ class GeoRouter:
         inner_kind: str,
         inner_payload: Any,
         inner_size: int,
-        max_hops: int = 64,
     ) -> GeoEnvelope:
         """Route a message from ``origin`` toward ``dest``.
 
@@ -88,7 +89,6 @@ class GeoRouter:
             inner_kind=inner_kind,
             inner_payload=inner_payload,
             inner_size=inner_size,
-            max_hops=max_hops,
         )
         self._route_from(origin, envelope)
         return envelope
@@ -105,7 +105,7 @@ class GeoRouter:
         if my_distance <= envelope.deliver_radius:
             self._deliver(node, envelope)
             return
-        if envelope.hops >= envelope.max_hops:
+        if envelope.hops >= MAX_HOPS:
             self._drop(node, envelope, "hop_limit")
             return
         candidates = self._progress_candidates(node, envelope.dest, my_distance)
@@ -152,7 +152,6 @@ class GeoRouter:
             inner_size=envelope.inner_size,
             route_id=envelope.route_id,
             hops=envelope.hops + 1,
-            max_hops=envelope.max_hops,
         )
         frame = Frame(
             kind=self.FRAME_KIND,

@@ -1,7 +1,7 @@
 """Power management: backbone selection protocols and coverage checks."""
 
 from .base import PowerManagementProtocol, repair_connectivity
-from .ccp import CcpConfig, CcpProtocol
+from .ccp import CcpProtocol
 from .coverage import covered_fraction, sample_points
 from .gaf import AlwaysOnProtocol, GafProtocol
 from .span import SpanProtocol
@@ -10,7 +10,6 @@ __all__ = [
     "PowerManagementProtocol",
     "repair_connectivity",
     "CcpProtocol",
-    "CcpConfig",
     "SpanProtocol",
     "GafProtocol",
     "AlwaysOnProtocol",

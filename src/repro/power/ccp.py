@@ -50,7 +50,6 @@ is mostly numpy's own code, paged in on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -62,42 +61,31 @@ from ..net.node import SensorNode
 from .base import PowerManagementProtocol, repair_connectivity
 
 
-@dataclass(frozen=True)
-class CcpConfig:
-    """CCP tuning.
-
-    Attributes:
-        coverage_degree: required K (paper uses 1-coverage).
-        clip_to_region: only require coverage inside the deployment region
-            (nodes at the field edge need not cover points outside it).
-        repair_connectivity: promote bridge nodes if the coverage backbone
-            is disconnected (cannot happen when ``Rc >= 2 Rs``; kept for
-            other configurations, mirroring CCP+SPAN in the CCP paper).
-    """
-
-    coverage_degree: int = 1
-    clip_to_region: bool = True
-    repair_connectivity: bool = True
+#: required coverage degree K (the paper uses 1-coverage)
+COVERAGE_DEGREE = 1
 
 
 class CcpProtocol(PowerManagementProtocol):
-    """Coverage Configuration Protocol backbone selection."""
+    """Coverage Configuration Protocol backbone selection.
+
+    K = :data:`COVERAGE_DEGREE`, and coverage is required only inside the
+    deployment region (nodes at the field edge need not cover points
+    outside it).  Bridge nodes are promoted if the coverage backbone is
+    disconnected, which cannot happen when ``Rc >= 2 Rs`` (CCP+SPAN in the
+    CCP paper).  The kernel pass itself, :func:`_eligibility_pass`, takes
+    any K and region; its tests drive it directly.
+    """
 
     name = "ccp"
 
-    def __init__(self, config: Optional[CcpConfig] = None) -> None:
-        self.config = config or CcpConfig()
-
     def select_active(self, network: Network, rng: np.random.Generator) -> Set[int]:
-        region = network.config.region if self.config.clip_to_region else None
         order = list(network.nodes)
         rng.shuffle(order)  # type: ignore[arg-type]
         active = _eligibility_pass(
             network, order, network.config.sensing_range_m,
-            self.config.coverage_degree, region,
+            COVERAGE_DEGREE, network.config.region,
         )
-        if self.config.repair_connectivity:
-            repair_connectivity(network, active)
+        repair_connectivity(network, active)
         return active
 
 

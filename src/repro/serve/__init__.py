@@ -9,7 +9,6 @@ write-ahead op log; ``repro slam`` is the load generator that proves it.
 from .chaos import ChaosAction, WireChaosPlane
 from .client import RetryPolicy, ServeClient
 from .daemon import (
-    DEFAULT_SLICE_S,
     DEFAULT_TIME_SCALE,
     IDEMPOTENCY_HEADER,
     MAX_WAIT_S,
@@ -43,7 +42,6 @@ from .wire import outcome_to_wire, percentile, request_from_wire, summarize
 
 __all__ = [
     "ChaosAction",
-    "DEFAULT_SLICE_S",
     "DEFAULT_TIME_SCALE",
     "ERROR_CODES",
     "EXIT_FAILURE",

@@ -14,7 +14,7 @@ Architecture: **one pump thread owns the simulated clock**.  All backend
 mutations — submits, cancels, clock advances — serialize through one
 lock, so the kernel never sees concurrent access; HTTP threads
 (``ThreadingHTTPServer``) only block on that lock for bounded slices
-(``slice_s`` simulated seconds per advance).  The pump advances the sim
+(``SLICE_S`` simulated seconds per advance).  The pump advances the sim
 toward the earliest unharvested period deadline, paced against wall
 time by ``time_scale`` (simulated seconds per wall second; 0 = free-run),
 and harvests each period outcome into the owning session's bounded
@@ -85,7 +85,7 @@ from .ring import ResultRing
 from .wire import outcome_to_wire, request_from_wire, summarize
 
 #: how far one pump advance may run, in simulated seconds
-DEFAULT_SLICE_S = 0.5
+SLICE_S = 0.5
 #: simulated seconds per wall second (0 disables pacing — free-run)
 DEFAULT_TIME_SCALE = 8.0
 #: hard cap on one long-poll wait
@@ -105,6 +105,8 @@ TOKEN_HEADER = "X-Repro-Token"
 #: the submit-dedup header: a retried POST /sessions with the same key
 #: returns the stored first response instead of double-admitting
 IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
+#: latency samples kept per endpoint for ``/stats``
+ENDPOINT_SAMPLES = 2048
 
 
 def _log_stem(name: str) -> str:
@@ -115,9 +117,9 @@ def _log_stem(name: str) -> str:
 class _EndpointTimer:
     """Per-endpoint request-latency sample (bounded memory)."""
 
-    def __init__(self, maxlen: int = 2048) -> None:
+    def __init__(self) -> None:
         self.count = 0
-        self.samples_ms: deque = deque(maxlen=maxlen)
+        self.samples_ms: deque = deque(maxlen=ENDPOINT_SAMPLES)
 
     def note(self, ms: float) -> None:
         self.count += 1
@@ -156,19 +158,15 @@ class ServeApp:
         spec: ScenarioSpec,
         ring_capacity: int = 256,
         time_scale: float = DEFAULT_TIME_SCALE,
-        slice_s: float = DEFAULT_SLICE_S,
         edge: Optional[EdgeConfig] = None,
         wal_path: Optional[str] = None,
         wal_flush_every: int = 8,
     ) -> None:
         if time_scale < 0:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-        if slice_s <= 0:
-            raise ValueError(f"slice_s must be > 0, got {slice_s}")
         self.spec = spec
         self.ring_capacity = ring_capacity
         self.time_scale = time_scale
-        self.slice_s = slice_s
         self.backend = build_backend(spec)
         if wal_path is None:
             self._scratch = tempfile.TemporaryDirectory(prefix="repro-serve-")
@@ -326,7 +324,7 @@ class ServeApp:
                     self._work.wait(0.05)
                     continue
                 now = self._now()
-                target = min(deadline, now + self.slice_s)
+                target = min(deadline, now + SLICE_S)
                 if self.time_scale > 0 and not self._draining:
                     wall = time.monotonic()
                     if self._anchor is None:
@@ -911,6 +909,9 @@ def run_serve(
 ) -> int:
     """The blocking ``repro serve`` entrypoint: serve until SIGTERM/SIGINT.
 
+    The first signal starts the drain; any later one is ignored until
+    the drain and the drained log are done.
+
     Always writes the crash-safe WAL (``SERVE_<name>.wal``) as ops
     commit, so even a SIGKILL'd daemon leaves a flushed prefix behind
     that ``repro replay`` proves.
@@ -974,19 +975,24 @@ def run_serve(
         f"wal={wal_path} — SIGTERM to drain",
         flush=True,
     )
+    # The handlers stay installed until the drain has ended: a second
+    # SIGTERM or SIGINT only sets ``stop`` again, so it can neither kill
+    # the process mid-finish() nor raise KeyboardInterrupt under the app
+    # lock.  The drain is bounded by ``drain_timeout_s``; SIGKILL ends it
+    # sooner and leaves what it always leaves, a WAL prefix that replays.
     try:
         stop.wait()
+        print("repro serve: draining (new submits get 503)...", flush=True)
+        app.begin_drain()
+        drained = app.wait_drained(drain_timeout_s)
+        forced = 0 if drained else app.cancel_remaining()
+        summary = app.finish()
+        log_path = app.write_log(out_dir=out_dir, name=name)
+        server.shutdown()
+        server.server_close()
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-    print("repro serve: draining (new submits get 503)...", flush=True)
-    app.begin_drain()
-    drained = app.wait_drained(drain_timeout_s)
-    forced = 0 if drained else app.cancel_remaining()
-    summary = app.finish()
-    log_path = app.write_log(out_dir=out_dir, name=name)
-    server.shutdown()
-    server.server_close()
     sessions = summary["sessions"]
     print(
         f"repro serve: drained={'clean' if drained else f'forced {forced}'} "
@@ -1008,13 +1014,13 @@ def run_serve(
 
 
 __all__ = [
-    "DEFAULT_SLICE_S",
     "DEFAULT_TIME_SCALE",
     "IDEMPOTENCY_HEADER",
     "IDLE_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "MAX_WAIT_S",
     "SERVE_POLL_S",
+    "SLICE_S",
     "TOKEN_HEADER",
     "ServeApp",
     "ServeHandler",

@@ -71,11 +71,12 @@ class Simulator:
     callbacks through it.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        #: current simulated time in seconds.  A plain attribute — reading
-        #: the clock is ubiquitous on hot paths and a property costs a
-        #: Python call per read.  Owned by the kernel; never assign to it.
-        self.now = float(start_time)
+    def __init__(self) -> None:
+        #: current simulated time in seconds, from 0.  A plain attribute —
+        #: reading the clock is ubiquitous on hot paths and a property
+        #: costs a Python call per read.  Owned by the kernel; never assign
+        #: to it.
+        self.now = 0.0
         self._queue: List[_Entry] = []
         self._seq = 0
         self._running = False
@@ -144,7 +145,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Run events until the queue drains or the clock passes ``until``.
 
         After the call the clock equals ``until`` when one was given (even if
@@ -153,9 +154,6 @@ class Simulator:
 
         Args:
             until: absolute stop time; events at exactly ``until`` run.
-            max_events: safety valve for runaway models; at most
-                ``max_events`` events execute, and ``SimulationError`` is
-                raised when a further event would run.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -164,7 +162,6 @@ class Simulator:
                 f"run(until={until:.6f}) is before now={self.now:.6f}"
             )
         self._running = True
-        executed = 0
         # Event execution allocates heavily (frames, receptions, Vec2s) but
         # the model creates no reference cycles; pausing the cyclic GC for
         # the run avoids full-heap scans mid-simulation.  Restored below.
@@ -186,14 +183,9 @@ class Simulator:
                 time = entry[0]
                 if until is not None and time > until:
                     break
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway model?)"
-                    )
                 heappop(queue)
                 self.now = time
                 self.events_executed += 1
-                executed += 1
                 if handle is None:
                     entry[3](*entry[4])
                 else:

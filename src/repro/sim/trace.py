@@ -37,8 +37,7 @@ class Tracer:
     is always counted.
     """
 
-    def __init__(self, keep: Optional[List[str]] = None, keep_all: bool = False) -> None:
-        self.keep_all = keep_all
+    def __init__(self, keep: Optional[List[str]] = None) -> None:
         self._keep = set(keep or [])
         self._records: List[TraceRecord] = []
         self.counts: Counter = Counter()
@@ -65,7 +64,7 @@ class Tracer:
         they call :meth:`tick` instead, which is observably identical to
         ``emit`` for an unwatched kind.
         """
-        return self.keep_all or kind in self._active_kinds
+        return kind in self._active_kinds
 
     def tick(self, kind: str) -> None:
         """Count an occurrence of ``kind`` without building a record."""
@@ -85,7 +84,7 @@ class Tracer:
         """Emit a record.  Cheap when the kind is neither kept nor subscribed."""
         self.counts[kind] += 1
         subscribers = self._subscribers.get(kind)
-        retain = self.keep_all or kind in self._keep
+        retain = kind in self._keep
         if not subscribers and not retain:
             return
         record = TraceRecord(kind, time, fields)

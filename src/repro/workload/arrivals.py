@@ -40,6 +40,21 @@ ARRIVAL_PROCESSES = (
 _STOCHASTIC = (ARRIVAL_UNIFORM, ARRIVAL_POISSON)
 
 
+def check_arrivals(num_users: int, process: str, spacing_s: float) -> None:
+    """Reject an arrival description no process can draw, with one-line
+    errors: the one home of these rules, for :func:`arrival_times` and a
+    scenario's request templates at load (``count``, ``arrival``,
+    ``spacing_s``)."""
+    if not isinstance(num_users, int) or isinstance(num_users, bool) or num_users < 1:
+        raise ValueError(f"request count must be an integer >= 1, got {num_users!r}")
+    if process not in ARRIVAL_PROCESSES:
+        raise ValueError(
+            f"unknown arrival process {process!r}; expected one of {ARRIVAL_PROCESSES}"
+        )
+    if spacing_s < 0:
+        raise ValueError(f"arrival spacing must be >= 0, got {spacing_s}")
+
+
 def arrival_times(
     num_users: int,
     process: str = ARRIVAL_SIMULTANEOUS,
@@ -58,14 +73,7 @@ def arrival_times(
     Returns:
         Non-decreasing start times, one per user, ``times[0] == 0.0``.
     """
-    if num_users < 1:
-        raise ValueError(f"num_users must be >= 1, got {num_users}")
-    if process not in ARRIVAL_PROCESSES:
-        raise ValueError(
-            f"unknown arrival process {process!r}; expected one of {ARRIVAL_PROCESSES}"
-        )
-    if spacing_s < 0:
-        raise ValueError(f"arrival spacing must be >= 0, got {spacing_s}")
+    check_arrivals(num_users, process, spacing_s)
     if process in _STOCHASTIC and rng is None:
         raise ValueError(f"arrival process {process!r} needs an rng")
     if num_users == 1 or process == ARRIVAL_SIMULTANEOUS:

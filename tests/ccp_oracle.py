@@ -22,7 +22,7 @@ from repro.geometry.shapes import Circle, Rect
 from repro.geometry.vec import Vec2
 from repro.net.network import Network
 from repro.power.base import repair_connectivity
-from repro.power.ccp import CcpConfig
+from repro.power import ccp
 
 #: margin for strict-interior containment (open-disk semantics)
 INTERIOR_EPS = 1e-6
@@ -42,21 +42,38 @@ class Crossings:
         return points
 
 
-def oracle_select_active(network: Network, rng, config: CcpConfig) -> Set[int]:
-    """``CcpProtocol(config).select_active`` with object-based eligibility."""
+def kernel_active_set(
+    network: Network, rng, clip: bool, k: int, repair: bool = True
+) -> Set[int]:
+    """``CcpProtocol().select_active`` at any coverage degree ``k``, with
+    coverage clipped to the region or not, and with or without the
+    connectivity repair: the protocol runs the kernel pass at the paper's
+    (clip, K = 1) and repairs."""
+    order = list(network.nodes)
+    rng.shuffle(order)
+    region = network.config.region if clip else None
+    # Looked up on the module at each call, so a mutant put in its place
+    # (``tests/mutants.py``) is the one that runs.
+    active = ccp._eligibility_pass(
+        network, order, network.config.sensing_range_m, k, region
+    )
+    if repair:
+        repair_connectivity(network, active)
+    return active
+
+
+def oracle_select_active(network: Network, rng, clip: bool, k: int) -> Set[int]:
+    """:func:`kernel_active_set` with object-based eligibility."""
     rs = network.config.sensing_range_m
-    region = network.config.region if config.clip_to_region else None
+    region = network.config.region if clip else None
     active = {node.node_id for node in network.nodes}
     order = list(network.nodes)
     rng.shuffle(order)
     crossings = Crossings()
     for node in order:
-        if eligible_to_sleep(
-            network, node, active, rs, region, config.coverage_degree, crossings
-        ):
+        if eligible_to_sleep(network, node, active, rs, region, k, crossings):
             active.discard(node.node_id)
-    if config.repair_connectivity:
-        repair_connectivity(network, active)
+    repair_connectivity(network, active)
     return active
 
 

@@ -15,6 +15,11 @@ with them byte-unchanged.  Six date from that refactor instead:
   ``[Errno 2] No such file or directory: ...``; one boundary prints one
   form, the one that names the file.  Exit codes are unchanged.
 
+Two date from checking a spec once, at load: ``repro run`` keeps no
+checks of its own, so ``run-shards-0`` prints the spec's ``shards must be
+>= 1`` (it printed ``--shards must be >= 1``), and ``run-workers-negative``
+is refused like ``repro scenario --workers -1`` (the flag was clamped to 0).
+
 ``scenario-fig4-cell`` re-runs a figure cell from its file: the
 quick-scale Fig. 4 bar (MQ-JIT, Tsleep = 9 s) exactly as ``repro fig 4``
 runs it, stored as the ``ScenarioSpec`` ``fig4-cell.json``.
@@ -73,6 +78,7 @@ CASES = {
     # one failing invocation (or more) per subcommand
     "run-shards-0": ["run", "--shards", "0"],
     "run-bad-freshness": ["run", "--freshness", "5"],
+    "run-workers-negative": ["run", "--workers", "-1"],
     "run-missing-faults": ["run", "--faults", "missing.json"],
     "run-late-arrival": ["run", "--users", "3", "--spacing", "30", "--duration", "20"],
     "scenario-unknown": ["scenario", "nope"],

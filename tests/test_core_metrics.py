@@ -1,13 +1,10 @@
 """Tests for metrics: fidelity, success ratio, storage/contention trackers."""
 
-import inspect
-import textwrap
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-import repro.core.metrics as metrics_module
 from repro.api.scenarios import build_backend, get_scenario
 from repro.core.metrics import (
     ContentionTracker,
@@ -21,6 +18,7 @@ from repro.geometry.vec import Vec2
 from repro.sim.trace import Tracer
 
 from .conftest import all_active, line_positions, make_network
+from .mutants import mutate
 
 
 def record(k, fidelity, on_time=True, threshold=0.95):
@@ -82,7 +80,7 @@ class TestSessionMetrics:
     def test_warmup_ignores_transient_recovery(self):
         fidelities = [0.3, 1.0, 0.3, 1.0, 1.0, 1.0, 1.0]
         metrics = SessionMetrics([record(k + 1, f) for k, f in enumerate(fidelities)])
-        assert metrics.warmup_periods_observed(run_length=3) == 3
+        assert metrics.warmup_periods_observed() == 3
 
 
 class TestStorageTracker:
@@ -314,12 +312,7 @@ def test_property_fails_under_named_mutations(name, monkeypatch):
     """The property above is strong enough to tell whose clock a chain is
     counted on, and that a respec needs a recount: the same generator finds
     a counterexample for either mutant."""
-    method, old, new = TRACKER_MUTATIONS[name]
-    source = textwrap.dedent(inspect.getsource(getattr(StorageTracker, method)))
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(metrics_module), scope)
-    monkeypatch.setattr(StorageTracker, method, scope[method])
+    mutate(monkeypatch, StorageTracker, *TRACKER_MUTATIONS[name])
 
     @settings(
         max_examples=300, deadline=None, derandomize=True, database=None,

@@ -203,7 +203,7 @@ class TestRandomDirectionModel:
 
     def test_default_start_near_corner(self):
         region = Rect.square(450.0)
-        config = RandomDirectionConfig(margin_m=20.0)
+        config = RandomDirectionConfig()
         path = random_direction_path(region, 50.0, config, np.random.default_rng(1))
         assert path.position_at(0.0).is_close(Vec2(20, 20))
 

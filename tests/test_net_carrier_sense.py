@@ -11,19 +11,17 @@ answer after every step — also for nodes a hair's breadth either side of
 cells could disagree.
 """
 
-import inspect
-import textwrap
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-import repro.net.channel as channel_module
 from repro.net.channel import Channel
 from repro.net.packet import BROADCAST, Frame
 from repro.sim.kernel import Simulator
 
 from .carrier_sense_oracle import CarrierSenseOracle
+from .mutants import mutate
 # the fringe lattice (RC, ON_THE_THRESHOLD, OFFSETS) lives in the mobile
 # index's test, which runs on it too and which this module imports anyway
 from .test_net_mobile_index import (
@@ -200,12 +198,7 @@ MUTATIONS = {
 def test_property_fails_under_named_mutations(name, monkeypatch):
     """The property above is strong enough to tell: with any of the three
     mutants in the scan's place the same examples find a counterexample."""
-    old, new = MUTATIONS[name]
-    source = textwrap.dedent(inspect.getsource(Channel.busy_until))
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(channel_module), scope)
-    monkeypatch.setattr(Channel, "busy_until", scope["busy_until"])
+    mutate(monkeypatch, Channel, "busy_until", *MUTATIONS[name])
 
     @settings(
         max_examples=60, deadline=None, derandomize=True, database=None,

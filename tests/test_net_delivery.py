@@ -15,15 +15,12 @@ the script reads it, must agree with the oracle, and the calls must be the
 oracle's clean receptions the frame is addressed to.
 """
 
-import inspect
 import math
-import textwrap
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-import repro.net.channel as channel_module
 
 from repro.geometry.vec import Vec2
 from repro.net.channel import Channel
@@ -33,6 +30,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 from .conftest import make_network
+from .mutants import mutate
 from .reception_oracle import OracleRadio
 from .test_net_carrier_sense import FRINGE_FIELD, OFFSETS, RC
 from .test_net_mobile_index import Endpoint
@@ -411,12 +409,7 @@ MUTATIONS = {
 def test_property_fails_under_named_mutations(name, monkeypatch):
     """The property above is strong enough to tell: with any of the three
     mutants in place the same examples find a counterexample."""
-    method, old, new = MUTATIONS[name]
-    source = textwrap.dedent(inspect.getsource(getattr(Channel, method)))
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(channel_module), scope)
-    monkeypatch.setattr(Channel, method, scope[method])
+    mutate(monkeypatch, Channel, *MUTATIONS[name])
 
     @settings(
         max_examples=60, deadline=None, derandomize=True, database=None,

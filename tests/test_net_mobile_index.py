@@ -10,17 +10,14 @@ the same from both, whatever the fleet does between frames and whichever of
 """
 
 import ast
-import inspect
 import math
 import pathlib
-import textwrap
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.net
-import repro.net.channel as channel_module
 from repro.geometry.vec import Vec2
 from repro.mobility.models import patrol_path
 from repro.net.channel import _INDEX_WINDOW_S, Channel, _Tracked
@@ -28,6 +25,8 @@ from repro.net.energy import PowerModel
 from repro.net.packet import BROADCAST, Frame
 from repro.net.radio import Radio
 from repro.sim.kernel import Simulator
+
+from .mutants import mutate
 
 #: side of the test field: under three radio ranges, so most frames have
 #: mobile listeners and most proxies cross a cell edge within a window
@@ -371,12 +370,7 @@ class TestRangeTestCopy:
 
     @pytest.mark.parametrize("name", XY_AT_MUTATIONS)
     def test_property_fails_under_named_mutations(self, name, monkeypatch):
-        old, new = XY_AT_MUTATIONS[name]
-        source = textwrap.dedent(inspect.getsource(Channel._begin_reception))
-        assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-        scope = {}
-        exec(source.replace(old, new), vars(channel_module), scope)
-        monkeypatch.setattr(Channel, "_begin_reception", scope["_begin_reception"])
+        mutate(monkeypatch, Channel, "_begin_reception", *XY_AT_MUTATIONS[name])
 
         @settings(
             max_examples=60, deadline=None, derandomize=True, database=None,

@@ -5,6 +5,7 @@ import pytest
 from repro.geometry.shapes import Circle
 from repro.geometry.vec import Vec2
 from repro.net.flooding import FloodManager
+from repro.net import routing
 from repro.net.routing import GeoRouter
 
 from .conftest import all_active, line_positions, make_network
@@ -110,7 +111,8 @@ class TestGeoRouting:
         sim.run(until=2.0)
         assert got == [4]
 
-    def test_hop_limit_drops(self, sim, tracer):
+    def test_hop_limit_drops(self, sim, tracer, monkeypatch):
+        monkeypatch.setattr(routing, "MAX_HOPS", 3)
         network = make_network(sim, line_positions(10, 80.0), tracer=tracer)
         all_active(network)
         router = GeoRouter(network, tracer=tracer)
@@ -124,7 +126,6 @@ class TestGeoRouting:
             inner_kind="payload",
             inner_payload=None,
             inner_size=10,
-            max_hops=3,
         )
         sim.run(until=2.0)
         assert got == []
@@ -193,14 +194,13 @@ class TestFlooding:
         for node in network.nodes:
             node.register_handler("inner", lambda n, f: got.append(n.node_id))
         # Node 2 is 200 m from node 0: reachable only via node 1's
-        # rebroadcast, which active_only forbids (sleepers stay leaves).
+        # rebroadcast, which a flood forbids (sleepers stay leaves).
         flood.start_flood(
             area=Circle(Vec2(100, 0), 300.0),
             inner_kind="inner",
             inner_payload=None,
             inner_size=20,
             origin=network.nodes[0],
-            active_only=True,
         )
         sim.run(until=0.05)
         assert 1 in got  # sleeper heard and delivered (it was in-window)

@@ -1,15 +1,15 @@
 """CCP's float eligibility kernel against the object-based oracle.
 
-``CcpProtocol.select_active`` must return the identical active set as
-``tests/ccp_oracle.py`` — same RNG stream, same field — with the coverage
-requirement clipped to the region and not, at 1- and 2-coverage.  The kernel
+CCP's kernel pass (``_eligibility_pass``, which ``CcpProtocol.select_active``
+runs clipped to the region at 1-coverage) must return the identical active
+set as ``tests/ccp_oracle.py`` — same RNG stream, same field — with the
+coverage requirement clipped to the region and not, at 1- and 2-coverage.  The kernel
 takes pair crossings from one per-pass table and tests check points against
 the nearest neighbours first; the oracle builds every node's points as
 objects, each pair's crossings derived once per call and shared by the
 nodes near it, and tests each point against every neighbour in list order.
 """
 
-import inspect
 import tracemalloc
 
 import numpy as np
@@ -21,20 +21,24 @@ import repro.power.ccp as ccp_module
 from repro.geometry.shapes import Circle, Rect
 from repro.geometry.vec import Vec2
 from repro.net.network import NetworkConfig, build_network
-from repro.power.ccp import CcpConfig, CcpProtocol
+from repro.power.ccp import CcpProtocol
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 
-from .ccp_oracle import circle_rect_edge_intersections, oracle_select_active
+from .ccp_oracle import (
+    circle_rect_edge_intersections,
+    kernel_active_set,
+    oracle_select_active,
+)
+from .mutants import mutate
 
 #: (clip_to_region, coverage_degree)
 CONFIGS = [(True, 1), (True, 2), (False, 1), (False, 2)]
 
 
 def both_active_sets(network, seed, clip, k):
-    config = CcpConfig(coverage_degree=k, clip_to_region=clip)
-    kernel = CcpProtocol(config).select_active(network, RandomStreams(seed).stream("p"))
-    oracle = oracle_select_active(network, RandomStreams(seed).stream("p"), config)
+    kernel = kernel_active_set(network, RandomStreams(seed).stream("p"), clip, k)
+    oracle = oracle_select_active(network, RandomStreams(seed).stream("p"), clip, k)
     return kernel, oracle
 
 
@@ -177,21 +181,11 @@ EQUIVALENT_MUTATIONS = {
 }
 
 
-def mutate(mutations, name, monkeypatch):
-    """Put the named mutant of a ``repro.power.ccp`` function in its place."""
-    function, old, new = mutations[name]
-    source = inspect.getsource(getattr(ccp_module, function))
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(ccp_module), scope)
-    monkeypatch.setattr(ccp_module, function, scope[function])
-
-
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_property_fails_under_named_mutations(name, monkeypatch):
     """The dense property is strong enough to tell: with any of the mutants
     in the kernel's place the same generator finds a counterexample."""
-    mutate(MUTATIONS, name, monkeypatch)
+    mutate(monkeypatch, ccp_module, *MUTATIONS[name])
 
     @settings(
         max_examples=10, deadline=None, derandomize=True, database=None,
@@ -217,15 +211,13 @@ def test_equivalent_mutants_change_no_active_set(name, monkeypatch):
 
     def active_sets():
         return [
-            CcpProtocol(CcpConfig(coverage_degree=k, clip_to_region=clip)).select_active(
-                network, RandomStreams(seed).stream("p")
-            )
+            kernel_active_set(network, RandomStreams(seed).stream("p"), clip, k)
             for network, seed in fields
             for clip, k in CONFIGS
         ]
 
     before = active_sets()
-    mutate(EQUIVALENT_MUTATIONS, name, monkeypatch)
+    mutate(monkeypatch, ccp_module, *EQUIVALENT_MUTATIONS[name])
     assert active_sets() == before
 
 

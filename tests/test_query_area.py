@@ -6,18 +6,17 @@ Points are generated a few ulp either side of ``Rq`` and of ``Rq + 1e-9``,
 where a strict comparison or a dropped tolerance would answer differently.
 """
 
-import inspect
 import math
-import textwrap
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-import repro.geometry.shapes as shapes_module
 from repro.core.query import QuerySpec
 from repro.geometry.shapes import Circle
 from repro.geometry.vec import Vec2
+
+from .mutants import mutate
 
 
 def disk_rule(center: Vec2, radius: float, point: Vec2) -> bool:
@@ -86,12 +85,7 @@ MUTATIONS = {
 def test_property_fails_under_named_mutations(name, monkeypatch):
     """The property above tells both edges apart: with either mutant in
     ``Circle.contains``'s place the same generator finds a counterexample."""
-    old, new = MUTATIONS[name]
-    source = textwrap.dedent(inspect.getsource(Circle.contains))
-    assert source.count(old) == 1, f"mutation {name!r} no longer applies"
-    scope = {}
-    exec(source.replace(old, new), vars(shapes_module), scope)
-    monkeypatch.setattr(Circle, "contains", scope["contains"])
+    mutate(monkeypatch, Circle, "contains", *MUTATIONS[name])
 
     @settings(
         max_examples=500, deadline=None, derandomize=True, database=None,

@@ -10,12 +10,10 @@ notice it.
 """
 
 import contextlib
-import inspect
 import io
 import json
 import select
 import socket
-import textwrap
 import threading
 import time
 from types import SimpleNamespace
@@ -28,6 +26,7 @@ from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.daemon import MAX_WAIT_S, ServeApp, ServeHandler, make_server
 from repro.serve.errors import WireError
 
+from .mutants import mutate
 from .test_serve_daemon import PAYLOAD, tiny_spec
 
 
@@ -272,16 +271,6 @@ def test_http09_request_gets_the_bare_body():
 # ----------------------------------------------------------------------
 # the properties are strong enough to tell
 # ----------------------------------------------------------------------
-def mutate(monkeypatch, owner, method, old, new):
-    """Put ``owner.method`` with ``old`` replaced by ``new`` in its place,
-    patched from its source text."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, method)))
-    assert source.count(old) == 1, f"{old!r} no longer in {method}"
-    scope = {}
-    exec(source.replace(old, new), vars(inspect.getmodule(owner)), scope)
-    monkeypatch.setattr(owner, method, scope[method])
-
-
 #: name -> (class, method, its text to replace, replacement, the check
 #: that has to notice)
 MUTATIONS = {

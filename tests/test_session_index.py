@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from repro.api import MobiQueryService, PerAreaCapPolicy, QueryRequest
 from repro.api.config import MODE_JIT, ExperimentConfig
-from repro.api.service import STATUS_CANCELLED, SessionIndex
+from repro.api.service import SessionIndex
 from repro.cluster import ClusterService
 from repro.geometry.shapes import Rect
 from repro.net.network import NetworkConfig
 
 from . import session_index_oracle as oracle
+from .mutants import mutate
 
 #: explicit ids are drawn from 0..MAX_ID, so they collide with each other
 #: and with the low ids auto-assignment hands out
@@ -136,45 +137,31 @@ def test_index_answers_like_the_list_scans(shards, script):
     drive(build(shards), script)
 
 
-class ReusesCancelledIds(SessionIndex):
-    """Mutation: auto-assignment hands a cancelled session's id out again."""
-
-    def assign_user_id(self, user_id):
-        if user_id is not None:
-            return super().assign_user_id(user_id)
-        candidate = 0
-        while (
-            candidate in self._last_admitted
-            and self._last_admitted[candidate].status != STATUS_CANCELLED
-        ):
-            candidate += 1
-        return candidate
-
-
-class KeepsCancelledLive(SessionIndex):
-    """Mutation: a cancelled session is not pruned from the live list."""
-
-    def live(self, at, now):
-        if at < now:
-            return super().live(at, now)
-        self._live = [h for h in self._live if h.spec.end_s > now]
-        return [h for h in self._live if h.spec.start_s <= at < h.spec.end_s]
+#: name -> (``SessionIndex`` method, text to replace, replacement)
+MUTATIONS = {
+    # auto-assignment hands a cancelled session's id out again
+    "ReusesCancelledIds": (
+        "assign_user_id",
+        "return self._lowest_free",
+        "return min(set(range(len(self.handles) + 1)) - {u for u, h in "
+        "self._last_admitted.items() if h.status != STATUS_CANCELLED})",
+    ),
+    # a cancelled session is not pruned from the live list
+    "KeepsCancelledLive": (
+        "live",
+        "if h.status != STATUS_CANCELLED and h.spec.end_s > now",
+        "if h.spec.end_s > now",
+    ),
+    # the ``at < now`` fallback to the full scan is dropped
+    "ForgetsThePast": ("live", "if at < now:", "if False:"),
+}
 
 
-class ForgetsThePast(SessionIndex):
-    """Mutation: the ``at < now`` fallback to the full scan is dropped."""
-
-    def live(self, at, now):
-        super().live(now, now)  # prune as the index does
-        return [h for h in self._live if h.spec.start_s <= at < h.spec.end_s]
-
-
-@pytest.mark.parametrize(
-    "mutant", [ReusesCancelledIds, KeepsCancelledLive, ForgetsThePast]
-)
-def test_property_fails_under_named_mutations(mutant):
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_property_fails_under_named_mutations(name, monkeypatch):
     """The property above is strong enough to tell: with any of the three
     mutants in the index's place the same generator finds a counterexample."""
+    mutate(monkeypatch, SessionIndex, *MUTATIONS[name])
 
     @settings(
         max_examples=60, deadline=None, derandomize=True, database=None,
@@ -182,9 +169,7 @@ def test_property_fails_under_named_mutations(mutant):
     )
     @given(script=scripts)
     def mutated(script):
-        service = build(0)
-        service._sessions = mutant()
-        drive(service, script)
+        drive(build(0), script)
 
     with pytest.raises(AssertionError):
         mutated()

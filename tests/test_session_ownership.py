@@ -15,8 +15,6 @@ Two layers of the same rule:
   the leak census is all-zero.
 """
 
-import inspect
-import textwrap
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +25,6 @@ from repro.api.config import MODE_JIT, MODE_NP, ExperimentConfig
 from repro.approx.gateway import ApproxGateway
 from repro.approx.plane import SummaryPlane
 from repro.core.gateway import BaseGateway
-from repro.core import service as engine_module
 from repro.core.query import QuerySpec
 from repro.core.service import MobiQueryProtocol
 from repro.faults.plan import FaultPlan, NodeCrash
@@ -40,18 +37,9 @@ from repro.sim.rng import RandomStreams
 from repro.workload import build_proxy, proxy_id_for
 
 from .engine_session_oracle import EngineSessionShadow
+from .mutants import mutate
 from .test_core_baseline_gateway import NpStack
 from .test_core_service import Stack
-
-
-def mutate(monkeypatch, method, old, new):
-    """Put ``MobiQueryProtocol.method`` with ``old`` replaced by ``new`` in
-    the method's place, patched from its source text."""
-    source = textwrap.dedent(inspect.getsource(getattr(MobiQueryProtocol, method)))
-    assert source.count(old) == 1, f"{old!r} no longer in {method}"
-    scope = {}
-    exec(source.replace(old, new), vars(engine_module), scope)
-    monkeypatch.setattr(MobiQueryProtocol, method, scope[method])
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +385,7 @@ class TestReleasedWithItsOwnChaseInFlight:
     def test_the_check_notices_a_mark_filed_for_a_released_session(self, monkeypatch):
         mutate(
             monkeypatch,
+            MobiQueryProtocol,
             "_on_cancel",
             "record = self._sessions.get((msg.user_id, msg.query_id))",
             "record = self._sessions.setdefault((msg.user_id, msg.query_id), _SessionRecord())",
@@ -444,6 +433,6 @@ def test_property_fails_under_named_mutations(name, monkeypatch):
     interleaving's explicit examples fails."""
     method, old, new, script = ENGINE_MUTATIONS[name]
     run_interleaving(MODE_JIT, script)  # the script passes on the real method
-    mutate(monkeypatch, method, old, new)
+    mutate(monkeypatch, MobiQueryProtocol, method, old, new)
     with pytest.raises(AssertionError):
         run_interleaving(MODE_JIT, script)

@@ -36,7 +36,8 @@ class TestScheduling:
             sim.schedule(-0.1, lambda: None)
 
     def test_schedule_in_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
@@ -199,7 +200,8 @@ class TestRunControl:
         assert sim.now == 10.0
 
     def test_run_until_in_past_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.run(until=4.0)
 
@@ -212,57 +214,12 @@ class TestRunControl:
         sim.run(until=10.0)
         assert log == [1, 5]
 
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(0.001, loop)
-
-        sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(until=100.0, max_events=50)
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(4):
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 4
-
-
-class TestMaxEventsBoundary:
-    """Regression: run() used to execute max_events + 1 events before
-    raising (`executed > max_events` checked after the step)."""
-
-    def test_exactly_max_events_then_drain_is_fine(self):
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule(float(i + 1), log.append, i)
-        sim.run(max_events=5)  # queue drains at exactly the limit: no error
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_no_event_beyond_max_events_executes(self):
-        sim = Simulator()
-        log = []
-        for i in range(6):
-            sim.schedule(float(i + 1), log.append, i)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=5)
-        # The sixth event must not have run — not even one past the limit.
-        assert log == [0, 1, 2, 3, 4]
-        assert sim.events_executed == 5
-
-    def test_runaway_model_still_caught(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(0.001, loop)
-
-        sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(until=100.0, max_events=50)
-        assert sim.events_executed == 50
 
 
 class TestFastScheduling:
@@ -284,7 +241,8 @@ class TestFastScheduling:
             sim.schedule_fast(-0.1, lambda: None)
 
     def test_fast_schedule_at_in_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(SimulationError):
             sim.schedule_at_fast(5.0, lambda: None)
 
@@ -293,7 +251,7 @@ class TestFastScheduling:
         log = []
         sim.schedule_fast(1.0, log.append, "x")
         assert sim.pending_count == 1
-        sim.run(max_events=1)  # one step: exactly the one event
+        sim.run(until=1.0)  # exactly the one event
         assert log == ["x"] and sim.now == 1.0
 
 

@@ -57,12 +57,6 @@ class TestTracer:
         assert len(tracer.records("tx")) == 1
         assert tracer.records("rx") == []
 
-    def test_keep_all(self):
-        tracer = Tracer(keep_all=True)
-        tracer.emit("a", 1.0)
-        tracer.emit("b", 2.0)
-        assert len(tracer.records()) == 2
-
     def test_keep_kind_added_later(self):
         tracer = Tracer()
         tracer.emit("x", 1.0)
@@ -86,7 +80,7 @@ class TestTracer:
         assert record.get("missing", "dflt") == "dflt"
 
     def test_clear(self):
-        tracer = Tracer(keep_all=True)
+        tracer = Tracer(keep=["a"])
         tracer.emit("a", 1.0)
         tracer.clear()
         assert tracer.records() == []
