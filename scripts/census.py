@@ -1,6 +1,6 @@
 """The settable-value census: defaults that no caller outside ``tests/`` sets.
 
-    python3 scripts/census.py [--all]             (make census)
+    python3 scripts/census.py             (make census)
 
 Lists each defaulted parameter of a function or method under ``src/`` and
 each defaulted field of a dataclass there that no file outside ``tests/``
@@ -22,7 +22,6 @@ summary the standing diet reports before and after.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 from collections import defaultdict
@@ -179,7 +178,7 @@ def collect_setters() -> Tuple[Dict, Dict]:
     return by_keyword, by_position
 
 
-def census(show_all: bool = False) -> int:
+def census() -> int:
     values = collect_values()
     by_keyword, by_position = collect_setters()
     dataclass_fields = {v.name for v in values if v.owner == v.callee and "." not in v.owner}
@@ -199,15 +198,13 @@ def census(show_all: bool = False) -> int:
                 if n > value.index
             ]
         outside = [s for s in real if not s[0].startswith("tests" + os.sep)]
-        if outside and not show_all:
+        if outside:
             continue
-        if not outside:
-            unset += 1
+        unset += 1
         where = ", ".join(f"{p}:{n}" for p, n in sorted(set(real))) or "(none)"
-        mark = "" if outside else "  <- tests or default only"
         print(
             f"{value.path}:{value.line}  {value.owner}({value.name}="
-            f"{ast.unparse(value.default)}){mark}\n    set by: {where}"
+            f"{ast.unparse(value.default)})\n    set by: {where}"
         )
     print(
         f"census: {len(values)} defaulted values under {SRC}/; {unset} set by "
@@ -216,14 +213,5 @@ def census(show_all: bool = False) -> int:
     return 0
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--all", action="store_true",
-        help="list every defaulted value, not only the unset ones",
-    )
-    return census(parser.parse_args().all)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(census())

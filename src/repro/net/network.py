@@ -46,15 +46,11 @@ class NetworkConfig:
             raise ValueError("ranges must be > 0")
         if self.bitrate_bps <= 0:
             raise ValueError(f"bitrate must be > 0, got {self.bitrate_bps:g}")
-        if self.sleep_period_s <= 0:
-            raise ValueError(
-                f"sleep period must be > 0 s, got {self.sleep_period_s:g}"
-            )
-        if not 0 < self.active_window_s < self.sleep_period_s:
-            raise ValueError(
-                f"active window must be in (0, sleep period = "
-                f"{self.sleep_period_s:g} s), got {self.active_window_s:g}"
-            )
+        # the duty-cycle rules belong to the schedule they describe
+        PsmConfig(
+            beacon_interval_s=self.sleep_period_s,
+            active_window_s=self.active_window_s,
+        )
 
     @property
     def psm(self) -> PsmConfig:

@@ -52,12 +52,19 @@ class PsmConfig:
     offset_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.beacon_interval_s <= 0:
-            raise ValueError("beacon interval must be > 0")
-        if not 0 < self.active_window_s < self.beacon_interval_s:
-            raise ValueError("active window must be in (0, beacon_interval)")
-        if not 0 <= self.offset_s < self.beacon_interval_s:
-            raise ValueError("offset must be in [0, beacon_interval)")
+        period = self.beacon_interval_s
+        if period <= 0:
+            raise ValueError(f"sleep period must be > 0 s, got {period:g}")
+        if not 0 < self.active_window_s < period:
+            raise ValueError(
+                f"active window must be in (0, sleep period = {period:g} s), "
+                f"got {self.active_window_s:g}"
+            )
+        if not 0 <= self.offset_s < period:
+            raise ValueError(
+                f"offset must be in [0, sleep period = {period:g} s), "
+                f"got {self.offset_s:g}"
+            )
 
     #: tolerance for float noise at window boundaries.  A boundary event
     #: scheduled at ``offset + n*T`` can evaluate its own phase to a hair

@@ -64,6 +64,21 @@ class TestFixedTable:
         assert kernel == oracle
         assert len(kernel) < n_nodes  # the rule did put nodes to sleep
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_protocol_runs_the_checked_kernel(self, seed):
+        """``CcpProtocol.select_active`` is the kernel pass the matrix
+        checks, at the paper's (clip, K): same shuffle, region and repair."""
+        network = build_network(
+            Simulator(), NetworkConfig(n_nodes=200), RandomStreams(seed)
+        )
+        protocol = CcpProtocol().select_active(
+            network, RandomStreams(seed).stream("p")
+        )
+        kernel, oracle = both_active_sets(
+            network, seed, True, ccp_module.COVERAGE_DEGREE
+        )
+        assert protocol == kernel == oracle
+
     @pytest.mark.parametrize("clip,k", CONFIGS)
     def test_duplicates_and_the_containment_branch(self, clip, k):
         """Three nodes on one spot, far from every edge: coincident circles
