@@ -40,7 +40,7 @@ def evaluate(protocol: PowerManagementProtocol):
     ) / (power.active_count + power.sleeper_count)
     return {
         "backbone": len(active),
-        "coverage": covered_fraction(network, active, step_m=15.0),
+        "coverage": covered_fraction(network, active),
         "connected": network.is_backbone_connected(),
         "mean_node_power_w": mean_node_power,
     }

@@ -4,12 +4,15 @@
 
 Pushes 2 000 eight-second sessions through an in-process, free-running
 ``ServeApp`` (``time_scale=0``) on the paper-default field, eight in flight
-at a time, a tenth of them cancelled as soon as they are in.  Every 100
-finished sessions it samples what a long-lived daemon must keep flat: the
-proxies registered on the channel, the kernel's pending events and the
-protocol state keyed by a session (the world), the wall time the 100 took
-(its cost), and the process RSS.  After a warm-up of a fifth of the run it
-fails if
+at a time, a tenth of them cancelled as soon as they are in.  Every 10
+finished sessions it takes the census of what a long-lived daemon must keep
+flat, under the app lock: the proxies registered on the channel, the
+kernel's pending events and the protocol state keyed by a session (the
+world).  Every 100 it samples the wall time the 100 took (its cost) and
+the process RSS.  The pump runs free, so one census catches the world at a
+wall-clock instant anywhere in its load phase and swings several-fold from
+one to the next; 200 of them put 40 in the warm-up median.  After a
+warm-up of a fifth of the run it fails if
 
 * ``registered_mobiles`` or the protocol engine's session records ever
   differ from the live sessions, or the median world census is over 1.5
@@ -44,6 +47,7 @@ from repro.serve.daemon import ServeApp
 LIFETIME_S = 8.0
 IN_FLIGHT = 8
 BLOCK = 100
+CENSUS_EVERY = 10
 RSS_KB_PER_SESSION = 32.0
 
 
@@ -106,10 +110,11 @@ def soak(sessions: int) -> int:
     app = ServeApp(spec, time_scale=0.0, wal_path="SERVE_soak-smoke.wal")
     app.start()
     flying: deque = deque()
-    samples = []
+    census = []  # (finished, mobiles, live, world, engine) every CENSUS_EVERY
+    blocks = []  # (finished, wall s, rss MB) every BLOCK
     submitted = finished = 0
     block_started = time.perf_counter()
-    print("finished  mobiles  live  world  block_s  rss_mb  engine")
+    print("finished  mobiles  live  world  block_s  rss_mb  engine  world_median")
     while finished < sessions:
         while submitted < sessions and len(flying) < IN_FLIGHT:
             now = app.healthz()["now"]
@@ -121,28 +126,33 @@ def soak(sessions: int) -> int:
         while not app.results("soak", sid, after=10**6, wait_s=30.0)["done"]:
             pass
         finished += 1
-        if finished % BLOCK == 0:
+        if finished % CENSUS_EVERY == 0:
             with app._work:
                 server = app.stats_payload()["server"]
-                sample = (
+                census.append((
                     finished,
                     server["world"]["registered_mobiles"],
                     server["sessions"]["live"],
                     world_census(app),
-                    time.perf_counter() - block_started,
-                    rss_mb(),
                     engine_sessions(app),
-                )
-            samples.append(sample)
-            print("%8d  %7d  %4d  %5d  %7.2f  %6.1f  %6d" % sample, flush=True)
+                ))
+        if finished % BLOCK == 0:
+            blocks.append((finished, time.perf_counter() - block_started, rss_mb()))
+            last = census[-1]
+            print("%8d  %7d  %4d  %5d  %7.2f  %6.1f  %6d  %12g" % (
+                *last[:4], *blocks[-1][1:], last[4],
+                statistics.median(c[3] for c in census[-BLOCK // CENSUS_EVERY:]),
+            ), flush=True)
             block_started = time.perf_counter()
     app.begin_drain()
     drained = app.wait_drained(60.0)
     summary = app.finish()
     path = app.write_log(name="soak-smoke")
 
-    warm = max(1, len(samples) // 5)
-    early, late = samples[:warm], samples[warm:] or samples[-1:]
+    def warm_up(samples):
+        warm = max(1, len(samples) // 5)
+        return samples[:warm], samples[warm:] or samples[-1:]
+
     problems = []
     if not drained:
         problems.append("the daemon did not drain in 60 s")
@@ -151,20 +161,29 @@ def soak(sessions: int) -> int:
             f"after drain: leaks {summary['leaks']}, "
             f"{summary['registered_mobiles']} registered mobiles"
         )
-    if any(s[1] != s[2] or s[1] > IN_FLIGHT for s in samples):
+    if any(s[1] != s[2] or s[1] > IN_FLIGHT for s in census):
         problems.append("registered mobiles != live sessions at a sample")
-    if any(s[6] != s[2] for s in samples):
+    if any(s[4] != s[2] for s in census):
         problems.append("engine session records != live sessions at a sample")
     # medians: one sample can catch a flood or a slow moment of the machine
-    for what, column, slack in (("world census", 3, 1.5), ("wall s per block", 4, 1.5)):
+    for what, samples, column, slack in (
+        ("world census", census, 3, 1.5),
+        ("wall s per block", blocks, 1, 1.5),
+    ):
+        early, late = warm_up(samples)
         before = statistics.median(s[column] for s in early)
         after = statistics.median(s[column] for s in late)
+        spread = [s[column] for s in samples]
+        print(f"{what}: median {before:.3g} over {len(early)} warm-up samples, "
+              f"{after:.3g} over {len(late)} after (bound {slack:g}x; all "
+              f"{len(samples)} in {min(spread):.3g}-{max(spread):.3g})")
         if after > slack * before:
             problems.append(
                 f"{what} grew: median {before:.3g} in warm-up, {after:.3g} after"
             )
+    early = warm_up(blocks)[0]
     kb_per_session = (
-        1e3 * (samples[-1][5] - early[-1][5]) / max(1, samples[-1][0] - early[-1][0])
+        1e3 * (blocks[-1][2] - early[-1][2]) / max(1, blocks[-1][0] - early[-1][0])
     )
     print(f"rss after warm-up: {kb_per_session:+.1f} KB per session "
           f"(bound {RSS_KB_PER_SESSION:g}; handles and rings are kept)")

@@ -24,13 +24,12 @@ synthesise for the decision consumed mobility-stream draws).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..core.query import QuerySpec
-from ..faults.plan import reject_unknown_keys
 from ..mobility.path import PiecewisePath
+from ..plain import load, parameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import MobiQueryService
@@ -76,6 +75,37 @@ class AdmissionPolicy:
     def describe(self) -> str:
         """One-line human description (CLI output)."""
         return self.name
+
+
+class ReplayAdmissionPolicy(AdmissionPolicy):
+    """Replay a pre-recorded decision sequence, one per submission.
+
+    The cluster decided admission in-process (with the cluster-wide view);
+    a worker rebuilding the shard must reproduce those exact verdicts —
+    re-running a policy shard-locally could decide differently (e.g. a
+    phase slot counted cluster-wide).  A daemon's op log replays its
+    recorded verdicts the same way.  Decisions are consumed in submission
+    order; running out is a protocol violation and raises.
+    """
+
+    name = "replay"
+
+    def __init__(self, decisions: Sequence[AdmissionDecision]) -> None:
+        self._decisions = list(decisions)
+        self._next = 0
+
+    def decide(self, spec, path, service) -> AdmissionDecision:
+        if self._next >= len(self._decisions):
+            raise RuntimeError(
+                f"replay exhausted after {len(self._decisions)} decisions — "
+                f"the worker submitted more requests than the plan recorded"
+            )
+        decision = self._decisions[self._next]
+        self._next += 1
+        return decision
+
+    def describe(self) -> str:
+        return f"replay({len(self._decisions)} decisions)"
 
 
 class AcceptAllPolicy(AdmissionPolicy):
@@ -170,23 +200,22 @@ def make_admission_policy(config: Optional[Dict] = None) -> AdmissionPolicy:
     """Build a policy from a plain dict (the declarative scenario form).
 
     ``{"policy": "per-area-cap", "max_overlapping": 2}`` — every key other
-    than ``policy`` is passed to the policy constructor, and a key the
-    constructor does not take is refused by name.  ``None`` or an empty
-    dict yields :class:`AcceptAllPolicy`.  ``phase-assign`` accepts a
-    nested ``inner`` dict of the same shape.
+    than ``policy`` is a parameter of the policy's constructor, loaded by
+    :func:`repro.plain.load`, so a key it does not take or a value of the
+    wrong type is refused by name.  ``None`` or an empty dict yields
+    :class:`AcceptAllPolicy`.  ``phase-assign``'s ``inner`` is an object
+    of the same shape.
     """
     if not config:
         return AcceptAllPolicy()
     params = dict(config)
     name = params.pop("policy", AcceptAllPolicy.name)
-    cls = ADMISSION_POLICIES.get(name)
+    cls = ADMISSION_POLICIES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ValueError(
             f"unknown admission policy {name!r}; "
             f"expected one of {sorted(ADMISSION_POLICIES)}"
         )
-    known = frozenset(inspect.signature(cls).parameters) | {"policy"}
-    reject_unknown_keys(config, known, f"{name} admission")
-    if "inner" in params:
+    if isinstance(params.get("inner"), dict):
         params["inner"] = make_admission_policy(params["inner"])
-    return cls(**params)
+    return load(cls, params, f"{name} admission", parameters(cls) | {"policy"})

@@ -36,9 +36,11 @@ accuracy — the accuracy/energy frontier) and ``cluster_scale_64users``
 (64 users on 4 regional shards — the scale-out scenario pinned in
 ``tests/data/pins.json``).
 
-A spec is checked once, when it is built: it builds its world, its
-admission policy, its fault plan and each template's request, so a bad
-value fails at load with the message of the code that builds it.
+A spec is checked once, when it is loaded: :meth:`ScenarioSpec.from_dict`
+checks every key and JSON type through :mod:`repro.plain`, and the spec
+builds its world, its admission policy, its fault plan and each
+template's request, so a bad value fails at load with the message of the
+code that builds it.
 
 A spec may also ask for the sharded backend: ``shards: 4`` partitions
 the field into regional worlds (``partitioner`` picks the scheme) and
@@ -49,15 +51,15 @@ the field into regional worlds (``partitioner`` picks the scheme) and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.metrics import PowerReport, measure_power
-from ..core.query import Aggregation
-from ..faults.plan import FaultPlan, reject_unknown_keys
+from ..faults.plan import FaultPlan
 from ..geometry.vec import Vec2
 from ..mobility.models import RandomDirectionConfig, patrol_path
 from ..net.network import NetworkConfig
+from ..plain import checked, load, parameters, reject_unknown_keys
 from ..sim.rng import RandomStreams
 from ..workload.arrivals import (
     ARRIVAL_POISSON,
@@ -69,28 +71,20 @@ from ..workload.arrivals import (
 from ..workload.engine import WorkloadResult
 from .admission import AdmissionPolicy, make_admission_policy
 from .backend import QueryBackend
-from .config import DEFAULT_WALK, MODE_IDLE, ExperimentConfig, check_accuracy_served
+from .config import MODE_IDLE, ExperimentConfig, check_accuracy_served
 from .requests import QueryRequest
 from .service import MobiQueryService, SessionHandle
 
 #: template keys that expand one template into several requests
 _CLONE_KEYS = ("count", "spacing_s", "arrival")
 
-#: every key a request template may carry: the QueryRequest fields plain
-#: data can set (a path as its dict; no walk or provider object) and the
-#: clone keys
-_REQUEST_KEYS = (
-    frozenset(f.name for f in dataclass_fields(QueryRequest)) - {"walk", "provider"}
-) | set(_CLONE_KEYS)
+#: every key one *expanded* request payload may carry: the QueryRequest
+#: fields plain data can set (a path as its dict; no walk or provider
+#: object)
+_PAYLOAD_KEYS = parameters(QueryRequest) - {"walk", "provider"}
 
-#: every key one *expanded* request payload may carry (no clone keys)
-_PAYLOAD_KEYS = _REQUEST_KEYS - set(_CLONE_KEYS)
-
-#: every key of a path dict, per kind (a patrol also needs its waypoints)
-_PATH_KEYS = {
-    "random": frozenset({"kind", "speed_range", "change_interval_s"}),
-    "patrol": frozenset({"kind", "waypoints", "speed", "loops"}),
-}
+#: every key a request template may carry: a payload's and the clone keys
+_REQUEST_KEYS = _PAYLOAD_KEYS | set(_CLONE_KEYS)
 
 #: every key the ``network`` override dict may carry: the NetworkConfig
 #: fields a JSON number sets and the world honours (``region`` is an object,
@@ -100,11 +94,36 @@ _NETWORK_KEYS = frozenset({
     "sleep_period_s", "active_window_s", "sensor_noise_std",
 })
 
-#: spec fields that hold a nested dict (copied on the way in and out)
-_DICT_FIELDS = ("network", "admission", "faults")
-
 #: the protocol's ablation flags (True = the full protocol)
 _ABLATION_FLAGS = ("parent_upgrade", "redeliver_setups")
+
+
+@dataclass(frozen=True)
+class _Clones:
+    """A template's expansion keys: how many clones, and how their starts
+    spread (see :mod:`repro.workload.arrivals`)."""
+
+    count: int = 1
+    arrival: str = ARRIVAL_STAGGERED
+    spacing_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_arrivals(self.count, self.arrival, self.spacing_s)
+
+
+@dataclass
+class _Patrol:
+    """A patrol path dict: waypoints as ``[x, y]``, visited at ``speed``
+    m/s, ``loops`` times."""
+
+    waypoints: Tuple[Tuple[float, float], ...]
+    kind: str = "patrol"
+    speed: float = 4.0
+    loops: int = 1
+
+
+#: every key of a random-walk path dict: the walk's own and its kind
+_WALK_KEYS = parameters(RandomDirectionConfig) | {"kind"}
 
 
 @dataclass(frozen=True)
@@ -150,100 +169,67 @@ class ScenarioSpec:
     wal_flush: int = 8
 
     def __post_init__(self) -> None:
-        """Check the spec once, at load, by building what is cheap to
-        build: the world, the admission policy, the fault plan and every
-        template's request.  Each value is refused with the message of
-        the code that builds it."""
+        """Check the spec's values once, at load, by building what is cheap
+        to build: the world, the admission policy, the fault plan and every
+        template's request.  Each value is refused with the message of the
+        code that builds it (its JSON type, by :meth:`from_dict`)."""
         if not self.name:
             raise ValueError("a scenario needs a name")
+        # Strict template validation: a typo'd key or a bad value fails at
+        # load time with one clear sentence, not deep in request expansion.
+        requests = []
+        for index, template in enumerate(self.requests):
+            where = f"scenario requests[{index}]"
+            reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
+            load(_Clones, {k: template[k] for k in _CLONE_KEYS if k in template}, where)
+            requests.append(_request(
+                {k: v for k, v in template.items() if k not in _CLONE_KEYS}, where
+            ))
+            check_accuracy_served(self.mode, requests[-1].accuracy)
         # Every template keeps at least one serviceable period: the one
         # horizon rule expansion relies on when it clamps a late start.
-        longest = max(
-            (float(t.get("period_s", QueryRequest.period_s)) for t in self.requests),
-            default=0.0,
-        )
-        if self.duration_s < longest:
+        if self.duration_s < max((r.period_s for r in requests), default=0.0):
             raise ValueError("duration must cover at least one query period")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration_s:g}")
-        reject_unknown_keys(self.network, _NETWORK_KEYS, "network")
         self.world()
         if self.mode == MODE_IDLE and self.requests:
             raise ValueError("idle runs have no users to multiply")
-        for knob, value in (
-            ("shards", self.shards),
-            ("workers", self.workers),
-            ("max_live_sessions", self.max_live_sessions),
-            ("wal_flush", self.wal_flush),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"{knob} must be an integer, got {value!r}"
-                )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        for knob, value in (
-            ("edge_rate", self.edge_rate),
-            ("edge_burst", self.edge_burst),
-        ):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{knob} must be a number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{knob} must be >= 0, got {value:g}")
+        for knob in ("edge_rate", "edge_burst"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be >= 0, got {getattr(self, knob):g}")
         if self.max_live_sessions < 0:
             raise ValueError(
                 f"max_live_sessions must be >= 0, got {self.max_live_sessions}"
             )
         if self.wal_flush < 1:
             raise ValueError(f"wal_flush must be >= 1, got {self.wal_flush}")
-        for knob in _ABLATION_FLAGS:
-            value = getattr(self, knob)
-            if not isinstance(value, bool):
-                raise ValueError(f"{knob} must be true or false, got {value!r}")
         from ..cluster.partition import make_partitioner  # lazy: avoid cycle
 
         make_partitioner(self.partitioner)
-        # Strict template validation: a typo'd key or a bad value fails at
-        # load time with one clear sentence, not deep in request expansion.
-        for template in self.requests:
-            reject_unknown_keys(template, _REQUEST_KEYS, "request-template")
-            check_arrivals(
-                template.get("count", 1),
-                template.get("arrival", ARRIVAL_STAGGERED),
-                template.get("spacing_s", 0.0),
-            )
-            request = request_from_payload(
-                {k: v for k, v in template.items() if k not in _CLONE_KEYS}
-            )
-            check_accuracy_served(self.mode, request.accuracy)
         make_admission_policy(self.admission)
-        # Same strictness for the fault plan: FaultPlan.from_dict names the
-        # first unknown key at every nesting level.
         FaultPlan.from_dict(self.faults)
 
     @staticmethod
     def from_dict(data: Dict) -> "ScenarioSpec":
-        """Build a spec from its plain-dict form (inverse of :meth:`to_dict`)."""
-        reject_unknown_keys(data, _SPEC_KEYS, "scenario")
-        payload = dict(data)
-        payload["requests"] = tuple(dict(r) for r in payload.get("requests", ()))
-        for key in _DICT_FIELDS:
-            payload[key] = dict(payload.get(key, {}))
-        return ScenarioSpec(**payload)
+        """Build a spec from its plain-dict form (inverse of :meth:`to_dict`)
+        through :func:`repro.plain.load`: every key's JSON type is checked
+        before the spec checks its values."""
+        return load(ScenarioSpec, data, "scenario")
 
     def to_dict(self) -> Dict:
-        """The JSON-ready plain-dict form.
+        """The JSON-ready plain-dict form (nested dicts copied).
 
         An ablation flag is written only when it ablates (False), so a
         full-protocol spec — and every report and log that embeds one —
         reads the same whether or not its reader knows the flags.
         """
-        payload = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-        payload["requests"] = [dict(r) for r in self.requests]
-        for key in _DICT_FIELDS:
-            payload[key] = dict(payload[key])
+        payload = asdict(self)
+        payload["requests"] = list(payload["requests"])
         for flag in _ABLATION_FLAGS:
             if payload[flag]:
                 del payload[flag]
@@ -258,18 +244,14 @@ class ScenarioSpec:
         faults: Optional[Dict] = None,
     ) -> "ScenarioSpec":
         """The same scenario at a different scale, seed or shard layout."""
-        payload = self.to_dict()
-        if duration_s is not None:
-            payload["duration_s"] = duration_s
-        if seed is not None:
-            payload["seed"] = seed
-        if shards is not None:
-            payload["shards"] = shards
-        if workers is not None:
-            payload["workers"] = workers
-        if faults is not None:
-            payload["faults"] = faults
-        return ScenarioSpec.from_dict(payload)
+        overrides = dict(
+            duration_s=duration_s, seed=seed, shards=shards, workers=workers,
+            faults=faults,
+        )
+        return ScenarioSpec.from_dict({
+            **self.to_dict(),
+            **{key: value for key, value in overrides.items() if value is not None},
+        })
 
     def with_accuracy(self, accuracy: str) -> "ScenarioSpec":
         """The same workload with every request at ``accuracy``.
@@ -296,14 +278,10 @@ class ScenarioSpec:
             mode=self.mode,
             seed=self.seed,
             duration_s=self.duration_s,
-            network=NetworkConfig(**self.network),
+            network=load(NetworkConfig, self.network, "network", _NETWORK_KEYS),
             parent_upgrade=self.parent_upgrade,
             redeliver_setups=self.redeliver_setups,
         )
-
-
-#: every key a scenario dict may carry: the spec's own fields
-_SPEC_KEYS = frozenset(f.name for f in dataclass_fields(ScenarioSpec))
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:
@@ -315,8 +293,9 @@ def load_scenario_file(path: str) -> ScenarioSpec:
 # ----------------------------------------------------------------------
 # Template expansion
 # ----------------------------------------------------------------------
-def _check_path(path_spec: Dict) -> str:
-    """A path dict's kind, once its keys are known good.
+def _build_path(path_spec: object, kwargs: Dict) -> None:
+    """Set ``kwargs``' ``path`` (a patrol) or ``walk`` (a random walk with
+    keys of its own; the bare kind leaves the paper's walk to the service).
 
     Each kind refuses a key it does not read and names a missing one, so a
     typo'd walk cannot run silently at the defaults.
@@ -324,37 +303,31 @@ def _check_path(path_spec: Dict) -> str:
     if not isinstance(path_spec, dict):
         raise ValueError(f"a path must be an object, got {path_spec!r}")
     kind = path_spec.get("kind", "random")
-    known = _PATH_KEYS.get(kind)
-    if known is None:
+    if kind == "patrol":
+        patrol = load(_Patrol, path_spec, "patrol path")
+        kwargs["path"] = patrol_path(
+            [Vec2(x, y) for x, y in patrol.waypoints], patrol.speed, patrol.loops
+        )
+    elif kind != "random":
         raise ValueError(
             f"unknown path kind {kind!r}; expected 'random' or 'patrol'"
         )
-    if not path_spec.keys() <= known:
-        reject_unknown_keys(path_spec, known, f"{kind} path")
-    if kind == "patrol" and "waypoints" not in path_spec:
-        raise ValueError("a patrol path needs 'waypoints'")
-    return kind
-
-
-def _build_path(path_spec: Dict, kwargs: Dict) -> None:
-    """Set ``kwargs``' ``path`` (a patrol) or ``walk`` (a random walk with
-    keys of its own; the bare kind leaves the paper's walk to the service)."""
-    if _check_path(path_spec) == "patrol":
-        waypoints = [Vec2(float(x), float(y)) for x, y in path_spec["waypoints"]]
-        kwargs["path"] = patrol_path(
-            waypoints,
-            speed=float(path_spec.get("speed", 4.0)),
-            start_time=0.0,
-            loops=int(path_spec.get("loops", 1)),
-        )
     elif len(path_spec) > ("kind" in path_spec):
-        lo, hi = path_spec.get("speed_range", DEFAULT_WALK.speed_range)
-        kwargs["walk"] = RandomDirectionConfig(
-            speed_range=(float(lo), float(hi)),
-            change_interval_s=float(
-                path_spec.get("change_interval_s", DEFAULT_WALK.change_interval_s)
-            ),
-        )
+        walk = {k: v for k, v in path_spec.items() if k != "kind"}
+        kwargs["walk"] = load(RandomDirectionConfig, walk, "random path", _WALK_KEYS)
+
+
+def _request(payload: object, what: str) -> QueryRequest:
+    """:func:`request_from_payload`, naming ``payload`` ``what`` when a
+    value is refused."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be an object, got {payload!r}")
+    kwargs = dict(payload)
+    path_spec = kwargs.pop("path", None)
+    kwargs = checked(QueryRequest, kwargs, what, _PAYLOAD_KEYS)
+    if path_spec is not None:
+        _build_path(path_spec, kwargs)
+    return QueryRequest(**kwargs)
 
 
 def request_from_payload(payload: Dict) -> QueryRequest:
@@ -364,21 +337,12 @@ def request_from_payload(payload: Dict) -> QueryRequest:
     ``spacing_s`` / ``arrival``): ``aggregation`` may be a name string,
     ``path`` a path dict (a patrol sets ``QueryRequest.path``, a random
     walk with keys of its own ``QueryRequest.walk``); every other key maps
-    straight to a :class:`QueryRequest` field.  Shared by
-    :func:`build_requests` and the serve daemon's wire codec, so an over-the-wire submission builds
+    straight to a :class:`QueryRequest` field, its JSON type checked by
+    :func:`repro.plain.checked`.  Shared by :func:`build_requests` and the
+    serve daemon's wire codec, so an over-the-wire submission builds
     exactly the request the in-process expansion would.
     """
-    reject_unknown_keys(payload, _PAYLOAD_KEYS, "request-payload")
-    kwargs = dict(payload)
-    aggregation = kwargs.get("aggregation")
-    if aggregation is None:
-        kwargs.pop("aggregation", None)
-    elif not isinstance(aggregation, Aggregation):
-        kwargs["aggregation"] = Aggregation(str(aggregation).lower())
-    path_spec = kwargs.pop("path", None)
-    if path_spec is not None:
-        _build_path(path_spec, kwargs)
-    return QueryRequest(**kwargs)
+    return _request(payload, "request-payload")
 
 
 def build_request_payloads(spec: ScenarioSpec) -> List[Dict]:
@@ -469,7 +433,7 @@ def build_service(
     """The single-world service for a scenario (ignores ``shards``).
 
     ``admission`` overrides the spec's configured policy — the replay
-    path installs a :class:`~repro.cluster.transport.ReplayAdmissionPolicy`
+    path installs a :class:`~repro.api.admission.ReplayAdmissionPolicy`
     here to reproduce a recorded run's verdicts verbatim.
     """
     return MobiQueryService(

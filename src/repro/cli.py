@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -89,6 +90,17 @@ _FIGURE_TABLES = {
         lambda r: (r.variant, r.sleep_period_s, r.sleeper_power_w),
     ),
 }
+
+
+def _finite(text: str) -> float:
+    """argparse type of the float flags no spec checks: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,33 +287,27 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8600)
     serve_p.add_argument(
         "--drain-timeout",
-        type=float,
+        type=_finite,
         default=30.0,
         help="seconds to let live sessions finish on SIGTERM before "
         "force-cancelling (default 30)",
     )
     serve_p.add_argument(
         "--time-scale",
-        type=float,
+        type=_finite,
         default=None,
         help="simulated seconds per wall second (default 8; 0 = free-run)",
     )
     serve_p.add_argument(
-        "--ring-capacity",
-        type=int,
-        default=256,
-        help="per-session result buffer size (default 256)",
-    )
-    serve_p.add_argument(
         "--edge-rate",
-        type=float,
+        type=_finite,
         default=None,
         help="per-tenant admitted submissions per second "
         "(default: the scenario's edge_rate key, else 0 = edge off)",
     )
     serve_p.add_argument(
         "--edge-burst",
-        type=float,
+        type=_finite,
         default=None,
         help="per-tenant token-bucket burst (default: the scenario's "
         "edge_burst key; 0 = 2x the rate)",
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-pump-lag",
-        type=float,
+        type=_finite,
         default=0.0,
         help="shed new submissions when the pacing pump lags this many "
         "wall seconds (0 = no ceiling)",
@@ -349,26 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="daemon base URL (default http://127.0.0.1:8600)",
     )
     slam_p.add_argument(
-        "--rate", type=float, default=8.0, help="submissions per second"
+        "--rate", type=_finite, default=8.0, help="submissions per second"
     )
     slam_p.add_argument(
         "--clients", type=int, default=2, help="concurrent client identities"
     )
     slam_p.add_argument(
         "--duration",
-        type=float,
+        type=_finite,
         default=120.0,
         help="wall-clock budget in seconds (default 120)",
     )
     slam_p.add_argument(
         "--wait",
-        type=float,
+        type=_finite,
         default=0.5,
         help="long-poll wait per results call (default 0.5s)",
     )
     slam_p.add_argument(
         "--timeout",
-        type=float,
+        type=_finite,
         default=10.0,
         help="per-request HTTP timeout in seconds (default 10)",
     )
@@ -562,16 +568,16 @@ def _run_spec(args: argparse.Namespace):
             "spacing_s": args.spacing,
         },
     )
-    spec = ScenarioSpec(
-        name="run",
-        mode=args.mode,
-        seed=args.seed,
-        duration_s=args.duration,
-        network={"sleep_period_s": args.sleep_period},
-        requests=users,
-        shards=args.shards,
-        workers=args.workers,
-    )
+    spec = ScenarioSpec.from_dict({
+        "name": "run",
+        "mode": args.mode,
+        "seed": args.seed,
+        "duration_s": args.duration,
+        "network": {"sleep_period_s": args.sleep_period},
+        "requests": users,
+        "shards": args.shards,
+        "workers": args.workers,
+    })
     if args.faults:
         from .faults.plan import load_fault_file
 
@@ -817,7 +823,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         drain_timeout_s=args.drain_timeout,
         time_scale=_flag_or(args.time_scale, DEFAULT_TIME_SCALE),
-        ring_capacity=args.ring_capacity,
         out_dir=args.out_dir,
         name=args.name,
         edge=EdgeConfig(

@@ -20,14 +20,14 @@ and 1-CPU boxes degrade cleanly.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..api.admission import AdmissionDecision, AdmissionPolicy
+from ..api.admission import AdmissionDecision, ReplayAdmissionPolicy
 from ..api.backend import BackendStats
 from ..api.config import ExperimentConfig
 from ..api.requests import QueryRequest
-from ..faults.plan import FaultPlan, reject_unknown_keys
+from ..faults.plan import FaultPlan
 from ..workload.session import SessionResult
 
 
@@ -64,59 +64,6 @@ def parallel_map(
         # workers (BrokenProcessPool), or an unpicklable payload: degrade
         # gracefully to the caller's serial path rather than fail the run.
         return None
-
-
-class ReplayAdmissionPolicy(AdmissionPolicy):
-    """Replay a pre-recorded decision sequence, one per submission.
-
-    The cluster decided admission in-process (with the cluster-wide view);
-    a worker rebuilding the shard must reproduce those exact verdicts —
-    re-running a policy shard-locally could decide differently (e.g. a
-    phase slot counted cluster-wide).  Decisions are consumed in
-    submission order; running out is a protocol violation and raises.
-    """
-
-    name = "replay"
-
-    def __init__(self, decisions: Sequence[AdmissionDecision]) -> None:
-        self._decisions = list(decisions)
-        self._next = 0
-
-    def decide(self, spec, path, service) -> AdmissionDecision:
-        if self._next >= len(self._decisions):
-            raise RuntimeError(
-                f"replay exhausted after {len(self._decisions)} decisions — "
-                f"the worker submitted more requests than the plan recorded"
-            )
-        decision = self._decisions[self._next]
-        self._next += 1
-        return decision
-
-    def describe(self) -> str:
-        return f"replay({len(self._decisions)} decisions)"
-
-
-#: the keys of one serialized admission decision
-_DECISION_KEYS = frozenset(f.name for f in fields(AdmissionDecision))
-
-
-def decision_to_dict(decision: AdmissionDecision) -> dict:
-    """JSON-able form of one admission decision (submission-log entry)."""
-    return {
-        "admitted": decision.admitted,
-        "reason": decision.reason,
-        "start_offset_s": decision.start_offset_s,
-    }
-
-
-def decision_from_dict(data: dict) -> AdmissionDecision:
-    """Rebuild a decision from :func:`decision_to_dict` output (strict)."""
-    reject_unknown_keys(data, _DECISION_KEYS, "decision")
-    return AdmissionDecision(
-        admitted=bool(data["admitted"]),
-        reason=str(data.get("reason", "")),
-        start_offset_s=float(data.get("start_offset_s", 0.0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -198,8 +145,6 @@ __all__ = [
     "ReplayAdmissionPolicy",
     "ShardOutcome",
     "ShardPlan",
-    "decision_from_dict",
-    "decision_to_dict",
     "parallel_map",
     "run_shard_plan",
     "run_shards_parallel",

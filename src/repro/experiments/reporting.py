@@ -29,11 +29,15 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(title: str, pairs: Iterable[tuple], width: int = 60) -> str:
+#: characters of a full (1.0) bar in :func:`format_series`
+SERIES_WIDTH = 60
+
+
+def format_series(title: str, pairs: Iterable[tuple]) -> str:
     """Render a (k, value-in-[0,1]) series as an ASCII sparkline block."""
     lines = [title, ""]
     for k, value in pairs:
-        bar = "#" * int(round(max(0.0, min(1.0, value)) * width))
+        bar = "#" * int(round(max(0.0, min(1.0, value)) * SERIES_WIDTH))
         lines.append(f"{k:>4}  {value:5.2f} |{bar}")
     return "\n".join(lines)
 

@@ -77,9 +77,11 @@ def render_field(
     return f"{border}\n{body}\n{border}\n{legend}"
 
 
-def render_fidelity_strip(
-    series: Sequence[Tuple[int, float]], width: int = 60
-) -> str:
+#: periods per line of a fidelity strip
+STRIP_WIDTH = 60
+
+
+def render_fidelity_strip(series: Sequence[Tuple[int, float]]) -> str:
     """One-character-per-period fidelity strip (#=1.0 .. ' '=0).
 
     Compresses a whole session into a couple of lines — the Figure 5 story
@@ -91,7 +93,7 @@ def render_fidelity_strip(
         index = int(round(max(0.0, min(1.0, fidelity)) * (len(ramp) - 1)))
         chars.append(ramp[index])
     lines = []
-    for start in range(0, len(chars), width):
-        chunk = "".join(chars[start : start + width])
+    for start in range(0, len(chars), STRIP_WIDTH):
+        chunk = "".join(chars[start : start + STRIP_WIDTH])
         lines.append(f"k={start + 1:>4} {chunk}")
     return "\n".join(lines)

@@ -29,28 +29,18 @@ Five fault kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, Mapping, Optional, Tuple
 
-
-def reject_unknown_keys(
-    data: Mapping[str, Any], known: FrozenSet[str], what: str
-) -> None:
-    """Strict plain-data loading: one-line rejection naming the first bad key.
-
-    The one validator behind every ``from_dict`` in the repo (scenarios,
-    request templates, fault plans, sweep axes, admission decisions).
-    """
-    unknown = sorted(k for k in data if k not in known)
-    if unknown:
-        raise ValueError(
-            f"unknown {what} key {unknown[0]!r}; expected one of {sorted(known)}"
-        )
+from ..plain import load
 
 
 @dataclass(frozen=True)
 class NodeCrash:
     """One node dies at ``at_s``; ``recover_s`` (if set) brings it back."""
+
+    #: what plain data calls this section (unknown and missing keys)
+    plain_name = "fault crash"
 
     node_id: int
     at_s: float
@@ -70,6 +60,9 @@ class NodeCrash:
 @dataclass(frozen=True)
 class RegionBlackout:
     """Every node within ``radius_m`` of ``(x, y)`` dies for ``duration_s``."""
+
+    #: what plain data calls this section (unknown and missing keys)
+    plain_name = "fault blackout"
 
     x: float
     y: float
@@ -93,6 +86,9 @@ class RadioDegradation:
     """Elevated corruption window: frames sent in ``[at_s, at_s+duration_s)``
     are jammed at every receiver with probability ``corruption_prob``."""
 
+    #: what plain data calls this section (unknown and missing keys)
+    plain_name = "fault degradation"
+
     at_s: float
     duration_s: float
     corruption_prob: float
@@ -115,6 +111,9 @@ class RadioDegradation:
 class WorkerKill:
     """Kill the worker process computing ``shard`` once (cluster path)."""
 
+    #: what plain data calls this section (unknown and missing keys)
+    plain_name = "fault worker_kill"
+
     shard: int
 
     def __post_init__(self) -> None:
@@ -134,6 +133,9 @@ class WireChaos:
     response body short (``truncate_prob`` — the state-committed,
     response-lost case idempotency keys exist for).
     """
+
+    #: what plain data calls this section (unknown and missing keys)
+    plain_name = "fault wire"
 
     reset_prob: float = 0.0
     delay_prob: float = 0.0
@@ -166,18 +168,6 @@ class WireChaos:
         )
 
 
-_CRASH_KEYS = frozenset({"node_id", "at_s", "recover_s"})
-_BLACKOUT_KEYS = frozenset({"x", "y", "radius_m", "at_s", "duration_s"})
-_DEGRADATION_KEYS = frozenset({"at_s", "duration_s", "corruption_prob"})
-_WORKER_KILL_KEYS = frozenset({"shard"})
-_WIRE_KEYS = frozenset(
-    {"reset_prob", "delay_prob", "delay_s", "error_prob", "truncate_prob"}
-)
-_PLAN_KEYS = frozenset(
-    {"crashes", "blackouts", "degradations", "worker_kills", "wire"}
-)
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A complete, validated fault schedule for one run."""
@@ -185,7 +175,7 @@ class FaultPlan:
     crashes: Tuple[NodeCrash, ...] = ()
     blackouts: Tuple[RegionBlackout, ...] = ()
     degradations: Tuple[RadioDegradation, ...] = ()
-    worker_kills: Tuple[WorkerKill, ...] = field(default=())
+    worker_kills: Tuple[WorkerKill, ...] = ()
     wire: Optional[WireChaos] = None
 
     @property
@@ -213,87 +203,30 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        """Build a plan from plain data, rejecting unknown keys loudly."""
-        reject_unknown_keys(data, _PLAN_KEYS, "fault plan")
-        crashes = []
-        for entry in data.get("crashes", ()):
-            reject_unknown_keys(entry, _CRASH_KEYS, "fault crash")
-            crashes.append(NodeCrash(**entry))
-        blackouts = []
-        for entry in data.get("blackouts", ()):
-            reject_unknown_keys(entry, _BLACKOUT_KEYS, "fault blackout")
-            blackouts.append(RegionBlackout(**entry))
-        degradations = []
-        for entry in data.get("degradations", ()):
-            reject_unknown_keys(entry, _DEGRADATION_KEYS, "fault degradation")
-            degradations.append(RadioDegradation(**entry))
-        kills = []
-        for entry in data.get("worker_kills", ()):
-            reject_unknown_keys(entry, _WORKER_KILL_KEYS, "fault worker_kill")
-            kills.append(WorkerKill(**entry))
-        wire: Optional[WireChaos] = None
-        if "wire" in data:
-            entry = data["wire"]
-            if not isinstance(entry, Mapping):
-                raise ValueError(
-                    f"fault plan 'wire' must be an object, got {type(entry).__name__}"
-                )
-            reject_unknown_keys(entry, _WIRE_KEYS, "fault wire")
-            candidate = WireChaos(**entry)
+        """Build a plan from plain data through :func:`repro.plain.load`."""
+        plan = load(cls, data, "fault plan")
+        if plan.wire is not None and plan.wire.empty:
             # All-zero wire sections normalise to no section at all, so
             # "empty wire plan" and "no wire plan" are the same object —
             # the bit-identity guarantee needs no special cases.
-            wire = None if candidate.empty else candidate
-        return cls(
-            crashes=tuple(crashes),
-            blackouts=tuple(blackouts),
-            degradations=tuple(degradations),
-            worker_kills=tuple(kills),
-            wire=wire,
-        )
+            plan = replace(plan, wire=None)
+        return plan
 
     def to_dict(self) -> dict:
-        """The plain-data form ``from_dict`` accepts (round-trippable)."""
+        """The plain-data form ``from_dict`` accepts (round-trippable):
+        empty sections, an unset ``recover_s`` and an empty wire section
+        are left out."""
         out: dict = {}
-        if self.crashes:
-            out["crashes"] = [
-                {
-                    "node_id": c.node_id,
-                    "at_s": c.at_s,
-                    **({"recover_s": c.recover_s} if c.recover_s is not None else {}),
-                }
-                for c in self.crashes
-            ]
-        if self.blackouts:
-            out["blackouts"] = [
-                {
-                    "x": b.x,
-                    "y": b.y,
-                    "radius_m": b.radius_m,
-                    "at_s": b.at_s,
-                    "duration_s": b.duration_s,
-                }
-                for b in self.blackouts
-            ]
-        if self.degradations:
-            out["degradations"] = [
-                {
-                    "at_s": d.at_s,
-                    "duration_s": d.duration_s,
-                    "corruption_prob": d.corruption_prob,
-                }
-                for d in self.degradations
-            ]
-        if self.worker_kills:
-            out["worker_kills"] = [{"shard": w.shard} for w in self.worker_kills]
-        if self.wire is not None and not self.wire.empty:
-            out["wire"] = {
-                "reset_prob": self.wire.reset_prob,
-                "delay_prob": self.wire.delay_prob,
-                "delay_s": self.wire.delay_s,
-                "error_prob": self.wire.error_prob,
-                "truncate_prob": self.wire.truncate_prob,
-            }
+        for section in fields(self):
+            value = getattr(self, section.name)
+            if section.name == "wire":
+                if value is not None and not value.empty:
+                    out["wire"] = asdict(value)
+            elif value:
+                out[section.name] = [
+                    {k: v for k, v in asdict(entry).items() if v is not None}
+                    for entry in value
+                ]
         return out
 
 

@@ -42,8 +42,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..api.requests import ACCURACY_LEVELS
 from ..api.scenarios import ScenarioSpec, build_requests
 from ..api.service import RUN_TAIL_S
+from ..plain import load
 from ..workload.arrivals import ARRIVAL_STAGGERED
-from .plan import reject_unknown_keys
 
 #: tolerance for the monotonicity invariants (success is a ratio in [0,1])
 MONOTONICITY_TOLERANCE = 0.01
@@ -130,7 +130,7 @@ def _network(key: str) -> Callable[[Dict, Any, Any], None]:
 class Axis:
     """Everything the sweep knows of one axis, declared once.
 
-    The grid product, value checks, ``from_dict``, the cell names, the row
+    The grid product, value checks, the cell names, the row
     coordinates, the report's ``axes``, the invariants' grouping and
     ``repro sweep``'s flags all read this; a new axis is one more
     :class:`SweepAxes` field.
@@ -138,7 +138,7 @@ class Axis:
 
     #: the coordinate's name in a cell and a report row
     key: str
-    #: element type, from JSON and from the command line
+    #: element type, parsed from the command line
     cast: type
     #: the ``repro sweep`` flag's help (``{}``: the choices)
     help: str
@@ -253,13 +253,8 @@ class SweepAxes:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepAxes":
-        """Build axes from plain data, rejecting unknown keys loudly."""
-        reject_unknown_keys(data, frozenset(AXES), "sweep-axis")
-        return cls(**{
-            name: tuple(axis.cast(v) for v in data[name])
-            for name, axis in AXES.items()
-            if name in data
-        })
+        """Build axes from plain data through :func:`repro.plain.load`."""
+        return load(cls, data, "sweep-axis")
 
     def to_dict(self) -> Dict[str, list]:
         return {name: list(getattr(self, name)) for name in AXES}

@@ -16,6 +16,10 @@ from typing import List, Tuple
 from .vec import Vec2
 
 
+#: slack, in metres, of :meth:`Circle.contains` at the boundary
+CIRCLE_TOL_M = 1e-9
+
+
 @dataclass(frozen=True)
 class Circle:
     """A disk with ``center`` and ``radius`` (the boundary is included)."""
@@ -27,9 +31,9 @@ class Circle:
         if self.radius < 0:
             raise ValueError(f"circle radius must be >= 0, got {self.radius}")
 
-    def contains(self, point: Vec2, tol: float = 1e-9) -> bool:
+    def contains(self, point: Vec2) -> bool:
         """Whether ``point`` lies inside or on the circle."""
-        return self.center.distance_sq_to(point) <= (self.radius + tol) ** 2
+        return self.center.distance_sq_to(point) <= (self.radius + CIRCLE_TOL_M) ** 2
 
     def area(self) -> float:
         """Disk area."""

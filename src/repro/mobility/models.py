@@ -109,12 +109,9 @@ def _sample_leg_velocity(
 
 
 def patrol_path(
-    waypoints: Sequence[Vec2],
-    speed: float,
-    start_time: float = 0.0,
-    loops: int = 1,
+    waypoints: Sequence[Vec2], speed: float, loops: int = 1
 ) -> PiecewisePath:
-    """Constant-speed patrol through fixed waypoints (for examples).
+    """Constant-speed patrol through fixed waypoints, from t = 0.
 
     Visits each waypoint in order, ``loops`` times, at ``speed`` m/s.
     """
@@ -122,8 +119,10 @@ def patrol_path(
         raise ValueError("patrol needs at least two waypoints")
     if speed <= 0:
         raise ValueError("patrol speed must be > 0")
-    points: List[Waypoint] = [Waypoint(start_time, waypoints[0])]
-    t = start_time
+    if loops < 1:
+        raise ValueError(f"patrol loops must be >= 1, got {loops}")
+    points: List[Waypoint] = [Waypoint(0.0, waypoints[0])]
+    t = 0.0
     route = list(waypoints) * loops
     previous = route[0]
     for target in route[1:]:

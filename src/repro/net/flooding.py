@@ -139,7 +139,7 @@ class FloodManager:
         if not node.is_active:
             return
         jitter = float(node.rng.uniform(5e-4, 4e-3))
-        node.sim.schedule(jitter, self._rebroadcast, node, envelope)
+        node.sim.schedule(jitter, self._rebroadcast, node, envelope, self._CRASH_RETRIES)
 
     #: deferred-rebroadcast retries for a node that is *crashed* (not merely
     #: duty-cycled) at its slot — it may recover and still widen coverage
@@ -147,7 +147,7 @@ class FloodManager:
     _CRASH_RETRY_S = 1.0
 
     def _rebroadcast(
-        self, node: SensorNode, envelope: FloodEnvelope, retries: int = _CRASH_RETRIES
+        self, node: SensorNode, envelope: FloodEnvelope, retries: int
     ) -> None:
         if envelope.flood_id in self._released:
             return

@@ -13,6 +13,10 @@ from ..geometry.vec import Vec2
 from ..net.network import Network
 
 
+#: spacing of the probe grid :func:`covered_fraction` scores
+PROBE_STEP_M = 15.0
+
+
 def sample_points(network: Network, step_m: float) -> List[Vec2]:
     """A regular grid of probe points over the deployment region."""
     region = network.config.region
@@ -27,11 +31,7 @@ def sample_points(network: Network, step_m: float) -> List[Vec2]:
     return points
 
 
-def covered_fraction(
-    network: Network,
-    node_ids: Iterable[int],
-    step_m: float = 15.0,
-) -> float:
+def covered_fraction(network: Network, node_ids: Iterable[int]) -> float:
     """Fraction of region probe points within sensing range of ``node_ids``.
 
     Probe points that no node at all could sense (deployment holes) are
@@ -42,7 +42,7 @@ def covered_fraction(
     rs = network.config.sensing_range_m
     total = 0
     covered = 0
-    for point in sample_points(network, step_m):
+    for point in sample_points(network, PROBE_STEP_M):
         reachable = network.nodes_in_disk(point, rs)
         if not reachable:
             continue  # nobody could ever sense here

@@ -29,9 +29,6 @@ class SpanProtocol(PowerManagementProtocol):
 
     name = "span"
 
-    def __init__(self, repair: bool = True) -> None:
-        self.repair = repair
-
     def select_active(self, network: Network, rng: np.random.Generator) -> Set[int]:
         coordinators: Set[int] = set()
         order = list(network.nodes)
@@ -39,8 +36,7 @@ class SpanProtocol(PowerManagementProtocol):
         for node in order:
             if self._should_coordinate(node, coordinators):
                 coordinators.add(node.node_id)
-        if self.repair:
-            repair_connectivity(network, coordinators)
+        repair_connectivity(network, coordinators)
         return coordinators
 
     @staticmethod

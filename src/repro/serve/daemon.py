@@ -107,6 +107,8 @@ TOKEN_HEADER = "X-Repro-Token"
 IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
 #: latency samples kept per endpoint for ``/stats``
 ENDPOINT_SAMPLES = 2048
+#: per-session result buffer size, in period outcomes
+RING_CAPACITY = 256
 
 
 def _log_stem(name: str) -> str:
@@ -156,16 +158,14 @@ class ServeApp:
     def __init__(
         self,
         spec: ScenarioSpec,
-        ring_capacity: int = 256,
         time_scale: float = DEFAULT_TIME_SCALE,
         edge: Optional[EdgeConfig] = None,
         wal_path: Optional[str] = None,
         wal_flush_every: int = 8,
     ) -> None:
-        if time_scale < 0:
+        if not time_scale >= 0:
             raise ValueError(f"time_scale must be >= 0, got {time_scale}")
         self.spec = spec
-        self.ring_capacity = ring_capacity
         self.time_scale = time_scale
         self.backend = build_backend(spec)
         if wal_path is None:
@@ -404,7 +404,7 @@ class ServeApp:
                 # The WAL lost it: the world drops it too.
                 self.backend.cancel(handle)
                 self._refuse_without_wal()
-            ring = ResultRing(self.ring_capacity)
+            ring = ResultRing(RING_CAPACITY)
             sess = _Session(sid, token, handle, ring)
             self.sessions[sid] = sess
             if not handle.accepted:
@@ -559,7 +559,9 @@ class ServeApp:
     def healthz(self) -> Dict:
         with self._lock:
             return {
-                "ok": not self._finished and self.log.error is None,
+                "ok": not self._finished
+                and self.log.error is None
+                and (self._pump is None or self._pump.is_alive()),
                 "scenario": self.spec.name,
                 "draining": self._draining,
                 "now": self._now(),
@@ -901,7 +903,6 @@ def run_serve(
     port: int = 8600,
     drain_timeout_s: float = 30.0,
     time_scale: float = DEFAULT_TIME_SCALE,
-    ring_capacity: int = 256,
     out_dir: str = ".",
     name: Optional[str] = None,
     edge: Optional[EdgeConfig] = None,
@@ -938,7 +939,6 @@ def run_serve(
     wal_path = os.path.join(out_dir, _log_stem(name or spec.name) + ".wal")
     app = ServeApp(
         spec,
-        ring_capacity=ring_capacity,
         time_scale=time_scale,
         edge=edge,
         wal_path=wal_path,
@@ -1019,6 +1019,7 @@ __all__ = [
     "IDLE_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "MAX_WAIT_S",
+    "RING_CAPACITY",
     "SERVE_POLL_S",
     "SLICE_S",
     "TOKEN_HEADER",

@@ -5,7 +5,7 @@ retires, is appended as one op: ``("submit", sim_now, payload,
 decision)`` / ``("cancel", sim_now, session)`` / ``("retire", sim_now,
 session)``.  That ordered log plus the scenario spec is a complete
 deterministic description of the run: rebuilding the backend with a
-:class:`~repro.cluster.transport.ReplayAdmissionPolicy` over the
+:class:`~repro.api.admission.ReplayAdmissionPolicy` over the
 recorded decisions, advancing the clock to each op's recorded sim time,
 and re-applying the ops reproduces the live run bit for bit — the same
 sessions, the same frame and event counters.  (Rejected submissions are
@@ -37,17 +37,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Dict, Optional, Tuple
 
-from ..api.admission import AdmissionDecision
+from ..api.admission import AdmissionDecision, ReplayAdmissionPolicy
 from ..api.backend import BackendStats
 from ..api.scenarios import ScenarioSpec, build_backend, request_from_payload
 from ..api.service import SessionHandle
-from ..cluster.transport import (
-    ReplayAdmissionPolicy,
-    decision_from_dict,
-    decision_to_dict,
-)
+from ..plain import load
 from ..workload.engine import WorkloadResult
 
 #: the log's format tag (bump on incompatible changes)
@@ -87,9 +84,7 @@ class SubmissionLog:
     more is written, so the file stays the prefix a SIGKILL would leave.
     """
 
-    def __init__(
-        self, spec: ScenarioSpec, wal_path: str, flush_every: int = 1
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, wal_path: str, flush_every: int) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.wal_path = wal_path
@@ -140,7 +135,7 @@ class SubmissionLog:
                 "now": now,
                 "session": session,
                 "payload": payload,
-                "decision": decision_to_dict(decision),
+                "decision": asdict(decision),
             }
         )
 
@@ -172,7 +167,9 @@ def replay_submission_log(data: Dict) -> Dict:
     spec = ScenarioSpec.from_dict(data["scenario"])
     ops = data["ops"]
     decisions = [
-        decision_from_dict(op["decision"]) for op in ops if op["op"] == "submit"
+        load(AdmissionDecision, op["decision"], "decision")
+        for op in ops
+        if op["op"] == "submit"
     ]
     backend = build_backend(spec, admission=ReplayAdmissionPolicy(decisions))
     handles: Dict[int, SessionHandle] = {}

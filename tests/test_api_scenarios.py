@@ -237,8 +237,11 @@ class TestStrictValidation:
     def test_shards_and_workers_validate(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
             ScenarioSpec(name="x", shards=0)
-        with pytest.raises(ValueError, match="shards must be an integer"):
-            ScenarioSpec(name="x", shards="two")
+        # a JSON type is checked where plain data enters, by from_dict
+        with pytest.raises(
+            ValueError, match="scenario shards must be an integer, got 'two'"
+        ):
+            ScenarioSpec.from_dict({"name": "x", "shards": "two"})
         with pytest.raises(ValueError, match="workers must be >= 0"):
             ScenarioSpec(name="x", workers=-1)
         with pytest.raises(ValueError, match="unknown partitioner"):

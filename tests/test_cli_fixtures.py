@@ -20,6 +20,11 @@ checks of its own, so ``run-shards-0`` prints the spec's ``shards must be
 >= 1`` (it printed ``--shards must be >= 1``), and ``run-workers-negative``
 is refused like ``repro scenario --workers -1`` (the flag was clamped to 0).
 
+Two date from the one plain-data loader: ``scenario-wrong-type`` is a
+scenario file with a value of the wrong JSON type, refused with the key
+and the value (it used to fail with Python's own comparison error), and
+``run-infinite-duration`` is refused at load (it used to run forever).
+
 ``scenario-fig4-cell`` re-runs a figure cell from its file: the
 quick-scale Fig. 4 bar (MQ-JIT, Tsleep = 9 s) exactly as ``repro fig 4``
 runs it, stored as the ``ScenarioSpec`` ``fig4-cell.json``.
@@ -81,11 +86,13 @@ CASES = {
     "run-workers-negative": ["run", "--workers", "-1"],
     "run-missing-faults": ["run", "--faults", "missing.json"],
     "run-late-arrival": ["run", "--users", "3", "--spacing", "30", "--duration", "20"],
+    "run-infinite-duration": ["run", "--duration", "inf"],
     "scenario-unknown": ["scenario", "nope"],
     "scenario-no-name": ["scenario"],
     "scenario-missing-file": ["scenario", "--file", "missing.json"],
     "scenario-bad-json": ["scenario", "--file", "bad.json"],
     "scenario-shards-0": ["scenario", "paper-default", "--shards", "0"],
+    "scenario-wrong-type": ["scenario", "--file", "wrong-type.json"],
     "sweep-no-base": ["sweep"],
     "sweep-unknown": ["sweep", "nope"],
     "sweep-bad-axis": ["sweep", "paper-default", "--users", "0"],

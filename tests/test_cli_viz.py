@@ -22,20 +22,20 @@ class TestReporting:
         assert "x" in table
 
     def test_format_series_bars(self):
-        text = format_series("S", [(1, 1.0), (2, 0.0)], width=10)
+        text = format_series("S", [(1, 1.0), (2, 0.0)])
         lines = text.splitlines()
-        assert "#" * 10 in lines[2]
+        assert "#" * 60 in lines[2]
         assert "#" not in lines[3]
 
     def test_format_series_clamps(self):
-        text = format_series("S", [(1, 2.0), (2, -1.0)], width=10)
-        assert "#" * 10 in text  # clamped to 1.0
+        text = format_series("S", [(1, 2.0), (2, -1.0)])
+        assert "#" * 60 in text and "#" * 61 not in text  # clamped to 1.0
 
 
 class TestViz:
     def test_render_fidelity_strip_wraps(self):
         series = [(k, 1.0) for k in range(1, 131)]
-        strip = render_fidelity_strip(series, width=60)
+        strip = render_fidelity_strip(series)
         lines = strip.splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("k=   1")
@@ -131,6 +131,33 @@ class TestCli:
             cluster.submit(request)
         ratios = cluster.close().success_ratios()
         assert [row[3] for row in rows] == [f"{r:.1%}" for r in ratios]
+
+
+class TestFiniteFlags:
+    """The float flags no spec checks parse through one finite-number type."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "paper-default", "--time-scale", "nan"],
+            ["serve", "paper-default", "--drain-timeout", "inf"],
+            ["serve", "paper-default", "--edge-rate", "nan"],
+            ["serve", "paper-default", "--edge-burst", "inf"],
+            ["serve", "paper-default", "--max-pump-lag", "nan"],
+            ["slam", "paper-default", "--rate", "nan"],
+            ["slam", "paper-default", "--duration", "inf"],
+            ["slam", "paper-default", "--wait", "nan"],
+            ["slam", "paper-default", "--timeout", "inf"],
+            ["slam", "paper-default", "--rate", "fast"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}",
+    )
+    def test_a_non_finite_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[2]}: must be a finite number, got {argv[3]!r}" in err
 
 
 class TestBenchCommandRetired:

@@ -247,7 +247,6 @@ class TestRouting:
             path = patrol_path(
                 [Vec2(c.x - 10, c.y - 10), Vec2(c.x + 10, c.y + 10)],
                 speed=4.0,
-                start_time=0.0,
                 loops=8,
             )
             request = QueryRequest(radius_m=40.0, path=path)
@@ -258,7 +257,7 @@ class TestRouting:
         # Mostly in shard 0's cell, nudged across the boundary.
         path = patrol_path(
             [Vec2(40.0, 40.0), Vec2(200.0, 40.0)],
-            speed=4.0, start_time=0.0, loops=4,
+            speed=4.0, loops=4,
         )
         request = QueryRequest(radius_m=60.0, path=path)
         shard = cluster.route(request)
@@ -317,7 +316,7 @@ class TestClusterAdmission:
         def make_request():
             return QueryRequest(
                 radius_m=60.0,
-                path=patrol_path(spot, speed=2.0, start_time=0.0, loops=10),
+                path=patrol_path(spot, speed=2.0, loops=10),
             )
 
         first = cluster.submit(make_request())

@@ -26,7 +26,7 @@ class TestCcp:
     def test_preserves_coverage(self):
         network, streams = paper_network(seed=1)
         active = CcpProtocol().select_active(network, streams.stream("p"))
-        assert covered_fraction(network, active, step_m=10.0) == pytest.approx(1.0)
+        assert covered_fraction(network, active) == pytest.approx(1.0)
 
     def test_substantially_reduces_active_set(self):
         network, streams = paper_network(seed=2)

@@ -73,10 +73,10 @@ def test_area_at_contains_matches_the_disk_rule(center, radius, band, ulps, dire
 #: name -> (text of ``Circle.contains`` to replace, replacement)
 MUTATIONS = {
     "the boundary excluded": (
-        "<= (self.radius + tol) ** 2", "< (self.radius + tol) ** 2",
+        "<= (self.radius + CIRCLE_TOL_M) ** 2", "< (self.radius + CIRCLE_TOL_M) ** 2",
     ),
     "the tolerance dropped": (
-        "(self.radius + tol) ** 2", "self.radius ** 2",
+        "(self.radius + CIRCLE_TOL_M) ** 2", "self.radius ** 2",
     ),
 }
 

@@ -387,3 +387,50 @@ def test_client_raises_daemon_unreachable():
         client.healthz()
     assert info.value.code == "daemon-unreachable"
     assert info.value.exit_code == 3
+
+
+# ----------------------------------------------------------------------
+# A body that no loader would build never reaches the pump
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"radius_m": NaN, "lifetime_s": 10.0}',
+        '{"period_s": Infinity, "lifetime_s": 10.0}',
+        '{"start_s": Infinity}',
+    ],
+    ids=["nan-radius", "infinite-period", "infinite-start"],
+)
+def test_a_non_finite_number_is_refused_and_the_pump_keeps_serving(body):
+    """``json.loads`` reads ``NaN`` and ``Infinity``; the request loader
+    refuses them before the backend, the WAL or the pump sees them."""
+    app = make_app()
+    app.start()
+    with pytest.raises(WireError) as info:
+        app.submit("mallory", json.loads(body))
+    assert info.value.code == "invalid-request"
+    assert "must be a finite number" in info.value.message
+    assert app.log.written_ops == 0
+    sid = app.submit("alice", dict(PAYLOAD))["session"]
+    outcomes, _ = stream_all(app, "alice", sid)
+    assert [o["k"] for o in outcomes] == list(range(1, len(outcomes) + 1))
+    assert app.healthz()["ok"]
+    finish_and_verify(app)
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_dead_pump_is_not_a_healthy_daemon(monkeypatch):
+    app = make_app()
+    app.submit("alice", dict(PAYLOAD))
+
+    def broken_advance(until):
+        raise RuntimeError("the world cannot advance")
+
+    monkeypatch.setattr(app.backend, "advance", broken_advance)
+    assert app.healthz()["ok"]  # not started yet: nothing has died
+    app.start()
+    deadline = time.monotonic() + 5.0
+    while app.healthz()["ok"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not app.healthz()["ok"]
+    assert not app._pump.is_alive()

@@ -18,8 +18,10 @@ from repro.api.scenarios import (
     request_from_payload,
 )
 from repro.api.service import ServiceClosedError
-from repro.cluster.transport import decision_from_dict, decision_to_dict
+from dataclasses import asdict
+
 from repro.api.admission import AdmissionDecision
+from repro.plain import load
 from repro.serve.errors import (
     ERROR_CODES,
     EXIT_FAILURE,
@@ -284,15 +286,17 @@ def test_decision_round_trip():
         AdmissionDecision.accept(offset_s=0.5),
         AdmissionDecision.reject("too crowded"),
     ):
-        back = decision_from_dict(decision_to_dict(decision))
-        assert back.admitted == decision.admitted
-        assert back.reason == decision.reason
-        assert back.start_offset_s == decision.start_offset_s
+        assert load(AdmissionDecision, asdict(decision), "decision") == decision
 
 
-def test_decision_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        decision_from_dict({"admitted": True, "bogus": 1})
+def test_logged_decision_is_loaded_strictly():
+    with pytest.raises(ValueError, match="unknown decision key 'bogus'"):
+        load(AdmissionDecision, {"admitted": True, "bogus": 1}, "decision")
+    # a string is not a verdict: "false" used to replay as admitted
+    with pytest.raises(
+        ValueError, match="decision admitted must be true or false, got 'false'"
+    ):
+        load(AdmissionDecision, {"admitted": "false"}, "decision")
 
 
 # ----------------------------------------------------------------------
