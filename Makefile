@@ -21,7 +21,7 @@
 #   make sweep-smoke     quick adversarial robustness sweep (invariant gate)
 #   make fuzz-smoke      seeded randomized scenarios through the invariants
 #   make serve-smoke     daemon + slam + SIGTERM drain + bit-identical replay
-#   make soak-smoke      2 000 short sessions through a free-running daemon:
+#   make soak-smoke      2 000 short sessions through a stepped daemon:
 #                        world, cost per session and registered mobiles
 #                        flat after warm-up, retained KB per session under
 #                        its bound, replay bit-identical (~20 s)
@@ -154,7 +154,7 @@ serve-smoke:
 	$(PY) -c "import json; h = json.load(open('SLAM_serve-smoke.json'))['http']; assert max(h['connections_per_client']) <= 2, h; print('serve-smoke: %d requests over %d connections (%s per client)' % (h['requests'], h['connections'], h['connections_per_client']))"
 
 # The long form of tests/test_serve_steady_state.py (scripts/soak.py):
-# 2 000 eight-second sessions through a free-running in-process daemon;
+# 2 000 eight-second sessions through a stepped in-process daemon;
 # fails if the world, the wall time per 100 sessions or the registered
 # mobiles grow after warm-up, if a retired session retains more than
 # RSS_KB_PER_SESSION, or if the log does not replay.  Artifacts:

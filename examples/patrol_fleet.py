@@ -82,7 +82,7 @@ def main() -> None:
 
     # Patrol until mid-run, then recall one robot: cancel() releases all
     # of its in-network state while the rest of the fleet keeps going.
-    service.run_until(RECALL_AT_S)
+    service.advance(RECALL_AT_S)
     recalled = handles[RECALL_ROBOT]
     recalled.cancel()
     key = recalled.session_key
@@ -106,7 +106,7 @@ def main() -> None:
     print(f"Frames on air: {channel.frames_sent}, "
           f"collided receptions: {channel.frames_collided}")
     # drain the 2 s state-GC grace past the last deadlines
-    service.run_until(DURATION_S + 3.0)
+    service.advance(DURATION_S + 3.0)
     print(f"Live in-network sessions after the run: "
           f"{len(service.protocol.active_sessions())} (all state GC'd)")
 

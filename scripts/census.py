@@ -14,18 +14,27 @@ The scan is on the syntax tree and matches names, not types: a call sets
 function, or the class for ``__init__`` and dataclass fields) and it passes
 ``p=`` or enough positional arguments to reach it.  A parameter of the
 enclosing function forwarded by keyword (``p=q``) is not a setter: the
-caller that sets the forwarder is.  Values
-of a plain-data spec (a ``ScenarioSpec`` key read from JSON) are set by the
-files that carry them, which the scan cannot see.  The last line is the
+caller that sets the forwarder is.
+
+A plain-data key is set by the files and request bodies that carry it,
+which the scan cannot read, so such values are listed under a heading of
+their own: the fields of each class passed to ``load(`` / ``checked(``
+under ``src/`` (only the keys the call lets through, when it passes a
+subset such as ``_PAYLOAD_KEYS``), and of the dataclasses those keys are
+annotated with.  Finding them imports ``repro``.  The last line is the
 summary the standing diet reports before and after.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import os
+import sys
+import typing
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = "src"
@@ -178,11 +187,103 @@ def collect_setters() -> Tuple[Dict, Dict]:
     return by_keyword, by_position
 
 
+def _classes(obj: object) -> List[type]:
+    """``obj`` if it is a class, the classes of a registry dict, else none."""
+    if isinstance(obj, type):
+        return [obj]
+    if isinstance(obj, dict):
+        return [v for v in obj.values() if isinstance(v, type)]
+    return []
+
+
+def _loaded_classes(name: ast.Name, stack: List[ast.AST], module) -> List[type]:
+    """The classes the first argument of a loader call can be: a name the
+    enclosing function assigns (from a registry), ``cls`` in a class's
+    method, or a module-level name."""
+    for node in reversed(stack):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == name.id for t in stmt.targets
+                ):
+                    return [
+                        cls for n in ast.walk(stmt.value) if isinstance(n, ast.Name)
+                        for cls in _classes(getattr(module, n.id, None))
+                    ]
+        if isinstance(node, ast.ClassDef) and name.id == "cls":
+            return _classes(getattr(module, node.name, None))
+    return _classes(getattr(module, name.id, None))
+
+
+def plain_data_keys() -> Dict[str, Set[str]]:
+    """``{class name: keys plain data can set}`` for every class a loader
+    call under ``src/`` builds, and the dataclasses those keys name."""
+    sys.path.insert(0, os.path.join(ROOT, SRC))
+    from repro.plain import parameters
+
+    keys: Dict[str, Set[str]] = defaultdict(set)
+
+    def add(cls: type, exposed) -> None:
+        new = (set(exposed) & parameters(cls)) - keys[cls.__name__]
+        keys[cls.__name__] |= new
+        hints = typing.get_type_hints(
+            cls if dataclasses.is_dataclass(cls) else cls.__init__
+        )
+        for key in new:
+            for inner in _annotated_dataclasses(hints.get(key)):
+                add(inner, parameters(inner))
+
+    for path in _python_files(SRC):
+        calls = []
+        stack: List[ast.AST] = []
+
+        def visit(node: ast.AST) -> None:
+            stack.append(node)
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("load", "checked")
+                and node.args and isinstance(node.args[0], ast.Name)
+            ):
+                calls.append((node, list(stack)))
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+            stack.pop()
+
+        visit(_parse(path))
+        if not calls:
+            continue
+        module = importlib.import_module(
+            os.path.splitext(os.path.relpath(path, SRC))[0]
+            .replace(os.sep, ".").removesuffix(".__init__")
+        )
+        for call, where in calls:
+            subset = call.args[3] if len(call.args) > 3 else next(
+                (k.value for k in call.keywords if k.arg == "keys"), None
+            )
+            for cls in _loaded_classes(call.args[0], where, module):
+                exposed = parameters(cls)
+                if isinstance(subset, ast.Name):
+                    exposed = getattr(module, subset.id)
+                add(cls, exposed)
+    return keys
+
+
+def _annotated_dataclasses(annotation: object) -> List[type]:
+    """The dataclasses an annotation names, through Optional, Tuple, List."""
+    if dataclasses.is_dataclass(annotation) and isinstance(annotation, type):
+        return [annotation]
+    return [
+        cls for arg in typing.get_args(annotation)
+        for cls in _annotated_dataclasses(arg)
+    ]
+
+
 def census() -> int:
     values = collect_values()
     by_keyword, by_position = collect_setters()
+    plain = plain_data_keys()
     dataclass_fields = {v.name for v in values if v.owner == v.callee and "." not in v.owner}
-    unset = 0
+    unset, keyed = [], []
     for value in sorted(values, key=lambda v: (v.path, v.line)):
         setters = list(by_keyword.get((value.callee, value.name), ()))
         if value.name in dataclass_fields and value.owner == value.callee:
@@ -200,15 +301,26 @@ def census() -> int:
         outside = [s for s in real if not s[0].startswith("tests" + os.sep)]
         if outside:
             continue
-        unset += 1
-        where = ", ".join(f"{p}:{n}" for p, n in sorted(set(real))) or "(none)"
-        print(
-            f"{value.path}:{value.line}  {value.owner}({value.name}="
-            f"{ast.unparse(value.default)})\n    set by: {where}"
+        is_key = value.name in plain.get(value.callee, ()) and value.owner in (
+            value.callee, f"{value.callee}.__init__"
         )
+        (keyed if is_key else unset).append((value, real))
+    for heading, listed in (
+        (None, unset),
+        ("plain-data keys (set by the files and bodies that carry them):", keyed),
+    ):
+        if heading:
+            print(f"\n{heading}\n")
+        for value, real in listed:
+            where = ", ".join(f"{p}:{n}" for p, n in sorted(set(real))) or "(none)"
+            print(
+                f"{value.path}:{value.line}  {value.owner}({value.name}="
+                f"{ast.unparse(value.default)})\n    set by: {where}"
+            )
     print(
-        f"census: {len(values)} defaulted values under {SRC}/; {unset} set by "
-        f"no file outside tests/ (or only to their default)"
+        f"census: {len(values)} defaulted values under {SRC}/; {len(unset)} set "
+        f"by no file outside tests/ (or only to their default), and "
+        f"{len(keyed)} plain-data keys"
     )
     return 0
 

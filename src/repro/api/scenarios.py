@@ -156,7 +156,7 @@ class ScenarioSpec:
     parent_upgrade: bool = True
     #: ablation flag — PSM-style setup redelivery across beacon windows
     redeliver_setups: bool = True
-    # -- declarative serve-daemon posture (ROADMAP item 2) ------------
+    # -- declarative serve-daemon posture ------------------------------
     # CLI flags still override: a flag given on ``repro serve`` beats
     # the spec; the spec beats the built-in defaults.
     #: edge admission: sustained sessions/s (0 = edge disabled)

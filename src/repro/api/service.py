@@ -299,7 +299,7 @@ class SessionHandle:
             deadline = spec.deadline(k)
             if self.cancelled_at is not None and deadline > self.cancelled_at:
                 return
-            self.service.run_until(deadline)
+            self.service.advance(deadline)
             yield self.period_outcome(k)
 
     def period_outcome(self, k: int) -> PeriodOutcome:
@@ -787,18 +787,15 @@ class MobiQueryService:
         self._score(handle)
         self._teardown_session(handle)
 
-    def run_until(self, t: float) -> None:
-        """Advance the shared kernel to absolute time ``t`` (idempotent)."""
-        if t > self.sim.now:
-            self.sim.run(until=t)
-
     def advance(self, until: float) -> None:
-        """Advance the world's clock to ``until`` (the backend verb)."""
-        self.run_until(until)
+        """Advance the shared kernel to absolute time ``until`` (idempotent;
+        the backend verb)."""
+        if until > self.sim.now:
+            self.sim.run(until=until)
 
     def run(self) -> None:
         """Run the world to the service horizon (plus the straggler tail)."""
-        self.run_until(self.duration_s + RUN_TAIL_S)
+        self.advance(self.duration_s + RUN_TAIL_S)
         self._completed = True
 
     def finalize(self) -> WorkloadResult:

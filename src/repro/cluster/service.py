@@ -289,10 +289,6 @@ class ClusterService:
         """Advance every shard to ``until`` in lockstep epochs."""
         self.scheduler.advance(until)
 
-    def run_until(self, t: float) -> None:
-        """Alias of :meth:`advance` (the single-service spelling)."""
-        self.advance(t)
-
     def run(self) -> None:
         """Run every shard to the service horizon (plus straggler tail)."""
         self.advance(self.duration_s + RUN_TAIL_S)

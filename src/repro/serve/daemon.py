@@ -10,15 +10,23 @@ exposes the full session lifecycle over HTTP/JSON:
 * ``GET /stats`` — live backend counters + server latency attribution
 * ``GET /healthz`` — liveness
 
-Architecture: **one pump thread owns the simulated clock**.  All backend
-mutations — submits, cancels, clock advances — serialize through one
-lock, so the kernel never sees concurrent access; HTTP threads
+Architecture: **one pump step moves the simulated clock**
+(:meth:`ServeApp.pump_step`), and the pump thread loops over it.  All
+backend mutations — submits, cancels, clock advances — serialize through
+one lock, so the kernel never sees concurrent access; HTTP threads
 (``ThreadingHTTPServer``) only block on that lock for bounded slices
-(``SLICE_S`` simulated seconds per advance).  The pump advances the sim
+(``SLICE_S`` simulated seconds per advance).  A step advances the sim
 toward the earliest unharvested period deadline, paced against wall
 time by ``time_scale`` (simulated seconds per wall second; 0 = free-run),
 and harvests each period outcome into the owning session's bounded
 :class:`~repro.serve.ring.ResultRing` the moment its deadline passes.
+
+Closed: a WAL write that failed, a step that raised, or :meth:`finish`
+closes the daemon.  From then on ``submit`` and ``cancel`` are refused as
+``service-closed`` (naming the reason) and ``/healthz`` reads ``ok:
+false``.  After a failed WAL the pump keeps serving the live sessions;
+after a step that raised the clock has stopped, so a long-poll on a
+session still owed outcomes is refused at once.
 
 Tenancy: every request carries an ``X-Repro-Token`` header; a session
 belongs to the token that created it, and any access with another token
@@ -196,10 +204,14 @@ class ServeApp:
         self._sids = itertools.count(1)
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
+        #: set once the clock will not move again: by finish() or a step
+        #: that raised
         self._stop = threading.Event()
         self._pump: Optional[threading.Thread] = None
         self._draining = False
-        self._finished = False
+        #: why the daemon takes no more ops (a WAL write that failed, a pump
+        #: step that raised, or :meth:`finish`), or None while it takes them
+        self._closed: Optional[str] = None
         self.summary: Optional[Dict] = None
         self._started_wall = time.monotonic()
         # pacing anchor: (wall, sim) of the last idle->busy transition
@@ -257,10 +269,10 @@ class ServeApp:
         return max(0.0, (allowed - self._now()) / self.time_scale)
 
     # ------------------------------------------------------------------
-    # The pump thread: the only thing that advances the clock
+    # The pump: the only thing that advances the clock
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the pump thread (idempotent)."""
+        """Spawn the pump thread, a loop over :meth:`pump_step` (idempotent)."""
         if self._pump is None:
             self._pump = threading.Thread(
                 target=self._pump_loop, name="serve-pump", daemon=True
@@ -312,17 +324,27 @@ class ServeApp:
                 self._end_session(sess)
         self._work.notify_all()
 
-    def _pump_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._work:
+    def pump_step(self) -> Optional[float]:
+        """One pump iteration under the app lock; never waits itself.
+
+        Harvests due outcomes, then advances the clock by one slice — to
+        the earliest unharvested deadline, at most :data:`SLICE_S` ahead —
+        and harvests again.  Returns ``None`` when no session is live (the
+        pump is idle), the wall seconds pacing wants before the next slice
+        is due, or ``0.0`` after a slice.  The pump thread loops over it;
+        a test or a soak calls it in its own thread, so the same inputs
+        give the same op log on every run.  A step that raises closes the
+        daemon and stops its clock before the exception leaves it.
+        """
+        with self._work:
+            try:
                 self._harvest()
                 deadline = self._next_deadline()
                 if deadline is None:
                     # Idle: drop the pacing anchor so waiting for clients
                     # doesn't bank "allowed" sim time to sprint through.
                     self._anchor = None
-                    self._work.wait(0.05)
-                    continue
+                    return None
                 now = self._now()
                 target = min(deadline, now + SLICE_S)
                 if self.time_scale > 0 and not self._draining:
@@ -334,15 +356,33 @@ class ServeApp:
                         + (wall - self._anchor[0]) * self.time_scale
                     )
                     if target > allowed:
-                        self._work.wait(
-                            min((target - allowed) / self.time_scale, 0.25)
-                        )
-                        continue
+                        return min((target - allowed) / self.time_scale, 0.25)
                 t0 = time.perf_counter()
                 self.backend.advance(target)
                 self._advance_wall_s += time.perf_counter() - t0
                 self._slices += 1
                 self._harvest()
+                return 0.0
+            except BaseException as exc:
+                self._close(f"the pump stopped: {exc!r}")
+                self._stop.set()
+                # Nothing will feed the live rings again: wake their
+                # long-polls now rather than at the end of their waits.
+                for sess in self._live.values():
+                    sess.ring.close()
+                self._work.notify_all()
+                raise
+
+    def _pump_loop(self) -> None:
+        # A step that raised has closed the daemon; its exception ends the
+        # thread, and threading's excepthook prints it.
+        while not self._stop.is_set():
+            with self._work:
+                wait = self.pump_step()
+                if wait is None:
+                    self._work.wait(0.05)
+                elif wait > 0:
+                    self._work.wait(wait)
 
     # ------------------------------------------------------------------
     # The wire operations (HTTP handler + tests call these)
@@ -369,11 +409,7 @@ class ServeApp:
         response was lost on the wire can never double-admit.
         """
         with self._work:
-            if self._finished:
-                raise WireError(
-                    "service-closed", "the daemon has shut down"
-                )
-            self._refuse_without_wal()
+            self._refuse_if_closed()
             if self._draining:
                 raise WireError(
                     "draining",
@@ -403,7 +439,7 @@ class ServeApp:
             ):
                 # The WAL lost it: the world drops it too.
                 self.backend.cancel(handle)
-                self._refuse_without_wal()
+                self._refuse_if_closed()
             ring = ResultRing(RING_CAPACITY)
             sess = _Session(sid, token, handle, ring)
             self.sessions[sid] = sess
@@ -444,23 +480,28 @@ class ServeApp:
         """Log one op through ``record``; False once the WAL has failed.
 
         A WAL that raised ``OSError`` (a full or read-only disk) holds the
-        ops before the one it lost and never another: the app takes no
-        more ops, ``/healthz`` says ``ok: false`` and :meth:`finish` signs
-        no fingerprints.  The pump keeps serving the sessions it has.
+        ops before the one it lost and never another: it closes the app,
+        and :meth:`finish` signs no fingerprints.  The pump keeps serving
+        the sessions it has.
         """
         try:
             record(*args)
-        except OSError:
+        except OSError as exc:
+            self._close(
+                f"the op log cannot be written ({exc}); "
+                "the daemon takes no more ops"
+            )
             return False
         return True
 
-    def _refuse_without_wal(self) -> None:
-        if self.log.error is not None:
-            raise WireError(
-                "service-closed",
-                f"the op log cannot be written ({self.log.error}); "
-                "the daemon takes no more ops",
-            )
+    def _close(self, reason: str) -> None:
+        """Take no more ops from now on; the first reason given stands."""
+        if self._closed is None:
+            self._closed = reason
+
+    def _refuse_if_closed(self) -> None:
+        if self._closed is not None:
+            raise WireError("service-closed", self._closed)
 
     def _owned(self, token: str, sid: int) -> _Session:
         """The caller's session, or a typed unknown/foreign error."""
@@ -485,6 +526,9 @@ class ServeApp:
         # app lock, so the pump and other clients keep moving.
         items, missed, done = sess.ring.read(after_k=after, wait_s=wait)
         with self._lock:
+            if self._stop.is_set() and sid in self._live:
+                # The clock stopped owing this session outcomes.
+                self._refuse_if_closed()
             status = sess.handle.status
         return {
             "session": sid,
@@ -497,7 +541,7 @@ class ServeApp:
     def cancel(self, token: str, sid: int) -> Dict:
         """DELETE /sessions/{id}: idempotent cancel, recorded for replay."""
         with self._work:
-            self._refuse_without_wal()
+            self._refuse_if_closed()
             sess = self._owned(token, sid)
             if sid not in self._live:
                 return {
@@ -524,7 +568,7 @@ class ServeApp:
             data["server"] = {
                 "scenario": self.spec.name,
                 "draining": self._draining,
-                "finished": self._finished,
+                "finished": self.summary is not None,
                 "uptime_s": time.monotonic() - self._started_wall,
                 "time_scale": self.time_scale,
                 "sessions": {
@@ -559,9 +603,7 @@ class ServeApp:
     def healthz(self) -> Dict:
         with self._lock:
             return {
-                "ok": not self._finished
-                and self.log.error is None
-                and (self._pump is None or self._pump.is_alive()),
+                "ok": self._closed is None,
                 "scenario": self.spec.name,
                 "draining": self._draining,
                 "now": self._now(),
@@ -577,12 +619,13 @@ class ServeApp:
             self._work.notify_all()
 
     def wait_drained(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until every session is done (True) or timeout (False)."""
+        """Block until every session is done (True), or until the timeout
+        or a stopped clock leaves some undone (False)."""
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
         with self._work:
-            while self._live:
+            while self._live and not self._stop.is_set():
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -591,7 +634,7 @@ class ServeApp:
                 self._work.wait(
                     min(0.1, remaining) if remaining is not None else 0.1
                 )
-            return True
+            return not self._live
 
     def cancel_remaining(self) -> int:
         """Force-cancel every live session (drain-timeout stragglers).
@@ -624,16 +667,15 @@ class ServeApp:
         if self._pump is not None:
             self._pump.join(timeout=10.0)
         with self._work:
-            self._finished = True
+            # Signed only if nothing closed the daemon first: an op the WAL
+            # lost, or a slice that raised halfway, replays to other numbers.
+            signed = self._closed is None
+            self._close("the daemon has shut down")
             registered_mobiles = self._registered_mobiles()
             workload = self.backend.close()
             stats = self.backend.stats()
-            # Signed only if the WAL holds every op: one it lost would
-            # replay to other numbers.
             fingerprints = (
-                result_fingerprints(workload, stats)
-                if self.log.error is None
-                else None
+                result_fingerprints(workload, stats) if signed else None
             )
             # Whatever was live when the pump stopped was never retired:
             # release it now so the leak census judges the daemon.
@@ -899,14 +941,14 @@ def make_server(
 
 def run_serve(
     spec: ScenarioSpec,
+    edge: EdgeConfig,
+    wal_flush_every: int,
     host: str = "127.0.0.1",
     port: int = 8600,
     drain_timeout_s: float = 30.0,
     time_scale: float = DEFAULT_TIME_SCALE,
     out_dir: str = ".",
     name: Optional[str] = None,
-    edge: Optional[EdgeConfig] = None,
-    wal_flush_every: Optional[int] = None,
 ) -> int:
     """The blocking ``repro serve`` entrypoint: serve until SIGTERM/SIGINT.
 
@@ -917,25 +959,17 @@ def run_serve(
     commit, so even a SIGKILL'd daemon leaves a flushed prefix behind
     that ``repro replay`` proves.
 
-    Daemon posture defaults come from the *scenario*: when ``edge`` /
-    ``wal_flush_every`` are not passed (CLI flags override), the spec's
-    declarative ``edge_rate`` / ``edge_burst`` / ``max_live_sessions`` /
-    ``wal_flush`` keys apply — a workload file fully describes how its
-    daemon should hold the door.
+    ``edge`` and ``wal_flush_every`` are the daemon's posture: ``repro
+    serve`` builds them from its flags, and a flag not given falls back to
+    the spec's declarative ``edge_rate`` / ``edge_burst`` /
+    ``max_live_sessions`` / ``wal_flush`` keys, so a workload file fully
+    describes how its daemon should hold the door.
 
     Returns the process exit code: 0 on a clean drain with a leak-free
     census, 3 (EXIT_FAILURE) when residual protocol state survived.
     """
     from .errors import EXIT_FAILURE
 
-    if edge is None:
-        edge = EdgeConfig(
-            rate=spec.edge_rate,
-            burst=spec.edge_burst,
-            max_live_sessions=spec.max_live_sessions,
-        )
-    if wal_flush_every is None:
-        wal_flush_every = spec.wal_flush
     wal_path = os.path.join(out_dir, _log_stem(name or spec.name) + ".wal")
     app = ServeApp(
         spec,

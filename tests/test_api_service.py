@@ -165,7 +165,7 @@ class TestCancellation:
         service = make_service(duration=30.0)
         keeper = service.submit(QueryRequest(radius_m=60.0))
         victim = service.submit(QueryRequest(radius_m=60.0, start_s=2.0))
-        service.run_until(10.0)
+        service.advance(10.0)
         key, proxy_id = victim.session_key, victim.proxy.node_id
         protocol = service.protocol
         # mid-run the victim really owns state (a live prefetch chain)
@@ -209,7 +209,7 @@ class TestCancellation:
         service = make_service(mode=MODE_NP, duration=20.0)
         keeper = service.submit(QueryRequest(radius_m=60.0))
         victim = service.submit(QueryRequest(radius_m=60.0, start_s=1.0))
-        service.run_until(8.0)
+        service.advance(8.0)
         assert victim.gateway._flood_ids  # floods were launched
         floods_before = service.flood.live_flood_count()
         assert service.np_protocol.session_state_count(victim.session_key) > 0
@@ -228,7 +228,7 @@ class TestCancellation:
         victim = service.submit(QueryRequest(radius_m=60.0))
         # stop right after the first issue: the flood's rebroadcast wave
         # (jittered relays, frames on the air) is still in flight
-        service.run_until(0.002)
+        service.advance(0.002)
         assert victim.gateway._flood_ids
         victim.cancel()
         assert service.flood.live_flood_count() == 0
@@ -263,11 +263,11 @@ class TestReleaseSessionState:
         keeper = service.submit(QueryRequest(radius_m=60.0))
         short = service.submit(QueryRequest(radius_m=60.0, lifetime_s=8.0))
         key, proxy = short.session_key, short.proxy.node_id
-        service.run_until(7.9)
+        service.advance(7.9)
         service.release_session_state(short)  # last deadline (8.0) still ahead
         assert short.status == STATUS_ADMITTED and not short.released
         assert proxy in service.network.channel.mobile_ids()
-        service.run_until(8.0)
+        service.advance(8.0)
         service.release_session_state(short)
         assert short.status == STATUS_COMPLETED and short.released
         assert service.network.channel.mobile_ids() == [keeper.proxy.node_id]
@@ -328,7 +328,7 @@ class TestAdmission:
         assert service.unreleased_handles() == handles_before
         assert set(service.network.channel._mobile) == mobiles_before
         # after some simulated time, only the admitted session owns state
-        service.run_until(4.0)
+        service.advance(4.0)
         assert service.protocol.active_sessions() == [admitted.session_key]
 
     def test_rejected_then_resubmitted_user_succeeds(self):
@@ -344,7 +344,7 @@ class TestAdmission:
             )
         )
         assert not comeback.accepted
-        service.run_until(6.0)
+        service.advance(6.0)
         blocker.cancel()  # the area drains
         retry = service.submit(
             QueryRequest(
@@ -439,12 +439,12 @@ class TestLifecycleEdges:
     def test_double_cancel_is_a_noop(self):
         service = make_service(duration=20.0)
         handle = service.submit(QueryRequest(radius_m=60.0, period_s=2.0))
-        service.run_until(6.0)
+        service.advance(6.0)
         handle.cancel()
         assert handle.status == STATUS_CANCELLED
         first_cancelled_at = handle.cancelled_at
         events_after_first = service.sim.events_executed
-        service.run_until(8.0)
+        service.advance(8.0)
         handle.cancel()  # second cancel: state unchanged, no new teardown
         assert handle.status == STATUS_CANCELLED
         assert handle.cancelled_at == first_cancelled_at

@@ -289,16 +289,16 @@ class TestWakeWheel:
         assert sleepers, "scenario must have duty-cycled nodes"
         wheel = sleepers[0].sleep_scheduler.wheel
         cohort_before = wheel.schedulers
-        service.run_until(5.0)
+        service.advance(5.0)
         second.cancel()
         assert wheel.schedulers == cohort_before
         # Advance to the inside of the next beacon window: every sleeper
         # still registered must be woken by the shared boundary event.
         psm = service.network.config.psm
         window_start = psm.next_window_start(service.sim.now)
-        service.run_until(window_start + psm.active_window_s / 2)
+        service.advance(window_start + psm.active_window_s / 2)
         assert all(not n.radio.is_sleeping for n in sleepers)
-        service.run_until(window_start + psm.active_window_s + 0.05)
+        service.advance(window_start + psm.active_window_s + 0.05)
         assert all(n.radio.is_sleeping for n in sleepers)
 
     def test_shared_registry_coalesces_independent_constructions(self):

@@ -1,8 +1,11 @@
 """The serve daemon: lifecycle, tenancy, drain, and the replay proof.
 
-Most tests drive :class:`ServeApp` directly (time_scale=0 free-runs the
-pump, so a 12-simulated-second world finishes in well under a second of
-wall time); one spins up the real HTTP server on an ephemeral port.
+Most tests drive :class:`ServeApp` directly and move its clock with
+``pump_step()`` in their own thread (time_scale=0, so a 12-simulated-second
+world finishes in well under a second of wall time, and the same calls give
+the same op log on every run); the tests of threading — parallel submits,
+the cancel race, a dying pump thread — start the pump thread, and one spins
+up the real HTTP server on an ephemeral port.
 """
 
 import json
@@ -40,10 +43,16 @@ def make_app(spec=None, **kwargs):
     return ServeApp(spec if spec is not None else tiny_spec(), **kwargs)
 
 
+def drain(app):
+    """Refuse new submits and step the clock until no session is live."""
+    app.begin_drain()
+    while app.pump_step() is not None:
+        pass
+
+
 def finish_and_verify(app):
     """Drain, finish, assert zero leaks, and prove the replay identity."""
-    app.begin_drain()
-    assert app.wait_drained(60.0)
+    drain(app)
     summary = app.finish()
     assert summary["leak_total"] == 0, summary["leaks"]
     log = read_log(app.log.wal_path)
@@ -59,17 +68,17 @@ def logged_ops(app):
 
 
 def stream_all(app, token, sid):
-    """Long-poll one session's ring until done; returns the outcomes."""
+    """Step the clock and read one session's ring until done; returns the
+    outcomes and the last response."""
     outcomes, after = [], 0
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        resp = app.results(token, sid, after=after, wait_s=1.0)
+    while True:
+        resp = app.results(token, sid, after=after)
         outcomes.extend(resp["outcomes"])
         for outcome in resp["outcomes"]:
             after = max(after, outcome["k"])
         if resp["done"]:
             return outcomes, resp
-    raise AssertionError("session never finished streaming")
+        assert app.pump_step() is not None, "idle with the session undone"
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +86,6 @@ def stream_all(app, token, sid):
 # ----------------------------------------------------------------------
 def test_submit_stream_drain_finish_and_replay():
     app = make_app()
-    app.start()
     resp = app.submit("alice", dict(PAYLOAD))
     assert resp["status"] == "admitted"
     assert resp["num_periods"] == 6
@@ -143,7 +151,6 @@ def test_cancel_race_is_idempotent_and_recorded_once():
 
 def test_cancel_after_completion_is_a_noop():
     app = make_app()
-    app.start()
     sid = app.submit("alice", dict(PAYLOAD))["session"]
     stream_all(app, "alice", sid)
     resp = app.cancel("alice", sid)
@@ -158,7 +165,6 @@ def test_cancel_after_completion_is_a_noop():
 # ----------------------------------------------------------------------
 def test_foreign_session_is_typed_403_and_unknown_404():
     app = make_app()
-    app.start()
     sid = app.submit("alice", dict(PAYLOAD))["session"]
     for call in (
         lambda: app.results("mallory", sid),
@@ -179,7 +185,6 @@ def test_foreign_session_is_typed_403_and_unknown_404():
 # ----------------------------------------------------------------------
 def test_draining_refuses_new_submits():
     app = make_app()
-    app.start()
     app.begin_drain()
     with pytest.raises(WireError) as info:
         app.submit("alice", dict(PAYLOAD))
@@ -241,7 +246,6 @@ def test_admission_rejection_is_typed_and_replayable():
     first = app.submit("alice", dict(payload))
     assert first["status"] == "admitted"
     second = app.submit("bob", dict(payload))
-    app.start()
     assert second["status"] == "rejected"
     assert second["error"]["code"] == "admission-rejected"
     assert second["reason"]
@@ -261,7 +265,6 @@ def test_cluster_backend_serves_and_replays():
     spec = tiny_spec(name="serve-tiny-cluster", shards=2)
     app = make_app(spec)
     sids = [app.submit("alice", dict(PAYLOAD))["session"] for _ in range(3)]
-    app.start()
     outcomes, _ = stream_all(app, "alice", sids[0])
     assert outcomes
     summary = finish_and_verify(app)
@@ -405,7 +408,6 @@ def test_a_non_finite_number_is_refused_and_the_pump_keeps_serving(body):
     """``json.loads`` reads ``NaN`` and ``Infinity``; the request loader
     refuses them before the backend, the WAL or the pump sees them."""
     app = make_app()
-    app.start()
     with pytest.raises(WireError) as info:
         app.submit("mallory", json.loads(body))
     assert info.value.code == "invalid-request"
@@ -429,8 +431,7 @@ def test_a_dead_pump_is_not_a_healthy_daemon(monkeypatch):
     monkeypatch.setattr(app.backend, "advance", broken_advance)
     assert app.healthz()["ok"]  # not started yet: nothing has died
     app.start()
-    deadline = time.monotonic() + 5.0
-    while app.healthz()["ok"] and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not app.healthz()["ok"]
+    app._pump.join(5.0)  # the first slice raises and ends the thread
     assert not app._pump.is_alive()
+    assert not app.healthz()["ok"]
+    assert not app.wait_drained(60.0)  # at once: the clock has stopped

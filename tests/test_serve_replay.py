@@ -51,9 +51,9 @@ def drained(tmp_path_factory):
     bob = app.submit("bob", dict(PAYLOAD, start_s=1.0))
     app.submit("carol", dict(PAYLOAD, start_s=2.0))
     app.cancel("bob", bob["session"])
-    app.start()
     app.begin_drain()
-    assert app.wait_drained(60.0)
+    while app.pump_step() is not None:
+        pass
     app.finish()
     return app.write_log(str(out), name="oracle"), wal
 

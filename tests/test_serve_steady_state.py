@@ -1,8 +1,8 @@
-"""A free-running daemon's world holds the sessions live now, no more.
+"""A stepped daemon's world holds the sessions live now, no more.
 
 The pump retires a session the moment its last outcome is harvested, so
-after every ``_harvest`` the mobiles registered on each shard's channel are
-exactly that shard's live admitted sessions — whatever mix of completed,
+after every ``pump_step()`` the mobiles registered on each shard's channel
+are exactly that shard's live admitted sessions — whatever mix of completed,
 cancelled and rejected sessions came before — and once the last session is
 done nothing keyed by a session is left in any world, *before*
 ``finish()`` sweeps.  The log, ``retire`` ops included, replays bit for
@@ -70,22 +70,16 @@ def registered(app):
     return pairs
 
 
+#: rejected, cancelled and retired of the 200 submits, on one shard or two:
+#: the test steps the clock in its own thread, so every run makes the same calls
+REJECTED, CANCELLED, RETIRED = 50, 42, 108
+
+
 @pytest.mark.parametrize("shards", [1, 2])
 def test_registered_mobiles_are_the_live_sessions(shards, tmp_path):
     wal = tmp_path / "steady.wal"
     app = ServeApp(spec(shards), time_scale=0.0, wal_path=str(wal))
-    harvest, harvests, violations = app._harvest, [0], []
-
-    def checked_harvest():  # runs under the app lock, like the original
-        harvest()
-        harvests[0] += 1
-        for on_channel, live in registered(app):
-            if on_channel != live:
-                violations.append((app._now(), on_channel, live))
-
-    app._harvest = checked_harvest
-    app.start()
-    statuses = []
+    steps, violations, statuses = 0, [], []
     for wave in range(WAVES):
         admitted = []
         for slot in range(WAVE_SIZE):
@@ -97,18 +91,22 @@ def test_registered_mobiles_are_the_live_sessions(shards, tmp_path):
             app.cancel("soak", sid)
         stats = app.stats_payload()["server"]
         assert stats["world"]["registered_mobiles"] == stats["sessions"]["live"]
-        for sid in admitted:  # the wave runs out before the next arrives
-            while not app.results("soak", sid, after=10**6, wait_s=5.0)["done"]:
-                pass
+        # the wave runs out before the next arrives
+        while app.pump_step() is not None:
+            steps += 1
+            for on_channel, live in registered(app):
+                if on_channel != live:
+                    violations.append((app._now(), on_channel, live))
     app.begin_drain()
-    assert app.wait_drained(60.0)
+    assert app.pump_step() is None  # nothing is live
     assert not violations, violations[:3]
-    assert harvests[0] > WAVES
+    assert steps > WAVES
 
     stats = app.stats_payload()
     sessions = stats["server"]["sessions"]
-    assert statuses.count("rejected") == stats["rejected"] > 10
-    assert sessions["retired"] == stats["admitted"] - stats["cancelled"]
+    assert statuses.count("rejected") == stats["rejected"] == REJECTED
+    assert stats["cancelled"] == CANCELLED
+    assert sessions["retired"] == stats["admitted"] - stats["cancelled"] == RETIRED
     assert sessions["live"] == stats["server"]["world"]["registered_mobiles"] == 0
 
     # nothing keyed by a session is left in any world, before finish() sweeps
@@ -122,9 +120,9 @@ def test_registered_mobiles_are_the_live_sessions(shards, tmp_path):
     log = read_log(app.log.wal_path)
     ops = [op["op"] for op in log["ops"]]
     assert ops.count("submit") == len(statuses) == WAVES * WAVE_SIZE
-    assert ops.count("cancel") == stats["cancelled"] > 10
+    assert ops.count("cancel") == CANCELLED
     # every admitted session that was not cancelled ran out and was retired
-    assert ops.count("retire") == sessions["retired"] > 50
+    assert ops.count("retire") == RETIRED
     log["fingerprints"] = summary["fingerprints"]
     ok, recorded, replayed = verify_log(log)
     assert ok, f"replay diverged:\nlive    {recorded}\nreplay  {replayed}"

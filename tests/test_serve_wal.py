@@ -11,6 +11,7 @@ response died on the wire can be retried without double-admitting.
 import errno
 import json
 import os
+import time
 
 import pytest
 
@@ -163,9 +164,9 @@ def test_duplicate_idempotency_key_returns_same_session_one_log_op():
     assert fourth["session"] != first["session"]
     stats = app.stats_payload()["server"]["idempotency"]
     assert stats == {"entries": 3, "hits": 1}
-    app.start()
     app.begin_drain()
-    assert app.wait_drained(60.0)
+    while app.pump_step() is not None:
+        pass
     app.finish()
 
 
@@ -192,14 +193,15 @@ def test_rejected_verdicts_are_cached_by_idempotency_key_too():
     again = app.submit("alice", dict(payload), idempotency_key="a.2")
     assert again == rejected
     assert app.log.written_ops == 2
-    app.start()
     app.begin_drain()
-    assert app.wait_drained(60.0)
+    while app.pump_step() is not None:
+        pass
     app.finish()
 
 
 # ----------------------------------------------------------------------
-# A WAL that cannot be written ends the op stream
+# A WAL that cannot be written ends the op stream; so do a pump step that
+# raised and finish()
 # ----------------------------------------------------------------------
 class FullDisk:
     """The WAL's file on a full disk: the next ``failures`` writes raise
@@ -264,3 +266,90 @@ def test_a_failed_retire_record_leaves_the_pump_serving(tmp_path):
     assert app.finish()["fingerprints"] is None
     ok, a, b = verify_log(read_log(path))
     assert ok, f"prefix replay diverged:\n{a}\n{b}"
+
+
+def lose_a_submit(app):
+    app.log._wal = FullDisk(app.log._wal, failures=1)
+    with pytest.raises(WireError):
+        app.submit("bob", dict(PAYLOAD))
+
+
+def raise_in_a_step(app):
+    advance = app.backend.advance
+
+    def broken_advance(until):  # raises once
+        app.backend.advance = advance
+        raise RuntimeError("the world cannot advance")
+
+    app.backend.advance = broken_advance
+    with pytest.raises(RuntimeError):
+        app.pump_step()
+
+
+CLOSERS = {
+    "failed-wal": (lose_a_submit, "the op log cannot be written"),
+    "raising-step": (raise_in_a_step, "the world cannot advance"),
+    "finish": (ServeApp.finish, "the daemon has shut down"),
+}
+OPS = {
+    "submit": lambda app, sid: app.submit("carol", dict(PAYLOAD)),
+    "cancel": lambda app, sid: app.cancel("alice", sid),
+    "results": lambda app, sid: app.results("alice", sid, wait_s=5.0),
+    "healthz": lambda app, sid: {"ok": app.healthz()["ok"]},
+}
+#: what each op answers once the daemon is closed: a refusal, or the answer
+#: (``results`` of the live session, less its id)
+CLOSED = "service-closed"
+ANSWERS = {
+    ("failed-wal", "submit"): CLOSED,
+    ("failed-wal", "cancel"): CLOSED,
+    # the pump keeps serving: the long-poll gets the outcomes it waits for
+    ("failed-wal", "results"): "outcomes from k = 1",
+    ("failed-wal", "healthz"): {"ok": False},
+    ("raising-step", "submit"): CLOSED,
+    ("raising-step", "cancel"): CLOSED,
+    # the clock stopped owing this session outcomes: refused, not waited out
+    ("raising-step", "results"): CLOSED,
+    ("raising-step", "healthz"): {"ok": False},
+    ("finish", "submit"): CLOSED,
+    ("finish", "cancel"): CLOSED,
+    ("finish", "results"): {
+        "outcomes": [], "missed": 0, "done": True, "status": "completed",
+    },
+    ("finish", "healthz"): {"ok": False},
+}
+
+
+@pytest.mark.parametrize(
+    "closer, op", list(ANSWERS), ids=["-".join(row) for row in ANSWERS]
+)
+def test_a_closed_daemon_answers_every_op_alike(closer, op, tmp_path):
+    """Each of the three closers refuses ``submit`` and ``cancel`` with
+    ``service-closed`` naming its reason, turns ``/healthz`` false and
+    adds no WAL op; ``results`` answers as long as outcomes can come."""
+    path = str(tmp_path / "SERVE_closed.wal")
+    app = ServeApp(tiny_spec(), time_scale=0.0, wal_path=path, wal_flush_every=1)
+    sid = app.submit("alice", dict(PAYLOAD))["session"]
+    close, reason = CLOSERS[closer]
+    close(app)
+    written = app.log.written_ops
+    expected = ANSWERS[closer, op]
+    if expected == "outcomes from k = 1":  # a pump thread feeds the long-poll
+        app.start()
+    started = time.monotonic()
+    if expected == CLOSED:
+        with pytest.raises(WireError) as refused:
+            OPS[op](app, sid)
+        assert refused.value.code == CLOSED
+        assert reason in refused.value.message
+    else:
+        answer = OPS[op](app, sid)
+        if expected == "outcomes from k = 1":
+            assert answer["outcomes"][0]["k"] == 1
+        elif op == "results":
+            assert answer == dict(expected, session=sid)
+        else:
+            assert answer == expected
+    assert time.monotonic() - started < 2.5
+    assert app.log.written_ops == written
+    app.finish()
