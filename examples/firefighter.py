@@ -33,7 +33,6 @@ from repro.net.routing import GeoRouter
 from repro.power.ccp import CcpProtocol
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 #: override for quick smoke runs (CI examples-smoke)
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "160"))
@@ -42,12 +41,13 @@ DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "160"))
 def main() -> None:
     sim = Simulator()
     streams = RandomStreams(2026)
-    tracer = Tracer()
 
     # --- the burning sensor field -----------------------------------
     field = fire_scenario_field(region_side=450.0)
     network_config = NetworkConfig(sleep_period_s=9.0)
-    network = build_network(sim, network_config, streams, tracer, field_model=field)
+    # the network's channel is the world's wiring point: every component
+    # below takes the kernel and the tracer from it
+    network = build_network(sim, network_config, streams, field_model=field)
     CcpProtocol().apply(network, streams)
     print(f"CCP backbone: {len(network.active_nodes)}/{network_config.n_nodes} "
           f"nodes stay awake")
@@ -59,11 +59,9 @@ def main() -> None:
     )
     proxy = MobileEndpoint(
         node_id=90_000,
-        sim=sim,
         channel=network.channel,
         rng=streams.stream("proxy"),
         position_fn=route.position_at,
-        tracer=tracer,
     )
     network.channel.register_mobile(proxy)
 
@@ -76,11 +74,10 @@ def main() -> None:
         freshness_s=1.0,
         lifetime_s=DURATION_S,
     )
-    protocol = MobiQueryProtocol(network, GeoRouter(network, tracer),
-                                 MobiQueryConfig(prefetch_policy="jit"), tracer)
+    protocol = MobiQueryProtocol(network, GeoRouter(network),
+                                 MobiQueryConfig(prefetch_policy="jit"))
     gateway = MobiQueryGateway(
-        proxy, network, spec, protocol,
-        FullKnowledgeProvider(route, DURATION_S), tracer,
+        proxy, network, spec, protocol, FullKnowledgeProvider(route, DURATION_S)
     )
     gateway.start()
 

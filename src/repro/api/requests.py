@@ -20,7 +20,6 @@ from ..core.query import Aggregation
 from ..geometry.vec import Vec2
 from ..mobility.models import RandomDirectionConfig
 from ..mobility.path import PiecewisePath
-from ..mobility.profile import ProfileProvider
 
 #: per-request motion-profile delivery modes (None = service default)
 PROFILE_MODES = ("full", "planner", "predictor")
@@ -74,8 +73,6 @@ class QueryRequest:
         walk: the random-direction model of that synthesised walk (speed
             range, leg length); None = the paper's 3-5 m/s, 50 s legs.
             Ignored when ``path`` is given.
-        provider: explicit motion-profile provider.  None = built from
-            ``profile_mode`` (or the service default) over ``path``.
         profile_mode: "full" | "planner" | "predictor" | None (service
             default).
         advance_time_s / gps_error_m / sampling_period_s: provider knobs;
@@ -95,7 +92,6 @@ class QueryRequest:
     user_id: Optional[int] = None
     path: Optional[PiecewisePath] = None
     walk: Optional[RandomDirectionConfig] = None
-    provider: Optional[ProfileProvider] = None
     profile_mode: Optional[str] = None
     advance_time_s: Optional[float] = None
     gps_error_m: Optional[float] = None

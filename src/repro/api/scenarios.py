@@ -79,9 +79,8 @@ from .service import MobiQueryService, SessionHandle
 _CLONE_KEYS = ("count", "spacing_s", "arrival")
 
 #: every key one *expanded* request payload may carry: the QueryRequest
-#: fields plain data can set (a path as its dict; no walk or provider
-#: object)
-_PAYLOAD_KEYS = parameters(QueryRequest) - {"walk", "provider"}
+#: fields plain data can set (a path as its dict; no walk object)
+_PAYLOAD_KEYS = parameters(QueryRequest) - {"walk"}
 
 #: every key a request template may carry: a payload's and the clone keys
 _REQUEST_KEYS = _PAYLOAD_KEYS | set(_CLONE_KEYS)

@@ -445,7 +445,9 @@ class MobiQueryService:
             flags.  Per-user parameters (query, motion, profile pipeline)
             come from each :class:`QueryRequest`.
         admission: the admission policy (default accept-all).
-        tracer: optional shared tracer (a fresh one by default).
+        tracer: the world's tracer, handed to the channel
+            :func:`~repro.net.network.build_network` creates (which makes
+            a fresh one if omitted); every component reads it from there.
         faults: optional :class:`FaultPlan` to inject against this world.
             ``None`` (or an empty plan) is bit-identical to a service built
             before the fault plane existed: the dedicated ``"faults"`` RNG
@@ -463,16 +465,14 @@ class MobiQueryService:
         self.admission = admission or AcceptAllPolicy()
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
-        self.tracer = tracer if tracer is not None else Tracer()
         # De-align the shared beacon schedule from the query start: real
         # users issue queries at arbitrary phases of the PSM cycle.
-        self.psm_offset_s = float(
+        psm_offset_s = float(
             self.streams.stream("psm").uniform(0.0, config.network.sleep_period_s)
         )
-        network_config = replace(config.network, psm_offset_s=self.psm_offset_s)
-        self.network = build_network(
-            self.sim, network_config, self.streams, self.tracer
-        )
+        network_config = replace(config.network, psm_offset_s=psm_offset_s)
+        self.network = build_network(self.sim, network_config, self.streams, tracer)
+        self.tracer = self.network.tracer
         CcpProtocol().apply(self.network, self.streams)
         self.geo = GeoRouter(self.network)
         self.flood = FloodManager(self.network)
@@ -487,14 +487,11 @@ class MobiQueryService:
                     parent_upgrade=config.parent_upgrade,
                     redeliver_setups=config.redeliver_setups,
                 ),
-                self.tracer,
             )
         self.faults = faults if faults is not None else FaultPlan()
         self.fault_injector: Optional[FaultInjector] = None
         if not self.faults.world_empty:
-            self.fault_injector = FaultInjector(
-                self.faults, self.network, self.streams, tracer=self.tracer
-            )
+            self.fault_injector = FaultInjector(self.faults, self.network, self.streams)
             self.fault_injector.start()
         #: multiresolution summary cache (:mod:`repro.approx`); created on
         #: the first approximate admission so exact-only runs never carry
@@ -636,12 +633,8 @@ class MobiQueryService:
         the request's accuracy and the world's mode call for."""
         user_id = spec.user_id
         rng = self.streams.stream(user_stream("proxy", user_id))
-        provider = request.provider
-        if (
-            provider is None
-            and request.accuracy == "exact"
-            and self.config.mode != MODE_NP
-        ):
+        provider = None
+        if request.accuracy == "exact" and self.config.mode != MODE_NP:
             # Can refuse the request's knobs: before the proxy joins.
             provider = make_profile_provider(
                 self.config,
@@ -653,7 +646,7 @@ class MobiQueryService:
                 gps_error_m=request.gps_error_m,
                 sampling_period_s=request.sampling_period_s,
             )
-        proxy = build_proxy(user_id, path, self.network, rng, self.tracer)
+        proxy = build_proxy(user_id, path, self.network, rng)
         if request.accuracy != "exact":
             # Summary-served session: no prefetch chains, no floods, no
             # per-period trees — answers compose from the cached plane at
@@ -665,20 +658,19 @@ class MobiQueryService:
                 self._ensure_summary_plane(),
                 path,
                 request.accuracy,
-                self.tracer,
             )
         elif self.config.mode == MODE_NP:
             if self.np_protocol is None:
                 self.np_protocol = NoPrefetchProtocol(
-                    self.network, self.geo, self.flood, tracer=self.tracer
+                    self.network, self.geo, self.flood
                 )
             gateway = NoPrefetchGateway(
-                proxy, self.network, spec, self.np_protocol, self.flood, self.tracer
+                proxy, self.network, spec, self.np_protocol, self.flood
             )
         else:
             assert self.protocol is not None and provider is not None
             gateway = MobiQueryGateway(
-                proxy, self.network, spec, self.protocol, provider, self.tracer
+                proxy, self.network, spec, self.protocol, provider
             )
         gateway.begin()  # now, or at spec.start_s
         if self.fault_injector is not None:

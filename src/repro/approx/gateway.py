@@ -15,14 +15,11 @@ rather than silently stale.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.gateway import BaseGateway
 from ..core.query import QuerySpec
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
 from ..net.node import MobileEndpoint
-from ..sim.trace import Tracer
 from .plane import SummaryPlane
 
 #: answers are composed just before the deadline so the freshest beacon
@@ -41,9 +38,8 @@ class ApproxGateway(BaseGateway):
         plane: SummaryPlane,
         path: PiecewisePath,
         accuracy: str,
-        tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(proxy, network, spec, tracer)
+        super().__init__(proxy, network, spec)
         self.plane = plane
         self.path = path
         self.accuracy = accuracy

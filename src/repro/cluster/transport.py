@@ -130,8 +130,7 @@ def run_shards_parallel(
 ) -> Optional[List[ShardOutcome]]:
     """Run shard plans across worker processes; ``None`` means "go serial".
 
-    The plans are pickled up front so an unpicklable payload (say, a
-    caller-supplied profile provider holding an open resource) degrades to
+    The plans are pickled up front so an unpicklable payload degrades to
     the serial path instead of exploding inside the pool.
     """
     try:

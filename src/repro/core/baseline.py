@@ -18,7 +18,7 @@ session, with the lifecycle of :class:`~repro.core.service.MobiQueryProtocol`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..geometry.shapes import Circle
 from ..net.flooding import FloodManager
@@ -26,7 +26,6 @@ from ..net.network import Network
 from ..net.node import SensorNode
 from ..net.packet import BROADCAST, Frame
 from ..net.routing import GeoRouter
-from ..sim.trace import Tracer
 from .messages import (
     NP_QUERY_SIZE_BYTES,
     NP_REPORT_SIZE_BYTES,
@@ -61,12 +60,11 @@ class NoPrefetchProtocol:
         network: Network,
         geo: GeoRouter,
         flood: FloodManager,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.network = network
         self.geo = geo
         self.flood = flood
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self.sim = network.sim
         #: session key -> the ``(node_id, k)`` query copies already handled
         self._sessions: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}

@@ -24,7 +24,6 @@ from ..net.flooding import FloodManager
 from ..net.network import Network
 from ..net.node import MobileEndpoint, SensorNode
 from ..net.packet import Frame
-from ..sim.trace import Tracer
 from .baseline import NoPrefetchProtocol
 from .messages import (
     INJECT_SIZE_BYTES,
@@ -77,14 +76,13 @@ class BaseGateway:
         proxy: MobileEndpoint,
         network: Network,
         spec: QuerySpec,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         #: None once closed: every callback returns at ``closed`` before
         #: reading it, and nothing else reads a finished session's device
         self.proxy: Optional[MobileEndpoint] = proxy
         self.network = network
         self.spec = spec
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self.sim = network.sim
         self.deliveries: List[DeliveryRecord] = []
         self.last_delivered_k = 0
@@ -232,9 +230,8 @@ class MobiQueryGateway(BaseGateway):
         spec: QuerySpec,
         protocol: MobiQueryProtocol,
         provider: ProfileProvider,
-        tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(proxy, network, spec, tracer)
+        super().__init__(proxy, network, spec)
         self.protocol = protocol
         #: read only by :meth:`start`; None once closed
         self.provider: Optional[ProfileProvider] = provider
@@ -467,9 +464,8 @@ class NoPrefetchGateway(BaseGateway):
         spec: QuerySpec,
         protocol: NoPrefetchProtocol,
         flood: FloodManager,
-        tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(proxy, network, spec, tracer)
+        super().__init__(proxy, network, spec)
         self.protocol = protocol
         self.flood = flood
         self._partials: Dict[int, AggregateState] = {}

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -325,32 +324,19 @@ class ContentionTracker:
     the first PSM beacon window after the start (sleeping members cannot be
     reached before that window; nothing about the tree transmits after it).
     Two setups interfere when their intervals overlap and their roots are
-    within ``2 * Rq + Rc`` (paper Figure 3).
+    within ``2 * Rq + Rc`` (paper Figure 3).  The schedule, the range and
+    the tracer are the world's: ``network.config`` and ``network.tracer``.
     """
 
-    def __init__(
-        self,
-        tracer: Tracer,
-        sleep_period_s: float,
-        active_window_s: float,
-        query_radius_m: float,
-        comm_range_m: float,
-        psm_offset_s: float = 0.0,
-    ) -> None:
-        self.sleep_period_s = sleep_period_s
-        self.active_window_s = active_window_s
-        self.psm_offset_s = psm_offset_s
-        self.interference_range_m = 2.0 * query_radius_m + comm_range_m
+    def __init__(self, network: Network, query_radius_m: float) -> None:
+        self.psm = network.config.psm
+        self.interference_range_m = 2.0 * query_radius_m + network.config.comm_range_m
         self.intervals: List[SetupInterval] = []
-        tracer.subscribe("tree-setup-start", self._on_setup)
+        network.tracer.subscribe("tree-setup-start", self._on_setup)
 
     def _on_setup(self, record: TraceRecord) -> None:
         start = record.time
-        shifted = start - self.psm_offset_s
-        window_start = (
-            math.floor(shifted / self.sleep_period_s) + 1.0
-        ) * self.sleep_period_s + self.psm_offset_s
-        end = window_start + self.active_window_s
+        end = self.psm.next_window_start(start) + self.psm.active_window_s
         self.intervals.append(
             SetupInterval(
                 k=record["k"],

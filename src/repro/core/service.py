@@ -42,7 +42,6 @@ from ..net.network import Network
 from ..net.node import SensorNode
 from ..net.packet import BROADCAST, Frame
 from ..net.routing import GeoRouter
-from ..sim.trace import Tracer
 from .messages import (
     CANCEL_SIZE_BYTES,
     PREFETCH_SIZE_BYTES,
@@ -169,12 +168,11 @@ class MobiQueryProtocol:
         network: Network,
         geo: GeoRouter,
         config: Optional[MobiQueryConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.network = network
         self.geo = geo
         self.config = config or MobiQueryConfig()
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self.sim = network.sim
         # One record per registered (user_id, query_id): the concurrent
         # sessions of a multi-user workload share one protocol instance

@@ -508,16 +508,8 @@ def _measured_section5(scale: str) -> Dict[str, Dict[str, int]]:
         # The Section 5 readers subscribe to the world's tracer before the
         # first submit; the run is the spec's, unchanged.
         service = build_service(spec)
-        network = service.config.network
         storage = StorageTracker(service.tracer)
-        contention = ContentionTracker(
-            service.tracer,
-            sleep_period_s=network.sleep_period_s,
-            active_window_s=network.active_window_s,
-            query_radius_m=QueryRequest.radius_m,
-            comm_range_m=network.comm_range_m,
-            psm_offset_s=service.psm_offset_s,
-        )
+        contention = ContentionTracker(service.network, QueryRequest.radius_m)
         run_scenario(spec, backend=service)
         out["prefetch_length"][mode] = storage.max_prefetch_length
         out["interference_length"][mode] = contention.interference_length()

@@ -19,13 +19,12 @@ lives in :mod:`repro.core.service` and :mod:`repro.core.gateway`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..geometry.vec import Vec2
 from ..net.network import Network
 from ..net.node import SensorNode
 from ..sim.rng import RandomStreams
-from ..sim.trace import Tracer
 from .plan import FaultPlan, RadioDegradation, RegionBlackout
 
 
@@ -41,12 +40,11 @@ class FaultInjector:
         plan: FaultPlan,
         network: Network,
         streams: RandomStreams,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.plan = plan
         self.network = network
         self.sim = network.sim
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         # The dedicated stream: fault draws cannot perturb any other
         # component, and an empty plan draws nothing at all.
         self.rng = streams.stream("faults")

@@ -15,6 +15,13 @@ The channel is the broker between transmitting radios and listening ones:
   collide mainly through hidden terminals and same-slot backoff expiry —
   the loss mechanism behind MQ-GP's fidelity variance in Figure 5.
 
+The channel is the world's wiring point.  It holds the world's one kernel
+(``sim``) and one tracer (clocks are synchronised, paper assumption 1, so a
+world has exactly one of each), and every component built on it reads both
+from it: nodes, proxies and their MACs and sleep schedulers directly, the
+routers, floods, protocols, gateways and fault injector through the
+:class:`~repro.net.network.Network` that wraps it.  None takes its own.
+
 Static sensor nodes are indexed once, in ``Channel.grid``: the field's only
 static index, which the network's neighbour lists and disk queries read.
 Mobile endpoints (the users' proxies) are tracked separately, each as the
@@ -290,10 +297,11 @@ class Channel:
         tracer: Optional[Tracer] = None,
     ) -> None:
         """Args:
-        sim: event kernel.
+        sim: the world's event kernel.
         comm_range: unit-disk radius ``Rc`` in metres.
         bitrate_bps: link bitrate (2e6 in the paper's evaluation).
-        tracer: optional tracer; emits ``tx``, ``rx``, ``collision`` kinds.
+        tracer: the world's tracer (a fresh silent one if omitted); the
+            channel emits ``tx``, ``rx``, ``collision`` kinds.
         """
         if comm_range <= 0:
             raise ValueError(f"comm_range must be > 0, got {comm_range}")
@@ -305,7 +313,8 @@ class Channel:
         #: test here accepts ``d^2 <= _range_sq``, as ``query_disk`` does
         self._range_sq = comm_range * comm_range + 1e-9
         self.bitrate_bps = bitrate_bps
-        self.tracer = tracer
+        #: the world's one tracer: every component on this channel emits here
+        self.tracer = tracer or Tracer()
         #: the field's only static index, in registration order
         self.grid: SpatialGrid[ChannelEndpoint] = SpatialGrid(cell_size=comm_range)
         self._static: Dict[int, ChannelEndpoint] = {}
@@ -628,11 +637,10 @@ class Channel:
         self._active.append(record)
         self.frames_sent += 1
         tracer = self.tracer
-        if tracer is not None:
-            if tracer.wants("tx"):
-                tracer.emit("tx", now, frame=frame.seq, frame_kind=frame.kind, src=frame.src)
-            else:
-                tracer.tick("tx")
+        if tracer.wants("tx"):
+            tracer.emit("tx", now, frame=frame.seq, frame_kind=frame.kind, src=frame.src)
+        else:
+            tracer.tick("tx")
         self.sim.schedule_fast(duration, self._finish_transmission, sender, record)
         return duration
 
@@ -899,8 +907,8 @@ class Channel:
                     radio.energy.bystander_s += airtime
         corrupt = record.corrupt
         reasons = record.reasons
-        emit_collision = tracer is not None and tracer.wants("collision")
-        emit_rx = tracer is not None and tracer.wants("rx")
+        emit_collision = tracer.wants("collision")
+        emit_rx = tracer.wants("rx")
         collided = delivered = emitted_collisions = emitted_rx = 0
         sent = self.frames_sent
         for i, receiver in enumerate(record.receivers):
@@ -947,13 +955,12 @@ class Channel:
             delivered += bystanders
         self.frames_collided += collided
         self.frames_delivered += delivered
-        if tracer is not None:
-            # Count what was not emitted in one bump per frame: bystanders'
-            # outcomes always, readers' when nobody watches the kind.
-            if collided > emitted_collisions:
-                tracer.tick_many("collision", collided - emitted_collisions)
-            if delivered > emitted_rx:
-                tracer.tick_many("rx", delivered - emitted_rx)
+        # Count what was not emitted in one bump per frame: bystanders'
+        # outcomes always, readers' when nobody watches the kind.
+        if collided > emitted_collisions:
+            tracer.tick_many("collision", collided - emitted_collisions)
+        if delivered > emitted_rx:
+            tracer.tick_many("rx", delivered - emitted_rx)
         callback = record.on_airtime_end
         if callback is not None:
             callback()

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set
 
 from ..geometry.shapes import Circle
-from ..sim.trace import Tracer
 from .network import Network
 from .node import SensorNode
 from .packet import BROADCAST, Frame
@@ -49,9 +48,9 @@ class FloodManager:
 
     FRAME_KIND = "flood"
 
-    def __init__(self, network: Network, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self._seen: Dict[int, Set[int]] = {}
         # Floods torn down via release(): frames still in flight must be
         # dropped, not treated as a brand-new flood (setdefault in _accept

@@ -23,8 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
-from ..sim.kernel import EventHandle, Simulator
-from ..sim.trace import Tracer
+from ..sim.kernel import EventHandle
 from .channel import Channel, ChannelEndpoint
 from .packet import ACK_SIZE_BYTES, BROADCAST, Frame
 
@@ -56,16 +55,14 @@ class MacLayer:
     def __init__(
         self,
         endpoint: ChannelEndpoint,
-        sim: Simulator,
         channel: Channel,
         rng: np.random.Generator,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.endpoint = endpoint
-        self.sim = sim
+        self.sim = channel.sim
         self.channel = channel
         self.rng = rng
-        self.tracer = tracer
+        self.tracer = channel.tracer
         self._queue: Deque[Tuple[Frame, Optional[SendCallback]]] = deque()
         self._busy = False
         self._current: Optional[Tuple[Frame, Optional[SendCallback]]] = None
@@ -154,15 +151,14 @@ class MacLayer:
         self._retries += 1
         if self._retries > RETRY_LIMIT:
             self.unicast_failures += 1
-            if self.tracer is not None:
-                assert self._current is not None
-                self.tracer.emit(
-                    "mac-fail",
-                    self.sim.now,
-                    src=self.endpoint.node_id,
-                    dst=self._current[0].dst,
-                    frame_kind=self._current[0].kind,
-                )
+            assert self._current is not None
+            self.tracer.emit(
+                "mac-fail",
+                self.sim.now,
+                src=self.endpoint.node_id,
+                dst=self._current[0].dst,
+                frame_kind=self._current[0].kind,
+            )
             self._finish_current(False)
             return
         self._cw = min(self._cw * 2, CW_MAX)

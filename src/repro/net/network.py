@@ -66,22 +66,21 @@ class Network:
     """A built sensor field: nodes, channel, role partition.
 
     The channel's grid is the field's one spatial index: neighbour lists
-    and disk queries both read it.
+    and disk queries both read it.  The kernel and the tracer are the
+    channel's (the world's wiring point).
     """
 
     def __init__(
         self,
-        sim: Simulator,
         config: NetworkConfig,
         channel: Channel,
         nodes: List[SensorNode],
-        tracer: Tracer,
     ) -> None:
-        self.sim = sim
+        self.sim = channel.sim
         self.config = config
         self.channel = channel
         self.nodes = nodes
-        self.tracer = tracer
+        self.tracer = channel.tracer
         self._compute_neighbors()
         self._backbone_applied = False
 
@@ -188,7 +187,8 @@ def build_network(
         config: field parameters.
         streams: root RNG family; uses ``topology`` and per-node ``mac``
             streams.
-        tracer: shared tracer (a fresh silent one if omitted).
+        tracer: the world's tracer (the channel makes a fresh silent one
+            if omitted).
         field_model: physical field sensors sample (uniform if omitted).
         positions: explicit node positions (overrides random placement);
             useful for deterministic tests.
@@ -197,7 +197,6 @@ def build_network(
         A :class:`Network` with roles not yet assigned — call a power
         protocol and then :meth:`Network.apply_backbone`.
     """
-    tracer = tracer if tracer is not None else Tracer()
     channel = Channel(
         sim,
         comm_range=config.comm_range_m,
@@ -216,13 +215,11 @@ def build_network(
         node = SensorNode(
             node_id=node_id,
             position=position,
-            sim=sim,
             channel=channel,
             rng=streams.stream(f"mac-{node_id}"),
             field=the_field,
             sensor_noise_std=config.sensor_noise_std,
-            tracer=tracer,
         )
         channel.register_static(node)
         nodes.append(node)
-    return Network(sim, config, channel, nodes, tracer)
+    return Network(config, channel, nodes)

@@ -8,6 +8,10 @@ their own per-node state; the node itself stays protocol-agnostic.
 
 A :class:`MobileEndpoint` is the user's proxy: an always-on radio whose
 position is a function of time supplied by the mobility model.
+
+Neither takes a kernel or a tracer of its own: the channel is the world's
+wiring point, and an endpoint, its MAC and its sleep scheduler read
+``channel.sim`` and ``channel.tracer``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..geometry.vec import Vec2
-from ..sim.kernel import Simulator
-from ..sim.trace import Tracer
 from .channel import Channel
 from .energy import PAPER_POWER_MODEL
 from .field import ScalarField, UniformField
@@ -45,23 +47,21 @@ class SensorNode:
         self,
         node_id: int,
         position: Vec2,
-        sim: Simulator,
         channel: Channel,
         rng: np.random.Generator,
         field: Optional[ScalarField] = None,
         sensor_noise_std: float = 0.0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.node_id = node_id
         self.position = position
-        self.sim = sim
+        self.sim = channel.sim
         self.channel = channel
         self.rng = rng
-        self.tracer = tracer
+        self.tracer = channel.tracer
         self.field = field or UniformField()
         self.sensor_noise_std = sensor_noise_std
-        self.radio = Radio(sim, node_id, PAPER_POWER_MODEL)
-        self.mac = MacLayer(self, sim, channel, rng, tracer)
+        self.radio = Radio(self.sim, node_id, PAPER_POWER_MODEL)
+        self.mac = MacLayer(self, channel, rng)
         self.mac.receive_callback = self._dispatch
         # Bind channel delivery straight to the MAC: one call per reception
         # instead of two (the class method below documents the contract).
@@ -106,7 +106,7 @@ class SensorNode:
         handler = self._handlers.get(frame.kind)
         if handler is not None:
             handler(self, frame)
-        elif self.tracer is not None:
+        else:
             self.tracer.emit("unhandled-frame", self.sim.now, at=self.node_id, frame_kind=frame.kind)
 
     def send(self, frame: Frame, callback: Optional[SendCallback] = None) -> None:
@@ -144,7 +144,7 @@ class SensorNode:
         event per window edge — see :class:`repro.net.psm.WakeWheel`).
         """
         self.role = ROLE_SLEEPER
-        self.sleep_scheduler = SleepScheduler(self.sim, self.radio, self.mac, psm_config)
+        self.sleep_scheduler = SleepScheduler(self.radio, self.mac, psm_config)
         self.sleep_scheduler.start()
 
     def read_sensor(self) -> float:
@@ -164,19 +164,16 @@ class MobileEndpoint:
     def __init__(
         self,
         node_id: int,
-        sim: Simulator,
         channel: Channel,
         rng: np.random.Generator,
         position_fn: Callable[[float], Vec2],
-        tracer: Optional[Tracer] = None,
         max_speed_mps: float = float("inf"),
         segment_fn: Optional[Callable[[float], "MotionPiece"]] = None,
     ) -> None:
         self.node_id = node_id
-        self.sim = sim
+        self.sim = channel.sim
         self.channel = channel
         self.rng = rng
-        self.tracer = tracer
         self._position_fn = position_fn
         if segment_fn is not None:
             #: The mobility model's flat motion pieces (``PiecewisePath.
@@ -196,8 +193,8 @@ class MobileEndpoint:
         # Bind the mobility model straight onto the instance: the proxy's
         # own transmissions and the gateway ask for its position.
         self.position_at = position_fn  # type: ignore[method-assign]
-        self.radio = Radio(sim, node_id, PAPER_POWER_MODEL)
-        self.mac = MacLayer(self, sim, channel, rng, tracer)
+        self.radio = Radio(self.sim, node_id, PAPER_POWER_MODEL)
+        self.mac = MacLayer(self, channel, rng)
         self.mac.receive_callback = self._dispatch
         self.deliver_frame = self.mac.on_frame  # type: ignore[method-assign]
         self._handlers: Dict[str, Callable[["MobileEndpoint", Frame], None]] = {}

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim.kernel import Simulator
 from .mac import MacLayer
@@ -179,19 +179,12 @@ class SleepScheduler:
     #: how long to postpone a due sleep while the MAC is still draining
     _SLEEP_RETRY_S = 1e-3
 
-    def __init__(
-        self,
-        sim: Simulator,
-        radio: Radio,
-        mac: MacLayer,
-        config: PsmConfig,
-        wheel: Optional[WakeWheel] = None,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, radio: Radio, mac: MacLayer, config: PsmConfig) -> None:
+        self.sim = mac.sim
         self.radio = radio
         self.mac = mac
         self.config = config
-        self.wheel = wheel if wheel is not None else WakeWheel.shared(sim, config)
+        self.wheel = WakeWheel.shared(self.sim, config)
         self._overrides: List[Tuple[float, float]] = []
         self._started = False
 

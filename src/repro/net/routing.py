@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..geometry.vec import Vec2
-from ..sim.trace import Tracer
 from .network import Network
 from .node import SensorNode
 from .packet import Frame
@@ -57,9 +56,9 @@ class GeoRouter:
 
     FRAME_KIND = "geo"
 
-    def __init__(self, network: Network, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self.delivered = 0
         self.dropped = 0
         for node in network.nodes:

@@ -678,9 +678,17 @@ class ServeApp:
                 result_fingerprints(workload, stats) if signed else None
             )
             # Whatever was live when the pump stopped was never retired:
-            # release it now so the leak census judges the daemon.
+            # ``close()`` ran it to the horizon, so its ring gets the
+            # periods the pump did not harvest — unless a raising step
+            # closed the ring, its clock stopped — then it is released
+            # (no WAL op: the release is unlogged) so the leak census
+            # judges the daemon.
             for sess in self._live_sessions():
-                sess.handle.service.release_session_state(sess.handle)
+                handle = sess.handle
+                if not sess.ring.closed:
+                    for k in range(sess.next_k, handle.spec.num_periods + 1):
+                        sess.ring.append(outcome_to_wire(handle.period_outcome(k)))
+                handle.service.release_session_state(handle)
                 self._end_session(sess)
             leaks: Dict[str, int] = {}
             for service in self._services():

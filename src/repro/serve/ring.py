@@ -51,6 +51,12 @@ class ResultRing:
             self._cond.notify_all()
 
     @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` was called: no more items will arrive."""
+        with self._cond:
+            return self._closed
+
+    @property
     def dropped(self) -> int:
         """Outcomes evicted before any reader could have seen them."""
         with self._cond:

@@ -2,9 +2,9 @@
 
 The daemon speaks exactly the request-payload dialect scenarios already
 serialize (:func:`repro.api.scenarios.request_from_payload`), with a
-tenancy restriction on top: identity fields (``user_id``) and host-side
-objects (``provider``) may not cross the wire — the cluster assigns ids,
-and providers live in the server process.
+tenancy restriction on top: identity fields (``user_id``) and template
+clone keys may not cross the wire — the cluster assigns ids, and a wire
+body is one request.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from ..api.requests import PeriodOutcome, QueryRequest
 from .errors import WireError
 
 #: template keys a wire submission may not carry
-_FORBIDDEN_WIRE_KEYS = ("user_id", "provider", "count", "spacing_s", "arrival")
+_FORBIDDEN_WIRE_KEYS = ("user_id", "count", "spacing_s", "arrival")
 
 
 def request_from_wire(payload: object) -> QueryRequest:

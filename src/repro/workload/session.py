@@ -10,7 +10,6 @@ until the session is torn down — is the service's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from ..core.metrics import SessionMetrics
 from ..mobility.path import PiecewisePath
 from ..net.network import Network
 from ..net.node import MobileEndpoint
-from ..sim.trace import Tracer
 
 #: proxy node ids start here; user ``u`` gets ``PROXY_ID_BASE + u``
 PROXY_ID_BASE = 100_000
@@ -36,16 +34,13 @@ def build_proxy(
     path: PiecewisePath,
     network: Network,
     rng: np.random.Generator,
-    tracer: Optional[Tracer] = None,
 ) -> MobileEndpoint:
     """Create and register the user's proxy device on the shared channel."""
     proxy = MobileEndpoint(
         node_id=proxy_id_for(user_id),
-        sim=network.sim,
         channel=network.channel,
         rng=rng,
         position_fn=path.position_at,
-        tracer=tracer,
         max_speed_mps=path.max_speed(),
         segment_fn=path.segment_at,
     )

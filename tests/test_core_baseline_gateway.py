@@ -25,33 +25,30 @@ class NpStack:
 
     def __init__(self, sim, sleep_period=6.0, psm_offset=2.0, duration=30.0):
         self.sim = sim
-        self.tracer = Tracer()
         self.network = make_network(
             sim,
             grid_positions(6, 6, 42.0),
             sleep_period=sleep_period,
             psm_offset=psm_offset,
             region_side=250.0,
-            tracer=self.tracer,
         )
+        self.tracer = self.network.tracer
         self.network.apply_backbone(
             [n.node_id for n in self.network.nodes if n.node_id % 2 == 0]
         )
-        self.geo = GeoRouter(self.network, self.tracer)
-        self.flood = FloodManager(self.network, self.tracer)
+        self.geo = GeoRouter(self.network)
+        self.flood = FloodManager(self.network)
         self.spec = QuerySpec(radius_m=100.0, period_s=2.0, freshness_s=1.0, lifetime_s=duration)
-        self.protocol = NoPrefetchProtocol(self.network, self.geo, self.flood, tracer=self.tracer)
+        self.protocol = NoPrefetchProtocol(self.network, self.geo, self.flood)
         self.proxy = MobileEndpoint(
             node_id=50_000,
-            sim=sim,
             channel=self.network.channel,
             rng=RandomStreams(77).stream("proxy"),
             position_fn=lambda t: Vec2(105, 105),
-            tracer=self.tracer,
         )
         self.network.channel.register_mobile(self.proxy)
         self.gateway = NoPrefetchGateway(
-            self.proxy, self.network, self.spec, self.protocol, self.flood, self.tracer
+            self.proxy, self.network, self.spec, self.protocol, self.flood
         )
         self.gateway.start()
         self.duration = duration

@@ -15,6 +15,7 @@ from repro.core.metrics import (
 )
 from repro.core.query import QuerySpec
 from repro.geometry.vec import Vec2
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 from .conftest import all_active, line_positions, make_network
@@ -329,13 +330,10 @@ def test_property_fails_under_named_mutations(name, monkeypatch):
 
 class TestContentionTracker:
     def _tracker(self, tracer):
-        return ContentionTracker(
-            tracer,
-            sleep_period_s=9.0,
-            active_window_s=0.1,
-            query_radius_m=150.0,
-            comm_range_m=105.0,
-        )
+        """A tracker on a world with the paper's 9 s / 0.1 s schedule and
+        ``Rc = 105 m``, emitting into ``tracer``."""
+        network = make_network(Simulator(), line_positions(1, 1.0), tracer=tracer)
+        return ContentionTracker(network, query_radius_m=150.0)
 
     def test_overlapping_nearby_setups_interfere(self):
         tracer = Tracer()
@@ -382,8 +380,6 @@ class TestPowerReport:
         assert 0.13 <= report.mean_sleeper_power_w <= 0.20
 
     def test_sleeper_power_decreases_with_sleep_period(self):
-        from repro.sim.kernel import Simulator
-
         results = []
         for period in (3.0, 15.0):
             sim = Simulator()

@@ -44,7 +44,6 @@ class Stack:
         provider=None,
     ):
         self.sim = sim
-        self.tracer = tracer if tracer is not None else Tracer()
         positions = grid_positions(6, 6, 42.0)  # 36 nodes over 210 m square
         self.network = make_network(
             sim,
@@ -53,15 +52,16 @@ class Stack:
             sleep_period=sleep_period,
             psm_offset=psm_offset,
             region_side=250.0,
-            tracer=self.tracer,
+            tracer=tracer,
         )
+        self.tracer = self.network.tracer
         for node in self.network.nodes:
             node.field = UniformField(level=20.0)
         if backbone is None:
             # checkerboard backbone: connected, half the nodes
             backbone = [n.node_id for n in self.network.nodes if n.node_id % 2 == 0]
         self.network.apply_backbone(backbone)
-        self.geo = GeoRouter(self.network, self.tracer)
+        self.geo = GeoRouter(self.network)
         self.spec = QuerySpec(
             aggregation=Aggregation.AVG,
             radius_m=radius,
@@ -73,18 +73,15 @@ class Stack:
             self.network,
             self.geo,
             MobiQueryConfig(prefetch_policy=policy),
-            self.tracer,
         )
         if user_path is None:
             user_path = PiecewisePath.stationary(Vec2(105, 105))
         self.path = user_path
         self.proxy = MobileEndpoint(
             node_id=50_000,
-            sim=sim,
             channel=self.network.channel,
             rng=RandomStreams(77).stream("proxy"),
             position_fn=user_path.position_at,
-            tracer=self.tracer,
         )
         self.network.channel.register_mobile(self.proxy)
         self.gateway = MobiQueryGateway(
@@ -93,7 +90,6 @@ class Stack:
             self.spec,
             self.protocol,
             provider or FullKnowledgeProvider(user_path, duration),
-            self.tracer,
         )
         self.gateway.start()
         self.duration = duration

@@ -26,7 +26,6 @@ class TestMotionChangeAndCancel:
                 Waypoint(28.0, Vec2(116, 161)),
             ]
         )
-        tracer = tracer if tracer is not None else Tracer()
         stack = Stack(
             sim,
             user_path=path,
@@ -130,7 +129,6 @@ class TestConcurrentQueries:
         path2 = PiecewisePath.stationary(Vec2(84, 126))
         proxy2 = MobileEndpoint(
             node_id=50_001,
-            sim=sim,
             channel=stack.network.channel,
             rng=RandomStreams(88).stream("proxy2"),
             position_fn=path2.position_at,
@@ -141,7 +139,7 @@ class TestConcurrentQueries:
 
         gateway2 = MobiQueryGateway(
             proxy2, stack.network, spec2, stack.protocol,
-            FullKnowledgeProvider(path2, 30.0), stack.tracer,
+            FullKnowledgeProvider(path2, 30.0),
         )
         gateway2.start()
         stack.run()

@@ -30,7 +30,7 @@ def raw_channel(sim, positions, tracer=None, comm_range=105.0):
     streams = RandomStreams(7)
     nodes = []
     for i, pos in enumerate(positions):
-        node = SensorNode(i, pos, sim, channel, streams.stream(f"mac-{i}"))
+        node = SensorNode(i, pos, channel, streams.stream(f"mac-{i}"))
         channel.register_static(node)
         nodes.append(node)
     return channel, nodes
@@ -167,7 +167,6 @@ class TestLateJoinerMobileProxy:
     def _proxy(self, sim, channel, node_id, x):
         return MobileEndpoint(
             node_id=node_id,
-            sim=sim,
             channel=channel,
             rng=RandomStreams(5).stream(f"proxy-{node_id}"),
             position_fn=lambda t, x=x: Vec2(x, 0.0),
@@ -309,8 +308,8 @@ class TestWakeWheel:
         sim = Simulator()
         network = make_network(sim, line_positions(3, 50.0), psm_offset=4.0)
         cfg = PsmConfig(beacon_interval_s=9.0, active_window_s=0.1, offset_s=4.0)
-        s1 = SleepScheduler(sim, network.nodes[1].radio, network.nodes[1].mac, cfg)
-        s2 = SleepScheduler(sim, network.nodes[2].radio, network.nodes[2].mac, cfg)
+        s1 = SleepScheduler(network.nodes[1].radio, network.nodes[1].mac, cfg)
+        s2 = SleepScheduler(network.nodes[2].radio, network.nodes[2].mac, cfg)
         assert s1.wheel is s2.wheel
         assert s1.wheel is WakeWheel.shared(sim, cfg)
         other_phase = PsmConfig(
@@ -331,8 +330,7 @@ def _census_run(n_nodes: int, frames: int):
     nodes = []
     for i in range(n_nodes):
         # 2 m spacing: every node hears every frame (maximal cohort).
-        node = SensorNode(i, Vec2(2.0 * i, 0.0), sim, channel,
-                         streams.stream(f"mac-{i}"))
+        node = SensorNode(i, Vec2(2.0 * i, 0.0), channel, streams.stream(f"mac-{i}"))
         channel.register_static(node)
         nodes.append(node)
     finish_events = 0

@@ -167,7 +167,6 @@ class TestMobileEndpoint:
         # Proxy walks along x: at t=1 it is at (10, 0), within range of node 0.
         proxy = MobileEndpoint(
             node_id=999,
-            sim=sim,
             channel=network.channel,
             rng=RandomStreams(5).stream("proxy"),
             position_fn=lambda t: Vec2(10.0 * t, 0.0),
@@ -187,7 +186,6 @@ class TestMobileEndpoint:
         all_active(network)
         proxy = MobileEndpoint(
             node_id=999,
-            sim=sim,
             channel=network.channel,
             rng=RandomStreams(5).stream("proxy"),
             position_fn=lambda t: Vec2(500.0, 0.0),
@@ -221,7 +219,6 @@ class TestMobileEndpoint:
 
         proxy = MobileEndpoint(
             node_id=999,
-            sim=sim,
             channel=network.channel,
             rng=RandomStreams(5).stream("proxy"),
             position_fn=position_fn,
@@ -229,7 +226,7 @@ class TestMobileEndpoint:
         )
         assert proxy.segment_at(1.0) == path.segment_at(1.0)
         assert not hasattr(
-            MobileEndpoint(998, sim, network.channel, proxy.rng, position_fn), "segment_at"
+            MobileEndpoint(998, network.channel, proxy.rng, position_fn), "segment_at"
         )
         network.channel.register_mobile(proxy)
         got = []
@@ -309,7 +306,6 @@ class TestCarrierSenseBookkeeping:
         all_active(network)
         proxy = MobileEndpoint(
             node_id=999,
-            sim=sim,
             channel=network.channel,
             rng=RandomStreams(5).stream("proxy"),
             position_fn=lambda t: Vec2(10.0, 0.0),
@@ -355,7 +351,6 @@ class TestStaticListenerCache:
         extra = SensorNode(
             node_id=77,
             position=Vec2(20.0, 0.0),
-            sim=sim,
             channel=channel,
             rng=RandomStreams(9).stream("mac-77"),
         )
@@ -378,7 +373,6 @@ class TestStaticListenerCache:
             late = SensorNode(
                 node_id=88,
                 position=Vec2(25.0, 0.0),
-                sim=sim,
                 channel=channel,
                 rng=RandomStreams(3).stream("mac-88"),
             )

@@ -74,7 +74,7 @@ class TestGeoRouting:
         """Greedy dead end: deliver at the closest reachable node."""
         network = make_network(sim, line_positions(3, 80.0), tracer=tracer)
         all_active(network)
-        router = GeoRouter(network, tracer=tracer)
+        router = GeoRouter(network)
         got = []
         for node in network.nodes:
             node.register_handler("payload", lambda n, f: got.append(n.node_id))
@@ -115,7 +115,7 @@ class TestGeoRouting:
         monkeypatch.setattr(routing, "MAX_HOPS", 3)
         network = make_network(sim, line_positions(10, 80.0), tracer=tracer)
         all_active(network)
-        router = GeoRouter(network, tracer=tracer)
+        router = GeoRouter(network)
         got = []
         for node in network.nodes:
             node.register_handler("payload", lambda n, f: got.append(n.node_id))
@@ -218,7 +218,6 @@ class TestFlooding:
             node.register_handler("inner", lambda n, f: got.append(n.node_id))
         proxy = MobileEndpoint(
             node_id=999,
-            sim=sim,
             channel=network.channel,
             rng=RandomStreams(5).stream("proxy"),
             position_fn=lambda t: Vec2(0, 0),

@@ -313,9 +313,8 @@ ANSWERS = {
     ("raising-step", "healthz"): {"ok": False},
     ("finish", "submit"): CLOSED,
     ("finish", "cancel"): CLOSED,
-    ("finish", "results"): {
-        "outcomes": [], "missed": 0, "done": True, "status": "completed",
-    },
+    # the world ran to the horizon: every period, then done
+    ("finish", "results"): "every period from k = 1",
     ("finish", "healthz"): {"ok": False},
 }
 
@@ -346,6 +345,12 @@ def test_a_closed_daemon_answers_every_op_alike(closer, op, tmp_path):
         answer = OPS[op](app, sid)
         if expected == "outcomes from k = 1":
             assert answer["outcomes"][0]["k"] == 1
+        elif expected == "every period from k = 1":
+            periods = app.sessions[sid].handle.spec.num_periods
+            assert [o["k"] for o in answer["outcomes"]] == list(range(1, periods + 1))
+            assert (answer["missed"], answer["done"], answer["status"]) == (
+                0, True, "completed",
+            )
         elif op == "results":
             assert answer == dict(expected, session=sid)
         else:

@@ -97,12 +97,8 @@ class TestGatewayReleasesWhatItSetUp:
         spec = QuerySpec(
             radius_m=100.0, period_s=2.0, freshness_s=1.0, lifetime_s=30.0, user_id=1
         )
-        proxy = build_proxy(
-            1, path, stack.network, RandomStreams(5).stream("proxy"), stack.tracer
-        )
-        gateway = ApproxGateway(
-            proxy, stack.network, spec, plane, path, "coarse", stack.tracer
-        )
+        proxy = build_proxy(1, path, stack.network, RandomStreams(5).stream("proxy"))
+        gateway = ApproxGateway(proxy, stack.network, spec, plane, path, "coarse")
         gateway.begin()
         stack.run(until=9.0)
         assert gateway.deliveries and plane.session_count() == 1

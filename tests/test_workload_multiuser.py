@@ -19,7 +19,6 @@ from repro.mobility.planner import FullKnowledgeProvider
 from repro.mobility.profile import MotionProfile, ProfileArrival, ProfileProvider
 from repro.net.field import UniformField
 from repro.net.routing import GeoRouter
-from repro.sim.trace import Tracer
 from repro.workload import arrival_times, build_proxy
 from repro.workload.arrivals import (
     ARRIVAL_POISSON,
@@ -65,7 +64,6 @@ class MultiStack:
         policy="jit",
     ):
         self.sim = sim
-        self.tracer = Tracer()
         positions = grid_positions(6, 6, 42.0)  # 36 nodes over 210 m square
         self.network = make_network(
             sim,
@@ -74,18 +72,17 @@ class MultiStack:
             sleep_period=6.0,
             psm_offset=2.0,
             region_side=250.0,
-            tracer=self.tracer,
         )
+        self.tracer = self.network.tracer
         for node in self.network.nodes:
             node.field = UniformField(level=20.0)
         backbone = [n.node_id for n in self.network.nodes if n.node_id % 2 == 0]
         self.network.apply_backbone(backbone)
-        self.geo = GeoRouter(self.network, self.tracer)
+        self.geo = GeoRouter(self.network)
         self.protocol = MobiQueryProtocol(
             self.network,
             self.geo,
             MobiQueryConfig(prefetch_policy=policy),
-            self.tracer,
         )
         self.duration = duration
         self.gateways = []
@@ -113,10 +110,8 @@ class MultiStack:
 
     def add_user(self, spec, path, provider, rng):
         """One user the way the service admits them: proxy, gateway, begin."""
-        proxy = build_proxy(spec.user_id, path, self.network, rng, self.tracer)
-        gateway = MobiQueryGateway(
-            proxy, self.network, spec, self.protocol, provider, self.tracer
-        )
+        proxy = build_proxy(spec.user_id, path, self.network, rng)
+        gateway = MobiQueryGateway(proxy, self.network, spec, self.protocol, provider)
         gateway.begin()
         self.gateways.append(gateway)
         self.paths.append(path)
